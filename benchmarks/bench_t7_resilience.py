@@ -2,40 +2,44 @@
 
 At 96,000 nodes faults are routine; the checkpoint interval trades steady-
 state overhead against work lost per failure. This bench crashes a run at
-a fixed step under several intervals and reports the recomputed steps,
-verifies the recovered trajectory matches an undisturbed run, and sweeps
-the node MTBF through the elastic supervisor to chart goodput/availability
-against failure rate (T7c).
+a fixed step under several intervals and reports the recovery point,
+verifies the recovered trajectory matches an undisturbed run (both through
+the supervisor as plain fixed-width checkpoint-restart, ``elastic=False``),
+and sweeps the node MTBF through the elastic supervisor to chart
+goodput/availability against failure rate (T7c).
 """
 
 import numpy as np
 
 from repro.models import tiny_config
-from repro.parallel import ResilientRunConfig, run_resilient_training
 from repro.resilience import ElasticRunConfig, Supervisor
 from repro.simmpi import FaultModel, FaultPlan
 
 CFG = tiny_config(num_experts=4)
 TOTAL = 8
 
-# Op index that lands the kill around training step ~5 of the first launch
+# Op index that lands the kill around training step ~6 of the first launch
 # (measured for this model/batch configuration).
 KILL_AT_OP = 120
+
+
+def _restart_cfg(checkpoint_dir, total_steps, checkpoint_every, seed):
+    """Plain checkpoint-restart: always relaunch at full width."""
+    return ElasticRunConfig(
+        model=CFG, world_size=4, ep_size=2, total_steps=total_steps,
+        checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
+        batch_size=2, seq_len=8, seed=seed, elastic=False,
+    )
 
 
 def test_t7_interval_vs_lost_work(benchmark, report, tmp_path):
     def measure():
         rows = []
         for interval in (1, 2, 4):
-            cfg = ResilientRunConfig(
-                model=CFG, world_size=4, ep_size=2, total_steps=TOTAL,
-                checkpoint_every=interval,
-                checkpoint_dir=tmp_path / f"ival{interval}",
-                batch_size=2, seq_len=8, seed=7,
-            )
-            res = run_resilient_training(
+            cfg = _restart_cfg(tmp_path / f"ival{interval}", TOTAL, interval, seed=7)
+            res = Supervisor(
                 cfg, fault_plans=[FaultPlan().kill_rank(1, at_op=KILL_AT_OP), None]
-            )
+            ).run()
             # Steps recomputed = steps the surviving segment replayed that
             # the crashed attempt had already processed (upper-bounded by
             # the interval).
@@ -65,21 +69,11 @@ def test_t7_recovery_is_exact(benchmark, report, tmp_path):
     """Crash+restore reproduces the healthy trajectory bit-for-bit."""
 
     def measure():
-        healthy = run_resilient_training(
-            ResilientRunConfig(
-                model=CFG, world_size=4, ep_size=2, total_steps=6,
-                checkpoint_every=2, checkpoint_dir=tmp_path / "healthy",
-                batch_size=2, seq_len=8, seed=9,
-            )
-        )
-        faulted = run_resilient_training(
-            ResilientRunConfig(
-                model=CFG, world_size=4, ep_size=2, total_steps=6,
-                checkpoint_every=2, checkpoint_dir=tmp_path / "faulted",
-                batch_size=2, seq_len=8, seed=9,
-            ),
+        healthy = Supervisor(_restart_cfg(tmp_path / "healthy", 6, 2, seed=9)).run()
+        faulted = Supervisor(
+            _restart_cfg(tmp_path / "faulted", 6, 2, seed=9),
             fault_plans=[FaultPlan().kill_rank(2, at_op=100), None],
-        )
+        ).run()
         overlap = healthy.losses[faulted.first_step:]
         worst = float(np.abs(np.array(overlap) - np.array(faulted.losses)).max())
         return [

@@ -5,7 +5,8 @@ Trains the same configuration twice:
 
 1. a healthy run to completion;
 2. a run whose rank 1 is killed mid-training by an injected fault — the
-   driver restarts the world from the last sharded checkpoint and resumes.
+   supervisor (fixed-width: ``elastic=False``) restarts the world from the
+   last sharded checkpoint and resumes.
 
 Because training is deterministic end to end (derived seeds everywhere),
 the recovered trajectory matches the healthy one exactly — printed side by
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.models import tiny_config
-from repro.parallel import ResilientRunConfig, run_resilient_training
+from repro.resilience import ElasticRunConfig, Supervisor
 from repro.simmpi import FaultPlan
 
 CFG = tiny_config(num_experts=4)
@@ -29,14 +30,14 @@ STEPS = 8
 
 
 def run(workdir: Path, faults=None):
-    return run_resilient_training(
-        ResilientRunConfig(
+    return Supervisor(
+        ElasticRunConfig(
             model=CFG, world_size=4, ep_size=2, total_steps=STEPS,
             checkpoint_every=2, checkpoint_dir=workdir,
-            batch_size=4, seq_len=8, seed=13,
+            batch_size=4, seq_len=8, seed=13, elastic=False,
         ),
         fault_plans=faults,
-    )
+    ).run()
 
 
 def main() -> None:
@@ -49,7 +50,7 @@ def main() -> None:
         # Kill rank 1 partway through the first launch.
         faulted = run(
             tmp / "faulted",
-            faults=[FaultPlan().kill_rank(1, at_op=140), None],
+            faults=[FaultPlan().kill_rank(1, at_op=100), None],
         )
         print(f"faulted run : killed rank 1, {faulted.restarts} restart(s), "
               f"resumed from step {faulted.first_step}\n")

@@ -20,46 +20,12 @@ Python over a simulated substrate:
 * :mod:`repro.serve` — KV-cached continuous-batching inference on EP ranks.
 
 The *supported* public surface is the curated facade :mod:`repro.api`;
-import entry points from there. The historical root-level re-exports below
-still resolve, but lazily and with a :class:`DeprecationWarning` naming
-the facade path.
+import entry points from there.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-import warnings
-
 __version__ = "1.2.0"
 
-#: Root conveniences kept alive as deprecation shims -> repro.api.
-_DEPRECATED_ROOT_EXPORTS = (
-    "ParallelLayout",
-    "ElasticRunConfig",
-    "ElasticRunResult",
-    "FaultModel",
-    "FaultPlan",
-    "FlakyLink",
-    "Supervisor",
-    "run_elastic_training",
-)
-
-__all__ = ["__version__", *_DEPRECATED_ROOT_EXPORTS]
-
-
-def __getattr__(name):
-    if name in _DEPRECATED_ROOT_EXPORTS:
-        warnings.warn(
-            f"importing {name!r} from the 'repro' root is deprecated; "
-            f"use 'from repro.api import {name}'",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro import api
-
-        return getattr(api, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)
+__all__ = ["__version__"]

@@ -4,8 +4,7 @@
 build models, launch measured training (plain / elastic) or serving runs,
 and log the results — re-exported from its canonical home with an explicit
 ``__all__``. Importing this module is guaranteed warning-free (CI enforces
-it); the historical root-level conveniences (``repro.FaultModel`` etc.)
-still resolve but emit a :class:`DeprecationWarning` naming the path here.
+it).
 
 Deep imports from the implementing subpackages keep working and stay the
 right choice for internals (e.g. :class:`repro.parallel.ep.DistributedMoELayer`);

@@ -115,17 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "telemetry; JSONL metrics gain typed "
                              "observability records for 'report'")
 
-    p_3d = sub.add_parser("3d", help="simulated pipe x data x expert training")
-    p_3d.add_argument("--config", choices=sorted(_CONFIGS), default="tiny")
-    p_3d.add_argument("--world", type=int, default=8)
-    p_3d.add_argument("--pipe", type=int, default=2)
-    p_3d.add_argument("--ep", type=int, default=2)
-    p_3d.add_argument("--steps", type=int, default=4)
-    p_3d.add_argument("--microbatches", type=int, default=2)
-    p_3d.add_argument("--batch-size", type=int, default=4)
-    p_3d.add_argument("--seq-len", type=int, default=16)
-    p_3d.add_argument("--seed", type=int, default=0)
-
     p_res = sub.add_parser(
         "resilient",
         help="supervised fault-tolerant training (stochastic faults, "
@@ -439,41 +428,6 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
     for phase, seconds in result.phase_seconds.items():
         print(f"  phase {phase:<10}: {format_time(seconds)}")
     print(f"traffic            : {format_bytes(result.traffic['total_bytes'])}")
-    return 0
-
-
-def _cmd_3d(args: argparse.Namespace) -> int:
-    from repro.data import ShardedLoader
-    from repro.network import sunway_network
-    from repro.parallel import Trainer3D, build_groups3d
-    from repro.simmpi import run_spmd
-    from repro.train import Adam
-
-    cfg = _CONFIGS[args.config]()
-    if cfg.num_experts % args.ep != 0:
-        cfg = cfg.scaled(num_experts=args.ep * max(cfg.num_experts // args.ep, 1))
-
-    def program(comm):
-        groups = build_groups3d(comm, pipe_size=args.pipe, ep_size=args.ep)
-        trainer = Trainer3D(cfg, groups, num_microbatches=args.microbatches,
-                            seed=args.seed)
-        trainer.attach_optimizer(Adam(trainer.stage.parameters(), lr=3e-3))
-        corpus = SyntheticCorpus(vocab_size=cfg.vocab_size, predictability=0.9,
-                                 seed=args.seed)
-        loader = ShardedLoader(corpus, args.batch_size, args.seq_len,
-                               dp_rank=groups.pipeline_id,
-                               dp_size=groups.grid.plane_size)
-        return [trainer.train_step(loader.get_batch(s)).global_loss
-                for s in range(args.steps)]
-
-    print(f"3D grid: pipe={args.pipe} x dp="
-          f"{args.world // args.pipe // args.ep} x ep={args.ep} "
-          f"on {args.world} simulated ranks")
-    res = run_spmd(program, args.world, network=sunway_network(args.world),
-                   timeout=600)
-    for step, loss in enumerate(res.returns[0]):
-        print(f"  step {step:3d}  global loss {loss:.4f}")
-    print(f"simulated time: {format_time(res.simulated_time)}")
     return 0
 
 
@@ -917,7 +871,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     handlers = {
         "train": _cmd_train,
         "distributed": _cmd_distributed,
-        "3d": _cmd_3d,
         "resilient": _cmd_resilient,
         "serve": _cmd_serve,
         "report": _cmd_report,

@@ -4,9 +4,11 @@ One frozen dataclass describes how a world of ranks is factored over the
 four parallel axes the stack knows about — expert (EP), tensor (TP),
 pipeline (PP) and ZeRO optimizer-state sharding — and validates the
 factorization once, in one place. Both the measured side
-(:class:`~repro.parallel.runner.TrainingRunConfig`, the strategy registry)
-and the analytic side (:class:`~repro.perf.ParallelPlan`) build a
-:class:`ParallelLayout`, so a layout that launches is exactly a layout
+(:class:`~repro.parallel.runner.TrainingRunConfig`, the strategy registry,
+and the process-group builders in :mod:`repro.parallel.groups` /
+:mod:`repro.parallel.grid3d`, which take their split colours and keys
+from it) and the analytic side (:class:`~repro.perf.ParallelPlan`) build
+a :class:`ParallelLayout`, so a layout that launches is exactly a layout
 that projects, and the two can never drift.
 
 Rank-coordinate convention (world rank ``r``)::

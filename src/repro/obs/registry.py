@@ -31,6 +31,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.obs.timeseries import percentile
 
 __all__ = [
     "Counter",
@@ -163,11 +164,7 @@ class Histogram(_Instrument):
         return float(np.sum(self._samples)) if self._samples else 0.0
 
     def percentile(self, q: float) -> float:
-        if not 0 <= q <= 100:
-            raise ConfigError(f"percentile must be in [0, 100], got {q}")
-        if not self._samples:
-            return 0.0
-        return float(np.percentile(self._samples, q))
+        return percentile(self._samples, q)
 
     def summary(self) -> dict[str, float]:
         if not self._samples:

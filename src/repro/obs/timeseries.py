@@ -22,18 +22,34 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError
 
 __all__ = [
+    "percentile",
     "WindowStat",
     "tumbling_windows",
     "tumbling_rates",
     "SlidingWindow",
     "StreamingQuantile",
 ]
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """Linear-interpolated percentile of ``values``, ``q`` in [0, 100].
+
+    The one percentile every latency/metric summary in the repo reports.
+    An empty sample reports 0.0 — "nothing observed" — so report
+    generators and dashboards never trip over a run with zero completions.
+    """
+    if not 0 <= q <= 100:
+        raise ConfigError(f"percentile must be in [0, 100], got {q}")
+    if not values:
+        return 0.0
+    return float(np.percentile(values, q))
 
 
 @dataclass(frozen=True)
@@ -68,8 +84,8 @@ def _window_stat(start: float, end: float, values: list[float]) -> WindowStat:
         sum=total,
         mean=total / len(values),
         rate=len(values) / width if width > 0 else 0.0,
-        p50=float(np.percentile(values, 50)),
-        p95=float(np.percentile(values, 95)),
+        p50=percentile(values, 50),
+        p95=percentile(values, 95),
         max=float(max(values)),
     )
 
@@ -188,12 +204,7 @@ class SlidingWindow:
 
     def quantile(self, q: float, now: float) -> float:
         """Percentile ``q`` (0-100) of the trailing window (0.0 if empty)."""
-        if not 0 <= q <= 100:
-            raise ConfigError(f"percentile must be in [0, 100], got {q}")
-        values = self.window(now)
-        if not values:
-            return 0.0
-        return float(np.percentile(values, q))
+        return percentile(self.window(now), q)
 
     def __len__(self) -> int:
         return len(self._times)

@@ -24,8 +24,8 @@ from repro.parallel.dist_checkpoint import (
     verify_snapshot,
 )
 from repro.parallel.ep import DistributedMoELayer
-from repro.parallel.grid3d import Grid3D, Groups3D, Step3DResult, Trainer3D, build_groups3d
-from repro.parallel.groups import MoDaGrid, MoDaGroups, build_groups
+from repro.parallel.grid3d import Groups3D, Step3DResult, Trainer3D, build_groups3d
+from repro.parallel.groups import MoDaGroups, build_groups
 from repro.parallel.moda import MoDaStepResult, MoDaTrainer, build_moda_model, split_params
 from repro.parallel.pipeline import (
     GPipeRunner,
@@ -33,7 +33,6 @@ from repro.parallel.pipeline import (
     pipeline_bubble_fraction,
     stage_bounds,
 )
-from repro.parallel.resilient import ResilientRunConfig, ResilientRunResult, run_resilient_training
 from repro.parallel.tp import (
     ColumnParallelLinear,
     RowParallelLinear,
@@ -78,7 +77,6 @@ __all__ = [
     "save_distributed",
     "verify_snapshot",
     "GPipeRunner",
-    "Grid3D",
     "Groups3D",
     "Step3DResult",
     "Trainer3D",
@@ -91,9 +89,6 @@ __all__ = [
     "RowParallelLinear",
     "TensorParallelMLP",
     "shard_linear_weights",
-    "ResilientRunConfig",
-    "ResilientRunResult",
-    "run_resilient_training",
     "TrainingRunConfig",
     "TrainingRunResult",
     "run_distributed_training",
@@ -106,7 +101,6 @@ __all__ = [
     "flatten_grads",
     "unflatten_grads",
     "DistributedMoELayer",
-    "MoDaGrid",
     "MoDaGroups",
     "build_groups",
     "MoDaStepResult",

@@ -174,7 +174,7 @@ def save_distributed(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    ep_size = groups.grid.ep_size
+    ep_size = groups.ep.size
     written: list[str] = []
 
     if groups.world.rank == 0:

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.models.configs import ModelConfig
 from repro.models.layers import MLP, Linear
 from repro.models.module import Module
 from repro.moe.balance import load_balance_loss, router_z_loss
@@ -32,7 +33,7 @@ from repro.tensor import ops as T
 from repro.tensor.functional import gather_rows, scatter_rows
 from repro.utils.seeding import derive_seed
 
-__all__ = ["DistributedMoELayer"]
+__all__ = ["DistributedMoELayer", "ep_moe_factory"]
 
 
 class DistributedMoELayer(Module):
@@ -337,3 +338,47 @@ class DistributedMoELayer(Module):
         router = 2 * self.d_model * self.num_experts
         expert = self.experts[0].flops_per_token if self.experts else 0
         return router + self.gate.top_k * expert
+
+
+def ep_moe_factory(
+    config: ModelConfig,
+    ep_comm: Comm,
+    seed: int = 0,
+    alltoall_algorithm: str | None = None,
+    compute_hook: Callable[[int], None] | None = None,
+    overlap_chunks: int = 1,
+) -> Callable[[int, np.random.Generator], DistributedMoELayer]:
+    """The ``moe_factory`` that shards ``config``'s MoE blocks over ``ep_comm``.
+
+    The one place a model config becomes :class:`DistributedMoELayer`
+    arguments: every EP model builder (training planes, pipeline stages,
+    serving) hands the result to :class:`~repro.models.MoELanguageModel` /
+    :class:`~repro.parallel.pipeline.GPipeRunner`, so all of them draw the
+    same weight streams for the same ``seed``.
+    """
+    if config.num_experts % ep_comm.size != 0:
+        raise ConfigError(
+            f"ep_size={ep_comm.size} must divide num_experts={config.num_experts}"
+        )
+
+    def moe_factory(layer_idx: int, rng: np.random.Generator) -> DistributedMoELayer:
+        return DistributedMoELayer(
+            config.d_model,
+            config.d_ff,
+            config.num_experts,
+            ep_comm,
+            shared_rng=rng,
+            seed=seed,
+            layer_id=layer_idx,
+            gate=config.gate,
+            top_k=config.top_k,
+            capacity_factor=config.capacity_factor,
+            aux_weight=config.aux_weight,
+            z_weight=config.z_weight,
+            alltoall_algorithm=alltoall_algorithm,
+            dtype=config.dtype,
+            compute_hook=compute_hook,
+            overlap_chunks=overlap_chunks,
+        )
+
+    return moe_factory

@@ -27,14 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.amp import DynamicLossScaler, grads_have_overflow
 from repro.data.loader import Batch
 from repro.errors import ConfigError
+from repro.layout import ParallelLayout
 from repro.models.configs import ModelConfig
 from repro.parallel.dp import allreduce_gradients
-from repro.parallel.ep import DistributedMoELayer
+from repro.parallel.ep import ep_moe_factory
 from repro.parallel.groups import MoDaGroups, build_groups
 from repro.parallel.moda import split_params
 from repro.parallel.pipeline import GPipeRunner
@@ -42,51 +41,15 @@ from repro.simmpi import MAX, Comm
 from repro.train.optim import Optimizer
 from repro.train.schedules import ConstantLR, LRSchedule
 
-__all__ = ["Grid3D", "Groups3D", "build_groups3d", "Trainer3D", "Step3DResult"]
-
-
-@dataclass(frozen=True)
-class Grid3D:
-    """Static 3D decomposition: world = pipe x dp x ep."""
-
-    world_size: int
-    pipe_size: int
-    ep_size: int
-
-    def __post_init__(self) -> None:
-        if min(self.world_size, self.pipe_size, self.ep_size) < 1:
-            raise ConfigError("all grid dimensions must be >= 1")
-        if self.world_size % self.pipe_size != 0:
-            raise ConfigError(
-                f"pipe_size={self.pipe_size} must divide world_size={self.world_size}"
-            )
-        if self.plane_size % self.ep_size != 0:
-            raise ConfigError(
-                f"ep_size={self.ep_size} must divide plane size {self.plane_size}"
-            )
-
-    @property
-    def plane_size(self) -> int:
-        """Ranks per pipeline stage (= dp_size * ep_size)."""
-        return self.world_size // self.pipe_size
-
-    @property
-    def dp_size(self) -> int:
-        return self.plane_size // self.ep_size
-
-    def stage_of(self, rank: int) -> int:
-        return rank // self.plane_size
-
-    def plane_rank_of(self, rank: int) -> int:
-        """Pipeline id of ``rank`` (its position within the stage plane)."""
-        return rank % self.plane_size
+__all__ = ["Groups3D", "build_groups3d", "Trainer3D", "Step3DResult"]
 
 
 @dataclass
 class Groups3D:
     """Live communicators for one rank of a 3D program."""
 
-    grid: Grid3D
+    #: ``world`` factored as ``pp x dp x ep`` (stages outermost).
+    layout: ParallelLayout
     world: Comm
     #: This rank's pipeline (same plane position across stages).
     pipe: Comm
@@ -99,18 +62,20 @@ class Groups3D:
 
     @property
     def pipeline_id(self) -> int:
-        return self.grid.plane_rank_of(self.world.rank)
+        """This rank's position within its stage plane (= its data shard)."""
+        return self.plane.world.rank
 
 
 def build_groups3d(world: Comm, pipe_size: int, ep_size: int) -> Groups3D:
     """Split ``world`` into the 3D communicators (collective call)."""
-    grid = Grid3D(world_size=world.size, pipe_size=pipe_size, ep_size=ep_size)
-    r = world.rank
-    pipe = world.Split(color=grid.plane_rank_of(r), key=grid.stage_of(r))
-    plane_comm = world.Split(color=grid.stage_of(r), key=grid.plane_rank_of(r))
+    layout = ParallelLayout(world_size=world.size, ep_size=ep_size, pp_size=pipe_size)
+    stage = layout.stage_of(world.rank)
+    plane_rank = world.rank % layout.plane_size
+    pipe = world.Split(color=plane_rank, key=stage)
+    plane_comm = world.Split(color=stage, key=plane_rank)
     assert pipe is not None and plane_comm is not None
     plane = build_groups(plane_comm, ep_size)
-    return Groups3D(grid=grid, world=world, pipe=pipe, plane=plane)
+    return Groups3D(layout=layout, world=world, pipe=pipe, plane=plane)
 
 
 @dataclass
@@ -135,7 +100,7 @@ class Trainer3D:
     (built after construction, e.g. ``Adam(trainer.stage.parameters())``),
     then calls :meth:`train_step` with the batch of *this rank's pipeline*
     (fetch it with ``dp_rank=groups.pipeline_id,
-    dp_size=grid.plane_size``).
+    dp_size=groups.layout.plane_size``).
     """
 
     def __init__(
@@ -157,25 +122,9 @@ class Trainer3D:
         self.step_count = 0
         self.history: list[Step3DResult] = []
 
-        def moe_factory(layer_idx: int, rng: np.random.Generator):
-            return DistributedMoELayer(
-                config.d_model,
-                config.d_ff,
-                config.num_experts,
-                groups.plane.ep,
-                shared_rng=rng,
-                seed=seed,
-                layer_id=layer_idx,
-                gate=config.gate,
-                top_k=config.top_k,
-                capacity_factor=config.capacity_factor,
-                aux_weight=config.aux_weight,
-                z_weight=config.z_weight,
-                alltoall_algorithm=alltoall_algorithm,
-                dtype=config.dtype,
-                compute_hook=compute_hook,
-            )
-
+        moe_factory = ep_moe_factory(
+            config, groups.plane.ep, seed, alltoall_algorithm, compute_hook
+        )
         self.gpipe = GPipeRunner(
             config, groups.pipe, num_microbatches, seed=seed, moe_factory=moe_factory
         )

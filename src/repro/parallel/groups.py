@@ -22,53 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
+from repro.layout import ParallelLayout
 from repro.simmpi import Comm
 
-__all__ = ["MoDaGrid", "MoDaGroups", "build_groups"]
-
-
-@dataclass(frozen=True)
-class MoDaGrid:
-    """Static description of the parallel decomposition."""
-
-    world_size: int
-    ep_size: int
-
-    def __post_init__(self) -> None:
-        if self.world_size < 1 or self.ep_size < 1:
-            raise ConfigError("world_size and ep_size must be >= 1")
-        if self.world_size % self.ep_size != 0:
-            raise ConfigError(
-                f"ep_size={self.ep_size} must divide world_size={self.world_size}"
-            )
-
-    @property
-    def num_ep_groups(self) -> int:
-        """Number of expert replicas (the EDP width)."""
-        return self.world_size // self.ep_size
-
-    def ep_group_of(self, rank: int) -> int:
-        return rank // self.ep_size
-
-    def ep_rank_of(self, rank: int) -> int:
-        return rank % self.ep_size
-
-    def local_experts(self, num_experts: int, rank: int) -> range:
-        """Experts owned by ``rank`` (blocked over its EP group)."""
-        if num_experts % self.ep_size != 0:
-            raise ConfigError(
-                f"ep_size={self.ep_size} must divide num_experts={num_experts}"
-            )
-        per = num_experts // self.ep_size
-        ep_rank = self.ep_rank_of(rank)
-        return range(ep_rank * per, (ep_rank + 1) * per)
+__all__ = ["MoDaGroups", "build_groups"]
 
 
 @dataclass
 class MoDaGroups:
     """Live communicators for one rank of a MoDa program."""
 
-    grid: MoDaGrid
+    #: ``world`` factored as ``dp x ep`` (EP innermost).
+    layout: ParallelLayout
     #: Full world (dense-parameter data parallelism).
     world: Comm
     #: This rank's expert-parallel group (token alltoall).
@@ -94,14 +59,14 @@ def build_groups(world: Comm, ep_size: int) -> MoDaGroups:
 
     Every rank of ``world`` must call this with the same ``ep_size``.
     """
-    grid = MoDaGrid(world_size=world.size, ep_size=ep_size)
+    layout = ParallelLayout(world_size=world.size, ep_size=ep_size)
     r = world.rank
-    ep = world.Split(color=grid.ep_group_of(r), key=grid.ep_rank_of(r))
-    edp = world.Split(color=grid.ep_rank_of(r), key=grid.ep_group_of(r))
+    ep = world.Split(color=layout.dp_index_of(r), key=layout.ep_rank_of(r))
+    edp = world.Split(color=layout.ep_rank_of(r), key=layout.dp_index_of(r))
     assert ep is not None and edp is not None
-    if ep.size != ep_size or edp.size != grid.num_ep_groups:
+    if ep.size != ep_size or edp.size != layout.num_ep_groups:
         raise ConfigError(
             f"group split mismatch: ep={ep.size} (want {ep_size}), "
-            f"edp={edp.size} (want {grid.num_ep_groups})"
+            f"edp={edp.size} (want {layout.num_ep_groups})"
         )
-    return MoDaGroups(grid=grid, world=world, ep=ep, edp=edp)
+    return MoDaGroups(layout=layout, world=world, ep=ep, edp=edp)

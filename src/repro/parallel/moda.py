@@ -29,7 +29,7 @@ from repro.parallel.dp import (
     broadcast_parameters,
     iallreduce_gradients,
 )
-from repro.parallel.ep import DistributedMoELayer
+from repro.parallel.ep import ep_moe_factory
 from repro.parallel.groups import MoDaGroups
 from repro.simmpi import MAX
 from repro.train.clip import clip_grad_norm, global_grad_norm
@@ -53,32 +53,9 @@ def build_moda_model(
     every rank; expert parameters are seeded per global expert id, so the
     *model* (the union of all shards) is independent of the layout.
     """
-    if config.num_experts % groups.grid.ep_size != 0:
-        raise ConfigError(
-            f"ep_size={groups.grid.ep_size} must divide "
-            f"num_experts={config.num_experts}"
-        )
-
-    def moe_factory(layer_idx: int, rng: np.random.Generator) -> Module:
-        return DistributedMoELayer(
-            config.d_model,
-            config.d_ff,
-            config.num_experts,
-            groups.ep,
-            shared_rng=rng,
-            seed=seed,
-            layer_id=layer_idx,
-            gate=config.gate,
-            top_k=config.top_k,
-            capacity_factor=config.capacity_factor,
-            aux_weight=config.aux_weight,
-            z_weight=config.z_weight,
-            alltoall_algorithm=alltoall_algorithm,
-            dtype=config.dtype,
-            compute_hook=compute_hook,
-            overlap_chunks=overlap_chunks,
-        )
-
+    moe_factory = ep_moe_factory(
+        config, groups.ep, seed, alltoall_algorithm, compute_hook, overlap_chunks
+    )
     return MoELanguageModel(config, seed=seed, moe_factory=moe_factory)
 
 

@@ -71,8 +71,8 @@ class TrainingRunConfig:
     num_microbatches: int = 2
     #: Comm/compute overlap width: >1 splits expert dispatch into that
     #: many pipelined chunks (bitwise-identical math) and buckets the
-    #: gradient allreduce to overlap with backward compute. Pipeline
-    #: strategies ignore it.
+    #: gradient allreduce to overlap with backward compute. Rejected by
+    #: pipeline strategies (their dispatch is not chunked).
     overlap_chunks: int = 1
     #: Registry name, or "auto" to infer from the layout.
     strategy: str = "auto"

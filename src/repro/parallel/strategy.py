@@ -37,7 +37,7 @@ from repro.errors import ConfigError
 from repro.layout import ParallelLayout, validate_layout_for_model
 from repro.models.configs import ModelConfig
 from repro.models.transformer import MoELanguageModel
-from repro.parallel.ep import DistributedMoELayer
+from repro.parallel.ep import ep_moe_factory
 from repro.parallel.grid3d import Trainer3D, build_groups3d
 from repro.parallel.groups import MoDaGroups, build_groups
 from repro.parallel.moda import MoDaTrainer, split_params
@@ -207,31 +207,9 @@ def build_hybrid_model(
     group. Both factories draw full weights from the shared per-block rng
     before sharding, so replicated weights stay bit-identical everywhere.
     """
-    ep_size = groups.moda.grid.ep_size
-    if config.num_experts % ep_size != 0:
-        raise ConfigError(
-            f"ep_size={ep_size} must divide num_experts={config.num_experts}"
-        )
-
-    def moe_factory(layer_idx: int, rng: np.random.Generator):
-        return DistributedMoELayer(
-            config.d_model,
-            config.d_ff,
-            config.num_experts,
-            groups.moda.ep,
-            shared_rng=rng,
-            seed=seed,
-            layer_id=layer_idx,
-            gate=config.gate,
-            top_k=config.top_k,
-            capacity_factor=config.capacity_factor,
-            aux_weight=config.aux_weight,
-            z_weight=config.z_weight,
-            alltoall_algorithm=alltoall_algorithm,
-            dtype=config.dtype,
-            compute_hook=compute_hook,
-            overlap_chunks=overlap_chunks,
-        )
+    moe_factory = ep_moe_factory(
+        config, groups.moda.ep, seed, alltoall_algorithm, compute_hook, overlap_chunks
+    )
 
     mlp_factory = None
     if groups.tp is not None:
@@ -664,6 +642,11 @@ class _PipelineBase(ParallelStrategy):
             raise ConfigError(
                 f"num_microbatches={cfg.num_microbatches} must divide "
                 f"batch_size={cfg.batch_size}"
+            )
+        if cfg.overlap_chunks > 1:
+            raise ConfigError(
+                f"pipeline strategies do not chunk expert dispatch yet, "
+                f"got overlap_chunks={cfg.overlap_chunks}"
             )
 
     def build(self, comm, cfg, machine) -> RankTrainer:

@@ -1,8 +1,8 @@
 """Elastic fault-tolerant training: fault models, supervision, resharding.
 
-The production story this package reproduces (see
-:mod:`repro.parallel.resilient` for the plain checkpoint-restart
-predecessor it generalizes):
+The production story this package reproduces (plain fixed-width
+checkpoint-restart is the ``elastic=False`` configuration of the same
+supervisor):
 
 * :mod:`repro.simmpi.faults` injects failures — scripted
   (:class:`~repro.simmpi.FaultPlan`) or stochastic

@@ -240,9 +240,9 @@ class Supervisor:
         injected into every launch. ``None`` = healthy machine.
     fault_plans:
         Alternative scripting hook (supersedes ``faults``):
-        ``fault_plans[i]`` is injected into the i-th launch only, the
-        way :func:`~repro.parallel.resilient.run_resilient_training`
-        tests script deterministic failure sequences.
+        ``fault_plans[i]`` is injected into the i-th launch only
+        (``None`` / past the end = healthy) — how tests and benches
+        script deterministic failure sequences.
     network_factory / machine_factory:
         ``world_size -> NetworkModel / MachineSpec`` for each launch
         (defaults: the Sunway presets). The factories are re-invoked

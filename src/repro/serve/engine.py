@@ -35,7 +35,7 @@ from repro.hardware.specs import MachineSpec, sunway_machine
 from repro.models.configs import ModelConfig
 from repro.models.transformer import MoELanguageModel
 from repro.network import sunway_network
-from repro.parallel.ep import DistributedMoELayer
+from repro.parallel.ep import ep_moe_factory
 from repro.perf.flops import forward_flops_per_token
 from repro.serve.kvcache import KVCache
 from repro.serve.scheduler import ContinuousBatchScheduler, Request
@@ -376,34 +376,17 @@ def build_requests(cfg: ServeConfig) -> list[Request]:
 def _build_serve_model(
     cfg: ServeConfig, comm: Comm, timer: DecodeTimer | None
 ) -> MoELanguageModel:
-    """EP-sharded model in eval mode (mirrors ``build_moda_model``)."""
-    model_cfg = cfg.model
+    """EP-sharded model in eval mode."""
 
     def compute_hook(rows: int) -> None:
         if timer is not None:
             comm.advance(timer.expert_time(rows))
 
-    def moe_factory(layer_idx: int, rng: np.random.Generator) -> DistributedMoELayer:
-        return DistributedMoELayer(
-            model_cfg.d_model,
-            model_cfg.d_ff,
-            model_cfg.num_experts,
-            ep_comm=comm,
-            shared_rng=rng,
-            seed=cfg.seed,
-            layer_id=layer_idx,
-            gate=model_cfg.gate,
-            top_k=model_cfg.top_k,
-            capacity_factor=model_cfg.capacity_factor,
-            aux_weight=model_cfg.aux_weight,
-            z_weight=model_cfg.z_weight,
-            alltoall_algorithm=cfg.alltoall_algorithm,
-            dtype=model_cfg.dtype,
-            compute_hook=compute_hook,
-            overlap_chunks=cfg.overlap_chunks,
-        )
-
-    model = MoELanguageModel(model_cfg, seed=cfg.seed, moe_factory=moe_factory)
+    moe_factory = ep_moe_factory(
+        cfg.model, comm, cfg.seed, cfg.alltoall_algorithm, compute_hook,
+        cfg.overlap_chunks,
+    )
+    model = MoELanguageModel(cfg.model, seed=cfg.seed, moe_factory=moe_factory)
     model.eval()
     if cfg.expert_capacity is not None:
         for layer in model.moe_layers():

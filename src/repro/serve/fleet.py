@@ -239,6 +239,39 @@ class _Flight:
     def rid(self) -> int:
         return self.template.rid
 
+    def resolve(
+        self,
+        *,
+        tier: int,
+        state: str,
+        reason: str | None,
+        replica: int | None,
+        finish: float | None,
+        generated: int,
+        tokens: list[int],
+        ttft: float | None = None,
+        latency: float | None = None,
+        **served: float | None,
+    ) -> None:
+        """Record the terminal outcome (one key order for every exit path;
+        ``served`` = the ``dispatch``/``first_token`` times of a completion)."""
+        self.outcome = {
+            "rid": self.rid,
+            "tier": tier,
+            "state": state,
+            "reason": reason,
+            "arrival": self.template.arrival,
+            "attempts": self.attempts,
+            "replica": replica,
+            **served,
+            "finish": finish,
+            "generated": generated,
+            "tokens": tokens,
+            "ttft": ttft,
+            "latency": latency,
+            "hedged": self.hedged,
+        }
+
 
 def _fresh(template: Request, arrival: float) -> Request:
     """A pristine copy for one dispatch attempt (engines mutate requests)."""
@@ -412,12 +445,16 @@ def run_fleet_serving(cfg: FleetConfig, network: Any | None = None) -> FleetResu
     backoff = cfg.backoff_policy()
     router = ReplicaRouter(cfg.replicas, backoff=backoff)
     session = RunContext(trace=serve.trace, observe=serve.observe)
-    faults: list[FaultModel | None] = [
-        FaultModel(seed=derive_seed(serve.seed, "fleet-replica", r), mtbf=cfg.mtbf)
-        if cfg.mtbf is not None
-        else None
-        for r in range(cfg.replicas)
-    ]
+
+    def replica_faults(r: int) -> FaultModel | None:
+        """Replica ``r``'s persistent crash model (its own seeded stream)."""
+        if cfg.mtbf is None:
+            return None
+        return FaultModel(
+            seed=derive_seed(serve.seed, "fleet-replica", r), mtbf=cfg.mtbf
+        )
+
+    faults = [replica_faults(r) for r in range(cfg.replicas)]
 
     flights = [
         _Flight(template=req, ready=req.arrival) for req in build_requests(serve)
@@ -494,21 +531,10 @@ def run_fleet_serving(cfg: FleetConfig, network: Any | None = None) -> FleetResu
         nonlocal retries
         flight.attempts += 1
         if flight.attempts > cfg.retry_max:
-            flight.outcome = {
-                "rid": flight.rid,
-                "tier": flight.template.tier,
-                "state": "evicted",
-                "reason": "retries",
-                "arrival": flight.template.arrival,
-                "attempts": flight.attempts,
-                "replica": None,
-                "finish": at,
-                "generated": 0,
-                "tokens": [],
-                "ttft": None,
-                "latency": None,
-                "hedged": flight.hedged,
-            }
+            flight.resolve(
+                tier=flight.template.tier, state="evicted", reason="retries",
+                replica=None, finish=at, generated=0, tokens=[],
+            )
             session.record_event(
                 "retries_exhausted", t=at, rid=flight.rid,
                 attempts=flight.attempts,
@@ -555,46 +581,25 @@ def run_fleet_serving(cfg: FleetConfig, network: Any | None = None) -> FleetResu
                 None if rec["ttft"] is None
                 else dispatch_g + rec["ttft"]
             )
-            flight.outcome = {
-                "rid": flight.rid,
-                "tier": rec["tier"],
-                "state": "done",
-                "reason": None,
-                "arrival": flight.template.arrival,
-                "attempts": flight.attempts,
-                "replica": replica,
-                "dispatch": dispatch_g,
-                "first_token": first_token_g,
-                "finish": finish_g,
-                "generated": rec["generated"],
-                "tokens": rec["tokens"],
-                "ttft": (
+            flight.resolve(
+                tier=rec["tier"], state="done", reason=None, replica=replica,
+                dispatch=dispatch_g, first_token=first_token_g, finish=finish_g,
+                generated=rec["generated"], tokens=rec["tokens"],
+                ttft=(
                     None if first_token_g is None
                     else first_token_g - flight.template.arrival
                 ),
-                "latency": finish_g - flight.template.arrival,
-                "hedged": flight.hedged,
-            }
+                latency=finish_g - flight.template.arrival,
+            )
         else:
             # Explicit in-segment eviction (slo/cache) or admission shed —
             # a terminal outcome with its reason preserved.
-            flight.outcome = {
-                "rid": flight.rid,
-                "tier": rec["tier"],
-                "state": rec["state"],
-                "reason": rec["reason"],
-                "arrival": flight.template.arrival,
-                "attempts": flight.attempts,
-                "replica": replica,
-                "finish": (
-                    None if rec["finish"] is None else seg_t0 + rec["finish"]
-                ),
-                "generated": rec["generated"],
-                "tokens": rec["tokens"],
-                "ttft": None,
-                "latency": None,
-                "hedged": flight.hedged,
-            }
+            flight.resolve(
+                tier=rec["tier"], state=rec["state"], reason=rec["reason"],
+                replica=replica,
+                finish=None if rec["finish"] is None else seg_t0 + rec["finish"],
+                generated=rec["generated"], tokens=rec["tokens"],
+            )
         if admitted_local is not None and flight.outcome is not None:
             admitted_g[flight.rid] = seg_t0 + admitted_local
 
@@ -797,15 +802,7 @@ def run_fleet_serving(cfg: FleetConfig, network: Any | None = None) -> FleetResu
                     free_at=fleet_clock + cfg.autoscale.spawn_delay_s
                 )
                 while len(faults) < len(router.states):
-                    r = len(faults)
-                    faults.append(
-                        FaultModel(
-                            seed=derive_seed(serve.seed, "fleet-replica", r),
-                            mtbf=cfg.mtbf,
-                        )
-                        if cfg.mtbf is not None
-                        else None
-                    )
+                    faults.append(replica_faults(len(faults)))
                 scale_ups += 1
                 session.record_event(
                     "scale_up", t=fleet_clock, replica=state.index,

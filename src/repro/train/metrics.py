@@ -14,6 +14,7 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.obs.timeseries import percentile
 
 __all__ = ["LatencyStats", "MetricsLogger", "read_jsonl"]
 
@@ -53,17 +54,8 @@ class LatencyStats:
         return float(np.mean(self._samples)) if self._samples else 0.0
 
     def percentile(self, q: float) -> float:
-        """Linear-interpolated percentile, q in [0, 100].
-
-        An empty collector reports 0.0 — "no latency observed" — so
-        report generators and dashboards never trip over a run with zero
-        completions.
-        """
-        if not 0 <= q <= 100:
-            raise ConfigError(f"percentile must be in [0, 100], got {q}")
-        if not self._samples:
-            return 0.0
-        return float(np.percentile(self._samples, q))
+        """Linear-interpolated percentile, q in [0, 100] (0.0 when empty)."""
+        return percentile(self._samples, q)
 
     def summary(self, prefix: str = "") -> dict[str, float]:
         """Flat record: ``<prefix>count/mean/p50/p95/max``."""

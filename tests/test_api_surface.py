@@ -44,20 +44,6 @@ def test_all_names_resolve(name):
         assert hasattr(mod, export), f"{name}.__all__ lists missing {export!r}"
 
 
-def test_root_exports_resilience_surface():
-    """Historical root conveniences still resolve (now via shims)."""
-    import repro
-
-    for name in (
-        "FaultModel", "FaultPlan", "FlakyLink",
-        "Supervisor", "ElasticRunConfig", "ElasticRunResult",
-        "run_elastic_training",
-    ):
-        with pytest.warns(DeprecationWarning):
-            assert hasattr(repro, name), name
-        assert name in repro.__all__
-
-
 class TestApiFacade:
     def test_facade_is_complete(self):
         """Every promised name resolves and nothing private leaks."""
@@ -82,8 +68,8 @@ class TestApiFacade:
             assert name in api.__all__, name
 
     def test_import_api_is_warning_free(self):
-        """The facade import path must never trip its own shims (CI runs
-        the same check as a subprocess with -W error)."""
+        """Importing the facade raises no DeprecationWarning (CI runs the
+        same check as a subprocess with -W error)."""
         import subprocess
         import sys
 
@@ -93,25 +79,6 @@ class TestApiFacade:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-
-    @pytest.mark.parametrize(
-        "name",
-        ["FaultModel", "Supervisor", "ElasticRunConfig", "run_elastic_training"],
-    )
-    def test_root_shim_warns_and_names_new_path(self, name):
-        import repro
-
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            via_root = getattr(repro, name)
-        import repro.api as api
-
-        assert via_root is getattr(api, name)
-
-    def test_root_getattr_still_raises_for_unknown(self):
-        import repro
-
-        with pytest.raises(AttributeError):
-            repro.no_such_name_ever
 
     def test_facade_objects_are_canonical(self):
         """The facade re-exports, it does not wrap."""
@@ -185,7 +152,6 @@ class TestKeyAPIsHaveDocstrings:
             "repro.parallel.GPipeRunner",
             "repro.parallel.Trainer3D",
             "repro.parallel.ZeroAdamW",
-            "repro.parallel.run_resilient_training",
             "repro.parallel.named_optimizer_state",
             "repro.parallel.verify_snapshot",
             "repro.resilience.Supervisor",

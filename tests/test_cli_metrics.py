@@ -125,16 +125,21 @@ class TestCLI:
                      "--seq-len", "8", "--gate", "balanced"]) == 0
 
 
-class TestCLI3D:
-    def test_3d_command(self, capsys):
-        assert main(["3d", "--world", "4", "--pipe", "2", "--ep", "2",
+class TestCLIPipeline:
+    """Pipeline layouts launch through ``distributed`` (registry strategies)."""
+
+    def test_pipeline_moda(self, capsys):
+        assert main(["distributed", "--world", "4", "--pp", "2", "--ep", "2",
                      "--steps", "2", "--batch-size", "2", "--seq-len", "8",
                      "--microbatches", "2"]) == 0
         out = capsys.readouterr().out
-        assert "3D grid" in out
+        assert "strategy 'pp_moda'" in out
+        assert "pp=2 x dp=1 x tp=1 x ep=2" in out
         assert "global loss" in out
 
-    def test_3d_pure_pipeline(self, capsys):
-        assert main(["3d", "--world", "2", "--pipe", "2", "--ep", "1",
+    def test_pure_pipeline(self, capsys):
+        assert main(["distributed", "--world", "2", "--pp", "2", "--ep", "1",
                      "--steps", "1", "--batch-size", "2", "--seq-len", "8"]) == 0
-        assert "pipe=2" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "strategy 'pipeline'" in out
+        assert "pp=2" in out

@@ -6,31 +6,33 @@ import pytest
 from repro.data import Batch, ShardedLoader, SyntheticCorpus
 from repro.errors import ConfigError
 from repro.models import build_model, tiny_config
-from repro.parallel import Grid3D, Trainer3D, build_groups3d
+from repro.parallel import ParallelLayout, Trainer3D, build_groups3d
 from repro.simmpi import run_spmd
 from repro.train import Adam, SGD
 
 CFG = tiny_config(n_layers=4, num_experts=4, aux_weight=0.0)
 
 
-class TestGrid3D:
+class TestLayoutAs3DGrid:
+    """The pipe x data x expert grid is a :class:`ParallelLayout` with tp = 1."""
+
     def test_layout(self):
-        g = Grid3D(world_size=8, pipe_size=2, ep_size=2)
+        g = ParallelLayout(world_size=8, pp_size=2, ep_size=2)
         assert g.plane_size == 4
         assert g.dp_size == 2
         assert g.stage_of(5) == 1
-        assert g.plane_rank_of(5) == 1
+        assert g.ep_rank_of(5) == 1
 
     def test_degenerate_grids(self):
-        assert Grid3D(4, 1, 1).plane_size == 4  # pure DP
-        assert Grid3D(4, 4, 1).plane_size == 1  # pure pipeline
-        assert Grid3D(4, 1, 4).dp_size == 1     # pure EP
+        assert ParallelLayout(4).plane_size == 4             # pure DP
+        assert ParallelLayout(4, pp_size=4).plane_size == 1  # pure pipeline
+        assert ParallelLayout(4, ep_size=4).dp_size == 1     # pure EP
 
     def test_invalid(self):
         with pytest.raises(ConfigError):
-            Grid3D(world_size=6, pipe_size=4, ep_size=1)
+            ParallelLayout(world_size=6, pp_size=4)
         with pytest.raises(ConfigError):
-            Grid3D(world_size=8, pipe_size=2, ep_size=3)
+            ParallelLayout(world_size=8, pp_size=2, ep_size=3)
 
 
 class TestGroups3D:
@@ -51,6 +53,21 @@ class TestGroups3D:
             assert stage == r // 4
             assert pid == r % 4
 
+    def test_communicator_ranks_are_layout_coordinates(self):
+        """Every rank of a world-8 pp2 x dp2 x ep2: the communicators'
+        ranks are exactly the shared layout's rank coordinates."""
+
+        def program(comm):
+            g = build_groups3d(comm, pipe_size=2, ep_size=2)
+            return g.layout, g.pipe.rank, g.plane.ep.rank, g.plane.edp.rank
+
+        res = run_spmd(program, 8, timeout=300)
+        for r, (layout, stage, ep_rank, dp_index) in enumerate(res.returns):
+            assert layout == ParallelLayout(world_size=8, pp_size=2, ep_size=2)
+            assert stage == layout.stage_of(r)
+            assert ep_rank == layout.ep_rank_of(r)
+            assert dp_index == layout.dp_index_of(r)
+
     def test_pipeline_members_cross_planes(self):
         def program(comm):
             g = build_groups3d(comm, pipe_size=2, ep_size=2)
@@ -66,7 +83,7 @@ def _train_3d(comm, pipe, ep, steps=4, cfg=CFG, seed=3, microbatches=2):
     trainer.attach_optimizer(Adam(trainer.stage.parameters(), lr=3e-3))
     corpus = SyntheticCorpus(vocab_size=cfg.vocab_size, predictability=0.9, seed=5)
     loader = ShardedLoader(
-        corpus, 4, 8, dp_rank=groups.pipeline_id, dp_size=groups.grid.plane_size
+        corpus, 4, 8, dp_rank=groups.pipeline_id, dp_size=groups.layout.plane_size
     )
     return [trainer.train_step(loader.get_batch(s)).global_loss for s in range(steps)]
 
@@ -140,7 +157,7 @@ class TestTrainer3D:
             trainer.attach_optimizer(SGD(trainer.stage.parameters(), lr=1e-9))
             loader = ShardedLoader(
                 corpus, 4, 8, dp_rank=groups.pipeline_id,
-                dp_size=groups.grid.plane_size,
+                dp_size=groups.layout.plane_size,
             )
             return trainer.train_step(loader.get_batch(0)).global_loss
 
@@ -158,7 +175,7 @@ class TestTrainer3D:
             trainer.attach_optimizer(Adam(trainer.stage.parameters(), lr=3e-3))
             corpus = SyntheticCorpus(vocab_size=CFG.vocab_size, seed=5)
             loader = ShardedLoader(corpus, 4, 8, dp_rank=groups.pipeline_id,
-                                   dp_size=groups.grid.plane_size)
+                                   dp_size=groups.layout.plane_size)
             out = [trainer.train_step(loader.get_batch(s)) for s in range(3)]
             return [(r.global_loss, r.loss_scale, r.skipped) for r in out]
 

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import CommunicatorError, ConfigError
 from repro.models import Linear, Parameter
 from repro.parallel import (
-    MoDaGrid,
+    ParallelLayout,
     allreduce_gradients,
     broadcast_parameters,
     build_groups,
@@ -16,44 +16,39 @@ from repro.parallel import (
 from repro.simmpi import run_spmd
 
 
-class TestMoDaGrid:
+class TestLayoutAsGrid:
+    """The dp x ep grid is a :class:`ParallelLayout` with tp = pp = 1."""
+
     def test_basic_layout(self):
-        grid = MoDaGrid(world_size=8, ep_size=4)
-        assert grid.num_ep_groups == 2
-        assert grid.ep_group_of(5) == 1
-        assert grid.ep_rank_of(5) == 1
+        layout = ParallelLayout(world_size=8, ep_size=4)
+        assert layout.num_ep_groups == 2
+        assert layout.dp_index_of(5) == 1
+        assert layout.ep_rank_of(5) == 1
 
     def test_ep_must_divide_world(self):
         with pytest.raises(ConfigError):
-            MoDaGrid(world_size=6, ep_size=4)
-
-    def test_local_experts_blocked(self):
-        grid = MoDaGrid(world_size=4, ep_size=4)
-        assert list(grid.local_experts(8, rank=1)) == [2, 3]
-
-    def test_local_experts_must_divide(self):
-        grid = MoDaGrid(world_size=4, ep_size=4)
-        with pytest.raises(ConfigError):
-            grid.local_experts(6, rank=0)
+            ParallelLayout(world_size=6, ep_size=4)
 
     def test_degenerate_grids(self):
-        assert MoDaGrid(1, 1).num_ep_groups == 1
-        assert MoDaGrid(8, 1).num_ep_groups == 8
-        assert MoDaGrid(8, 8).num_ep_groups == 1
+        assert ParallelLayout(1, 1).num_ep_groups == 1
+        assert ParallelLayout(8, 1).num_ep_groups == 8
+        assert ParallelLayout(8, 8).num_ep_groups == 1
 
 
 class TestBuildGroups:
     def test_group_shapes(self):
         def program(comm):
             g = build_groups(comm, ep_size=2)
-            return (g.ep.size, g.edp.size, g.ep_rank, g.edp_rank)
+            return (g.ep.size, g.edp.size, g.ep_rank, g.edp_rank, g.layout)
 
         res = run_spmd(program, 6)
-        for r, (ep_size, edp_size, ep_rank, edp_rank) in enumerate(res.returns):
+        for r, (ep_size, edp_size, ep_rank, edp_rank, layout) in enumerate(res.returns):
+            assert layout == ParallelLayout(world_size=6, ep_size=2)
             assert ep_size == 2
             assert edp_size == 3
-            assert ep_rank == r % 2
-            assert edp_rank == r // 2
+            # Communicator rank == layout coordinate.
+            assert ep_rank == layout.ep_rank_of(r) == r % 2
+            assert edp_rank == layout.dp_index_of(r) == r // 2
 
     def test_ep_group_members_consecutive(self):
         def program(comm):

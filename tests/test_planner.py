@@ -109,6 +109,20 @@ class TestSearchLaunchParity:
                 run_cfg.resolve_strategy().validate(run_cfg)
             assert str(err.value) == rej.reason
 
+    def test_overlap_knob_is_clamped_for_pipeline_layouts(self, result):
+        """Pipeline strategies reject ``overlap_chunks > 1`` at launch; the
+        planner prices and launches them at 1, so the knob changes neither
+        which layouts are emitted nor any rejection reason."""
+        wide = search_plans(_planner(overlap_chunks=4))
+        assert {c.layout for c in wide.candidates} == {
+            c.layout for c in result.candidates
+        }
+        assert wide.rejected == result.rejected
+        for cand in wide.candidates:
+            run_cfg = wide.config.training_config(cand.layout)
+            assert run_cfg.overlap_chunks == (1 if cand.layout.pp_size > 1 else 4)
+            run_cfg.resolve_strategy().validate(run_cfg)
+
     def test_ranking_is_deterministic(self, result):
         again = search_plans(_planner())
         assert [

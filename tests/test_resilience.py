@@ -203,6 +203,10 @@ class TestSupervisor:
         assert res.restarts == 0 and res.shrinks == 0
         assert res.goodput == 1.0 and res.availability == 1.0
         assert [e["kind"] for e in res.context.events] == ["launch", "complete"]
+        assert res.checkpoint_steps == [2, 4, 6]
+        ckpt_dir = tmp_path / "ckpt"
+        assert (ckpt_dir / "step-000002" / "meta.json").exists()
+        assert (ckpt_dir / "step-000006" / "dense.npz").exists()
 
     def test_scripted_midrun_crash_resumes_exactly(self, tmp_path, healthy_losses):
         """Optimizer state + params restored mid-run reproduce the healthy
@@ -217,6 +221,28 @@ class TestSupervisor:
         failure = res.context.events_of("failure")[0]
         assert failure["failure"] == "fault" and failure["rank"] == 2
 
+    def test_two_consecutive_scripted_failures(self, tmp_path, healthy_losses):
+        """Plain checkpoint-restart (``elastic=False``): every launch in
+        the script dies, the next resumes from the newest snapshot."""
+        plans = [FaultPlan().kill_rank(1, at_op=60),
+                 FaultPlan().kill_rank(1, at_op=60), None]
+        res = Supervisor(make_cfg(tmp_path, elastic=False), fault_plans=plans).run()
+        assert res.restarts == 2 and res.shrinks == 0
+        assert res.world_history == [4, 4, 4]
+        assert res.first_step + len(res.losses) == STEPS
+        assert res.losses == healthy_losses[res.first_step:]
+
+    def test_crash_before_first_checkpoint_restarts_from_scratch(
+        self, tmp_path, healthy_losses
+    ):
+        plan = FaultPlan().kill_rank(1, at_op=5)
+        res = Supervisor(
+            make_cfg(tmp_path, elastic=False), fault_plans=[plan, None]
+        ).run()
+        assert res.restarts == 1
+        assert res.first_step == 0
+        assert res.losses == healthy_losses  # the retry covers every step
+
     def test_backoff_grows_and_caps(self, tmp_path):
         cfg = make_cfg(
             tmp_path, elastic=False, max_restarts=4,
@@ -228,6 +254,13 @@ class TestSupervisor:
         assert waits == [2.0, 6.0, 10.0]  # 2, 2*3, capped at 10
         assert res.backoff_time == pytest.approx(18.0)
         assert res.context.phase_seconds["backoff"] == pytest.approx(18.0)
+
+    @pytest.mark.parametrize(
+        "bad", [{"total_steps": 0}, {"checkpoint_every": 0}, {"max_restarts": -1}]
+    )
+    def test_config_rejects_invalid_schedule(self, tmp_path, bad):
+        with pytest.raises(ConfigError):
+            make_cfg(tmp_path, **bad)
 
     def test_run_elastic_training_wrapper(self, tmp_path, healthy_losses):
         res = run_elastic_training(make_cfg(tmp_path))
@@ -317,6 +350,28 @@ class TestElasticAcceptance:
 # ---------------------------------------------------------------------- #
 # Snapshot verification under recovery
 # ---------------------------------------------------------------------- #
+
+
+class TestLatestSnapshot:
+    def test_empty_dir(self, tmp_path):
+        assert latest_snapshot(tmp_path) == (None, 0)
+
+    def test_picks_highest_complete(self, tmp_path):
+        for step in (2, 4):
+            d = tmp_path / f"step-{step:06d}"
+            d.mkdir(parents=True)
+            (d / "meta.json").write_text("{}")
+        # A partial (crashed) save without meta.json must be ignored.
+        (tmp_path / "step-000006").mkdir()
+        path, step = latest_snapshot(tmp_path)
+        assert step == 4
+        assert path.name == "step-000004"
+
+    def test_ignores_malformed_names(self, tmp_path):
+        d = tmp_path / "step-xyz"
+        d.mkdir()
+        (d / "meta.json").write_text("{}")
+        assert latest_snapshot(tmp_path) == (None, 0)
 
 
 class TestSnapshotFallback:

@@ -127,6 +127,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             run_distributed_training(cfg)
 
+    @pytest.mark.parametrize("name", ["pipeline", "pp_dp", "pp_moda"])
+    def test_pipeline_rejects_overlap_chunks(self, name):
+        """The pipeline path does not chunk dispatch: the knob is refused,
+        not silently dropped."""
+        cfg = TrainingRunConfig(world_size=4, overlap_chunks=4, **CASES[name])
+        with pytest.raises(ConfigError, match="overlap_chunks=4"):
+            run_distributed_training(cfg)
+
     def test_zero_shards_bounded_by_world(self):
         cfg = TrainingRunConfig(model=TINY, world_size=4, zero_shards=8)
         with pytest.raises(ConfigError):
