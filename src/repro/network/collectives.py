@@ -16,14 +16,27 @@ from BaGuaLu: they trade extra intra-supernode volume for far fewer
 latency-bound inter-supernode messages, which wins at scale and loses for
 very large per-pair payloads — producing the crossover that experiment F3
 demonstrates.
+
+A formula sees a group only through its *shape*: the number of distinct
+nodes ``p`` and the link at their span level, which is the span of the
+smallest and largest member (:mod:`repro.network.topology`). The
+hierarchical variants also need, per unit at the grouping level, the member
+count and the link those members span; :func:`_unit_shapes` finds each
+unit's boundary by bisection on the sorted nodes and keeps the *distinct*
+``(count, link)`` pairs, so a 96,000-node ``range`` costs 375 bisections
+and is never expanded. The result is a ``max`` over per-unit costs, and
+``max`` over equal terms is exact — which is why the formulas below keep
+their operations in the order written (``(p - 1) * (latency + chunk *
+beta)``): re-associating them, or summing in NumPy, would change the last
+bits that the simulated clock and every committed table are pinned to.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Sequence
 
-from repro.errors import TopologyError
 from repro.network.links import LinkSpec
 from repro.network.topology import Topology
 
@@ -43,16 +56,68 @@ __all__ = [
 ]
 
 
-def _span_link(topo: Topology, nodes: Sequence[int]) -> LinkSpec | None:
-    """Link at the span level of ``nodes`` (None when all colocated)."""
-    span = topo.span_level_of(nodes)
-    if span < 0:
-        return None
-    return topo.link_at(span)
+def _unique(nodes: Sequence[int]) -> Sequence[int]:
+    """Sorted distinct node ids; a ``range`` already is that, unexpanded."""
+    if isinstance(nodes, range):
+        return nodes if nodes.step > 0 else nodes[::-1]
+    return sorted(set(map(int, nodes)))
 
 
-def _unique(nodes: Sequence[int]) -> list[int]:
-    return sorted(set(int(n) for n in nodes))
+def _shape(topo: Topology, nodes: Sequence[int]) -> tuple[int, LinkSpec | None]:
+    """``(p, link)``: distinct node count and the link at their span level."""
+    nodes = _unique(nodes)
+    p = len(nodes)
+    return p, (topo.link_between(nodes[0], nodes[-1]) if p > 1 else None)
+
+
+def _unit_shapes(
+    topo: Topology, nodes: Sequence[int], level: int
+) -> tuple[int, int, set[tuple[int, LinkSpec | None]]]:
+    """Split sorted distinct ``nodes`` by ``level`` unit, without listing them.
+
+    Returns ``(num_groups, g_max, shapes)``: the number of non-empty units,
+    the largest member count, and the distinct ``(count, link)`` shapes of
+    the units' member sets.
+    """
+    size = topo.group_size(level)
+    shapes = set()
+    num_groups = g_max = start = 0
+    while start < len(nodes):
+        first = nodes[start]
+        stop = bisect_left(nodes, (first // size + 1) * size, start)
+        shapes.add((stop - start, topo.link_between(first, nodes[stop - 1])))
+        g_max = max(g_max, stop - start)
+        num_groups += 1
+        start = stop
+    return num_groups, g_max, shapes
+
+
+def _ring_allreduce(nbytes: float, p: int, link: LinkSpec | None) -> float:
+    if p <= 1:
+        return 0.0
+    chunk = nbytes / p
+    return 2.0 * (p - 1) * (link.latency + chunk * link.beta)
+
+
+def _reduce_scatter(nbytes: float, p: int, link: LinkSpec | None) -> float:
+    if p <= 1:
+        return 0.0
+    chunk = nbytes / p
+    return (p - 1) * (link.latency + chunk * link.beta)
+
+
+def _allgather(nbytes: float, p: int, link: LinkSpec | None) -> float:
+    if p <= 1:
+        return 0.0
+    return (p - 1) * (link.latency + nbytes * link.beta)
+
+
+def _flat_alltoall(nbytes_per_pair: float, p: int, link: LinkSpec | None) -> float:
+    if p <= 1:
+        return 0.0
+    alpha = (p - 1) * link.latency
+    volume = (p - 1) * nbytes_per_pair
+    return alpha + volume * link.effective_beta
 
 
 def cost_p2p(topo: Topology, nbytes: float, src: int, dst: int) -> float:
@@ -66,57 +131,32 @@ def cost_p2p(topo: Topology, nbytes: float, src: int, dst: int) -> float:
 
 def cost_barrier(topo: Topology, nodes: Sequence[int]) -> float:
     """Dissemination barrier: ceil(log2 p) rounds of zero-byte messages."""
-    nodes = _unique(nodes)
-    p = len(nodes)
+    p, link = _shape(topo, nodes)
     if p <= 1:
         return 0.0
-    link = _span_link(topo, nodes)
-    assert link is not None
     return math.ceil(math.log2(p)) * link.latency
 
 
 def cost_bcast(topo: Topology, nbytes: float, nodes: Sequence[int]) -> float:
     """Binomial-tree broadcast of ``nbytes`` to every node."""
-    nodes = _unique(nodes)
-    p = len(nodes)
+    p, link = _shape(topo, nodes)
     if p <= 1:
         return 0.0
-    link = _span_link(topo, nodes)
-    assert link is not None
     return math.ceil(math.log2(p)) * link.transfer_time(nbytes)
 
 
 def cost_ring_allreduce(topo: Topology, nbytes: float, nodes: Sequence[int]) -> float:
     """Bandwidth-optimal ring allreduce of an ``nbytes`` buffer."""
-    nodes = _unique(nodes)
-    p = len(nodes)
-    if p <= 1:
-        return 0.0
-    link = _span_link(topo, nodes)
-    assert link is not None
-    chunk = nbytes / p
-    return 2.0 * (p - 1) * (link.latency + chunk * link.beta)
+    return _ring_allreduce(nbytes, *_shape(topo, nodes))
 
 
 def cost_tree_allreduce(topo: Topology, nbytes: float, nodes: Sequence[int]) -> float:
     """Recursive-doubling allreduce: latency-optimal, bandwidth-suboptimal."""
-    nodes = _unique(nodes)
-    p = len(nodes)
+    p, link = _shape(topo, nodes)
     if p <= 1:
         return 0.0
-    link = _span_link(topo, nodes)
-    assert link is not None
     rounds = math.ceil(math.log2(p))
     return 2.0 * rounds * (link.latency + nbytes * link.beta)
-
-
-def _partition_by_group(
-    topo: Topology, nodes: Sequence[int], level: int
-) -> dict[int, list[int]]:
-    groups: dict[int, list[int]] = {}
-    for n in nodes:
-        groups.setdefault(topo.group_of(n, level), []).append(n)
-    return groups
 
 
 def cost_hierarchical_allreduce(
@@ -132,61 +172,46 @@ def cost_hierarchical_allreduce(
     p = len(nodes)
     if p <= 1:
         return 0.0
-    span = topo.span_level_of(nodes)
+    span = topo.span_level(nodes[0], nodes[-1])
+    top = topo.link_at(span)
     if level is None:
         level = span - 1
     if level < 0 or span <= 0:
-        return cost_ring_allreduce(topo, nbytes, nodes)
-    groups = _partition_by_group(topo, nodes, level)
-    if len(groups) <= 1:
-        return cost_ring_allreduce(topo, nbytes, nodes)
+        return _ring_allreduce(nbytes, p, top)
+    num_groups, g_max, shapes = _unit_shapes(topo, nodes, level)
+    if num_groups <= 1:
+        return _ring_allreduce(nbytes, p, top)
     # 2-D torus decomposition: (1) intra-group ring reduce-scatter leaves
     # each node with an nbytes/g reduced chunk; (2) every node runs an
     # inter-group ring allreduce over its own chunk (all chunks move in
     # parallel); (3) intra-group ring allgather reassembles the buffer.
-    g_max = max(len(members) for members in groups.values())
     chunk = nbytes / g_max
     intra_rs = 0.0
     intra_ag = 0.0
-    for members in groups.values():
-        intra_rs = max(intra_rs, cost_reduce_scatter(topo, nbytes, members))
-        intra_ag = max(intra_ag, cost_allgather(topo, chunk, members))
-    leaders = [min(members) for members in groups.values()]
-    inter = cost_ring_allreduce(topo, chunk, leaders)
+    for count, link in shapes:
+        intra_rs = max(intra_rs, _reduce_scatter(nbytes, count, link))
+        intra_ag = max(intra_ag, _allgather(chunk, count, link))
+    # One leader per group: the first and the last sit in different
+    # level-(span-1) units, like the group's own ends, so they span ``top``.
+    inter = _ring_allreduce(chunk, num_groups, top)
     return intra_rs + inter + intra_ag
 
 
 def cost_reduce_scatter(topo: Topology, nbytes: float, nodes: Sequence[int]) -> float:
     """Ring reduce-scatter: (p-1) steps of an nbytes/p chunk."""
-    nodes = _unique(nodes)
-    p = len(nodes)
-    if p <= 1:
-        return 0.0
-    link = _span_link(topo, nodes)
-    assert link is not None
-    chunk = nbytes / p
-    return (p - 1) * (link.latency + chunk * link.beta)
+    return _reduce_scatter(nbytes, *_shape(topo, nodes))
 
 
 def cost_allgather(topo: Topology, nbytes: float, nodes: Sequence[int]) -> float:
     """Ring allgather where each node contributes ``nbytes``."""
-    nodes = _unique(nodes)
-    p = len(nodes)
-    if p <= 1:
-        return 0.0
-    link = _span_link(topo, nodes)
-    assert link is not None
-    return (p - 1) * (link.latency + nbytes * link.beta)
+    return _allgather(nbytes, *_shape(topo, nodes))
 
 
 def cost_gather(topo: Topology, nbytes: float, nodes: Sequence[int]) -> float:
     """Binomial gather of ``nbytes`` per node to a root."""
-    nodes = _unique(nodes)
-    p = len(nodes)
+    p, link = _shape(topo, nodes)
     if p <= 1:
         return 0.0
-    link = _span_link(topo, nodes)
-    assert link is not None
     rounds = math.ceil(math.log2(p))
     # Data volume into the root doubles each round; total volume dominates.
     return rounds * link.latency + (p - 1) * nbytes * link.beta
@@ -206,15 +231,7 @@ def cost_flat_alltoall(
     and the latency term scales with p — this is exactly what kills flat
     alltoall at supercomputer scale.
     """
-    nodes = _unique(nodes)
-    p = len(nodes)
-    if p <= 1:
-        return 0.0
-    link = _span_link(topo, nodes)
-    assert link is not None
-    alpha = (p - 1) * link.latency
-    volume = (p - 1) * nbytes_per_pair
-    return alpha + volume * link.effective_beta
+    return _flat_alltoall(nbytes_per_pair, *_shape(topo, nodes))
 
 
 def cost_hierarchical_alltoall(
@@ -239,23 +256,21 @@ def cost_hierarchical_alltoall(
     p = len(nodes)
     if p <= 1:
         return 0.0
-    span = topo.span_level_of(nodes)
+    span = topo.span_level(nodes[0], nodes[-1])
+    top = topo.link_at(span)
     if level is None:
         level = span - 1
     if level < 0 or span <= 0:
-        return cost_flat_alltoall(topo, nbytes_per_pair, nodes)
-    groups = _partition_by_group(topo, nodes, level)
-    num_groups = len(groups)
+        return _flat_alltoall(nbytes_per_pair, p, top)
+    num_groups, g_max, shapes = _unit_shapes(topo, nodes, level)
     if num_groups <= 1 or num_groups == p:
-        return cost_flat_alltoall(topo, nbytes_per_pair, nodes)
+        return _flat_alltoall(nbytes_per_pair, p, top)
     m = nbytes_per_pair
-    top = topo.link_at(span)
     # Phase 1 & 3: intra-group alltoalls with per-pair payload m * G.
     intra = 0.0
-    for members in groups.values():
-        intra = max(intra, cost_flat_alltoall(topo, m * num_groups, members))
+    for count, link in shapes:
+        intra = max(intra, _flat_alltoall(m * num_groups, count, link))
     # Phase 2: each node exchanges aggregated buffers with peer groups.
-    g_max = max(len(members) for members in groups.values())
     alpha = (num_groups - 1) * top.latency
     volume = (num_groups - 1) * g_max * m
     inter = alpha + volume * top.effective_beta

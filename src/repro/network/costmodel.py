@@ -67,7 +67,12 @@ class NetworkModel:
             return self.node_of_rank(rank)
         return rank % self.topology.num_nodes
 
-    def _nodes(self, ranks: Sequence[int]) -> list[int]:
+    def _nodes(self, ranks: Sequence[int]) -> Sequence[int]:
+        """Leaf nodes of ``ranks``; a densely packed ``range`` is its own."""
+        if self.node_of_rank is None and isinstance(ranks, range) and ranks:
+            lo, hi = sorted((ranks[0], ranks[-1]))
+            if 0 <= lo and hi < self.topology.num_nodes:
+                return ranks  # rank % num_nodes is the identity here
         return [self.node(r) for r in ranks]
 
     # ------------------------------------------------------------------ #

@@ -8,6 +8,15 @@ innermost first; a node id maps to mixed-radix coordinates over the level
 arities, and the cost of communication between two nodes is governed by the
 outermost level whose coordinate differs (the *span level*).
 
+Spans are closed forms, not walks. Two nodes differ at level ``l`` or above
+exactly when they sit in different children of a level-``l`` unit, i.e. when
+``a // child_size[l] != b // child_size[l]`` (``child_size[0] == 1``), so
+:meth:`Topology.span_level` is one integer division per level on sizes
+computed once. The child index is monotone in the node id, so every member
+of a group lies between the group's smallest and largest id and
+:meth:`Topology.span_level_of` is the span of those two ends — O(levels)
+once they are found, and a ``range`` hands them over in O(1).
+
 This abstraction also covers flat clusters (a single level) and arbitrary
 multi-level hierarchies used in tests.
 """
@@ -56,9 +65,13 @@ class Topology:
         if not levels:
             raise TopologyError("topology needs at least one level")
         self._levels = tuple(levels)
+        # Cumulative unit sizes: _sizes[l] leaf nodes per level-l unit.
+        sizes = []
         n = 1
         for lv in self._levels:
             n *= lv.arity
+            sizes.append(n)
+        self._sizes = tuple(sizes)
         self._num_nodes = n
 
     # ------------------------------------------------------------------ #
@@ -93,10 +106,7 @@ class Topology:
         whole machine.
         """
         self._check_level(level)
-        n = 1
-        for lv in self._levels[: level + 1]:
-            n *= lv.arity
-        return n
+        return self._sizes[level]
 
     def num_groups(self, level: int) -> int:
         """Number of units at ``level`` across the whole machine."""
@@ -153,24 +163,25 @@ class Topology:
         self._check_node(b)
         if a == b:
             return -1
-        ca, cb = self.coords(a), self.coords(b)
-        span = 0
-        for i in range(len(self._levels) - 1, -1, -1):
-            if ca[i] != cb[i]:
-                span = i
-                break
-        return span
+        # A level-l coordinate differs (given all outer ones agree) exactly
+        # when the two nodes sit in different level-(l-1) units.
+        for level in range(len(self._sizes) - 1, 0, -1):
+            child = self._sizes[level - 1]
+            if a // child != b // child:
+                return level
+        return 0
 
     def span_level_of(self, nodes: Sequence[int]) -> int:
-        """Outermost level any pair in ``nodes`` must cross (-1 if <=1 node)."""
-        nodes = list(nodes)
+        """Outermost level any pair in ``nodes`` must cross (-1 if <=1 node).
+
+        The span of the smallest and largest member: O(levels) once the two
+        ends are known, which for a ``range`` is without looking inside it.
+        """
         if len(nodes) <= 1:
             return -1
-        lo = min(nodes)
-        span = -1
-        for n in nodes[1:] if nodes[0] == lo else nodes:
-            span = max(span, self.span_level(lo, n))
-        return span
+        if isinstance(nodes, range):
+            return self.span_level(nodes[0], nodes[-1])
+        return self.span_level(min(nodes), max(nodes))
 
     def link_at(self, level: int) -> LinkSpec:
         """Link spec traversed by traffic spanning ``level``."""

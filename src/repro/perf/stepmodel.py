@@ -175,6 +175,17 @@ class ComputeTimer:
         return flops / self._node_flops
 
 
+def _exposed_step_time(bd: StepBreakdown, plan: ParallelPlan) -> float:
+    """Seconds of ``bd`` left on the critical path under ``plan``'s overlap."""
+    sync = bd.dense_allreduce + bd.expert_allreduce
+    overlap = plan.overlap if plan.overlap_chunks == 1 else 1.0
+    hidden = min(sync, overlap * bd.compute)
+    if plan.overlap_chunks > 1:
+        frac = (plan.overlap_chunks - 1) / plan.overlap_chunks
+        hidden += min(bd.alltoall / 2.0 * frac, bd.expert_compute)
+    return bd.total - hidden
+
+
 class StepModel:
     """Bind (model config, machine, network) and evaluate plans.
 
@@ -236,7 +247,7 @@ class StepModel:
         per_pair = (
             plan.tokens_per_rank * cfg.top_k * bytes_per_token / plan.ep_size
         ) * plan.load_imbalance
-        ranks = list(range(plan.ep_size))  # EP groups are consecutive ranks
+        ranks = range(plan.ep_size)  # EP groups are consecutive ranks
         # Chunked dispatch issues overlap_chunks smaller exchanges per
         # alltoall: the bandwidth term is unchanged but every chunk pays
         # the latency (alpha) term again — the price of overlap.
@@ -272,7 +283,7 @@ class StepModel:
         if plan.tp_size > 1:
             dense_count -= cfg.dense_ffn_params
         nbytes = dense_count * 4 / plan.pp_size
-        ranks = list(range(layout.plane_size))
+        ranks = range(layout.plane_size)
         return self.network.allreduce_time(nbytes, ranks, algorithm=plan.allreduce)
 
     def tp_grad_allreduce_time(self, plan: ParallelPlan) -> float:
@@ -295,7 +306,7 @@ class StepModel:
             return 0.0
         nbytes = plan.tokens_per_rank * cfg.d_model * itemsize(cfg.dtype)
         # TP peers sit at stride ep_size (EP is the innermost axis).
-        ranks = [i * plan.ep_size for i in range(plan.tp_size)]
+        ranks = range(0, plan.tp_size * plan.ep_size, plan.ep_size)
         one = self.network.allreduce_time(nbytes, ranks, algorithm=plan.allreduce)
         blocks = cfg.num_dense_ffn_layers / plan.pp_size
         return 2.0 * blocks * one
@@ -311,7 +322,7 @@ class StepModel:
         )
         nbytes = total_expert_params / plan.ep_size * 4 / plan.pp_size
         # EDP peers: same EP position in every group -> stride ep_size.
-        ranks = list(range(0, layout.plane_size, plan.ep_size))
+        ranks = range(0, layout.plane_size, plan.ep_size)
         return self.network.allreduce_time(nbytes, ranks, algorithm=plan.allreduce)
 
     def zero_allgather_time(self, plan: ParallelPlan) -> float:
@@ -325,7 +336,7 @@ class StepModel:
         if plan.zero_shards == 1:
             return 0.0
         nbytes_per_rank = self._dense_param_count() * 4 / plan.zero_shards
-        ranks = list(range(plan.zero_shards))
+        ranks = range(plan.zero_shards)
         return self.network.allgather_time(nbytes_per_rank, ranks)
 
     def pipeline_p2p_time(self, plan: ParallelPlan) -> float:
@@ -392,14 +403,7 @@ class StepModel:
         with one dispatch and one combine in flight per compute window —
         and gradient sync is bucket-overlapped (``overlap`` -> 1).
         """
-        bd = self.step_breakdown(plan)
-        sync = bd.dense_allreduce + bd.expert_allreduce
-        overlap = plan.overlap if plan.overlap_chunks == 1 else 1.0
-        hidden = min(sync, overlap * bd.compute)
-        if plan.overlap_chunks > 1:
-            frac = (plan.overlap_chunks - 1) / plan.overlap_chunks
-            hidden += min(bd.alltoall / 2.0 * frac, bd.expert_compute)
-        return bd.total - hidden
+        return _exposed_step_time(self.step_breakdown(plan), plan)
 
     def tokens_per_second(self, plan: ParallelPlan) -> float:
         """Machine-wide training throughput."""

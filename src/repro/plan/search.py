@@ -27,7 +27,7 @@ from repro.parallel.runner import TrainingRunConfig
 from repro.perf.calibration import CalibrationResult
 from repro.perf.memory import node_memory
 from repro.perf.plan import ParallelPlan
-from repro.perf.stepmodel import StepBreakdown, StepModel
+from repro.perf.stepmodel import StepBreakdown, StepModel, _exposed_step_time
 
 __all__ = [
     "PlannerConfig",
@@ -339,7 +339,7 @@ def search_plans(config: PlannerConfig) -> PlanResult:
                 )
                 continue
             breakdown = step_model.step_breakdown(plan)
-            predicted = step_model.step_time(plan)
+            predicted = _exposed_step_time(breakdown, plan)
         except ConfigError as exc:
             rejected.append(RejectedLayout(layout, str(exc)))
             continue
