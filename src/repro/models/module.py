@@ -11,7 +11,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.errors import CheckpointError
-from repro.tensor import Tensor
+from repro.tensor import Tensor, quantize
 
 __all__ = ["Parameter", "Module"]
 
@@ -138,7 +138,7 @@ class Module:
                 raise CheckpointError(
                     f"shape mismatch for {name!r}: checkpoint {arr.shape}, model {p.shape}"
                 )
-            p.data = arr.astype(p.data.dtype).copy()
+            p.data = quantize(arr, p.dtype).copy()
 
     # ------------------------------------------------------------------ #
     # Callable protocol

@@ -77,7 +77,7 @@ def alltoall_rows(
             gx = np.empty((0,) + g.shape[1:], dtype=g.dtype)
         return (gx,)
 
-    out = _make(data, x.dtype, (x,), backward)
+    out = _make(data, x.dtype, (x,), backward, exact=True)
     return out, recv_counts
 
 
@@ -122,7 +122,7 @@ class PendingAlltoallRows:
                 gx = np.empty((0,) + g.shape[1:], dtype=g.dtype)
             return (gx,)
 
-        out = _make(data, x.dtype, (x,), backward)
+        out = _make(data, x.dtype, (x,), backward, exact=True)
         self._result = (out, recv_counts)
         return self._result
 
@@ -182,7 +182,8 @@ def place_rows(
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
         return tuple(g[idx] for idx in index_lists)
 
-    return _make(data, chunks[0].dtype, tuple(chunks), backward)
+    return _make(data, chunks[0].dtype, tuple(chunks), backward,
+                 exact=all(t.dtype == chunks[0].dtype for t in chunks))
 
 
 def allreduce_sum(x: Tensor, comm: Comm, algorithm: str | None = None) -> Tensor:
@@ -214,4 +215,4 @@ def copy_to_tp_region(x: Tensor, comm: Comm, algorithm: str | None = None) -> Te
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
         return (comm.allreduce(g, algorithm=algorithm),)
 
-    return _make(x.data, x.dtype, (x,), backward)
+    return _make(x.data, x.dtype, (x,), backward, exact=True)

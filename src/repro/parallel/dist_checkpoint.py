@@ -37,6 +37,7 @@ from repro.errors import CheckpointError
 from repro.models.transformer import MoELanguageModel
 from repro.parallel.ep import DistributedMoELayer
 from repro.parallel.groups import MoDaGroups
+from repro.tensor import quantize
 
 __all__ = [
     "save_distributed",
@@ -332,7 +333,7 @@ def load_distributed(
             raise CheckpointError(
                 f"shape mismatch for {name!r}: checkpoint {arr.shape}, model {p.shape}"
             )
-        p.data = arr.astype(p.data.dtype).copy()
+        p.data = quantize(arr, p.dtype).copy()
 
     # Index every expert key across all shard files (lazy per-file load).
     shard_files = sorted(directory.glob("experts_*.npz"))
@@ -362,7 +363,7 @@ def load_distributed(
                         f"shape mismatch for {key!r}: checkpoint {arr.shape}, "
                         f"model {p.shape}"
                     )
-                p.data = arr.astype(p.data.dtype).copy()
+                p.data = quantize(arr, p.dtype).copy()
 
     if optimizer is not None:
         opt_files = sorted(directory.glob("optim_*.npz"))

@@ -3,8 +3,10 @@
 Training numerics are dtype-faithful without paying NumPy's slow float16
 arithmetic: values are *stored* in float32 (float64 for "fp64") but passed
 through a quantizer that rounds them onto the fp16 / bf16 grid after every
-operation, reproducing precision loss, overflow-to-inf, and gradient
-underflow — the phenomena dynamic loss scaling exists to counter.
+operation that computes one (a value merely moved — reshaped, indexed,
+exchanged — is on the grid already and is passed on as ``exact``),
+reproducing precision loss, overflow-to-inf, and gradient underflow — the
+phenomena dynamic loss scaling exists to counter.
 
 * ``fp16``: IEEE binary16 via a float16 round-trip (round-to-nearest-even,
   overflow to ±inf, subnormal flush handled by NumPy).

@@ -12,6 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.tensor.ops import _scatter_add
 from repro.tensor.tensor import Tensor, _make
 
 __all__ = [
@@ -201,10 +202,10 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
         gw = np.zeros_like(weight.data)
-        np.add.at(gw, ids, g)
+        _scatter_add(gw, ids, g)
         return (gw,)
 
-    return _make(data, weight.dtype, (weight,), backward)
+    return _make(data, weight.dtype, (weight,), backward, exact=True)
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -218,10 +219,10 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        _scatter_add(gx, idx, g)
         return (gx,)
 
-    return _make(data, x.dtype, (x,), backward)
+    return _make(data, x.dtype, (x,), backward, exact=True)
 
 
 def scatter_rows(src: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
@@ -236,7 +237,7 @@ def scatter_rows(src: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
             f"scatter_rows idx shape {idx.shape} must be ({src.shape[0]},)"
         )
     out = np.zeros((num_rows,) + src.shape[1:], dtype=src.data.dtype)
-    np.add.at(out, idx, src.data)
+    _scatter_add(out, idx, src.data)
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
         return (g[idx],)

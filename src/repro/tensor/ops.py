@@ -2,7 +2,17 @@
 
 Each op computes its forward result in NumPy, quantizes onto the output
 dtype grid, and registers a backward closure returning one gradient per
-parent (already unbroadcast to the parent's shape).
+parent (already unbroadcast to the parent's shape). The exception: an op
+that only *moves* values (here ``reshape``, ``transpose``, ``getitem``,
+``concat``) passes ``exact`` to ``_make`` — every element already sits on
+the grid in a parent — and is not rounded again. Anything that computes or
+chooses between values (arithmetic, ``where``, ``clip``, ``maximum``,
+reductions) never may.
+
+Scatter-adds go through :func:`_scatter_add`, whose contract is NumPy's
+``add.at``: one destination's contributions are added left to right in index
+order, so every value — signed zeros too — has the same bits (a NaN's sign,
+which the CPU picks from its two operands, is the one bit not promised).
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.tensor.dtype import promote
 from repro.tensor.tensor import Tensor, _coerce, _make, result_dtype, unbroadcast
 
 __all__ = [
@@ -245,6 +256,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # Shape manipulation
 # ---------------------------------------------------------------------- #
 
+def _scatter_add(out: np.ndarray, index: Any, rows: np.ndarray) -> None:
+    """``np.add.at(out, index, rows)`` with the same bits, for autograd's shapes.
+
+    A basic index selects a view, which cannot name an element twice: ``+=``.
+    An integer array (axis 0, may repeat) is summed in multiplicity rounds:
+    round j adds every destination's j-th contribution, in index order, with
+    one fancy-indexed ``+=`` whose indices are unique within the round.
+    """
+    if (isinstance(index, np.ndarray) and index.dtype.kind in "iu" and index.size
+            and rows.shape == index.shape + out.shape[1:]):
+        idx, n = index.reshape(-1), index.size
+        rows = rows.reshape((n,) + out.shape[1:])
+        order = idx.argsort(kind="stable")
+        if idx[order[0]] < 0:  # -1 and len-1 are one destination: sort them together
+            idx = np.where(idx < 0, idx + out.shape[0], idx)
+            order = idx.argsort(kind="stable")
+        dest = idx[order]
+        cuts = np.flatnonzero(dest[1:] != dest[:-1]) + 1  # where the next destination starts
+        if cuts.size == n - 1:  # no repeats: one round, nothing to permute
+            out[idx] += rows
+            return
+        pos, ends = np.concatenate(([0], cuts)), np.concatenate((cuts, [n]))
+        while pos.size:
+            out[dest[pos]] += rows[order[pos]]
+            pos = pos + 1
+            live = pos < ends
+            pos, ends = pos[live], ends[live]
+    elif all(i is None or i is Ellipsis or isinstance(i, (int, np.integer, slice))
+             for i in (index if isinstance(index, tuple) else (index,))):
+        out[index] += rows
+    else:
+        np.add.at(out, index, rows)
+
+
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Reshape preserving order; grad reshapes back."""
     data = a.data.reshape(shape)
@@ -253,7 +298,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
         return (g.reshape(src_shape),)
 
-    return _make(data, a.dtype, (a,), backward)
+    return _make(data, a.dtype, (a,), backward, exact=True)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
@@ -267,21 +312,21 @@ def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
         return (np.transpose(g, inv),)
 
-    return _make(data, a.dtype, (a,), backward)
+    return _make(data, a.dtype, (a,), backward, exact=True)
 
 
 def getitem(a: Tensor, index: Any) -> Tensor:
     """Basic/advanced indexing; grad scatter-adds into the source shape."""
-    data = a.data[index]
+    data = np.asarray(a.data[index])  # a full integer index gives a NumPy scalar
     src_shape = a.shape
     src_np = a.data.dtype
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
         out = np.zeros(src_shape, dtype=src_np)
-        np.add.at(out, index, g)
+        _scatter_add(out, index, g)
         return (out,)
 
-    return _make(data, a.dtype, (a,), backward)
+    return _make(data, a.dtype, (a,), backward, exact=True)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -290,7 +335,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError("concat() of an empty sequence")
     out_dtype = tensors[0].dtype
     for t in tensors[1:]:
-        out_dtype = result_dtype_pair(out_dtype, t.dtype)
+        out_dtype = promote(out_dtype, t.dtype)
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -303,13 +348,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             grads.append(g[tuple(sl)])
         return grads
 
-    return _make(data, out_dtype, tuple(tensors), backward)
-
-
-def result_dtype_pair(a, b):
-    """Promote two DTypeSpec values (helper for n-ary ops)."""
-    from repro.tensor.dtype import promote
-    return promote(a, b)
+    # fp16 and bf16 are the one pair of grids where neither holds the other.
+    exact = out_dtype.nbytes > 2 or all(t.dtype == out_dtype for t in tensors)
+    return _make(data, out_dtype, tuple(tensors), backward, exact=exact)
 
 
 # ---------------------------------------------------------------------- #

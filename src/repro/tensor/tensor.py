@@ -2,9 +2,12 @@
 
 Design follows the classic tape-free graph approach (each output tensor
 holds references to its parents and a backward closure); all math is
-vectorized NumPy. Every operation quantizes its output onto the tensor's
-emulated dtype grid (see :mod:`repro.tensor.dtype`), so fp16/bf16 runs
-faithfully reproduce rounding and overflow behaviour.
+vectorized NumPy. Invariant: ``Tensor.data`` always sits on the grid of the
+tensor's emulated dtype (see :mod:`repro.tensor.dtype`) — the constructor
+rounds what it is given, every op rounds what it computes, loaders round
+what they load — so fp16/bf16 runs faithfully reproduce rounding and
+overflow behaviour. Hence an op that only moves values may hand ``_make``
+its output as ``exact`` and skip the rounding (:mod:`repro.tensor.ops`).
 
 Gradients are accumulated in the tensor's own dtype: an fp16 tensor gets
 fp16-quantized gradients, which is what makes dynamic loss scaling (in
@@ -133,7 +136,9 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """A view of the same data cut off from the graph."""
-        return Tensor(self.data, requires_grad=False, dtype=self.dtype, name=self.name)
+        out = _make(self.data, self.dtype, (), None, exact=True)
+        out.name = self.name
+        return out
 
     def astype(self, dtype: str | DTypeSpec) -> "Tensor":
         """Cast to another emulated dtype (differentiable: grad casts back)."""
@@ -148,11 +153,14 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         """Add ``g`` into ``.grad``, quantized to this tensor's dtype."""
-        g = quantize(g, self.dtype)
+        q = quantize(g, self.dtype)
         if self.grad is None:
-            self.grad = g.copy()
+            # Own a C-ordered array: the one rounding has just allocated, or a
+            # copy where it returned its argument, a view or another order.
+            fresh = q is not g and q.flags.owndata and q.flags.c_contiguous
+            self.grad = q if fresh else q.copy()
         else:
-            self.grad = quantize(self.grad + g, self.dtype)
+            self.grad = quantize(self.grad + q, self.dtype)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Run reverse-mode autodiff from this tensor.
@@ -308,16 +316,32 @@ def _make(
     dtype: DTypeSpec,
     parents: tuple[Tensor, ...],
     backward: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None,
+    exact: bool = False,
 ) -> Tensor:
-    """Internal op-output constructor; drops the graph under no_grad."""
+    """Internal op-output constructor; drops the graph under no_grad.
+
+    ``exact`` is the op's claim that every element of ``data`` is an element
+    of a parent of the same or a narrower emulated dtype, so already on the
+    grid and not rounded again; only ops that merely move values may pass it.
+    """
+    if not (exact and data.dtype == dtype.storage):
+        data = quantize(data, dtype)
+    elif dtype.name == "bf16":
+        # Rounding also fixed the memory order (bf16: C; fp16: a dense copy
+        # in the source's order) and NumPy's reductions add in memory order:
+        # keep handing the ops downstream the layout they always saw.
+        data = np.ascontiguousarray(data)
+    elif dtype.name == "fp16" and not data.flags.forc:
+        data = data.copy(order="K")
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.dtype = dtype
+    out.requires_grad = False
+    out.grad = None
     track = _grad_mode.enabled and any(p.requires_grad or p._parents for p in parents)
-    return Tensor(
-        data,
-        requires_grad=False,
-        dtype=dtype,
-        _parents=parents if track else (),
-        _backward=backward if track else None,
-    )
+    out._parents, out._backward = (parents, backward) if track else ((), None)
+    out.name = None
+    return out
 
 
 def tensor(data: Any, requires_grad: bool = False, dtype: str | DTypeSpec = "fp32") -> Tensor:

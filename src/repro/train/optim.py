@@ -88,13 +88,13 @@ class SGD(Optimizer):
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            g = p.grad.astype(np.float32) * grad_scale
+            g = p.grad.astype(np.float32, copy=False) * grad_scale
             if self.momentum > 0.0:
                 v = self._velocity.get(i)
                 v = g if v is None else self.momentum * v + g
                 self._velocity[i] = v
                 g = v
-            master = self.master_of(i).astype(np.float32)
+            master = self.master_of(i).astype(np.float32, copy=False)
             self._write_back(i, master - self.lr * g)
 
     def state_dict(self) -> dict[str, np.ndarray | float]:
@@ -149,19 +149,28 @@ class Adam(Optimizer):
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            g = p.grad.astype(np.float32) * grad_scale
-            master = self.master_of(i).astype(np.float32)
+            g = p.grad.astype(np.float32, copy=False) * grad_scale
+            master = self.master_of(i).astype(np.float32, copy=False)
             if self.weight_decay and not self.decoupled_weight_decay:
                 g = g + self.weight_decay * master
-            m = self._m.get(i)
-            v = self._v.get(i)
-            m = (1 - self.beta1) * g if m is None else self.beta1 * m + (1 - self.beta1) * g
-            v = (1 - self.beta2) * g * g if v is None else self.beta2 * v + (1 - self.beta2) * g * g
-            self._m[i], self._v[i] = m, v
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            # In place, with one rounding per operation in the formulas' order.
+            update = (1 - self.beta2) * g
+            update *= g
+            if i in self._m:
+                m, v = self._m[i], self._v[i]
+                m *= self.beta1
+                m += (1 - self.beta1) * g
+                v *= self.beta2
+                v += update
+            else:
+                m, v = self._m[i], self._v[i] = (1 - self.beta1) * g, update.copy()
+            np.sqrt(np.divide(v, bc2, out=update), out=update)
+            update += self.eps
+            np.divide(m / bc1, update, out=update)
             if self.weight_decay and self.decoupled_weight_decay:
-                update = update + self.weight_decay * master
-            self._write_back(i, master - self.lr * update)
+                update += self.weight_decay * master
+            update *= self.lr
+            self._write_back(i, master - update)
 
     def state_dict(self) -> dict[str, np.ndarray | float]:
         state = super().state_dict()
