@@ -32,11 +32,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
 import numpy as np
 
 from repro.data import ShardedLoader, SyntheticCorpus
+from repro.errors import ConfigError
 from repro.models import (
     BRAIN_SCALE_CONFIGS,
     build_model,
@@ -44,6 +46,7 @@ from repro.models import (
     small_config,
     tiny_config,
 )
+from repro.obs import collect_run_records
 from repro.train import Adam, Trainer, WarmupCosineLR
 from repro.train.metrics import MetricsLogger
 from repro.utils import format_bytes, format_count, format_flops, format_time
@@ -61,13 +64,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="single-process training run")
-    p_train.add_argument("--config", choices=sorted(_CONFIGS), default="tiny")
+    # Flags several subcommands declare identically live on parent parsers.
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--config", choices=sorted(_CONFIGS), default="tiny")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    #: The simulated machine and the instrumentation of one SPMD run.
+    world = argparse.ArgumentParser(add_help=False)
+    world.add_argument("--supernode", type=int, default=256)
+    world.add_argument("--alltoall", choices=["flat", "hierarchical"],
+                       default=None)
+    world.add_argument("--trace", default=None, metavar="OUT_JSON",
+                       help="write a Chrome-tracing JSON of the run")
+    world.add_argument("--observe", action="store_true",
+                       help="carry a live metric registry + router "
+                            "telemetry; JSONL metrics gain typed "
+                            "observability records for 'report'")
+
+    p_train = sub.add_parser("train", parents=[model, seed],
+                             help="single-process training run")
     p_train.add_argument("--steps", type=int, default=100)
     p_train.add_argument("--batch-size", type=int, default=8)
     p_train.add_argument("--seq-len", type=int, default=16)
     p_train.add_argument("--lr", type=float, default=3e-3)
-    p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--experts", type=int, default=None)
     p_train.add_argument("--gate", choices=["topk", "noisy-topk", "balanced", "random"],
                          default=None)
@@ -77,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="generate N tokens after training")
 
     p_dist = sub.add_parser(
-        "distributed", help="simulated distributed training (any strategy)"
+        "distributed", parents=[model, seed, world],
+        help="simulated distributed training (any strategy)",
     )
-    p_dist.add_argument("--config", choices=sorted(_CONFIGS), default="tiny")
     p_dist.add_argument("--world", type=int, default=8)
     p_dist.add_argument("--ep", type=int, default=4)
     p_dist.add_argument("--tp", type=int, default=1,
@@ -96,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--steps", type=int, default=5)
     p_dist.add_argument("--batch-size", type=int, default=4)
     p_dist.add_argument("--seq-len", type=int, default=16)
-    p_dist.add_argument("--supernode", type=int, default=256)
-    p_dist.add_argument("--alltoall", choices=["flat", "hierarchical"], default=None)
     p_dist.add_argument("--allreduce", choices=["ring", "tree", "hierarchical"],
                         default=None)
     p_dist.add_argument("--overlap-chunks", type=int, default=1,
@@ -106,21 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "gradient allreduce with backward compute "
                              "(bitwise-identical losses)")
     p_dist.add_argument("--fp16", action="store_true")
-    p_dist.add_argument("--seed", type=int, default=0)
     p_dist.add_argument("--metrics", default=None)
-    p_dist.add_argument("--trace", default=None, metavar="OUT_JSON",
-                        help="write a Chrome-tracing JSON of the run")
-    p_dist.add_argument("--observe", action="store_true",
-                        help="carry a live metric registry + router "
-                             "telemetry; JSONL metrics gain typed "
-                             "observability records for 'report'")
 
     p_res = sub.add_parser(
-        "resilient",
+        "resilient", parents=[model],
         help="supervised fault-tolerant training (stochastic faults, "
              "backoff, elastic shrink-and-reshard)",
     )
-    p_res.add_argument("--config", choices=sorted(_CONFIGS), default="tiny")
     p_res.add_argument("--world", type=int, default=4)
     p_res.add_argument("--ep", type=int, default=2)
     p_res.add_argument("--steps", type=int, default=8)
@@ -160,10 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "telemetry across launches")
 
     p_srv = sub.add_parser(
-        "serve",
+        "serve", parents=[model, seed, world],
         help="KV-cached continuous-batching inference on simulated EP ranks",
     )
-    p_srv.add_argument("--config", choices=sorted(_CONFIGS), default="tiny")
     p_srv.add_argument("--ep", type=int, default=4,
                        help="expert-parallel world size")
     p_srv.add_argument("--requests", type=int, default=16)
@@ -182,13 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--expert-capacity", type=int, default=None,
                        help="absolute per-expert rows per step "
                             "(inference-side capacity; drops overflow)")
-    p_srv.add_argument("--alltoall", choices=["flat", "hierarchical"],
-                       default=None)
     p_srv.add_argument("--overlap-chunks", type=int, default=1,
                         help="chunked async expert dispatch width for "
                              "decode alltoalls (>1 overlaps dispatch with "
                              "expert compute)")
-    p_srv.add_argument("--supernode", type=int, default=256)
     p_srv.add_argument("--replicas", type=int, default=1,
                        help="serving replicas behind the retry router "
                             "(>1 or --mtbf engages the fleet path)")
@@ -224,16 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--baseline", action="store_true",
                        help="also run the sequential uncached generate() "
                             "baseline and report the speedup")
-    p_srv.add_argument("--seed", type=int, default=0)
     p_srv.add_argument("--metrics", default=None,
                        help="JSONL/CSV metrics file (summary + per-request "
                             "records on JSONL)")
-    p_srv.add_argument("--trace", default=None, metavar="OUT_JSON",
-                       help="write a Chrome-tracing JSON of the run")
-    p_srv.add_argument("--observe", action="store_true",
-                       help="carry a live metric registry + router "
-                            "telemetry; JSONL metrics gain typed "
-                            "observability records for 'report'")
     p_srv.add_argument("--arrival-ramp", default=None, metavar="T:RATE,...",
                        help="piecewise-constant Poisson arrival schedule, "
                             "e.g. '0:2,10:8,20:32' (first segment must "
@@ -266,11 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.network.presets import CLUSTER_PRESETS
 
     p_plan = sub.add_parser(
-        "plan",
+        "plan", parents=[model],
         help="search parallel layouts: enumerate, rank analytically, "
              "verify the top-k with short simulated runs",
     )
-    p_plan.add_argument("--config", choices=sorted(_CONFIGS), default="tiny")
     p_plan.add_argument("--nodes", type=int, default=8)
     p_plan.add_argument("--cluster", choices=sorted(CLUSTER_PRESETS),
                         default="toy",
@@ -317,15 +314,63 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
+def _model_for(args: argparse.Namespace, ep: int = 1, **overrides):
+    """The ``--config`` model with the ``overrides`` that were given (not
+    None) applied and its experts made divisible by ``ep``."""
     cfg = _CONFIGS[args.config]()
-    overrides = {}
-    if args.experts is not None:
-        overrides["num_experts"] = args.experts
-    if args.gate is not None:
-        overrides["gate"] = args.gate
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:
         cfg = cfg.scaled(**overrides)
+    if cfg.num_experts % ep != 0:
+        cfg = cfg.scaled(num_experts=ep * max(cfg.num_experts // ep, 1))
+    return cfg
+
+
+def _write_outputs(args: argparse.Namespace, context, records=(),
+                   jsonl_records=(), network=None, span_dump=None) -> None:
+    """The output epilogue of every run command: ``--metrics``, ``--trace``
+    and the ``--span-dump`` path when given.
+
+    ``records`` go to any metrics sink; ``jsonl_records`` (their keys differ
+    from the CSV header the first record fixes) and, on an observing run,
+    the typed observability records go to JSONL sinks only.
+    """
+    if args.metrics:
+        with MetricsLogger(args.metrics) as logger:
+            for record in records:
+                logger.log(record)
+            if logger.path.suffix == ".jsonl":
+                for record in jsonl_records:
+                    logger.log(record)
+                if context.observing:
+                    logger.log_events(collect_run_records(context, network=network))
+        print(f"metrics            : {args.metrics}")
+    if args.trace:
+        print(f"chrome trace       : {context.write_chrome_trace(args.trace)}")
+    if span_dump:
+        print(f"span dump          : {context.spans.write_json(span_dump)}")
+
+
+def _print_outcome(result, shed_by_tier=None) -> None:
+    """The outcome lines the engine and the fleet path of ``serve`` share."""
+    print(f"completed / evicted: {result.completed} / {result.evicted}")
+    if result.shed:
+        tiers = "" if shed_by_tier is None else " (" + ", ".join(
+            f"tier{t}={n}" for t, n in sorted(shed_by_tier.items())) + ")"
+        print(f"shed (admission)   : {result.shed}{tiers}")
+    print(f"decode tokens      : {result.decode_tokens}")
+    print(f"makespan           : {format_time(result.simulated_time)}")
+
+
+def _print_percentiles(label: str, stats) -> None:
+    """``label : p50 .. p95 ..`` of a latency distribution (if any samples)."""
+    if stats.count:
+        print(f"{label:<19}: p50 {format_time(stats.percentile(50))}"
+              f"  p95 {format_time(stats.percentile(95))}")
+
+
+def _cmd_train(args: argparse.Namespace) -> int:
+    cfg = _model_for(args, num_experts=args.experts, gate=args.gate)
     model = build_model(cfg, seed=args.seed)
     scaler = None
     if args.fp16:
@@ -345,8 +390,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         scaler=scaler,
         grad_clip=1.0,
     )
-    logger = MetricsLogger(args.metrics) if args.metrics else None
-    try:
+    with MetricsLogger(args.metrics) if args.metrics else nullcontext() as logger:
         history = trainer.fit(
             loader,
             args.steps,
@@ -355,9 +399,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 {"step": r.step, "loss": r.loss, "lr": r.lr, "skipped": r.skipped}
             )) if logger else None,
         )
-    finally:
-        if logger:
-            logger.close()
     print(f"final loss: {history[-1].loss:.4f} (from {history[0].loss:.4f})")
 
     if args.sample > 0:
@@ -371,9 +412,7 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
     from repro.network import sunway_network
     from repro.parallel import TrainingRunConfig, run_distributed_training
 
-    cfg = _CONFIGS[args.config]()
-    if cfg.num_experts % args.ep != 0:
-        cfg = cfg.scaled(num_experts=args.ep * max(cfg.num_experts // args.ep, 1))
+    cfg = _model_for(args, ep=args.ep)
     if args.tp > 1 and cfg.moe_every == 1:
         # TP shards dense FFN blocks; give the model some to shard.
         cfg = cfg.scaled(n_layers=max(cfg.n_layers, 4), moe_every=2)
@@ -402,27 +441,18 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
           f"'{run_cfg.resolve_strategy().name}' "
           f"({run_cfg.layout.describe()}, supernode={args.supernode})")
     result = run_distributed_training(run_cfg, network=net)
-    logger = MetricsLogger(args.metrics) if args.metrics else None
-    try:
-        for step, loss in enumerate(result.losses):
-            print(f"  step {step:3d}  global loss {loss:.4f}")
-            if logger:
-                logger.log({"step": step, "loss": loss})
-        if logger and logger.path.suffix == ".jsonl" and result.context is not None:
-            # CSV headers are fixed by the per-step records, so the
-            # context snapshot (different keys) goes to JSONL sinks only.
-            logger.log_context(result.context, strategy=result.meta["strategy"])
-            if args.observe:
-                from repro.obs import collect_run_records
-
-                logger.log_events(collect_run_records(result.context, network=net))
-    finally:
-        if logger:
-            logger.close()
-    if args.trace:
-        path = result.context.write_chrome_trace(args.trace)
-        print(f"chrome trace       : {path} "
-              f"({len(result.trace)} events)")
+    for step, loss in enumerate(result.losses):
+        print(f"  step {step:3d}  global loss {loss:.4f}")
+    _write_outputs(
+        args, result.context,
+        records=({"step": step, "loss": loss}
+                 for step, loss in enumerate(result.losses)),
+        # The context snapshot's keys differ from the per-step records
+        # that fix a CSV header, so it goes to JSONL sinks only.
+        jsonl_records=[{**result.context.metrics_record(),
+                        "strategy": result.meta["strategy"]}],
+        network=net,
+    )
     print(f"simulated step time: {format_time(result.step_time)}")
     print(f"load imbalance     : {result.load_imbalance:.2f}")
     for phase, seconds in result.phase_seconds.items():
@@ -434,13 +464,10 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
 def _cmd_resilient(args: argparse.Namespace) -> int:
     import tempfile
 
-    from repro.errors import ConfigError
     from repro.resilience import ElasticRunConfig, Supervisor
     from repro.simmpi import FaultModel
 
-    cfg = _CONFIGS[args.config]()
-    if cfg.num_experts % args.ep != 0:
-        cfg = cfg.scaled(num_experts=args.ep * max(cfg.num_experts // args.ep, 1))
+    cfg = _model_for(args, ep=args.ep)
 
     stragglers = {}
     for spec in args.straggler or []:
@@ -492,10 +519,8 @@ def _cmd_resilient(args: argparse.Namespace) -> int:
         extra = {k: v for k, v in event.items() if k not in ("kind", "t")}
         detail = " ".join(f"{k}={v}" for k, v in extra.items())
         print(f"  [t={event['t']:.3g}s] {event['kind']:<16} {detail}")
-    for step, loss in zip(
-        range(result.first_step, result.first_step + len(result.losses)),
-        result.losses,
-    ):
+    steps = list(enumerate(result.losses, start=result.first_step))
+    for step, loss in steps:
         print(f"  step {step:3d}  global loss {loss:.4f}")
     print(f"restarts / shrinks : {result.restarts} / {result.shrinks}")
     print(f"world history      : {' -> '.join(map(str, result.world_history))}")
@@ -504,32 +529,22 @@ def _cmd_resilient(args: argparse.Namespace) -> int:
           f"{format_time(result.lost_time)} / {format_time(result.backoff_time)}")
     print(f"goodput            : {result.goodput:.1%}")
     print(f"availability       : {result.availability:.1%}")
-
-    if args.metrics:
-        with MetricsLogger(args.metrics) as logger:
-            for step, loss in zip(
-                range(result.first_step, result.first_step + len(result.losses)),
-                result.losses,
-            ):
-                logger.log({"record": "step", "step": step, "loss": loss})
-            if logger.path.suffix == ".jsonl":
-                logger.log_events(result.context.events, record="event")
-                logger.log({"record": "summary", **result.metrics_record()})
-                if args.observe:
-                    from repro.obs import collect_run_records
-
-                    logger.log_events(collect_run_records(result.context))
-        print(f"metrics            : {args.metrics}")
-    if args.trace:
-        path = result.context.write_chrome_trace(args.trace)
-        print(f"chrome trace       : {path}")
+    _write_outputs(
+        args, result.context,
+        records=({"record": "step", "step": step, "loss": loss}
+                 for step, loss in steps),
+        jsonl_records=[
+            *({**event, "record": "event"} for event in result.context.events),
+            {"record": "summary", **result.metrics_record()},
+        ],
+    )
     return 0
 
 
-def _parse_arrival_ramp(spec: str):
+def _parse_arrival_ramp(spec: str | None):
     """``'0:2,10:8'`` -> ``((0.0, 2.0), (10.0, 8.0))`` for ServeConfig."""
-    from repro.errors import ConfigError
-
+    if not spec:
+        return None
     try:
         segments = tuple(
             (float(part.split(":")[0]), float(part.split(":")[1]))
@@ -543,20 +558,14 @@ def _parse_arrival_ramp(spec: str):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import ServeConfig, run_sequential_baseline, run_serving
+    from repro.serve import ServeConfig
 
-    cfg = _CONFIGS[args.config]()
-    if cfg.num_experts % args.ep != 0:
-        cfg = cfg.scaled(num_experts=args.ep * max(cfg.num_experts // args.ep, 1))
     serve_cfg = ServeConfig(
-        model=cfg,
+        model=_model_for(args, ep=args.ep),
         ep_size=args.ep,
         num_requests=args.requests,
         arrival_rate=args.arrival_rate,
-        arrival_ramp=(
-            _parse_arrival_ramp(args.arrival_ramp)
-            if args.arrival_ramp else None
-        ),
+        arrival_ramp=_parse_arrival_ramp(args.arrival_ramp),
         prompt_len=args.prompt_len,
         prompt_len_max=args.prompt_len_max,
         max_new_tokens=args.max_new,
@@ -576,7 +585,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         observe=args.observe or args.span_dump is not None,
     )
     if args.replicas > 1 or args.mtbf is not None or args.autoscale:
-        return _serve_fleet(args, serve_cfg)
+        result, baseline = _serve_fleet(args, serve_cfg), []
+    else:
+        result, baseline = _serve_engine(args, serve_cfg)
+    _write_outputs(
+        args, result.context,
+        records=[{"record": "summary", **result.metrics_record()}, *baseline],
+        jsonl_records=({"record": "request", **rec} for rec in result.requests),
+        span_dump=args.span_dump,
+    )
+    return 0
+
+
+def _serve_engine(args: argparse.Namespace, serve_cfg):
+    """The single-engine path of ``serve``; returns the result and the
+    ``--baseline`` record (if asked for) as a list."""
+    from repro.serve import emit_request_spans, run_sequential_baseline, run_serving
+
     if args.arrival_ramp:
         arrival = f"ramp {args.arrival_ramp}"
     elif args.arrival_rate is not None:
@@ -589,69 +614,35 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           + ")")
     result = run_serving(serve_cfg)
     if args.span_dump:
-        from repro.serve.engine import emit_request_spans
-
         emit_request_spans(result)
 
-    print(f"completed / evicted: {result.completed} / {result.evicted}")
-    if result.shed:
-        print(f"shed (admission)   : {result.shed}")
-    print(f"decode tokens      : {result.decode_tokens}")
-    print(f"makespan           : {format_time(result.simulated_time)}")
+    _print_outcome(result)
     print(f"throughput         : {result.throughput:,.0f} tok/s (virtual)")
-    if result.ttft.count:
-        print(f"ttft               : p50 {format_time(result.ttft.percentile(50))}"
-              f"  p95 {format_time(result.ttft.percentile(95))}")
-    if result.token_latency.count:
-        print(f"token latency      : "
-              f"p50 {format_time(result.token_latency.percentile(50))}"
-              f"  p95 {format_time(result.token_latency.percentile(95))}")
-    if result.context is not None:
-        for phase, seconds in result.context.phase_seconds.items():
-            print(f"  phase {phase:<10}: {format_time(seconds)}")
+    _print_percentiles("ttft", result.ttft)
+    _print_percentiles("token latency", result.token_latency)
+    for phase, seconds in result.context.phase_seconds.items():
+        print(f"  phase {phase:<10}: {format_time(seconds)}")
 
-    baseline = None
-    if args.baseline:
-        baseline = run_sequential_baseline(serve_cfg)
-        speedup = (result.throughput / baseline.throughput
-                   if baseline.throughput > 0 else float("inf"))
-        print(f"sequential baseline: {baseline.throughput:,.0f} tok/s in "
-              f"{format_time(baseline.simulated_time)} "
-              f"-> speedup {speedup:.2f}x")
-
-    if args.metrics:
-        with MetricsLogger(args.metrics) as logger:
-            logger.log({"record": "summary", **result.metrics_record()})
-            if baseline is not None:
-                logger.log({"record": "baseline", **baseline.metrics_record()})
-            if logger.path.suffix == ".jsonl":
-                for rec in result.requests:
-                    logger.log({"record": "request", **rec})
-                if ((args.observe or args.span_dump is not None)
-                        and result.context is not None):
-                    from repro.obs import collect_run_records
-
-                    logger.log_events(collect_run_records(result.context))
-        print(f"metrics            : {args.metrics}")
-    if args.trace:
-        path = result.context.write_chrome_trace(args.trace)
-        print(f"chrome trace       : {path}")
-    if args.span_dump and result.context is not None:
-        path = result.context.spans.write_json(args.span_dump)
-        print(f"span dump          : {path}")
-    return 0
+    if not args.baseline:
+        return result, []
+    baseline = run_sequential_baseline(serve_cfg)
+    speedup = (result.throughput / baseline.throughput
+               if baseline.throughput > 0 else float("inf"))
+    print(f"sequential baseline: {baseline.throughput:,.0f} tok/s in "
+          f"{format_time(baseline.simulated_time)} "
+          f"-> speedup {speedup:.2f}x")
+    return result, [{"record": "baseline", **baseline.metrics_record()}]
 
 
-def _serve_fleet(args: argparse.Namespace, serve_cfg) -> int:
+def _serve_fleet(args: argparse.Namespace, serve_cfg):
     """The replicated path of ``serve``: router + retries + fault injection."""
-    from repro.serve import FleetConfig, run_fleet_serving
+    from repro.obs import SLOObjective
+    from repro.serve import AutoscalerConfig, FleetConfig, run_fleet_serving
 
     autoscale = None
     slos = ()
     ttft_slo_ms = args.ttft_slo_ms
     if args.autoscale:
-        from repro.serve import AutoscalerConfig
-
         ttft_slo_ms = 500.0 if ttft_slo_ms is None else ttft_slo_ms
         autoscale = AutoscalerConfig(
             min_replicas=args.replicas,
@@ -659,8 +650,6 @@ def _serve_fleet(args: argparse.Namespace, serve_cfg) -> int:
             ttft_slo_s=ttft_slo_ms / 1e3,
         )
     if ttft_slo_ms is not None:
-        from repro.obs import SLOObjective
-
         slos = (SLOObjective(name="premium-ttft", threshold_s=ttft_slo_ms / 1e3,
                              metric="ttft", tier=0),)
     fleet_cfg = FleetConfig(
@@ -683,14 +672,7 @@ def _serve_fleet(args: argparse.Namespace, serve_cfg) -> int:
           f"{scale})")
     result = run_fleet_serving(fleet_cfg)
 
-    print(f"completed / evicted: {result.completed} / {result.evicted}")
-    if result.shed:
-        tiers = ", ".join(
-            f"tier{t}={n}" for t, n in sorted(result.shed_by_tier.items())
-        )
-        print(f"shed (admission)   : {result.shed} ({tiers})")
-    print(f"decode tokens      : {result.decode_tokens}")
-    print(f"makespan           : {format_time(result.simulated_time)}")
+    _print_outcome(result, result.shed_by_tier)
     print(f"goodput            : {result.goodput:,.0f} tok/s (virtual)")
     print(f"crashes / retries  : {result.crashes} / {result.retries}")
     if result.hedges:
@@ -706,33 +688,12 @@ def _serve_fleet(args: argparse.Namespace, serve_cfg) -> int:
         print(f"slo {s['slo']:<14}: bad {s['bad']}/{s['good'] + s['bad']} "
               f"alerts fired {s['alerts_fired']} "
               f"resolved {s['alerts_resolved']}")
-    if result.ttft.count:
-        print(f"ttft               : p50 {format_time(result.ttft.percentile(50))}"
-              f"  p95 {format_time(result.ttft.percentile(95))}")
+    _print_percentiles("ttft", result.ttft)
     for stat in result.replica_stats:
         print(f"  replica {stat['replica']}: completed {stat['completed']:>4}  "
               f"crashes {stat['crashes']:>2}  "
               f"busy {format_time(stat['busy_time'])}")
-
-    if args.metrics:
-        with MetricsLogger(args.metrics) as logger:
-            logger.log({"record": "summary", **result.metrics_record()})
-            if logger.path.suffix == ".jsonl":
-                for rec in result.requests:
-                    logger.log({"record": "request", **rec})
-                if ((args.observe or args.span_dump is not None)
-                        and result.context is not None):
-                    from repro.obs import collect_run_records
-
-                    logger.log_events(collect_run_records(result.context))
-        print(f"metrics            : {args.metrics}")
-    if args.trace:
-        path = result.context.write_chrome_trace(args.trace)
-        print(f"chrome trace       : {path}")
-    if args.span_dump and result.context is not None:
-        path = result.context.spans.write_json(args.span_dump)
-        print(f"span dump          : {path}")
-    return 0
+    return result
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -756,16 +717,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         write_plan_records,
     )
 
-    cfg = _CONFIGS[args.config]()
-    overrides = {}
-    if args.experts is not None:
-        overrides["num_experts"] = args.experts
-    if args.layers is not None:
-        overrides["n_layers"] = args.layers
-    if args.moe_every is not None:
-        overrides["moe_every"] = args.moe_every
-    if overrides:
-        cfg = cfg.scaled(**overrides)
+    cfg = _model_for(args, num_experts=args.experts, n_layers=args.layers,
+                     moe_every=args.moe_every)
 
     planner = PlannerConfig(
         model=cfg,
@@ -866,19 +819,10 @@ def _cmd_configs(_args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code (subcommand ``x`` is
+    handled by ``_cmd_x``)."""
     args = build_parser().parse_args(argv)
-    handlers = {
-        "train": _cmd_train,
-        "distributed": _cmd_distributed,
-        "resilient": _cmd_resilient,
-        "serve": _cmd_serve,
-        "report": _cmd_report,
-        "plan": _cmd_plan,
-        "project": _cmd_project,
-        "configs": _cmd_configs,
-    }
-    return handlers[args.command](args)
+    return globals()[f"_cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

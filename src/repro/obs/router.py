@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -72,6 +72,23 @@ class RouterTelemetry:
         with self._lock:
             self._samples.append(sample)
         return sample
+
+    def record_layers(self, step: int, modules: Iterable[Any]) -> None:
+        """Record one step of every MoE layer in ``modules``: any module
+        carrying a ``last_global_load`` (the group-allreduced per-expert
+        counts of its latest forward), numbered in iteration order."""
+        layer = 0
+        for module in modules:
+            load = getattr(module, "last_global_load", None)
+            if load is None:
+                continue
+            self.record(
+                step, layer, load,
+                drop_fraction=float(
+                    getattr(module, "last_drop_fraction", 0.0) or 0.0
+                ),
+            )
+            layer += 1
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -107,7 +107,7 @@ def _imbalance_of(modules) -> float:
     return float(total.max() / mean) if mean > 0 else 1.0
 
 
-def _emit_step_observations(comm, step: int, outcome: StepOutcome,
+def _emit_step_observations(comm, step: int, global_loss: float,
                             modules, strategy_name: str) -> None:
     """Emit one step's metrics + router telemetry into the run's spine.
 
@@ -119,24 +119,15 @@ def _emit_step_observations(comm, step: int, outcome: StepOutcome,
     context = comm.context
     if not context.observing or comm.rank != 0:
         return
+    modules = list(modules)
     registry = context.metrics
     registry.counter("train_steps", strategy=strategy_name).inc()
-    registry.gauge("train_loss", strategy=strategy_name).set(outcome.global_loss)
+    registry.gauge("train_loss", strategy=strategy_name).set(global_loss)
     registry.histogram("train_imbalance", strategy=strategy_name).observe(
-        outcome.imbalance
+        _imbalance_of(modules)
     )
-    if context.router is None:
-        return
-    layer = 0
-    for m in modules:
-        load = getattr(m, "last_global_load", None)
-        if load is None:
-            continue
-        context.router.record(
-            step, layer, load,
-            drop_fraction=float(getattr(m, "last_drop_fraction", 0.0) or 0.0),
-        )
-        layer += 1
+    if context.router is not None:
+        context.router.record_layers(step, modules)
 
 
 # ---------------------------------------------------------------------- #
@@ -445,7 +436,8 @@ class _PlaneTrainer(RankTrainer):
             extras=dict(res.extras),
         )
         _emit_step_observations(
-            self.comm, step, outcome, self.model.moe_layers(), self.strategy_name
+            self.comm, step, res.global_loss, self.model.moe_layers(),
+            self.strategy_name,
         )
         return outcome
 
@@ -622,7 +614,7 @@ class _PipelineTrainer(RankTrainer):
             extras=dict(res.extras),
         )
         _emit_step_observations(
-            self.comm, step, outcome, self.trainer.stage.modules(),
+            self.comm, step, res.global_loss, self.trainer.stage.modules(),
             self.strategy_name,
         )
         return outcome

@@ -34,6 +34,31 @@ def forward_flops_per_token(config: ModelConfig, seq_len: int | None = None) -> 
     return dense + attn_quadratic
 
 
+def expert_forward_flops_per_row(config: ModelConfig) -> float:
+    """Forward FLOPs for one routed row through one expert MLP."""
+    return 2.0 * config.ffn_expert_params
+
+
+def dense_forward_flops_per_token(
+    config: ModelConfig, seq_len: int | None = None, tp_size: int = 1
+) -> float:
+    """Forward FLOPs per token for everything except the expert MLPs.
+
+    ``tp_size`` shards the dense-FFN matmuls (2 FLOPs/param forward);
+    attention, LN, embeddings and routers stay replicated. Shared by
+    ``ComputeTimer``, ``StepModel`` and the serving ``DecodeTimer``, so
+    predicted and measured runs price compute with the same terms.
+    """
+    expert_fwd = (
+        config.num_moe_layers * config.top_k * expert_forward_flops_per_row(config)
+    )
+    dense_fwd = forward_flops_per_token(config, seq_len) - expert_fwd
+    if tp_size == 1:
+        return dense_fwd
+    sharded_fwd = 2.0 * config.dense_ffn_params
+    return dense_fwd - sharded_fwd + sharded_fwd / tp_size
+
+
 def step_flops_per_token(config: ModelConfig, seq_len: int | None = None) -> float:
     """Forward + backward FLOPs per token."""
     return (1.0 + BACKWARD_MULTIPLIER) * forward_flops_per_token(config, seq_len)

@@ -35,7 +35,11 @@ from repro.errors import ConfigError
 from repro.hardware.specs import MachineSpec
 from repro.models.configs import ModelConfig
 from repro.network.costmodel import NetworkModel
-from repro.perf.flops import BACKWARD_MULTIPLIER, forward_flops_per_token
+from repro.perf.flops import (
+    BACKWARD_MULTIPLIER,
+    dense_forward_flops_per_token,
+    expert_forward_flops_per_row,
+)
 from repro.perf.plan import ParallelPlan
 from repro.tensor.dtype import itemsize
 
@@ -144,16 +148,10 @@ class ComputeTimer:
         self._node_flops = (
             machine.node.flops(config.dtype) * machine.compute_efficiency
         )
-        expert_fwd = config.top_k * 2.0 * config.ffn_expert_params * config.num_moe_layers
-        dense_fwd = forward_flops_per_token(config, seq_len) - expert_fwd
-        # TP shards the dense-FFN matmuls (2 FLOPs/param fwd); everything
-        # else (attention, LN, embeddings, routers) stays replicated.
-        sharded_fwd = 2.0 * config.dense_ffn_params
-        self._dense_fwd_per_token = (
-            dense_fwd - sharded_fwd + sharded_fwd / tp_size
+        self._dense_fwd_per_token = dense_forward_flops_per_token(
+            config, seq_len, tp_size
         )
-        #: forward FLOPs for one routed row through one expert MLP.
-        self._expert_fwd_per_row = 2.0 * config.ffn_expert_params
+        self._expert_fwd_per_row = expert_forward_flops_per_row(config)
 
     def dense_step_time(self, num_tokens: int) -> float:
         """Forward+backward dense compute time for ``num_tokens`` tokens."""
@@ -212,15 +210,9 @@ class StepModel:
         The stage holds ``1/pp`` of the layers; the TP group shards the
         dense-FFN matmul share ``1/tp``-ways.
         """
-        cfg = self.config
-        # Dense forward FLOPs/token = everything except the expert MLPs.
-        expert_flops = (
-            cfg.num_moe_layers * cfg.top_k * 2.0 * cfg.ffn_expert_params
+        dense_fwd = dense_forward_flops_per_token(
+            self.config, plan.seq_len, plan.tp_size
         )
-        dense_fwd = forward_flops_per_token(cfg, plan.seq_len) - expert_flops
-        if plan.tp_size > 1:
-            sharded = 2.0 * cfg.dense_ffn_params
-            dense_fwd = dense_fwd - sharded + sharded / plan.tp_size
         multiplier = 1.0 + BACKWARD_MULTIPLIER + (1.0 if plan.recompute else 0.0)
         total = plan.tokens_per_rank * dense_fwd * multiplier / plan.pp_size
         return total / self._node_flops()
@@ -233,7 +225,10 @@ class StepModel:
         rows = plan.tokens_per_rank * cfg.top_k  # group-total = rows*ep_size,
         # per-node share is rows (uniform); imbalance scales the critical
         # path, and a stage sees only its 1/pp share of the MoE layers.
-        flops = rows * cfg.num_moe_layers * 2.0 * cfg.ffn_expert_params / plan.pp_size
+        flops = (
+            rows * cfg.num_moe_layers * expert_forward_flops_per_row(cfg)
+            / plan.pp_size
+        )
         flops *= (1.0 + BACKWARD_MULTIPLIER) * plan.load_imbalance
         return flops / self._node_flops()
 

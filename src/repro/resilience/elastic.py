@@ -53,6 +53,7 @@ from repro.errors import ConfigError
 from repro.parallel.dist_checkpoint import load_distributed, save_distributed
 from repro.parallel.dp import flatten_grads, unflatten_grads
 from repro.parallel.runner import TrainingRunConfig
+from repro.parallel.strategy import _emit_step_observations
 from repro.train.clip import global_grad_norm
 
 __all__ = ["ElasticStepDriver", "ElasticStepResult", "SegmentProgress", "SegmentSpec"]
@@ -210,13 +211,17 @@ class ElasticStepDriver:
         trainer.optimizer.step()
         global_loss = loss_fold / self.logical_world
 
-        context = world.context
         if world.rank == 0:
+            context = world.context
             context.add_phase("forward", t_forward)
             context.add_phase("backward", t_backward)
             context.add_phase("grad_sync", t_sync)
-            if context.observing:
-                self._emit_observations(context, step, global_loss)
+        # Same registry/router series as the measured runs (microstep
+        # loads are summed — the logical step's totals).
+        _emit_step_observations(
+            world, step, global_loss, self.model.moe_layers(),
+            strategy_name="elastic",
+        )
 
         result = ElasticStepResult(
             step=trainer.step_count,
@@ -228,35 +233,6 @@ class ElasticStepDriver:
         )
         trainer.step_count += 1
         return result
-
-    def _emit_observations(self, context, step: int, global_loss: float) -> None:
-        """Mirror the strategy adapters' per-step emission for elastic
-        steps, so resilient runs land in the same registry/router as the
-        measured runs (microstep loads are summed — the logical step's
-        totals)."""
-        from repro.parallel.strategy import _imbalance_of
-
-        modules = list(self.model.moe_layers())
-        registry = context.metrics
-        registry.counter("train_steps", strategy="elastic").inc()
-        registry.gauge("train_loss", strategy="elastic").set(global_loss)
-        registry.histogram("train_imbalance", strategy="elastic").observe(
-            _imbalance_of(modules)
-        )
-        if context.router is None:
-            return
-        layer = 0
-        for module in modules:
-            load = getattr(module, "last_global_load", None)
-            if load is None:
-                continue
-            context.router.record(
-                step,
-                layer,
-                load,
-                drop_fraction=float(getattr(module, "last_drop_fraction", 0.0) or 0.0),
-            )
-            layer += 1
 
 
 def run_elastic_segment(comm, spec: SegmentSpec) -> dict[str, Any]:

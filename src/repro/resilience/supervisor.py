@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import (
     CommunicatorError,
@@ -84,6 +84,44 @@ def classify_failure(exc: BaseException) -> str:
     if isinstance(exc, OverflowDetected):
         return "overflow"
     return type(exc).__name__
+
+
+class PostMortem(NamedTuple):
+    """What a crashed launch left behind: its failure class, the rank the
+    engine blames (if any), the virtual seconds into the launch at which it
+    died, the dead world's partial ``RunContext`` (if it got that far) and
+    the flight-recorder fields of the failure event (empty without a dump)."""
+
+    failure: str
+    rank: int | None
+    crashed_time: float
+    partial_context: Any | None
+    flight_fields: dict[str, Any]
+
+
+def post_mortem(exc: ReproError) -> PostMortem:
+    """Read a crashed launch's evidence off the exception ``run_spmd`` raised.
+
+    The engine hangs ``partial_clocks`` / ``partial_context`` / ``flight_dump``
+    on it; the :class:`Supervisor` and the serving fleet both read them here,
+    so the crash instant — today the furthest clock any rank reached — is
+    defined in exactly one place.
+    """
+    rank = getattr(exc, "rank", None)
+    flight = getattr(exc, "flight_dump", None)
+    flight_fields: dict[str, Any] = {}
+    if flight is not None:
+        flight_fields["flight_events"] = sum(
+            len(v) for v in flight.get("ranks", {}).values()
+        )
+        flight_fields["flight_last_op"] = flight.get("last_op", {}).get(rank)
+    return PostMortem(
+        failure=classify_failure(exc),
+        rank=rank,
+        crashed_time=max(getattr(exc, "partial_clocks", None) or [0.0]),
+        partial_context=getattr(exc, "partial_context", None),
+        flight_fields=flight_fields,
+    )
 
 
 @dataclass(frozen=True)
@@ -311,9 +349,8 @@ class Supervisor:
             return self.fault_plans[attempt] if attempt < len(self.fault_plans) else None
         return self.faults
 
-    def _blame_key(self, exc: BaseException) -> int | None:
+    def _blame_key(self, rank: int | None) -> int | None:
         """Node (preferred) or rank to blame for a failure, if known."""
-        rank = getattr(exc, "rank", None)
         if rank is None:
             return None
         node_of_rank = getattr(self.faults, "node_of_rank", None)
@@ -381,19 +418,15 @@ class Supervisor:
                 ),
             )
             world_history.append(world)
+            launch = dict(
+                attempt=attempt, world_size=world, ep_size=ep, start_step=start
+            )
             session.record_event(
-                "launch",
-                t=clock,
-                attempt=attempt,
-                world_size=world,
-                ep_size=ep,
-                start_step=start,
+                "launch", t=clock, **launch,
                 strategy=run_cfg.resolve_strategy().name,
             )
             launch_span = session.spans.begin(
-                f"launch:{attempt}", clock, kind="launch",
-                attempt=attempt, world_size=world, ep_size=ep,
-                start_step=start,
+                f"launch:{attempt}", clock, kind="launch", **launch
             )
             try:
                 res = run_spmd(
@@ -413,49 +446,34 @@ class Supervisor:
                 attempt += 1
                 restarts += 1
                 consecutive += 1
-                partial_clocks = getattr(exc, "partial_clocks", None) or [0.0]
-                crashed_time = max(partial_clocks)
-                partial_context = getattr(exc, "partial_context", None)
-                if partial_context is not None:
-                    session.absorb(partial_context, clock_offset=clock)
-                clock += crashed_time
+                crash = post_mortem(exc)
+                if crash.partial_context is not None:
+                    session.absorb(crash.partial_context, clock_offset=clock)
+                clock += crash.crashed_time
                 session.spans.end(
-                    launch_span, clock, outcome="failure",
-                    failure=classify_failure(exc),
+                    launch_span, clock, outcome="failure", failure=crash.failure
                 )
-                lost_time += crashed_time
+                lost_time += crash.crashed_time
                 wasted = progress.completed_step - progress.durable_step
                 lost_steps += wasted
-                key = self._blame_key(exc)
-                # The engine ships every rank's final recorded operations
-                # on the exception; reference the evidence in the failure
-                # event (the full dump was already folded into the session
-                # flight recorder via the partial context).
-                flight = getattr(exc, "flight_dump", None)
-                flight_fields: dict[str, Any] = {}
-                if flight is not None:
-                    last_op = flight.get("last_op", {})
-                    blamed_rank = getattr(exc, "rank", None)
-                    flight_fields["flight_events"] = sum(
-                        len(v) for v in flight.get("ranks", {}).values()
-                    )
-                    flight_fields["flight_last_op"] = last_op.get(
-                        blamed_rank, None
-                    ) if blamed_rank is not None else None
+                key = self._blame_key(crash.rank)
+                # The flight fields reference the evidence; the full dump
+                # was already folded into the session flight recorder via
+                # the partial context.
                 session.record_event(
                     "failure",
                     t=clock,
-                    failure=classify_failure(exc),
+                    failure=crash.failure,
                     attempt=attempt - 1,
                     world_size=world,
-                    rank=getattr(exc, "rank", None),
+                    rank=crash.rank,
                     node=key,
                     lost_steps=wasted,
                     durable_step=progress.durable_step,
-                    **flight_fields,
+                    **crash.flight_fields,
                 )
                 session.metrics.counter(
-                    "session_failures", failure=classify_failure(exc)
+                    "session_failures", failure=crash.failure
                 ).inc()
                 session.metrics.counter("session_lost_steps").inc(wasted)
                 if key is not None and cfg.elastic:

@@ -11,68 +11,43 @@ that :mod:`repro.models.generate` can depend on the cache without an
 import cycle.
 """
 
+from importlib import import_module
+
 from repro.serve.kvcache import KVCache, KVLayerView
 from repro.serve.scheduler import ContinuousBatchScheduler, Request
 
-_ENGINE_EXPORTS = (
-    "DecodeTimer",
-    "ServeConfig",
-    "ServeResult",
-    "build_requests",
-    "emit_request_spans",
-    "run_sequential_baseline",
-    "run_serving",
-)
-
-#: The fleet pulls in the engine (and resilience); lazy for the same reason.
-_FLEET_EXPORTS = (
-    "FleetConfig",
-    "FleetResult",
-    "run_fleet_serving",
-)
-
-#: The router shares :class:`repro.resilience.BackoffPolicy` with the
+#: Names imported on first use, by submodule. The engine pulls in
+#: :mod:`repro.parallel`; the fleet pulls in the engine (and resilience);
+#: the router shares :class:`repro.resilience.BackoffPolicy` with the
 #: supervisor, and importing that package pulls the elastic-training stack
-#: (-> parallel -> amp), so it must stay lazy too.
-_ROUTER_EXPORTS = (
-    "ReplicaRouter",
-    "ReplicaState",
-)
-
-#: The autoscaler only needs :mod:`repro.obs.timeseries`, but it lives in
-#: the fleet's import neighbourhood; lazy keeps the package entry cheap.
-_AUTOSCALER_EXPORTS = (
-    "Autoscaler",
-    "AutoscalerConfig",
-)
+#: (-> parallel -> amp); the autoscaler lives in the fleet's import
+#: neighbourhood. Lazy keeps the package entry cheap and cycle-free.
+_LAZY_EXPORTS = {
+    "engine": (
+        "DecodeTimer",
+        "ServeConfig",
+        "ServeResult",
+        "build_requests",
+        "emit_request_spans",
+        "run_sequential_baseline",
+        "run_serving",
+    ),
+    "fleet": ("FleetConfig", "FleetResult", "run_fleet_serving"),
+    "router": ("ReplicaRouter", "ReplicaState"),
+    "autoscaler": ("Autoscaler", "AutoscalerConfig"),
+}
 
 __all__ = [
     "KVCache",
     "KVLayerView",
     "ContinuousBatchScheduler",
     "Request",
-    *_ENGINE_EXPORTS,
-    *_FLEET_EXPORTS,
-    *_ROUTER_EXPORTS,
-    *_AUTOSCALER_EXPORTS,
+    *(name for names in _LAZY_EXPORTS.values() for name in names),
 ]
 
 
 def __getattr__(name):
-    if name in _ENGINE_EXPORTS:
-        from repro.serve import engine
-
-        return getattr(engine, name)
-    if name in _FLEET_EXPORTS:
-        from repro.serve import fleet
-
-        return getattr(fleet, name)
-    if name in _ROUTER_EXPORTS:
-        from repro.serve import router
-
-        return getattr(router, name)
-    if name in _AUTOSCALER_EXPORTS:
-        from repro.serve import autoscaler
-
-        return getattr(autoscaler, name)
+    for module, names in _LAZY_EXPORTS.items():
+        if name in names:
+            return getattr(import_module(f"repro.serve.{module}"), name)
     raise AttributeError(f"module 'repro.serve' has no attribute {name!r}")

@@ -26,7 +26,7 @@ over the requests would do on the same EP world.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -36,7 +36,10 @@ from repro.models.configs import ModelConfig
 from repro.models.transformer import MoELanguageModel
 from repro.network import sunway_network
 from repro.parallel.ep import ep_moe_factory
-from repro.perf.flops import forward_flops_per_token
+from repro.perf.flops import (
+    dense_forward_flops_per_token,
+    expert_forward_flops_per_row,
+)
 from repro.serve.kvcache import KVCache
 from repro.serve.scheduler import ContinuousBatchScheduler, Request
 from repro.simmpi import MIN, Comm, run_spmd
@@ -281,8 +284,8 @@ class DecodeTimer:
     forward+backward at a fixed sequence length; decode needs forward-only
     cost at *per-row* context lengths (attention over ``ctx + i`` cached
     keys for the i-th new token). Derived from the same
-    :func:`~repro.perf.flops.forward_flops_per_token` terms, so measured
-    serving and training curves share one cost model.
+    :mod:`repro.perf.flops` terms, so measured serving and training
+    curves share one cost model.
     """
 
     def __init__(self, config: ModelConfig, machine: MachineSpec):
@@ -291,17 +294,12 @@ class DecodeTimer:
         self._node_flops = (
             machine.node.flops(config.dtype) * machine.compute_efficiency
         )
-        expert_fwd = (
-            config.top_k * 2.0 * config.ffn_expert_params * config.num_moe_layers
-        )
-        # Linear dense FLOPs per token (everything except expert MLPs and
-        # the attention-score matmuls, which depend on context length).
-        self._base = forward_flops_per_token(config, 1) - expert_fwd - (
-            config.n_layers * 4.0 * config.d_model
-        )
         #: Attention-score FLOPs per (token, attended position) pair.
         self._quad = config.n_layers * 4.0 * config.d_model
-        self._expert_fwd_per_row = 2.0 * config.ffn_expert_params
+        # Linear dense FLOPs per token (everything except expert MLPs and
+        # the attention-score matmuls, which depend on context length).
+        self._base = dense_forward_flops_per_token(config, 1) - self._quad
+        self._expert_fwd_per_row = expert_forward_flops_per_row(config)
 
     def dense_time(self, ctx: np.ndarray, valid: np.ndarray) -> float:
         """Dense forward time for a ragged batch.
@@ -445,28 +443,18 @@ def _serve_rank(
     dummy = np.zeros((1, 1), dtype=np.int64)
     iteration = 0
 
-    def emit_router(step: int) -> None:
-        """Per-iteration router telemetry (rank 0, observing runs only)."""
-        if comm.rank != 0 or context is None or context.router is None:
-            return
-        for layer_idx, m in enumerate(model.moe_layers()):
-            load = getattr(m, "last_global_load", None)
-            if load is not None:
-                context.router.record(
-                    step, layer_idx, load,
-                    drop_fraction=float(getattr(m, "last_drop_fraction", 0.0) or 0.0),
-                )
+    def dropped(kind: str, metric: str, now: float, req: Request) -> None:
+        """Rank 0 notes an admission-control casualty (event + tier counter)."""
+        if comm.rank == 0:
+            context.record_event(kind, t=now, rid=req.rid, tier=req.tier)
+            context.metrics.counter(metric, tier=req.tier).inc()
 
     def shed_and_release(now: float) -> None:
         """Admission control + free the cache rows of retired requests."""
         for req in sched.shed_overloaded(now):
-            if context is not None and comm.rank == 0:
-                context.record_event("shed", t=now, rid=req.rid, tier=req.tier)
-                context.metrics.counter("serve_shed", tier=req.tier).inc()
+            dropped("shed", "serve_shed", now, req)
         for req in sched.preempt_for_premium(now):
-            if context is not None and comm.rank == 0:
-                context.record_event("preempt", t=now, rid=req.rid, tier=req.tier)
-                context.metrics.counter("serve_preempted", tier=req.tier).inc()
+            dropped("preempt", "serve_preempted", now, req)
         if cache is not None and cache.token_budget is not None:
             held = {req.slot for req in sched.active}
             stale = [s for s in range(cache.batch_size) if s not in held]
@@ -499,13 +487,7 @@ def _serve_rank(
             cache.reset([slot])
             if victim in admitted:
                 admitted.remove(victim)
-            if context is not None and comm.rank == 0:
-                context.record_event(
-                    "cache_evict", t=now, rid=victim.rid, tier=victim.tier
-                )
-                context.metrics.counter(
-                    "serve_cache_evictions", tier=victim.tier
-                ).inc()
+            dropped("cache_evict", "serve_cache_evictions", now, victim)
 
     def decode_step() -> None:
         """One mixed prefill+decode forward over the active slots."""
@@ -555,7 +537,8 @@ def _serve_rank(
             context.add_phase("prefill" if admitted else "decode", dt)
             context.metrics.counter("serve_iterations").inc()
             context.metrics.histogram("serve_iteration_seconds").observe(dt)
-        emit_router(iteration)
+        if comm.rank == 0 and context.router is not None:
+            context.router.record_layers(iteration, model.moe_layers())
         now = comm.clock
         for i, req in enumerate(list(sched.active)):
             if not cfg.greedy and req.rid not in samplers:
@@ -638,48 +621,21 @@ def run_serving(
         faults=faults,
         args=(cfg, machine, requests),
     )
-    records: list[dict] = []
-    ttft = LatencyStats("ttft")
+    # Rank-major record order: it fixes the TTFT sample order (and so the
+    # float sum behind the reported mean) before the by-rid sort below.
+    records = [rec for ret in spmd.returns for rec in ret["records"]]
+    counts = tally(records)
+    del counts["shed_by_tier"]  # the fleet's breakdown; ``shed`` is its sum
+    records.sort(key=lambda r: r["rid"])
     token_latency = LatencyStats("token")
-    completed = evicted = decode_tokens = shed = 0
     admitted_at: dict[int, float] = {}
     for ret in spmd.returns:
-        records.extend(ret["records"])
         token_latency.extend(ret["token_lat"])
         admitted_at.update(ret.get("admitted", {}))
-        for rec in ret["records"]:
-            decode_tokens += rec["generated"]
-            if rec["state"] == "done":
-                completed += 1
-                if rec["ttft"] is not None:
-                    ttft.add(rec["ttft"])
-            elif rec["state"] == "evicted":
-                evicted += 1
-            elif rec["state"] == "shed":
-                shed += 1
-    records.sort(key=lambda r: r["rid"])
-    context = spmd.context
-    if context is not None and context.observing:
-        # Driver-side aggregates: SLO distributions + outcome counters.
-        registry = context.metrics
-        registry.counter("serve_completed").inc(completed)
-        registry.counter("serve_evicted").inc(evicted)
-        registry.counter("serve_decode_tokens").inc(decode_tokens)
-        registry.gauge("serve_throughput_tok_s").set(
-            decode_tokens / spmd.simulated_time if spmd.simulated_time > 0 else 0.0
-        )
-        registry.histogram("serve_ttft_seconds").observe_many(ttft.samples)
-        registry.histogram("serve_token_latency_seconds").observe_many(
-            token_latency.samples
-        )
-    return ServeResult(
+    result = ServeResult(
         config=cfg,
-        completed=completed,
-        evicted=evicted,
-        shed=shed,
-        decode_tokens=decode_tokens,
+        **counts,
         simulated_time=spmd.simulated_time,
-        ttft=ttft,
         token_latency=token_latency,
         requests=records,
         clocks=list(spmd.clocks),
@@ -691,55 +647,147 @@ def run_serving(
             "overlap_chunks": cfg.overlap_chunks,
         },
     )
+    context = spmd.context
+    if context is not None and context.observing:
+        # Driver-side aggregates: SLO distributions + outcome counters.
+        registry = context.metrics
+        registry.counter("serve_completed").inc(result.completed)
+        registry.counter("serve_evicted").inc(result.evicted)
+        registry.counter("serve_decode_tokens").inc(result.decode_tokens)
+        registry.gauge("serve_throughput_tok_s").set(result.throughput)
+        registry.histogram("serve_ttft_seconds").observe_many(result.ttft.samples)
+        registry.histogram("serve_token_latency_seconds").observe_many(
+            token_latency.samples
+        )
+    return result
+
+
+def tally(records: list[dict]) -> dict[str, Any]:
+    """Terminal-outcome counts over per-request records, keyed by result
+    field — the one tally behind :class:`ServeResult` and the fleet's.
+
+    Every record is ``done``, ``shed`` or evicted (whatever the reason);
+    tokens decoded before an eviction still count. TTFT samples are
+    collected in record order.
+    """
+    counts: dict[str, Any] = {
+        "completed": 0, "evicted": 0, "shed": 0, "shed_by_tier": {},
+        "decode_tokens": 0, "ttft": LatencyStats("ttft"),
+    }
+    for rec in records:
+        counts["decode_tokens"] += rec["generated"]
+        if rec["state"] == "done":
+            counts["completed"] += 1
+            if rec["ttft"] is not None:
+                counts["ttft"].add(rec["ttft"])
+        elif rec["state"] == "shed":
+            counts["shed"] += 1
+            by_tier = counts["shed_by_tier"]
+            by_tier[rec["tier"]] = by_tier.get(rec["tier"], 0) + 1
+        else:
+            counts["evicted"] += 1
+    return counts
+
+
+def request_span_tree(
+    spans: Any, rec: dict, first_token: float | None, admitted: float | None,
+    history: Sequence[dict] = (), root_attrs: dict | None = None,
+    where: dict | None = None,
+) -> None:
+    """One request's causal span tree — the only place a request becomes spans.
+
+    ``rec`` is the terminal record (``rid/state/reason/tier/arrival/finish/
+    generated``); ``first_token`` and ``admitted`` are when, in the attempt
+    that produced it, the request decoded its first token and entered a
+    batch slot (None: it never did). A single-engine result is a fleet of
+    one, so what the fleet adds arrives as data: ``history`` holds failed
+    (``crash``/``timeout``) and speculative (``hedge``) attempts as
+    ``{kind, replica, t_start, t_end, ...}``, ``root_attrs`` extra root
+    attributes, ``where`` the attributes naming the serving replica.
+
+    Root ``request:{rid}`` = the request's whole life ``[arrival, finish]``;
+    its on-path children partition it (:func:`~repro.obs.spans.span_coverage`):
+    failed attempts (``retry``), then (i) admitted — optional ``queue
+    [cursor, adm]``, the ``admission`` instant, ``prefill`` + ``decode`` of
+    a completion or ``service [adm, finish]`` carrying the eviction reason;
+    (ii) never admitted (shed, or evicted while waiting) — ``queue [cursor,
+    finish]`` carrying the reason. Hedges ran *concurrently* with the
+    primary, so they attach as off-path ``hedge`` children (winner/loser
+    marked) excluded from the sum.
+    """
+    where = where or {}
+    arrival, finish = rec["arrival"], rec["finish"]
+    done = rec["state"] == "done"
+    fails = sorted(
+        (h for h in history if h["kind"] != "hedge"), key=lambda h: h["t_start"]
+    )
+    # A completion's root duration IS its recorded latency (failed attempts
+    # are clamped inside it below); any other root ends with the last thing
+    # that happened to the request.
+    root_end = finish if done else max(
+        [arrival, finish] + [h["t_end"] for h in fails]
+    )
+    root = spans.add(
+        f"request:{rec['rid']}", arrival, root_end, kind="request",
+        rid=rec["rid"], state=rec["state"], reason=rec["reason"],
+        tier=rec["tier"], **(root_attrs or {}),
+    )
+    # On-path children must partition [arrival, root_end] without
+    # overlap. Crash re-dispatch can move *backwards* in virtual time
+    # (a survivor's segment may start before the failed segment's
+    # recorded end), so every interval is clamped monotonically: no
+    # child starts before the previous one ended or escapes the root.
+    cursor = arrival
+    for i, h in enumerate(fails):
+        end = min(max(cursor, h["t_end"]), root_end)
+        spans.add(
+            "attempt", min(max(cursor, h["t_start"]), end), end, parent=root,
+            kind="retry", why=h["kind"], replica=h["replica"], attempt=i,
+        )
+        cursor = end
+    if admitted is None:
+        if finish > cursor:
+            spans.add("queue", cursor, finish, parent=root, kind="queue",
+                      reason=rec["reason"])
+    else:
+        adm = min(max(cursor, admitted), root_end)
+        if adm > cursor:
+            spans.add("queue", cursor, adm, parent=root, kind="queue", **where)
+        spans.instant("admission", adm, parent=root, kind="admission",
+                      tier=rec["tier"], **where)
+        if done and first_token is not None:
+            first = min(max(adm, first_token), root_end)
+            spans.add("prefill", adm, first, parent=root, kind="prefill",
+                      **where)
+            spans.add("decode", first, root_end, parent=root, kind="decode",
+                      **where, tokens=rec["generated"])
+        elif root_end > adm:
+            spans.add("service", adm, root_end, parent=root, kind="decode",
+                      **where, reason=rec["reason"])
+    for h in history:
+        if h["kind"] == "hedge":
+            spans.add(
+                "hedge", h["t_start"], h["t_end"], parent=root, kind="hedge",
+                replica=h["replica"], winner=h["winner"], role=h["role"],
+            )
 
 
 def emit_request_spans(result: ServeResult) -> None:
     """One causal span tree per request on ``result.context``'s tracer.
 
-    The fleet builds its own trees (retries, hedges, re-dispatch live
-    there); this is the single-engine counterpart for plain
-    :func:`run_serving` results — root ``request:{rid}`` over
-    ``[arrival, finish]`` with queue/prefill/decode children partitioning
-    it, satisfying :func:`repro.obs.spans.span_coverage`. No-op when the
-    run was not observed. Emitted in rid order so span ids are
+    The single-engine caller of :func:`request_span_tree` (the fleet is
+    the other): no failed attempts, no hedges, dispatch = arrival. No-op
+    when the run was not observed. Emitted in rid order so span ids are
     deterministic.
     """
     context = result.context
     if context is None or not context.spans.enabled:
         return
-    spans = context.spans
     for rec in result.requests:
-        arrival = rec["arrival"]
-        finish = rec["finish"]
-        adm = result.admitted_at.get(rec["rid"])
-        ends = [arrival] + [t for t in (finish, adm) if t is not None]
-        root_end = max(ends)
-        root = spans.add(
-            f"request:{rec['rid']}",
-            arrival,
-            root_end,
-            kind="request",
-            rid=rec["rid"],
-            state=rec["state"],
-            reason=rec["reason"],
-            tier=rec["tier"],
+        first = None if rec["ttft"] is None else rec["arrival"] + rec["ttft"]
+        request_span_tree(
+            context.spans, rec, first, result.admitted_at.get(rec["rid"])
         )
-        if adm is None:
-            continue  # shed before admission: the whole root is a gap
-        adm = min(max(arrival, adm), root_end)
-        if adm > arrival:
-            spans.add("queue", arrival, adm, parent=root, kind="queue")
-        spans.instant("admission", adm, parent=root, kind="admission",
-                      tier=rec["tier"])
-        if rec["state"] == "done" and rec["ttft"] is not None:
-            first = min(max(adm, arrival + rec["ttft"]), root_end)
-            spans.add("prefill", adm, first, parent=root, kind="prefill")
-            spans.add("decode", first, root_end, parent=root, kind="decode",
-                      tokens=rec["generated"])
-        elif finish is not None and finish > adm:
-            # Admitted then evicted mid-service (slo/cache/preempt).
-            spans.add("service", adm, min(finish, root_end), parent=root,
-                      kind="decode", reason=rec["reason"])
 
 
 def run_sequential_baseline(

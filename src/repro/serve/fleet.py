@@ -44,14 +44,21 @@ is a strict superset of the baseline (bitwise, by regression test).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import CommunicatorError, ConfigError, ReproError
 from repro.obs.slo import SLOMonitor, SLOObjective, default_burn_windows
 from repro.resilience.backoff import BackoffPolicy
-from repro.resilience.supervisor import classify_failure
+from repro.resilience.supervisor import post_mortem
 from repro.serve.autoscaler import Autoscaler, AutoscalerConfig
-from repro.serve.engine import ServeConfig, build_requests, run_serving
+from repro.serve.engine import (
+    ServeConfig,
+    ServeResult,
+    build_requests,
+    request_span_tree,
+    run_serving,
+    tally,
+)
 from repro.serve.router import ReplicaRouter
 from repro.serve.scheduler import Request
 from repro.simmpi import RunContext
@@ -229,47 +236,66 @@ class _Flight:
     #: Earliest global virtual time the request may be (re-)dispatched.
     ready: float
     attempts: int = 0
-    hedged: bool = False
     outcome: dict | None = None
+    #: Global admission time in the attempt that produced ``outcome``.
+    admitted: float | None = None
     #: Failed/speculative attempt intervals (global time) for span trees:
-    #: ``{"kind": crash|timeout|hedge, "t_start", "t_end", "replica", ...}``.
+    #: ``{"kind": crash|timeout|hedge, "replica", "t_start", "t_end", ...}``.
     history: list[dict] = field(default_factory=list)
 
     @property
     def rid(self) -> int:
         return self.template.rid
 
+    def remember(
+        self, kind: str, replica: int, t_start: float, t_end: float, **marks: Any
+    ) -> None:
+        """Remember one failed or speculative attempt (``marks``: a hedge's
+        ``winner``/``role``)."""
+        self.history.append(
+            {"kind": kind, "replica": replica, "t_start": t_start,
+             "t_end": t_end, **marks}
+        )
+
     def resolve(
-        self,
-        *,
-        tier: int,
-        state: str,
-        reason: str | None,
-        replica: int | None,
-        finish: float | None,
-        generated: int,
-        tokens: list[int],
-        ttft: float | None = None,
-        latency: float | None = None,
+        self, rec: dict, replica: int | None, *, finish: float,
+        ttft: float | None = None, latency: float | None = None,
         **served: float | None,
     ) -> None:
-        """Record the terminal outcome (one key order for every exit path;
-        ``served`` = the ``dispatch``/``first_token`` times of a completion)."""
+        """Record the terminal outcome: ``rec``'s state/reason/tier/tokens
+        at global times (one key order for every exit path; ``served`` =
+        the ``dispatch``/``first_token`` times of a completion)."""
         self.outcome = {
             "rid": self.rid,
-            "tier": tier,
-            "state": state,
-            "reason": reason,
+            "tier": rec["tier"],
+            "state": rec["state"],
+            "reason": rec["reason"],
             "arrival": self.template.arrival,
             "attempts": self.attempts,
             "replica": replica,
             **served,
             "finish": finish,
-            "generated": generated,
-            "tokens": tokens,
+            "generated": rec["generated"],
+            "tokens": rec["tokens"],
             "ttft": ttft,
             "latency": latency,
-            "hedged": self.hedged,
+            "hedged": False,
+        }
+
+    def served(self, rec: dict, seg_t0: float) -> dict[str, float | None]:
+        """A completed segment record's times shifted into global time
+        (segment-local arrival = dispatch; TTFT and latency run from the
+        request's *original* arrival)."""
+        dispatch = seg_t0 + rec["arrival"]
+        finish = seg_t0 + rec["finish"]
+        first_token = None if rec["ttft"] is None else dispatch + rec["ttft"]
+        arrival = self.template.arrival
+        return {
+            "dispatch": dispatch,
+            "first_token": first_token,
+            "finish": finish,
+            "ttft": None if first_token is None else first_token - arrival,
+            "latency": finish - arrival,
         }
 
 
@@ -285,149 +311,431 @@ def _fresh(template: Request, arrival: float) -> Request:
     )
 
 
-def _crash_fields(exc: ReproError) -> dict[str, Any]:
-    """Flight-recorder evidence for a crash event (supervisor convention)."""
-    fields: dict[str, Any] = {}
-    flight = getattr(exc, "flight_dump", None)
-    if flight is not None:
-        blamed = getattr(exc, "rank", None)
-        fields["flight_events"] = sum(
-            len(v) for v in flight.get("ranks", {}).values()
-        )
-        fields["flight_last_op"] = (
-            flight.get("last_op", {}).get(blamed) if blamed is not None else None
-        )
-    return fields
-
-
 def _signal_time(out: dict) -> float:
     """When an outcome becomes visible to windowed monitors (global time)."""
     if out["state"] == "done" and out.get("first_token") is not None:
         return out["first_token"]
-    if out.get("finish") is not None:
-        return out["finish"]
-    return out["arrival"]
+    return out["finish"]
 
 
-def _emit_request_spans(
-    session: RunContext, flights: list[_Flight], admitted_g: dict[int, float]
-) -> None:
-    """One causal span tree per request on the session tracer.
+class _Fleet:
+    """Everything one fleet run knows, and the steps of its loop.
 
-    Root = the request's whole life ``[arrival, finish]``; on-path
-    children partition it (with explicit gaps) into failed attempts
-    (``retry``), queue wait, prefill, and decode — the accounting
-    invariant :func:`~repro.obs.spans.span_coverage` checks. Hedge
-    attempts run *concurrently* with the primary, so they attach as
-    off-path ``hedge`` children (winner/loser marked) excluded from the
-    sum. Emitted in rid order after the dispatch loop settles, so span
-    ids are deterministic.
+    :func:`run_fleet_serving` is the loop; each step is a method that reads
+    and writes this state only, so a test can drive one at a time.
+    ``run_engine`` is the engine call (:func:`run_serving`; tests script a
+    replica's segments without rank threads).
     """
-    spans = session.spans
-    if not spans.enabled:
-        return
-    for flight in sorted(flights, key=lambda f: f.rid):
-        out = flight.outcome
-        if out is None:  # pragma: no cover - loop guarantees resolution
-            continue
-        arrival = out["arrival"]
-        fails = sorted(
-            (h for h in flight.history if h["kind"] in ("crash", "timeout")),
-            key=lambda h: h["t_start"],
+
+    def __init__(
+        self, cfg: FleetConfig, run_engine: Callable[..., ServeResult],
+        network: Any | None = None,
+    ):
+        self.cfg = cfg
+        self.run_engine = run_engine
+        self.network = network
+        serve = cfg.serve
+        self.router = ReplicaRouter(cfg.replicas, backoff=cfg.backoff_policy())
+        self.session = RunContext(trace=serve.trace, observe=serve.observe)
+        #: Replica ``r``'s persistent crash model (grown by scale-ups).
+        self.faults = [self.replica_faults(r) for r in range(cfg.replicas)]
+        self.flights = [
+            _Flight(template=req, ready=req.arrival)
+            for req in build_requests(serve)
+        ]
+        self.by_rid = {f.rid: f for f in self.flights}
+        self.hedge_s = (
+            None if cfg.hedge_after_ms is None else cfg.hedge_after_ms / 1e3
         )
-        finish = out["finish"]
-        if out["state"] == "done":
-            # Root duration IS the recorded latency; failed attempts are
-            # clamped inside it below.
-            root_end = finish
+        self.timeout_s = (
+            None if cfg.request_timeout_ms is None
+            else cfg.request_timeout_ms / 1e3
+        )
+        self.monitors = [
+            SLOMonitor(obj, windows=default_burn_windows(cfg.slo_horizon_s))
+            for obj in cfg.slos
+        ]
+        self.scaler = (
+            Autoscaler(cfg.autoscale) if cfg.autoscale is not None else None
+        )
+        self.token_latency = LatencyStats("token")
+        #: The :class:`FleetResult` activity counters, by field name.
+        self.counts = dict.fromkeys(
+            ("crashes", "retries", "hedges", "hedge_wins", "timeouts",
+             "scale_ups", "scale_downs"), 0,
+        )
+        #: Fleet makespan so far (last segment end / crash instant).
+        self.clock = 0.0
+        self.rounds = 0
+        self.dispatch_clock = 0.0
+        self.slo_clock = 0.0
+        #: Requests whose outcome the monitors have already seen.
+        self.signalled: set[int] = set()
+
+    def replica_faults(self, r: int) -> FaultModel | None:
+        """Replica ``r``'s own seeded crash stream (None: healthy fleet)."""
+        if self.cfg.mtbf is None:
+            return None
+        return FaultModel(
+            seed=derive_seed(self.cfg.serve.seed, "fleet-replica", r),
+            mtbf=self.cfg.mtbf,
+        )
+
+    @property
+    def unresolved(self) -> list[_Flight]:
+        return [f for f in self.flights if f.outcome is None]
+
+    def count(self, what: str, metric: str, n: int = 1, **labels: Any) -> None:
+        """Bump result counter ``what`` and its registry twin together."""
+        self.counts[what] += n
+        self.session.metrics.counter(metric, **labels).inc(n)
+
+    # ------------------------------------------------------------------ #
+    # The steps of one round
+    # ------------------------------------------------------------------ #
+
+    def dispatch_round(self) -> dict[int, list[_Flight]]:
+        """Assign pending requests to the replicas expected to finish them
+        first; returns ``{replica: group}``.
+
+        Under autoscaling dispatch is *windowed* — only work ready inside
+        the next dispatch window is assigned, so scale decisions interleave
+        with the arrival process instead of round one swallowing the ramp —
+        and an empty window returns ``{}`` after jumping the dispatch clock
+        to the next ready time.
+        """
+        cfg = self.cfg
+        self.rounds += 1
+        if self.rounds > cfg.max_rounds:
+            raise CommunicatorError(
+                f"fleet dispatch did not converge in {cfg.max_rounds} rounds"
+            )
+        pending = sorted(self.unresolved, key=lambda f: (f.ready, f.rid))
+        if self.scaler is not None:
+            horizon = self.dispatch_clock + cfg.autoscale.dispatch_window_s
+            batch = [f for f in pending if f.ready <= horizon]
+            self.dispatch_clock = (
+                horizon if batch else min(f.ready for f in pending)
+            )
+            pending = batch
+        assignment: dict[int, list[_Flight]] = {}
+        for flight in pending:
+            choice = self.router.pick(flight.ready)
+            assignment.setdefault(choice.index, []).append(flight)
+            # Count queued work immediately so the next pick balances.
+            self.router.on_dispatch(choice.index, 1)
+        return assignment
+
+    def run_segment(
+        self, replica: int, seg_t0: float, ready: dict[int, float]
+    ) -> tuple[ServeResult | None, float]:
+        """One engine world on ``replica``'s fault stream from ``seg_t0``,
+        serving the requests ``ready`` maps (rid -> global ready time);
+        returns ``(result, end_t)``. A crash is charged to the session and
+        the replica's backoff, and returns ``(None, crash instant)``."""
+        session, router = self.session, self.router
+        requests = [
+            _fresh(self.by_rid[rid].template, max(0.0, t - seg_t0))
+            for rid, t in sorted(ready.items(), key=lambda kv: (kv[1], kv[0]))
+        ]
+        session.record_event(
+            "fleet_dispatch", t=seg_t0, replica=replica, requests=len(requests)
+        )
+        router.on_dispatch(replica, len(requests))
+        try:
+            result = self.run_engine(
+                self.cfg.serve, network=self.network, requests=requests,
+                faults=self.faults[replica],
+            )
+        except ReproError as exc:
+            crash = post_mortem(exc)
+            end_t = seg_t0 + crash.crashed_time
+            if crash.partial_context is not None:
+                session.absorb(crash.partial_context, clock_offset=seg_t0)
+            session.record_event(
+                "replica_crash", t=end_t, replica=replica, failure=crash.failure,
+                rank=crash.rank, requests=len(requests),
+                down_until=router.on_crash(replica, end_t), **crash.flight_fields,
+            )
+            self.count("crashes", "fleet_crashes", failure=crash.failure)
+            result = None
         else:
-            root_end = max(
-                [arrival]
-                + ([finish] if finish is not None else [])
-                + [h["t_end"] for h in fails]
-            )
-        root = spans.add(
-            f"request:{flight.rid}",
-            arrival,
-            root_end,
-            kind="request",
-            rid=flight.rid,
-            state=out["state"],
-            reason=out["reason"],
-            tier=out["tier"],
-            attempts=flight.attempts,
-            replica=out["replica"],
-            hedged=flight.hedged,
+            end_t = seg_t0 + result.simulated_time
+            if result.context is not None:
+                session.absorb(result.context, clock_offset=seg_t0)
+            router.on_segment_done(replica, seg_t0, end_t, result.completed)
+        self.clock = max(self.clock, end_t)
+        return result, end_t
+
+    def serve_group(self, replica: int, group: list[_Flight]) -> list[_Flight]:
+        """Run ``group`` as one segment on ``replica`` and fold it back:
+        a crash sends every member through :meth:`retry_or_evict`, a
+        finished segment's records through :meth:`settle`. Returns the
+        flights it completed (the hedge candidates)."""
+        state = self.router.states[replica]
+        # dispatch_round already queued the group; reset before the
+        # segment re-counts it, so outstanding is not double-counted.
+        state.outstanding = 0
+        seg_t0 = state.available_at
+        result, end_t = self.run_segment(
+            replica, seg_t0, {f.rid: f.ready for f in group}
         )
-        # On-path children must partition [arrival, root_end] without
-        # overlap. Crash re-dispatch can move *backwards* in virtual time
-        # (a survivor's segment may start before the failed segment's
-        # recorded end), so every interval is clamped monotonically: no
-        # child starts before the previous one ended or escapes the root.
-        cursor = arrival
+        if result is None:
+            for flight in group:
+                flight.remember("crash", replica, max(seg_t0, flight.ready), end_t)
+                self.retry_or_evict(flight, end_t, why="crash")
+            return []
+        done = []
+        for rec in result.requests:
+            flight = self.by_rid[rec["rid"]]
+            self.settle(flight, rec, replica, seg_t0,
+                        result.admitted_at.get(rec["rid"]))
+            if flight.outcome is not None and flight.outcome["state"] == "done":
+                done.append(flight)
+        self.token_latency.extend(result.token_latency.samples)
+        return done
 
-        def clamp(s: float, e: float) -> tuple[float, float]:
-            e = min(max(cursor, e), root_end)
-            return min(max(cursor, s), e), e
-
-        for i, h in enumerate(fails):
-            s, e = clamp(h["t_start"], h["t_end"])
-            spans.add(
-                "attempt", s, e,
-                parent=root,
-                kind="retry",
-                why=h["kind"],
-                replica=h["replica"],
-                attempt=i,
+    def retry_or_evict(self, flight: _Flight, at: float, why: str) -> None:
+        """Schedule a re-dispatch, or explicitly evict past the budget."""
+        flight.attempts += 1
+        if flight.attempts > self.cfg.retry_max:
+            flight.resolve(
+                {"tier": flight.template.tier, "state": "evicted",
+                 "reason": "retries", "generated": 0, "tokens": []},
+                None, finish=at,
             )
-            cursor = e
-        adm = admitted_g.get(flight.rid)
-        if out["state"] == "done":
-            first = out["first_token"]
-            if adm is None:
-                adm = out["dispatch"]
-            adm = min(max(cursor, adm), root_end)
-            if adm > cursor:
-                spans.add("queue", cursor, adm, parent=root, kind="queue",
-                          replica=out["replica"])
-            spans.instant("admission", adm, parent=root, kind="admission",
-                          tier=out["tier"], replica=out["replica"])
-            if first is not None:
-                first = min(max(adm, first), root_end)
-                spans.add("prefill", adm, first, parent=root, kind="prefill",
-                          replica=out["replica"])
-                spans.add("decode", first, root_end, parent=root,
-                          kind="decode", replica=out["replica"],
-                          tokens=out["generated"])
-            else:  # pragma: no cover - done implies a first token
-                spans.add("prefill", adm, root_end, parent=root,
-                          kind="prefill", replica=out["replica"])
-        elif finish is not None:
-            if adm is not None and adm > cursor:
-                # Admitted, then evicted mid-service (slo/cache/preempt).
-                adm = min(adm, root_end)
-                spans.add("queue", cursor, adm, parent=root, kind="queue",
-                          replica=out["replica"])
-                spans.add("service", adm, max(adm, finish), parent=root,
-                          kind="decode", replica=out["replica"],
-                          reason=out["reason"])
-            elif finish > cursor:
-                # Shed or evicted while still waiting for a slot.
-                spans.add("queue", cursor, finish, parent=root,
-                          kind="queue", reason=out["reason"])
-        for h in flight.history:
-            if h["kind"] != "hedge":
+            self.session.record_event(
+                "retries_exhausted", t=at, rid=flight.rid,
+                attempts=flight.attempts,
+            )
+            self.session.metrics.counter("fleet_retries_exhausted").inc()
+        else:
+            # A replica can crash before one of its requests even arrived;
+            # re-dispatch never schedules ahead of the original arrival.
+            flight.ready = max(at, flight.template.arrival)
+            self.session.record_event(
+                "redispatch", t=at, rid=flight.rid, attempt=flight.attempts,
+                why=why,
+            )
+            self.count("retries", "fleet_retries", why=why)
+
+    def settle(
+        self, flight: _Flight, rec: dict, replica: int, seg_t0: float,
+        admitted_local: float | None = None,
+    ) -> None:
+        """Fold one segment record into the flight's global outcome (or,
+        past ``request_timeout_ms`` of service, into a timeout + retry)."""
+        if rec["state"] != "done":
+            # Explicit in-segment eviction (slo/cache) or admission shed —
+            # a terminal outcome with its reason preserved.
+            times = {"finish": seg_t0 + rec["finish"]}
+        else:
+            times = flight.served(rec, seg_t0)
+            if self.timeout_s is not None and rec["latency"] > self.timeout_s:
+                give_up = times["dispatch"] + self.timeout_s
+                self.session.record_event(
+                    "timeout", t=give_up, rid=flight.rid, service=rec["latency"]
+                )
+                self.count("timeouts", "fleet_timeouts")
+                flight.remember("timeout", replica, times["dispatch"], give_up)
+                self.retry_or_evict(flight, give_up, why="timeout")
+                return
+        flight.resolve(rec, replica, **times)
+        if admitted_local is not None:
+            flight.admitted = seg_t0 + admitted_local
+
+    def hedge(self, done: list[_Flight]) -> None:
+        """Speculatively re-dispatch the round's slow completions to second
+        replicas; the earlier finish wins (both decode identical tokens)."""
+        if self.hedge_s is None:
+            return
+        groups: dict[int, dict[int, float]] = {}
+        for flight in done:
+            out = flight.outcome
+            if out["finish"] - out["dispatch"] <= self.hedge_s:
                 continue
-            spans.add(
-                "hedge",
-                h["t_start"],
-                h["t_end"],
-                parent=root,
-                kind="hedge",
-                replica=h["replica"],
-                winner=h.get("winner", False),
-                role=h.get("role", "hedge"),
+            start = out["dispatch"] + self.hedge_s
+            alt = self.router.pick(start, exclude=(out["replica"],))
+            if alt is None:
+                continue
+            out["hedged"] = True
+            groups.setdefault(alt.index, {})[flight.rid] = start
+        for replica in sorted(groups):
+            ready = groups[replica]
+            seg_t0 = max(
+                self.router.states[replica].available_at, min(ready.values())
             )
+            for rid in ready:
+                self.session.record_event(
+                    "hedge", t=seg_t0, rid=rid,
+                    primary=self.by_rid[rid].outcome["replica"], replica=replica,
+                )
+            self.count("hedges", "fleet_hedges", len(ready))
+            result, seg_end = self.run_segment(replica, seg_t0, ready)
+            if result is None:
+                # Hedge replica crashed; primaries stand. The doomed
+                # speculative attempts still show in the span trees.
+                for rid, start in ready.items():
+                    self.by_rid[rid].remember(
+                        "hedge", replica, max(seg_t0, start), seg_end,
+                        winner=False, role="hedge",
+                    )
+                continue
+            for rec in result.requests:
+                if rec["state"] != "done":
+                    continue
+                flight = self.by_rid[rec["rid"]]
+                served, out = flight.served(rec, seg_t0), flight.outcome
+                wins = served["finish"] < out["finish"]
+                if wins:
+                    self.count("hedge_wins", "fleet_hedge_wins")
+                    # The beaten primary becomes the off-path attempt.
+                    flight.remember(
+                        "hedge", out["replica"], out["dispatch"], out["finish"],
+                        winner=False, role="primary",
+                    )
+                    out.update(replica=replica, **served)
+                    flight.admitted = seg_t0 + result.admitted_at[rec["rid"]]
+                # For a winner this is an explicit marker: the on-path
+                # prefill/decode spans carry the same interval.
+                flight.remember(
+                    "hedge", replica, served["dispatch"], served["finish"],
+                    winner=wins, role="hedge",
+                )
+
+    def feed_monitors(self) -> None:
+        """Show the outcomes resolved since the last call to the windowed
+        monitors (TTFT histogram, autoscaler, SLO burn rates), each at its
+        own signal time, then evaluate the SLOs at the fleet clock."""
+        session = self.session
+        newly = sorted(
+            (f for f in self.flights
+             if f.outcome is not None and f.rid not in self.signalled),
+            key=lambda f: (_signal_time(f.outcome), f.rid),
+        )
+        for flight in newly:
+            self.signalled.add(flight.rid)
+            out = flight.outcome
+            t_sig = _signal_time(out)
+            if out["state"] == "done" and out["ttft"] is not None:
+                session.metrics.histogram(
+                    "fleet_ttft_seconds", tier=out["tier"]
+                ).observe(out["ttft"], t=t_sig)
+                if self.scaler is not None:
+                    self.scaler.observe_ttft(t_sig, out["ttft"], out["tier"])
+                value = out["ttft"]
+            else:
+                # Shed / evicted requests burn the error budget outright.
+                value = float("inf")
+            # Evaluate at the signal's own timestamp (monotone-clamped):
+            # burn windows are narrow relative to a round, so waiting for
+            # the round's end would inspect them after they drained.
+            self.slo_clock = max(self.slo_clock, t_sig)
+            for mon in self.monitors:
+                mon.observe(t_sig, value, tier=out["tier"])
+            for mon in self.monitors:
+                mon.evaluate(self.slo_clock, session)
+        self.router.emit(session.metrics, self.clock)
+        self.slo_clock = max(self.slo_clock, self.clock)
+        for mon in self.monitors:
+            mon.evaluate(self.slo_clock, session)
+
+    def autoscale(self) -> None:
+        """Ask the autoscaler for one decision and apply it: add a replica
+        (with its own fault stream) or drain one. No-op on a fixed fleet."""
+        if self.scaler is None:
+            return
+        router = self.router
+        backlog = len(self.unresolved)
+        decision = self.scaler.decide(self.clock, router.active_count, backlog)
+        if decision["action"] == "up":
+            state = router.add_replica(
+                free_at=self.clock + self.cfg.autoscale.spawn_delay_s
+            )
+            self.faults.append(self.replica_faults(state.index))
+            self.scaled("up", state.index, decision, backlog)
+        elif decision["action"] == "down":
+            cand = router.drain_candidate()
+            if (
+                cand is not None
+                and router.active_count > self.cfg.autoscale.min_replicas
+            ):
+                router.drain(cand.index)
+                self.scaled("down", cand.index, decision, backlog)
+
+    def scaled(
+        self, direction: str, replica: int, decision: dict, backlog: int
+    ) -> None:
+        """Event + span instant + counter for one applied scale decision."""
+        kind = f"scale_{direction}"
+        replicas = self.router.active_count
+        self.session.record_event(
+            kind, t=self.clock, replica=replica, reason=decision["reason"],
+            ttft_p95=decision["ttft_p95"], backlog=backlog, replicas=replicas,
+        )
+        self.session.spans.instant(
+            f"{kind}:{replica}", self.clock, kind="autoscale", replica=replica,
+            reason=decision["reason"], replicas=replicas,
+        )
+        self.counts[f"{kind}s"] += 1
+        self.session.metrics.counter(f"fleet_{kind}").inc(t=self.clock)
+
+    def result(self) -> FleetResult:
+        """Span trees, the outcome tally and its registry twins, and the
+        :class:`FleetResult` (call once, when nothing is unresolved)."""
+        cfg, session = self.cfg, self.session
+        if session.spans.enabled:
+            # rid order after the loop settled: deterministic span ids.
+            for flight in sorted(self.flights, key=lambda f: f.rid):
+                out = flight.outcome
+                request_span_tree(
+                    session.spans, out, out.get("first_token"),
+                    flight.admitted, flight.history,
+                    root_attrs={k: out[k] for k in ("attempts", "replica", "hedged")},
+                    where={"replica": out["replica"]},
+                )
+        records = sorted((f.outcome for f in self.flights), key=lambda r: r["rid"])
+        counts = tally(records)
+        makespan = max([self.clock] + [r["finish"] for r in records])
+        registry = session.metrics
+        registry.counter("fleet_completed").inc(counts["completed"])
+        registry.counter("fleet_evicted").inc(counts["evicted"])
+        for tier, n in sorted(counts["shed_by_tier"].items()):
+            registry.counter("fleet_shed", tier=tier).inc(n)
+        registry.counter("fleet_decode_tokens").inc(counts["decode_tokens"])
+        for mon in self.monitors:
+            # Close out any alert still firing at end of run.
+            mon.evaluate(makespan, session)
+        result = FleetResult(
+            config=cfg,
+            **counts,
+            **self.counts,
+            simulated_time=makespan,
+            token_latency=self.token_latency,
+            requests=records,
+            replica_stats=[
+                {
+                    "replica": s.index,
+                    "completed": s.completed,
+                    "crashes": s.crashes,
+                    "busy_time": s.busy_time,
+                    "free_at": s.free_at,
+                    "draining": s.draining,
+                }
+                for s in self.router.states
+            ],
+            context=session,
+            replicas_final=self.router.active_count,
+            slo=self.monitors,
+            meta={
+                "replicas": cfg.replicas,
+                "ep_size": cfg.serve.ep_size,
+                "rounds": self.rounds,
+            },
+        )
+        registry.gauge("fleet_goodput_tok_s").set(result.goodput)
+        registry.gauge("fleet_makespan_seconds").set(makespan)
+        return result
 
 
 def run_fleet_serving(cfg: FleetConfig, network: Any | None = None) -> FleetResult:
@@ -441,472 +749,16 @@ def run_fleet_serving(cfg: FleetConfig, network: Any | None = None) -> FleetResu
     the config. The loop terminates because every round either resolves a
     request or consumes one of its ``retry_max`` attempts.
     """
-    serve = cfg.serve
-    backoff = cfg.backoff_policy()
-    router = ReplicaRouter(cfg.replicas, backoff=backoff)
-    session = RunContext(trace=serve.trace, observe=serve.observe)
-
-    def replica_faults(r: int) -> FaultModel | None:
-        """Replica ``r``'s persistent crash model (its own seeded stream)."""
-        if cfg.mtbf is None:
-            return None
-        return FaultModel(
-            seed=derive_seed(serve.seed, "fleet-replica", r), mtbf=cfg.mtbf
-        )
-
-    faults = [replica_faults(r) for r in range(cfg.replicas)]
-
-    flights = [
-        _Flight(template=req, ready=req.arrival) for req in build_requests(serve)
-    ]
-    by_rid = {f.rid: f for f in flights}
-    hedge_s = None if cfg.hedge_after_ms is None else cfg.hedge_after_ms / 1e3
-    timeout_s = (
-        None if cfg.request_timeout_ms is None else cfg.request_timeout_ms / 1e3
-    )
-
-    monitors = [
-        SLOMonitor(obj, windows=default_burn_windows(cfg.slo_horizon_s))
-        for obj in cfg.slos
-    ]
-    scaler = Autoscaler(cfg.autoscale) if cfg.autoscale is not None else None
-    #: Global admission times per rid (fed by settle, read by span trees).
-    admitted_g: dict[int, float] = {}
-
-    ttft = LatencyStats("ttft")
-    token_latency = LatencyStats("token")
-    crashes = retries = hedges = hedge_wins = timeouts = 0
-    scale_ups = scale_downs = 0
-    fleet_clock = 0.0
-
-    def run_segment(
-        replica: int, group: list[_Flight], seg_t0: float
-    ) -> tuple[Any | None, float]:
-        """One engine world on ``replica``'s fault stream; returns
-        ``(result, end_t)`` — result is None when the segment crashed."""
-        nonlocal crashes, fleet_clock
-        requests = [
-            _fresh(f.template, max(0.0, f.ready - seg_t0))
-            for f in sorted(group, key=lambda f: (f.ready, f.rid))
-        ]
-        session.record_event(
-            "fleet_dispatch", t=seg_t0, replica=replica, requests=len(requests)
-        )
-        router.on_dispatch(replica, len(requests))
-        try:
-            result = run_serving(serve, network=network, requests=requests,
-                                 faults=faults[replica])
-        except ReproError as exc:
-            crashes += 1
-            partial_clocks = getattr(exc, "partial_clocks", None) or [0.0]
-            crash_t = seg_t0 + max(partial_clocks)
-            partial_context = getattr(exc, "partial_context", None)
-            if partial_context is not None:
-                session.absorb(partial_context, clock_offset=seg_t0)
-            down_until = router.on_crash(replica, crash_t)
-            session.record_event(
-                "replica_crash",
-                t=crash_t,
-                replica=replica,
-                failure=classify_failure(exc),
-                rank=getattr(exc, "rank", None),
-                requests=len(requests),
-                down_until=down_until,
-                **_crash_fields(exc),
-            )
-            session.metrics.counter(
-                "fleet_crashes", failure=classify_failure(exc)
-            ).inc()
-            fleet_clock = max(fleet_clock, crash_t)
-            return None, crash_t
-        end_t = seg_t0 + result.simulated_time
-        if result.context is not None:
-            session.absorb(result.context, clock_offset=seg_t0)
-        router.on_segment_done(replica, seg_t0, end_t, result.completed)
-        fleet_clock = max(fleet_clock, end_t)
-        return result, end_t
-
-    def retry_or_evict(flight: _Flight, at: float, why: str) -> None:
-        """Schedule a re-dispatch, or explicitly evict past the budget."""
-        nonlocal retries
-        flight.attempts += 1
-        if flight.attempts > cfg.retry_max:
-            flight.resolve(
-                tier=flight.template.tier, state="evicted", reason="retries",
-                replica=None, finish=at, generated=0, tokens=[],
-            )
-            session.record_event(
-                "retries_exhausted", t=at, rid=flight.rid,
-                attempts=flight.attempts,
-            )
-            session.metrics.counter("fleet_retries_exhausted").inc()
-        else:
-            retries += 1
-            # A replica can crash before one of its requests even arrived;
-            # re-dispatch never schedules ahead of the original arrival.
-            flight.ready = max(at, flight.template.arrival)
-            session.record_event(
-                "redispatch", t=at, rid=flight.rid, attempt=flight.attempts,
-                why=why,
-            )
-            session.metrics.counter("fleet_retries", why=why).inc()
-
-    def settle(
-        flight: _Flight,
-        rec: dict,
-        replica: int,
-        seg_t0: float,
-        admitted_local: float | None = None,
-    ) -> None:
-        """Fold one segment record into the flight's global outcome."""
-        nonlocal timeouts
-        dispatch_g = seg_t0 + rec["arrival"]
-        if rec["state"] == "done":
-            finish_g = seg_t0 + rec["finish"]
-            service = rec["latency"]
-            if timeout_s is not None and service > timeout_s:
-                timeouts += 1
-                session.record_event(
-                    "timeout", t=dispatch_g + timeout_s, rid=flight.rid,
-                    service=service,
-                )
-                session.metrics.counter("fleet_timeouts").inc()
-                flight.history.append({
-                    "kind": "timeout", "replica": replica,
-                    "t_start": dispatch_g, "t_end": dispatch_g + timeout_s,
-                })
-                retry_or_evict(flight, dispatch_g + timeout_s, why="timeout")
-                return
-            first_token_g = (
-                None if rec["ttft"] is None
-                else dispatch_g + rec["ttft"]
-            )
-            flight.resolve(
-                tier=rec["tier"], state="done", reason=None, replica=replica,
-                dispatch=dispatch_g, first_token=first_token_g, finish=finish_g,
-                generated=rec["generated"], tokens=rec["tokens"],
-                ttft=(
-                    None if first_token_g is None
-                    else first_token_g - flight.template.arrival
-                ),
-                latency=finish_g - flight.template.arrival,
-            )
-        else:
-            # Explicit in-segment eviction (slo/cache) or admission shed —
-            # a terminal outcome with its reason preserved.
-            flight.resolve(
-                tier=rec["tier"], state=rec["state"], reason=rec["reason"],
-                replica=replica,
-                finish=None if rec["finish"] is None else seg_t0 + rec["finish"],
-                generated=rec["generated"], tokens=rec["tokens"],
-            )
-        if admitted_local is not None and flight.outcome is not None:
-            admitted_g[flight.rid] = seg_t0 + admitted_local
-
-    def run_hedges(candidates: list[_Flight]) -> None:
-        """Speculatively re-dispatch slow completions to second replicas."""
-        nonlocal hedges, hedge_wins
-        groups: dict[int, list[_Flight]] = {}
-        for flight in candidates:
-            alt = router.pick(
-                flight.outcome["dispatch"] + hedge_s,
-                exclude=(flight.outcome["replica"],),
-            )
-            if alt is None:
-                continue
-            flight.hedged = True
-            flight.outcome["hedged"] = True
-            groups.setdefault(alt.index, []).append(flight)
-        for replica in sorted(groups):
-            group = groups[replica]
-            seg_t0 = max(
-                router.states[replica].available_at,
-                min(f.outcome["dispatch"] + hedge_s for f in group),
-            )
-            hedges += len(group)
-            for flight in group:
-                session.record_event(
-                    "hedge", t=seg_t0, rid=flight.rid,
-                    primary=flight.outcome["replica"], replica=replica,
-                )
-            session.metrics.counter("fleet_hedges").inc(len(group))
-            saved_ready = {f.rid: f.ready for f in group}
-            for flight in group:
-                flight.ready = flight.outcome["dispatch"] + hedge_s
-            result, seg_end = run_segment(replica, group, seg_t0)
-            for flight in group:
-                flight.ready = saved_ready[flight.rid]
-            if result is None:
-                # Hedge replica crashed; primaries stand. The doomed
-                # speculative attempts still show in the span trees.
-                for flight in group:
-                    flight.history.append({
-                        "kind": "hedge", "replica": replica,
-                        "t_start": max(
-                            seg_t0, flight.outcome["dispatch"] + hedge_s
-                        ),
-                        "t_end": seg_end, "winner": False, "role": "hedge",
-                        "crashed": True,
-                    })
-                continue
-            for rec in result.requests:
-                flight = by_rid[rec["rid"]]
-                if rec["state"] != "done":
-                    continue
-                finish_g = seg_t0 + rec["finish"]
-                dispatch_g = seg_t0 + rec["arrival"]
-                if finish_g < flight.outcome["finish"]:
-                    hedge_wins += 1
-                    session.metrics.counter("fleet_hedge_wins").inc()
-                    first_token_g = (
-                        None if rec["ttft"] is None
-                        else dispatch_g + rec["ttft"]
-                    )
-                    # The beaten primary becomes the off-path attempt.
-                    flight.history.append({
-                        "kind": "hedge",
-                        "replica": flight.outcome["replica"],
-                        "t_start": flight.outcome["dispatch"],
-                        "t_end": flight.outcome["finish"],
-                        "winner": False, "role": "primary",
-                    })
-                    flight.outcome.update(
-                        replica=replica,
-                        dispatch=dispatch_g,
-                        first_token=first_token_g,
-                        finish=finish_g,
-                        ttft=(
-                            None if first_token_g is None
-                            else first_token_g - flight.template.arrival
-                        ),
-                        latency=finish_g - flight.template.arrival,
-                    )
-                    adm = result.admitted_at.get(flight.rid)
-                    if adm is not None:
-                        admitted_g[flight.rid] = seg_t0 + adm
-                    # Explicit winner marker (the on-path prefill/decode
-                    # spans carry the same interval).
-                    flight.history.append({
-                        "kind": "hedge", "replica": replica,
-                        "t_start": dispatch_g, "t_end": finish_g,
-                        "winner": True, "role": "hedge",
-                    })
-                else:
-                    flight.history.append({
-                        "kind": "hedge", "replica": replica,
-                        "t_start": dispatch_g, "t_end": finish_g,
-                        "winner": False, "role": "hedge",
-                    })
-
-    rounds = 0
-    dispatch_clock = 0.0
-    slo_clock = 0.0
-    resolved_rids: set[int] = set()
-    while any(f.outcome is None for f in flights):
-        rounds += 1
-        if rounds > cfg.max_rounds:
-            raise CommunicatorError(
-                f"fleet dispatch did not converge in {cfg.max_rounds} rounds"
-            )
-        pending = sorted(
-            (f for f in flights if f.outcome is None),
-            key=lambda f: (f.ready, f.rid),
-        )
-        if scaler is not None:
-            # Windowed dispatch: assign only work ready inside the next
-            # dispatch window, so scale decisions interleave with the
-            # arrival process instead of round one swallowing the ramp.
-            horizon = dispatch_clock + cfg.autoscale.dispatch_window_s
-            batch = [f for f in pending if f.ready <= horizon]
-            if not batch:
-                dispatch_clock = min(f.ready for f in pending)
-                continue
-            dispatch_clock = horizon
-            pending = batch
-        assignment: dict[int, list[_Flight]] = {}
-        for flight in pending:
-            choice = router.pick(flight.ready)
-            assignment.setdefault(choice.index, []).append(flight)
-            # Count queued work immediately so the next pick balances.
-            router.on_dispatch(choice.index, 1)
-        round_done: list[_Flight] = []
+    fleet = _Fleet(cfg, run_serving, network)
+    while fleet.unresolved:
+        assignment = fleet.dispatch_round()
+        if not assignment:
+            continue  # empty dispatch window: the clock moved on
+        done: list[_Flight] = []
         for replica in sorted(assignment):
-            group = assignment[replica]
-            state = router.states[replica]
-            # on_dispatch above already queued the group; reset before the
-            # segment re-counts it, so outstanding is not double-counted.
-            state.outstanding = 0
-            seg_t0 = state.available_at
-            result, end_t = run_segment(replica, group, seg_t0)
-            if result is None:
-                for flight in group:
-                    flight.history.append({
-                        "kind": "crash", "replica": replica,
-                        "t_start": max(seg_t0, flight.ready), "t_end": end_t,
-                    })
-                    retry_or_evict(flight, end_t, why="crash")
-                continue
-            for rec in result.requests:
-                flight = by_rid[rec["rid"]]
-                settle(flight, rec, replica, seg_t0,
-                       admitted_local=result.admitted_at.get(rec["rid"]))
-                if flight.outcome is not None and flight.outcome["state"] == "done":
-                    round_done.append(flight)
-            token_latency.extend(result.token_latency.samples)
-        if hedge_s is not None:
-            candidates = [
-                f for f in round_done
-                if not f.hedged
-                and f.outcome["finish"] - f.outcome["dispatch"] > hedge_s
-            ]
-            if candidates:
-                run_hedges(candidates)
-
-        # ---- windowed signals + control decisions, once per round ---- #
-        newly = sorted(
-            (f for f in flights
-             if f.outcome is not None and f.rid not in resolved_rids),
-            key=lambda f: (_signal_time(f.outcome), f.rid),
-        )
-        for flight in newly:
-            resolved_rids.add(flight.rid)
-            out = flight.outcome
-            t_sig = _signal_time(out)
-            if out["state"] == "done" and out["ttft"] is not None:
-                session.metrics.histogram(
-                    "fleet_ttft_seconds", tier=out["tier"]
-                ).observe(out["ttft"], t=t_sig)
-                if scaler is not None:
-                    scaler.observe_ttft(t_sig, out["ttft"], out["tier"])
-                for mon in monitors:
-                    mon.observe(t_sig, out["ttft"], tier=out["tier"])
-            else:
-                # Shed / evicted requests burn the error budget outright.
-                for mon in monitors:
-                    mon.observe(t_sig, float("inf"), tier=out["tier"])
-            # Evaluate at the signal's own timestamp (monotone-clamped):
-            # burn windows are narrow relative to a round, so waiting for
-            # the round's end would inspect them after they drained.
-            slo_clock = max(slo_clock, t_sig)
-            for mon in monitors:
-                mon.evaluate(slo_clock, session)
-        router.emit(session.metrics, fleet_clock)
-        slo_clock = max(slo_clock, fleet_clock)
-        for mon in monitors:
-            mon.evaluate(slo_clock, session)
-        if scaler is not None:
-            backlog = sum(1 for f in flights if f.outcome is None)
-            decision = scaler.decide(fleet_clock, router.active_count, backlog)
-            if decision["action"] == "up":
-                state = router.add_replica(
-                    free_at=fleet_clock + cfg.autoscale.spawn_delay_s
-                )
-                while len(faults) < len(router.states):
-                    faults.append(replica_faults(len(faults)))
-                scale_ups += 1
-                session.record_event(
-                    "scale_up", t=fleet_clock, replica=state.index,
-                    reason=decision["reason"], ttft_p95=decision["ttft_p95"],
-                    backlog=backlog, replicas=router.active_count,
-                )
-                session.spans.instant(
-                    f"scale_up:{state.index}", fleet_clock, kind="autoscale",
-                    replica=state.index, reason=decision["reason"],
-                    replicas=router.active_count,
-                )
-                session.metrics.counter("fleet_scale_up").inc(t=fleet_clock)
-            elif decision["action"] == "down":
-                cand = router.drain_candidate()
-                if (
-                    cand is not None
-                    and router.active_count > cfg.autoscale.min_replicas
-                ):
-                    router.drain(cand.index)
-                    scale_downs += 1
-                    session.record_event(
-                        "scale_down", t=fleet_clock, replica=cand.index,
-                        reason=decision["reason"],
-                        ttft_p95=decision["ttft_p95"], backlog=backlog,
-                        replicas=router.active_count,
-                    )
-                    session.spans.instant(
-                        f"scale_down:{cand.index}", fleet_clock,
-                        kind="autoscale", replica=cand.index,
-                        reason=decision["reason"],
-                        replicas=router.active_count,
-                    )
-                    session.metrics.counter("fleet_scale_down").inc(
-                        t=fleet_clock
-                    )
-
-    _emit_request_spans(session, flights, admitted_g)
-
-    records = sorted((f.outcome for f in flights), key=lambda r: r["rid"])
-    completed = evicted = shed = decode_tokens = 0
-    shed_by_tier: dict[int, int] = {}
-    for rec in records:
-        if rec["state"] == "done":
-            completed += 1
-            decode_tokens += rec["generated"]
-            if rec["ttft"] is not None:
-                ttft.add(rec["ttft"])
-        elif rec["state"] == "shed":
-            shed += 1
-            shed_by_tier[rec["tier"]] = shed_by_tier.get(rec["tier"], 0) + 1
-        else:
-            evicted += 1
-            decode_tokens += rec["generated"]
-        if rec["finish"] is not None:
-            fleet_clock = max(fleet_clock, rec["finish"])
-
-    registry = session.metrics
-    registry.counter("fleet_completed").inc(completed)
-    registry.counter("fleet_evicted").inc(evicted)
-    for tier in sorted(shed_by_tier):
-        registry.counter("fleet_shed", tier=tier).inc(shed_by_tier[tier])
-    registry.counter("fleet_decode_tokens").inc(decode_tokens)
-    goodput = decode_tokens / fleet_clock if fleet_clock > 0 else 0.0
-    registry.gauge("fleet_goodput_tok_s").set(goodput)
-    registry.gauge("fleet_makespan_seconds").set(fleet_clock)
-    for mon in monitors:
-        # Close out any alert still firing at end of run.
-        mon.evaluate(fleet_clock, session)
-
-    return FleetResult(
-        config=cfg,
-        completed=completed,
-        evicted=evicted,
-        shed=shed,
-        decode_tokens=decode_tokens,
-        simulated_time=fleet_clock,
-        ttft=ttft,
-        token_latency=token_latency,
-        requests=records,
-        crashes=crashes,
-        retries=retries,
-        hedges=hedges,
-        hedge_wins=hedge_wins,
-        timeouts=timeouts,
-        shed_by_tier=shed_by_tier,
-        replica_stats=[
-            {
-                "replica": s.index,
-                "completed": s.completed,
-                "crashes": s.crashes,
-                "busy_time": s.busy_time,
-                "free_at": s.free_at,
-                "draining": s.draining,
-            }
-            for s in router.states
-        ],
-        context=session,
-        scale_ups=scale_ups,
-        scale_downs=scale_downs,
-        replicas_final=router.active_count,
-        slo=monitors,
-        meta={
-            "replicas": cfg.replicas,
-            "ep_size": serve.ep_size,
-            "rounds": rounds,
-        },
-    )
+            done += fleet.serve_group(replica, assignment[replica])
+        fleet.hedge(done)
+        # Windowed signals + control decisions, once per round.
+        fleet.feed_monitors()
+        fleet.autoscale()
+    return fleet.result()

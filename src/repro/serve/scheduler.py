@@ -202,11 +202,7 @@ class ContinuousBatchScheduler:
             if not sheddable:
                 break
             victim = max(sheddable, key=lambda r: (r.tier, r.arrival, r.rid))
-            self.waiting.remove(victim)
-            victim.state = SHED
-            victim.reason = "shed"
-            victim.t_finished = now
-            self.finished.append(victim)
+            self._release(victim, SHED, now, reason="shed")
             shed.append(victim)
         return shed
 
@@ -232,27 +228,15 @@ class ContinuousBatchScheduler:
             victim = self.lowest_priority_active()
             if victim is None or victim.tier < self.shed_tier:
                 break
-            self.active.remove(victim)
             self._release(victim, EVICTED, now, reason="preempt")
             preempted.append(victim)
         return preempted
 
     def evict_expired(self, now: float) -> list[Request]:
         """Evict every request whose SLO deadline has passed."""
-        evicted = []
-        for req in list(self.active):
-            if now > req.deadline:
-                self.active.remove(req)
-                self._release(req, EVICTED, now, reason="slo")
-                evicted.append(req)
-        for req in list(self.waiting):
-            if now > req.deadline:
-                self.waiting.remove(req)
-                req.state = EVICTED
-                req.reason = "slo"
-                req.t_finished = now
-                self.finished.append(req)
-                evicted.append(req)
+        evicted = [r for r in self.active + self.waiting if now > r.deadline]
+        for req in evicted:
+            self._release(req, EVICTED, now, reason="slo")
         return evicted
 
     def lowest_priority_active(self) -> Request | None:
@@ -274,19 +258,20 @@ class ContinuousBatchScheduler:
         """Forcibly evict an active request (cache pressure, timeouts)."""
         if request not in self.active:
             raise ConfigError(f"request {request.rid} is not active")
-        self.active.remove(request)
         self._release(request, EVICTED, now, reason=reason)
 
     def finish(self, request: Request, now: float) -> None:
         """Retire a completed request and free its slot."""
         if request not in self.active:
             raise ConfigError(f"request {request.rid} is not active")
-        self.active.remove(request)
         self._release(request, DONE, now)
 
     def _release(
         self, req: Request, state: str, now: float, reason: str | None = None
     ) -> None:
+        """The one way a request leaves the system: out of the queue or
+        its slot, stamped with its terminal state, into ``finished``."""
+        (self.active if req.state == ACTIVE else self.waiting).remove(req)
         if req.slot is not None:
             self._free_slots.append(req.slot)
             req.slot = None

@@ -1,6 +1,9 @@
 """CLI commands and the metrics logger."""
 
+import argparse
+import inspect
 import json
+import re
 
 import pytest
 
@@ -123,6 +126,51 @@ class TestCLI:
     def test_gate_override(self, capsys):
         assert main(["train", "--steps", "2", "--batch-size", "2",
                      "--seq-len", "8", "--gate", "balanced"]) == 0
+
+
+def _handler_source(name):
+    """Source of ``_cmd_<name>`` plus, transitively, of every ``repro.cli``
+    function it hands ``args`` to."""
+    import repro.cli as cli
+
+    sources, todo = {}, [f"_cmd_{name}"]
+    while todo:
+        fn = todo.pop()
+        if fn not in sources:
+            sources[fn] = inspect.getsource(getattr(cli, fn))
+            todo += [callee for callee in re.findall(r"(\w+)\(\s*args\b", sources[fn])
+                     if inspect.isfunction(getattr(cli, callee, None))]
+    return "\n".join(sources.values())
+
+
+class TestCLIFlagsAreRead:
+    """A flag a subparser declares but its handler never reads is silently
+    dropped. Computed from the parser and the handler source, so a new flag
+    is covered the moment it is declared."""
+
+    SUBPARSERS = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+
+    @pytest.mark.parametrize("name", sorted(SUBPARSERS))
+    def test_every_declared_dest_is_read_by_the_handler(self, name):
+        declared = {action.dest for action in self.SUBPARSERS[name]._actions
+                    if action.dest != "help"}
+        read = set(re.findall(r"\bargs\.(\w+)", _handler_source(name)))
+        assert declared <= read, (
+            f"`{name}` declares flags its handler never reads: "
+            f"{sorted(declared - read)}"
+        )
+
+    def test_shared_flags_keep_their_definitions(self):
+        """The parent parsers declare, they do not redefine."""
+        serve = build_parser().parse_args(["serve"])
+        assert (serve.config, serve.seed, serve.supernode) == ("tiny", 0, 256)
+        assert serve.alltoall is None and serve.trace is None
+        assert serve.observe is False
+        resilient = build_parser().parse_args(["resilient", "--seed", "3"])
+        assert resilient.seed == 3 and resilient.config == "tiny"
 
 
 class TestCLIPipeline:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.hardware import sunway_machine
-from repro.models import bagualu_14_5t, tiny_config
+from repro.models import BRAIN_SCALE_CONFIGS, bagualu_14_5t, small_config, tiny_config
 from repro.network import sunway_network
 from repro.perf import (
     ComputeTimer,
@@ -18,6 +18,10 @@ from repro.perf import (
     step_flops_per_token,
     strong_scaling_rows,
     weak_scaling_rows,
+)
+from repro.perf.flops import (
+    dense_forward_flops_per_token,
+    expert_forward_flops_per_row,
 )
 
 CFG = bagualu_14_5t()
@@ -54,6 +58,46 @@ class TestFlops:
             forward_flops_per_token(CFG, 0)
         with pytest.raises(ConfigError):
             step_flops(CFG, -1)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [tiny_config(), small_config(),
+         *(BRAIN_SCALE_CONFIGS[k]() for k in sorted(BRAIN_SCALE_CONFIGS))],
+        ids=lambda cfg: cfg.name,
+    )
+    def test_shared_terms_equal_the_three_old_spellings(self, cfg):
+        """``ComputeTimer``, ``StepModel`` and ``DecodeTimer`` each spelled
+        the dense and expert FLOP terms out, with three operand orders. The
+        products are integer-valued and far below 2**53, so the one
+        definition in ``perf/flops.py`` reproduces all three bit for bit."""
+        per_row = expert_forward_flops_per_row(cfg)
+        assert per_row == 2.0 * cfg.ffn_expert_params
+        sharded = 2.0 * cfg.dense_ffn_params
+        for seq in (1, 16, cfg.max_seq_len):
+            fwd = forward_flops_per_token(cfg, seq)
+            assert fwd < 2**53 and fwd == int(fwd)
+            # ComputeTimer.__init__ / DecodeTimer.__init__ order ...
+            timer = fwd - cfg.top_k * 2.0 * cfg.ffn_expert_params * cfg.num_moe_layers
+            # ... and StepModel.dense_compute_time's.
+            model = fwd - cfg.num_moe_layers * cfg.top_k * 2.0 * cfg.ffn_expert_params
+            assert dense_forward_flops_per_token(cfg, seq) == timer == model
+            for tp in (2, 4):
+                assert dense_forward_flops_per_token(cfg, seq, tp) == (
+                    timer - sharded + sharded / tp
+                )
+        # DecodeTimer's linear base: a one-position forward minus its
+        # single attention pair.
+        quad = cfg.n_layers * 4.0 * cfg.d_model
+        old_base = (
+            forward_flops_per_token(cfg, 1)
+            - cfg.top_k * 2.0 * cfg.ffn_expert_params * cfg.num_moe_layers
+            - quad
+        )
+        assert dense_forward_flops_per_token(cfg, 1) - quad == old_base
+        # StepModel.expert_compute_time multiplied rows * layers * 2.0 * params.
+        rows = 8 * cfg.max_seq_len * cfg.top_k
+        old_expert = rows * cfg.num_moe_layers * 2.0 * cfg.ffn_expert_params
+        assert rows * cfg.num_moe_layers * per_row == old_expert < 2**53
 
 
 class TestParallelPlan:

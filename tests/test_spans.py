@@ -326,6 +326,32 @@ class TestEngineSpans:
         kinds = {s.kind for s in spans}
         assert {"request", "admission", "prefill", "decode"} <= kinds
 
+    def test_fleet_of_one_draws_the_engine_trees(self):
+        """A single-engine result is a fleet of one: on a healthy workload
+        both callers of the one span builder give every request the same
+        tree (names, kinds, start/end); the fleet only adds attributes."""
+        from repro.serve import emit_request_spans, run_serving
+
+        cfg = _serve_cfg(num_requests=8, arrival_rate=400.0)
+        engine = run_serving(cfg)
+        emit_request_spans(engine)
+        fleet = run_fleet_serving(FleetConfig(serve=cfg, replicas=1))
+        assert fleet.completed == engine.completed == 8
+
+        def trees(spans):
+            return {
+                root.attrs["rid"]: [(s.name, s.kind, s.t_start, s.t_end)
+                                    for s in spans.subtree(root)]
+                for root in spans.roots()
+            }
+
+        assert trees(fleet.context.spans) == trees(engine.context.spans)
+        engine_roots = {s.attrs["rid"]: s for s in engine.context.spans.roots()}
+        for root in fleet.context.spans.roots():
+            plain = engine_roots[root.attrs["rid"]].attrs
+            assert set(root.attrs) - set(plain) == {"attempts", "replica", "hedged"}
+            assert {k: root.attrs[k] for k in plain} == plain
+
     def test_unobserved_result_is_a_noop(self):
         from repro.serve import emit_request_spans, run_serving
 
