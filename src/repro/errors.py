@@ -50,6 +50,10 @@ class ShapeError(ReproError):
     """Tensor shapes are incompatible for the requested operation."""
 
 
+class AutogradError(ReproError):
+    """A backward pass reached a node whose graph an earlier backward consumed."""
+
+
 class DtypeError(ReproError):
     """An unsupported or inconsistent dtype was requested."""
 

@@ -84,7 +84,9 @@ class MoELayer(Module):
         self.gate: Gate = (
             gate if isinstance(gate, Gate) else make_gate(gate, num_experts, top_k)
         )
-        #: Auxiliary loss Tensor from the most recent forward.
+        #: Auxiliary loss Tensor from the most recent forward: a head of the
+        #: forward graph until the step's backward consumes it, a bare
+        #: scalar afterwards (it never pins a finished step's activations).
         self.last_aux_loss: Tensor | None = None
         #: Per-expert token counts from the most recent forward.
         self.last_load: np.ndarray | None = None

@@ -127,6 +127,8 @@ class DistributedMoELayer(Module):
         self.gate: Gate = (
             gate if isinstance(gate, Gate) else make_gate(gate, num_experts, top_k)
         )
+        #: As on :class:`~repro.models.MoELayer`: a graph head until the
+        #: step's backward, a bare scalar after it.
         self.last_aux_loss: Tensor | None = None
         #: Local routing load over *global* experts (this rank's tokens).
         self.last_load: np.ndarray | None = None

@@ -227,7 +227,9 @@ class GPipeRunner:
                 st.back_loss.backward(np.asarray(inv_m, dtype=st.back_loss.data.dtype))
             else:
                 grad = comm.recv(source=rank + 1, tag=self._BWD)
-                st.output.backward(grad)
+                # Two backwards share this microbatch's graph (the aux loss
+                # hangs off the routers below ``output``): the first keeps it.
+                st.output.backward(grad, retain_graph=st.back_loss is not None)
                 if st.back_loss is not None:
                     st.back_loss.backward(
                         np.asarray(inv_m, dtype=st.back_loss.data.dtype)

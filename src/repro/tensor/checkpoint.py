@@ -7,6 +7,10 @@ inputs; on backward it re-executes ``fn`` with grad enabled and
 differentiates through the fresh subgraph. Memory for the segment drops to
 its inputs + outputs at the cost of one extra forward (~1/3 extra step
 compute) — the standard trade the memory model's ``recompute`` knob prices.
+The replayed subgraph is consumed by the backward that differentiates it
+(see :meth:`Tensor.backward`), so it is never alive beside the next
+segment's; the outer backward drops this node's inputs the same way, and
+backpropagating through the returned tensor twice needs ``retain_graph``.
 
 Determinism caveat: ``fn`` must be a pure function of its tensor inputs
 (no consumed RNG state), otherwise the replay would diverge. Dropout

@@ -88,7 +88,8 @@ def _quantize_bf16(arr: np.ndarray) -> np.ndarray:
     nan_mask = np.isnan(a)
     if nan_mask.any():
         out[nan_mask] = np.nan
-    return out
+    # ``ascontiguousarray`` promoted a 0-d input to shape (1,): hand it back 0-d.
+    return out if arr.ndim else out.reshape(())
 
 
 def quantize(arr: np.ndarray, dtype: str | DTypeSpec) -> np.ndarray:

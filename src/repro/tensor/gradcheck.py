@@ -48,7 +48,9 @@ def gradcheck(
     numerical gradients; raises AssertionError with a diagnostic on failure.
 
     ``fn`` must be a pure function of ``inputs`` returning a Tensor; the
-    scalar objective is ``fn(inputs).sum()``.
+    scalar objective is ``fn(inputs).sum()``. ``fn`` has to build its graph
+    when called (it is called again for every perturbation): the analytic
+    pass consumes the one it differentiates.
     """
     for t in inputs:
         t.zero_grad()

@@ -12,6 +12,14 @@ its output as ``exact`` and skip the rounding (:mod:`repro.tensor.ops`).
 Gradients are accumulated in the tensor's own dtype: an fp16 tensor gets
 fp16-quantized gradients, which is what makes dynamic loss scaling (in
 :mod:`repro.amp`) observable and necessary, exactly as on real hardware.
+
+Lifetime: ``backward`` consumes the graph it walks. A node hands its
+parents and its closure (hence every saved activation) back as soon as its
+own gradient has been propagated, so a forward graph dies with the backward
+that used it; a tensor that outlives the step (a loss kept for logging, an
+MoE layer's ``last_aux_loss``) is then a plain value, not a pin on the step's
+activations. A second backward over a shared subgraph is the one case that
+must say so up front: the first one is called with ``retain_graph`` set.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import ShapeError
+from repro.errors import AutogradError, ShapeError
 from repro.tensor.dtype import DTypeSpec, as_dtype, promote, quantize, storage_dtype
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "tensor", "zeros", "ones", "unbroadcast"]
@@ -162,12 +170,20 @@ class Tensor:
         else:
             self.grad = quantize(self.grad + q, self.dtype)
 
-    def backward(self, grad: np.ndarray | None = None) -> None:
-        """Run reverse-mode autodiff from this tensor.
+    def backward(self, grad: np.ndarray | None = None, retain_graph: bool = False) -> None:
+        """Run reverse-mode autodiff from this tensor, consuming the graph.
 
         ``grad`` defaults to ones (scalar outputs in practice). Gradients
         accumulate into ``.grad`` of every reachable tensor that has
         ``requires_grad=True``; call :meth:`zero_grad` between steps.
+
+        Every non-leaf node reachable from here gives up its parents and
+        its backward closure once it has been visited, so the activations
+        are freed while the pass runs; backpropagating through such a node
+        again raises :class:`~repro.errors.AutogradError`. Set
+        ``retain_graph`` when another backward over (part of) the same
+        graph follows — the order of traversal and accumulation is the same
+        either way, so the gradients are bit-identical.
         """
         if grad is None:
             grad = np.ones_like(self.data)
@@ -196,24 +212,27 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
 
+        # Walk it in reverse by popping, so ``topo`` stops holding a node
+        # (and the node its activations) the moment the node is done.
         grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad:
-                node._accumulate(g)
-            if node._backward is None:
-                continue
-            parent_grads = node._backward(g)
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is None:
-                    continue
-                pid = id(parent)
-                if pid in grads:
-                    grads[pid] = grads[pid] + pg
-                else:
-                    grads[pid] = pg
+            if g is not None:
+                if node.requires_grad:
+                    node._accumulate(g)
+                if node._backward is not None:
+                    parent_grads = node._backward(g)
+                    for parent, pg in zip(node._parents, parent_grads):
+                        if pg is None:
+                            continue
+                        pid = id(parent)
+                        if pid in grads:
+                            grads[pid] = grads[pid] + pg
+                        else:
+                            grads[pid] = pg
+            if node._backward is not None and not retain_graph:
+                node._parents, node._backward = (), _consumed
 
     def zero_grad(self) -> None:
         """Drop the accumulated gradient."""
@@ -311,6 +330,14 @@ class Tensor:
         )
 
 
+def _consumed(g: np.ndarray) -> Sequence[np.ndarray | None]:
+    """What a node's ``_backward`` becomes once a backward pass has used it."""
+    raise AutogradError(
+        "backward reached a node whose graph an earlier backward() already consumed; "
+        "pass retain_graph=True to that earlier call to backpropagate through it again"
+    )
+
+
 def _make(
     data: np.ndarray,
     dtype: DTypeSpec,
@@ -330,7 +357,7 @@ def _make(
         # Rounding also fixed the memory order (bf16: C; fp16: a dense copy
         # in the source's order) and NumPy's reductions add in memory order:
         # keep handing the ops downstream the layout they always saw.
-        data = np.ascontiguousarray(data)
+        data = np.asarray(data, order="C")
     elif dtype.name == "fp16" and not data.flags.forc:
         data = data.copy(order="K")
     out = Tensor.__new__(Tensor)

@@ -104,7 +104,7 @@ def test_error_hierarchy():
     for name in (
         "ConfigError", "CommunicatorError", "DeadlockError", "FaultInjected",
         "TopologyError", "ShapeError", "DtypeError", "OverflowDetected",
-        "CheckpointError", "PartitionError",
+        "CheckpointError", "PartitionError", "AutogradError",
     ):
         exc = getattr(errors, name)
         assert issubclass(exc, errors.ReproError)

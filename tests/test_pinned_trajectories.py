@@ -5,12 +5,17 @@ path stopped re-rounding moved values, left ``np.add.at`` and stopped
 copying fresh arrays (PR 18), so they pass unmodified on either side of
 it: any host-time optimisation of ``repro.tensor`` / ``repro.train.optim``
 must leave every loss, the virtual clock and every parameter bit alone.
+The pipeline cases were generated on the commit before ``Tensor.backward``
+started consuming the graph (PR 21): a non-last stage runs two backwards
+over one microbatch's graph, and a dropped or re-ordered stage-local
+aux-loss gradient moves these losses in the fourth digit.
 
 The floats go through BLAS and libm, whose last bits depend on the CPU's
 kernels; ``PLATFORM`` fingerprints the arithmetic the literals were made
 with, and on any other arithmetic the literals say nothing (skip). To
-re-pin after a deliberate numerics change, print ``_trajectory(...)`` for
-the three cases on the parent of that change.
+re-pin after a deliberate numerics change, print ``_trajectory(_plane_cfg(...))``
+/ ``_trajectory(_pipeline_cfg(...), PIPELINE_STEPS)`` for every case on the
+parent of that change.
 """
 
 import hashlib
@@ -53,6 +58,34 @@ PINNED = {
     ),
 }
 
+#: The pipeline strategies' model (pp 2, batch 4, seq 16, two microbatches).
+PIPELINE_MODEL = dict(n_layers=4, num_experts=4, d_model=32, d_ff=64, top_k=2)
+PIPELINE_STEPS = 4
+
+#: strategy -> ((world, ep, mixed), (loss per step, final virtual clock, parameter SHA-256 per rank))
+PIPELINE_PINNED = {
+    "pipeline": ((2, 1, False), (
+        [4.927620895206928, 4.875971717759967, 4.858827856369317, 4.813754862174392],
+        4.5018729142857164e-05,
+        ["f86e53bf2ebdea7e9c22f874c5c864ff21aa582849e30203be7106777cf33303",
+         "b736ab6a7825e8651b94ca2b1c3142b5d9d5d3f9fd9ae7d1a25a9d650e9f7688"],
+    )),
+    "pp_dp": ((4, 1, True), (
+        [4.911132687237114, 4.852426812052727, 4.846034585963935, 4.778957479633391],
+        0.00012864272914285717,
+        ["3d8da89fbe47be92a76486691fce3e1e0f17b7cb95c261ec9952767a33e1b804"] * 2
+        + ["051425082f669d5fdfe5944592d62bca65e3d62eaf65fa2a8a14cfffc7955651"] * 2,
+    )),
+    "pp_moda": ((4, 2, True), (
+        [4.911132687237114, 4.852422542404383, 4.846032379195094, 4.778870134614408],
+        0.000298894678857143,
+        ["2bf5cd64fdfbfc8119fc04c8420486fce5ac39ec2578c907824f36637b860eef",
+         "a33cd6862fb51a0072ef301eb135cecdd8eb0d9a82a0d836477505c3f2015631",
+         "fc34d2b72ab5f4f6c4dbc8d372d04099d6021417f697a7af0a8316fab9d8dfe9",
+         "44f6bb669fc32903d7953f1e0bf807799b3a8bea60dc4c08989ebd9ce708a883"],
+    )),
+}
+
 
 def _platform() -> str:
     """SHA-256 over the float32 kernels a training step leans on."""
@@ -67,33 +100,55 @@ def _platform() -> str:
     return digest.hexdigest()
 
 
-def _program(comm, cfg, machine):
+def _program(comm, cfg, machine, steps):
     trainer = cfg.resolve_strategy().build(comm, cfg, machine)
-    losses = [trainer.train_step(step).global_loss for step in range(STEPS)]
+    losses = [trainer.train_step(step).global_loss for step in range(steps)]
+    # A plane trainer holds the whole model, a pipeline trainer its stage.
+    module = trainer.model if hasattr(trainer, "model") else trainer.trainer.stage
     digest = hashlib.sha256()
-    for p in trainer.model.parameters():
+    for p in module.parameters():
         digest.update(p.data.tobytes())
     return losses, comm.clock, digest.hexdigest()
 
 
-def _trajectory(world: int, ep: int, mixed: bool):
-    cfg = TrainingRunConfig(
+def _plane_cfg(world: int, ep: int, mixed: bool) -> TrainingRunConfig:
+    return TrainingRunConfig(
         model=tiny_config(**MODEL), world_size=world, ep_size=ep, batch_size=4, seq_len=32,
         mixed_precision=mixed, overlap_chunks=2, seed=0,
     )
+
+
+def _pipeline_cfg(world: int, ep: int, mixed: bool) -> TrainingRunConfig:
+    return TrainingRunConfig(
+        model=tiny_config(**PIPELINE_MODEL), world_size=world, ep_size=ep, pp_size=2,
+        batch_size=4, seq_len=16, num_microbatches=2, mixed_precision=mixed, seed=0,
+    )
+
+
+def _trajectory(cfg: TrainingRunConfig, steps: int = STEPS):
     cfg.resolve_strategy().validate(cfg)
+    world = cfg.world_size
     ranks = run_spmd(_program, world, network=sunway_network(world), seed=0,
-                     args=(cfg, sunway_machine(num_nodes=world))).returns
+                     args=(cfg, sunway_machine(num_nodes=world), steps)).returns
     assert all(r[0] == ranks[0][0] for r in ranks), "ranks disagree on the loss"
     return ranks[0][0], max(r[1] for r in ranks), [r[2] for r in ranks]
 
 
-@pytest.mark.parametrize("world,ep,mixed", sorted(PINNED), ids=lambda v: str(v))
-def test_trajectory_is_bit_identical_to_the_pinned_one(world, ep, mixed):
+def _assert_pinned(got, want):
     if _platform() != PLATFORM:
         pytest.skip("BLAS/libm round differently here than where the literals were generated")
-    losses, clock, hashes = _trajectory(world, ep, mixed)
-    want_losses, want_clock, want_hashes = PINNED[(world, ep, mixed)]
-    assert losses == want_losses
-    assert clock == want_clock
-    assert hashes == want_hashes
+    for got_part, want_part in zip(got, want, strict=True):
+        assert got_part == want_part
+
+
+@pytest.mark.parametrize("world,ep,mixed", sorted(PINNED), ids=lambda v: str(v))
+def test_trajectory_is_bit_identical_to_the_pinned_one(world, ep, mixed):
+    _assert_pinned(_trajectory(_plane_cfg(world, ep, mixed)), PINNED[(world, ep, mixed)])
+
+
+@pytest.mark.parametrize("strategy", sorted(PIPELINE_PINNED))
+def test_pipeline_trajectory_is_bit_identical_to_the_pinned_one(strategy):
+    layout, want = PIPELINE_PINNED[strategy]
+    cfg = _pipeline_cfg(*layout)
+    assert cfg.resolve_strategy().name == strategy
+    _assert_pinned(_trajectory(cfg, PIPELINE_STEPS), want)
