@@ -24,6 +24,8 @@ __all__ = [
     "broadcast_parameters",
     "flatten_grads",
     "unflatten_grads",
+    "flatten_params",
+    "assign_flat_params",
 ]
 
 
@@ -40,19 +42,32 @@ def flatten_grads(params: Sequence[Tensor]) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def unflatten_grads(params: Sequence[Tensor], flat: np.ndarray) -> None:
-    """Write a flat gradient vector back into per-parameter ``.grad``."""
+def _assign_flat(params: Sequence[Tensor], flat: np.ndarray, attr: str) -> None:
     expected = sum(p.size for p in params)
     if flat.shape != (expected,):
         raise CommunicatorError(
-            f"flat grad has shape {flat.shape}, expected ({expected},)"
+            f"flat {attr} vector has shape {flat.shape}, expected ({expected},)"
         )
     offset = 0
     for p in params:
         n = p.size
-        g = flat[offset: offset + n].reshape(p.shape)
-        p.grad = quantize(g, p.dtype)
+        setattr(p, attr, quantize(flat[offset: offset + n].reshape(p.shape), p.dtype))
         offset += n
+
+
+def unflatten_grads(params: Sequence[Tensor], flat: np.ndarray) -> None:
+    """Write a flat gradient vector back into per-parameter ``.grad``."""
+    _assign_flat(params, flat, "grad")
+
+
+def flatten_params(params: Sequence[Tensor]) -> np.ndarray:
+    """Concatenate all (at least one) parameter values into one fp32 vector."""
+    return np.concatenate([p.data.astype(np.float32).reshape(-1) for p in params])
+
+
+def assign_flat_params(params: Sequence[Tensor], flat: np.ndarray) -> None:
+    """Write a flat fp32 vector into per-parameter ``.data`` (re-quantized)."""
+    _assign_flat(params, flat, "data")
 
 
 def allreduce_gradients(
@@ -145,10 +160,4 @@ def broadcast_parameters(comm: Comm, params: Sequence[Tensor], root: int = 0) ->
     if not params:
         comm.bcast(None, root=root)
         return
-    flat = np.concatenate([p.data.astype(np.float32).reshape(-1) for p in params])
-    flat = comm.bcast(flat, root=root)
-    offset = 0
-    for p in params:
-        n = p.size
-        p.data = quantize(flat[offset: offset + n].reshape(p.shape), p.dtype)
-        offset += n
+    assign_flat_params(params, comm.bcast(flatten_params(params), root=root))

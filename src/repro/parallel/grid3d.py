@@ -24,22 +24,20 @@ stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
-from repro.amp import DynamicLossScaler, grads_have_overflow
+from repro.amp import DynamicLossScaler
 from repro.data.loader import Batch
-from repro.errors import ConfigError
 from repro.layout import ParallelLayout
 from repro.models.configs import ModelConfig
-from repro.parallel.dp import allreduce_gradients
 from repro.parallel.ep import ep_moe_factory
 from repro.parallel.groups import MoDaGroups, build_groups
 from repro.parallel.moda import split_params
 from repro.parallel.pipeline import GPipeRunner
-from repro.simmpi import MAX, Comm
-from repro.train.optim import Optimizer
-from repro.train.schedules import ConstantLR, LRSchedule
+from repro.parallel.step import DistributedStep
+from repro.simmpi import Comm
+from repro.train.schedules import LRSchedule
+from repro.train.trainer import StepResult
 
 __all__ = ["Groups3D", "build_groups3d", "Trainer3D", "Step3DResult"]
 
@@ -78,29 +76,24 @@ def build_groups3d(world: Comm, pipe_size: int, ep_size: int) -> Groups3D:
     return Groups3D(layout=layout, world=world, pipe=pipe, plane=plane)
 
 
-@dataclass
-class Step3DResult:
-    """Per-rank metrics from one 3D step."""
-
-    step: int
-    #: Mean loss over this rank's pipeline.
-    loss: float
-    #: Mean loss over the whole (global) batch.
-    global_loss: float
-    lr: float
-    skipped: bool
-    loss_scale: float
-    extras: dict[str, Any] = field(default_factory=dict)
+#: The per-rank metrics of one 3D step (the shared result type); ``loss``
+#: is the mean over this rank's pipeline.
+Step3DResult = StepResult
 
 
-class Trainer3D:
+class Trainer3D(DistributedStep):
     """One rank's view of synchronous pipe x data x expert training.
 
+    The shared :class:`~repro.parallel.step.DistributedStep` with the GPipe
+    gradient producer, gradients averaged inside the stage plane (dense
+    over the whole plane, expert shards across its EP-group replicas) and
+    the skip decision agreed over the whole world.
+
     The caller provides the optimizer over ``trainer.stage.parameters()``
-    (built after construction, e.g. ``Adam(trainer.stage.parameters())``),
-    then calls :meth:`train_step` with the batch of *this rank's pipeline*
-    (fetch it with ``dp_rank=groups.pipeline_id,
-    dp_size=groups.layout.plane_size``).
+    (built after construction, e.g. ``Adam(trainer.stage.parameters())``)
+    through :meth:`attach_optimizer`, then calls :meth:`train_step` with
+    the batch of *this rank's pipeline* (fetch it with
+    ``dp_rank=groups.pipeline_id, dp_size=groups.layout.plane_size``).
     """
 
     def __init__(
@@ -117,11 +110,6 @@ class Trainer3D:
     ):
         self.groups = groups
         self.config = config
-        self.scaler = scaler
-        self.allreduce_algorithm = allreduce_algorithm
-        self.step_count = 0
-        self.history: list[Step3DResult] = []
-
         moe_factory = ep_moe_factory(
             config, groups.plane.ep, seed, alltoall_algorithm, compute_hook
         )
@@ -130,82 +118,30 @@ class Trainer3D:
         )
         self.stage = self.gpipe.stage
         self.dense_params, self.expert_params = split_params(self.stage)
-        self.schedule = schedule or ConstantLR(1e-3)
-        self.optimizer: Optimizer | None = None  # set via attach_optimizer
+        # Pipelines hold distinct batches and every stage of a pipeline
+        # reports the same loss, so averaging over one plane covers every
+        # pipeline exactly once.
+        sync_groups = [
+            ("dense", self.dense_params, groups.plane.world),
+            ("expert", self.expert_params, groups.plane.edp),
+        ]
+        super().__init__(
+            self.stage, groups.world, groups.plane.world, self._pipeline_gradients,
+            sync_groups, schedule=schedule, scaler=scaler,
+            allreduce_algorithm=allreduce_algorithm,
+        )
 
-    def attach_optimizer(self, optimizer: Optimizer) -> None:
-        """Bind the optimizer (must cover ``self.stage.parameters()``)."""
-        self.optimizer = optimizer
+    def _pipeline_gradients(self, batch: Batch, scale: float):
+        """The GPipe producer: forward and backward waves over this pipeline.
 
-    def train_step(self, batch: Batch) -> Step3DResult:
-        """One synchronous 3D step on this pipeline's batch."""
-        if self.optimizer is None:
-            raise ConfigError("call attach_optimizer() before train_step()")
-        groups = self.groups
-        lr = self.schedule(self.step_count)
-        self.optimizer.lr = lr
-        self.stage.zero_grad()
-
-        # GPipe forward/backward over this pipeline. Loss scaling folds
-        # into the backward seed via a scaled post-hoc gradient multiply:
-        # simpler and equivalent — scale gradients after accumulation.
-        t0 = groups.world.clock
+        Loss scaling is a post-hoc multiply of the accumulated gradients —
+        simpler than seeding every microbatch's backward, and equivalent.
+        """
+        t0 = self.world.clock
         loss = self.gpipe.train_step(batch.tokens, batch.targets)
-        t_pipeline = groups.world.clock - t0
-        scale = self.scaler.scale if self.scaler is not None else 1.0
+        t_pipeline = self.world.clock - t0
         if scale != 1.0:
             for p in self.stage.parameters():
                 if p.grad is not None:
                     p.grad = (p.grad * scale).astype(p.grad.dtype)
-
-        # Sync within the stage plane: dense over the whole plane, expert
-        # shards across EP-group replicas.
-        t1 = groups.world.clock
-        allreduce_gradients(
-            groups.plane.world, self.dense_params, average=True,
-            algorithm=self.allreduce_algorithm,
-        )
-        allreduce_gradients(
-            groups.plane.edp, self.expert_params, average=True,
-            algorithm=self.allreduce_algorithm,
-        )
-        t_grad_sync = groups.world.clock - t1
-        if groups.world.rank == 0:
-            groups.world.context.add_phase("pipeline", t_pipeline)
-            groups.world.context.add_phase("grad_sync", t_grad_sync)
-
-        local_overflow = (
-            1.0
-            if self.scaler is not None and grads_have_overflow(self.optimizer.params)
-            else 0.0
-        )
-        overflow = bool(groups.world.allreduce(local_overflow, op=MAX) > 0)
-
-        skipped = False
-        if self.scaler is not None and overflow:
-            skipped = True
-            self.scaler.update(found_overflow=True)
-        else:
-            self.optimizer.step(grad_scale=1.0 / scale)
-            if self.scaler is not None:
-                self.scaler.update(found_overflow=False)
-
-        # Global loss: pipelines hold distinct batches; average over the
-        # plane (every stage of a pipeline reports the same value, so
-        # averaging over one plane covers every pipeline exactly once).
-        global_loss = (
-            float(groups.plane.world.allreduce(loss)) / groups.plane.world.size
-        )
-
-        result = Step3DResult(
-            step=self.step_count,
-            loss=float(loss),
-            global_loss=global_loss,
-            lr=lr,
-            skipped=skipped,
-            loss_scale=scale,
-            extras={"t_pipeline": t_pipeline, "t_grad_sync": t_grad_sync},
-        )
-        self.step_count += 1
-        self.history.append(result)
-        return result
+        return loss, {"pipeline": t_pipeline}

@@ -1,0 +1,201 @@
+"""The synchronous distributed training step, written once.
+
+Every strategy in this repo takes the same step on every rank::
+
+    lr <- schedule                      zero_grad
+    produce gradients                   (batch, scale) -> loss, {phase: virtual s}
+    average each (label, params, comm)  blocking, or bucketed behind backward
+    agree on overflow                   MAX-allreduce of the local flag
+    apply_update                        skip, or clip + optimizer step
+    global loss                         mean over ``loss_comm``
+
+What differs between strategies is *data* handed to :class:`DistributedStep`:
+the sync groups, the communicator the loss is averaged over, and the
+**gradient producer** — :func:`local_gradients` (one forward + one scaled
+backward) for every in-plane strategy, the GPipe wave of
+:class:`~repro.parallel.grid3d.Trainer3D` for the pipeline ones.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+import numpy as np
+
+from repro.amp import DynamicLossScaler, grads_have_overflow
+from repro.data.loader import Batch
+from repro.errors import ConfigError
+from repro.models.module import Module, Parameter
+from repro.parallel.dp import allreduce_gradients, iallreduce_gradients
+from repro.simmpi import MAX, Comm
+from repro.train.optim import Optimizer
+from repro.train.schedules import ConstantLR, LRSchedule
+from repro.train.trainer import StepResult, apply_update
+
+__all__ = ["DistributedStep", "GradientProducer", "SyncGroup", "local_gradients"]
+
+#: ``(batch, loss scale) -> (this rank's loss, virtual seconds per phase)``,
+#: leaving *scaled* gradients in the parameters' ``.grad``.
+GradientProducer = Callable[[Batch, float], tuple[float, dict[str, float]]]
+
+#: ``(label, params, comm)``: these gradients are averaged over that group.
+SyncGroup = tuple[str, Sequence[Parameter], Comm]
+
+
+def local_gradients(model: Module, comm: Comm) -> GradientProducer:
+    """The local producer: one forward, one backward seeded with the scale."""
+
+    def produce(batch: Batch, scale: float) -> tuple[float, dict[str, float]]:
+        t0 = comm.clock
+        loss = model.loss(batch.tokens, batch.targets)
+        loss_value = float(loss.item())
+        t1 = comm.clock
+        loss.backward(np.asarray(scale, dtype=loss.data.dtype))
+        return loss_value, {"forward": t1 - t0, "backward": comm.clock - t1}
+
+    return produce
+
+
+class DistributedStep:
+    """One rank's view of a synchronous distributed step (module docstring).
+
+    ``world`` agrees on the skip decision and its rank 0 records the phase
+    breakdown; ``loss_comm`` is the group whose ranks hold the distinct
+    data shards of one global batch. The optimizer may be attached after
+    construction (:meth:`attach_optimizer`); a schedule-less trainer steps
+    with the attached optimizer's own ``lr``.
+    """
+
+    #: When set, gradient sync issues nonblocking bucketed allreduces for
+    #: every sync group, runs ``backward_compute_hook`` (which the strategy
+    #: layer uses to advance the modelled backward compute on the virtual
+    #: clock), then waits — hiding sync behind backward. Gradient values
+    #: are numerically identical to the blocking path.
+    overlap_grad_sync: bool = False
+    grad_sync_buckets: int = 1
+    backward_compute_hook: Callable[[], None] | None = None
+
+    def __init__(
+        self, module: Module, world: Comm, loss_comm: Comm, produce: GradientProducer,
+        sync_groups: list[SyncGroup], optimizer: Optimizer | None = None,
+        schedule: LRSchedule | None = None, scaler: DynamicLossScaler | None = None,
+        grad_clip: float | None = None, allreduce_algorithm: str | None = None,
+    ):
+        if grad_clip is not None:
+            if grad_clip <= 0:
+                raise ConfigError(f"grad_clip must be > 0, got {grad_clip}")
+            sharded = [label for label, _, comm in sync_groups if comm.size < world.size]
+            if sharded:
+                # The norm is rank-local: ranks holding different shards would
+                # clip by different factors and their replicated params diverge.
+                raise ConfigError(
+                    f"grad_clip needs every parameter replicated over the world; "
+                    f"sync groups {sharded} hold per-rank shards"
+                )
+        self.module = module
+        self.world = world
+        self.loss_comm = loss_comm
+        self.produce = produce
+        #: How gradients are averaged, one :data:`SyncGroup` per axis.
+        self.sync_groups = sync_groups
+        self.optimizer: Optimizer | None = None
+        self.schedule = schedule
+        self.scaler = scaler
+        self.grad_clip = grad_clip
+        self.allreduce_algorithm = allreduce_algorithm
+        self.step_count = 0
+        self.history: list[StepResult] = []
+        if optimizer is not None:
+            self.attach_optimizer(optimizer)
+
+    def attach_optimizer(self, optimizer: Optimizer) -> None:
+        """Bind the optimizer (must cover every sync group's parameters)."""
+        self.optimizer = optimizer
+        if self.schedule is None:
+            self.schedule = ConstantLR(optimizer.lr)
+
+    def sync_gradients(self) -> dict[str, int]:
+        """Average each sync group's gradients; bytes moved per label.
+
+        Overlapped, every group's buckets are issued before the modelled
+        backward compute and waited after it; each bucket is a contiguous
+        slice of the flat fp32 gradient, so the sums are bit-identical to
+        the single blocking allreduce.
+        """
+        if not self.overlap_grad_sync:
+            return {
+                label: allreduce_gradients(
+                    comm, params, average=True, algorithm=self.allreduce_algorithm
+                )
+                for label, params, comm in self.sync_groups
+            }
+        pending = [
+            (label, iallreduce_gradients(
+                comm, params, average=True,
+                algorithm=self.allreduce_algorithm,
+                num_buckets=self.grad_sync_buckets,
+            ))
+            for label, params, comm in self.sync_groups
+        ]
+        if self.backward_compute_hook is not None:
+            self.backward_compute_hook()
+        return {label: handle.wait() for label, handle in pending}
+
+    def next_lr(self) -> float:
+        """Set this step's learning rate on the optimizer and return it."""
+        if self.optimizer is None:
+            raise ConfigError("call attach_optimizer() before train_step()")
+        lr = self.schedule(self.step_count)
+        self.optimizer.lr = lr
+        return lr
+
+    def finish_step(self, phases: dict[str, float], extras: dict, **fields) -> StepResult:
+        """Record the phase breakdown and close the step with its result.
+
+        Only rank 0 of the world reports into the run's instrumentation
+        spine, so totals aren't multiplied by the world size.
+        """
+        if self.world.rank == 0:
+            for name, seconds in phases.items():
+                self.world.context.add_phase(name, seconds)
+        timed = {f"t_{name}": seconds for name, seconds in phases.items()}
+        result = StepResult(step=self.step_count, extras=timed | extras, **fields)
+        self.step_count += 1
+        self.history.append(result)
+        return result
+
+    def train_step(self, batch: Batch) -> StepResult:
+        """Run one synchronous distributed step on this rank's batch."""
+        world = self.world
+        lr = self.next_lr()
+        self.module.zero_grad()
+        scale = self.scaler.scale if self.scaler is not None else 1.0
+        loss_value, phases = self.produce(batch, scale)
+
+        t0 = world.clock
+        sync_bytes = self.sync_gradients()
+        phases["grad_sync"] = world.clock - t0
+
+        found = self.scaler is not None and grads_have_overflow(self.optimizer.params)
+        # All ranks must agree on the skip decision (their shards differ).
+        overflow = bool(world.allreduce(1.0 if found else 0.0, op=MAX) > 0)
+        grad_norm, skipped = apply_update(
+            self.optimizer, self.scaler, self.grad_clip, scale, overflow
+        )
+        global_loss = float(self.loss_comm.allreduce(loss_value)) / self.loss_comm.size
+        return self.finish_step(
+            phases,
+            {
+                f"{label}_sync_bytes": float(nbytes)
+                for label, nbytes in sync_bytes.items()
+                if label not in ("dense", "expert")
+            },
+            loss=loss_value,
+            global_loss=global_loss,
+            lr=lr,
+            grad_norm=grad_norm,
+            skipped=skipped,
+            loss_scale=scale,
+            dense_sync_bytes=sync_bytes.get("dense", 0),
+            expert_sync_bytes=sync_bytes.get("expert", 0),
+        )

@@ -26,8 +26,8 @@ the same-shard group are both exact. Pipeline strategies reuse the
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -41,12 +41,14 @@ from repro.parallel.ep import ep_moe_factory
 from repro.parallel.grid3d import Trainer3D, build_groups3d
 from repro.parallel.groups import MoDaGroups, build_groups
 from repro.parallel.moda import MoDaTrainer, split_params
+from repro.parallel.step import DistributedStep
 from repro.parallel.tp import TensorParallelMLP
 from repro.parallel.zero import ZeroAdamW
 from repro.perf.stepmodel import ComputeTimer
 from repro.simmpi import Comm
 from repro.train.optim import Adam
 from repro.train.schedules import ConstantLR
+from repro.train.trainer import StepResult
 
 if TYPE_CHECKING:  # pragma: no cover - circular at runtime, typing only
     from repro.hardware.specs import MachineSpec
@@ -72,25 +74,9 @@ __all__ = [
 # ---------------------------------------------------------------------- #
 
 
-@dataclass
-class StepOutcome:
-    """What one distributed step reports back to the runner."""
-
-    #: This rank's local loss.
-    loss: float
-    #: World-agreed (averaged) loss — identical on every rank.
-    global_loss: float
-    #: Expert-load imbalance (max/mean) observed this step; 1.0 if n/a.
-    imbalance: float
-    extras: dict[str, Any] = field(default_factory=dict)
-
-
-class RankTrainer(ABC):
-    """One rank's handle on a running strategy: call train_step per step."""
-
-    @abstractmethod
-    def train_step(self, step: int) -> StepOutcome:
-        """Run distributed step ``step`` on this rank (collective call)."""
+#: What one distributed step reports back to the runner: the shared
+#: result type, with ``imbalance`` filled in by :class:`RankTrainer`.
+StepOutcome = StepResult
 
 
 def _imbalance_of(modules) -> float:
@@ -128,6 +114,44 @@ def _emit_step_observations(comm, step: int, global_loss: float,
     )
     if context.router is not None:
         context.router.record_layers(step, modules)
+
+
+class RankTrainer:
+    """One rank's handle on a running strategy: call train_step per step.
+
+    Drives any :class:`~repro.parallel.step.DistributedStep` through the
+    step protocol: advance the modelled dense compute, step the trainer on
+    this rank's batch, report expert-load imbalance and observations.
+    ``model`` is the module this rank holds (the whole model, or its
+    pipeline stage).
+    """
+
+    def __init__(self, trainer: DistributedStep, model, loader, timer, comm, tokens,
+                 strategy_name: str, dense_seconds: float | None):
+        self.trainer = trainer
+        self.model = model
+        self.loader = loader
+        self.timer = timer
+        self.comm = comm
+        self.tokens = tokens
+        self.strategy_name = strategy_name
+        #: Modelled dense compute advanced before each step (None: not
+        #: modelled). When gradient sync overlaps, this is the forward
+        #: share only — the trainer's ``backward_compute_hook`` advances the
+        #: backward share while the bucketed allreduces are in flight.
+        self.dense_seconds = dense_seconds
+        self.moe_layers = [m for m in model.modules() if hasattr(m, "last_global_load")]
+
+    def train_step(self, step: int) -> StepOutcome:
+        """Run distributed step ``step`` on this rank (collective call)."""
+        if self.dense_seconds is not None:
+            self.comm.advance(self.dense_seconds)
+        outcome = self.trainer.train_step(self.loader.get_batch(step))
+        outcome.imbalance = _imbalance_of(self.moe_layers)
+        _emit_step_observations(
+            self.comm, step, outcome.global_loss, self.moe_layers, self.strategy_name
+        )
+        return outcome
 
 
 # ---------------------------------------------------------------------- #
@@ -251,7 +275,8 @@ class _ZeroHybridOptimizer:
     :class:`~repro.parallel.zero.ZeroAdamW` over any subgroup computes the
     same update everywhere; expert shards get a plain local Adam (their
     gradients are EDP-synchronized, so local updates agree across
-    replicas). API-compatible with :class:`repro.train.optim.Optimizer`.
+    replicas). Carries what the distributed step reads of an optimizer:
+    ``params``, ``lr`` and ``step(grad_scale)``.
     """
 
     def __init__(self, dense_params, expert_params, zero_comm: Comm, lr: float):
@@ -269,18 +294,10 @@ class _ZeroHybridOptimizer:
         if self._local is not None:
             self._local.lr = value
 
-    def optimizer_state_bytes(self) -> int:
-        """Locally-held fp32 optimizer state (the ZeRO shard)."""
-        return self._zero.optimizer_state_bytes()
-
     def step(self, grad_scale: float = 1.0) -> None:
         self._zero.step(grad_scale)
         if self._local is not None:
             self._local.step(grad_scale)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
 
 
 # ---------------------------------------------------------------------- #
@@ -333,6 +350,21 @@ class ParallelStrategy(ABC):
         )
 
     @staticmethod
+    def _compute_hooks(comm: Comm, cfg: "TrainingRunConfig", timer: ComputeTimer | None):
+        """``(expert_hook(rows), backward_hook())``: advance the modelled
+        expert-layer / dense-backward compute on the virtual clock."""
+
+        def expert_hook(rows: int) -> None:
+            if timer is not None:
+                comm.advance(timer.expert_layer_time(rows))
+
+        def backward_hook() -> None:
+            if timer is not None:
+                comm.advance(timer.dense_backward_time(cfg.batch_size * cfg.seq_len))
+
+        return expert_hook, backward_hook
+
+    @staticmethod
     def _scaler(cfg: "TrainingRunConfig", model) -> DynamicLossScaler | None:
         if not cfg.mixed_precision:
             return None
@@ -346,6 +378,22 @@ class ParallelStrategy(ABC):
             predictability=cfg.corpus_predictability,
             seed=cfg.seed,
         )
+
+
+class _LayoutRule(ParallelStrategy):
+    """A built-in strategy: a name plus the layouts it fits (``wants`` is
+    that predicate in words, for the error message)."""
+
+    def __init__(self, name: str, wants: str,
+                 fits: Callable[[ParallelLayout], bool], composite: bool = False):
+        self.name = name
+        self.wants = wants
+        self.fits = fits
+        self.composite = composite
+
+    def check_layout(self, layout: ParallelLayout) -> None:
+        if not self.fits(layout):
+            raise ConfigError(f"{self.name} wants {self.wants}, got {layout.describe()}")
 
 
 _REGISTRY: dict[str, ParallelStrategy] = {}
@@ -404,63 +452,14 @@ def strategy_for_layout(layout: ParallelLayout) -> ParallelStrategy:
 # ---------------------------------------------------------------------- #
 
 
-class _PlaneTrainer(RankTrainer):
-    """Adapter: drives a (Hybrid/MoDa) trainer through the step protocol."""
-
-    def __init__(self, trainer: MoDaTrainer, model, loader, timer, comm, tokens,
-                 strategy_name: str = "plane", overlap: bool = False):
-        self.strategy_name = strategy_name
-        self.trainer = trainer
-        self.model = model
-        self.loader = loader
-        self.timer = timer
-        self.comm = comm
-        self.tokens = tokens
-        #: When overlapping, only the forward share of the modelled dense
-        #: compute is advanced up front; the backward share is advanced by
-        #: the trainer's ``backward_compute_hook`` while the bucketed
-        #: gradient allreduces are in flight (so sync hides behind it).
-        self.overlap = overlap
-
-    def train_step(self, step: int) -> StepOutcome:
-        if self.timer is not None:
-            if self.overlap:
-                self.comm.advance(self.timer.dense_forward_time(self.tokens))
-            else:
-                self.comm.advance(self.timer.dense_step_time(self.tokens))
-        res = self.trainer.train_step(self.loader.get_batch(step))
-        outcome = StepOutcome(
-            loss=res.loss,
-            global_loss=res.global_loss,
-            imbalance=_imbalance_of(self.model.moe_layers()),
-            extras=dict(res.extras),
-        )
-        _emit_step_observations(
-            self.comm, step, res.global_loss, self.model.moe_layers(),
-            self.strategy_name,
-        )
-        return outcome
-
-
-class _PlaneStrategy(ParallelStrategy):
+class _PlaneStrategy(_LayoutRule):
     """Common build path for dp/ep/moda/tp/tp_ep/zero."""
 
     def build(self, comm, cfg, machine) -> RankTrainer:
         layout = cfg.layout
         timer = self._timer(cfg, machine)
-
-        def compute_hook(rows: int) -> None:
-            if timer is not None:
-                comm.advance(timer.expert_layer_time(rows))
-
+        compute_hook, backward_hook = self._compute_hooks(comm, cfg, timer)
         overlap = cfg.overlap_chunks > 1
-
-        def backward_hook() -> None:
-            if timer is not None:
-                comm.advance(
-                    timer.dense_backward_time(cfg.batch_size * cfg.seq_len)
-                )
-
         hybrid = build_hybrid_groups(comm, layout)
         model = build_hybrid_model(
             cfg.model,
@@ -497,90 +496,13 @@ class _PlaneStrategy(ParallelStrategy):
             self._corpus(cfg), cfg.batch_size, cfg.seq_len,
             dp_rank=data_rank, dp_size=layout.data_streams,
         )
-        return _PlaneTrainer(
-            trainer, model, loader, timer, comm, cfg.batch_size * cfg.seq_len,
-            strategy_name=self.name, overlap=overlap,
-        )
-
-
-class DataParallelStrategy(_PlaneStrategy):
-    """Pure data parallelism: every rank holds the full model."""
-
-    name = "dp"
-
-    def check_layout(self, layout: ParallelLayout) -> None:
-        if (layout.ep_size, layout.tp_size, layout.pp_size, layout.zero_shards) != (1, 1, 1, 1):
-            raise ConfigError(
-                f"dp wants ep=tp=pp=zero=1, got {layout.describe()}"
+        tokens = cfg.batch_size * cfg.seq_len
+        dense_seconds = None
+        if timer is not None:
+            dense_seconds = (
+                timer.dense_forward_time(tokens) if overlap else timer.dense_step_time(tokens)
             )
-
-
-class ExpertParallelStrategy(_PlaneStrategy):
-    """Flat expert parallelism: one EP group spanning the world."""
-
-    name = "ep"
-
-    def check_layout(self, layout: ParallelLayout) -> None:
-        if layout.ep_size != layout.world_size:
-            raise ConfigError(
-                f"ep wants ep_size == world_size, got {layout.describe()}"
-            )
-        if layout.tp_size != 1 or layout.pp_size != 1 or layout.zero_shards != 1:
-            raise ConfigError(f"ep wants tp=pp=zero=1, got {layout.describe()}")
-
-
-class MoDaStrategy(_PlaneStrategy):
-    """The paper's hybrid: EP groups inside, data parallelism outside."""
-
-    name = "moda"
-
-    def check_layout(self, layout: ParallelLayout) -> None:
-        if layout.tp_size != 1 or layout.pp_size != 1 or layout.zero_shards != 1:
-            raise ConfigError(f"moda wants tp=pp=zero=1, got {layout.describe()}")
-
-
-class TensorParallelStrategy(_PlaneStrategy):
-    """Megatron-style TP over dense FFN blocks (+ data parallelism)."""
-
-    name = "tp"
-
-    def check_layout(self, layout: ParallelLayout) -> None:
-        if layout.tp_size < 2:
-            raise ConfigError(f"tp wants tp_size >= 2, got {layout.describe()}")
-        if layout.ep_size != 1 or layout.pp_size != 1 or layout.zero_shards != 1:
-            raise ConfigError(f"tp wants ep=pp=zero=1, got {layout.describe()}")
-
-
-class TensorExpertStrategy(_PlaneStrategy):
-    """Composite TP x EP: sharded dense MLPs and sharded experts."""
-
-    name = "tp_ep"
-    composite = True
-
-    def check_layout(self, layout: ParallelLayout) -> None:
-        if layout.tp_size < 2 or layout.ep_size < 2:
-            raise ConfigError(
-                f"tp_ep wants tp_size >= 2 and ep_size >= 2, got {layout.describe()}"
-            )
-        if layout.pp_size != 1 or layout.zero_shards != 1:
-            raise ConfigError(f"tp_ep wants pp=zero=1, got {layout.describe()}")
-
-
-class ZeroStrategy(_PlaneStrategy):
-    """ZeRO-1 optimizer-state sharding over (possibly MoDa) replicas."""
-
-    name = "zero"
-
-    def check_layout(self, layout: ParallelLayout) -> None:
-        if layout.zero_shards < 2:
-            raise ConfigError(f"zero wants zero_shards >= 2, got {layout.describe()}")
-        if layout.zero_shards > layout.world_size:
-            raise ConfigError(
-                f"zero_shards={layout.zero_shards} exceeds "
-                f"world_size={layout.world_size}"
-            )
-        if layout.tp_size != 1 or layout.pp_size != 1:
-            raise ConfigError(f"zero wants tp=pp=1, got {layout.describe()}")
+        return RankTrainer(trainer, model, loader, timer, comm, tokens, self.name, dense_seconds)
 
 
 # ---------------------------------------------------------------------- #
@@ -588,39 +510,7 @@ class ZeroStrategy(_PlaneStrategy):
 # ---------------------------------------------------------------------- #
 
 
-class _PipelineTrainer(RankTrainer):
-    """Adapter: drives a Trainer3D pipeline through the step protocol."""
-
-    def __init__(self, trainer: Trainer3D, loader, timer, comm, tokens, pp_size,
-                 strategy_name: str = "pipeline"):
-        self.strategy_name = strategy_name
-        self.trainer = trainer
-        self.loader = loader
-        self.timer = timer
-        self.comm = comm
-        self.tokens = tokens
-        self.pp_size = pp_size
-
-    def train_step(self, step: int) -> StepOutcome:
-        if self.timer is not None:
-            # Each stage holds ~1/pp of the layers, so the dense compute
-            # per rank is the full-model step time split across stages.
-            self.comm.advance(self.timer.dense_step_time(self.tokens) / self.pp_size)
-        res = self.trainer.train_step(self.loader.get_batch(step))
-        outcome = StepOutcome(
-            loss=res.loss,
-            global_loss=res.global_loss,
-            imbalance=_imbalance_of(self.trainer.stage.modules()),
-            extras=dict(res.extras),
-        )
-        _emit_step_observations(
-            self.comm, step, res.global_loss, self.trainer.stage.modules(),
-            self.strategy_name,
-        )
-        return outcome
-
-
-class _PipelineBase(ParallelStrategy):
+class _PipelineBase(_LayoutRule):
     """Common build path for pipeline/pp_dp/pp_moda (via grid3d)."""
 
     def validate(self, cfg) -> None:
@@ -644,11 +534,7 @@ class _PipelineBase(ParallelStrategy):
     def build(self, comm, cfg, machine) -> RankTrainer:
         layout = cfg.layout
         timer = self._timer(cfg, machine)
-
-        def compute_hook(rows: int) -> None:
-            if timer is not None:
-                comm.advance(timer.expert_layer_time(rows))
-
+        compute_hook, _ = self._compute_hooks(comm, cfg, timer)
         groups = build_groups3d(comm, pipe_size=layout.pp_size, ep_size=layout.ep_size)
         trainer = Trainer3D(
             cfg.model,
@@ -667,66 +553,48 @@ class _PipelineBase(ParallelStrategy):
             self._corpus(cfg), cfg.batch_size, cfg.seq_len,
             dp_rank=groups.pipeline_id, dp_size=layout.plane_size,
         )
-        return _PipelineTrainer(
-            trainer, loader, timer, comm,
-            cfg.batch_size * cfg.seq_len, layout.pp_size,
-            strategy_name=self.name,
+        tokens = cfg.batch_size * cfg.seq_len
+        # Each stage holds ~1/pp of the layers, so the dense compute per
+        # rank is the full-model step time split across stages.
+        dense_seconds = None if timer is None else timer.dense_step_time(tokens) / layout.pp_size
+        return RankTrainer(
+            trainer, trainer.stage, loader, timer, comm, tokens, self.name, dense_seconds
         )
 
 
-class PipelineStrategy(_PipelineBase):
-    """Pure GPipe: every rank is one pipeline stage."""
-
-    name = "pipeline"
-
-    def check_layout(self, layout: ParallelLayout) -> None:
-        if layout.pp_size != layout.world_size or layout.world_size < 2:
-            raise ConfigError(
-                f"pipeline wants pp_size == world_size >= 2, got {layout.describe()}"
-            )
-        if layout.zero_shards != 1:
-            raise ConfigError(f"pipeline wants zero=1, got {layout.describe()}")
-
-
-class PipelineDataStrategy(_PipelineBase):
-    """Composite PP x DP: replicated pipelines over data shards."""
-
-    name = "pp_dp"
-    composite = True
-
-    def check_layout(self, layout: ParallelLayout) -> None:
-        if layout.pp_size < 2 or layout.plane_size < 2:
-            raise ConfigError(
-                f"pp_dp wants pp_size >= 2 with a >1-rank plane, got {layout.describe()}"
-            )
-        if layout.ep_size != 1 or layout.zero_shards != 1:
-            raise ConfigError(f"pp_dp wants ep=zero=1, got {layout.describe()}")
-
-
-class PipelineMoDaStrategy(_PipelineBase):
-    """Composite PP x MoDa: pipeline stages whose planes run MoDa."""
-
-    name = "pp_moda"
-    composite = True
-
-    def check_layout(self, layout: ParallelLayout) -> None:
-        if layout.pp_size < 2 or layout.ep_size < 2:
-            raise ConfigError(
-                f"pp_moda wants pp_size >= 2 and ep_size >= 2, got {layout.describe()}"
-            )
-        if layout.zero_shards != 1:
-            raise ConfigError(f"pp_moda wants zero=1, got {layout.describe()}")
-
-
 for _strategy in (
-    DataParallelStrategy(),
-    ExpertParallelStrategy(),
-    MoDaStrategy(),
-    TensorParallelStrategy(),
-    TensorExpertStrategy(),
-    ZeroStrategy(),
-    PipelineStrategy(),
-    PipelineDataStrategy(),
-    PipelineMoDaStrategy(),
+    # Pure data parallelism: every rank holds the full model.
+    _PlaneStrategy("dp", "ep=tp=pp=zero=1",
+                   lambda lay: lay.ep_size == lay.tp_size == lay.pp_size == lay.zero_shards == 1),
+    # Flat expert parallelism: one EP group spanning the world.
+    _PlaneStrategy("ep", "ep_size == world_size and tp=pp=zero=1",
+                   lambda lay: lay.ep_size == lay.world_size
+                   and lay.tp_size == lay.pp_size == lay.zero_shards == 1),
+    # The paper's hybrid: EP groups inside, data parallelism outside.
+    _PlaneStrategy("moda", "tp=pp=zero=1",
+                   lambda lay: lay.tp_size == lay.pp_size == lay.zero_shards == 1),
+    # Megatron-style TP over dense FFN blocks (+ data parallelism).
+    _PlaneStrategy("tp", "tp_size >= 2 and ep=pp=zero=1",
+                   lambda lay: lay.tp_size >= 2
+                   and lay.ep_size == lay.pp_size == lay.zero_shards == 1),
+    # Composite TP x EP: sharded dense MLPs and sharded experts.
+    _PlaneStrategy("tp_ep", "tp_size >= 2, ep_size >= 2 and pp=zero=1",
+                   lambda lay: lay.tp_size >= 2 and lay.ep_size >= 2
+                   and lay.pp_size == lay.zero_shards == 1, composite=True),
+    # ZeRO-1 optimizer-state sharding over (possibly MoDa) replicas.
+    _PlaneStrategy("zero", "2 <= zero_shards <= world_size and tp=pp=1",
+                   lambda lay: 2 <= lay.zero_shards <= lay.world_size
+                   and lay.tp_size == lay.pp_size == 1),
+    # Pure GPipe: every rank is one pipeline stage.
+    _PipelineBase("pipeline", "pp_size == world_size >= 2 and zero=1",
+                  lambda lay: lay.pp_size == lay.world_size >= 2 and lay.zero_shards == 1),
+    # Composite PP x DP: replicated pipelines over data shards.
+    _PipelineBase("pp_dp", "pp_size >= 2 with a >1-rank plane and ep=zero=1",
+                  lambda lay: lay.pp_size >= 2 and lay.plane_size >= 2
+                  and lay.ep_size == lay.zero_shards == 1, composite=True),
+    # Composite PP x MoDa: pipeline stages whose planes run MoDa.
+    _PipelineBase("pp_moda", "pp_size >= 2, ep_size >= 2 and zero=1",
+                  lambda lay: lay.pp_size >= 2 and lay.ep_size >= 2 and lay.zero_shards == 1,
+                  composite=True),
 ):
     register_strategy(_strategy)

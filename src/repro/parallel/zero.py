@@ -15,8 +15,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.parallel.dp import assign_flat_params, flatten_grads, flatten_params
 from repro.simmpi import Comm
-from repro.tensor import Tensor, quantize
+from repro.tensor import Tensor
+from repro.train.optim import adam_update
 
 __all__ = ["ZeroAdamW", "shard_bounds"]
 
@@ -72,25 +74,11 @@ class ZeroAdamW(object):
         self._lo, self._hi = shard_bounds(self._total, comm.size, comm.rank)
         shard_len = self._hi - self._lo
         # fp32 master + moments for the local shard only.
-        self._master = self._flat_params()[self._lo: self._hi].copy()
+        self._master = flatten_params(self.params)[self._lo: self._hi].copy()
         self._m = np.zeros(shard_len, dtype=np.float32)
         self._v = np.zeros(shard_len, dtype=np.float32)
 
     # ------------------------------------------------------------------ #
-
-    def _flat_params(self) -> np.ndarray:
-        return np.concatenate(
-            [p.data.astype(np.float32).reshape(-1) for p in self.params]
-        ) if self.params else np.zeros(0, dtype=np.float32)
-
-    def _flat_grads(self, grad_scale: float) -> np.ndarray:
-        chunks = []
-        for p in self.params:
-            if p.grad is None:
-                chunks.append(np.zeros(p.size, dtype=np.float32))
-            else:
-                chunks.append(p.grad.astype(np.float32).reshape(-1) * grad_scale)
-        return np.concatenate(chunks)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -110,30 +98,12 @@ class ZeroAdamW(object):
     def step(self, grad_scale: float = 1.0) -> None:
         """Update the local shard, then allgather fresh parameters."""
         self.step_count += 1
-        t = self.step_count
-        g = self._flat_grads(grad_scale)[self._lo: self._hi]
-
-        self._m = self.beta1 * self._m + (1 - self.beta1) * g
-        self._v = self.beta2 * self._v + (1 - self.beta2) * g * g
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
-        update = (self._m / bc1) / (np.sqrt(self._v / bc2) + self.eps)
-        if self.weight_decay:
-            update = update + self.weight_decay * self._master
-        self._master = self._master - self.lr * update
-
-        shards = self.comm.allgather(self._master)
-        flat = np.concatenate(shards) if shards else np.zeros(0, dtype=np.float32)
-        if flat.shape != (self._total,):
-            raise ConfigError(
-                f"allgathered parameter vector has {flat.shape[0]} entries, "
-                f"expected {self._total}"
-            )
-        offset = 0
-        for p in self.params:
-            n = p.size
-            p.data = quantize(flat[offset: offset + n].reshape(p.shape), p.dtype)
-            offset += n
+        g = flatten_grads(self.params)[self._lo: self._hi] * grad_scale
+        self._master, self._m, self._v = adam_update(
+            self._master, self._m, self._v, g, self.step_count,
+            self.lr, self.beta1, self.beta2, self.eps, self.weight_decay,
+        )
+        assign_flat_params(self.params, np.concatenate(self.comm.allgather(self._master)))
 
     # ------------------------------------------------------------------ #
 

@@ -48,27 +48,21 @@ from typing import Any
 
 import numpy as np
 
-from repro.data import ShardedLoader, SyntheticCorpus
+from repro.data import ShardedLoader
 from repro.errors import ConfigError
 from repro.parallel.dist_checkpoint import load_distributed, save_distributed
 from repro.parallel.dp import flatten_grads, unflatten_grads
+from repro.parallel.moda import MoDaTrainer
 from repro.parallel.runner import TrainingRunConfig
-from repro.parallel.strategy import _emit_step_observations
-from repro.train.clip import global_grad_norm
+from repro.parallel.strategy import ParallelStrategy, _emit_step_observations
+from repro.train.trainer import StepResult, apply_update
 
 __all__ = ["ElasticStepDriver", "ElasticStepResult", "SegmentProgress", "SegmentSpec"]
 
 
-@dataclass
-class ElasticStepResult:
-    """Per-rank metrics from one (possibly microstepped) elastic step."""
-
-    step: int
-    loss: float
-    global_loss: float
-    lr: float
-    grad_norm: float
-    microsteps: int
+#: Per-rank metrics from one (possibly microstepped) elastic step: the
+#: shared result type, with ``extras["microsteps"]``.
+ElasticStepResult = StepResult
 
 
 @dataclass
@@ -105,16 +99,20 @@ class ElasticStepDriver:
     """Drives ``k = logical_world / world`` accumulation microsteps per step.
 
     Wraps a built in-plane rank trainer (the strategy registry's
-    ``_PlaneTrainer``: a :class:`~repro.parallel.strategy.HybridTrainer`
-    plus timer/comm), replacing its single-batch step with the fold-carry
-    accumulation described in the module docstring. With
-    ``logical_world == world`` this degenerates to the plain
-    MoDa/Hybrid step (``k=1``) and produces bitwise-identical updates.
+    :class:`~repro.parallel.strategy.RankTrainer` around a
+    :class:`~repro.parallel.strategy.HybridTrainer`). Of the shared step it
+    keeps the schedule, the local gradient producer, ``apply_update`` and
+    the phase recording; what it replaces is the part that is genuinely its
+    own — gradient sync and the global loss become the fold-carry
+    accumulation described in the module docstring, averaged by the
+    *logical* group sizes. With ``logical_world == world`` this degenerates
+    to the plain MoDa/Hybrid step (``k=1``) and produces bitwise-identical
+    updates. Gradients are never loss-scaled here (the scaler is unused).
     """
 
     def __init__(self, plane, logical_world: int, logical_ep: int, cfg: TrainingRunConfig):
         trainer = getattr(plane, "trainer", None)
-        if trainer is None or not hasattr(trainer, "sync_groups"):
+        if not isinstance(trainer, MoDaTrainer):
             raise ConfigError(
                 "elastic training needs an in-plane strategy trainer "
                 "(dp/ep/moda); got an incompatible rank trainer"
@@ -144,19 +142,18 @@ class ElasticStepDriver:
             "dense": float(self.logical_world),
             "expert": float(self.logical_world // self.logical_ep),
         }
-        corpus = SyntheticCorpus(
-            vocab_size=cfg.model.vocab_size,
-            predictability=cfg.corpus_predictability,
-            seed=cfg.seed,
-        )
+        for label, _, _ in trainer.sync_groups:
+            if label not in self.divisors:
+                raise ConfigError(
+                    f"elastic accumulation cannot average sync group "
+                    f"{label!r} (only dense/expert axes are supported)"
+                )
+        corpus = ParallelStrategy._corpus(cfg)
         # Microstep m reads logical rank (m*W + r)'s data stream.
         self.loaders = [
             ShardedLoader(
-                corpus,
-                cfg.batch_size,
-                cfg.seq_len,
-                dp_rank=m * world + self.comm.rank,
-                dp_size=self.logical_world,
+                corpus, cfg.batch_size, cfg.seq_len,
+                dp_rank=m * world + self.comm.rank, dp_size=self.logical_world,
             )
             for m in range(self.k)
         ]
@@ -164,33 +161,22 @@ class ElasticStepDriver:
     def train_step(self, step: int) -> ElasticStepResult:
         """One optimizer step = ``k`` fold-carry accumulation microsteps."""
         trainer = self.trainer
-        world = trainer.groups.world
-        for label, _, _ in trainer.sync_groups:
-            if label not in self.divisors:
-                raise ConfigError(
-                    f"elastic accumulation cannot average sync group "
-                    f"{label!r} (only dense/expert axes are supported)"
-                )
-        lr = trainer.schedule(trainer.step_count)
-        trainer.optimizer.lr = lr
+        world = trainer.world
+        lr = trainer.next_lr()
 
         acc: dict[str, np.ndarray] = {}
         loss_fold = 0.0
         loss_value = 0.0
-        t_forward = t_backward = t_sync = 0.0
+        phases = {"forward": 0.0, "backward": 0.0, "grad_sync": 0.0}
         for m in range(self.k):
             batch = self.loaders[m].get_batch(step)
             self.model.zero_grad()
             if self.timer is not None:
                 self.comm.advance(self.timer.dense_step_time(self.tokens))
+            loss_value, produced = trainer.produce(batch, 1.0)
+            for name, seconds in produced.items():
+                phases[name] += seconds
             t0 = world.clock
-            loss = self.model.loss(batch.tokens, batch.targets)
-            loss_value = float(loss.item())
-            t_forward += world.clock - t0
-            t1 = world.clock
-            loss.backward(np.asarray(1.0, dtype=loss.data.dtype))
-            t_backward += world.clock - t1
-            t2 = world.clock
             for label, params, comm_g in trainer.sync_groups:
                 flat = flatten_grads(params)
                 if comm_g.rank == 0 and m > 0:
@@ -203,35 +189,27 @@ class ElasticStepDriver:
                 )
             fold = loss_fold + loss_value if (world.rank == 0 and m > 0) else loss_value
             loss_fold = float(world.allreduce(fold))
-            t_sync += world.clock - t2
+            phases["grad_sync"] += world.clock - t0
 
         for label, params, _ in trainer.sync_groups:
             unflatten_grads(params, acc[label] / self.divisors[label])
-        grad_norm = global_grad_norm(trainer.optimizer.params)
-        trainer.optimizer.step()
-        global_loss = loss_fold / self.logical_world
-
-        if world.rank == 0:
-            context = world.context
-            context.add_phase("forward", t_forward)
-            context.add_phase("backward", t_backward)
-            context.add_phase("grad_sync", t_sync)
+        grad_norm, skipped = apply_update(trainer.optimizer, None, None, 1.0, False)
+        result = trainer.finish_step(
+            phases,
+            {"microsteps": self.k},
+            loss=loss_value,
+            global_loss=loss_fold / self.logical_world,
+            lr=lr,
+            grad_norm=grad_norm,
+            skipped=skipped,
+            loss_scale=1.0,
+        )
         # Same registry/router series as the measured runs (microstep
         # loads are summed — the logical step's totals).
         _emit_step_observations(
-            world, step, global_loss, self.model.moe_layers(),
+            world, step, result.global_loss, self.model.moe_layers(),
             strategy_name="elastic",
         )
-
-        result = ElasticStepResult(
-            step=trainer.step_count,
-            loss=loss_value,
-            global_loss=global_loss,
-            lr=lr,
-            grad_norm=grad_norm,
-            microsteps=self.k,
-        )
-        trainer.step_count += 1
         return result
 
 

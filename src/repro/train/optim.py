@@ -16,11 +16,58 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.tensor import Tensor, quantize
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdamW"]
+__all__ = ["Optimizer", "SGD", "Adam", "AdamW", "adam_update"]
+
+
+def adam_update(
+    master: np.ndarray,
+    m: np.ndarray | None,
+    v: np.ndarray | None,
+    g: np.ndarray,
+    step: int,
+    lr: float,
+    beta1: float,
+    beta2: float,
+    eps: float,
+    weight_decay: float = 0.0,
+    decoupled: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Adam(W) update of fp32 ``master`` by gradient ``g`` at 1-based
+    ``step``: returns ``(new_master, m, v)``.
+
+    The moments are updated in place; passed as ``None`` (no state yet)
+    they are created as ``(1-beta1)*g`` / ``(1-beta2)*g*g`` rather than
+    folded into zeros, which keeps the sign of a zero gradient. One
+    rounding per operation, in the formulas' order — the optimizers that
+    call this are pinned bitwise.
+    """
+    if weight_decay and not decoupled:
+        g = g + weight_decay * master
+    update = (1 - beta2) * g
+    update *= g
+    if m is None:
+        m, v = (1 - beta1) * g, update.copy()
+    else:
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += update
+    np.sqrt(np.divide(v, 1.0 - beta2**step, out=update), out=update)
+    update += eps
+    np.divide(m / (1.0 - beta1**step), update, out=update)
+    if weight_decay and decoupled:
+        update += weight_decay * master
+    update *= lr
+    return master - update, m, v
 
 
 class Optimizer:
     """Base optimizer over a list of tensors."""
+
+    #: The per-parameter fp32 state a subclass keeps, one ``{param index:
+    #: array}`` dict per kind in ``self._<kind>``; checkpointed as
+    #: ``<kind>.<index>``.
+    state_kinds: tuple[str, ...] = ()
 
     def __init__(self, params: Iterable[Tensor], lr: float):
         self.params: list[Tensor] = list(params)
@@ -63,6 +110,9 @@ class Optimizer:
         state: dict[str, np.ndarray | float] = {"step_count": float(self.step_count)}
         for i, m in self._masters.items():
             state[f"master.{i}"] = m.copy()
+        for kind in self.state_kinds:
+            for i, array in getattr(self, f"_{kind}").items():
+                state[f"{kind}.{i}"] = array.copy()
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray | float]) -> None:
@@ -71,10 +121,18 @@ class Optimizer:
             key = f"master.{i}"
             if key in state:
                 self._masters[i] = np.asarray(state[key], dtype=np.float32).copy()
+        for kind in self.state_kinds:
+            setattr(self, f"_{kind}", {
+                int(k.split(".")[1]): np.asarray(v, dtype=np.float32).copy()
+                for k, v in state.items()
+                if k.startswith(f"{kind}.")
+            })
 
 
 class SGD(Optimizer):
     """Plain SGD with optional momentum."""
+
+    state_kinds = ("velocity",)
 
     def __init__(self, params: Iterable[Tensor], lr: float, momentum: float = 0.0):
         super().__init__(params, lr)
@@ -97,23 +155,11 @@ class SGD(Optimizer):
             master = self.master_of(i).astype(np.float32, copy=False)
             self._write_back(i, master - self.lr * g)
 
-    def state_dict(self) -> dict[str, np.ndarray | float]:
-        state = super().state_dict()
-        for i, v in self._velocity.items():
-            state[f"velocity.{i}"] = v.copy()
-        return state
-
-    def load_state_dict(self, state) -> None:
-        super().load_state_dict(state)
-        self._velocity = {
-            int(k.split(".")[1]): np.asarray(v, dtype=np.float32).copy()
-            for k, v in state.items()
-            if k.startswith("velocity.")
-        }
-
 
 class Adam(Optimizer):
     """Adam (Kingma & Ba) with fp32 moments and bias correction."""
+
+    state_kinds = ("m", "v")
 
     def __init__(
         self,
@@ -143,55 +189,17 @@ class Adam(Optimizer):
 
     def step(self, grad_scale: float = 1.0) -> None:
         self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
             g = p.grad.astype(np.float32, copy=False) * grad_scale
             master = self.master_of(i).astype(np.float32, copy=False)
-            if self.weight_decay and not self.decoupled_weight_decay:
-                g = g + self.weight_decay * master
-            # In place, with one rounding per operation in the formulas' order.
-            update = (1 - self.beta2) * g
-            update *= g
-            if i in self._m:
-                m, v = self._m[i], self._v[i]
-                m *= self.beta1
-                m += (1 - self.beta1) * g
-                v *= self.beta2
-                v += update
-            else:
-                m, v = self._m[i], self._v[i] = (1 - self.beta1) * g, update.copy()
-            np.sqrt(np.divide(v, bc2, out=update), out=update)
-            update += self.eps
-            np.divide(m / bc1, update, out=update)
-            if self.weight_decay and self.decoupled_weight_decay:
-                update += self.weight_decay * master
-            update *= self.lr
-            self._write_back(i, master - update)
-
-    def state_dict(self) -> dict[str, np.ndarray | float]:
-        state = super().state_dict()
-        for i, m in self._m.items():
-            state[f"m.{i}"] = m.copy()
-        for i, v in self._v.items():
-            state[f"v.{i}"] = v.copy()
-        return state
-
-    def load_state_dict(self, state) -> None:
-        super().load_state_dict(state)
-        self._m = {
-            int(k.split(".")[1]): np.asarray(v, dtype=np.float32).copy()
-            for k, v in state.items()
-            if k.startswith("m.")
-        }
-        self._v = {
-            int(k.split(".")[1]): np.asarray(v, dtype=np.float32).copy()
-            for k, v in state.items()
-            if k.startswith("v.")
-        }
+            new_master, self._m[i], self._v[i] = adam_update(
+                master, self._m.get(i), self._v.get(i), g, self.step_count,
+                self.lr, self.beta1, self.beta2, self.eps,
+                self.weight_decay, self.decoupled_weight_decay,
+            )
+            self._write_back(i, new_master)
 
 
 class AdamW(Adam):

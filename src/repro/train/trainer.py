@@ -1,15 +1,16 @@
 """Single-process training loop (the reference the parallel paths match).
 
 Handles the full mixed-precision protocol: scaled loss, overflow detection,
-skipped steps, gradient clipping, and LR scheduling. The distributed
-trainers in :mod:`repro.parallel` reuse the same step anatomy with
-communication inserted at the gradient stage.
+skipped steps, gradient clipping, and LR scheduling. The distributed step
+(:mod:`repro.parallel.step`) shares the update block (:func:`apply_update`),
+the eval loop (:func:`eval_loss`) and the result type with this loop, and
+inserts communication at the gradient stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -17,24 +18,89 @@ from repro.amp import DynamicLossScaler, grads_have_overflow
 from repro.data.loader import Batch, ShardedLoader
 from repro.errors import ConfigError
 from repro.models.module import Module
+from repro.tensor import no_grad
 from repro.train.clip import clip_grad_norm, global_grad_norm
 from repro.train.optim import Optimizer
 from repro.train.schedules import ConstantLR, LRSchedule
 
-__all__ = ["StepResult", "Trainer"]
+__all__ = ["StepResult", "Trainer", "apply_update", "eval_loss", "eval_report"]
 
 
 @dataclass
 class StepResult:
-    """Metrics from one optimizer step attempt."""
+    """Metrics from one optimizer step attempt — on one process or one rank
+    of any distributed strategy (the fields past ``loss_scale`` keep their
+    defaults where they do not apply)."""
 
     step: int
+    #: This process's (rank's, pipeline's) loss.
     loss: float
+    #: Mean loss over the whole global batch — identical on every rank.
+    global_loss: float
     lr: float
+    #: Unscaled pre-clip gradient norm; ``inf`` on a skipped step.
     grad_norm: float
     skipped: bool
     loss_scale: float
-    extras: dict[str, float] = field(default_factory=dict)
+    #: Virtual seconds per phase as ``t_<phase>``, plus per-strategy extras.
+    extras: dict[str, Any] = field(default_factory=dict)
+    #: Expert-load imbalance (max/mean) observed this step; 1.0 if n/a.
+    imbalance: float = 1.0
+    #: fp32 bytes this rank moved averaging replicated / expert gradients.
+    dense_sync_bytes: int = 0
+    expert_sync_bytes: int = 0
+
+
+def apply_update(
+    optimizer: Optimizer,
+    scaler: DynamicLossScaler | None,
+    grad_clip: float | None,
+    scale: float,
+    overflow: bool,
+) -> tuple[float, bool]:
+    """Skip or step, the one way every trainer does it: ``(grad_norm, skipped)``.
+
+    ``overflow`` is the (already world-agreed) verdict on the scaled
+    gradients. On overflow under a scaler nothing is applied and the
+    scaler backs off; otherwise gradients are measured (and clipped) in
+    unscaled units, the optimizer steps with the inverse scale, and the
+    scaler counts a good step.
+    """
+    if scaler is not None and overflow:
+        scaler.update(found_overflow=True)
+        return float("inf"), True
+    inv = 1.0 / scale
+    if grad_clip is not None:
+        grad_norm = clip_grad_norm(optimizer.params, grad_clip, grad_scale=inv)
+    else:
+        grad_norm = global_grad_norm(optimizer.params, grad_scale=inv)
+    optimizer.step(grad_scale=inv)
+    if scaler is not None:
+        scaler.update(found_overflow=False)
+    return grad_norm, False
+
+
+def eval_loss(model: Module, loader: ShardedLoader, num_steps: int, start_step: int = 0) -> float:
+    """Mean held-out loss of ``model`` over ``num_steps`` loader batches, in
+    eval mode and without touching gradients."""
+    if num_steps < 1:
+        raise ConfigError(f"num_steps must be >= 1, got {num_steps}")
+    was_training = model.training
+    model.eval()
+    total = 0.0
+    try:
+        with no_grad():
+            for batch in loader.iter_batches(num_steps, start_step=start_step):
+                total += float(model.loss(batch.tokens, batch.targets).item())
+    finally:
+        if was_training:
+            model.train()
+    return total / num_steps
+
+
+def eval_report(mean_loss: float) -> dict[str, float]:
+    """The ``evaluate`` result for a mean loss: loss and (capped) perplexity."""
+    return {"loss": mean_loss, "perplexity": float(np.exp(min(mean_loss, 50.0)))}
 
 
 class Trainer:
@@ -96,24 +162,14 @@ class Trainer:
             loss_value += float(loss.item()) * inv_n
             loss.backward(np.asarray(scale * inv_n, dtype=loss.data.dtype))
 
-        inv = 1.0 / scale
-        skipped = False
-        if self.scaler is not None and grads_have_overflow(self.optimizer.params):
-            skipped = True
-            grad_norm = float("inf")
-            self.scaler.update(found_overflow=True)
-        else:
-            if self.grad_clip is not None:
-                grad_norm = clip_grad_norm(self.optimizer.params, self.grad_clip, grad_scale=inv)
-            else:
-                grad_norm = global_grad_norm(self.optimizer.params, grad_scale=inv)
-            self.optimizer.step(grad_scale=inv)
-            if self.scaler is not None:
-                self.scaler.update(found_overflow=False)
-
+        overflow = self.scaler is not None and grads_have_overflow(self.optimizer.params)
+        grad_norm, skipped = apply_update(
+            self.optimizer, self.scaler, self.grad_clip, scale, overflow
+        )
         result = StepResult(
             step=self.step_count,
             loss=loss_value,
+            global_loss=loss_value,
             lr=lr,
             grad_norm=grad_norm,
             skipped=skipped,
@@ -126,24 +182,7 @@ class Trainer:
     def evaluate(self, loader: ShardedLoader, num_steps: int, start_step: int = 0) -> dict[str, float]:
         """Held-out evaluation: mean loss and perplexity over ``num_steps``
         batches, without touching gradients or the step counter."""
-        if num_steps < 1:
-            raise ConfigError(f"num_steps must be >= 1, got {num_steps}")
-        from repro.tensor import no_grad
-
-        was_training = self.model.training
-        self.model.eval()
-        total, count = 0.0, 0
-        try:
-            with no_grad():
-                for batch in loader.iter_batches(num_steps, start_step=start_step):
-                    loss = self.model.loss(batch.tokens, batch.targets)
-                    total += float(loss.item())
-                    count += 1
-        finally:
-            if was_training:
-                self.model.train()
-        mean = total / count
-        return {"loss": mean, "perplexity": float(np.exp(min(mean, 50.0)))}
+        return eval_report(eval_loss(self.model, loader, num_steps, start_step))
 
     def fit(
         self,

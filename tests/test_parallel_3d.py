@@ -80,7 +80,10 @@ class TestGroups3D:
 def _train_3d(comm, pipe, ep, steps=4, cfg=CFG, seed=3, microbatches=2):
     groups = build_groups3d(comm, pipe_size=pipe, ep_size=ep)
     trainer = Trainer3D(cfg, groups, num_microbatches=microbatches, seed=seed)
-    trainer.attach_optimizer(Adam(trainer.stage.parameters(), lr=3e-3))
+    # The layout-independence tolerances below hold at 1e-3 (the step size a
+    # schedule-less Trainer3D imposed before it honoured the optimizer's lr);
+    # at 3e-3 a top-k routing flip moves step 3's loss in the 4th digit.
+    trainer.attach_optimizer(Adam(trainer.stage.parameters(), lr=1e-3))
     corpus = SyntheticCorpus(vocab_size=cfg.vocab_size, predictability=0.9, seed=5)
     loader = ShardedLoader(
         corpus, 4, 8, dp_rank=groups.pipeline_id, dp_size=groups.layout.plane_size
@@ -105,6 +108,26 @@ class TestTrainer3D:
 
         with pytest.raises(ConfigError):
             run_spmd(program, 2, timeout=300)
+
+    def test_schedule_less_trainer_steps_at_the_optimizers_lr(self):
+        """No schedule given: the attached optimizer's own lr is the step
+        size (it used to be overwritten with a hard-coded 1e-3)."""
+        def program(comm, schedule):
+            groups = build_groups3d(comm, pipe_size=2, ep_size=1)
+            trainer = Trainer3D(CFG, groups, num_microbatches=2, seed=3, schedule=schedule)
+            trainer.attach_optimizer(Adam(trainer.stage.parameters(), lr=3e-3))
+            loader = ShardedLoader(SyntheticCorpus(vocab_size=CFG.vocab_size, seed=5), 4, 8)
+            results = [trainer.train_step(loader.get_batch(s)) for s in range(2)]
+            return trainer.optimizer.lr, [r.lr for r in results], results[-1].global_loss
+
+        from repro.train.schedules import ConstantLR
+
+        default = run_spmd(program, 2, args=(None,), timeout=300).returns
+        explicit = run_spmd(program, 2, args=(ConstantLR(3e-3),), timeout=300).returns
+        slower = run_spmd(program, 2, args=(ConstantLR(1e-3),), timeout=300).returns
+        assert default[0][:2] == (3e-3, [3e-3, 3e-3])
+        assert default == explicit
+        assert default[0][2] != slower[0][2]
 
     def test_grid_shape_independence(self):
         """The same global problem gives the same loss trajectory under

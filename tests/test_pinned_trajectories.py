@@ -16,6 +16,10 @@ with, and on any other arithmetic the literals say nothing (skip). To
 re-pin after a deliberate numerics change, print ``_trajectory(_plane_cfg(...))``
 / ``_trajectory(_pipeline_cfg(...), PIPELINE_STEPS)`` for every case on the
 parent of that change.
+
+The remaining in-plane strategies and the elastic driver were pinned on the
+commit before the distributed step was written once (PR 22), so that every
+copy of the step it folded together had a trajectory to be held to.
 """
 
 import hashlib
@@ -27,6 +31,7 @@ from repro.hardware import sunway_machine
 from repro.models import tiny_config
 from repro.network import sunway_network
 from repro.parallel import TrainingRunConfig
+from repro.resilience import ElasticStepDriver
 from repro.simmpi import run_spmd
 
 #: ``bench/train.py``'s model and batch.
@@ -87,6 +92,66 @@ PIPELINE_PINNED = {
 }
 
 
+STRATEGY_STEPS = 4
+
+#: strategy -> ((world, ep, mixed, further fields), (loss per step, final clock, parameter SHA-256 per rank)).
+#: TP shards dense FFN blocks, so its cases alternate dense and MoE blocks.
+STRATEGY_PINNED = {
+    "ep": ((4, 4, True, {}), (
+        [4.89533007144928, 4.774999141693115,
+         4.6849024295806885, 4.582231521606445],
+        0.000992853028571429,
+        ["ba0c35a1e508763a777afffea8191d5ebb6b4d1f93c08d43e72ee7c8f1f70cf5",
+         "4071edf7d731ed988ce41c485cce78be55a8b336702d1980d11e5330a1010f69",
+         "7c0ddaedbc5211dff1f57c7e561a5b458b32bb0988663ed6399726382568713c",
+         "3b163f48ad0dbc483a02c5fac68862e0f83a807e92fed9969d6122892cd8397d"],
+    )),
+    "tp": ((4, 1, False, dict(tp_size=2, moe_every=2)), (
+        [4.873028516769409, 4.771078109741211,
+         4.700643539428711, 4.571130037307739],
+        0.0008563313097142861,
+        ["9a6d0b3a37dfdc68c700f78d037d2e3ef577af26c506ad36cd095f88ada635a6",
+         "a31c3a3acbd03b3e6757b6037d1ef49ce7adb5ece07140ddd80191bee31e7fca"] * 2,
+    )),
+    "tp_ep": ((4, 2, True, dict(tp_size=2, moe_every=2)), (
+        [4.872972011566162, 4.770342588424683,
+         4.699771165847778, 4.5720508098602295],
+        0.0005983736137142859,
+        ["3597e1c08afe7ac2375e8cdac8c3666c404bdd6192b632d77d6922e6239952f1",
+         "a831de04335131fb11237aa478c65c7c004ad902e85a09ef63807a35cf52b312",
+         "a50e7dfa10808e94511e519c74d7974c22ec8ba241e8818b7533931d669b251e",
+         "25ddee407733ca6bbffad9bac798ef4180e39f6221dac8ccb091dfa44ef85ec4"],
+    )),
+    "zero": ((4, 2, True, dict(zero_shards=2)), (
+        [4.89533007144928, 4.774999499320984,
+         4.684801816940308, 4.58154559135437],
+        0.000921231414857143,
+        ["6e875e8366e4dd751ab7c9096bee5307a920a36d10ea08b7598faecfd8972b69",
+         "a3134965a2567227facde67ff488bfea4a484a5938ea4e62c51dfaa3aeb2bad7"] * 2,
+    )),
+}
+
+#: Logical world 4 / ep 2 in fp32, run on physical worlds 4 (k = 1) and 2 (k = 2):
+#: physical world -> (loss per step, final clock, parameter SHA-256 per rank)
+ELASTIC_LOGICAL = (4, 2)
+ELASTIC_PINNED = {
+    4: (
+        [4.894692063331604, 4.774231433868408,
+         4.685718774795532, 4.580522298812866],
+        0.0009452332342857144,
+        ["958b65cc01500ad3c5ecc671ccd09f83c5eabc0503410f4995eec0e0c0ca0fe4",
+         "89a414ea4fa4c8981097d9037bc7aaf9171217fbb973f3b8dddb48280d1df06c"] * 2,
+    ),
+    2: (
+        [4.894692063331604, 4.774231433868408,
+         4.685718774795532, 4.580522298812866],
+        0.000994055300571428,
+        ["958b65cc01500ad3c5ecc671ccd09f83c5eabc0503410f4995eec0e0c0ca0fe4",
+         "89a414ea4fa4c8981097d9037bc7aaf9171217fbb973f3b8dddb48280d1df06c"],
+    ),
+}
+
+
 def _platform() -> str:
     """SHA-256 over the float32 kernels a training step leans on."""
     rng = np.random.default_rng(0)
@@ -111,10 +176,20 @@ def _program(comm, cfg, machine, steps):
     return losses, comm.clock, digest.hexdigest()
 
 
-def _plane_cfg(world: int, ep: int, mixed: bool) -> TrainingRunConfig:
+def _elastic_program(comm, cfg, machine, steps):
+    plane = cfg.resolve_strategy().build(comm, cfg, machine)
+    driver = ElasticStepDriver(plane, *ELASTIC_LOGICAL, cfg)
+    losses = [driver.train_step(step).global_loss for step in range(steps)]
+    digest = hashlib.sha256()
+    for p in plane.model.parameters():
+        digest.update(p.data.tobytes())
+    return losses, comm.clock, digest.hexdigest()
+
+
+def _plane_cfg(world: int, ep: int, mixed: bool, moe_every: int = 1, **layout) -> TrainingRunConfig:
     return TrainingRunConfig(
-        model=tiny_config(**MODEL), world_size=world, ep_size=ep, batch_size=4, seq_len=32,
-        mixed_precision=mixed, overlap_chunks=2, seed=0,
+        model=tiny_config(**MODEL, moe_every=moe_every), world_size=world, ep_size=ep,
+        batch_size=4, seq_len=32, mixed_precision=mixed, overlap_chunks=2, seed=0, **layout,
     )
 
 
@@ -125,10 +200,10 @@ def _pipeline_cfg(world: int, ep: int, mixed: bool) -> TrainingRunConfig:
     )
 
 
-def _trajectory(cfg: TrainingRunConfig, steps: int = STEPS):
+def _trajectory(cfg: TrainingRunConfig, steps: int = STEPS, program=_program):
     cfg.resolve_strategy().validate(cfg)
     world = cfg.world_size
-    ranks = run_spmd(_program, world, network=sunway_network(world), seed=0,
+    ranks = run_spmd(program, world, network=sunway_network(world), seed=0,
                      args=(cfg, sunway_machine(num_nodes=world), steps)).returns
     assert all(r[0] == ranks[0][0] for r in ranks), "ranks disagree on the loss"
     return ranks[0][0], max(r[1] for r in ranks), [r[2] for r in ranks]
@@ -152,3 +227,17 @@ def test_pipeline_trajectory_is_bit_identical_to_the_pinned_one(strategy):
     cfg = _pipeline_cfg(*layout)
     assert cfg.resolve_strategy().name == strategy
     _assert_pinned(_trajectory(cfg, PIPELINE_STEPS), want)
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_PINNED))
+def test_strategy_trajectory_is_bit_identical_to_the_pinned_one(strategy):
+    (world, ep, mixed, layout), want = STRATEGY_PINNED[strategy]
+    cfg = _plane_cfg(world, ep, mixed, **layout)
+    assert cfg.resolve_strategy().name == strategy
+    _assert_pinned(_trajectory(cfg, STRATEGY_STEPS), want)
+
+
+@pytest.mark.parametrize("world", sorted(ELASTIC_PINNED))
+def test_elastic_trajectory_is_bit_identical_to_the_pinned_one(world):
+    cfg = _plane_cfg(world, ELASTIC_LOGICAL[1], False)
+    _assert_pinned(_trajectory(cfg, STRATEGY_STEPS, _elastic_program), ELASTIC_PINNED[world])

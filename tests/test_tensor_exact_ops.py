@@ -20,7 +20,9 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.amp import cast_model
 from repro.models import MoELanguageModel, Parameter, tiny_config
-from repro.parallel import build_groups, build_moda_model, load_distributed, save_distributed
+from repro.parallel import (
+    ZeroAdamW, build_groups, build_moda_model, load_distributed, save_distributed,
+)
 from repro.parallel.collective_ops import (
     alltoall_rows, copy_to_tp_region, ialltoall_rows, place_rows,
 )
@@ -421,6 +423,68 @@ def test_state_dict_does_not_alias_the_state_updated_in_place(kind):
     for key, value in saved.items():
         assert value.tobytes() == frozen[key].tobytes()
         assert value.tobytes() != live[key].tobytes()
+
+
+class _OldZeroAdamW(ZeroAdamW):
+    """``ZeroAdamW.step`` as it was before it shared ``adam_update`` (PR 22)."""
+
+    def step(self, grad_scale: float = 1.0) -> None:
+        self.step_count += 1
+        t = self.step_count
+        chunks = [
+            np.zeros(p.size, dtype=np.float32) if p.grad is None
+            else p.grad.astype(np.float32).reshape(-1) * grad_scale
+            for p in self.params
+        ]
+        g = np.concatenate(chunks)[self._lo: self._hi]
+        self._m = self.beta1 * self._m + (1 - self.beta1) * g
+        self._v = self.beta2 * self._v + (1 - self.beta2) * g * g
+        bc1 = 1.0 - self.beta1**t
+        bc2 = 1.0 - self.beta2**t
+        update = (self._m / bc1) / (np.sqrt(self._v / bc2) + self.eps)
+        if self.weight_decay:
+            update = update + self.weight_decay * self._master
+        self._master = self._master - self.lr * update
+        flat = np.concatenate(self.comm.allgather(self._master))
+        offset = 0
+        for p in self.params:
+            p.data = quantize(flat[offset: offset + p.size].reshape(p.shape), p.dtype)
+            offset += p.size
+
+
+@pytest.mark.parametrize("dtype", ["fp16", "fp32"])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+def test_zero_adamw_is_bit_identical_to_the_update_it_replaced(weight_decay, dtype):
+    """Three ranks, uneven shards; gradients carry exact zeros of both signs
+    (``m`` starts from zeros here, so a first ``-0`` gradient folds to ``+0`` —
+    the one place the two Adams' first steps differ) and a late joiner."""
+    def program(comm):
+        rng = np.random.default_rng(5)
+        init = [rng.standard_normal(shape) for shape in ((7, 5), (11,), (2, 3, 4))]
+        sides = []
+        for cls in (ZeroAdamW, _OldZeroAdamW):
+            params = [Parameter(a, dtype=dtype) for a in init]
+            sides.append((params, cls(params, comm, lr=1e-2, weight_decay=weight_decay)))
+        for step in range(12):
+            scale = float(2.0 ** rng.integers(-12, 1))
+            grads = [quantize(rng.standard_normal(a.shape) * 100.0, dtype) for a in init]
+            grads[0][0, :3] = (0.0, -0.0, 0.0)
+            grads[1][::2] = -0.0
+            for params, opt in sides:
+                for i, (p, g) in enumerate(zip(params, grads)):
+                    p.grad = None if (i == 2 and step < 3) else g.copy()
+                opt.step(grad_scale=scale)
+            (new_params, new_opt), (old_params, old_opt) = sides
+            for p, q in zip(new_params, old_params):
+                assert p.data.tobytes() == q.data.tobytes()
+            new_state, old_state = _state_arrays(new_opt), _state_arrays(old_opt)
+            assert new_state.keys() == old_state.keys() == {"master", "m", "v"}
+            for key, value in new_state.items():
+                assert value.tobytes() == old_state[key].tobytes(), (step, key)
+                assert value.dtype == old_state[key].dtype
+        return True
+
+    assert all(run_spmd(program, 3).returns)
 
 
 # --------------------------------------------------------------------- #
