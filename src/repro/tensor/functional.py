@@ -47,7 +47,7 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 def gelu(x: Tensor) -> Tensor:
     """GELU with the tanh approximation (as used by GPT-style models)."""
     v = x.data
-    inner = _GELU_C * (v + 0.044715 * v**3)
+    inner = _GELU_C * (v + 0.044715 * (v * v * v))
     t = np.tanh(inner)
     data = 0.5 * v * (1.0 + t)
 
@@ -62,7 +62,8 @@ def gelu(x: Tensor) -> Tensor:
 def silu(x: Tensor) -> Tensor:
     """SiLU / swish activation: x * sigmoid(x)."""
     v = x.data
-    s = np.where(v >= 0, 1.0 / (1.0 + np.exp(-v)), np.exp(v) / (1.0 + np.exp(v)))
+    e = np.exp(-np.abs(v))  # in (0, 1]: neither branch can overflow
+    s = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     data = v * s
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:

@@ -11,6 +11,8 @@ from repro.simmpi import run_spmd
 from repro.train import Adam, SGD
 
 CFG = tiny_config(n_layers=4, num_experts=4, aux_weight=0.0)
+#: Every token reaches every expert: routing has no top-k choice to make.
+CFG_ALL_EXPERTS = tiny_config(n_layers=4, num_experts=4, top_k=4, aux_weight=0.0)
 
 
 class TestLayoutAs3DGrid:
@@ -131,7 +133,16 @@ class TestTrainer3D:
 
     def test_grid_shape_independence(self):
         """The same global problem gives the same loss trajectory under
-        every 3D factorization (placement never changes numerics)."""
+        every 3D factorization (placement never changes numerics).
+
+        Layouts sum in different orders, so parameters differ in their last
+        bits after the first update. With every token sent to every expert
+        there is no top-k choice for a last bit to flip and all three steps
+        agree to a few ulps; with top-2 of 4 that holds for steps 0 and 1
+        (before the differing bits have reached a near-tied router logit),
+        and a later step may resolve one near-tie differently."""
+        ulps = 5e-6  # ten fp32 ulps of a loss near 4.8
+        flip = 5e-3  # one top-2 flip: measured 1.1e-3 (4.78966 vs 4.78856 at step 2)
         shapes = [
             (4, 1, 1),  # pure DP over 4 pipelines of 1 stage
             (4, 2, 1),  # 2 stages x 2 pipelines
@@ -139,19 +150,24 @@ class TestTrainer3D:
             (4, 2, 2),  # full 3D on 4 ranks: 2 stages x (dp1 x ep2)
             (8, 2, 2),  # full 3D on 8 ranks
         ]
-        trajectories = {}
-        for world, pipe, ep in shapes:
-            res = run_spmd(_train_3d, world, args=(pipe, ep, 3), timeout=600)
-            trajectories[(world, pipe, ep)] = res.returns[0]
-        # Same plane width => identical global batch => identical losses.
-        # (4,1,1) plane=4; (4,1,2) plane=4; (8,2,2) plane=4 — all match.
-        a = trajectories[(4, 1, 1)]
-        assert np.allclose(trajectories[(4, 1, 2)], a, atol=1e-4)
-        assert np.allclose(trajectories[(8, 2, 2)], a, atol=1e-4)
-        # (4,2,1) and (4,2,2) have plane=2 (different data) but must agree
-        # with each other.
-        b = trajectories[(4, 2, 1)]
-        assert np.allclose(trajectories[(4, 2, 2)], b, atol=1e-4)
+        for cfg, exact_steps in ((CFG_ALL_EXPERTS, 3), (CFG, 2)):
+            trajectories = {}
+            for world, pipe, ep in shapes:
+                res = run_spmd(_train_3d, world, args=(pipe, ep, 3, cfg), timeout=600)
+                trajectories[(world, pipe, ep)] = res.returns[0]
+
+            def assert_same(shape, reference):
+                got, want = trajectories[shape], trajectories[reference]
+                np.testing.assert_allclose(got[:exact_steps], want[:exact_steps], rtol=0, atol=ulps)
+                np.testing.assert_allclose(got[exact_steps:], want[exact_steps:], rtol=0, atol=flip)
+
+            # Same plane width => identical global batch => identical losses.
+            # (4,1,1) plane=4; (4,1,2) plane=4; (8,2,2) plane=4 — all match.
+            assert_same((4, 1, 2), (4, 1, 1))
+            assert_same((8, 2, 2), (4, 1, 1))
+            # (4,2,1) and (4,2,2) have plane=2 (different data) but must agree
+            # with each other.
+            assert_same((4, 2, 2), (4, 2, 1))
 
     def test_matches_single_process_reference(self):
         """3D first-step loss == single-process loss on the global batch."""

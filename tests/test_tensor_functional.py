@@ -1,8 +1,13 @@
 """Fused NN operations: gradcheck + behavioural tests."""
 
+import re
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.tensor
 from repro.errors import ShapeError
 from repro.tensor import (
     Tensor,
@@ -19,6 +24,7 @@ from repro.tensor import (
     silu,
     softmax,
 )
+from repro.tensor.dtype import quantize
 
 RNG = np.random.default_rng(7)
 
@@ -43,6 +49,88 @@ class TestActivations:
 
     def test_silu_grad(self):
         gradcheck(lambda ins: silu(ins[0]), [t64((6,))], rtol=1e-3)
+
+    def test_silu_evaluates_the_extremes_without_overflow(self):
+        # exp(-|v|) underflowing to 0 is the right answer; anything else raises.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = silu(Tensor([-65504.0, -100.0, 100.0, 65504.0])).data
+        assert np.all(np.abs(out[:2]) < 1e-40)
+        assert out[2:].tolist() == [100.0, 65504.0]
+
+    def test_silu_bits_are_those_of_the_two_branch_form(self):
+        v = (RNG.standard_normal(100_000) * 8).astype(np.float32)
+        with np.errstate(over="ignore"):  # the form silu replaced evaluated exp(|v|) too
+            s = np.where(v >= 0, 1.0 / (1.0 + np.exp(-v)), np.exp(v) / (1.0 + np.exp(v)))
+        assert silu(Tensor(v)).data.tobytes() == (v * s).tobytes()
+
+
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+
+
+def _gelu_by_multiplication(v):
+    return 0.5 * v * (1.0 + np.tanh(_GELU_C * (v + 0.044715 * (v * v * v))))
+
+
+def _gelu_by_power(v):
+    """The forward until its cube stopped calling ``pow``."""
+    return 0.5 * v * (1.0 + np.tanh(_GELU_C * (v + 0.044715 * v**3)))
+
+
+def _median_seconds(fn, repeats=41):
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times))
+
+
+class TestGeluCube:
+    """``gelu`` cubes by multiplication: NumPy's float32 ``power`` leaves its
+    SIMD path for negative bases (~100x slower per element) and rounds
+    ``(-x)**3`` differently from ``-(x**3)``."""
+
+    @pytest.mark.parametrize("dtype", ["fp32", "fp16", "bf16"])
+    def test_forward_is_the_literal_expression(self, dtype):
+        x = Tensor(RNG.standard_normal((64, 128)) * 3, dtype=dtype)
+        want = quantize(_gelu_by_multiplication(x.data), dtype)
+        assert gelu(x).data.tobytes() == want.tobytes()
+
+    def test_an_element_alone_and_among_other_signs_gives_the_same_bits(self):
+        v = (RNG.standard_normal(2048) * 3).astype(np.float32)
+        whole = gelu(Tensor(v)).data
+        alone = np.concatenate([gelu(Tensor(v[i:i + 1])).data for i in range(v.size)])
+        assert whole.tobytes() == alone.tobytes()
+        for part in (v > 0, v < 0):
+            assert whole[part].tobytes() == gelu(Tensor(v[part])).data.tobytes()
+
+    def test_tanh_argument_is_odd_bit_for_bit(self):
+        # gelu(-v) is the forward's expression with v and tanh(...) negated:
+        # the cube at -v is exactly minus the cube at v.
+        v = np.abs(RNG.standard_normal(100_000) * 3).astype(np.float32)
+        t = np.tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
+        assert gelu(Tensor(-v)).data.tobytes() == (0.5 * -v * (1.0 + -t)).tobytes()
+
+    @pytest.mark.parametrize("dtype", ["fp32", "fp16", "bf16"])
+    def test_no_further_from_float64_than_the_power_form(self, dtype):
+        v = quantize((RNG.standard_normal(1_000_000) * 3).astype(np.float32), dtype)
+        exact = _gelu_by_multiplication(v.astype(np.float64))
+        err = np.abs(quantize(_gelu_by_multiplication(v), dtype) - exact)
+        err_power = np.abs(quantize(_gelu_by_power(v), dtype) - exact)
+        # Both cubes are within an ulp of v^3, so the errors are statistically
+        # the same: the mean ratio measured 1 +- 1e-4 by seed, the maxima equal.
+        assert err.max() <= err_power.max() * 1.01
+        assert err.mean() <= err_power.mean() * 1.001
+
+    def test_negative_inputs_cost_what_positive_ones_do(self):
+        """The scalar ``pow`` fallback made a mixed-sign input ~50x slower."""
+        mixed = Tensor(RNG.standard_normal((64, 128)), dtype="fp32")
+        positive = Tensor(np.abs(mixed.data), dtype="fp32")
+        assert _median_seconds(lambda: gelu(mixed)) <= 5 * _median_seconds(lambda: gelu(positive))
+
+    def test_no_cube_by_power_in_the_tensor_package(self):
+        for path in Path(repro.tensor.__file__).parent.glob("*.py"):
+            assert not re.search(r"\*\* *3", path.read_text()), path
 
 
 class TestSoftmax:
