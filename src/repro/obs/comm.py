@@ -21,31 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.simmpi.comm import collective_seconds
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.costmodel import NetworkModel
     from repro.simmpi.context import RunContext
 
 __all__ = ["CommRecord", "CommProfile", "profile_comm"]
-
-#: Trace ops that are modelled collectives (map to a cost-model kind).
-_COLLECTIVE_KINDS = {
-    "barrier": "barrier",
-    "bcast": "bcast",
-    "scatter": "scatter",
-    "gather": "gather",
-    "allgather": "allgather",
-    "reduce": "reduce",
-    "allreduce": "allreduce",
-    "reduce_scatter": "reduce_scatter",
-    "alltoall": "alltoall",
-    "split": "barrier",
-    "split-alloc": "barrier",
-    # Nonblocking variants price identically; their recorded seconds are
-    # the *exposed* remainder, with the hidden part carried separately.
-    "ialltoall": "alltoall",
-    "iallreduce": "allreduce",
-    "iallgather": "allgather",
-}
 
 
 @dataclass(frozen=True)
@@ -82,27 +64,6 @@ class CommRecord:
         if self.model_seconds is None or self.seconds <= 0:
             return None
         return self.model_seconds / self.seconds
-
-
-def _model_cost(
-    network: "NetworkModel",
-    op: str,
-    nbytes: int,
-    members: Sequence[int],
-) -> float | None:
-    """Cost-model seconds for one recorded call, or None if unpriceable."""
-    kind = _COLLECTIVE_KINDS.get(op)
-    if kind is None or len(members) < 2:
-        return None
-    if kind == "barrier":
-        return network.barrier_time(members)
-    if kind == "alltoall":
-        # The trace carries total bytes leaving the rank; the cost model
-        # wants the uniform per-pair payload.
-        per_pair = nbytes / max(len(members) - 1, 1)
-        return network.alltoall_time(per_pair, members)
-    fn = getattr(network, f"{kind}_time")
-    return fn(nbytes, members)
 
 
 class CommProfile:
@@ -218,10 +179,12 @@ def profile_comm(
         group = list(members) if members is not None else sorted(ranks)
         records = []
         for (op, rank), events in buckets.items():
+            # Re-priced from the table ``Comm`` itself issues from; ops it
+            # does not list (compute, p2p) and 1-rank groups stay unpriced.
             model: float | None = None
-            if network is not None:
-                costs = [_model_cost(network, op, e.nbytes, group) for e in events]
-                if all(c is not None for c in costs) and costs:
+            if network is not None and len(group) >= 2:
+                costs = [collective_seconds(network, op, e.nbytes, group) for e in events]
+                if None not in costs:
                     model = float(sum(costs))
             records.append(
                 CommRecord(

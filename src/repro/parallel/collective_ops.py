@@ -10,6 +10,11 @@ collective), exactly like torch.distributed autograd functions:
 
 Because every rank executes a structurally identical program, the backward
 collectives line up across ranks just like the forward ones.
+
+The row exchange is written once, as the handle :class:`PendingAlltoallRows`
+(issue at creation, differentiable output at ``wait()``); the blocking
+:func:`alltoall_rows` is that handle issued through ``comm.alltoall`` and
+waited on at once (DESIGN.md §8, "Blocking is issue-then-complete").
 """
 
 from __future__ import annotations
@@ -32,72 +37,44 @@ __all__ = [
 ]
 
 
-def alltoall_rows(
-    x: Tensor,
-    send_counts: Sequence[int],
-    comm: Comm,
-    algorithm: str | None = None,
-) -> tuple[Tensor, list[int]]:
-    """Exchange contiguous row blocks of ``x`` (M, D) between ranks.
+class PendingAlltoallRows:
+    """An issued exchange of contiguous row blocks; ``wait()`` -> (rows, counts).
 
-    ``send_counts[r]`` rows go to rank r (blocks are consecutive in row
-    order). Returns the received rows — ordered by source rank — and the
-    per-source receive counts.
+    ``send_counts[r]`` rows of ``x`` (M, D) go to rank r (blocks are
+    consecutive in row order). The exchange is issued (and rendezvoused)
+    at creation — by ``comm.ialltoall`` when ``nonblocking``, whose exposed
+    network cost ``wait()`` charges net of compute overlapped through
+    ``Comm.advance``; by ``comm.alltoall`` otherwise, which has charged it
+    all already. ``wait()`` builds the differentiable output either way:
+    the received rows ordered by source rank, and the per-source counts.
 
     Backward routes output gradients back with the transposed counts, so
-    token gradients flow to the rank that owns the token.
-    """
-    send_counts = [int(c) for c in send_counts]
-    if len(send_counts) != comm.size:
-        raise CommunicatorError(
-            f"send_counts must have {comm.size} entries, got {len(send_counts)}"
-        )
-    if sum(send_counts) != x.shape[0]:
-        raise CommunicatorError(
-            f"send_counts sum {sum(send_counts)} != rows {x.shape[0]}"
-        )
-    offsets = np.concatenate([[0], np.cumsum(send_counts)])
-    parts = [x.data[offsets[r]: offsets[r + 1]] for r in range(comm.size)]
-    received = comm.alltoall(parts, algorithm=algorithm)
-    recv_counts = [int(p.shape[0]) for p in received]
-    if received:
-        data = np.concatenate(received, axis=0) if sum(recv_counts) else np.empty(
-            (0,) + x.shape[1:], dtype=x.data.dtype
-        )
-    else:  # pragma: no cover - comm.size >= 1 always
-        data = np.empty((0,) + x.shape[1:], dtype=x.data.dtype)
-    recv_offsets = np.concatenate([[0], np.cumsum(recv_counts)])
-
-    def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        gparts = [g[recv_offsets[r]: recv_offsets[r + 1]] for r in range(comm.size)]
-        back = comm.alltoall(gparts, algorithm=algorithm)
-        if sum(send_counts):
-            gx = np.concatenate(back, axis=0)
-        else:
-            gx = np.empty((0,) + g.shape[1:], dtype=g.dtype)
-        return (gx,)
-
-    out = _make(data, x.dtype, (x,), backward, exact=True)
-    return out, recv_counts
-
-
-class PendingAlltoallRows:
-    """Handle from :func:`ialltoall_rows`; ``wait()`` -> (rows, counts).
-
-    The exchange was issued (and rendezvoused) at creation; ``wait()``
-    charges the exposed network cost and builds the differentiable output
-    tensor. The backward pass uses a *blocking* transposed alltoall —
-    gradient values are identical either way, and by wait time there is
-    no forward compute left to hide behind.
+    token gradients flow to the rank that owns the token. It is always a
+    *blocking* alltoall — gradient values are identical either way, and
+    by then there is no forward compute left to hide behind.
     """
 
-    def __init__(self, x: Tensor, send_counts: list[int], comm: Comm,
-                 algorithm: str | None, req):
+    def __init__(self, x: Tensor, send_counts: Sequence[int], comm: Comm,
+                 algorithm: str | None, nonblocking: bool):
+        send_counts = [int(c) for c in send_counts]
+        if len(send_counts) != comm.size:
+            raise CommunicatorError(
+                f"send_counts must have {comm.size} entries, got {len(send_counts)}"
+            )
+        if sum(send_counts) != x.shape[0]:
+            raise CommunicatorError(
+                f"send_counts sum {sum(send_counts)} != rows {x.shape[0]}"
+            )
         self._x = x
         self._send_counts = send_counts
         self._comm = comm
         self._algorithm = algorithm
-        self._req = req
+        offsets = np.concatenate([[0], np.cumsum(send_counts)])
+        parts = [x.data[offsets[r]: offsets[r + 1]] for r in range(comm.size)]
+        issue = comm.ialltoall if nonblocking else comm.alltoall
+        #: The received parts (blocking) or the request that yields them.
+        self._received = issue(parts, algorithm=algorithm)
+        self._nonblocking = nonblocking
         self._result: tuple[Tensor, list[int]] | None = None
 
     def wait(self) -> tuple[Tensor, list[int]]:
@@ -105,7 +82,7 @@ class PendingAlltoallRows:
             return self._result
         x, comm = self._x, self._comm
         send_counts, algorithm = self._send_counts, self._algorithm
-        received = self._req.wait()
+        received = self._received.wait() if self._nonblocking else self._received
         recv_counts = [int(p.shape[0]) for p in received]
         if sum(recv_counts):
             data = np.concatenate(received, axis=0)
@@ -127,33 +104,30 @@ class PendingAlltoallRows:
         return self._result
 
 
+def alltoall_rows(
+    x: Tensor,
+    send_counts: Sequence[int],
+    comm: Comm,
+    algorithm: str | None = None,
+) -> tuple[Tensor, list[int]]:
+    """Exchange contiguous row blocks of ``x`` (M, D) between ranks:
+    a blocking :class:`PendingAlltoallRows`, waited on at once."""
+    return PendingAlltoallRows(x, send_counts, comm, algorithm, nonblocking=False).wait()
+
+
 def ialltoall_rows(
     x: Tensor,
     send_counts: Sequence[int],
     comm: Comm,
     algorithm: str | None = None,
 ) -> PendingAlltoallRows:
-    """Nonblocking :func:`alltoall_rows`; returns a wait()-able handle.
+    """Nonblocking :func:`alltoall_rows`; returns the wait()-able handle.
 
-    The row exchange rendezvouses eagerly (every rank must issue its
-    nonblocking exchanges in the same order) but the network cost is
-    charged lazily at ``wait()``, net of compute overlapped through
-    ``Comm.advance`` — this is the primitive the chunked MoE dispatch
-    pipelines expert matmuls against.
+    Every rank must issue its nonblocking exchanges in the same order.
+    This is the primitive the chunked MoE dispatch pipelines expert
+    matmuls against.
     """
-    send_counts = [int(c) for c in send_counts]
-    if len(send_counts) != comm.size:
-        raise CommunicatorError(
-            f"send_counts must have {comm.size} entries, got {len(send_counts)}"
-        )
-    if sum(send_counts) != x.shape[0]:
-        raise CommunicatorError(
-            f"send_counts sum {sum(send_counts)} != rows {x.shape[0]}"
-        )
-    offsets = np.concatenate([[0], np.cumsum(send_counts)])
-    parts = [x.data[offsets[r]: offsets[r + 1]] for r in range(comm.size)]
-    req = comm.ialltoall(parts, algorithm=algorithm)
-    return PendingAlltoallRows(x, send_counts, comm, algorithm, req)
+    return PendingAlltoallRows(x, send_counts, comm, algorithm, nonblocking=True)
 
 
 def place_rows(

@@ -4,7 +4,10 @@ Gradients of replicated parameters are flattened into a single fp32 bucket
 and allreduced in one collective (the bucketing every production DP
 implementation performs — it converts many latency-bound allreduces into
 one bandwidth-bound one, which is also what the hierarchical-allreduce
-ablation F4 measures).
+ablation F4 measures). :class:`PendingGradAllreduce` is that sync written
+once — flatten, issue the bucket(s), average and unflatten at ``wait()``;
+:func:`allreduce_gradients` is its one blocking bucket and
+:func:`iallreduce_gradients` its nonblocking, overlappable flavour.
 """
 
 from __future__ import annotations
@@ -70,58 +73,64 @@ def assign_flat_params(params: Sequence[Tensor], flat: np.ndarray) -> None:
     _assign_flat(params, flat, "data")
 
 
+class PendingGradAllreduce:
+    """An issued gradient sync of ``params`` over ``comm``; ``wait()`` -> bytes.
+
+    The flat fp32 gradient vector is split into ``num_buckets`` contiguous
+    buckets, each issued (and rendezvoused) at creation as one collective:
+    ``comm.iallreduce`` when ``nonblocking`` — compute advanced via
+    ``Comm.advance`` before ``wait()`` is credited against every in-flight
+    bucket, so the sync overlaps (modelled) backward compute on the virtual
+    clock — else ``comm.allreduce``, which has charged its cost already.
+    ``wait()`` completes the buckets, writes their sum (or average) back
+    into per-parameter ``.grad`` and returns the fp32 bucket bytes moved per
+    rank. Element-wise bucket sums concatenate to exactly the whole-vector
+    sum, so every bucket count gives the same gradients bit for bit.
+    """
+
+    def __init__(self, comm: Comm, params: Sequence[Tensor], average: bool,
+                 algorithm: str | None, num_buckets: int, nonblocking: bool):
+        self._comm = comm
+        self._params = params
+        self._average = average
+        self._nonblocking = nonblocking
+        self._parts: list = []
+        self._nbytes = 0
+        if comm.size == 1:  # nothing to issue, grads stay untouched
+            return
+        flat = flatten_grads(params)
+        self._nbytes = int(flat.nbytes)
+        reduce = comm.iallreduce if nonblocking else comm.allreduce
+        #: Per bucket: the reduction (blocking) or the request yielding it.
+        self._parts = [
+            reduce(bucket, algorithm=algorithm)
+            for bucket in np.array_split(flat, min(num_buckets, max(1, flat.size)))
+        ]
+
+    def wait(self) -> int:
+        if self._parts:
+            parts = [p.wait() for p in self._parts] if self._nonblocking else self._parts
+            self._parts = []  # a second wait() must not average again
+            total = np.concatenate(parts)
+            if self._average:
+                total = total / self._comm.size
+            unflatten_grads(self._params, total)
+        return self._nbytes
+
+
 def allreduce_gradients(
     comm: Comm,
     params: Sequence[Tensor],
     average: bool = True,
     algorithm: str | None = None,
 ) -> int:
-    """Sum (or average) gradients of ``params`` across ``comm``.
+    """Sum (or average) gradients of ``params`` across ``comm``: one
+    blocking bucket of :class:`PendingGradAllreduce`, waited on at once.
 
     Returns the number of bytes moved per rank (fp32 bucket size), which
     callers can use for traffic accounting.
     """
-    if comm.size == 1:
-        return 0
-    flat = flatten_grads(params)
-    total = comm.allreduce(flat, algorithm=algorithm)
-    if average:
-        total = total / comm.size
-    unflatten_grads(params, total)
-    return int(flat.nbytes)
-
-
-class PendingGradAllreduce:
-    """Handle from :func:`iallreduce_gradients`; ``wait()`` -> bytes moved.
-
-    The bucketed allreduces were issued (and rendezvoused) at creation;
-    ``wait()`` charges the exposed network cost of each bucket, reduces the
-    buckets back into per-parameter ``.grad``, and returns the fp32 bucket
-    bytes per rank. Element-wise bucket sums concatenate to exactly the
-    whole-vector sum, so the result is numerically identical to
-    :func:`allreduce_gradients`.
-    """
-
-    def __init__(self, comm: Comm, params: Sequence[Tensor], average: bool,
-                 reqs: list, nbytes: int):
-        self._comm = comm
-        self._params = params
-        self._average = average
-        self._reqs = reqs
-        self._nbytes = nbytes
-        self._done = False
-
-    def wait(self) -> int:
-        if self._done:
-            return self._nbytes
-        self._done = True
-        if not self._reqs:  # size-1 comm: nothing was issued, grads untouched
-            return self._nbytes
-        total = np.concatenate([req.wait() for req in self._reqs])
-        if self._average:
-            total = total / self._comm.size
-        unflatten_grads(self._params, total)
-        return self._nbytes
+    return PendingGradAllreduce(comm, params, average, algorithm, 1, nonblocking=False).wait()
 
 
 def iallreduce_gradients(
@@ -131,22 +140,9 @@ def iallreduce_gradients(
     algorithm: str | None = None,
     num_buckets: int = 1,
 ) -> PendingGradAllreduce:
-    """Nonblocking :func:`allreduce_gradients`; returns a wait()-able handle.
-
-    The flat fp32 gradient vector is split into ``num_buckets`` contiguous
-    buckets, each issued as one ``comm.iallreduce`` — compute advanced via
-    ``Comm.advance`` between issue and ``wait()`` is credited against every
-    in-flight bucket, so gradient sync overlaps with (modelled) backward
-    compute on the virtual clock.
-    """
-    if num_buckets < 1:
-        raise CommunicatorError(f"num_buckets must be >= 1, got {num_buckets}")
-    if comm.size == 1:
-        return PendingGradAllreduce(comm, params, average, [], 0)
-    flat = flatten_grads(params)
-    buckets = np.array_split(flat, min(num_buckets, max(1, flat.size)))
-    reqs = [comm.iallreduce(b, algorithm=algorithm) for b in buckets]
-    return PendingGradAllreduce(comm, params, average, reqs, int(flat.nbytes))
+    """Nonblocking :func:`allreduce_gradients` in ``num_buckets`` (>= 1)
+    buckets; returns the wait()-able handle."""
+    return PendingGradAllreduce(comm, params, average, algorithm, num_buckets, nonblocking=True)
 
 
 def broadcast_parameters(comm: Comm, params: Sequence[Tensor], root: int = 0) -> None:

@@ -10,6 +10,10 @@ hierarchical) exposed as the knob experiment F3 measures.
 Numerics match the single-process :class:`~repro.models.MoELayer` exactly
 for deterministic gates (verified by equivalence tests): only the *place*
 where each expert's matmuls run changes.
+
+Dispatch -> experts -> combine is one method for any number of expert
+chunks (:meth:`DistributedMoELayer._dispatch`); the blocking exchange is
+its one-chunk case, and more chunks only change the virtual timeline.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from repro.moe.balance import load_balance_loss, router_z_loss
 from repro.moe.capacity import apply_capacity
 from repro.moe.dispatch import build_dispatch, experts_of_rank, inference_keep_mask
 from repro.moe.gates import Gate, make_gate
-from repro.parallel.collective_ops import alltoall_rows, ialltoall_rows, place_rows
+from repro.parallel.collective_ops import PendingAlltoallRows, place_rows
 from repro.simmpi import Comm
 from repro.tensor import Tensor
 from repro.tensor import ops as T
@@ -60,15 +64,16 @@ class DistributedMoELayer(Module):
     compute_hook:
         Optional callable ``(num_rows) -> None`` invoked with the number of
         expert rows processed locally; runners use it to advance the
-        virtual clock by modelled expert-compute time. The chunked path
-        calls it once per chunk (so the advanced compute can overlap the
-        in-flight exchanges); the unchunked path calls it once.
+        virtual clock by modelled expert-compute time. Called once per
+        chunk (so the advanced compute can overlap the in-flight
+        exchanges of the other chunks).
     overlap_chunks:
         Split dispatch/combine into this many chunks of local experts and
         pipeline chunk *k*'s combine (and chunk *k+1*'s dispatch) against
         chunk *k*'s expert matmuls via nonblocking alltoalls. Output is
-        bit-identical to the unchunked path; only the virtual timeline
-        changes. Clamped to the number of local experts; 1 = blocking.
+        bit-identical for every count; only the virtual timeline changes.
+        Clamped to the number of local experts; 1 = one blocking exchange
+        each way.
     """
 
     def __init__(
@@ -187,48 +192,10 @@ class DistributedMoELayer(Module):
         ]
         recv_expert_counts = comm.alltoall(counts_by_dst)  # per src: (per_rank,)
 
-        chunks = min(self.overlap_chunks, per_rank)
-        if chunks > 1:
-            # 3-6 (pipelined): chunked nonblocking dispatch/combine.
-            back_rows = self._dispatch_chunked(
-                xs, plan, recv_expert_counts, chunks
-            )
-        else:
-            # 3. Token alltoall (differentiable).
-            send_counts = [int(c.sum()) for c in counts_by_dst]
-            recv_rows, recv_counts = alltoall_rows(
-                xs, send_counts, comm, algorithm=self.alltoall_algorithm
-            )
-
-            # 4. Regroup received rows by local expert (they arrive blocked
-            #    by source, sorted by expert within each block).
-            expert_of_row = np.concatenate(
-                [np.repeat(np.arange(per_rank), c) for c in recv_expert_counts]
-            ) if recv_expert_counts else np.zeros(0, dtype=np.int64)
-            order = np.argsort(expert_of_row, kind="stable")
-            xr = gather_rows(recv_rows, order)
-            rows_per_expert = np.bincount(expert_of_row, minlength=per_rank)
-            self.last_local_rows = int(rows_per_expert.sum())
-            if self.compute_hook is not None:
-                self.compute_hook(self.last_local_rows)
-
-            # 5. Run local experts on contiguous segments.
-            outs = []
-            lo = 0
-            for e in range(per_rank):
-                hi = lo + int(rows_per_expert[e])
-                if hi > lo:
-                    outs.append(self.experts[e](xr[lo:hi]))
-                lo = hi
-            ys_sorted = T.concat(outs, axis=0) if outs else xr * 0.0
-
-            # 6. Undo the regrouping and send results home.
-            inv_order = np.argsort(order, kind="stable")
-            ys = gather_rows(ys_sorted, inv_order)
-            back_rows, back_counts = alltoall_rows(
-                ys, recv_counts, comm, algorithm=self.alltoall_algorithm
-            )
-            assert back_counts == send_counts, "alltoall transpose mismatch"
+        # 3-6. Dispatch -> local experts -> combine, in chunks of experts.
+        back_rows = self._dispatch(
+            xs, plan, recv_expert_counts, min(self.overlap_chunks, per_rank)
+        )
 
         # 7. Combine at the source with differentiable gate weights.
         w = gate_out.combine_weights[plan.token_idx, plan.slot_idx]
@@ -245,93 +212,98 @@ class DistributedMoELayer(Module):
             out = out.reshape(*orig_shape)
         return out
 
-    def _dispatch_chunked(
+    def _dispatch(
         self,
         xs: Tensor,
         plan,
         recv_expert_counts: list[np.ndarray],
         chunks: int,
     ) -> Tensor:
-        """Pipelined dispatch -> experts -> combine over local-expert chunks.
+        """Token alltoall -> local experts -> alltoall home, over ``chunks``
+        (>= 1) chunks of local experts; returns the rows in ``xs`` order.
 
         Chunk ``c`` covers local experts ``[edges[c], edges[c+1])`` on
-        every rank. Each expert still sees its full canonical row block in
-        canonical (expert, source) order, and the combined rows are
-        reassembled into ``xs`` order (pure placement, see
-        :func:`place_rows`) before the single combine-weight multiply —
-        so the output is bit-identical to the blocking path. The
-        nonblocking exchanges let chunk ``c``'s expert matmuls (charged
-        through ``compute_hook``) overlap chunk ``c+1``'s dispatch and
-        chunk ``c-1``'s combine on the virtual clock.
+        every rank. Each expert sees its full canonical row block in
+        canonical (expert, source) order, and the returned chunks are
+        reassembled into ``xs`` order by pure placement
+        (:func:`place_rows`) before the single combine-weight multiply —
+        so the output is bit-identical for every chunk count. With more
+        than one chunk the exchanges are nonblocking: chunk ``c``'s expert
+        matmuls (charged through ``compute_hook``) overlap chunk ``c+1``'s
+        dispatch and chunk ``c-1``'s combine on the virtual clock. One
+        chunk is the whole of ``xs``, exchanged by the blocking alltoall —
+        complete as issued, no rows gathered or placed.
         """
         comm = self.ep_comm
         p = comm.size
         per_rank = self.num_local_experts
         algorithm = self.alltoall_algorithm
+        nonblocking = chunks > 1
         edges = [(per_rank * c) // chunks for c in range(chunks + 1)]
-        goff = np.concatenate([[0], np.cumsum(plan.counts)])
+        goff = plan.offsets.tolist()
 
-        # Row indices of each chunk's (dest-major) slices in expert-sorted xs.
-        idx_lists: list[np.ndarray] = []
-        send_counts_list: list[list[int]] = []
-        for c in range(chunks):
-            lo_e, hi_e = edges[c], edges[c + 1]
-            pieces, counts = [], []
-            for r in range(p):
-                lo = int(goff[r * per_rank + lo_e])
-                hi = int(goff[r * per_rank + hi_e])
-                pieces.append(np.arange(lo, hi, dtype=np.int64))
-                counts.append(hi - lo)
-            idx_lists.append(np.concatenate(pieces))
-            send_counts_list.append(counts)
+        # Each chunk's (dest-major) row slices of the expert-sorted xs.
+        bounds = [
+            [(goff[r * per_rank + edges[c]], goff[r * per_rank + edges[c + 1]])
+             for r in range(p)]
+            for c in range(chunks)
+        ]
+        send_counts = [[hi - lo for lo, hi in chunk] for chunk in bounds]
+        idx_lists = [
+            np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in chunk])
+            for chunk in bounds
+        ] if nonblocking else None
 
-        pending: list = [None] * chunks
-        combines: list = [None] * chunks
-        pending[0] = ialltoall_rows(
-            gather_rows(xs, idx_lists[0]), send_counts_list[0], comm,
-            algorithm=algorithm,
-        )
-        total_rows = 0
+        def dispatch(c: int) -> PendingAlltoallRows:
+            rows = gather_rows(xs, idx_lists[c]) if nonblocking else xs
+            return PendingAlltoallRows(rows, send_counts[c], comm, algorithm, nonblocking)
+
+        pending = [dispatch(0)]
+        combines = []
+        local_rows = 0
         for c in range(chunks):
             if c + 1 < chunks:
-                pending[c + 1] = ialltoall_rows(
-                    gather_rows(xs, idx_lists[c + 1]), send_counts_list[c + 1],
-                    comm, algorithm=algorithm,
-                )
+                pending.append(dispatch(c + 1))
             recv_rows, recv_counts = pending[c].wait()
+
+            # Regroup received rows by local expert (they arrive blocked
+            # by source, sorted by expert within each block).
             lo_e, hi_e = edges[c], edges[c + 1]
             expert_of_row = np.concatenate(
                 [np.repeat(np.arange(lo_e, hi_e), src[lo_e:hi_e])
                  for src in recv_expert_counts]
-            ) if recv_expert_counts else np.zeros(0, dtype=np.int64)
+            )
             order = np.argsort(expert_of_row, kind="stable")
             xr = gather_rows(recv_rows, order)
-            rows_per_expert = np.bincount(
-                expert_of_row - lo_e, minlength=hi_e - lo_e
-            )
-            chunk_rows = int(rows_per_expert.sum())
-            total_rows += chunk_rows
+            rows_per_expert = np.bincount(expert_of_row, minlength=hi_e)[lo_e:]
+            local_rows += len(expert_of_row)
             if self.compute_hook is not None:
-                self.compute_hook(chunk_rows)
+                self.compute_hook(len(expert_of_row))
 
+            # Run local experts on contiguous segments.
             outs = []
             lo = 0
-            for i, e in enumerate(range(lo_e, hi_e)):
-                hi = lo + int(rows_per_expert[i])
+            for e, rows in zip(range(lo_e, hi_e), rows_per_expert.tolist()):
+                hi = lo + rows
                 if hi > lo:
                     outs.append(self.experts[e](xr[lo:hi]))
                 lo = hi
             ys_sorted = T.concat(outs, axis=0) if outs else xr * 0.0
-            inv_order = np.argsort(order, kind="stable")
-            ys = gather_rows(ys_sorted, inv_order)
-            combines[c] = ialltoall_rows(ys, recv_counts, comm, algorithm=algorithm)
 
+            # Undo the regrouping and send results home.
+            ys = gather_rows(ys_sorted, np.argsort(order, kind="stable"))
+            combines.append(
+                PendingAlltoallRows(ys, recv_counts, comm, algorithm, nonblocking)
+            )
+
+        self.last_local_rows = local_rows
         back_chunks = []
-        for c in range(chunks):
-            back_c, back_counts = combines[c].wait()
-            assert back_counts == send_counts_list[c], "alltoall transpose mismatch"
+        for combine, counts in zip(combines, send_counts):
+            back_c, back_counts = combine.wait()
+            assert back_counts == counts, "alltoall transpose mismatch"
             back_chunks.append(back_c)
-        self.last_local_rows = total_rows
+        if not nonblocking:
+            return back_chunks[0]
         return place_rows(back_chunks, idx_lists, int(xs.shape[0]))
 
     @property

@@ -83,7 +83,6 @@ class MoDaTrainer(DistributedStep):
         grad_clip: float | None = None,
         allreduce_algorithm: str | None = None,
         sync_initial_params: bool = True,
-        overlap_grad_sync: bool = False,
         grad_sync_buckets: int = 1,
         backward_compute_hook: Callable[[], None] | None = None,
     ):
@@ -99,7 +98,6 @@ class MoDaTrainer(DistributedStep):
             self._build_sync_groups(), optimizer, schedule, scaler, grad_clip,
             allreduce_algorithm,
         )
-        self.overlap_grad_sync = overlap_grad_sync
         self.grad_sync_buckets = grad_sync_buckets
         self.backward_compute_hook = backward_compute_hook
         if sync_initial_params:

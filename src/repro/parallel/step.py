@@ -4,7 +4,7 @@ Every strategy in this repo takes the same step on every rank::
 
     lr <- schedule                      zero_grad
     produce gradients                   (batch, scale) -> loss, {phase: virtual s}
-    average each (label, params, comm)  blocking, or bucketed behind backward
+    average each (label, params, comm)  one bucket, or several behind backward
     agree on overflow                   MAX-allreduce of the local flag
     apply_update                        skip, or clip + optimizer step
     global loss                         mean over ``loss_comm``
@@ -26,7 +26,7 @@ from repro.amp import DynamicLossScaler, grads_have_overflow
 from repro.data.loader import Batch
 from repro.errors import ConfigError
 from repro.models.module import Module, Parameter
-from repro.parallel.dp import allreduce_gradients, iallreduce_gradients
+from repro.parallel.dp import PendingGradAllreduce
 from repro.simmpi import MAX, Comm
 from repro.train.optim import Optimizer
 from repro.train.schedules import ConstantLR, LRSchedule
@@ -66,12 +66,11 @@ class DistributedStep:
     with the attached optimizer's own ``lr``.
     """
 
-    #: When set, gradient sync issues nonblocking bucketed allreduces for
-    #: every sync group, runs ``backward_compute_hook`` (which the strategy
-    #: layer uses to advance the modelled backward compute on the virtual
-    #: clock), then waits — hiding sync behind backward. Gradient values
-    #: are numerically identical to the blocking path.
-    overlap_grad_sync: bool = False
+    #: Buckets each sync group's flat gradient is allreduced in. With more
+    #: than one the buckets are nonblocking, and ``backward_compute_hook``
+    #: (which the strategy layer uses to advance the modelled backward
+    #: compute on the virtual clock) runs while they are in flight — hiding
+    #: sync behind backward. Gradient values do not depend on the count.
     grad_sync_buckets: int = 1
     backward_compute_hook: Callable[[], None] | None = None
 
@@ -117,23 +116,16 @@ class DistributedStep:
     def sync_gradients(self) -> dict[str, int]:
         """Average each sync group's gradients; bytes moved per label.
 
-        Overlapped, every group's buckets are issued before the modelled
-        backward compute and waited after it; each bucket is a contiguous
-        slice of the flat fp32 gradient, so the sums are bit-identical to
-        the single blocking allreduce.
+        Every group's buckets are issued, the modelled backward compute (if
+        any) runs, and then each group is waited on. One bucket is the
+        blocking allreduce, complete as issued, so the groups still sync
+        one after another; each bucket is a contiguous slice of the flat
+        fp32 gradient, so the sums are bit-identical for every count.
         """
-        if not self.overlap_grad_sync:
-            return {
-                label: allreduce_gradients(
-                    comm, params, average=True, algorithm=self.allreduce_algorithm
-                )
-                for label, params, comm in self.sync_groups
-            }
         pending = [
-            (label, iallreduce_gradients(
-                comm, params, average=True,
-                algorithm=self.allreduce_algorithm,
-                num_buckets=self.grad_sync_buckets,
+            (label, PendingGradAllreduce(
+                comm, params, True, self.allreduce_algorithm,
+                self.grad_sync_buckets, nonblocking=self.grad_sync_buckets > 1,
             ))
             for label, params, comm in self.sync_groups
         ]

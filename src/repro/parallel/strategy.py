@@ -484,11 +484,8 @@ class _PlaneStrategy(_LayoutRule):
             schedule=ConstantLR(cfg.lr),
             scaler=scaler,
             allreduce_algorithm=cfg.allreduce_algorithm,
-            overlap_grad_sync=overlap,
             grad_sync_buckets=cfg.overlap_chunks,
-            backward_compute_hook=(
-                backward_hook if overlap and timer is not None else None
-            ),
+            backward_compute_hook=backward_hook if overlap else None,
         )
         r = comm.rank
         data_rank = layout.dp_index_of(r) * layout.ep_size + layout.ep_rank_of(r)

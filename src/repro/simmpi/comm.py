@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -60,6 +60,73 @@ def _reduce_payloads(values: Sequence[Any], op: str) -> Any:
     for v in values[1:]:
         acc = fn(acc, v)
     return acc
+
+
+#: Trace op name -> the ``NetworkModel.<kind>_time`` formula that prices it.
+#: The one table: :class:`Comm` prices a collective from it at issue time and
+#: the comm profiler (:mod:`repro.obs.comm`) re-prices trace events from it.
+_COLLECTIVE_KINDS = {
+    "barrier": "barrier",
+    "bcast": "bcast",
+    "scatter": "scatter",
+    "gather": "gather",
+    "allgather": "allgather",
+    "reduce": "reduce",
+    "allreduce": "allreduce",
+    "reduce_scatter": "reduce_scatter",
+    "alltoall": "alltoall",
+    # Communicator management synchronizes like a barrier.
+    "split": "barrier",
+    "split-alloc": "barrier",
+    "dup": "barrier",
+    # Nonblocking variants price identically; only *when* the cost lands
+    # on the clock differs (see :func:`complete_request`).
+    "ialltoall": "alltoall",
+    "iallreduce": "allreduce",
+    "iallgather": "allgather",
+}
+
+
+def collective_seconds(
+    network: Any, op: str, nbytes: float, members: Sequence[int],
+    algorithm: str | None = None,
+) -> float | None:
+    """Cost-model seconds of one ``op`` call over ``members``, as traced.
+
+    ``nbytes`` is what the trace records for the call; ``None`` when ``op``
+    is not a modelled collective (compute, point-to-point, markers).
+    """
+    kind = _COLLECTIVE_KINDS.get(op)
+    if kind is None:
+        return None
+    if kind == "barrier":
+        return network.barrier_time(members)
+    if kind == "alltoall":
+        # The trace carries the total bytes leaving the rank; the cost
+        # model wants the uniform per-pair payload.
+        per_pair = nbytes / max(len(members) - 1, 1)
+        return network.alltoall_time(per_pair, members, algorithm=algorithm)
+    if kind == "allreduce":
+        return network.allreduce_time(nbytes, members, algorithm=algorithm)
+    return getattr(network, f"{kind}_time")(nbytes, members)
+
+
+def complete_request(
+    now: float, t_start: float, cost: float, overlapped: float
+) -> tuple[float, float, float]:
+    """The clock rule of every request: ``(new clock, hidden, exposed)``.
+
+    ``now`` is the rank's clock at completion, ``t_start`` the issue time
+    (for a collective, the latest member's arrival), ``overlapped`` the
+    compute seconds advanced in between. The op cannot finish before its
+    wire time elapses from ``t_start``; beyond that, only the *exposed*
+    remainder ``cost - min(overlapped, cost)`` pushes the clock. A blocking
+    call completes at once — ``overlapped == 0`` and ``now <= t_start`` —
+    which gives ``t_start + cost``: the same rule, nothing hidden.
+    """
+    hidden = min(overlapped, cost)
+    exposed = cost - hidden
+    return max(now + exposed, t_start + cost), hidden, exposed
 
 
 @dataclass
@@ -190,21 +257,18 @@ class _CommState:
 
 
 class _Request:
-    """An in-flight nonblocking operation with lazily-charged cost.
+    """An issued operation whose cost is charged at ``wait()``.
 
     The data plane already ran at issue time (payloads rendezvoused or
     enqueued eagerly), so completion can never deadlock — ``wait()`` is a
-    purely local accounting step. Between issue and wait,
+    purely local accounting step (:func:`complete_request`). A blocking
+    collective is a request waited on before the call returns. A
+    nonblocking one is registered on ``_World.inflight`` in between, where
     :meth:`Comm.advance` credits this rank's compute seconds into
-    ``overlapped``; ``wait()`` then charges only the *exposed* remainder
-    ``max(0, cost - overlapped)`` to the virtual clock and records the
-    hidden/exposed split in the trace and (from world rank 0, so float
-    accumulation order stays deterministic) in :class:`TrafficStats` and
-    the run's metric registry.
+    ``overlapped``; only those report their hidden/exposed split (from
+    world rank 0, so float accumulation order stays deterministic) to
+    :class:`TrafficStats` and the run's metric registry.
     """
-
-    #: Whether wait() records a collective call in TrafficStats.
-    _record_collective = True
 
     def __init__(self, comm: "Comm", op: str, value: Any, t_start: float,
                  cost: float, nbytes: int):
@@ -231,20 +295,19 @@ class _Request:
         me = comm.world_rank
         with world.lock:
             pending = world.inflight[me]
-            if self in pending:
+            was_inflight = self in pending
+            if was_inflight:
                 pending.remove(self)
-            hidden = min(self.overlapped, self._cost)
-            exposed = self._cost - hidden
             t0 = world.clocks[me]
-            # The op still cannot finish before its wire time elapses from
-            # the rendezvous point; beyond that, only the exposed part of
-            # the cost pushes this rank's clock.
-            world.clocks[me] = max(t0 + exposed, self._t_start + self._cost)
+            world.clocks[me], hidden, exposed = complete_request(
+                t0, self._t_start, self._cost, self.overlapped
+            )
             world.record(me, self.op, t0, world.clocks[me], self._nbytes,
                          hidden=hidden)
-            if self._record_collective and comm._group_rank == 0:
+            # (An isend's bytes were counted as p2p traffic at issue time.)
+            if self.op in _COLLECTIVE_KINDS and comm._group_rank == 0:
                 world.stats.record_collective(self.op, self._nbytes)
-            if me == 0:
+            if was_inflight and me == 0:
                 world.stats.record_overlap(self.op, hidden, exposed)
                 ctx = world.context
                 if ctx.observing:
@@ -263,11 +326,9 @@ class _SendRequest(_Request):
     deferred to ``wait()`` with overlap crediting.
     """
 
-    _record_collective = False  # p2p bytes were counted at issue time
-
 
 class _CollectiveRequest(_Request):
-    """Request returned by the nonblocking collectives.
+    """Request behind every collective, handed out by the nonblocking ones.
 
     Rendezvous happens eagerly at issue time (all members must issue their
     nonblocking collectives in the same order), so waits are purely local
@@ -488,17 +549,23 @@ class Comm:
             return i
         return None
 
-    def _try_recv(self, source: int, tag: int) -> tuple[Any] | None:
-        """Non-blocking receive; returns a 1-tuple or None."""
+    def _take(self, idx: int) -> Any:
+        """Consume mailbox envelope ``idx`` (lock held): wait out its arrival
+        on the clock and record the ``recv`` — polled or blocking alike."""
         world = self._state.world
-        with world.cv:
+        me = self.world_rank
+        env = world.mailboxes[me].pop(idx)
+        t0 = world.clocks[me]
+        world.clocks[me] = max(t0, env.arrival)
+        world.record(me, "recv", t0, world.clocks[me], env.nbytes)
+        return env.payload
+
+    def _try_recv(self, source: int, tag: int) -> tuple[Any] | None:
+        """Non-blocking receive: a 1-tuple, or None when nothing matches —
+        which leaves no trace (nothing recorded, no fault-plan op ticked)."""
+        with self._state.world.cv:
             idx = self._match(source, tag)
-            if idx is None:
-                return None
-            env = world.mailboxes[self.world_rank].pop(idx)
-            me = self.world_rank
-            world.clocks[me] = max(world.clocks[me], env.arrival)
-            return (env.payload,)
+            return None if idx is None else (self._take(idx),)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking receive; returns the payload object."""
@@ -507,16 +574,11 @@ class Comm:
             self._check_peer(source)
         world = self._state.world
         with world.cv:
-            me = self.world_rank
-            t0 = world.clocks[me]
             world.wait_for(lambda: self._match(source, tag) is not None,
                            f"recv(source={source}, tag={tag}) on rank {self.rank}")
             idx = self._match(source, tag)
             assert idx is not None
-            env = world.mailboxes[self.world_rank].pop(idx)
-            world.clocks[me] = max(world.clocks[me], env.arrival)
-            world.record(me, "recv", t0, world.clocks[me], env.nbytes)
-            return env.payload
+            return self._take(idx)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> _RecvRequest:
         """Non-blocking receive request; call ``.wait()`` for the payload."""
@@ -547,9 +609,8 @@ class Comm:
         """Synchronize with all members; returns (contributions, t_start).
 
         ``contributions`` maps group rank -> (cloned) payload. ``t_start``
-        is the max member clock at entry; the caller is responsible for
-        advancing clocks by the operation's modelled cost via
-        :meth:`_finish_collective`.
+        is the max member clock at entry; the caller prices the op
+        (:meth:`_collective`) and its request's ``wait()`` advances the clock.
         """
         self._tick_op()
         state = self._state
@@ -591,41 +652,23 @@ class Comm:
                 del state.rounds[seq]
             return contribs, t_start
 
-    def _finish_collective(self, op: str, t_start: float, cost: float, nbytes: int) -> None:
-        """Advance this rank's clock to the collective's completion time."""
+    def _collective(self, op: str, value: Any, t_start: float, nbytes: int,
+                    algorithm: str | None = None) -> _CollectiveRequest:
+        """Price an already-rendezvoused ``op`` into its request: a blocking
+        collective waits on it at once, a nonblocking one registers it
+        :meth:`_in_flight` and hands it to the caller."""
+        net = self._state.world.network
+        cost = 0.0 if net is None else collective_seconds(
+            net, op, nbytes, self._state.members, algorithm
+        )
+        return _CollectiveRequest(self, op, value, t_start, cost, nbytes)
+
+    def _in_flight(self, req: _CollectiveRequest) -> _CollectiveRequest:
+        """Register ``req`` so :meth:`advance` credits compute against it."""
         world = self._state.world
         with world.lock:
-            me = self.world_rank
-            t0 = world.clocks[me]
-            world.clocks[me] = max(world.clocks[me], t_start + cost)
-            world.record(me, op, t0, world.clocks[me], nbytes)
-            if self._group_rank == 0:
-                world.stats.record_collective(op, nbytes)
-
-    def _collective_cost(self, kind: str, nbytes: float, **kw: Any) -> float:
-        net = self._state.world.network
-        if net is None:
-            return 0.0
-        ranks = self._state.members
-        if kind == "barrier":
-            return net.barrier_time(ranks)
-        if kind == "bcast":
-            return net.bcast_time(nbytes, ranks)
-        if kind == "allreduce":
-            return net.allreduce_time(nbytes, ranks, algorithm=kw.get("algorithm"))
-        if kind == "reduce":
-            return net.reduce_time(nbytes, ranks)
-        if kind == "reduce_scatter":
-            return net.reduce_scatter_time(nbytes, ranks)
-        if kind == "allgather":
-            return net.allgather_time(nbytes, ranks)
-        if kind == "gather":
-            return net.gather_time(nbytes, ranks)
-        if kind == "scatter":
-            return net.scatter_time(nbytes, ranks)
-        if kind == "alltoall":
-            return net.alltoall_time(nbytes, ranks, algorithm=kw.get("algorithm"))
-        raise CommunicatorError(f"unknown collective kind {kind!r}")
+            world.inflight[self.world_rank].append(req)
+        return req
 
     # ------------------------------------------------------------------ #
     # Collectives
@@ -634,16 +677,16 @@ class Comm:
     def barrier(self) -> None:
         """Block until every member arrives; synchronizes virtual clocks."""
         _, t0 = self._rendezvous("barrier", None)
-        self._finish_collective("barrier", t0, self._collective_cost("barrier", 0), 0)
+        self._collective("barrier", None, t0, 0).wait()
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; every rank returns the value."""
         self._check_peer(root)
         contribs, t0 = self._rendezvous("bcast", obj if self.rank == root else None)
         payload = contribs[root]
-        nbytes = payload_nbytes(payload)
-        self._finish_collective("bcast", t0, self._collective_cost("bcast", nbytes), nbytes)
-        return clone_payload(payload)
+        return self._collective(
+            "bcast", clone_payload(payload), t0, payload_nbytes(payload)
+        ).wait()
 
     def scatter(self, send_list: Sequence[Any] | None, root: int = 0) -> Any:
         """Scatter a length-``size`` sequence from ``root``."""
@@ -654,40 +697,41 @@ class Comm:
                     f"scatter root must pass a sequence of length {self.size}"
                 )
         contribs, t0 = self._rendezvous("scatter", send_list if self.rank == root else None)
-        chunks = contribs[root]
-        mine = clone_payload(chunks[self.rank])
-        nbytes = payload_nbytes(mine)
-        self._finish_collective("scatter", t0, self._collective_cost("scatter", nbytes), nbytes)
-        return mine
+        mine = clone_payload(contribs[root][self.rank])
+        return self._collective("scatter", mine, t0, payload_nbytes(mine)).wait()
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one object per rank to ``root`` (None elsewhere)."""
         self._check_peer(root)
         contribs, t0 = self._rendezvous("gather", obj)
-        nbytes = payload_nbytes(obj)
-        self._finish_collective("gather", t0, self._collective_cost("gather", nbytes), nbytes)
-        if self.rank != root:
-            return None
-        return [clone_payload(contribs[i]) for i in range(self.size)]
+        value = None
+        if self.rank == root:
+            value = [clone_payload(contribs[i]) for i in range(self.size)]
+        return self._collective("gather", value, t0, payload_nbytes(obj)).wait()
+
+    def _allgather(self, op: str, obj: Any) -> _CollectiveRequest:
+        contribs, t0 = self._rendezvous(op, obj)
+        value = [clone_payload(contribs[i]) for i in range(self.size)]
+        return self._collective(op, value, t0, payload_nbytes(obj))
 
     def allgather(self, obj: Any) -> list[Any]:
         """Gather one object per rank to every rank."""
-        contribs, t0 = self._rendezvous("allgather", obj)
-        nbytes = payload_nbytes(obj)
-        self._finish_collective(
-            "allgather", t0, self._collective_cost("allgather", nbytes), nbytes
-        )
-        return [clone_payload(contribs[i]) for i in range(self.size)]
+        return self._allgather("allgather", obj).wait()
 
     def reduce(self, value: Any, op: str = SUM, root: int = 0) -> Any:
         """Reduce to ``root`` (None elsewhere)."""
         self._check_peer(root)
         contribs, t0 = self._rendezvous("reduce", value)
-        nbytes = payload_nbytes(value)
-        self._finish_collective("reduce", t0, self._collective_cost("reduce", nbytes), nbytes)
-        if self.rank != root:
-            return None
-        return _reduce_payloads([contribs[i] for i in range(self.size)], op)
+        result = None
+        if self.rank == root:
+            result = _reduce_payloads([contribs[i] for i in range(self.size)], op)
+        return self._collective("reduce", result, t0, payload_nbytes(value)).wait()
+
+    def _allreduce(self, name: str, value: Any, op: str,
+                   algorithm: str | None) -> _CollectiveRequest:
+        contribs, t0 = self._rendezvous(name, value)
+        result = _reduce_payloads([contribs[i] for i in range(self.size)], op)
+        return self._collective(name, result, t0, payload_nbytes(value), algorithm)
 
     def allreduce(self, value: Any, op: str = SUM, algorithm: str | None = None) -> Any:
         """Reduce across all ranks; every rank returns the result.
@@ -695,11 +739,7 @@ class Comm:
         ``algorithm`` optionally forces "ring" / "tree" / "hierarchical"
         for the timing model (functional result is identical).
         """
-        contribs, t0 = self._rendezvous("allreduce", value)
-        nbytes = payload_nbytes(value)
-        cost = self._collective_cost("allreduce", nbytes, algorithm=algorithm)
-        self._finish_collective("allreduce", t0, cost, nbytes)
-        return _reduce_payloads([contribs[i] for i in range(self.size)], op)
+        return self._allreduce("allreduce", value, op, algorithm).wait()
 
     def reduce_scatter(self, chunks: Sequence[Any], op: str = SUM) -> Any:
         """Each rank passes ``size`` chunks; returns the reduction of its own.
@@ -712,11 +752,24 @@ class Comm:
                 f"reduce_scatter needs {self.size} chunks, got {len(chunks)}"
             )
         contribs, t0 = self._rendezvous("reduce_scatter", list(chunks))
-        nbytes = payload_nbytes(chunks)
-        cost = self._collective_cost("reduce_scatter", nbytes)
-        self._finish_collective("reduce_scatter", t0, cost, nbytes)
-        mine = [contribs[i][self.rank] for i in range(self.size)]
-        return _reduce_payloads(mine, op)
+        mine = _reduce_payloads([contribs[i][self.rank] for i in range(self.size)], op)
+        return self._collective("reduce_scatter", mine, t0, payload_nbytes(chunks)).wait()
+
+    def _alltoall(self, op: str, send_list: Sequence[Any],
+                  algorithm: str | None) -> _CollectiveRequest:
+        if len(send_list) != self.size:
+            raise CommunicatorError(
+                f"alltoall needs {self.size} entries, got {len(send_list)}"
+            )
+        contribs, t0 = self._rendezvous(op, list(send_list))
+        # Priced by the *actual* bytes this rank puts on the wire (the local
+        # contribution stays in memory), averaged per destination — a
+        # max-based figure would overcharge skewed exchanges.
+        total = sum(
+            payload_nbytes(x) for i, x in enumerate(send_list) if i != self.rank
+        )
+        value = [clone_payload(contribs[i][self.rank]) for i in range(self.size)]
+        return self._collective(op, value, t0, total, algorithm)
 
     def alltoall(self, send_list: Sequence[Any], algorithm: str | None = None) -> list[Any]:
         """Total exchange: rank r receives ``send_list[r]`` from every rank.
@@ -724,40 +777,11 @@ class Comm:
         ``algorithm`` optionally forces "flat" / "hierarchical" for the
         timing model — this is the knob experiment F3 sweeps.
         """
-        if len(send_list) != self.size:
-            raise CommunicatorError(
-                f"alltoall needs {self.size} entries, got {len(send_list)}"
-            )
-        contribs, t0 = self._rendezvous("alltoall", list(send_list))
-        total, per_pair = self._alltoall_payload(send_list)
-        cost = self._collective_cost("alltoall", per_pair, algorithm=algorithm)
-        self._finish_collective("alltoall", t0, cost, total)
-        return [clone_payload(contribs[i][self.rank]) for i in range(self.size)]
-
-    def _alltoall_payload(self, send_list: Sequence[Any]) -> tuple[int, float]:
-        """(total off-rank bytes, mean per-destination bytes) of an exchange.
-
-        Pricing uses the *actual* bytes this rank puts on the wire (the
-        local contribution stays in memory), averaged per destination —
-        a max-based figure would overcharge skewed exchanges.
-        """
-        total = sum(
-            payload_nbytes(x) for i, x in enumerate(send_list) if i != self.rank
-        )
-        return total, total / max(self.size - 1, 1)
+        return self._alltoall("alltoall", send_list, algorithm).wait()
 
     # ------------------------------------------------------------------ #
     # Nonblocking collectives
     # ------------------------------------------------------------------ #
-
-    def _issue_collective(self, op: str, value: Any, t_start: float,
-                          cost: float, nbytes: int) -> _CollectiveRequest:
-        """Register an in-flight request for an already-rendezvoused op."""
-        world = self._state.world
-        req = _CollectiveRequest(self, op, value, t_start, cost, nbytes)
-        with world.lock:
-            world.inflight[self.world_rank].append(req)
-        return req
 
     def ialltoall(
         self, send_list: Sequence[Any], algorithm: str | None = None
@@ -769,33 +793,17 @@ class Comm:
         already materialized when this returns — only the network cost is
         charged lazily, net of compute overlapped via :meth:`advance`.
         """
-        if len(send_list) != self.size:
-            raise CommunicatorError(
-                f"alltoall needs {self.size} entries, got {len(send_list)}"
-            )
-        contribs, t0 = self._rendezvous("ialltoall", list(send_list))
-        total, per_pair = self._alltoall_payload(send_list)
-        cost = self._collective_cost("alltoall", per_pair, algorithm=algorithm)
-        value = [clone_payload(contribs[i][self.rank]) for i in range(self.size)]
-        return self._issue_collective("ialltoall", value, t0, cost, total)
+        return self._in_flight(self._alltoall("ialltoall", send_list, algorithm))
 
     def iallreduce(
         self, value: Any, op: str = SUM, algorithm: str | None = None
     ) -> _CollectiveRequest:
         """Nonblocking allreduce; ``request.wait()`` yields the reduction."""
-        contribs, t0 = self._rendezvous("iallreduce", value)
-        nbytes = payload_nbytes(value)
-        cost = self._collective_cost("allreduce", nbytes, algorithm=algorithm)
-        result = _reduce_payloads([contribs[i] for i in range(self.size)], op)
-        return self._issue_collective("iallreduce", result, t0, cost, nbytes)
+        return self._in_flight(self._allreduce("iallreduce", value, op, algorithm))
 
     def iallgather(self, obj: Any) -> _CollectiveRequest:
         """Nonblocking allgather; ``request.wait()`` yields the list."""
-        contribs, t0 = self._rendezvous("iallgather", obj)
-        nbytes = payload_nbytes(obj)
-        cost = self._collective_cost("allgather", nbytes)
-        value = [clone_payload(contribs[i]) for i in range(self.size)]
-        return self._issue_collective("iallgather", value, t0, cost, nbytes)
+        return self._in_flight(self._allgather("iallgather", obj))
 
     # ------------------------------------------------------------------ #
     # Communicator management
@@ -810,7 +818,7 @@ class Comm:
         me = self._group_rank
         sort_key = me if key is None else key
         contribs, t0 = self._rendezvous("split", (color, sort_key))
-        self._finish_collective("split", t0, self._collective_cost("barrier", 0), 0)
+        self._collective("split", None, t0, 0).wait()
         # Deterministically build one shared _CommState per color. Every
         # member computes the same membership, but the state object must be
         # shared — we stash it on the round via a second rendezvous where
@@ -848,7 +856,7 @@ class Comm:
         if self._group_rank == 0:
             state = _CommState(self._state.world, list(self._state.members))
         contribs, t0 = self._rendezvous("dup", state)
-        self._finish_collective("dup", t0, self._collective_cost("barrier", 0), 0)
+        self._collective("dup", None, t0, 0).wait()
         shared = contribs[0]
         assert isinstance(shared, _CommState)
         return Comm(shared, self._group_rank)

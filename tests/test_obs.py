@@ -315,6 +315,68 @@ class TestCommProfiler:
         assert reg.gauge("comm_utilization", op="allreduce").value > 0
 
 
+def _every_collective(comm):
+    sub = comm.Split(color=comm.rank % 2, key=comm.rank)
+    dup = comm.Dup()
+    x = np.ones(64, dtype=np.float32)
+    dup.barrier()
+    comm.bcast(x if comm.rank == 0 else None)
+    comm.scatter([x] * comm.size if comm.rank == 0 else None)
+    comm.gather(x)
+    comm.allgather(x)
+    comm.reduce(x)
+    comm.allreduce(x)
+    comm.reduce_scatter([x] * comm.size)
+    comm.alltoall([x] * comm.size)
+    reqs = [comm.ialltoall([x] * comm.size), comm.iallreduce(x), comm.iallgather(x)]
+    sub.allreduce(x)
+    for req in reqs:
+        req.wait()
+
+
+#: Each blocking collective as one call on a fresh world of 4 (clocks at 0).
+_ONE_CALL = {
+    "barrier": lambda c, x: c.barrier(),
+    "bcast": lambda c, x: c.bcast(x if c.rank == 0 else None),
+    "scatter": lambda c, x: c.scatter([x] * c.size if c.rank == 0 else None),
+    "gather": lambda c, x: c.gather(x),
+    "allgather": lambda c, x: c.allgather(x),
+    "reduce": lambda c, x: c.reduce(x),
+    "allreduce": lambda c, x: c.allreduce(x),
+    "reduce_scatter": lambda c, x: c.reduce_scatter([x] * c.size),
+    "alltoall": lambda c, x: c.alltoall([x] * c.size),
+    "dup": lambda c, x: c.Dup(),
+}
+
+
+class TestProfilerPricesFromCommsTable:
+    """The profiler re-prices from the op table ``Comm`` issues from."""
+
+    def test_every_collective_is_priced(self):
+        net = sunway_network(4, supernode_size=2)
+        res = run_spmd(_every_collective, 4, network=net, trace=True)
+        prof = profile_comm(res.context, network=net)
+        by_op = {r.op for r in prof}
+        assert {"split", "dup", "ialltoall", "iallreduce", "iallgather"} <= by_op
+        assert set(_ONE_CALL) <= by_op
+        for r in prof:
+            assert r.model_seconds is not None, r.op  # "dup" was a blank cell
+
+    @pytest.mark.parametrize("op", sorted(_ONE_CALL))
+    def test_model_seconds_is_the_recorded_charge(self, op):
+        """Entered by the full world at virtual time 0, ``0 + cost`` is exact:
+        the profiler's price of the one call is its recorded ``t_end``."""
+        net = sunway_network(4, supernode_size=2)
+        x = np.ones(96, dtype=np.float32)
+        res = run_spmd(lambda comm: _ONE_CALL[op](comm, x), 4, network=net, trace=True)
+        events = [e for e in res.context.trace_events if e.op == op]
+        assert len(events) == 4 and all(e.t_start == 0.0 for e in events)
+        for rec in profile_comm(res.context, network=net):
+            if rec.op == op:
+                t_end = next(e.t_end for e in events if e.rank == rec.rank)
+                assert rec.calls == 1 and rec.model_seconds == t_end
+
+
 # ---------------------------------------------------------------------- #
 # Router telemetry
 # ---------------------------------------------------------------------- #

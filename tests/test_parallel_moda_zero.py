@@ -22,7 +22,7 @@ from repro.train.optim import Optimizer
 CFG = tiny_config(num_experts=4)
 
 
-def _train(comm, ep_size, steps=4, optimizer="adam", seed=11, lr=3e-3):
+def _train(comm, ep_size, steps=4, optimizer="adam", seed=11, lr=3e-3, **trainer_kw):
     groups = build_groups(comm, ep_size)
     model = build_moda_model(CFG, groups, seed=seed)
     if optimizer == "adam":
@@ -31,7 +31,7 @@ def _train(comm, ep_size, steps=4, optimizer="adam", seed=11, lr=3e-3):
         opt = ZeroAdamW(model.parameters(), groups.edp, lr=lr)
     corpus = SyntheticCorpus(vocab_size=CFG.vocab_size, predictability=0.9, seed=2)
     loader = ShardedLoader(corpus, 4, 8, dp_rank=comm.rank, dp_size=comm.size)
-    trainer = MoDaTrainer(model, opt, groups)
+    trainer = MoDaTrainer(model, opt, groups, **trainer_kw)
     losses = [trainer.train_step(loader.get_batch(s)).global_loss for s in range(steps)]
     dense, expert = split_params(model)
     return {
@@ -110,6 +110,30 @@ def build_moda_model_single():
         return build_moda_model(CFG, groups, seed=11)
 
     return run_spmd(build, 1).returns[0]
+
+
+class TestGradSyncOptions:
+    """Two overlap values on the step (buckets, hook); buckets > 1 overlaps."""
+
+    def test_bucket_count_moves_op_names_not_gradients(self):
+        one = run_spmd(_train, 4, args=(2,), kwargs={"steps": 2})
+        three = run_spmd(_train, 4, args=(2,), kwargs={"steps": 2, "grad_sync_buckets": 3})
+        assert three.returns == one.returns
+        calls_one, calls_three = (r.context.stats.collective_calls for r in (one, three))
+        assert "iallreduce" not in calls_one
+        # world + 2 EDP groups sync per step, each in 3 nonblocking buckets
+        assert calls_three["iallreduce"] == 2 * 3 * 3
+        assert calls_one["allreduce"] - calls_three["allreduce"] == 2 * 3
+
+    def test_buckets_validated_in_the_constructor_and_flag_is_gone(self):
+        def program(comm):
+            with pytest.raises(ConfigError, match="grad_sync_buckets"):
+                _train(comm, 1, steps=0, grad_sync_buckets=0)
+            with pytest.raises(TypeError, match="overlap_grad_sync"):
+                _train(comm, 1, steps=0, overlap_grad_sync=True)
+            return hasattr(MoDaTrainer, "overlap_grad_sync")
+
+        assert run_spmd(program, 1).returns == [False]
 
 
 class TestShardBounds:

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.models import Parameter
 from repro.network import sunway_network
+from repro.parallel import allreduce_gradients, alltoall_rows
+from repro.parallel.collective_ops import ialltoall_rows
+from repro.parallel.dp import iallreduce_gradients
 from repro.simmpi import SUM, run_spmd
+from repro.simmpi.comm import collective_seconds, complete_request
+from repro.tensor import Tensor
 
 WORLD = 4
 
@@ -246,3 +252,167 @@ def test_alltoall_skewed_cheaper_than_uniform_max():
     t_skewed = max(run_spmd(skewed, WORLD, network=_net()).returns)
     t_uniform = max(run_spmd(uniform_big, WORLD, network=_net()).returns)
     assert t_skewed < t_uniform
+
+
+# --------------------------------------------------------------------- #
+# Blocking is issue-then-complete: X(...) == iX(...).wait(), bitwise
+# --------------------------------------------------------------------- #
+
+PAIRS = ["alltoall", "allreduce", "allgather"]
+
+
+def _call(sub, kind, nonblocking, rng_seed, world_rank):
+    """Issue one collective of ``kind`` on ``sub``; returns (request-or-value, bytes)."""
+    # Every rank draws the same stream, then takes its own row: sizes differ
+    # per (source, destination) but line up across the group.
+    sizes = np.random.default_rng(rng_seed).integers(0, 65, size=(WORLD, WORLD))
+    if kind == "alltoall":
+        arg = [np.full(int(sizes[world_rank, d]), world_rank + 0.5) for d in range(sub.size)]
+    elif kind == "allreduce":
+        arg = np.full(int(sizes[0, 0]) + 1, world_rank + 0.25)
+    else:
+        arg = np.full(int(sizes[world_rank, 0]), float(world_rank))
+    return getattr(sub, ("i" if nonblocking else "") + kind)(arg)
+
+
+def _flat_bytes(value):
+    parts = value if isinstance(value, list) else [value]
+    return [np.asarray(p).tobytes() for p in parts]
+
+
+def _pair_program(comm, kind, nonblocking, split, seed, overlap):
+    rng = np.random.default_rng(seed + 1)
+    skews = rng.uniform(0.0, 3e-5, size=WORLD)  # same draw on every rank
+    sub = comm.Split(color=comm.rank % 2, key=comm.rank) if split else comm
+    comm.advance(float(skews[comm.rank]))
+    entry = comm.clock
+    out = _call(sub, kind, nonblocking, seed, comm.rank)
+    if nonblocking:
+        if overlap:
+            comm.advance(overlap)
+        out = out.wait()
+    return _flat_bytes(out), entry, comm.clock, sub.members
+
+
+def _intervals(res, op):
+    return sorted((e.rank, e.t_start, e.t_end, e.nbytes, e.hidden)
+                  for e in res.context.trace_events if e.op == op)
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("kind", PAIRS)
+@pytest.mark.parametrize("seed", range(4))
+def test_wait_with_nothing_overlapped_is_the_blocking_call(kind, split, seed):
+    """Same result, clock and trace interval; only the op name and the
+    ``exposed_seconds`` entry tell the flavours apart."""
+    net = _net()
+    runs = {
+        nb: run_spmd(_pair_program, WORLD, network=net, trace=True,
+                     args=(kind, nb, split, seed, 0.0))
+        for nb in (False, True)
+    }
+    blocking, nonblocking = runs[False], runs[True]
+    assert nonblocking.returns == blocking.returns
+    assert _intervals(nonblocking, "i" + kind) == _intervals(blocking, kind)
+    assert len(_intervals(blocking, kind)) == WORLD
+    assert not _intervals(nonblocking, kind) and not _intervals(blocking, "i" + kind)
+    b, n = blocking.context.stats, nonblocking.context.stats
+    assert n.collective_calls["i" + kind] == b.collective_calls[kind] > 0
+    assert n.collective_bytes["i" + kind] == b.collective_bytes[kind]
+    assert n.p2p_bytes == b.p2p_bytes
+    # Only nonblocking ops report an overlap split — here, all of it exposed.
+    assert not b.exposed_seconds and not b.overlapped_seconds
+    assert list(n.exposed_seconds) == ["i" + kind]
+    assert n.overlapped_seconds["i" + kind] == 0.0
+    rank0 = next(i for i in _intervals(nonblocking, "i" + kind) if i[0] == 0)
+    members0 = nonblocking.returns[0][3]
+    cost = collective_seconds(net, kind, rank0[3], members0)
+    assert n.exposed_seconds["i" + kind] == cost
+
+
+@pytest.mark.parametrize("overlap", [0.0, 2e-6, 1.0])
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("kind", PAIRS)
+def test_completion_rule_reproduces_thread_mode_clocks(kind, split, overlap):
+    """``complete_request`` on the recorded (now, t_start, cost, overlapped)
+    gives every clock the rank threads produced, for both flavours."""
+    net = _net()
+    for nonblocking in (False, True):
+        res = run_spmd(_pair_program, WORLD, network=net, trace=True,
+                       args=(kind, nonblocking, split, 7, overlap))
+        op = ("i" if nonblocking else "") + kind
+        entries = [ret[1] for ret in res.returns]
+        for rank, now, t_end, nbytes, hidden in _intervals(res, op):
+            members = res.returns[rank][3]
+            t_start = max(entries[m] for m in members)
+            cost = collective_seconds(net, op, nbytes, members)
+            overlapped = overlap if nonblocking else 0.0
+            # ``now``: the rank's clock when it completed the request.
+            assert now == entries[rank] + overlapped
+            clock, want_hidden, exposed = complete_request(now, t_start, cost, overlapped)
+            assert (t_end, hidden) == (clock, want_hidden)
+            assert res.returns[rank][2] == clock
+            assert want_hidden + exposed == pytest.approx(cost)
+            if not nonblocking:
+                assert clock == t_start + cost and hidden == 0.0
+
+
+def test_completion_rule_is_pure_arithmetic():
+    # nothing overlapped, arrived first: pays the wait for the last arrival + cost
+    assert complete_request(1.0, 3.0, 0.5, 0.0) == (3.5, 0.0, 0.5)
+    # partly hidden: the exposed remainder lands on this rank's own clock
+    assert complete_request(3.25, 3.0, 0.5, 0.25) == (3.5, 0.25, 0.25)
+    # fully hidden: free beyond the wire-time floor
+    assert complete_request(10.0, 3.0, 0.5, 7.0) == (10.0, 0.5, 0.0)
+    assert complete_request(0.0, 0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
+
+
+# --------------------------------------------------------------------- #
+# ... and at the wrapper layer: one row exchange, one gradient sync
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("dtype", ["fp32", "fp16", "bf16"])
+def test_alltoall_rows_is_ialltoall_rows_waited(dtype):
+    def program(comm, nonblocking):
+        rng = np.random.default_rng(5)  # same stream on every rank: counts line up
+        counts = rng.integers(0, 4, size=(comm.size, comm.size))[comm.rank].tolist()
+        x = Tensor(rng.standard_normal((sum(counts), 3)), requires_grad=True, dtype=dtype)
+        if nonblocking:
+            out, recv = ialltoall_rows(x, counts, comm).wait()
+        else:
+            out, recv = alltoall_rows(x, counts, comm)
+        weights = Tensor(rng.standard_normal(out.shape), dtype=dtype)
+        (out * weights).sum().backward()
+        return out.data.tobytes(), recv, x.grad.tobytes(), comm.clock
+
+    blocking = run_spmd(program, WORLD, network=_net(), args=(False,))
+    nonblocking = run_spmd(program, WORLD, network=_net(), args=(True,))
+    assert nonblocking.returns == blocking.returns
+    assert nonblocking.context.stats.collective_calls["ialltoall"] == 1
+    # the transposed exchange of the backward is blocking on both sides
+    assert blocking.context.stats.collective_calls["alltoall"] == 2
+
+
+@pytest.mark.parametrize("num_buckets", [1, 2, 3])
+@pytest.mark.parametrize("average", [True, False])
+def test_allreduce_gradients_is_iallreduce_gradients_waited(num_buckets, average):
+    def program(comm, buckets):
+        rng = np.random.default_rng(100 + comm.rank)
+        params = [Parameter(np.zeros(shape, dtype=np.float32)) for shape in [(3, 2), (5,), (1,)]]
+        for p in params[:2]:  # the third keeps grad None: synced as zeros
+            p.grad = rng.standard_normal(p.shape).astype(np.float32)
+        if buckets is None:
+            nbytes = allreduce_gradients(comm, params, average=average)
+        else:
+            handle = iallreduce_gradients(comm, params, average=average, num_buckets=buckets)
+            nbytes = handle.wait()
+            assert handle.wait() == nbytes  # idempotent: no second averaging
+        return nbytes, [p.grad.tobytes() for p in params]
+
+    blocking = run_spmd(program, WORLD, network=_net(), args=(None,))
+    bucketed = run_spmd(program, WORLD, network=_net(), args=(num_buckets,))
+    assert bucketed.returns == blocking.returns
+    assert blocking.returns[0][0] == (6 + 5 + 1) * 4
+    assert blocking.context.stats.collective_calls["allreduce"] == 1
+    assert bucketed.context.stats.collective_calls["iallreduce"] == num_buckets

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CommunicatorError, DeadlockError
+from repro.network import sunway_network
 from repro.simmpi import ANY_SOURCE, ANY_TAG, run_spmd
 
 
@@ -102,6 +103,37 @@ def test_irecv_test_polling():
 
     res = run_spmd(program, 2)
     assert res.returns[1] == "payload"
+
+
+def test_polled_receive_is_traced_like_a_blocking_one():
+    """``irecv().test()`` completing leaves the same ``recv`` evidence as
+    ``recv()``; a poll that finds nothing leaves none and is no fault-plan op."""
+    payload = np.zeros(100)
+
+    def program(comm):
+        world = comm._state.world
+        if comm.rank == 0:
+            comm.recv(source=1, tag=9)  # wait for the poke
+            comm.send(payload, dest=1)
+            return None
+        req = comm.irecv(source=0)
+        ops_before = world.op_counters[1]
+        assert req.test() == (False, None)  # nothing sent yet
+        assert world.op_counters[1] == ops_before
+        polled_nothing = [e.op for e in world.trace_events if e.rank == 1]
+        comm.send("poke", dest=0, tag=9)
+        while not req.test()[0]:
+            pass
+        return polled_nothing, req.test()[1].nbytes
+
+    res = run_spmd(program, 2, network=sunway_network(2, supernode_size=2), trace=True)
+    polled_nothing, nbytes = res.returns[1]
+    assert polled_nothing == [] and nbytes == payload.nbytes
+    recvs = [e for e in res.context.trace_events if (e.rank, e.op) == (1, "recv")]
+    assert [e.nbytes for e in recvs] == [payload.nbytes]
+    assert recvs[0].t_end == res.clocks[1] > 0.0
+    ring = res.context.flight.dump()["ranks"][1]
+    assert [(e["op"], e["nbytes"]) for e in ring if e["op"] == "recv"] == [("recv", payload.nbytes)]
 
 
 def test_sendrecv_exchange():
