@@ -9,7 +9,10 @@ per-operation summary plus the phase breakdown and writes
 chrome://tracing to see the alltoall waves, gradient allreduces, and
 modelled compute of every rank on the simulated machine's timeline.
 
-The CLI exposes the same export: ``repro distributed --trace out.json``.
+``RunContext.write_chrome_trace`` is the one Chrome writer: one named
+``rank N`` lane per rank, plus lifecycle instants and span trees when the
+run recorded them. Its output is byte-identical across same-seed runs.
+The CLI writes the same file: ``repro distributed --trace out.json``.
 
 Run:  python examples/trace_training_step.py
 """

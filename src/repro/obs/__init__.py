@@ -14,19 +14,20 @@ supplies it, layered on the :class:`~repro.simmpi.RunContext` spine:
 - :mod:`~repro.obs.flight` — bounded per-rank flight recorder, dumped
   automatically onto fault / deadlock / overflow exceptions.
 - :mod:`~repro.obs.spans` — per-request / per-launch span trees on the
-  virtual clock, with causal parent links and Chrome flow export.
+  virtual clock, with causal parent links.
 - :mod:`~repro.obs.timeseries` — windowed rates and quantiles over the
   registry's timestamped streams (tumbling and sliding views).
 - :mod:`~repro.obs.slo` — declarative latency SLOs with a multi-window
   burn-rate alert engine.
 - :mod:`~repro.obs.export` — Prometheus text exposition, JSONL records,
-  enriched Chrome traces.
+  and the records of the one Chrome trace (rank lanes, lifecycle
+  instants, span trees) that ``RunContext.write_chrome_trace`` writes.
 - :mod:`~repro.obs.report` — deterministic markdown run reports
   (the ``report`` CLI subcommand).
 """
 
 from repro.obs.comm import CommProfile, CommRecord, profile_comm
-from repro.obs.export import registry_records, to_prometheus, write_enriched_trace
+from repro.obs.export import registry_records, to_prometheus
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import (
     NULL_REGISTRY,
@@ -84,7 +85,6 @@ __all__ = [
     "slo_report",
     "to_prometheus",
     "registry_records",
-    "write_enriched_trace",
     "collect_run_records",
     "build_report",
     "generate_run_report",

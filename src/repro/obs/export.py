@@ -1,6 +1,6 @@
-"""Exporters: Prometheus text exposition, JSONL records, enriched traces.
+"""Exporters: Prometheus text exposition, JSONL records, Chrome traces.
 
-One registry, three sinks:
+One registry, two sinks, plus the run's timeline:
 
 - :func:`to_prometheus` renders the standard text exposition format, so a
   node-local scrape target (or a file-based textfile collector) can ship
@@ -8,32 +8,30 @@ One registry, three sinks:
 - :func:`registry_records` flattens the registry into scalar-only dicts
   for :meth:`~repro.train.metrics.MetricsLogger.log_events` — the same
   JSONL stream the trainers already write, so ``report`` reads one file.
-- :func:`write_enriched_trace` upgrades the plain Chrome trace with
-  process/thread naming metadata, lifecycle-event instants, and — when
-  the context carries spans — a second ``spans`` process of causal
-  request/launch trees with flow events, so a recovery session's
-  restarts and a fleet's per-request latency breakdowns are visible on
-  the Perfetto timeline next to the collectives they interrupted.
+- :func:`chrome_trace_records` builds every record of the one Chrome
+  trace (:meth:`RunContext.write_chrome_trace` writes it): per-rank
+  slices, lifecycle-event instants, and — when the context carries
+  spans — a second ``spans`` process of causal request/launch trees with
+  flow events, so a recovery session's restarts and a fleet's
+  per-request latency breakdowns are visible on the Perfetto timeline
+  next to the collectives they interrupted. No other module knows the
+  Chrome record format.
 
 All output is deterministic: series are walked in the registry's sorted
-order and label sets render pre-sorted.
+order, label sets render pre-sorted, and rank slices sort by rank.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import ConfigError
 from repro.obs.registry import Histogram, MetricRegistry, NullRegistry
-from repro.simmpi.trace import to_chrome_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simmpi.context import RunContext
 
-__all__ = ["to_prometheus", "registry_records", "write_enriched_trace"]
+__all__ = ["to_prometheus", "registry_records", "chrome_trace_records"]
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -101,45 +99,56 @@ def registry_records(registry: "MetricRegistry | NullRegistry") -> list[dict[str
     return [{"record": "metric", **rec} for rec in registry.snapshot()]
 
 
-def write_enriched_trace(context: "RunContext", path: str | Path) -> Path:
-    """Write a Chrome trace with naming metadata and lifecycle instants.
+def _us(seconds: float) -> float:
+    """Virtual seconds on the trace viewer's microsecond axis."""
+    return seconds * 1e6
 
-    Adds ``process_name``/``thread_name`` metadata records (ranks sort as
-    ``rank N`` lanes) and one instant (``ph=i``) per lifecycle event, so
-    restarts/evictions land on the timeline. Span trees, when present,
-    render as a separate ``spans`` process (pid 1) — one lane per root
-    with ``ph=s``/``ph=f`` flow arrows binding parents to children.
-    Raises :class:`~repro.errors.ConfigError` for an untraced context,
-    same as :meth:`RunContext.write_chrome_trace`.
+
+def _slice(name: str, t_start: float, t_end: float, pid: int, tid: int,
+           args: dict[str, Any], cat: str | None = None) -> dict[str, Any]:
+    """A ``ph=X`` slice; a zero-length interval keeps a visible 0.001 us."""
+    rec: dict[str, Any] = {"name": name}
+    if cat is not None:
+        rec["cat"] = cat
+    rec.update(ph="X", ts=_us(t_start), dur=max(_us(t_end - t_start), 0.001),
+               pid=pid, tid=tid, args=args)
+    return rec
+
+
+def _lane_name(name: str, pid: int, tid: int | None = None) -> dict[str, Any]:
+    """A ``ph=M`` record naming a process (``tid`` None) or a thread lane."""
+    rec: dict[str, Any] = {"name": "process_name" if tid is None else "thread_name",
+                           "ph": "M", "pid": pid}
+    if tid is not None:
+        rec["tid"] = tid
+    rec["args"] = {"name": name}
+    return rec
+
+
+def chrome_trace_records(context: "RunContext") -> list[dict[str, Any]]:
+    """Every Chrome-tracing record of a traced context, in file order.
+
+    The ``simulated world`` process (pid 0) has one ``rank N`` lane per
+    rank holding that rank's slices, then one ``ph=i`` instant per
+    lifecycle event. Span trees, when present, form a ``spans`` process
+    (pid 1) with one lane per root and ``ph=s``/``ph=f`` flow arrows
+    binding each parent to each child. Rank slices are stably sorted by
+    rank: rank threads append concurrently, so the raw stream's order is
+    the thread scheduler's, while each rank's own program order is fixed.
     """
-    if context.trace_events is None:
-        raise ConfigError(
-            "run was not traced; launch with trace=True to export a trace"
-        )
-    records = to_chrome_trace(context.trace_events)
-    meta: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 0,
-            "args": {"name": "simulated world"},
-        }
-    ]
-    for rank in sorted({e.rank for e in context.trace_events}):
-        meta.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": rank,
-                "args": {"name": f"rank {rank}"},
-            }
-        )
-    instants = [
+    ranked = sorted(context.trace_events, key=lambda e: e.rank)
+    out = [_lane_name("simulated world", 0)]
+    out += [_lane_name(f"rank {r}", 0, r) for r in sorted({e.rank for e in ranked})]
+    for e in ranked:
+        args: dict[str, Any] = {"nbytes": e.nbytes}
+        if e.hidden:
+            args["hidden_seconds"] = e.hidden
+        out.append(_slice(e.op, e.t_start, e.t_end, 0, e.rank, args))
+    out += [
         {
             "name": event["kind"],
             "ph": "i",
-            "ts": event.get("t", 0.0) * 1e6,
+            "ts": _us(event.get("t", 0.0)),
             "pid": 0,
             "tid": 0,
             "s": "g",
@@ -147,10 +156,25 @@ def write_enriched_trace(context: "RunContext", path: str | Path) -> Path:
         }
         for event in context.events
     ]
-    span_events = context.spans.chrome_events(pid=1)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps({"traceEvents": meta + records + instants + span_events})
-    )
-    return path
+    spans = context.spans.spans
+    if spans:
+        out.append(_lane_name("spans", 1))
+        out += [_lane_name(f"{r.name} #{r.span_id}", 1, r.span_id)
+                for r in context.spans.roots()]
+    lane: dict[int, int] = {}
+    for span in spans:
+        parent = None if span.parent_id is None else spans[span.parent_id]
+        lane[span.span_id] = span.span_id if parent is None else lane[parent.span_id]
+        end = span.t_start if span.t_end is None else span.t_end
+        out.append(_slice(span.name, span.t_start, end, 1, lane[span.span_id],
+                          {k: span.attrs[k] for k in sorted(span.attrs)},
+                          cat=span.kind))
+        if parent is not None:
+            flow = {"name": "causality", "cat": span.kind}
+            out.append({**flow, "ph": "s", "id": span.span_id,
+                        "ts": _us(parent.t_start), "pid": 1,
+                        "tid": lane[parent.span_id]})
+            out.append({**flow, "ph": "f", "bp": "e", "id": span.span_id,
+                        "ts": _us(span.t_start), "pid": 1,
+                        "tid": lane[span.span_id]})
+    return out

@@ -11,9 +11,9 @@ attempt, every hedge. This module supplies that structure:
   with a parent link and free-form attributes;
 - :class:`Tracer` — an append-only span store with deterministic integer
   ids, tree navigation, session absorption (clock-offset folding, the
-  same contract as :meth:`RunContext.absorb`), a byte-stable JSON dump,
-  and Chrome-trace export (``ph=X`` slices plus ``s``/``f`` flow events
-  binding parents to children);
+  same contract as :meth:`RunContext.absorb`) and a byte-stable JSON
+  dump (``RunContext.write_chrome_trace`` draws the trees as a Chrome
+  ``spans`` process);
 - :func:`span_coverage` — the accounting invariant: the on-path children
   of a root span partition its duration into covered seconds plus
   *explicit* gaps, so every second of request latency is attributed.
@@ -260,82 +260,6 @@ class Tracer:
         path.write_text(json.dumps({"spans": self.records()}, sort_keys=True))
         return path
 
-    def chrome_events(self, pid: int = 1) -> list[dict[str, Any]]:
-        """Chrome-trace records: one ``ph=X`` slice per span plus flow
-        events (``ph=s``/``ph=f``) binding each parent to each child.
-
-        Each root tree gets its own ``tid`` lane (the root's span id),
-        so request trees render side by side; nesting within a lane
-        comes from timestamp containment, the trace viewer's native
-        rule. Virtual seconds scale to microseconds.
-        """
-        if not self._spans:
-            return []
-        tid_of: dict[int, int] = {}
-        for span in self._spans:
-            if span.parent_id is None:
-                tid_of[span.span_id] = span.span_id
-            else:
-                tid_of[span.span_id] = tid_of[span.parent_id]
-        out: list[dict[str, Any]] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "args": {"name": "spans"},
-            }
-        ]
-        for root in self.roots():
-            out.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": root.span_id,
-                    "args": {"name": f"{root.name} #{root.span_id}"},
-                }
-            )
-        for span in self._spans:
-            end = span.t_end if span.t_end is not None else span.t_start
-            out.append(
-                {
-                    "name": span.name,
-                    "cat": span.kind,
-                    "ph": "X",
-                    "ts": span.t_start * 1e6,
-                    "dur": max((end - span.t_start) * 1e6, 0.001),
-                    "pid": pid,
-                    "tid": tid_of[span.span_id],
-                    "args": {k: span.attrs[k] for k in sorted(span.attrs)},
-                }
-            )
-            if span.parent_id is not None:
-                parent = self._spans[span.parent_id]
-                out.append(
-                    {
-                        "name": "causality",
-                        "cat": span.kind,
-                        "ph": "s",
-                        "id": span.span_id,
-                        "ts": parent.t_start * 1e6,
-                        "pid": pid,
-                        "tid": tid_of[parent.span_id],
-                    }
-                )
-                out.append(
-                    {
-                        "name": "causality",
-                        "cat": span.kind,
-                        "ph": "f",
-                        "bp": "e",
-                        "id": span.span_id,
-                        "ts": span.t_start * 1e6,
-                        "pid": pid,
-                        "tid": tid_of[span.span_id],
-                    }
-                )
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Tracer({len(self._spans)} spans, {len(self.roots())} roots)"
 
@@ -394,9 +318,6 @@ class NullTracer:
         pass
 
     def records(self) -> list[dict[str, Any]]:
-        return []
-
-    def chrome_events(self, pid: int = 1) -> list[dict[str, Any]]:
         return []
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -13,7 +13,7 @@ from repro.simmpi.faults import FaultModel, FaultPlan, FlakyLink, MessageFault
 from repro.simmpi.hier import hierarchical_alltoall
 from repro.simmpi.payload import clone_payload, payload_nbytes
 from repro.simmpi.stats import TrafficStats
-from repro.simmpi.trace import TraceEvent, to_chrome_trace, write_chrome_trace
+from repro.simmpi.trace import TraceEvent
 
 __all__ = [
     "ANY_SOURCE",
@@ -33,8 +33,6 @@ __all__ = [
     "MessageFault",
     "TrafficStats",
     "TraceEvent",
-    "to_chrome_trace",
-    "write_chrome_trace",
     "clone_payload",
     "payload_nbytes",
 ]

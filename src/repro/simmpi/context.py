@@ -14,6 +14,7 @@ All timings are *virtual* seconds (the modelled machine's clock).
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import Counter
 from contextlib import contextmanager
@@ -21,12 +22,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import ConfigError
+from repro.obs.export import chrome_trace_records
 from repro.obs.flight import DEFAULT_LIMIT, FlightRecorder
 from repro.obs.registry import NULL_REGISTRY, MetricRegistry, NullRegistry
 from repro.obs.router import RouterTelemetry
 from repro.obs.spans import NULL_TRACER, NullTracer, Tracer
 from repro.simmpi.stats import TrafficStats
-from repro.simmpi.trace import TraceEvent, write_chrome_trace
+from repro.simmpi.trace import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simmpi.comm import Comm
@@ -214,10 +216,16 @@ class RunContext:
         return record
 
     def write_chrome_trace(self, path: str | Path) -> Path:
-        """Export the trace stream as Chrome-tracing JSON."""
+        """Write the run as Chrome-tracing JSON: rank lanes, lifecycle
+        instants and span trees (see
+        :func:`~repro.obs.export.chrome_trace_records`); returns the path.
+        Same context, same bytes."""
         if self.trace_events is None:
             raise ConfigError(
                 "run was not traced; launch with trace=True "
                 "(TrainingRunConfig(trace=True) or run_spmd(trace=True))"
             )
-        return write_chrome_trace(self.trace_events, path)
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({"traceEvents": chrome_trace_records(self)}))
+        return path

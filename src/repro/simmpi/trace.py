@@ -2,7 +2,8 @@
 
 When enabled, every communication operation records a (rank, op, t_start,
 t_end, nbytes) interval in *virtual* time — the timeline of the modelled
-machine, not of the host Python process. The result can be exported as a
+machine, not of the host Python process.
+:meth:`repro.simmpi.RunContext.write_chrome_trace` exports the stream as
 Chrome-tracing JSON (`chrome://tracing` / Perfetto) to see the
 communication structure of a training step: alltoall waves, allreduce
 barriers, pipeline bubbles.
@@ -10,12 +11,9 @@ barriers, pipeline bubbles.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable
 
-__all__ = ["TraceEvent", "to_chrome_trace", "write_chrome_trace"]
+__all__ = ["TraceEvent"]
 
 
 @dataclass(frozen=True)
@@ -34,35 +32,3 @@ class TraceEvent:
     @property
     def duration(self) -> float:
         return self.t_end - self.t_start
-
-
-def to_chrome_trace(events: Iterable[TraceEvent]) -> list[dict]:
-    """Convert events to Chrome-tracing "complete" (ph=X) records.
-
-    Virtual seconds are scaled to microseconds (the trace viewer's unit).
-    """
-    out = []
-    for e in events:
-        args: dict = {"nbytes": e.nbytes}
-        if e.hidden:
-            args["hidden_seconds"] = e.hidden
-        out.append(
-            {
-                "name": e.op,
-                "ph": "X",
-                "ts": e.t_start * 1e6,
-                "dur": max(e.duration * 1e6, 0.001),
-                "pid": 0,
-                "tid": e.rank,
-                "args": args,
-            }
-        )
-    return out
-
-
-def write_chrome_trace(events: Iterable[TraceEvent], path: str | Path) -> Path:
-    """Write a Chrome-tracing JSON file; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({"traceEvents": to_chrome_trace(events)}))
-    return path

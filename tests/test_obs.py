@@ -44,7 +44,6 @@ from repro.obs import (
     profile_comm,
     registry_records,
     to_prometheus,
-    write_enriched_trace,
 )
 from repro.parallel import TrainingRunConfig, run_distributed_training
 from repro.simmpi import FaultPlan, RunContext, run_spmd
@@ -232,7 +231,7 @@ class TestExporters:
             lambda comm: comm.barrier(), 2, network=flat_network(2), trace=True
         )
         res.context.record_event("restart", t=1.0, launch=2)
-        path = write_enriched_trace(res.context, tmp_path / "t.json")
+        path = res.context.write_chrome_trace(tmp_path / "t.json")
         blob = json.loads(path.read_text())
         names = {r.get("name") for r in blob["traceEvents"]}
         assert "process_name" in names and "thread_name" in names
@@ -242,7 +241,7 @@ class TestExporters:
 
     def test_enriched_trace_guard(self, tmp_path):
         with pytest.raises(ConfigError, match="trace=True"):
-            write_enriched_trace(RunContext(trace=False), tmp_path / "no.json")
+            RunContext(trace=False).write_chrome_trace(tmp_path / "no.json")
 
 
 # ---------------------------------------------------------------------- #

@@ -21,10 +21,9 @@ import pytest
 from repro.errors import ConfigError
 from repro.models import tiny_config
 from repro.obs import NULL_TRACER, Span, Tracer, span_coverage
-from repro.obs.export import write_enriched_trace
 from repro.resilience import ElasticRunConfig, Supervisor
 from repro.serve import FleetConfig, ServeConfig, run_fleet_serving
-from repro.simmpi import FaultModel
+from repro.simmpi import FaultModel, RunContext
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -127,20 +126,24 @@ class TestTracer:
         assert [s["span_id"] for s in dump["spans"]] == [0, 1]
         assert dump["spans"][0]["attr_rid"] == 3
 
-    def test_chrome_events_slices_and_flows(self):
-        tr = Tracer()
-        root = tr.add("req", 0.0, 2.0, kind="request")
-        tr.add("decode", 1.0, 2.0, parent=root, kind="decode")
-        events = tr.chrome_events(pid=7)
+    def test_chrome_events_slices_and_flows(self, tmp_path):
+        def span_records(ctx):
+            path = ctx.write_chrome_trace(tmp_path / "t.json")
+            return [e for e in json.loads(path.read_text())["traceEvents"]
+                    if e["pid"] == 1]
+
+        ctx = RunContext(trace=True)
+        root = ctx.spans.add("req", 0.0, 2.0, kind="request")
+        ctx.spans.add("decode", 1.0, 2.0, parent=root, kind="decode")
+        events = span_records(ctx)
         slices = [e for e in events if e["ph"] == "X"]
         flows = [e for e in events if e["ph"] in ("s", "f")]
         meta = [e for e in events if e["ph"] == "M"]
         assert len(slices) == 2 and len(flows) == 2
-        assert all(e["pid"] == 7 for e in slices)
         # Both spans render in the root's lane; flows bind parent->child.
         assert {e["tid"] for e in slices} == {root.span_id}
         assert {e["name"] for e in meta} == {"process_name", "thread_name"}
-        assert Tracer().chrome_events() == []
+        assert span_records(RunContext(trace=True)) == []
 
     def test_null_tracer_records_nothing(self):
         span = NULL_TRACER.add("x", 0.0, 1.0)
@@ -150,7 +153,6 @@ class TestTracer:
         assert len(NULL_TRACER) == 0
         assert NULL_TRACER.records() == []
         assert NULL_TRACER.roots() == []
-        assert NULL_TRACER.chrome_events() == []
         assert not NULL_TRACER.enabled
 
 
@@ -292,7 +294,7 @@ class TestFleetSpans:
         fleet = run_fleet_serving(
             FleetConfig(serve=_serve_cfg(trace=True), replicas=2)
         )
-        path = write_enriched_trace(fleet.context, tmp_path / "trace.json")
+        path = fleet.context.write_chrome_trace(tmp_path / "trace.json")
         events = json.loads(path.read_text())["traceEvents"]
         span_slices = [e for e in events
                        if e.get("pid") == 1 and e.get("ph") == "X"]

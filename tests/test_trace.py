@@ -7,13 +7,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.network import flat_network
-from repro.simmpi import (
-    RunContext,
-    TraceEvent,
-    run_spmd,
-    to_chrome_trace,
-    write_chrome_trace,
-)
+from repro.simmpi import RunContext, TraceEvent, run_spmd
 
 
 def program(comm):
@@ -73,6 +67,17 @@ class TestTracing:
         assert any(e.op == "allreduce" for e in res.trace)
 
 
+def _written(ctx, path):
+    """Write ``ctx`` through the one Chrome writer; return the records."""
+    return json.loads(ctx.write_chrome_trace(path).read_text())["traceEvents"]
+
+
+def _traced(events):
+    ctx = RunContext(trace=True)
+    ctx.trace_events.extend(events)
+    return ctx
+
+
 class TestChromeExport:
     def _events(self):
         return [
@@ -80,35 +85,111 @@ class TestChromeExport:
             TraceEvent(rank=1, op="compute", t_start=1e-3, t_end=2e-3),
         ]
 
-    def test_records_shape(self):
-        records = to_chrome_trace(self._events())
-        assert len(records) == 2
-        first = records[0]
-        assert first["ph"] == "X"
+    def test_records_shape(self, tmp_path):
+        records = _written(_traced(self._events()), tmp_path / "t.json")
+        slices = [r for r in records if r["ph"] == "X"]
+        assert len(slices) == 2
+        first = slices[0]
         assert first["name"] == "allreduce"
-        assert first["tid"] == 0
+        assert first["pid"] == 0 and first["tid"] == 0
         assert first["ts"] == pytest.approx(0.0)
         assert first["dur"] == pytest.approx(1000.0)  # 1 ms -> 1000 us
         assert first["args"]["nbytes"] == 4096
 
-    def test_zero_duration_clamped(self):
-        records = to_chrome_trace(
-            [TraceEvent(rank=0, op="barrier", t_start=1.0, t_end=1.0)]
-        )
-        assert records[0]["dur"] > 0
+    def test_zero_duration_clamped(self, tmp_path):
+        ctx = _traced([TraceEvent(rank=0, op="barrier", t_start=1.0, t_end=1.0)])
+        records = _written(ctx, tmp_path / "t.json")
+        assert [r["dur"] for r in records if r["ph"] == "X"] == [0.001]
 
     def test_write_file(self, tmp_path):
-        path = write_chrome_trace(self._events(), tmp_path / "trace.json")
-        blob = json.loads(path.read_text())
-        assert "traceEvents" in blob
-        assert len(blob["traceEvents"]) == 2
+        records = _written(_traced(self._events()), tmp_path / "sub" / "trace.json")
+        # One process name, two rank lanes, two slices.
+        assert [r["ph"] for r in records] == ["M", "M", "M", "X", "X"]
+        assert [r["args"]["name"] for r in records[:3]] == [
+            "simulated world", "rank 0", "rank 1",
+        ]
 
     def test_empty_event_list(self, tmp_path):
         """Zero events is a valid (if boring) trace, not an error."""
-        assert to_chrome_trace([]) == []
-        path = write_chrome_trace([], tmp_path / "empty.json")
-        blob = json.loads(path.read_text())
-        assert blob["traceEvents"] == []
+        records = _written(RunContext(trace=True), tmp_path / "empty.json")
+        assert records == [{"name": "process_name", "ph": "M", "pid": 0,
+                            "args": {"name": "simulated world"}}]
+
+    def test_exact_records_of_a_hand_built_context(self, tmp_path):
+        """Rank slices (sorted by rank, program order kept), lifecycle
+        instants, nested spans with flows, and an open span — record for
+        record, key order included."""
+        ctx = _traced([
+            TraceEvent(rank=1, op="compute", t_start=0.0, t_end=0.5),
+            TraceEvent(rank=0, op="alltoall", t_start=0.25, t_end=0.75,
+                       nbytes=64, hidden=0.125),
+        ])
+        ctx.record_event("restart", t=1.0, launch=1)
+        ctx.record_event("backoff", t=1.25, seconds=2.0)
+        root = ctx.spans.add("request", 0.0, 1.0, kind="request", rid=7)
+        child = ctx.spans.add("decode", 0.25, 0.75, parent=root, kind="decode")
+        ctx.spans.add("step", 0.5, 0.5, parent=child, kind="step")
+        ctx.spans.begin("launch", 1.5, kind="launch")
+
+        def meta(pid, name, tid=None):
+            rec = {"name": "thread_name" if tid is not None else "process_name",
+                   "ph": "M", "pid": pid}
+            if tid is not None:
+                rec["tid"] = tid
+            return {**rec, "args": {"name": name}}
+
+        def rank_slice(name, ts, dur, tid, **args):
+            return {"name": name, "ph": "X", "ts": ts, "dur": dur, "pid": 0,
+                    "tid": tid, "args": {"nbytes": 0, **args}}
+
+        def span_slice(name, ts, dur, tid, **args):
+            return {"name": name, "cat": name, "ph": "X", "ts": ts, "dur": dur,
+                    "pid": 1, "tid": tid, "args": args}
+
+        def flow(cat, span_id, ts_start, ts_finish):
+            return [
+                {"name": "causality", "cat": cat, "ph": "s", "id": span_id,
+                 "ts": ts_start, "pid": 1, "tid": 0},
+                {"name": "causality", "cat": cat, "ph": "f", "bp": "e",
+                 "id": span_id, "ts": ts_finish, "pid": 1, "tid": 0},
+            ]
+
+        expected = [
+            meta(0, "simulated world"), meta(0, "rank 0", 0), meta(0, "rank 1", 1),
+            rank_slice("alltoall", 250000.0, 500000.0, 0, nbytes=64,
+                       hidden_seconds=0.125),
+            rank_slice("event:restart", 1e6, 0.001, 0),
+            rank_slice("event:backoff", 1.25e6, 0.001, 0),
+            rank_slice("compute", 0.0, 500000.0, 1),
+            {"name": "restart", "ph": "i", "ts": 1e6, "pid": 0, "tid": 0,
+             "s": "g", "args": {"launch": 1}},
+            {"name": "backoff", "ph": "i", "ts": 1.25e6, "pid": 0, "tid": 0,
+             "s": "g", "args": {"seconds": 2.0}},
+            meta(1, "spans"), meta(1, "request #0", 0), meta(1, "launch #3", 3),
+            span_slice("request", 0.0, 1e6, 0, rid=7),
+            span_slice("decode", 250000.0, 500000.0, 0),
+            *flow("decode", 1, 0.0, 250000.0),
+            span_slice("step", 500000.0, 0.001, 0),
+            *flow("step", 2, 250000.0, 500000.0),
+            span_slice("launch", 1.5e6, 0.001, 3),
+        ]
+        path = ctx.write_chrome_trace(tmp_path / "t.json")
+        assert path.read_text() == json.dumps({"traceEvents": expected})
+
+    def test_traced_runs_write_identical_bytes(self, tmp_path):
+        """Rank threads append to the trace concurrently; the written file
+        must not depend on the thread scheduler."""
+        from repro.models import tiny_config
+        from repro.parallel import TrainingRunConfig, run_distributed_training
+
+        def run(name):
+            res = run_distributed_training(TrainingRunConfig(
+                tiny_config(num_experts=4), world_size=4, ep_size=2,
+                overlap_chunks=2, num_steps=2, trace=True,
+            ))
+            return res.context.write_chrome_trace(tmp_path / name).read_bytes()
+
+        assert run("a.json") == run("b.json")
 
     def test_context_guard_when_untraced(self, tmp_path):
         """An untraced context refuses to export and names the fix."""
@@ -157,5 +238,5 @@ class TestChromeExport:
         assert len(res.trace) > 20
         ops = {e.op for e in res.trace}
         assert "alltoall" in ops and "allreduce" in ops
-        path = write_chrome_trace(res.trace, tmp_path / "step.json")
-        assert path.exists()
+        records = _written(res.context, tmp_path / "step.json")
+        assert sum(r["ph"] == "X" for r in records) == len(res.trace)
