@@ -1,10 +1,13 @@
-"""The (single-process) Mixture-of-Experts feed-forward layer.
+"""The Mixture-of-Experts feed-forward layer.
 
-This is the *functional reference* for the parallel implementation in
-:mod:`repro.parallel.ep`: route tokens with a gate, run each expert on its
-bucket, combine with differentiable weights, and expose the auxiliary
-balance loss. The parallel version must produce exactly these numerics
-(tested by equivalence tests), only distributing the expert compute.
+:meth:`MoELayer.forward` is the one MoE forward in the repo: route tokens
+with a gate, mask capacity overflow, build the expert-sorted dispatch plan,
+run the *expert stage*, combine with differentiable weights, and expose the
+auxiliary balance loss. The expert-parallel layer
+(:class:`repro.parallel.ep.DistributedMoELayer`) is a subclass that only
+swaps three private hooks — how experts are built, what the group load is,
+and the expert stage (an alltoall exchange instead of the local loop) — so
+it produces exactly these numerics (tested bit for bit).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from repro.models.layers import MLP, Linear
 from repro.models.module import Module
 from repro.moe.balance import load_balance_loss, router_z_loss
 from repro.moe.capacity import apply_capacity
-from repro.moe.dispatch import build_dispatch, inference_keep_mask
+from repro.moe.dispatch import DispatchPlan, build_dispatch, inference_keep_mask
 from repro.moe.gates import Gate, make_gate
 from repro.tensor import Tensor
 from repro.tensor import ops as T
@@ -74,10 +77,7 @@ class MoELayer(Module):
         self.z_weight = z_weight
         self._rng = rng
         self.router = Linear(d_model, num_experts, rng, bias=False, init_std=init_std, dtype=dtype)
-        self.register_module_list(
-            "experts",
-            [MLP(d_model, d_ff, rng, init_std=init_std, dtype=dtype) for _ in range(num_experts)],
-        )
+        self.register_module_list("experts", self._build_experts(init_std, dtype))
         for expert in self.experts:
             for p in expert.parameters():
                 p.is_expert = True
@@ -88,12 +88,15 @@ class MoELayer(Module):
         #: forward graph until the step's backward consumes it, a bare
         #: scalar afterwards (it never pins a finished step's activations).
         self.last_aux_loss: Tensor | None = None
-        #: Per-expert token counts from the most recent forward.
+        #: Per-expert token counts of this layer's tokens, most recent forward.
         self.last_load: np.ndarray | None = None
+        #: Per-expert counts over the whole expert group (``last_load``
+        #: itself when the layer is its own group).
+        self.last_global_load: np.ndarray | None = None
         #: Fraction of (token, slot) pairs dropped by capacity last forward.
         self.last_drop_fraction: float = 0.0
-        #: Eval-only absolute per-expert slot bound (serving engines set
-        #: this; ``None`` disables it). See
+        #: Eval-only absolute per-expert slot bound over this layer's tokens
+        #: (serving engines set this; ``None`` disables it). See
         #: :func:`repro.moe.dispatch.inference_keep_mask`.
         self.inference_capacity: int | None = None
 
@@ -103,7 +106,9 @@ class MoELayer(Module):
             b, t, d = x.shape
             x = x.reshape(b * t, d)
         elif x.ndim != 2:
-            raise ConfigError(f"MoELayer expects (N, D) or (B, T, D), got {x.shape}")
+            raise ConfigError(
+                f"{type(self).__name__} expects (N, D) or (B, T, D), got {x.shape}"
+            )
         n, d = x.shape
         if d != self.d_model:
             raise ConfigError(f"expected last dim {self.d_model}, got {d}")
@@ -111,6 +116,7 @@ class MoELayer(Module):
         logits = self.router(x)  # (N, E)
         gate_out = self.gate(logits, self._rng)
         self.last_load = gate_out.load
+        self.last_global_load = self._group_load(gate_out.load)
 
         if self.capacity_factor is not None:
             cap = apply_capacity(gate_out.indices, self.num_experts, self.capacity_factor)
@@ -127,18 +133,8 @@ class MoELayer(Module):
             self.last_drop_fraction = float(1.0 - keep.mean())
 
         plan = build_dispatch(gate_out.indices, self.num_experts, keep)
-
-        xs = gather_rows(x, plan.token_idx)  # (M, D)
-        outs = []
-        for e in range(self.num_experts):
-            seg = plan.segment(e)
-            if seg.stop == seg.start:
-                continue
-            outs.append((seg, self.experts[e](xs[seg])))
-        if outs:
-            ys = T.concat([y for _, y in outs], axis=0)  # (M, D), expert-sorted
-        else:
-            ys = xs * 0.0
+        xs = gather_rows(x, plan.token_idx)  # (M, D), expert-sorted
+        ys = self._expert_stage(xs, plan)
 
         # Combine weights per dispatched slot, differentiable through the
         # router softmax.
@@ -162,3 +158,28 @@ class MoELayer(Module):
         router = 2 * self.d_model * self.num_experts
         expert = self.experts[0].flops_per_token if self.experts else 0
         return router + self.gate.top_k * expert
+
+    # ------------------------------------------------------------------ #
+    # The three steps an expert-parallel subclass replaces
+    # ------------------------------------------------------------------ #
+
+    def _build_experts(self, init_std: float, dtype: str) -> list[MLP]:
+        """Every expert, drawn from the layer's rng in order after the router."""
+        return [
+            MLP(self.d_model, self.d_ff, self._rng, init_std=init_std, dtype=dtype)
+            for _ in range(self.num_experts)
+        ]
+
+    def _group_load(self, load: np.ndarray) -> np.ndarray:
+        """Per-expert load over the expert group: here, this layer's own."""
+        return load
+
+    def _expert_stage(self, xs: Tensor, plan: DispatchPlan) -> Tensor:
+        """Run each expert on its segment of the expert-sorted rows ``xs``;
+        returns the outputs in ``xs`` order."""
+        outs = []
+        for e in range(self.num_experts):
+            seg = plan.segment(e)
+            if seg.stop > seg.start:
+                outs.append(self.experts[e](xs[seg]))
+        return T.concat(outs, axis=0) if outs else xs * 0.0

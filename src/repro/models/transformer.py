@@ -74,6 +74,15 @@ class TransformerBlock(Module):
         return isinstance(self.ffn, MoELayer)
 
 
+def _aux_loss_of(blocks) -> Tensor | None:
+    """Sum, in depth order, of the auxiliary losses the MoE FFNs of
+    ``blocks`` produced in their most recent forward (None if none did)."""
+    losses = [
+        b.ffn.last_aux_loss for b in blocks if b.is_moe and b.ffn.last_aux_loss is not None
+    ]
+    return sum(losses[1:], losses[0]) if losses else None
+
+
 class MoELanguageModel(Module):
     """GPT-style causal LM whose FFN layers may be Mixture-of-Experts.
 
@@ -212,19 +221,12 @@ class MoELanguageModel(Module):
         return logits
 
     def moe_layers(self) -> list[MoELayer]:
-        """All MoE FFN layers in depth order (local or distributed —
-        anything exposing the MoE bookkeeping attributes)."""
-        return [b.ffn for b in self.blocks if hasattr(b.ffn, "last_aux_loss")]
+        """All MoE FFN layers in depth order (local or distributed)."""
+        return [b.ffn for b in self.blocks if b.is_moe]
 
     def aux_loss(self) -> Tensor | None:
         """Sum of the auxiliary losses from the most recent forward."""
-        losses = [m.last_aux_loss for m in self.moe_layers() if m.last_aux_loss is not None]
-        if not losses:
-            return None
-        total = losses[0]
-        for extra in losses[1:]:
-            total = total + extra
-        return total
+        return _aux_loss_of(self.blocks)
 
     def loss(self, tokens: np.ndarray, targets: np.ndarray) -> Tensor:
         """Mean cross-entropy over (B, T) targets plus auxiliary losses."""

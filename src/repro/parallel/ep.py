@@ -7,9 +7,14 @@ transposed alltoall (both differentiable, see
 data path BaGuaLu builds on, with the alltoall algorithm (flat vs
 hierarchical) exposed as the knob experiment F3 measures.
 
-Numerics match the single-process :class:`~repro.models.MoELayer` exactly
-for deterministic gates (verified by equivalence tests): only the *place*
-where each expert's matmuls run changes.
+:class:`DistributedMoELayer` is a :class:`~repro.models.MoELayer` whose
+forward is inherited unchanged (route -> plan -> expert stage -> combine ->
+aux); it replaces only three hooks: its experts are this rank's shard, each
+seeded by global id; its group load is allreduced over the EP group; and
+its expert stage is the counts alltoall followed by :meth:`_dispatch`. So
+numerics match the local layer exactly for deterministic gates (verified by
+equivalence tests): only the *place* where each expert's matmuls run
+changes.
 
 Dispatch -> experts -> combine is one method for any number of expert
 chunks (:meth:`DistributedMoELayer._dispatch`); the blocking exchange is
@@ -24,30 +29,29 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.models.configs import ModelConfig
-from repro.models.layers import MLP, Linear
-from repro.models.module import Module
-from repro.moe.balance import load_balance_loss, router_z_loss
-from repro.moe.capacity import apply_capacity
-from repro.moe.dispatch import build_dispatch, experts_of_rank, inference_keep_mask
-from repro.moe.gates import Gate, make_gate
+from repro.models.layers import MLP
+from repro.models.moe_layer import MoELayer
+from repro.moe.dispatch import DispatchPlan, experts_of_rank
+from repro.moe.gates import Gate
 from repro.parallel.collective_ops import PendingAlltoallRows, place_rows
 from repro.simmpi import Comm
 from repro.tensor import Tensor
 from repro.tensor import ops as T
-from repro.tensor.functional import gather_rows, scatter_rows
+from repro.tensor.functional import gather_rows
 from repro.utils.seeding import derive_seed
 
 __all__ = ["DistributedMoELayer", "ep_moe_factory"]
 
 
-class DistributedMoELayer(Module):
+class DistributedMoELayer(MoELayer):
     """MoE feed-forward layer sharded over an EP communicator.
+
+    Parameters not listed are those of :class:`~repro.models.MoELayer`.
 
     Parameters
     ----------
-    d_model / d_ff / num_experts:
-        Layer dimensions; ``num_experts`` must be divisible by
-        ``ep_comm.size``.
+    num_experts:
+        Total experts; ``ep_comm.size`` must divide it.
     ep_comm:
         The expert-parallel communicator (each member holds
         ``num_experts / size`` experts, blocked placement).
@@ -96,126 +100,56 @@ class DistributedMoELayer(Module):
         compute_hook: Callable[[int], None] | None = None,
         overlap_chunks: int = 1,
     ):
-        super().__init__()
-        if num_experts % ep_comm.size != 0:
-            raise ConfigError(
-                f"ep size {ep_comm.size} must divide num_experts={num_experts}"
-            )
         if overlap_chunks < 1:
             raise ConfigError(f"overlap_chunks must be >= 1, got {overlap_chunks}")
-        self.d_model = d_model
-        self.d_ff = d_ff
-        self.num_experts = num_experts
+        # Plain attributes set before MoELayer.__init__, which calls
+        # _build_experts: this rank's shard needs them.
         self.ep_comm = ep_comm
-        self.num_local_experts = num_experts // ep_comm.size
         self.global_expert_ids = experts_of_rank(ep_comm.rank, num_experts, ep_comm.size)
-        self.capacity_factor = capacity_factor
-        self.aux_weight = aux_weight
-        self.z_weight = z_weight
+        self.num_local_experts = len(self.global_expert_ids)
+        self._expert_seed = (seed, layer_id)
         self.alltoall_algorithm = alltoall_algorithm
         self.compute_hook = compute_hook
         self.overlap_chunks = overlap_chunks
-        self._rng = shared_rng
-
-        self.router = Linear(
-            d_model, num_experts, shared_rng, bias=False, init_std=init_std, dtype=dtype
-        )
-        local = []
-        for gid in self.global_expert_ids:
-            erng = np.random.default_rng(derive_seed(seed, "expert", layer_id, gid))
-            local.append(MLP(d_model, d_ff, erng, init_std=init_std, dtype=dtype))
-        self.register_module_list("experts", local)
-        for expert in local:
-            for p in expert.parameters():
-                p.is_expert = True
-
-        self.gate: Gate = (
-            gate if isinstance(gate, Gate) else make_gate(gate, num_experts, top_k)
-        )
-        #: As on :class:`~repro.models.MoELayer`: a graph head until the
-        #: step's backward, a bare scalar after it.
-        self.last_aux_loss: Tensor | None = None
-        #: Local routing load over *global* experts (this rank's tokens).
-        self.last_load: np.ndarray | None = None
-        #: Group-wide load (allreduced over the EP group).
-        self.last_global_load: np.ndarray | None = None
-        self.last_drop_fraction: float = 0.0
         #: Rows this rank's experts processed in the last forward.
         self.last_local_rows: int = 0
-        #: Eval-only absolute per-expert slot bound over *this rank's*
-        #: tokens (serving engines set this; ``None`` disables it).
-        self.inference_capacity: int | None = None
+        super().__init__(
+            d_model, d_ff, num_experts, shared_rng, gate=gate, top_k=top_k,
+            capacity_factor=capacity_factor, aux_weight=aux_weight,
+            z_weight=z_weight, init_std=init_std, dtype=dtype,
+        )
 
-    # ------------------------------------------------------------------ #
+    def _build_experts(self, init_std: float, dtype: str) -> list[MLP]:
+        """This rank's shard, each expert from its own global-id seed."""
+        seed, layer_id = self._expert_seed
+        return [
+            MLP(self.d_model, self.d_ff,
+                np.random.default_rng(derive_seed(seed, "expert", layer_id, gid)),
+                init_std=init_std, dtype=dtype)
+            for gid in self.global_expert_ids
+        ]
 
-    def forward(self, x: Tensor) -> Tensor:
-        orig_shape = x.shape
-        if x.ndim == 3:
-            b, t, d = x.shape
-            x = x.reshape(b * t, d)
-        elif x.ndim != 2:
-            raise ConfigError(
-                f"DistributedMoELayer expects (N, D) or (B, T, D), got {x.shape}"
-            )
-        n, d = x.shape
-        comm = self.ep_comm
-        p = comm.size
+    def _group_load(self, load: np.ndarray) -> np.ndarray:
+        """Per-expert load allreduced over the EP group."""
+        return self.ep_comm.allreduce(load)
+
+    def _expert_stage(self, xs: Tensor, plan: DispatchPlan) -> Tensor:
+        """Tell each destination how many rows it gets per local expert,
+        then dispatch -> local experts -> combine in chunks of experts."""
+        p = self.ep_comm.size
         per_rank = self.num_local_experts
-
-        # 1. Route locally.
-        logits = self.router(x)
-        gate_out = self.gate(logits, self._rng)
-        self.last_load = gate_out.load
-        self.last_global_load = comm.allreduce(gate_out.load)
-
-        if self.capacity_factor is not None:
-            cap = apply_capacity(gate_out.indices, self.num_experts, self.capacity_factor)
-            keep = cap.keep_mask
-            self.last_drop_fraction = cap.drop_fraction
-        else:
-            keep = None
-            self.last_drop_fraction = 0.0
-        if not self.training and self.inference_capacity is not None:
-            icap = inference_keep_mask(
-                gate_out.indices, self.num_experts, self.inference_capacity
-            )
-            keep = icap if keep is None else keep & icap
-            self.last_drop_fraction = float(1.0 - keep.mean())
-
-        plan = build_dispatch(gate_out.indices, self.num_experts, keep)
-        xs = gather_rows(x, plan.token_idx)  # (M, D), global-expert-sorted
-
-        # 2. Exchange metadata: how many rows for each of the destination's
-        #    local experts am I sending?
         counts_by_dst = [
             plan.counts[r * per_rank: (r + 1) * per_rank].copy() for r in range(p)
         ]
-        recv_expert_counts = comm.alltoall(counts_by_dst)  # per src: (per_rank,)
-
-        # 3-6. Dispatch -> local experts -> combine, in chunks of experts.
-        back_rows = self._dispatch(
+        recv_expert_counts = self.ep_comm.alltoall(counts_by_dst)  # per src: (per_rank,)
+        return self._dispatch(
             xs, plan, recv_expert_counts, min(self.overlap_chunks, per_rank)
         )
-
-        # 7. Combine at the source with differentiable gate weights.
-        w = gate_out.combine_weights[plan.token_idx, plan.slot_idx]
-        combined = back_rows * w.reshape(-1, 1)
-        out = scatter_rows(combined, plan.token_idx, n)
-
-        aux = load_balance_loss(gate_out.probs, gate_out.indices, self.num_experts)
-        aux = aux * self.aux_weight
-        if self.z_weight > 0:
-            aux = aux + router_z_loss(logits) * self.z_weight
-        self.last_aux_loss = aux
-
-        if len(orig_shape) == 3:
-            out = out.reshape(*orig_shape)
-        return out
 
     def _dispatch(
         self,
         xs: Tensor,
-        plan,
+        plan: DispatchPlan,
         recv_expert_counts: list[np.ndarray],
         chunks: int,
     ) -> Tensor:
@@ -306,13 +240,6 @@ class DistributedMoELayer(Module):
             return back_chunks[0]
         return place_rows(back_chunks, idx_lists, int(xs.shape[0]))
 
-    @property
-    def flops_per_token(self) -> int:
-        """Forward FLOPs per token: router + top_k expert MLPs."""
-        router = 2 * self.d_model * self.num_experts
-        expert = self.experts[0].flops_per_token if self.experts else 0
-        return router + self.gate.top_k * expert
-
 
 def ep_moe_factory(
     config: ModelConfig,
@@ -330,10 +257,6 @@ def ep_moe_factory(
     :class:`~repro.parallel.pipeline.GPipeRunner`, so all of them draw the
     same weight streams for the same ``seed``.
     """
-    if config.num_experts % ep_comm.size != 0:
-        raise ConfigError(
-            f"ep_size={ep_comm.size} must divide num_experts={config.num_experts}"
-        )
 
     def moe_factory(layer_idx: int, rng: np.random.Generator) -> DistributedMoELayer:
         return DistributedMoELayer(

@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.models.configs import ModelConfig
 from repro.models.module import Module
-from repro.models.transformer import MoELanguageModel
+from repro.models.transformer import MoELanguageModel, _aux_loss_of
 from repro.simmpi import Comm
 from repro.tensor import Tensor, cross_entropy
 
@@ -109,17 +109,8 @@ class PipelineStage(Module):
         return x
 
     def aux_loss(self) -> Tensor | None:
-        losses = [
-            b.ffn.last_aux_loss
-            for b in self.blocks
-            if hasattr(b.ffn, "last_aux_loss") and b.ffn.last_aux_loss is not None
-        ]
-        if not losses:
-            return None
-        total = losses[0]
-        for extra in losses[1:]:
-            total = total + extra
-        return total
+        """Sum of this stage's auxiliary losses from the most recent forward."""
+        return _aux_loss_of(self.blocks)
 
 
 @dataclass

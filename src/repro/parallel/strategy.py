@@ -36,6 +36,7 @@ from repro.data import ShardedLoader, SyntheticCorpus
 from repro.errors import ConfigError
 from repro.layout import ParallelLayout, validate_layout_for_model
 from repro.models.configs import ModelConfig
+from repro.models.moe_layer import MoELayer
 from repro.models.transformer import MoELanguageModel
 from repro.parallel.ep import ep_moe_factory
 from repro.parallel.grid3d import Trainer3D, build_groups3d
@@ -79,13 +80,9 @@ __all__ = [
 StepOutcome = StepResult
 
 
-def _imbalance_of(modules) -> float:
-    """Max/mean expert load over every MoE layer in ``modules``."""
-    loads = [
-        m.last_global_load
-        for m in modules
-        if getattr(m, "last_global_load", None) is not None
-    ]
+def _imbalance_of(moe_layers: list[MoELayer]) -> float:
+    """Max/mean expert load summed over ``moe_layers``."""
+    loads = [m.last_global_load for m in moe_layers if m.last_global_load is not None]
     if not loads:
         return 1.0
     total = np.sum(loads, axis=0).astype(np.float64)
@@ -94,7 +91,7 @@ def _imbalance_of(modules) -> float:
 
 
 def _emit_step_observations(comm, step: int, global_loss: float,
-                            modules, strategy_name: str) -> None:
+                            moe_layers: list[MoELayer], strategy_name: str) -> None:
     """Emit one step's metrics + router telemetry into the run's spine.
 
     Called by every rank after each step; only world rank 0 of an
@@ -105,15 +102,14 @@ def _emit_step_observations(comm, step: int, global_loss: float,
     context = comm.context
     if not context.observing or comm.rank != 0:
         return
-    modules = list(modules)
     registry = context.metrics
     registry.counter("train_steps", strategy=strategy_name).inc()
     registry.gauge("train_loss", strategy=strategy_name).set(global_loss)
     registry.histogram("train_imbalance", strategy=strategy_name).observe(
-        _imbalance_of(modules)
+        _imbalance_of(moe_layers)
     )
     if context.router is not None:
-        context.router.record_layers(step, modules)
+        context.router.record_layers(step, moe_layers)
 
 
 class RankTrainer:
@@ -140,7 +136,7 @@ class RankTrainer:
         #: share only — the trainer's ``backward_compute_hook`` advances the
         #: backward share while the bucketed allreduces are in flight.
         self.dense_seconds = dense_seconds
-        self.moe_layers = [m for m in model.modules() if hasattr(m, "last_global_load")]
+        self.moe_layers = [m for m in model.modules() if isinstance(m, MoELayer)]
 
     def train_step(self, step: int) -> StepOutcome:
         """Run distributed step ``step`` on this rank (collective call)."""

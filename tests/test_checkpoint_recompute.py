@@ -141,6 +141,31 @@ class TestModelRecompute:
         assert out.shape == (1, 4, cfg.vocab_size)
 
 
+class TestRecomputeUnderParallelStrategies:
+    """Every strategy builds its MoE FFNs as ``DistributedMoELayer``; those
+    are MoE layers too, so recompute leaves them unwrapped. Checkpointing
+    one would re-run its collectives inside backward and compute its aux
+    loss under ``no_grad``, taking the router's balance-loss gradient."""
+
+    @pytest.mark.parametrize(
+        "world,ep,pp", [(2, 2, 1), (4, 2, 1), (4, 2, 2), (1, 1, 1)],
+        ids=["w2-ep2", "w4-ep2", "w4-pp2-ep2", "w1"],
+    )
+    def test_recompute_changes_no_loss_traffic_or_clock(self, world, ep, pp):
+        from repro.parallel import TrainingRunConfig, run_distributed_training
+
+        def run(recompute):
+            return run_distributed_training(TrainingRunConfig(
+                model=tiny_config(recompute=recompute), world_size=world,
+                ep_size=ep, pp_size=pp, num_steps=3, batch_size=4, seq_len=8,
+            ))
+
+        plain, ckpt = run(False), run(True)
+        assert ckpt.losses == plain.losses
+        assert ckpt.traffic == plain.traffic
+        assert ckpt.simulated_time == plain.simulated_time
+
+
 class TestPerfRecomputeKnob:
     def test_memory_drops_with_recompute(self):
         from repro.models import bagualu_14_5t

@@ -4,7 +4,7 @@ equivalence with the single-process reference layer."""
 import numpy as np
 import pytest
 
-from repro.errors import CommunicatorError
+from repro.errors import CommunicatorError, ConfigError
 from repro.models import MoELayer
 from repro.parallel import DistributedMoELayer, allreduce_sum, alltoall_rows
 from repro.simmpi import run_spmd
@@ -144,7 +144,7 @@ class TestDistributedEquivalence:
 
         res = run_spmd(program, ep_size)
         got = np.concatenate(res.returns, axis=0)
-        assert np.allclose(got, ref_out, atol=1e-5)
+        assert np.array_equal(got, ref_out)
 
     def test_gradients_flow_through_exchange(self):
         def program(comm):
@@ -227,5 +227,79 @@ class TestDistributedEquivalence:
         def program(comm):
             DistributedMoELayer(8, 16, 5, comm, shared_rng=np.random.default_rng(1))
 
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError, match="must divide num_experts"):
             run_spmd(program, 2)
+
+
+def _load_reference(layer, state):
+    """Copy the reference layer's router and this shard's experts into ``layer``."""
+    layer.router.weight.data = state["router.weight"].copy()
+    for li, gid in enumerate(layer.global_expert_ids):
+        for pname, dst in layer.experts[li].named_parameters():
+            dst.data = state[f"experts.{gid}.{pname}"].copy()
+
+
+def _forward_backward(layer, xdata, gids):
+    """Output, x.grad, router grad and {(gid, name): grad} of one
+    ``(out * out).sum() + aux`` step."""
+    x = Tensor(xdata.copy(), requires_grad=True)
+    out = layer(x)
+    ((out * out).sum() + layer.last_aux_loss).backward()
+    experts = {
+        (gid, name): p.grad.copy()
+        for gid, expert in zip(gids, layer.experts)
+        for name, p in expert.named_parameters()
+        if p.grad is not None
+    }
+    return out.data.copy(), x.grad.copy(), layer.router.weight.grad.copy(), experts
+
+
+class TestBitExactAgainstLocal:
+    """The distributed layer is the local one with a different expert
+    stage: each expert sees the same rows in the same order, so outputs and
+    expert gradients match the local layer bit for bit. At ep 1 the aux
+    loss and capacity see the same tokens too, so x.grad and the router
+    gradient match as well; above it both are per rank by design."""
+
+    NUM_EXPERTS, D_MODEL, D_FF, ROWS = 8, 8, 16, 6
+
+    def _compare(self, ep_size, top_k, capacity, overlap_chunks):
+        kw = dict(gate="topk", top_k=top_k, capacity_factor=capacity, aux_weight=1e-2)
+        ref = MoELayer(self.D_MODEL, self.D_FF, self.NUM_EXPERTS,
+                       np.random.default_rng(3), **kw)
+        state = ref.state_dict()
+        full_x = np.random.default_rng(0).normal(
+            size=(self.ROWS * ep_size, self.D_MODEL)).astype(np.float32)
+        want = _forward_backward(ref, full_x, range(self.NUM_EXPERTS))
+
+        def program(comm):
+            layer = DistributedMoELayer(
+                self.D_MODEL, self.D_FF, self.NUM_EXPERTS, comm,
+                shared_rng=np.random.default_rng(1), overlap_chunks=overlap_chunks, **kw,
+            )
+            _load_reference(layer, state)
+            lo = comm.rank * self.ROWS
+            return _forward_backward(layer, full_x[lo: lo + self.ROWS],
+                                     layer.global_expert_ids)
+
+        ranks = run_spmd(program, ep_size).returns
+        assert np.array_equal(np.concatenate([r[0] for r in ranks]), want[0])
+        experts = {k: v for r in ranks for k, v in r[3].items()}
+        assert experts.keys() == want[3].keys()
+        for key, grad in want[3].items():
+            assert np.array_equal(experts[key], grad), key
+        return ranks, want
+
+    @pytest.mark.parametrize("top_k", [1, 2])
+    @pytest.mark.parametrize("capacity", [None, 1.25])
+    @pytest.mark.parametrize("overlap_chunks", [1, 2])
+    def test_ep1_matches_every_gradient(self, top_k, capacity, overlap_chunks):
+        (got,), want = self._compare(1, top_k, capacity, overlap_chunks)
+        assert np.array_equal(got[1], want[1])  # x.grad
+        assert np.array_equal(got[2], want[2])  # router
+
+    @pytest.mark.parametrize("ep_size", [2, 4])
+    @pytest.mark.parametrize("top_k", [1, 2])
+    @pytest.mark.parametrize("overlap_chunks", [1, 2])
+    def test_sharded_matches_output_and_experts(self, ep_size, top_k, overlap_chunks):
+        self._compare(ep_size, top_k, None, overlap_chunks)
