@@ -36,6 +36,11 @@ class Parameter(Tensor):
 class Module:
     """Base class for all model components."""
 
+    #: Whether a block may checkpoint this module under ``recompute``. A
+    #: sublayer that communicates, or leaves a side output such as the MoE
+    #: aux loss, must run exactly once per step: it says False.
+    recomputable = True
+
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", {})
         object.__setattr__(self, "_modules", {})

@@ -21,9 +21,10 @@ from repro.moe.balance import load_balance_loss, router_z_loss
 from repro.moe.capacity import apply_capacity
 from repro.moe.dispatch import DispatchPlan, build_dispatch, inference_keep_mask
 from repro.moe.gates import Gate, make_gate
-from repro.tensor import Tensor
+from repro.tensor import Tensor, is_grad_enabled
 from repro.tensor import ops as T
 from repro.tensor.functional import gather_rows, scatter_rows
+from repro.tensor.tensor import grad_mode
 
 __all__ = ["MoELayer"]
 
@@ -49,8 +50,10 @@ class MoELayer(Module):
         slots (Switch-style). ``None`` disables dropping.
     aux_weight / z_weight:
         Coefficients of the balance and router-z auxiliary losses,
-        accumulated into :attr:`last_aux_loss` each forward.
+        summed into :attr:`last_aux_loss` when it is read.
     """
+
+    recomputable = False
 
     def __init__(
         self,
@@ -84,10 +87,10 @@ class MoELayer(Module):
         self.gate: Gate = (
             gate if isinstance(gate, Gate) else make_gate(gate, num_experts, top_k)
         )
-        #: Auxiliary loss Tensor from the most recent forward: a head of the
-        #: forward graph until the step's backward consumes it, a bare
-        #: scalar afterwards (it never pins a finished step's activations).
-        self.last_aux_loss: Tensor | None = None
+        #: What :attr:`last_aux_loss` is computed from until it is read:
+        #: ``(probs, indices, logits, grad mode)`` of the latest forward.
+        self._aux_inputs: tuple | None = None
+        self._aux_loss: Tensor | None = None
         #: Per-expert token counts of this layer's tokens, most recent forward.
         self.last_load: np.ndarray | None = None
         #: Per-expert counts over the whole expert group (``last_load``
@@ -142,15 +145,31 @@ class MoELayer(Module):
         ys = ys * w.reshape(-1, 1)
         out = scatter_rows(ys, plan.token_idx, n)
 
-        aux = load_balance_loss(gate_out.probs, gate_out.indices, self.num_experts)
-        aux = aux * self.aux_weight
-        if self.z_weight > 0:
-            aux = aux + router_z_loss(logits) * self.z_weight
-        self.last_aux_loss = aux
+        self._aux_inputs = (
+            gate_out.probs, gate_out.indices, logits, is_grad_enabled()
+        )
+        self._aux_loss = None
 
         if len(orig_shape) == 3:
             out = out.reshape(*orig_shape)
         return out
+
+    @property
+    def last_aux_loss(self) -> Tensor | None:
+        """Auxiliary loss of the most recent forward, computed on first read
+        under that forward's grad mode (KV-cached decode never reads it).
+        A head of the forward graph until the step's backward consumes it,
+        a bare scalar afterwards."""
+        if self._aux_inputs is not None:
+            probs, indices, logits, grad = self._aux_inputs
+            self._aux_inputs = None
+            with grad_mode(grad):
+                aux = load_balance_loss(probs, indices, self.num_experts)
+                aux = aux * self.aux_weight
+                if self.z_weight > 0:
+                    aux = aux + router_z_loss(logits) * self.z_weight
+            self._aux_loss = aux
+        return self._aux_loss
 
     @property
     def flops_per_token(self) -> int:

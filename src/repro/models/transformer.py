@@ -39,9 +39,10 @@ class TransformerBlock(Module):
         self.ln_ffn = LayerNorm(d_model, dtype=dtype)
         self.ffn = ffn
         self.drop = Dropout(dropout_p, rng) if dropout_p > 0 else None
-        #: Recompute the attention sublayer (and dense FFN) in backward.
-        #: MoE sublayers are never checkpointed: their aux loss and
-        #: collectives must run exactly once per step.
+        #: Recompute the attention sublayer (and the FFN, if it is
+        #: ``recomputable``) in backward. MoE and tensor-parallel FFNs are
+        #: never checkpointed: their aux loss and collectives must run
+        #: exactly once per step.
         self.recompute = recompute
 
     def _attn_sublayer(self, x: Tensor, kv=None, valid=None) -> Tensor:
@@ -61,7 +62,7 @@ class TransformerBlock(Module):
         if self.drop is not None:
             h = self.drop(h)
         x = x + h
-        if use_ckpt and not self.is_moe:
+        if use_ckpt and self.ffn.recomputable:
             h = checkpoint(self._ffn_sublayer, x)
         else:
             h = self._ffn_sublayer(x)

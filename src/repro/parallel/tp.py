@@ -166,6 +166,9 @@ class TensorParallelMLP(Module):
     one forward allreduce.
     """
 
+    #: Recompute would re-run the forward allreduce inside backward.
+    recomputable = False
+
     def __init__(
         self,
         d_model: int,

@@ -371,24 +371,45 @@ def build_requests(cfg: ServeConfig) -> list[Request]:
     ]
 
 
-def _build_serve_model(
-    cfg: ServeConfig, comm: Comm, timer: DecodeTimer | None
+def _serve_model(
+    cfg: ServeConfig, comm: Comm, timer: DecodeTimer | None,
+    pool: dict[int, tuple] | None,
 ) -> MoELanguageModel:
-    """EP-sharded model in eval mode."""
+    """This rank's EP-sharded model in eval mode, bound to ``comm``.
+
+    ``pool`` (one fleet run's, keyed by EP rank) keeps the model across
+    segments: every replica shares ``cfg.seed``, so rank r's weights are
+    the same in every world. Each segment rebinds every MoE layer to its
+    world — communicator and compute hook — and restores the layer's rng
+    to its post-build state, so noisy and random gates draw exactly what a
+    fresh build draws.
+    """
 
     def compute_hook(rows: int) -> None:
         if timer is not None:
             comm.advance(timer.expert_time(rows))
 
-    moe_factory = ep_moe_factory(
-        cfg.model, comm, cfg.seed, cfg.alltoall_algorithm, compute_hook,
-        cfg.overlap_chunks,
-    )
-    model = MoELanguageModel(cfg.model, seed=cfg.seed, moe_factory=moe_factory)
-    model.eval()
-    if cfg.expert_capacity is not None:
-        for layer in model.moe_layers():
-            layer.inference_capacity = cfg.expert_capacity
+    built = None if pool is None else pool.get(comm.rank)
+    if built is None:
+        moe_factory = ep_moe_factory(
+            cfg.model, comm, cfg.seed, cfg.alltoall_algorithm, None,
+            cfg.overlap_chunks,
+        )
+        model = MoELanguageModel(cfg.model, seed=cfg.seed, moe_factory=moe_factory)
+        model.eval()
+        if cfg.expert_capacity is not None:
+            for layer in model.moe_layers():
+                layer.inference_capacity = cfg.expert_capacity
+        built = (
+            model, [layer._rng.bit_generator.state for layer in model.moe_layers()]
+        )
+        if pool is not None:
+            pool[comm.rank] = built
+    model, rng_states = built
+    for layer, state in zip(model.moe_layers(), rng_states):
+        layer.ep_comm = comm
+        layer.compute_hook = compute_hook
+        layer._rng.bit_generator.state = state
     return model
 
 
@@ -408,7 +429,8 @@ def _serve_rank(
     comm: Comm,
     cfg: ServeConfig,
     machine: MachineSpec | None,
-    requests: list[Request] | None = None,
+    requests: list[Request] | None,
+    pool: dict[int, tuple] | None,
 ) -> dict:
     """The SPMD rank program: one scheduler + model + cache per rank."""
     timer = (
@@ -416,7 +438,7 @@ def _serve_rank(
         if machine is not None and cfg.model_compute_time
         else None
     )
-    model = _build_serve_model(cfg, comm, timer)
+    model = _serve_model(cfg, comm, timer, pool)
     sched = ContinuousBatchScheduler(
         cfg.max_batch_size if cfg.batching == "continuous" else 1,
         queue_depth=cfg.effective_queue_depth,
@@ -606,6 +628,18 @@ def run_serving(
     :class:`~repro.errors.ReproError` with partial clocks/context attached,
     which the fleet turns into a re-dispatch.
     """
+    return _run_serving(cfg, network, machine, requests, faults, pool=None)
+
+
+def _run_serving(
+    cfg: ServeConfig,
+    network: Any | None,
+    machine: MachineSpec | None,
+    requests: list[Request] | None,
+    faults: Any | None,
+    pool: dict[int, tuple] | None,
+) -> ServeResult:
+    """:func:`run_serving` on the models of ``pool`` (see :func:`_serve_model`)."""
     if network is None:
         network = sunway_network(cfg.ep_size, supernode_size=cfg.supernode_size)
     if machine is None and cfg.model_compute_time:
@@ -619,7 +653,7 @@ def run_serving(
         trace=cfg.trace,
         observe=cfg.observe,
         faults=faults,
-        args=(cfg, machine, requests),
+        args=(cfg, machine, requests, pool),
     )
     # Rank-major record order: it fixes the TTFT sample order (and so the
     # float sum behind the reported mean) before the by-rid sort below.

@@ -44,6 +44,7 @@ is a strict superset of the baseline (bitwise, by regression test).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from repro.errors import CommunicatorError, ConfigError, ReproError
@@ -54,9 +55,9 @@ from repro.serve.autoscaler import Autoscaler, AutoscalerConfig
 from repro.serve.engine import (
     ServeConfig,
     ServeResult,
+    _run_serving,
     build_requests,
     request_span_tree,
-    run_serving,
     tally,
 )
 from repro.serve.router import ReplicaRouter
@@ -321,10 +322,11 @@ def _signal_time(out: dict) -> float:
 class _Fleet:
     """Everything one fleet run knows, and the steps of its loop.
 
-    :func:`run_fleet_serving` is the loop; each step is a method that reads
-    and writes this state only, so a test can drive one at a time.
-    ``run_engine`` is the engine call (:func:`run_serving`; tests script a
-    replica's segments without rank threads).
+    :meth:`run` is the loop; each step is a method that reads and writes
+    this state only, so a test can drive one at a time. ``run_engine`` is
+    the engine call, ``(serve_cfg, network=, requests=, faults=) ->
+    ServeResult`` (:func:`run_serving`'s shape; tests script a replica's
+    segments without rank threads).
     """
 
     def __init__(
@@ -680,6 +682,21 @@ class _Fleet:
         self.counts[f"{kind}s"] += 1
         self.session.metrics.counter(f"fleet_{kind}").inc(t=self.clock)
 
+    def run(self) -> FleetResult:
+        """The loop: dispatch, serve each loaded replica, hedge, then the
+        once-per-round monitors and autoscaler, until nothing is unresolved."""
+        while self.unresolved:
+            assignment = self.dispatch_round()
+            if not assignment:
+                continue  # empty dispatch window: the clock moved on
+            done: list[_Flight] = []
+            for replica in sorted(assignment):
+                done += self.serve_group(replica, assignment[replica])
+            self.hedge(done)
+            self.feed_monitors()
+            self.autoscale()
+        return self.result()
+
     def result(self) -> FleetResult:
         """Span trees, the outcome tally and its registry twins, and the
         :class:`FleetResult` (call once, when nothing is unresolved)."""
@@ -748,17 +765,10 @@ def run_fleet_serving(cfg: FleetConfig, network: Any | None = None) -> FleetResu
     requests to survivors; slow completions are hedged or timed out per
     the config. The loop terminates because every round either resolves a
     request or consumes one of its ``retry_max`` attempts.
+
+    Each EP rank's model is built once per call and rebound to every later
+    segment's world (:func:`~repro.serve.engine._serve_model`); the pool
+    dies with the call.
     """
-    fleet = _Fleet(cfg, run_serving, network)
-    while fleet.unresolved:
-        assignment = fleet.dispatch_round()
-        if not assignment:
-            continue  # empty dispatch window: the clock moved on
-        done: list[_Flight] = []
-        for replica in sorted(assignment):
-            done += fleet.serve_group(replica, assignment[replica])
-        fleet.hedge(done)
-        # Windowed signals + control decisions, once per round.
-        fleet.feed_monitors()
-        fleet.autoscale()
-    return fleet.result()
+    engine = partial(_run_serving, machine=None, pool={})
+    return _Fleet(cfg, engine, network).run()

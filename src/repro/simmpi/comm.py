@@ -251,6 +251,10 @@ class _CommState:
         self.rank_of_world = {w: i for i, w in enumerate(self.members)}
         self.rounds: dict[int, _Round] = {}
         self.seq = [0] * len(self.members)
+        #: Cost-model seconds by (op kind, bytes, algorithm): the members
+        #: and the world's network are fixed for the communicator's life,
+        #: so a key is priced once (:meth:`Comm._collective`).
+        self.prices: dict[tuple, float] = {}
         with _CommState._context_lock:
             self.context_id = _CommState._next_context_id
             _CommState._next_context_id += 1
@@ -657,10 +661,14 @@ class Comm:
         """Price an already-rendezvoused ``op`` into its request: a blocking
         collective waits on it at once, a nonblocking one registers it
         :meth:`_in_flight` and hands it to the caller."""
-        net = self._state.world.network
-        cost = 0.0 if net is None else collective_seconds(
-            net, op, nbytes, self._state.members, algorithm
-        )
+        state = self._state
+        key = (_COLLECTIVE_KINDS[op], nbytes, algorithm)
+        cost = state.prices.get(key)
+        if cost is None:
+            net = state.world.network
+            cost = state.prices[key] = 0.0 if net is None else collective_seconds(
+                net, op, nbytes, state.members, algorithm
+            )
         return _CollectiveRequest(self, op, value, t_start, cost, nbytes)
 
     def _in_flight(self, req: _CollectiveRequest) -> _CollectiveRequest:

@@ -44,14 +44,19 @@ _grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable graph construction inside the ``with`` block (thread-local)."""
+def grad_mode(enabled: bool):
+    """Record the graph or not inside the ``with`` block (thread-local)."""
     prev = _grad_mode.enabled
-    _grad_mode.enabled = False
+    _grad_mode.enabled = enabled
     try:
         yield
     finally:
         _grad_mode.enabled = prev
+
+
+def no_grad():
+    """Disable graph construction inside the ``with`` block (thread-local)."""
+    return grad_mode(False)
 
 
 def is_grad_enabled() -> bool:
@@ -239,87 +244,70 @@ class Tensor:
         self.grad = None
 
     # ------------------------------------------------------------------ #
-    # Operator sugar (implementations live in repro.tensor.ops)
+    # Operator sugar (implementations live in repro.tensor.ops, bound at
+    # the bottom of this module)
     # ------------------------------------------------------------------ #
 
     def __add__(self, other):  # noqa: D105
-        from repro.tensor import ops
         return ops.add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):  # noqa: D105
-        from repro.tensor import ops
         return ops.sub(self, other)
 
     def __rsub__(self, other):  # noqa: D105
-        from repro.tensor import ops
         return ops.sub(other, self)
 
     def __mul__(self, other):  # noqa: D105
-        from repro.tensor import ops
         return ops.mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):  # noqa: D105
-        from repro.tensor import ops
         return ops.div(self, other)
 
     def __rtruediv__(self, other):  # noqa: D105
-        from repro.tensor import ops
         return ops.div(other, self)
 
     def __neg__(self):  # noqa: D105
-        from repro.tensor import ops
         return ops.neg(self)
 
     def __matmul__(self, other):  # noqa: D105
-        from repro.tensor import ops
         return ops.matmul(self, other)
 
     def __pow__(self, exponent):  # noqa: D105
-        from repro.tensor import ops
         return ops.power(self, exponent)
 
     def __getitem__(self, index):  # noqa: D105
-        from repro.tensor import ops
         return ops.getitem(self, index)
 
     def reshape(self, *shape):  # noqa: D102
-        from repro.tensor import ops
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return ops.reshape(self, shape)
 
     def transpose(self, *axes):  # noqa: D102
-        from repro.tensor import ops
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         return ops.transpose(self, axes or None)
 
     def sum(self, axis=None, keepdims=False):  # noqa: D102
-        from repro.tensor import ops
         return ops.sum_(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims=False):  # noqa: D102
-        from repro.tensor import ops
         return ops.mean(self, axis=axis, keepdims=keepdims)
 
     def exp(self):  # noqa: D102
-        from repro.tensor import ops
         return ops.exp(self)
 
     def log(self):  # noqa: D102
-        from repro.tensor import ops
         return ops.log(self)
 
     def tanh(self):  # noqa: D102
-        from repro.tensor import ops
         return ops.tanh(self)
 
     def sqrt(self):  # noqa: D102
-        from repro.tensor import ops
         return ops.power(self, 0.5)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -398,3 +386,7 @@ def _coerce(x: Any, like: Tensor) -> Tensor:
 def result_dtype(a: Tensor, b: Tensor) -> DTypeSpec:
     """Output dtype for a binary op."""
     return promote(a.dtype, b.dtype)
+
+
+# Last, because ``ops`` imports this module: every name it needs exists now.
+from repro.tensor import ops  # noqa: E402

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.errors import ConfigError
+
 __all__ = ["ceil_div", "is_power_of_two", "next_power_of_two", "prod"]
 
 
 def ceil_div(a: int, b: int) -> int:
     """Integer ceiling division; ``b`` must be positive."""
     if b <= 0:
-        raise ValueError(f"ceil_div divisor must be positive, got {b}")
+        raise ConfigError(f"ceil_div divisor b must be positive, got {b}")
     return -(-a // b)
 
 

@@ -142,22 +142,29 @@ class TestModelRecompute:
 
 
 class TestRecomputeUnderParallelStrategies:
-    """Every strategy builds its MoE FFNs as ``DistributedMoELayer``; those
-    are MoE layers too, so recompute leaves them unwrapped. Checkpointing
-    one would re-run its collectives inside backward and compute its aux
-    loss under ``no_grad``, taking the router's balance-loss gradient."""
+    """A sublayer that communicates is never checkpointed. Every strategy
+    builds its MoE FFNs as ``DistributedMoELayer`` and, under ``tp``, its
+    dense FFNs as ``TensorParallelMLP``: checkpointing either would re-run
+    its collectives inside backward (and an MoE layer's aux loss would be
+    taken under ``no_grad``, dropping the router's balance-loss gradient)."""
 
     @pytest.mark.parametrize(
-        "world,ep,pp", [(2, 2, 1), (4, 2, 1), (4, 2, 2), (1, 1, 1)],
-        ids=["w2-ep2", "w4-ep2", "w4-pp2-ep2", "w1"],
+        "world,ep,pp,tp",
+        [(2, 2, 1, 1), (4, 2, 1, 1), (4, 2, 2, 1), (1, 1, 1, 1),
+         (4, 2, 1, 2), (4, 1, 1, 2)],
+        ids=["w2-ep2", "w4-ep2", "w4-pp2-ep2", "w1", "w4-tp2-ep2", "w4-tp2"],
     )
-    def test_recompute_changes_no_loss_traffic_or_clock(self, world, ep, pp):
+    def test_recompute_changes_no_loss_traffic_or_clock(self, world, ep, pp, tp):
         from repro.parallel import TrainingRunConfig, run_distributed_training
+
+        # tp shards the dense FFN blocks, so the model needs some.
+        dense = {"moe_every": 2} if tp > 1 else {}
 
         def run(recompute):
             return run_distributed_training(TrainingRunConfig(
-                model=tiny_config(recompute=recompute), world_size=world,
-                ep_size=ep, pp_size=pp, num_steps=3, batch_size=4, seq_len=8,
+                model=tiny_config(recompute=recompute, **dense),
+                world_size=world, ep_size=ep, pp_size=pp, tp_size=tp,
+                num_steps=3, batch_size=4, seq_len=8,
             ))
 
         plain, ckpt = run(False), run(True)

@@ -140,8 +140,9 @@ class TestMathx:
         assert ceil_div(9, 4) == 3
 
     def test_ceil_div_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ceil_div(4, 0)
+        for b in (0, -3):
+            with pytest.raises(ConfigError, match="divisor b must be positive"):
+                ceil_div(4, b)
 
     def test_is_power_of_two(self):
         assert is_power_of_two(1)
