@@ -133,17 +133,21 @@ class ModelConfig:
         )
 
     @property
-    def active_params_per_token(self) -> int:
-        """Parameters touched by one token (dense + top_k experts)."""
-        dense = (
+    def replicated_params(self) -> int:
+        """Parameters every rank holds whole: dense blocks plus routers."""
+        return (
             self.attention_params
             + self.dense_ffn_params
             + self.layernorm_params
             + self.embedding_params
+            + self.num_moe_layers * self.d_model * self.num_experts
         )
-        router = self.num_moe_layers * self.d_model * self.num_experts
+
+    @property
+    def active_params_per_token(self) -> int:
+        """Parameters touched by one token (dense + top_k experts)."""
         active_experts = self.num_moe_layers * self.top_k * self.ffn_expert_params
-        return dense + router + active_experts
+        return self.replicated_params + active_experts
 
     def scaled(self, **changes) -> "ModelConfig":
         """Copy with fields replaced."""

@@ -23,6 +23,7 @@ back on the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -38,6 +39,7 @@ from repro.parallel.strategy import (
     get_strategy,
     strategy_for_layout,
 )
+from repro.perf.plan import ParallelPlan
 from repro.simmpi import RunContext, run_spmd
 
 __all__ = ["TrainingRunConfig", "TrainingRunResult", "run_distributed_training"]
@@ -84,30 +86,33 @@ class TrainingRunConfig:
     observe: bool = False
 
     def __post_init__(self) -> None:
-        if self.world_size < 1 or self.num_steps < 1:
-            raise ConfigError("world_size and num_steps must be >= 1")
-        if self.world_size % self.ep_size != 0:
-            raise ConfigError(
-                f"ep_size={self.ep_size} must divide world_size={self.world_size}"
-            )
-        if self.overlap_chunks < 1:
-            raise ConfigError(
-                f"overlap_chunks must be >= 1, got {self.overlap_chunks}"
-            )
-        _ = self.layout  # shared validation (divisibility across all axes)
+        if self.num_steps < 1:
+            raise ConfigError(f"num_steps must be >= 1, got {self.num_steps}")
+        _ = self.plan  # every layout and workload field is checked there
         if self.strategy != "auto":
             get_strategy(self.strategy)  # unknown names fail at build time
 
-    @property
-    def layout(self) -> ParallelLayout:
-        """The validated parallel layout this config describes."""
-        return ParallelLayout(
-            world_size=self.world_size,
+    @cached_property
+    def plan(self) -> ParallelPlan:
+        """The analytic plan of exactly this run (balanced routing)."""
+        return ParallelPlan(
+            num_nodes=self.world_size,
             ep_size=self.ep_size,
             tp_size=self.tp_size,
             pp_size=self.pp_size,
             zero_shards=self.zero_shards,
+            micro_batch=self.batch_size,
+            seq_len=self.seq_len,
+            num_microbatches=self.num_microbatches,
+            overlap_chunks=self.overlap_chunks,
+            alltoall=self.alltoall_algorithm,
+            allreduce=self.allreduce_algorithm,
         )
+
+    @property
+    def layout(self) -> ParallelLayout:
+        """The validated parallel layout this config describes."""
+        return self.plan.layout
 
     def resolve_strategy(self) -> ParallelStrategy:
         """The registered strategy this run dispatches through."""

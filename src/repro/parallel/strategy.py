@@ -513,7 +513,7 @@ class _PipelineBase(_LayoutRule):
             raise ConfigError(
                 f"pipeline strategies do not compose with tp yet, got {layout.describe()}"
             )
-        if cfg.num_microbatches < 1 or cfg.batch_size % cfg.num_microbatches != 0:
+        if cfg.batch_size % cfg.num_microbatches != 0:
             raise ConfigError(
                 f"num_microbatches={cfg.num_microbatches} must divide "
                 f"batch_size={cfg.batch_size}"

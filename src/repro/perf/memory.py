@@ -71,13 +71,7 @@ def node_memory(
     plan.validate_against(config)
     param_b = itemsize(config.dtype)
 
-    dense_count = (
-        config.attention_params
-        + config.dense_ffn_params
-        + config.layernorm_params
-        + config.embedding_params
-        + config.num_moe_layers * config.d_model * config.num_experts  # routers
-    )
+    dense_count = config.replicated_params
     expert_total = config.num_moe_layers * config.num_experts * config.ffn_expert_params
     if replicate_experts:
         expert_count = expert_total

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ConfigError
 from repro.layout import ParallelLayout, validate_layout_for_model
@@ -71,9 +72,9 @@ class ParallelPlan:
     num_microbatches: int = 1
 
     def __post_init__(self) -> None:
-        # Divisibility across every parallel axis is validated by the same
-        # shared helper the measured runner uses, so an analytic plan and
-        # a launchable TrainingRunConfig can never drift.
+        # The one home of the layout and workload checks: a
+        # TrainingRunConfig validates by building its plan, so a run that
+        # launches is exactly a plan that prices.
         _ = self.layout
         if self.micro_batch < 1 or self.seq_len < 1:
             raise ConfigError("micro_batch and seq_len must be >= 1")
@@ -92,7 +93,7 @@ class ParallelPlan:
                 f"overlap_chunks must be >= 1, got {self.overlap_chunks}"
             )
 
-    @property
+    @cached_property
     def layout(self) -> ParallelLayout:
         """The shared, validated layout descriptor for this plan."""
         return ParallelLayout(

@@ -253,16 +253,6 @@ class StepModel:
         # A stage owns 1/pp of the MoE layers.
         return 4.0 * cfg.num_moe_layers * one / plan.pp_size
 
-    def _dense_param_count(self) -> float:
-        cfg = self.config
-        return (
-            cfg.attention_params
-            + cfg.dense_ffn_params
-            + cfg.layernorm_params
-            + cfg.embedding_params
-            + cfg.num_moe_layers * cfg.d_model * cfg.num_experts
-        )
-
     def dense_allreduce_time(self, plan: ParallelPlan) -> float:
         """Per-stage gradient allreduce of replicated parameters (fp32).
 
@@ -274,7 +264,7 @@ class StepModel:
         if layout.plane_size == 1:
             return 0.0
         cfg = self.config
-        dense_count = self._dense_param_count()
+        dense_count = cfg.replicated_params
         if plan.tp_size > 1:
             dense_count -= cfg.dense_ffn_params
         nbytes = dense_count * 4 / plan.pp_size
@@ -330,7 +320,7 @@ class StepModel:
         """
         if plan.zero_shards == 1:
             return 0.0
-        nbytes_per_rank = self._dense_param_count() * 4 / plan.zero_shards
+        nbytes_per_rank = self.config.replicated_params * 4 / plan.zero_shards
         ranks = range(plan.zero_shards)
         return self.network.allgather_time(nbytes_per_rank, ranks)
 

@@ -31,13 +31,6 @@ __all__ = [
 _MAX_ROWS = 32
 
 
-def _axes_str(layout: ParallelLayout) -> str:
-    return (
-        f"dp={layout.dp_size} tp={layout.tp_size} pp={layout.pp_size} "
-        f"ep={layout.ep_size} zero={layout.zero_shards}"
-    )
-
-
 def _axes_fields(layout: ParallelLayout) -> dict[str, int]:
     return {
         "dp": layout.dp_size,
@@ -46,6 +39,10 @@ def _axes_fields(layout: ParallelLayout) -> dict[str, int]:
         "ep": layout.ep_size,
         "zero": layout.zero_shards,
     }
+
+
+def _axes_str(layout: ParallelLayout) -> str:
+    return " ".join(f"{axis}={n}" for axis, n in _axes_fields(layout).items())
 
 
 def plan_records(result: PlanResult) -> list[dict[str, Any]]:

@@ -12,12 +12,13 @@ Because candidates are filtered by building a real
 strategy's ``validate``, every layout the planner emits is guaranteed to
 launch, and every layout it rejects raises the identical
 :class:`~repro.errors.ConfigError` at launch time — one validation spine,
-zero drift.
+zero drift. The plan a candidate is priced at is that config's own
+``.plan``, so what the planner prices is what it launches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError, TopologyError
 from repro.layout import ParallelLayout
@@ -79,21 +80,13 @@ class PlannerConfig:
     overlap_chunks: int = 1
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 1:
-            raise ConfigError(f"num_nodes must be >= 1, got {self.num_nodes}")
-        if self.micro_batch < 1 or self.seq_len < 1:
-            raise ConfigError("micro_batch and seq_len must be >= 1")
-        if self.num_microbatches < 1:
-            raise ConfigError(
-                f"num_microbatches must be >= 1, got {self.num_microbatches}"
-            )
         if self.max_tp < 1 or self.max_zero < 1:
             raise ConfigError("max_tp and max_zero must be >= 1")
-        if self.overlap_chunks < 1:
-            raise ConfigError(
-                f"overlap_chunks must be >= 1, got {self.overlap_chunks}"
-            )
         _ = self.preset  # fail fast on unknown cluster names
+        # Workload fields are checked where every candidate's are, by the
+        # plan of a run; the data-parallel layout exists at any width.
+        run_cfg = self.training_config(ParallelLayout(self.num_nodes))
+        _ = replace(run_cfg.plan, load_imbalance=self.load_imbalance)
 
     @property
     def preset(self) -> ClusterPreset:
@@ -103,14 +96,12 @@ class PlannerConfig:
         except TopologyError as exc:
             raise ConfigError(str(exc)) from None
 
-    def _overlap_for(self, layout: ParallelLayout) -> int:
-        """Overlap width for one candidate (pipeline layouts don't overlap)."""
-        return 1 if layout.pp_size > 1 else self.overlap_chunks
-
     def training_config(
         self, layout: ParallelLayout, num_steps: int = 2
     ) -> TrainingRunConfig:
-        """The measured-run config this planner row corresponds to."""
+        """The measured-run config this planner row corresponds to; its
+        ``.plan`` is what the row is priced at. Pipeline layouts launch
+        (and so price) at one overlap chunk."""
         return TrainingRunConfig(
             model=self.model,
             world_size=layout.world_size,
@@ -122,49 +113,35 @@ class PlannerConfig:
             batch_size=self.micro_batch,
             seq_len=self.seq_len,
             num_microbatches=self.num_microbatches,
-            overlap_chunks=self._overlap_for(layout),
-        )
-
-    def parallel_plan(self, layout: ParallelLayout) -> ParallelPlan:
-        """The analytic plan this planner row corresponds to."""
-        return ParallelPlan(
-            num_nodes=layout.world_size,
-            ep_size=layout.ep_size,
-            tp_size=layout.tp_size,
-            pp_size=layout.pp_size,
-            zero_shards=layout.zero_shards,
-            micro_batch=self.micro_batch,
-            seq_len=self.seq_len,
-            num_microbatches=self.num_microbatches,
-            load_imbalance=self.load_imbalance,
-            overlap_chunks=self._overlap_for(layout),
+            overlap_chunks=1 if layout.pp_size > 1 else self.overlap_chunks,
         )
 
 
 @dataclass(frozen=True)
 class PlanCandidate:
-    """One launchable layout with its analytic price."""
+    """One launchable run with its analytic price.
 
-    layout: ParallelLayout
-    #: Registry name of the strategy ``strategy_for_layout`` dispatches to.
-    strategy: str
+    ``plan`` is ``run_config.plan`` at the planner's load imbalance, so the
+    priced plan is by construction the run :func:`verify_plans` launches.
+    """
+
+    run_config: TrainingRunConfig
     plan: ParallelPlan
     predicted_step_time: float
     breakdown: StepBreakdown
 
     @property
+    def layout(self) -> ParallelLayout:
+        return self.plan.layout
+
+    @property
+    def strategy(self) -> str:
+        """Registry name of the strategy the run dispatches to."""
+        return self.run_config.resolve_strategy().name
+
+    @property
     def tokens_per_second(self) -> float:
         return self.plan.global_tokens / self.predicted_step_time
-
-    def axes(self) -> dict[str, int]:
-        lay = self.layout
-        return {
-            "dp": lay.dp_size,
-            "tp": lay.tp_size,
-            "pp": lay.pp_size,
-            "ep": lay.ep_size,
-            "zero": lay.zero_shards,
-        }
 
 
 @dataclass(frozen=True)
@@ -301,7 +278,8 @@ def search_plans(config: PlannerConfig) -> PlanResult:
     1. the measured-run validation spine — a real ``TrainingRunConfig`` is
        built and its resolved strategy's ``validate`` runs (identical
        checks and messages to an actual launch);
-    2. the analytic plan's model checks (instance-granularity experts);
+    2. the model checks of that config's ``.plan`` at the planner's load
+       imbalance (instance-granularity experts);
     3. per-node memory against the preset machine's capacity.
 
     Survivors are priced by :class:`StepModel` and ranked ascending by
@@ -321,13 +299,12 @@ def search_plans(config: PlannerConfig) -> PlanResult:
     ):
         try:
             run_cfg = config.training_config(layout)
-            strategy = run_cfg.resolve_strategy()
-            strategy.validate(run_cfg)
+            run_cfg.resolve_strategy().validate(run_cfg)
         except ConfigError as exc:
             rejected.append(RejectedLayout(layout, str(exc)))
             continue
+        plan = replace(run_cfg.plan, load_imbalance=config.load_imbalance)
         try:
-            plan = config.parallel_plan(layout)
             mem = node_memory(config.model, plan)
             if mem.total > mem_budget:
                 rejected.append(
@@ -345,8 +322,7 @@ def search_plans(config: PlannerConfig) -> PlanResult:
             continue
         candidates.append(
             PlanCandidate(
-                layout=layout,
-                strategy=strategy.name,
+                run_config=run_cfg,
                 plan=plan,
                 predicted_step_time=predicted,
                 breakdown=breakdown,

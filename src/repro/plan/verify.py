@@ -62,7 +62,7 @@ def verify_plans(
     top = result.candidates[:top_k]
     measured: list[tuple[PlanCandidate, float]] = []
     for cand in top:
-        run_cfg = config.training_config(cand.layout, num_steps=num_steps)
+        run_cfg = replace(cand.run_config, num_steps=num_steps)
         run = run_distributed_training(run_cfg, network=network, machine=machine)
         measured.append((cand, run.step_time))
 
@@ -114,36 +114,21 @@ def verify_plans(
 def plan_layouts(
     model,
     num_nodes: int,
-    cluster: str = "sunway",
-    micro_batch: int = 4,
-    seq_len: int = 16,
-    num_microbatches: int = 2,
-    max_tp: int = 8,
-    max_zero: int = 8,
-    load_imbalance: float = 1.0,
+    *,
     verify: bool = True,
     top_k: int = 2,
     verify_steps: int = 2,
+    **planner,
 ) -> PlanResult:
     """One-shot planner facade: search, rank, and (optionally) verify.
 
-    The single entry point the CLI and ``repro.api`` expose::
+    ``planner`` keywords (``cluster``, ``micro_batch``, ``overlap_chunks``,
+    ...) are :class:`PlannerConfig` fields, passed through unchanged::
 
         result = plan_layouts(tiny_config(), num_nodes=8, cluster="toy")
         print(result.best.layout.describe())
     """
-    config = PlannerConfig(
-        model=model,
-        num_nodes=num_nodes,
-        cluster=cluster,
-        micro_batch=micro_batch,
-        seq_len=seq_len,
-        num_microbatches=num_microbatches,
-        max_tp=max_tp,
-        max_zero=max_zero,
-        load_imbalance=load_imbalance,
-    )
-    result = search_plans(config)
+    result = search_plans(PlannerConfig(model=model, num_nodes=num_nodes, **planner))
     if verify and result.candidates:
         result = verify_plans(result, top_k=top_k, num_steps=verify_steps)
     return result

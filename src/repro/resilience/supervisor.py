@@ -161,14 +161,10 @@ class ElasticRunConfig:
     observe: bool = False
 
     def __post_init__(self) -> None:
-        if self.world_size < 1:
-            raise ConfigError(f"world_size must be >= 1, got {self.world_size}")
-        if self.world_size % self.ep_size != 0:
-            raise ConfigError(
-                f"ep_size={self.ep_size} must divide world_size={self.world_size}"
-            )
         if self.total_steps < 1 or self.checkpoint_every < 1:
             raise ConfigError("total_steps and checkpoint_every must be >= 1")
+        # Layout, workload and strategy are checked by the full-width launch.
+        self.training_config(self.world_size, self.ep_size)
         if self.max_restarts < 0:
             raise ConfigError("max_restarts must be >= 0")
         # Delegated: BackoffPolicy owns the schedule validation, so the
@@ -189,6 +185,35 @@ class ElasticRunConfig:
             factor=self.backoff_factor,
             cap=self.backoff_cap,
         )
+
+    def training_config(self, world: int, ep: int) -> TrainingRunConfig:
+        """The validated launch config of one attempt at ``world`` x ``ep``."""
+        run_cfg = TrainingRunConfig(
+            model=self.model,
+            world_size=world,
+            ep_size=ep,
+            num_steps=self.total_steps,
+            batch_size=self.batch_size,
+            seq_len=self.seq_len,
+            lr=self.lr,
+            seed=self.seed,
+            corpus_predictability=self.corpus_predictability,
+            alltoall_algorithm=self.alltoall_algorithm,
+            allreduce_algorithm=self.allreduce_algorithm,
+            model_compute_time=self.model_compute_time,
+            timeout=self.timeout,
+            strategy=self.strategy,
+            trace=self.trace,
+            observe=self.observe,
+        )
+        strategy = run_cfg.resolve_strategy()
+        if strategy.name not in _IN_PLANE:
+            raise ConfigError(
+                f"the elastic supervisor drives in-plane strategies "
+                f"{_IN_PLANE}, not {strategy.name!r}"
+            )
+        strategy.validate(run_cfg)
+        return run_cfg
 
 
 @dataclass
@@ -315,35 +340,6 @@ class Supervisor:
     # Launch-plumbing helpers
     # ------------------------------------------------------------------ #
 
-    def _run_cfg(self, world: int, ep: int) -> TrainingRunConfig:
-        cfg = self.cfg
-        run_cfg = TrainingRunConfig(
-            model=cfg.model,
-            world_size=world,
-            ep_size=ep,
-            num_steps=cfg.total_steps,
-            batch_size=cfg.batch_size,
-            seq_len=cfg.seq_len,
-            lr=cfg.lr,
-            seed=cfg.seed,
-            corpus_predictability=cfg.corpus_predictability,
-            alltoall_algorithm=cfg.alltoall_algorithm,
-            allreduce_algorithm=cfg.allreduce_algorithm,
-            model_compute_time=cfg.model_compute_time,
-            timeout=cfg.timeout,
-            strategy=cfg.strategy,
-            trace=cfg.trace,
-            observe=cfg.observe,
-        )
-        strategy = run_cfg.resolve_strategy()
-        if strategy.name not in _IN_PLANE:
-            raise ConfigError(
-                f"the elastic supervisor drives in-plane strategies "
-                f"{_IN_PLANE}, not {strategy.name!r}"
-            )
-        strategy.validate(run_cfg)
-        return run_cfg
-
     def _plan_for(self, attempt: int) -> Any | None:
         if self.fault_plans is not None:
             return self.fault_plans[attempt] if attempt < len(self.fault_plans) else None
@@ -403,7 +399,7 @@ class Supervisor:
                 raise CommunicatorError(f"training failed {attempt} times; giving up")
             resume_dir, start = latest_snapshot(ckpt_dir)
             progress = SegmentProgress(completed_step=start, durable_step=start)
-            run_cfg = self._run_cfg(world, ep)
+            run_cfg = cfg.training_config(world, ep)
             spec = SegmentSpec(
                 run_cfg=run_cfg,
                 logical_world=cfg.world_size,

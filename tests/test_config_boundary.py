@@ -1,0 +1,122 @@
+"""The plan-family config boundary: construct, or raise ``ConfigError``.
+
+``ParallelPlan`` is where every layout and workload field is checked;
+``TrainingRunConfig`` validates by building its plan, ``PlannerConfig`` by
+building the run of its data-parallel layout, and ``ElasticRunConfig`` by
+building its full-width run. So a nonsense field is refused at
+construction, with the one error type, instead of inside a rank thread (or,
+for a supervised run, after every retry the supervisor has).
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import ConfigError
+from repro.models import tiny_config
+from repro.parallel import TrainingRunConfig
+from repro.perf import ParallelPlan
+from repro.plan import PlannerConfig
+from repro.resilience import ElasticRunConfig
+
+MODEL = tiny_config()
+
+#: One valid keyword set per config; the suite perturbs their numbers.
+BASES = {
+    ParallelPlan: dict(num_nodes=4, ep_size=2, micro_batch=2, seq_len=8),
+    TrainingRunConfig: dict(model=MODEL, world_size=4, ep_size=2,
+                            batch_size=2, seq_len=8),
+    PlannerConfig: dict(model=MODEL, num_nodes=4, cluster="toy",
+                        micro_batch=2, seq_len=8),
+    ElasticRunConfig: dict(model=MODEL, world_size=4, ep_size=2,
+                           total_steps=4, checkpoint_every=2,
+                           checkpoint_dir="unused", batch_size=2, seq_len=8),
+}
+
+#: Mostly small (where every divisibility and sign rule lives), sometimes
+#: anything a 64-bit int holds.
+INTS = st.one_of(st.integers(-2, 9), st.integers(-(2**63), 2**63 - 1))
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _numeric_fields(cls) -> dict[str, st.SearchStrategy]:
+    # Annotations are strings under ``from __future__ import annotations``.
+    kinds = {"int": INTS, "float": FLOATS}
+    return {
+        f.name: kinds[f.type] for f in dataclasses.fields(cls) if f.type in kinds
+    }
+
+
+@pytest.mark.parametrize("cls", list(BASES), ids=lambda cls: cls.__name__)
+def test_every_config_has_numbers_to_perturb(cls):
+    strategies = list(_numeric_fields(cls).values())
+    assert INTS in strategies and FLOATS in strategies
+
+
+@pytest.mark.parametrize("cls", list(BASES), ids=lambda cls: cls.__name__)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_perturbed_fields_construct_or_raise_config_error(cls, data):
+    fields = _numeric_fields(cls)
+    names = data.draw(
+        st.lists(st.sampled_from(sorted(fields)), min_size=1, max_size=3, unique=True)
+    )
+    kwargs = dict(BASES[cls])
+    kwargs.update({name: data.draw(fields[name], label=name) for name in names})
+    try:
+        cls(**kwargs)
+    except ConfigError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(batch_size=0), dict(seq_len=0), dict(num_microbatches=0),
+     dict(ep_size=0), dict(overlap_chunks=0)],
+    ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+)
+def test_training_run_config_rejects_workload_at_construction(bad):
+    with pytest.raises(ConfigError):
+        TrainingRunConfig(**{**BASES[TrainingRunConfig], **bad})
+
+
+def test_ep_not_dividing_world_reads_the_layout_message():
+    with pytest.raises(ConfigError, match="must divide the stage plane"):
+        TrainingRunConfig(model=MODEL, world_size=4, ep_size=3)
+
+
+def test_elastic_run_config_rejects_workload_at_construction():
+    """The parent built this config, then retried the dying launch as if it
+    were a fault until ``CommunicatorError: training failed 6 times``."""
+    with pytest.raises(ConfigError, match="micro_batch and seq_len"):
+        ElasticRunConfig(**{**BASES[ElasticRunConfig], "batch_size": 0})
+
+
+def test_elastic_run_config_rejects_a_strategy_it_cannot_drive():
+    with pytest.raises(ConfigError, match="in-plane strategies"):
+        ElasticRunConfig(**BASES[ElasticRunConfig], strategy="zero")
+
+
+def test_planner_config_rejects_workload_at_construction():
+    base = BASES[PlannerConfig]
+    for bad in (dict(micro_batch=0), dict(num_nodes=0), dict(overlap_chunks=0),
+                dict(load_imbalance=0.5), dict(max_tp=0)):
+        with pytest.raises(ConfigError):
+            PlannerConfig(**{**base, **bad})
+
+
+def test_run_plan_is_derived_once_and_matches_the_layout():
+    cfg = TrainingRunConfig(model=MODEL, world_size=8, ep_size=2, tp_size=2,
+                            zero_shards=1, batch_size=2, seq_len=8,
+                            alltoall_algorithm="flat", allreduce_algorithm="ring")
+    assert cfg.plan is cfg.plan
+    assert cfg.layout is cfg.plan.layout
+    assert cfg.plan == ParallelPlan(
+        num_nodes=8, ep_size=2, tp_size=2, pp_size=1, zero_shards=1,
+        micro_batch=2, seq_len=8, num_microbatches=2, overlap_chunks=1,
+        alltoall="flat", allreduce="ring",
+    )
+    # Still a value: the cached plan is not a field.
+    assert "plan" not in {f.name for f in dataclasses.fields(cfg)}
+    assert dataclasses.replace(cfg, num_steps=1).plan == cfg.plan

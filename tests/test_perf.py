@@ -23,10 +23,13 @@ from repro.perf.flops import (
     dense_forward_flops_per_token,
     expert_forward_flops_per_row,
 )
+from repro.tensor.dtype import itemsize
 
 CFG = bagualu_14_5t()
 MACHINE = sunway_machine(96_000)
 NET = sunway_network(96_000)
+ALL_CONFIGS = [tiny_config(), small_config(),
+               *(BRAIN_SCALE_CONFIGS[k]() for k in sorted(BRAIN_SCALE_CONFIGS))]
 
 
 def plan(**kw):
@@ -59,12 +62,27 @@ class TestFlops:
         with pytest.raises(ConfigError):
             step_flops(CFG, -1)
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [tiny_config(), small_config(),
-         *(BRAIN_SCALE_CONFIGS[k]() for k in sorted(BRAIN_SCALE_CONFIGS))],
-        ids=lambda cfg: cfg.name,
-    )
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda cfg: cfg.name)
+    def test_replicated_params_equal_the_three_old_sums(self, cfg):
+        """``StepModel``, ``node_memory`` and ``active_params_per_token``
+        each summed dense blocks + routers; the counts are ints, so the one
+        ``ModelConfig.replicated_params`` is every one of them exactly."""
+        dense = (cfg.attention_params + cfg.dense_ffn_params
+                 + cfg.layernorm_params + cfg.embedding_params)
+        routers = cfg.num_moe_layers * cfg.d_model * cfg.num_experts
+        experts = cfg.num_moe_layers * cfg.num_experts * cfg.ffn_expert_params
+        assert type(cfg.replicated_params) is int
+        assert cfg.replicated_params == dense + routers
+        assert cfg.replicated_params == cfg.total_params - experts
+        assert cfg.active_params_per_token == (
+            dense + routers + cfg.num_moe_layers * cfg.top_k * cfg.ffn_expert_params
+        )
+        one = ParallelPlan(num_nodes=1, ep_size=1, seq_len=16)
+        assert node_memory(cfg, one).dense_params == (
+            (dense + routers) * itemsize(cfg.dtype)
+        )
+
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda cfg: cfg.name)
     def test_shared_terms_equal_the_three_old_spellings(self, cfg):
         """``ComputeTimer``, ``StepModel`` and ``DecodeTimer`` each spelled
         the dense and expert FLOP terms out, with three operand orders. The

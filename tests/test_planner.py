@@ -7,13 +7,16 @@ analytic ranking stays within a bounded error of measured step times after
 calibration.
 """
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError, TopologyError
 from repro.hardware import laptop_machine, sunway_machine
 from repro.layout import ParallelLayout, validate_layout_for_model
-from repro.models import tiny_config
+from repro.models import small_config, tiny_config
 from repro.network import CLUSTER_PRESETS, cluster_preset, sunway_network
 from repro.parallel import run_distributed_training
 from repro.perf import ParallelPlan, StepModel, calibrate_efficiency
@@ -123,6 +126,40 @@ class TestSearchLaunchParity:
             assert run_cfg.overlap_chunks == (1 if cand.layout.pp_size > 1 else 4)
             run_cfg.resolve_strategy().validate(run_cfg)
 
+    @pytest.mark.parametrize(
+        "config",
+        [_planner(load_imbalance=1.25, num_microbatches=4),
+         _planner(load_imbalance=1.25, num_microbatches=4, overlap_chunks=4),
+         PlannerConfig(model=small_config(num_experts=64), num_nodes=512,
+                       cluster="sunway", micro_batch=4, seq_len=32,
+                       load_imbalance=1.03)],
+        ids=["w4-overlap1", "w4-overlap4", "sunway-512"],
+    )
+    def test_priced_plan_equals_the_deleted_translator(self, config):
+        """Reference for the removed ``PlannerConfig.parallel_plan``: every
+        field it set, spelled out, at non-default values, so a field the
+        derived plan drops or renames fails here."""
+        result = search_plans(config)
+        assert result.candidates
+        for cand in result.candidates:
+            lay = cand.layout
+            assert cand.plan == ParallelPlan(
+                num_nodes=lay.world_size,
+                ep_size=lay.ep_size,
+                tp_size=lay.tp_size,
+                pp_size=lay.pp_size,
+                zero_shards=lay.zero_shards,
+                micro_batch=config.micro_batch,
+                seq_len=config.seq_len,
+                num_microbatches=config.num_microbatches,
+                load_imbalance=config.load_imbalance,
+                overlap_chunks=1 if lay.pp_size > 1 else config.overlap_chunks,
+            )
+            assert cand.plan == replace(
+                cand.run_config.plan, load_imbalance=config.load_imbalance
+            )
+            assert cand.strategy == cand.run_config.resolve_strategy().name
+
     def test_ranking_is_deterministic(self, result):
         again = search_plans(_planner())
         assert [
@@ -194,6 +231,32 @@ class TestVerification:
         assert result.verified == ()
         assert result.calibration is None
         assert result.median_relative_error is None
+
+    def test_facade_passes_every_planner_field_through(self):
+        """``overlap_chunks`` was the field the facade's copied parameter
+        list could not pass."""
+        result = plan_layouts(TINY4, num_nodes=4, cluster="toy",
+                              overlap_chunks=2, verify=False)
+        assert result == search_plans(_planner(overlap_chunks=2))
+        assert {c.plan.overlap_chunks for c in result.candidates} == {1, 2}
+
+    def test_verify_launches_the_priced_run(self, monkeypatch):
+        import repro.plan.verify as verify_module
+
+        launched = []
+
+        def record(cfg, network, machine):
+            launched.append(cfg)
+            return SimpleNamespace(step_time=1.0)
+
+        monkeypatch.setattr(verify_module, "run_distributed_training", record)
+        config = _planner(load_imbalance=1.25, overlap_chunks=2)
+        result = verify_plans(search_plans(config), top_k=3, num_steps=5,
+                              calibrate=False)
+        top = result.candidates[:3]
+        assert launched == [replace(c.run_config, num_steps=5) for c in top]
+        for cfg, cand in zip(launched, top):
+            assert replace(cfg.plan, load_imbalance=1.25) == cand.plan
 
 
 class TestValidationDriftGuards:
