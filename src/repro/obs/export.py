@@ -125,25 +125,38 @@ def _lane_name(name: str, pid: int, tid: int | None = None) -> dict[str, Any]:
     return rec
 
 
+def _world_pid(world: int) -> int:
+    """World 0 keeps pid 0 and the ``spans`` process pid 1; world N > 0 is pid N + 1."""
+    return world + 1 if world else 0
+
+
 def chrome_trace_records(context: "RunContext") -> list[dict[str, Any]]:
     """Every Chrome-tracing record of a traced context, in file order.
 
-    The ``simulated world`` process (pid 0) has one ``rank N`` lane per
-    rank holding that rank's slices, then one ``ph=i`` instant per
-    lifecycle event. Span trees, when present, form a ``spans`` process
-    (pid 1) with one lane per root and ``ph=s``/``ph=f`` flow arrows
-    binding each parent to each child. Rank slices are stably sorted by
-    rank: rank threads append concurrently, so the raw stream's order is
-    the thread scheduler's, while each rank's own program order is fixed.
+    Each simulated world (:attr:`~repro.simmpi.TraceEvent.world`) is a
+    process with one ``rank N`` lane per rank holding that rank's slices:
+    one world is the ``simulated world`` (pid 0), a fleet's worlds are
+    ``replica N`` (:func:`_world_pid`). One ``ph=i`` instant per lifecycle
+    event follows on pid 0. Span trees, when present, form a ``spans``
+    process (pid 1) with one lane per root and ``ph=s``/``ph=f`` flow
+    arrows binding each parent to each child. Rank slices are stably
+    sorted by (world, rank): rank threads append concurrently, so the raw
+    stream's order is the thread scheduler's, while each rank's own
+    program order is fixed.
     """
-    ranked = sorted(context.trace_events, key=lambda e: e.rank)
-    out = [_lane_name("simulated world", 0)]
-    out += [_lane_name(f"rank {r}", 0, r) for r in sorted({e.rank for e in ranked})]
+    ranked = sorted(context.trace_events, key=lambda e: (e.world, e.rank))
+    worlds = sorted({e.world for e in ranked}) or [0]
+    out = []
+    for world in worlds:
+        pid = _world_pid(world)
+        out.append(_lane_name("simulated world" if len(worlds) == 1 else f"replica {world}", pid))
+        out += [_lane_name(f"rank {r}", pid, r)
+                for r in sorted({e.rank for e in ranked if e.world == world})]
     for e in ranked:
         args: dict[str, Any] = {"nbytes": e.nbytes}
         if e.hidden:
             args["hidden_seconds"] = e.hidden
-        out.append(_slice(e.op, e.t_start, e.t_end, 0, e.rank, args))
+        out.append(_slice(e.op, e.t_start, e.t_end, _world_pid(e.world), e.rank, args))
     out += [
         {
             "name": event["kind"],

@@ -88,7 +88,8 @@ class TrainingRunConfig:
     def __post_init__(self) -> None:
         if self.num_steps < 1:
             raise ConfigError(f"num_steps must be >= 1, got {self.num_steps}")
-        _ = self.plan  # every layout and workload field is checked there
+        # Every layout and workload field is checked by building the plan.
+        self.plan.check_seq_len(self.model)
         if self.strategy != "auto":
             get_strategy(self.strategy)  # unknown names fail at build time
 

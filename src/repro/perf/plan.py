@@ -134,11 +134,20 @@ class ParallelPlan:
         distributed over the EP group (BaGuaLu shards its experts over the
         whole machine, so a rank may own experts from only some layers).
         The only plan-specific check left here is ``seq_len``, which the
-        layout does not carry.
+        layout does not carry (:meth:`check_seq_len`).
         """
         validate_layout_for_model(
             self.layout, config, expert_granularity="instance"
         )
+        self.check_seq_len(config)
+
+    def check_seq_len(self, config: ModelConfig) -> None:
+        """Refuse a sequence longer than the model has positions for.
+
+        The one sequence-length check: :meth:`validate_against` runs it, and
+        so does every ``TrainingRunConfig`` at construction, so a launched
+        run never meets it inside a rank thread.
+        """
         if self.seq_len > config.max_seq_len:
             raise ConfigError(
                 f"plan seq_len={self.seq_len} exceeds model "

@@ -453,7 +453,7 @@ class _Fleet:
             crash = post_mortem(exc)
             end_t = seg_t0 + crash.crashed_time
             if crash.partial_context is not None:
-                session.absorb(crash.partial_context, clock_offset=seg_t0)
+                session.absorb(crash.partial_context, clock_offset=seg_t0, world=replica)
             session.record_event(
                 "replica_crash", t=end_t, replica=replica, failure=crash.failure,
                 rank=crash.rank, requests=len(requests),
@@ -464,7 +464,7 @@ class _Fleet:
         else:
             end_t = seg_t0 + result.simulated_time
             if result.context is not None:
-                session.absorb(result.context, clock_offset=seg_t0)
+                session.absorb(result.context, clock_offset=seg_t0, world=replica)
             router.on_segment_done(replica, seg_t0, end_t, result.completed)
         self.clock = max(self.clock, end_t)
         return result, end_t

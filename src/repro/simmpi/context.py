@@ -131,13 +131,15 @@ class RunContext:
         """Every recorded event of one ``kind``, in record order."""
         return [e for e in self.events if e["kind"] == kind]
 
-    def absorb(self, other: "RunContext", clock_offset: float = 0.0) -> None:
+    def absorb(self, other: "RunContext", clock_offset: float = 0.0, world: int = 0) -> None:
         """Fold another context into this one (session aggregation).
 
         Recovery drivers run many SPMD launches, each with its own
         engine-created context; absorbing them (trace timestamps shifted
         by ``clock_offset`` onto the session timeline) yields one spine
-        for the whole fault-tolerant session.
+        for the whole fault-tolerant session. ``world`` stamps the absorbed
+        trace events with the world they ran on (a fleet's replica), so
+        the Chrome trace gives each world its own process.
         """
         self.stats.merge(other.stats)
         with self._phase_lock:
@@ -153,6 +155,7 @@ class RunContext:
                         t_end=e.t_end + clock_offset,
                         nbytes=e.nbytes,
                         hidden=e.hidden,
+                        world=world,
                     )
                 )
         with self._phase_lock:

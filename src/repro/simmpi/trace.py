@@ -28,6 +28,9 @@ class TraceEvent:
     #: Seconds of this op's network cost hidden behind compute (nonzero
     #: only for nonblocking ops whose wait charged less than their cost).
     hidden: float = 0.0
+    #: Which simulated world the rank belongs to: a fleet's replica index,
+    #: stamped by :meth:`~repro.simmpi.RunContext.absorb`; 0 for one world.
+    world: int = 0
 
     @property
     def duration(self) -> float:

@@ -93,6 +93,18 @@ def test_elastic_run_config_rejects_workload_at_construction():
         ElasticRunConfig(**{**BASES[ElasticRunConfig], "batch_size": 0})
 
 
+def test_training_run_config_rejects_a_sequence_longer_than_the_model():
+    """The parent constructed this and failed inside a rank thread."""
+    with pytest.raises(ConfigError, match="plan seq_len=64 exceeds model max_seq_len=32"):
+        TrainingRunConfig(model=MODEL, world_size=2, ep_size=2, seq_len=64)
+
+
+def test_elastic_run_config_rejects_a_sequence_longer_than_the_model():
+    """The parent retried this until ``CommunicatorError: training failed 6 times``."""
+    with pytest.raises(ConfigError, match="plan seq_len=64 exceeds model max_seq_len=32"):
+        ElasticRunConfig(**{**BASES[ElasticRunConfig], "seq_len": 64})
+
+
 def test_elastic_run_config_rejects_a_strategy_it_cannot_drive():
     with pytest.raises(ConfigError, match="in-plane strategies"):
         ElasticRunConfig(**BASES[ElasticRunConfig], strategy="zero")

@@ -302,6 +302,23 @@ class TestFleetSpans:
         assert len(span_slices) == len(fleet.context.spans)
         assert flows, "parent-child flow arrows should be present"
 
+    def test_each_replica_is_its_own_trace_process(self, tmp_path):
+        """The parent drew every replica's rank 0 on one lane (pid 0)."""
+        fleet = run_fleet_serving(
+            FleetConfig(serve=_serve_cfg(trace=True), replicas=2)
+        )
+        events = json.loads(
+            fleet.context.write_chrome_trace(tmp_path / "trace.json").read_text()
+        )["traceEvents"]
+        names = {e["pid"]: e["args"]["name"] for e in events
+                 if e["name"] == "process_name"}
+        assert names == {0: "replica 0", 1: "spans", 2: "replica 1"}
+        rank0_pids = {e["pid"] for e in events
+                      if e["ph"] == "X" and e["tid"] == 0 and e["pid"] != 1}
+        assert rank0_pids == {0, 2}
+        worlds = {e.world for e in fleet.context.trace_events}
+        assert worlds == {0, 1}
+
 
 # --------------------------------------------------------------------- #
 # Plain single-engine span trees (emit_request_spans)

@@ -207,6 +207,22 @@ class TestChromeExport:
         assert [e.t_start for e in session.trace_events] == [10.0, 10.0 + 1e-3]
         assert [e.t_end for e in session.trace_events] == [10.0 + 1e-3, 10.0 + 2e-3]
         assert session.trace_events[0].nbytes == 4096
+        assert {e.world for e in session.trace_events} == {0}
+
+    def test_absorbed_worlds_get_a_process_each(self, tmp_path):
+        """Launches absorbed as different worlds keep their rank lanes apart;
+        pid 1 stays the spans process's."""
+        session = RunContext(trace=True)
+        for world in (0, 2):
+            launch = RunContext(trace=True)
+            launch.trace_events.extend(self._events())
+            session.absorb(launch, world=world)
+        records = _written(session, tmp_path / "t.json")
+        meta = [(r["pid"], r.get("tid"), r["args"]["name"]) for r in records if r["ph"] == "M"]
+        assert meta == [(0, None, "replica 0"), (0, 0, "rank 0"), (0, 1, "rank 1"),
+                        (3, None, "replica 2"), (3, 0, "rank 0"), (3, 1, "rank 1")]
+        assert [(r["pid"], r["tid"]) for r in records if r["ph"] == "X"] == [
+            (0, 0), (0, 1), (3, 0), (3, 1)]
         assert session.trace_events[0].op == "allreduce"
 
     def test_absorb_into_untraced_session_drops_events(self):
