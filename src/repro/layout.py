@@ -5,9 +5,9 @@ four parallel axes the stack knows about — expert (EP), tensor (TP),
 pipeline (PP) and ZeRO optimizer-state sharding — and validates the
 factorization once, in one place. Both the measured side
 (:class:`~repro.parallel.runner.TrainingRunConfig`, the strategy registry,
-and the process-group builders in :mod:`repro.parallel.groups` /
-:mod:`repro.parallel.grid3d`, which take their split colours and keys
-from it) and the analytic side (:class:`~repro.perf.ParallelPlan`) build
+and the one process-group builder,
+:func:`~repro.parallel.groups.build_groups`, which takes its split colours
+and keys from it) and the analytic side (:class:`~repro.perf.ParallelPlan`) build
 a :class:`ParallelLayout`, so a layout that launches is exactly a layout
 that projects, and the two can never drift.
 

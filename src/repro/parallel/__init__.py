@@ -24,9 +24,9 @@ from repro.parallel.dist_checkpoint import (
     verify_snapshot,
 )
 from repro.parallel.ep import DistributedMoELayer
-from repro.parallel.grid3d import Groups3D, Step3DResult, Trainer3D, build_groups3d
+from repro.parallel.grid3d import Trainer3D
 from repro.parallel.groups import MoDaGroups, build_groups
-from repro.parallel.moda import MoDaStepResult, MoDaTrainer, build_moda_model, split_params
+from repro.parallel.moda import MoDaTrainer, build_moda_model, split_params
 from repro.parallel.pipeline import (
     GPipeRunner,
     PipelineStage,
@@ -40,14 +40,9 @@ from repro.parallel.tp import (
     shard_linear_weights,
 )
 from repro.parallel.strategy import (
-    HybridGroups,
-    HybridTrainer,
     ParallelStrategy,
     RankTrainer,
-    StepOutcome,
     available_strategies,
-    build_hybrid_groups,
-    build_hybrid_model,
     get_strategy,
     register_strategy,
     strategy_for_layout,
@@ -59,12 +54,7 @@ __all__ = [
     "ParallelLayout",
     "ParallelStrategy",
     "RankTrainer",
-    "StepOutcome",
-    "HybridGroups",
-    "HybridTrainer",
     "available_strategies",
-    "build_hybrid_groups",
-    "build_hybrid_model",
     "get_strategy",
     "register_strategy",
     "strategy_for_layout",
@@ -77,10 +67,7 @@ __all__ = [
     "save_distributed",
     "verify_snapshot",
     "GPipeRunner",
-    "Groups3D",
-    "Step3DResult",
     "Trainer3D",
-    "build_groups3d",
     "PipelineStage",
     "pipeline_bubble_fraction",
     "stage_bounds",
@@ -103,7 +90,6 @@ __all__ = [
     "DistributedMoELayer",
     "MoDaGroups",
     "build_groups",
-    "MoDaStepResult",
     "MoDaTrainer",
     "build_moda_model",
     "split_params",

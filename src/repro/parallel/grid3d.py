@@ -24,82 +24,42 @@ stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.amp import DynamicLossScaler
 from repro.data.loader import Batch
-from repro.layout import ParallelLayout
+from repro.errors import ConfigError
 from repro.models.configs import ModelConfig
 from repro.parallel.ep import ep_moe_factory
-from repro.parallel.groups import MoDaGroups, build_groups
-from repro.parallel.moda import split_params
+from repro.parallel.groups import MoDaGroups
+from repro.parallel.moda import sync_plan
 from repro.parallel.pipeline import GPipeRunner
 from repro.parallel.step import DistributedStep
-from repro.simmpi import Comm
 from repro.train.schedules import LRSchedule
-from repro.train.trainer import StepResult
 
-__all__ = ["Groups3D", "build_groups3d", "Trainer3D", "Step3DResult"]
-
-
-@dataclass
-class Groups3D:
-    """Live communicators for one rank of a 3D program."""
-
-    #: ``world`` factored as ``pp x dp x ep`` (stages outermost).
-    layout: ParallelLayout
-    world: Comm
-    #: This rank's pipeline (same plane position across stages).
-    pipe: Comm
-    #: MoDa groups within this rank's stage plane.
-    plane: MoDaGroups
-
-    @property
-    def stage(self) -> int:
-        return self.pipe.rank
-
-    @property
-    def pipeline_id(self) -> int:
-        """This rank's position within its stage plane (= its data shard)."""
-        return self.plane.world.rank
-
-
-def build_groups3d(world: Comm, pipe_size: int, ep_size: int) -> Groups3D:
-    """Split ``world`` into the 3D communicators (collective call)."""
-    layout = ParallelLayout(world_size=world.size, ep_size=ep_size, pp_size=pipe_size)
-    stage = layout.stage_of(world.rank)
-    plane_rank = world.rank % layout.plane_size
-    pipe = world.Split(color=plane_rank, key=stage)
-    plane_comm = world.Split(color=stage, key=plane_rank)
-    assert pipe is not None and plane_comm is not None
-    plane = build_groups(plane_comm, ep_size)
-    return Groups3D(layout=layout, world=world, pipe=pipe, plane=plane)
-
-
-#: The per-rank metrics of one 3D step (the shared result type); ``loss``
-#: is the mean over this rank's pipeline.
-Step3DResult = StepResult
+__all__ = ["Trainer3D"]
 
 
 class Trainer3D(DistributedStep):
     """One rank's view of synchronous pipe x data x expert training.
 
     The shared :class:`~repro.parallel.step.DistributedStep` with the GPipe
-    gradient producer, gradients averaged inside the stage plane (dense
-    over the whole plane, expert shards across its EP-group replicas) and
-    the skip decision agreed over the whole world.
+    gradient producer, gradients averaged inside the stage plane by
+    :func:`~repro.parallel.moda.sync_plan` and the skip decision agreed
+    over the whole world. The groups must come from a layout with
+    ``pp_size >= 2`` (at pp 1 there is no pipeline; use
+    :class:`~repro.parallel.moda.MoDaTrainer`).
 
     The caller provides the optimizer over ``trainer.stage.parameters()``
     (built after construction, e.g. ``Adam(trainer.stage.parameters())``)
     through :meth:`attach_optimizer`, then calls :meth:`train_step` with
     the batch of *this rank's pipeline* (fetch it with
-    ``dp_rank=groups.pipeline_id, dp_size=groups.layout.plane_size``).
+    ``dp_rank=groups.pipeline_id, dp_size=groups.layout.plane_size``);
+    ``loss`` in each step's result is the mean over this rank's pipeline.
     """
 
     def __init__(
         self,
         config: ModelConfig,
-        groups: Groups3D,
+        groups: MoDaGroups,
         num_microbatches: int,
         seed: int = 0,
         schedule: LRSchedule | None = None,
@@ -108,26 +68,25 @@ class Trainer3D(DistributedStep):
         allreduce_algorithm: str | None = None,
         compute_hook=None,
     ):
+        if groups.layout.pp_size == 1:
+            raise ConfigError(
+                f"Trainer3D needs pp_size >= 2, got {groups.layout.describe()}"
+            )
         self.groups = groups
         self.config = config
         moe_factory = ep_moe_factory(
-            config, groups.plane.ep, seed, alltoall_algorithm, compute_hook
+            config, groups.ep, seed, alltoall_algorithm, compute_hook
         )
         self.gpipe = GPipeRunner(
             config, groups.pipe, num_microbatches, seed=seed, moe_factory=moe_factory
         )
         self.stage = self.gpipe.stage
-        self.dense_params, self.expert_params = split_params(self.stage)
         # Pipelines hold distinct batches and every stage of a pipeline
         # reports the same loss, so averaging over one plane covers every
         # pipeline exactly once.
-        sync_groups = [
-            ("dense", self.dense_params, groups.plane.world),
-            ("expert", self.expert_params, groups.plane.edp),
-        ]
         super().__init__(
-            self.stage, groups.world, groups.plane.world, self._pipeline_gradients,
-            sync_groups, schedule=schedule, scaler=scaler,
+            self.stage, groups.world, groups.plane, self._pipeline_gradients,
+            sync_plan(self.stage, groups), schedule=schedule, scaler=scaler,
             allreduce_algorithm=allreduce_algorithm,
         )
 

@@ -4,17 +4,20 @@ This module wires everything together for one rank of an SPMD program:
 
 * :func:`build_moda_model` — an :class:`~repro.models.MoELanguageModel`
   whose MoE FFNs are :class:`~repro.parallel.ep.DistributedMoELayer`
-  sharded over the rank's EP group; replicated parameters are
-  bit-identical across ranks by construction (shared RNG streams).
+  sharded over the rank's EP group (and, when the layout has a TP axis,
+  whose dense FFNs are :class:`~repro.parallel.tp.TensorParallelMLP`);
+  replicated parameters are bit-identical across ranks by construction
+  (shared RNG streams).
+* :func:`sync_plan` — the one gradient-sync list every trainer uses.
 * :class:`MoDaTrainer` — the shared distributed step
-  (:mod:`repro.parallel.step`) with local forward/backward, dense-gradient
-  allreduce over the world and expert-gradient allreduce over the
-  expert-data-parallel group.
+  (:mod:`repro.parallel.step`) with local forward/backward and that plan.
 """
 
 from __future__ import annotations
 
 from typing import Callable
+
+import numpy as np
 
 from repro.amp import DynamicLossScaler
 from repro.errors import ConfigError
@@ -25,11 +28,12 @@ from repro.parallel.dp import broadcast_parameters
 from repro.parallel.ep import ep_moe_factory
 from repro.parallel.groups import MoDaGroups
 from repro.parallel.step import DistributedStep, SyncGroup, local_gradients
+from repro.parallel.tp import TensorParallelMLP
 from repro.train.optim import Optimizer
 from repro.train.schedules import LRSchedule
-from repro.train.trainer import StepResult, eval_loss, eval_report
+from repro.train.trainer import eval_loss, eval_report
 
-__all__ = ["build_moda_model", "split_params", "MoDaTrainer", "MoDaStepResult"]
+__all__ = ["build_moda_model", "split_params", "MoDaTrainer"]
 
 
 def build_moda_model(
@@ -40,16 +44,28 @@ def build_moda_model(
     compute_hook: Callable[[int], None] | None = None,
     overlap_chunks: int = 1,
 ) -> MoELanguageModel:
-    """Construct the per-rank model for MoDa training.
+    """Construct the per-rank model for in-plane training.
 
     Dense/router parameters come from RNG streams consumed identically on
     every rank; expert parameters are seeded per global expert id, so the
-    *model* (the union of all shards) is independent of the layout.
+    *model* (the union of all shards) is independent of the layout. With
+    ``groups.tp`` set, dense FFN blocks are sharded over it; the factory
+    draws full weights from the shared per-block rng before sharding.
     """
     moe_factory = ep_moe_factory(
         config, groups.ep, seed, alltoall_algorithm, compute_hook, overlap_chunks
     )
-    return MoELanguageModel(config, seed=seed, moe_factory=moe_factory)
+    mlp_factory = None
+    if groups.tp is not None:
+
+        def mlp_factory(layer_idx: int, rng: np.random.Generator):
+            return TensorParallelMLP(
+                config.d_model, config.d_ff, groups.tp, rng, dtype=config.dtype
+            )
+
+    return MoELanguageModel(
+        config, seed=seed, moe_factory=moe_factory, mlp_factory=mlp_factory
+    )
 
 
 def split_params(model: Module) -> tuple[list[Parameter], list[Parameter]]:
@@ -60,17 +76,26 @@ def split_params(model: Module) -> tuple[list[Parameter], list[Parameter]]:
     return dense, expert
 
 
-#: The per-rank metrics of one distributed step (the shared result type).
-MoDaStepResult = StepResult
+def sync_plan(module: Module, groups: MoDaGroups) -> list[SyncGroup]:
+    """How ``module``'s gradients are averaged: replicated dense parameters
+    over the stage plane, TP shards over their same-shard replicas
+    (``tpdp``), expert shards over their EP-position replicas (``edp``)."""
+    dense, expert = split_params(module)
+    replicated = [p for p in dense if not getattr(p, "is_tp", False)]
+    tp_shards = [p for p in dense if getattr(p, "is_tp", False)]
+    plan = [("dense", replicated, groups.plane)]
+    if tp_shards:
+        plan.append(("tp", tp_shards, groups.tpdp))
+    plan.append(("expert", expert, groups.edp))
+    return plan
 
 
 class MoDaTrainer(DistributedStep):
-    """One rank's view of synchronous MoDa training.
+    """One rank's view of synchronous in-plane training.
 
     The shared :class:`~repro.parallel.step.DistributedStep` with the local
-    gradient producer (``model.loss`` + scaled backward), dense gradients
-    averaged over ``groups.world``, expert gradients over ``groups.edp``,
-    and the loss averaged over the world.
+    gradient producer (``model.loss`` + scaled backward), gradients
+    averaged by :func:`sync_plan` and the loss averaged over the world.
     """
 
     def __init__(
@@ -92,10 +117,9 @@ class MoDaTrainer(DistributedStep):
             )
         self.model = model
         self.groups = groups
-        self.dense_params, self.expert_params = split_params(model)
         super().__init__(
             model, groups.world, groups.world, local_gradients(model, groups.world),
-            self._build_sync_groups(), optimizer, schedule, scaler, grad_clip,
+            sync_plan(model, groups), optimizer, schedule, scaler, grad_clip,
             allreduce_algorithm,
         )
         self.grad_sync_buckets = grad_sync_buckets
@@ -105,14 +129,6 @@ class MoDaTrainer(DistributedStep):
             # but an explicit broadcast pins the invariant.
             for _, params, comm in self.sync_groups:
                 broadcast_parameters(comm, params, root=0)
-
-    def _build_sync_groups(self) -> list[SyncGroup]:
-        """Gradient-sync plan: dense over the world, experts over EDP.
-        Subclasses override to add axes (e.g. TP shards over ``tpdp``)."""
-        return [
-            ("dense", self.dense_params, self.groups.world),
-            ("expert", self.expert_params, self.groups.edp),
-        ]
 
     def evaluate(self, loader, num_steps: int, start_step: int = 0) -> dict[str, float]:
         """Distributed held-out evaluation: every rank scores its own data

@@ -19,14 +19,14 @@ Rank geometry for the in-plane (non-pipeline) strategies follows
 alltoalls on the tightest links), TP in the middle, replicas outermost.
 Ranks of one TP group consume the *same* data shard, so replicated
 gradients averaged over the world and TP-sharded gradients averaged over
-the same-shard group are both exact. Pipeline strategies reuse the
-:mod:`~repro.parallel.grid3d` machinery (pipe x data x expert).
+the same-shard group are both exact. Every strategy takes its communicators
+from :func:`~repro.parallel.groups.build_groups`; pipeline strategies step
+through :class:`~repro.parallel.grid3d.Trainer3D` (pipe x data x expert).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -35,15 +35,11 @@ from repro.amp import DynamicLossScaler, cast_model
 from repro.data import ShardedLoader, SyntheticCorpus
 from repro.errors import ConfigError
 from repro.layout import ParallelLayout, validate_layout_for_model
-from repro.models.configs import ModelConfig
 from repro.models.moe_layer import MoELayer
-from repro.models.transformer import MoELanguageModel
-from repro.parallel.ep import ep_moe_factory
-from repro.parallel.grid3d import Trainer3D, build_groups3d
-from repro.parallel.groups import MoDaGroups, build_groups
-from repro.parallel.moda import MoDaTrainer, split_params
+from repro.parallel.grid3d import Trainer3D
+from repro.parallel.groups import build_groups
+from repro.parallel.moda import MoDaTrainer, build_moda_model, split_params
 from repro.parallel.step import DistributedStep
-from repro.parallel.tp import TensorParallelMLP
 from repro.parallel.zero import ZeroAdamW
 from repro.perf.stepmodel import ComputeTimer
 from repro.simmpi import Comm
@@ -56,13 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover - circular at runtime, typing only
     from repro.parallel.runner import TrainingRunConfig
 
 __all__ = [
-    "StepOutcome",
     "RankTrainer",
     "ParallelStrategy",
-    "HybridGroups",
-    "build_hybrid_groups",
-    "build_hybrid_model",
-    "HybridTrainer",
     "register_strategy",
     "get_strategy",
     "available_strategies",
@@ -73,11 +64,6 @@ __all__ = [
 # ---------------------------------------------------------------------- #
 # Step protocol
 # ---------------------------------------------------------------------- #
-
-
-#: What one distributed step reports back to the runner: the shared
-#: result type, with ``imbalance`` filled in by :class:`RankTrainer`.
-StepOutcome = StepResult
 
 
 def _imbalance_of(moe_layers: list[MoELayer]) -> float:
@@ -138,8 +124,9 @@ class RankTrainer:
         self.dense_seconds = dense_seconds
         self.moe_layers = [m for m in model.modules() if isinstance(m, MoELayer)]
 
-    def train_step(self, step: int) -> StepOutcome:
-        """Run distributed step ``step`` on this rank (collective call)."""
+    def train_step(self, step: int) -> StepResult:
+        """Run distributed step ``step`` on this rank (collective call);
+        the result's ``imbalance`` is filled in here."""
         if self.dense_seconds is not None:
             self.comm.advance(self.dense_seconds)
         outcome = self.trainer.train_step(self.loader.get_batch(step))
@@ -148,120 +135,6 @@ class RankTrainer:
             self.comm, step, outcome.global_loss, self.moe_layers, self.strategy_name
         )
         return outcome
-
-
-# ---------------------------------------------------------------------- #
-# Hybrid (in-plane) process groups and model
-# ---------------------------------------------------------------------- #
-
-
-@dataclass
-class HybridGroups:
-    """Live communicators for one rank of an in-plane hybrid strategy.
-
-    ``moda`` carries the classic world/EP/EDP triple; ``tp`` and ``tpdp``
-    (the same-TP-shard replica group) are present only when
-    ``layout.tp_size > 1``.
-    """
-
-    layout: ParallelLayout
-    moda: MoDaGroups
-    tp: Comm | None = None
-    tpdp: Comm | None = None
-
-    @property
-    def world(self) -> Comm:
-        return self.moda.world
-
-
-def build_hybrid_groups(world: Comm, layout: ParallelLayout) -> HybridGroups:
-    """Split ``world`` into EP/EDP (+ TP/TPDP) communicators.
-
-    Collective call: every rank passes the same layout. ``layout.pp_size``
-    must be 1 — pipeline stages are handled by
-    :func:`~repro.parallel.grid3d.build_groups3d`.
-    """
-    if layout.pp_size != 1:
-        raise ConfigError("build_hybrid_groups handles pp_size=1 layouts only")
-    if layout.world_size != world.size:
-        raise ConfigError(
-            f"layout world_size={layout.world_size} != comm size {world.size}"
-        )
-    moda = build_groups(world, layout.ep_size)
-    tp_comm = tpdp = None
-    if layout.tp_size > 1:
-        r = world.rank
-        ep_rank = layout.ep_rank_of(r)
-        tp_comm = world.Split(
-            color=layout.dp_index_of(r) * layout.ep_size + ep_rank,
-            key=layout.tp_rank_of(r),
-        )
-        tpdp = world.Split(color=layout.tp_rank_of(r), key=r)
-        assert tp_comm is not None and tpdp is not None
-    return HybridGroups(layout=layout, moda=moda, tp=tp_comm, tpdp=tpdp)
-
-
-def build_hybrid_model(
-    config: ModelConfig,
-    groups: HybridGroups,
-    seed: int = 0,
-    alltoall_algorithm: str | None = None,
-    compute_hook: Callable[[int], None] | None = None,
-    overlap_chunks: int = 1,
-) -> MoELanguageModel:
-    """Per-rank model with EP-sharded MoE FFNs and (optionally) TP MLPs.
-
-    Generalizes :func:`~repro.parallel.moda.build_moda_model`: MoE blocks
-    become :class:`~repro.parallel.ep.DistributedMoELayer` over the EP
-    group, and — when the layout has ``tp_size > 1`` — dense FFN blocks
-    become :class:`~repro.parallel.tp.TensorParallelMLP` over the TP
-    group. Both factories draw full weights from the shared per-block rng
-    before sharding, so replicated weights stay bit-identical everywhere.
-    """
-    moe_factory = ep_moe_factory(
-        config, groups.moda.ep, seed, alltoall_algorithm, compute_hook, overlap_chunks
-    )
-
-    mlp_factory = None
-    if groups.tp is not None:
-        if config.d_ff % groups.tp.size != 0:
-            raise ConfigError(
-                f"tp_size={groups.tp.size} must divide d_ff={config.d_ff}"
-            )
-
-        def mlp_factory(layer_idx: int, rng: np.random.Generator):
-            return TensorParallelMLP(
-                config.d_model, config.d_ff, groups.tp, rng, dtype=config.dtype
-            )
-
-    return MoELanguageModel(
-        config, seed=seed, moe_factory=moe_factory, mlp_factory=mlp_factory
-    )
-
-
-class HybridTrainer(MoDaTrainer):
-    """MoDaTrainer extended with a tensor-parallel gradient-sync axis.
-
-    Parameters partition three ways: replicated dense params average over
-    the world, TP-sharded params over the same-shard (``tpdp``) group, and
-    expert shards over EDP. With ``tp_size == 1`` this degenerates to the
-    base MoDa plan exactly.
-    """
-
-    def __init__(self, model, optimizer, hybrid: HybridGroups, **kwargs):
-        self.hybrid = hybrid
-        super().__init__(model, optimizer, hybrid.moda, **kwargs)
-
-    def _build_sync_groups(self):
-        if self.hybrid.tpdp is None:
-            return super()._build_sync_groups()
-        replicated = [p for p in self.dense_params if not getattr(p, "is_tp", False)]
-        tp_params = [p for p in self.dense_params if getattr(p, "is_tp", False)]
-        plan = [("dense", replicated, self.groups.world)]
-        if tp_params:
-            plan.append(("tp", tp_params, self.hybrid.tpdp))
-        plan.append(("expert", self.expert_params, self.groups.edp))
-        return plan
 
 
 class _ZeroHybridOptimizer:
@@ -456,27 +329,25 @@ class _PlaneStrategy(_LayoutRule):
         timer = self._timer(cfg, machine)
         compute_hook, backward_hook = self._compute_hooks(comm, cfg, timer)
         overlap = cfg.overlap_chunks > 1
-        hybrid = build_hybrid_groups(comm, layout)
-        model = build_hybrid_model(
+        groups = build_groups(comm, layout)
+        model = build_moda_model(
             cfg.model,
-            hybrid,
+            groups,
             seed=cfg.seed,
             alltoall_algorithm=cfg.alltoall_algorithm,
             compute_hook=compute_hook,
             overlap_chunks=cfg.overlap_chunks,
         )
         scaler = self._scaler(cfg, model)
-        if layout.zero_shards > 1:
-            zero_comm = comm.Split(color=comm.rank // layout.zero_shards, key=comm.rank)
-            assert zero_comm is not None
+        if groups.zero is not None:
             dense, expert = split_params(model)
-            optimizer = _ZeroHybridOptimizer(dense, expert, zero_comm, lr=cfg.lr)
+            optimizer = _ZeroHybridOptimizer(dense, expert, groups.zero, lr=cfg.lr)
         else:
             optimizer = Adam(model.parameters(), lr=cfg.lr)
-        trainer = HybridTrainer(
+        trainer = MoDaTrainer(
             model,
             optimizer,
-            hybrid,
+            groups,
             schedule=ConstantLR(cfg.lr),
             scaler=scaler,
             allreduce_algorithm=cfg.allreduce_algorithm,
@@ -528,7 +399,7 @@ class _PipelineBase(_LayoutRule):
         layout = cfg.layout
         timer = self._timer(cfg, machine)
         compute_hook, _ = self._compute_hooks(comm, cfg, timer)
-        groups = build_groups3d(comm, pipe_size=layout.pp_size, ep_size=layout.ep_size)
+        groups = build_groups(comm, layout)
         trainer = Trainer3D(
             cfg.model,
             groups,

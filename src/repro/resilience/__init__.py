@@ -21,7 +21,6 @@ supervisor):
 from repro.resilience.backoff import BackoffPolicy
 from repro.resilience.elastic import (
     ElasticStepDriver,
-    ElasticStepResult,
     SegmentProgress,
     SegmentSpec,
     run_elastic_segment,
@@ -39,7 +38,6 @@ __all__ = [
     "ElasticRunConfig",
     "ElasticRunResult",
     "ElasticStepDriver",
-    "ElasticStepResult",
     "SegmentProgress",
     "SegmentSpec",
     "Supervisor",

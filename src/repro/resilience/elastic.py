@@ -57,12 +57,7 @@ from repro.parallel.runner import TrainingRunConfig
 from repro.parallel.strategy import ParallelStrategy, _emit_step_observations
 from repro.train.trainer import StepResult, apply_update
 
-__all__ = ["ElasticStepDriver", "ElasticStepResult", "SegmentProgress", "SegmentSpec"]
-
-
-#: Per-rank metrics from one (possibly microstepped) elastic step: the
-#: shared result type, with ``extras["microsteps"]``.
-ElasticStepResult = StepResult
+__all__ = ["ElasticStepDriver", "SegmentProgress", "SegmentSpec"]
 
 
 @dataclass
@@ -100,13 +95,13 @@ class ElasticStepDriver:
 
     Wraps a built in-plane rank trainer (the strategy registry's
     :class:`~repro.parallel.strategy.RankTrainer` around a
-    :class:`~repro.parallel.strategy.HybridTrainer`). Of the shared step it
+    :class:`~repro.parallel.moda.MoDaTrainer`). Of the shared step it
     keeps the schedule, the local gradient producer, ``apply_update`` and
     the phase recording; what it replaces is the part that is genuinely its
     own — gradient sync and the global loss become the fold-carry
     accumulation described in the module docstring, averaged by the
     *logical* group sizes. With ``logical_world == world`` this degenerates
-    to the plain MoDa/Hybrid step (``k=1``) and produces bitwise-identical
+    to the plain MoDa step (``k=1``) and produces bitwise-identical
     updates. Gradients are never loss-scaled here (the scaler is unused).
     """
 
@@ -158,8 +153,9 @@ class ElasticStepDriver:
             for m in range(self.k)
         ]
 
-    def train_step(self, step: int) -> ElasticStepResult:
-        """One optimizer step = ``k`` fold-carry accumulation microsteps."""
+    def train_step(self, step: int) -> StepResult:
+        """One optimizer step = ``k`` fold-carry accumulation microsteps
+        (``extras["microsteps"]`` is ``k``)."""
         trainer = self.trainer
         world = trainer.world
         lr = trainer.next_lr()

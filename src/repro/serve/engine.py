@@ -63,10 +63,10 @@ class ServeConfig:
 
     ``arrival_rate`` is requests per *virtual* second (None: all requests
     arrive at t=0); ``slo_ms`` is a per-request completion deadline in
-    virtual milliseconds (None: no eviction). ``batching`` selects the
-    engine: ``"continuous"`` (KV-cached, join-mid-flight slots) or
-    ``"sequential"`` (FIFO depth-1 per rank; with ``use_cache=False`` this
-    is the uncached ``generate()`` baseline).
+    virtual milliseconds (None: no eviction). Each rank runs
+    ``max_batch_size`` continuous-batching slots (KV-cached, join
+    mid-flight); ``max_batch_size=1`` is sequential FIFO serving, and with
+    ``use_cache=False`` it is the uncached ``generate()`` baseline.
     """
 
     model: ModelConfig
@@ -84,7 +84,6 @@ class ServeConfig:
     max_new_tokens: int = 16
     max_batch_size: int = 8
     slo_ms: float | None = None
-    batching: str = "continuous"
     use_cache: bool = True
     greedy: bool = True
     temperature: float = 1.0
@@ -120,31 +119,20 @@ class ServeConfig:
     kv_token_budget: int | None = None
 
     def __post_init__(self) -> None:
-        if self.ep_size < 1:
-            raise ConfigError(f"ep_size must be >= 1, got {self.ep_size}")
+        for name in ("ep_size", "num_requests", "max_batch_size", "kv_block",
+                     "overlap_chunks", "supernode_size", "num_tiers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.model.num_experts % self.ep_size != 0:
             raise ConfigError(
                 f"ep_size={self.ep_size} must divide "
                 f"num_experts={self.model.num_experts}"
             )
-        if self.num_requests < 1:
+        if not self.use_cache and self.max_batch_size != 1:
             raise ConfigError(
-                f"num_requests must be >= 1, got {self.num_requests}"
-            )
-        if self.max_batch_size < 1:
-            raise ConfigError(
-                f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if self.batching not in ("continuous", "sequential"):
-            raise ConfigError(
-                f"batching must be 'continuous' or 'sequential', "
-                f"got {self.batching!r}"
-            )
-        if self.batching == "continuous" and not self.use_cache:
-            raise ConfigError(
-                "continuous batching requires use_cache=True (ragged "
-                "decode without a KV cache would re-prefill every row "
-                "every iteration)"
+                f"use_cache=False needs max_batch_size=1, got "
+                f"{self.max_batch_size} (ragged decode without a KV cache "
+                "would re-prefill every row every iteration)"
             )
         if self.prompt_len < 1 or self.max_new_tokens < 1:
             raise ConfigError("prompt_len and max_new_tokens must be >= 1")
@@ -154,8 +142,9 @@ class ServeConfig:
                 f"prompt_len_max={pmax} must be >= prompt_len={self.prompt_len}"
             )
         if pmax + self.max_new_tokens > self.model.max_seq_len:
+            longest = "prompt_len" if self.prompt_len_max is None else "prompt_len_max"
             raise ConfigError(
-                f"prompt ({pmax}) + max_new_tokens ({self.max_new_tokens}) "
+                f"{longest}={pmax} + max_new_tokens={self.max_new_tokens} "
                 f"exceeds max_seq_len={self.model.max_seq_len}; cached rows "
                 "never roll over so requests must fit the window"
             )
@@ -190,12 +179,12 @@ class ServeConfig:
             raise ConfigError(f"slo_ms must be > 0, got {self.slo_ms}")
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        if self.overlap_chunks < 1:
+        if self.expert_capacity is not None and self.expert_capacity < 1:
             raise ConfigError(
-                f"overlap_chunks must be >= 1, got {self.overlap_chunks}"
+                f"expert_capacity must be >= 1 rows, got {self.expert_capacity}"
             )
-        if self.num_tiers < 1:
-            raise ConfigError(f"num_tiers must be >= 1, got {self.num_tiers}")
+        if self.timeout <= 0:
+            raise ConfigError(f"timeout must be > 0 wall seconds, got {self.timeout}")
         if self.shed_tier is not None and not 0 <= self.shed_tier < self.num_tiers:
             raise ConfigError(
                 f"shed_tier must be in [0, num_tiers={self.num_tiers}), "
@@ -213,6 +202,12 @@ class ServeConfig:
                     f"one request ({per_request} tokens); raise the budget or "
                     "shrink prompts"
                 )
+
+    @property
+    def batching(self) -> str:
+        """The serving policy's name in reports: ``"continuous"`` (KV-cached
+        slots) or ``"sequential"`` (the uncached baseline)."""
+        return "continuous" if self.use_cache else "sequential"
 
     @property
     def effective_queue_depth(self) -> int | None:
@@ -440,7 +435,7 @@ def _serve_rank(
     )
     model = _serve_model(cfg, comm, timer, pool)
     sched = ContinuousBatchScheduler(
-        cfg.max_batch_size if cfg.batching == "continuous" else 1,
+        cfg.max_batch_size,
         queue_depth=cfg.effective_queue_depth,
         shed_tier=cfg.shed_tier,
     )
@@ -835,7 +830,5 @@ def run_sequential_baseline(
     only the serving policy changes: FIFO depth-1 per rank, no KV cache,
     full window re-forward per decoded token.
     """
-    base = replace(
-        cfg, batching="sequential", use_cache=False, max_batch_size=1
-    )
+    base = replace(cfg, use_cache=False, max_batch_size=1)
     return run_serving(base, network=network, machine=machine)

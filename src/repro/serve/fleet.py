@@ -146,7 +146,10 @@ class FleetConfig:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
         # Delegated: BackoffPolicy owns schedule validation, so the fleet
         # and the training supervisor reject the same inputs.
-        self.backoff_policy()
+        try:
+            self.backoff_policy()
+        except ConfigError as exc:
+            raise ConfigError(f"backoff_base/backoff_factor/backoff_cap: {exc}") from None
 
     def backoff_policy(self) -> BackoffPolicy:
         """Capped-exponential schedule crashed replicas wait before reuse."""

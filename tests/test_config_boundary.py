@@ -1,11 +1,13 @@
-"""The plan-family config boundary: construct, or raise ``ConfigError``.
+"""The config boundary: construct, or raise ``ConfigError``.
 
 ``ParallelPlan`` is where every layout and workload field is checked;
 ``TrainingRunConfig`` validates by building its plan, ``PlannerConfig`` by
 building the run of its data-parallel layout, and ``ElasticRunConfig`` by
 building its full-width run. So a nonsense field is refused at
 construction, with the one error type, instead of inside a rank thread (or,
-for a supervised run, after every retry the supervisor has).
+for a supervised run, after every retry the supervisor has). The serving
+configs (``ServeConfig``, ``FleetConfig``, ``AutoscalerConfig``) hold the
+same line, and their errors name the field they refuse.
 """
 
 import dataclasses
@@ -19,6 +21,7 @@ from repro.parallel import TrainingRunConfig
 from repro.perf import ParallelPlan
 from repro.plan import PlannerConfig
 from repro.resilience import ElasticRunConfig
+from repro.serve import AutoscalerConfig, FleetConfig, ServeConfig
 
 MODEL = tiny_config()
 
@@ -34,6 +37,15 @@ BASES = {
                            checkpoint_dir="unused", batch_size=2, seq_len=8),
 }
 
+#: The serving family: the same perturbations, and each refusal names a
+#: perturbed field.
+SERVING_BASES = {
+    ServeConfig: dict(model=MODEL, ep_size=2),
+    FleetConfig: dict(serve=ServeConfig(model=MODEL, ep_size=2),
+                      autoscale=AutoscalerConfig()),
+    AutoscalerConfig: dict(),
+}
+
 #: Mostly small (where every divisibility and sign rule lives), sometimes
 #: anything a 64-bit int holds.
 INTS = st.one_of(st.integers(-2, 9), st.integers(-(2**63), 2**63 - 1))
@@ -42,13 +54,25 @@ FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 
 def _numeric_fields(cls) -> dict[str, st.SearchStrategy]:
     # Annotations are strings under ``from __future__ import annotations``.
-    kinds = {"int": INTS, "float": FLOATS}
+    kinds = {"int": INTS, "float": FLOATS,
+             "int | None": st.none() | INTS, "float | None": st.none() | FLOATS}
     return {
         f.name: kinds[f.type] for f in dataclasses.fields(cls) if f.type in kinds
     }
 
 
-@pytest.mark.parametrize("cls", list(BASES), ids=lambda cls: cls.__name__)
+def _perturbed(cls, base: dict, data) -> tuple[list[str], dict]:
+    fields = _numeric_fields(cls)
+    names = data.draw(
+        st.lists(st.sampled_from(sorted(fields)), min_size=1, max_size=3, unique=True)
+    )
+    kwargs = dict(base)
+    kwargs.update({name: data.draw(fields[name], label=name) for name in names})
+    return names, kwargs
+
+
+@pytest.mark.parametrize("cls", list(BASES) + list(SERVING_BASES),
+                         ids=lambda cls: cls.__name__)
 def test_every_config_has_numbers_to_perturb(cls):
     strategies = list(_numeric_fields(cls).values())
     assert INTS in strategies and FLOATS in strategies
@@ -58,16 +82,37 @@ def test_every_config_has_numbers_to_perturb(cls):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_perturbed_fields_construct_or_raise_config_error(cls, data):
-    fields = _numeric_fields(cls)
-    names = data.draw(
-        st.lists(st.sampled_from(sorted(fields)), min_size=1, max_size=3, unique=True)
-    )
-    kwargs = dict(BASES[cls])
-    kwargs.update({name: data.draw(fields[name], label=name) for name in names})
+    _, kwargs = _perturbed(cls, BASES[cls], data)
     try:
         cls(**kwargs)
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize("cls", list(SERVING_BASES), ids=lambda cls: cls.__name__)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_perturbed_serving_fields_construct_or_name_the_field(cls, data):
+    names, kwargs = _perturbed(cls, SERVING_BASES[cls], data)
+    try:
+        cls(**kwargs)
+    except ConfigError as exc:
+        assert any(name in str(exc) for name in names), (names, str(exc))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(kv_block=0), dict(expert_capacity=0), dict(expert_capacity=-1),
+     dict(supernode_size=0), dict(timeout=0.0)],
+    ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+)
+def test_serve_config_rejects_at_construction_what_used_to_fail_after_launch(bad):
+    """The parent constructed these; the run then died inside its rank
+    threads (``ConfigError``), building the network (``TopologyError``) or
+    waiting for them (``DeadlockError``)."""
+    (name,) = bad
+    with pytest.raises(ConfigError, match=name):
+        ServeConfig(**SERVING_BASES[ServeConfig], **bad)
 
 
 @pytest.mark.parametrize(

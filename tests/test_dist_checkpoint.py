@@ -8,6 +8,7 @@ from repro.errors import CheckpointError
 from repro.models import tiny_config
 from repro.parallel import (
     MoDaTrainer,
+    ParallelLayout,
     build_groups,
     build_moda_model,
     dense_state,
@@ -26,7 +27,7 @@ def _save_run(tmp_path, world, ep, seed=21, perturb=False):
     """Train-free save: build, optionally perturb deterministically, save."""
 
     def program(comm):
-        groups = build_groups(comm, ep)
+        groups = build_groups(comm, ParallelLayout(comm.size, ep))
         model = build_moda_model(CFG, groups, seed=seed)
         if perturb:
             for name, p in model.named_parameters():
@@ -39,7 +40,7 @@ def _save_run(tmp_path, world, ep, seed=21, perturb=False):
 
 def _load_run(tmp_path, world, ep, seed=99):
     def program(comm):
-        groups = build_groups(comm, ep)
+        groups = build_groups(comm, ParallelLayout(comm.size, ep))
         model = build_moda_model(CFG, groups, seed=seed)  # different init
         meta = load_distributed(tmp_path / "ckpt", model)
         return meta, global_expert_state(model), dense_state(model)
@@ -112,7 +113,7 @@ class TestResharding:
         tokens = rng.integers(0, CFG.vocab_size, size=(2, 8))
 
         def forward_program(comm, ep):
-            groups = build_groups(comm, ep)
+            groups = build_groups(comm, ParallelLayout(comm.size, ep))
             model = build_moda_model(CFG, groups, seed=123)
             load_distributed(tmp_path / "ckpt", model)
             out = model(tokens)
@@ -128,7 +129,7 @@ def _train_save_run(tmp_path, world, ep, steps=2, seed=11):
     params + optimizer, and return each rank's global-named state."""
 
     def program(comm):
-        groups = build_groups(comm, ep)
+        groups = build_groups(comm, ParallelLayout(comm.size, ep))
         model = build_moda_model(CFG, groups, seed=seed)
         optimizer = Adam(model.parameters(), lr=1e-3)
         trainer = MoDaTrainer(model, optimizer, groups)
@@ -144,7 +145,7 @@ def _train_save_run(tmp_path, world, ep, steps=2, seed=11):
 
 def _load_optimizer_run(tmp_path, world, ep, seed=77):
     def program(comm):
-        groups = build_groups(comm, ep)
+        groups = build_groups(comm, ParallelLayout(comm.size, ep))
         model = build_moda_model(CFG, groups, seed=seed)  # different init
         optimizer = Adam(model.parameters(), lr=1e-3)
         meta = load_distributed(tmp_path / "ckpt", model, optimizer=optimizer)
@@ -194,7 +195,7 @@ class TestOptimizerStateReshard:
         _save_run(tmp_path, world=2, ep=2)  # param-only snapshot
 
         def program(comm):
-            groups = build_groups(comm, 2)
+            groups = build_groups(comm, ParallelLayout(comm.size, 2))
             model = build_moda_model(CFG, groups, seed=0)
             optimizer = Adam(model.parameters(), lr=1e-3)
             load_distributed(tmp_path / "ckpt", model, optimizer=optimizer)
@@ -239,7 +240,7 @@ class TestElasticResumeTrajectory:
 class TestErrors:
     def test_missing_checkpoint(self, tmp_path):
         def program(comm):
-            groups = build_groups(comm, 1)
+            groups = build_groups(comm, ParallelLayout(comm.size))
             model = build_moda_model(CFG, groups, seed=0)
             load_distributed(tmp_path / "nope", model)
 
@@ -252,7 +253,7 @@ class TestErrors:
         (tmp_path / "ckpt" / "experts_1of2.npz").unlink()
 
         def program(comm):
-            groups = build_groups(comm, 1)
+            groups = build_groups(comm, ParallelLayout(comm.size))
             model = build_moda_model(CFG, groups, seed=0)
             load_distributed(tmp_path / "ckpt", model)
 

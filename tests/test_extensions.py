@@ -11,6 +11,7 @@ from repro.models import bagualu_14_5t, build_model, tiny_config
 from repro.network import sunway_network
 from repro.parallel import (
     MoDaTrainer,
+    ParallelLayout,
     build_groups,
     build_moda_model,
     load_distributed,
@@ -68,7 +69,7 @@ class TestPhaseTiming:
         cfg = tiny_config(num_experts=4)
 
         def program(comm):
-            groups = build_groups(comm, 2)
+            groups = build_groups(comm, ParallelLayout(comm.size, 2))
             model = build_moda_model(cfg, groups, seed=3)
             trainer = MoDaTrainer(model, Adam(model.parameters(), lr=1e-3), groups)
             corpus = SyntheticCorpus(vocab_size=cfg.vocab_size, seed=1)
@@ -156,7 +157,7 @@ class TestOptimizerDistCheckpoint:
     CFG = tiny_config(num_experts=4)
 
     def _train_and_save(self, tmp_path, comm):
-        groups = build_groups(comm, 2)
+        groups = build_groups(comm, ParallelLayout(comm.size, 2))
         model = build_moda_model(self.CFG, groups, seed=5)
         opt = Adam(model.parameters(), lr=1e-3)
         trainer = MoDaTrainer(model, opt, groups)
@@ -175,7 +176,7 @@ class TestOptimizerDistCheckpoint:
         saved = run_spmd(save_program, 4, timeout=300)
 
         def load_program(comm):
-            groups = build_groups(comm, 2)
+            groups = build_groups(comm, ParallelLayout(comm.size, 2))
             model = build_moda_model(self.CFG, groups, seed=77)
             opt = Adam(model.parameters(), lr=1e-3)
             load_distributed(
@@ -195,7 +196,7 @@ class TestOptimizerDistCheckpoint:
         run_spmd(lambda c: self._train_and_save(tmp_path, c), 4, timeout=300)
 
         def shrunk_load(comm):
-            groups = build_groups(comm, 2)
+            groups = build_groups(comm, ParallelLayout(comm.size, 2))
             model = build_moda_model(self.CFG, groups, seed=0)
             opt = Adam(model.parameters(), lr=1e-3)
             load_distributed(tmp_path / "ckpt", model, optimizer=opt,
@@ -209,7 +210,7 @@ class TestOptimizerDistCheckpoint:
         run_spmd(lambda c: self._train_and_save(tmp_path, c), 4, timeout=300)
 
         def load_no_coords(comm):
-            groups = build_groups(comm, 2)
+            groups = build_groups(comm, ParallelLayout(comm.size, 2))
             model = build_moda_model(self.CFG, groups, seed=0)
             opt = Adam(model.parameters(), lr=1e-3)
             load_distributed(tmp_path / "ckpt", model, optimizer=opt)

@@ -6,7 +6,13 @@ import pytest
 from repro.data import Batch, ShardedLoader, SyntheticCorpus
 from repro.errors import ConfigError
 from repro.models import build_model, tiny_config
-from repro.parallel import ParallelLayout, Trainer3D, build_groups3d
+from repro.parallel import (
+    MoDaTrainer,
+    ParallelLayout,
+    Trainer3D,
+    build_groups,
+    build_moda_model,
+)
 from repro.simmpi import run_spmd
 from repro.train import Adam, SGD
 
@@ -37,13 +43,17 @@ class TestLayoutAs3DGrid:
             ParallelLayout(world_size=8, pp_size=2, ep_size=3)
 
 
+def _groups(comm, pipe, ep):
+    return build_groups(comm, ParallelLayout(comm.size, ep_size=ep, pp_size=pipe))
+
+
 class TestGroups3D:
     def test_communicator_shapes(self):
         def program(comm):
-            g = build_groups3d(comm, pipe_size=2, ep_size=2)
+            g = _groups(comm, 2, 2)
             return (
-                g.pipe.size, g.plane.world.size, g.plane.ep.size,
-                g.plane.edp.size, g.stage, g.pipeline_id,
+                g.pipe.size, g.plane.size, g.ep.size,
+                g.edp.size, g.pipe.rank, g.pipeline_id,
             )
 
         res = run_spmd(program, 8, timeout=300)
@@ -60,8 +70,8 @@ class TestGroups3D:
         ranks are exactly the shared layout's rank coordinates."""
 
         def program(comm):
-            g = build_groups3d(comm, pipe_size=2, ep_size=2)
-            return g.layout, g.pipe.rank, g.plane.ep.rank, g.plane.edp.rank
+            g = _groups(comm, 2, 2)
+            return g.layout, g.pipe.rank, g.ep.rank, g.edp.rank
 
         res = run_spmd(program, 8, timeout=300)
         for r, (layout, stage, ep_rank, dp_index) in enumerate(res.returns):
@@ -72,20 +82,24 @@ class TestGroups3D:
 
     def test_pipeline_members_cross_planes(self):
         def program(comm):
-            g = build_groups3d(comm, pipe_size=2, ep_size=2)
-            return g.pipe.members
+            return _groups(comm, 2, 2).pipe.members
 
         res = run_spmd(program, 8, timeout=300)
-        assert res.returns[1] == (1, 5)  # same plane position, both stages
+        assert res.returns[1] == (1, 5)
 
 
 def _train_3d(comm, pipe, ep, steps=4, cfg=CFG, seed=3, microbatches=2):
-    groups = build_groups3d(comm, pipe_size=pipe, ep_size=ep)
-    trainer = Trainer3D(cfg, groups, num_microbatches=microbatches, seed=seed)
+    groups = _groups(comm, pipe, ep)
     # The layout-independence tolerances below hold at 1e-3 (the step size a
     # schedule-less Trainer3D imposed before it honoured the optimizer's lr);
     # at 3e-3 a top-k routing flip moves step 3's loss in the 4th digit.
-    trainer.attach_optimizer(Adam(trainer.stage.parameters(), lr=1e-3))
+    if pipe == 1:
+        # No pipeline axis: the in-plane step trains the same global problem.
+        model = build_moda_model(cfg, groups, seed=seed)
+        trainer = MoDaTrainer(model, Adam(model.parameters(), lr=1e-3), groups)
+    else:
+        trainer = Trainer3D(cfg, groups, num_microbatches=microbatches, seed=seed)
+        trainer.attach_optimizer(Adam(trainer.stage.parameters(), lr=1e-3))
     corpus = SyntheticCorpus(vocab_size=cfg.vocab_size, predictability=0.9, seed=5)
     loader = ShardedLoader(
         corpus, 4, 8, dp_rank=groups.pipeline_id, dp_size=groups.layout.plane_size
@@ -101,9 +115,16 @@ class TestTrainer3D:
             assert np.allclose(r, base)
         assert base[-1] < base[0]
 
+    def test_rejects_a_layout_without_a_pipeline(self):
+        def program(comm):
+            Trainer3D(CFG, _groups(comm, 1, 2), num_microbatches=1)
+
+        with pytest.raises(ConfigError, match="Trainer3D needs pp_size >= 2"):
+            run_spmd(program, 2, timeout=300)
+
     def test_requires_attached_optimizer(self):
         def program(comm):
-            groups = build_groups3d(comm, 2, 1)
+            groups = _groups(comm, 2, 1)
             trainer = Trainer3D(CFG, groups, num_microbatches=1)
             trainer.train_step(Batch(np.zeros((2, 8), dtype=np.int64),
                                      np.zeros((2, 8), dtype=np.int64), 0))
@@ -115,7 +136,7 @@ class TestTrainer3D:
         """No schedule given: the attached optimizer's own lr is the step
         size (it used to be overwritten with a hard-coded 1e-3)."""
         def program(comm, schedule):
-            groups = build_groups3d(comm, pipe_size=2, ep_size=1)
+            groups = _groups(comm, 2, 1)
             trainer = Trainer3D(CFG, groups, num_microbatches=2, seed=3, schedule=schedule)
             trainer.attach_optimizer(Adam(trainer.stage.parameters(), lr=3e-3))
             loader = ShardedLoader(SyntheticCorpus(vocab_size=CFG.vocab_size, seed=5), 4, 8)
@@ -133,7 +154,8 @@ class TestTrainer3D:
 
     def test_grid_shape_independence(self):
         """The same global problem gives the same loss trajectory under
-        every 3D factorization (placement never changes numerics).
+        every 3D factorization (placement never changes numerics). The
+        pp-1 shapes run the in-plane step (one batch, no microbatches).
 
         Layouts sum in different orders, so parameters differ in their last
         bits after the first update. With every token sent to every expert
@@ -144,7 +166,7 @@ class TestTrainer3D:
         ulps = 5e-6  # ten fp32 ulps of a loss near 4.8
         flip = 5e-3  # one top-2 flip: measured 1.1e-3 (4.78966 vs 4.78856 at step 2)
         shapes = [
-            (4, 1, 1),  # pure DP over 4 pipelines of 1 stage
+            (4, 1, 1),  # pure DP over 4 replicas
             (4, 2, 1),  # 2 stages x 2 pipelines
             (4, 1, 2),  # MoDa: ep=2, dp=2
             (4, 2, 2),  # full 3D on 4 ranks: 2 stages x (dp1 x ep2)
@@ -180,10 +202,8 @@ class TestTrainer3D:
         # Reference: a MoDa-built model on one rank (expert weights are
         # seeded per global expert id, matching the 3D construction; a
         # plain build_model draws experts from a different stream).
-        from repro.parallel import build_groups, build_moda_model
-
         def build_ref(comm):
-            return build_moda_model(CFG, build_groups(comm, 1), seed=3)
+            return build_moda_model(CFG, build_groups(comm, ParallelLayout(comm.size)), seed=3)
 
         ref = run_spmd(build_ref, 1, timeout=300).returns[0]
         ref_loss = float(np.mean([
@@ -191,7 +211,7 @@ class TestTrainer3D:
         ]))
 
         def program(comm):
-            groups = build_groups3d(comm, pipe_size=2, ep_size=2)
+            groups = _groups(comm, 2, 2)
             trainer = Trainer3D(CFG, groups, num_microbatches=2, seed=3)
             trainer.attach_optimizer(SGD(trainer.stage.parameters(), lr=1e-9))
             loader = ShardedLoader(
@@ -207,7 +227,7 @@ class TestTrainer3D:
         from repro.amp import DynamicLossScaler
 
         def program(comm):
-            groups = build_groups3d(comm, pipe_size=2, ep_size=2)
+            groups = _groups(comm, 2, 2)
             scaler = DynamicLossScaler(init_scale=2.0**8, growth_interval=10)
             trainer = Trainer3D(CFG, groups, num_microbatches=2, seed=3,
                                 scaler=scaler)

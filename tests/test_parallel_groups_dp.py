@@ -1,4 +1,6 @@
-"""MoDa group construction and data-parallel gradient sync."""
+"""Process-group construction and data-parallel gradient sync."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -35,11 +37,105 @@ class TestLayoutAsGrid:
         assert ParallelLayout(8, 8).num_ep_groups == 1
 
 
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+#: Every layout of worlds 1-8: each pp dividing the world, each tp x ep
+#: tiling the stage plane, and every ZeRO block size up to the plane.
+LAYOUTS = [
+    ParallelLayout(world, ep, tp, pp, zero)
+    for world in range(1, 9)
+    for pp in _divisors(world)
+    for tp in _divisors(world // pp)
+    for ep in _divisors(world // pp // tp)
+    for zero in range(1, world // pp + 1)
+]
+
+#: Communicator -> (the coordinates its members share with this rank, the
+#: coordinate it orders them by).
+SPANS = {
+    "plane": (("stage",), "plane_rank"),
+    "pipe": (("ep", "tp", "dp"), "stage"),
+    "ep": (("stage", "tp", "dp"), "ep"),
+    "edp": (("stage", "ep"), "ep_group"),
+    "tp": (("stage", "ep", "dp"), "tp"),
+    "tpdp": (("stage", "tp"), "plane_rank"),
+    "zero": (("stage", "zero_block"), "plane_rank"),
+}
+
+
+def _coordinates(layout: ParallelLayout, r: int) -> dict[str, int]:
+    plane_rank = r % layout.plane_size
+    return {
+        "stage": layout.stage_of(r),
+        "plane_rank": plane_rank,
+        "ep": layout.ep_rank_of(r),
+        "tp": layout.tp_rank_of(r),
+        "dp": layout.dp_index_of(r),
+        "ep_group": plane_rank // layout.ep_size,
+        "zero_block": plane_rank // layout.zero_shards,
+    }
+
+
+def _present(layout: ParallelLayout) -> set[str]:
+    axes = {"plane", "ep", "edp"}
+    if layout.pp_size > 1:
+        axes.add("pipe")
+    if layout.tp_size > 1:
+        axes |= {"tp", "tpdp"}
+    if layout.zero_shards > 1:
+        axes.add("zero")
+    return axes
+
+
+@functools.cache
+def _built(layout: ParallelLayout) -> list[dict]:
+    """Per rank: each communicator's (members, rank) or None, and identities."""
+
+    def program(comm):
+        g = build_groups(comm, layout)
+        out = {name: None if getattr(g, name) is None
+               else (getattr(g, name).members, getattr(g, name).rank) for name in SPANS}
+        out["world is comm"] = g.world is comm
+        out["plane is world"] = g.plane is g.world
+        return out
+
+    return run_spmd(program, layout.world_size).returns
+
+
 class TestBuildGroups:
+    """The one builder, against the layout's rank coordinates."""
+
+    def test_members_are_layout_coordinates(self):
+        for layout in LAYOUTS:
+            coords = [_coordinates(layout, q) for q in range(layout.world_size)]
+            for r, built in enumerate(_built(layout)):
+                for name in _present(layout):
+                    shared, key = SPANS[name]
+                    want = tuple(sorted(
+                        (q for q, c in enumerate(coords)
+                         if all(c[s] == coords[r][s] for s in shared)),
+                        key=lambda q: coords[q][key],
+                    ))
+                    assert built[name] == (want, want.index(r)), (layout.describe(), r, name)
+
+    def test_absent_axes_are_none(self):
+        for layout in LAYOUTS:
+            for built in _built(layout):
+                for name in set(SPANS) - _present(layout):
+                    assert built[name] is None, (layout.describe(), name)
+
+    def test_world_is_original_comm(self):
+        for layout in LAYOUTS:
+            for built in _built(layout):
+                assert built["world is comm"]
+                assert built["plane is world"] == (layout.pp_size == 1), layout.describe()
+
     def test_group_shapes(self):
         def program(comm):
-            g = build_groups(comm, ep_size=2)
-            return (g.ep.size, g.edp.size, g.ep_rank, g.edp_rank, g.layout)
+            g = build_groups(comm, ParallelLayout(world_size=comm.size, ep_size=2))
+            return (g.ep.size, g.edp.size, g.ep_rank, g.edp.rank, g.layout)
 
         res = run_spmd(program, 6)
         for r, (ep_size, edp_size, ep_rank, edp_rank, layout) in enumerate(res.returns):
@@ -52,7 +148,7 @@ class TestBuildGroups:
 
     def test_ep_group_members_consecutive(self):
         def program(comm):
-            g = build_groups(comm, ep_size=4)
+            g = build_groups(comm, ParallelLayout(world_size=comm.size, ep_size=4))
             return g.ep.members
 
         res = run_spmd(program, 8)
@@ -61,18 +157,18 @@ class TestBuildGroups:
 
     def test_edp_group_members_strided(self):
         def program(comm):
-            g = build_groups(comm, ep_size=4)
+            g = build_groups(comm, ParallelLayout(world_size=comm.size, ep_size=4))
             return g.edp.members
 
         res = run_spmd(program, 8)
         assert res.returns[1] == (1, 5)
 
-    def test_world_is_original_comm(self):
+    def test_layout_must_describe_the_comm(self):
         def program(comm):
-            g = build_groups(comm, ep_size=1)
-            return g.world is comm
+            build_groups(comm, ParallelLayout(world_size=4))
 
-        assert all(run_spmd(program, 4).returns)
+        with pytest.raises(ConfigError, match="world_size=4 != comm size 2"):
+            run_spmd(program, 2)
 
 
 class TestGradFlattening:

@@ -8,6 +8,7 @@ from repro.errors import ConfigError
 from repro.models import build_model, tiny_config
 from repro.parallel import (
     MoDaTrainer,
+    ParallelLayout,
     ZeroAdamW,
     build_groups,
     build_moda_model,
@@ -23,7 +24,7 @@ CFG = tiny_config(num_experts=4)
 
 
 def _train(comm, ep_size, steps=4, optimizer="adam", seed=11, lr=3e-3, **trainer_kw):
-    groups = build_groups(comm, ep_size)
+    groups = build_groups(comm, ParallelLayout(comm.size, ep_size))
     model = build_moda_model(CFG, groups, seed=seed)
     if optimizer == "adam":
         opt = Adam(model.parameters(), lr=lr)
@@ -106,7 +107,7 @@ def build_moda_model_single():
     """
 
     def build(comm):
-        groups = build_groups(comm, 1)
+        groups = build_groups(comm, ParallelLayout(comm.size))
         return build_moda_model(CFG, groups, seed=11)
 
     return run_spmd(build, 1).returns[0]

@@ -21,7 +21,8 @@ import repro
 from repro.amp import cast_model
 from repro.models import MoELanguageModel, Parameter, tiny_config
 from repro.parallel import (
-    ZeroAdamW, build_groups, build_moda_model, load_distributed, save_distributed,
+    ParallelLayout, ZeroAdamW, build_groups, build_moda_model, load_distributed,
+    save_distributed,
 )
 from repro.parallel.collective_ops import (
     alltoall_rows, copy_to_tp_region, ialltoall_rows, place_rows,
@@ -518,7 +519,7 @@ def test_load_distributed_rounds_dense_and_expert_parameters(tmp_path):
     cfg = tiny_config(num_experts=4)
 
     def program(comm):
-        groups = build_groups(comm, 2)
+        groups = build_groups(comm, ParallelLayout(comm.size, 2))
         source = build_moda_model(cfg, groups, seed=3)
         for p in source.parameters():
             p.data = (p.data * (1.0 + 2.0 ** -14)).astype(np.float32)  # off the fp16 grid

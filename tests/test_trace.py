@@ -237,13 +237,13 @@ class TestChromeExport:
         """A full distributed training step produces a coherent trace."""
         from repro.data import ShardedLoader, SyntheticCorpus
         from repro.models import tiny_config
-        from repro.parallel import MoDaTrainer, build_groups, build_moda_model
+        from repro.parallel import MoDaTrainer, ParallelLayout, build_groups, build_moda_model
         from repro.train import Adam
 
         cfg = tiny_config(num_experts=4)
 
         def train(comm):
-            groups = build_groups(comm, 2)
+            groups = build_groups(comm, ParallelLayout(comm.size, 2))
             model = build_moda_model(cfg, groups, seed=1)
             trainer = MoDaTrainer(model, Adam(model.parameters(), lr=1e-3), groups)
             corpus = SyntheticCorpus(vocab_size=cfg.vocab_size, seed=0)

@@ -17,12 +17,9 @@ from repro.errors import ConfigError
 from repro.layout import ParallelLayout
 from repro.models import Parameter, tiny_config
 from repro.parallel import (
-    HybridTrainer,
     MoDaTrainer,
     TrainingRunConfig,
     build_groups,
-    build_hybrid_groups,
-    build_hybrid_model,
     build_moda_model,
     run_distributed_training,
     split_params,
@@ -103,7 +100,7 @@ def _sha(params) -> str:
 
 
 def _clipped_moda(comm, ep_size, grad_clip, steps=3):
-    groups = build_groups(comm, ep_size)
+    groups = build_groups(comm, ParallelLayout(comm.size, ep_size))
     model = build_moda_model(CFG, groups, seed=11)
     trainer = MoDaTrainer(model, Adam(model.parameters(), lr=3e-3), groups, grad_clip=grad_clip)
     corpus = SyntheticCorpus(vocab_size=CFG.vocab_size, predictability=0.9, seed=2)
@@ -119,9 +116,9 @@ class TestGradClipGuard:
 
     def test_rejected_with_tensor_parallel_shards(self):
         def program(comm):
-            hybrid = build_hybrid_groups(comm, ParallelLayout(world_size=4, tp_size=2))
-            model = build_hybrid_model(TINY4, hybrid, seed=0)
-            HybridTrainer(model, Adam(model.parameters()), hybrid, grad_clip=1.0)
+            groups = build_groups(comm, ParallelLayout(world_size=4, tp_size=2))
+            model = build_moda_model(TINY4, groups, seed=0)
+            MoDaTrainer(model, Adam(model.parameters()), groups, grad_clip=1.0)
 
         with pytest.raises(ConfigError, match="grad_clip.*tp"):
             run_spmd(program, 4, timeout=300)
@@ -143,7 +140,7 @@ class TestGradClipGuard:
         _, _, distributed = run_spmd(_clipped_moda, 1, args=(1, 0.05), timeout=300).returns[0]
 
         def reference(comm):
-            model = build_moda_model(CFG, build_groups(comm, 1), seed=11)
+            model = build_moda_model(CFG, build_groups(comm, ParallelLayout(comm.size)), seed=11)
             trainer = Trainer(model, Adam(model.parameters(), lr=3e-3), grad_clip=0.05)
             corpus = SyntheticCorpus(vocab_size=CFG.vocab_size, predictability=0.9, seed=2)
             loader = ShardedLoader(corpus, 4, 8)

@@ -13,6 +13,7 @@ from repro.data import ShardedLoader, SyntheticCorpus
 from repro.models import generate, tiny_config
 from repro.parallel import (
     MoDaTrainer,
+    ParallelLayout,
     build_groups,
     build_moda_model,
     load_distributed,
@@ -35,7 +36,7 @@ class TestFullWorkflow:
 
         # ---- Phase 1: train on 4 ranks (ep=2), evaluate, checkpoint ----
         def phase1(comm):
-            groups = build_groups(comm, 2)
+            groups = build_groups(comm, ParallelLayout(comm.size, 2))
             model = build_moda_model(CFG, groups, seed=SEED)
             opt = Adam(model.parameters(), lr=3e-3)
             trainer = MoDaTrainer(model, opt, groups)
@@ -58,7 +59,7 @@ class TestFullWorkflow:
 
         # ---- Phase 2: restore on 2 ranks (ep=2 resharded), eval again ----
         def phase2(comm):
-            groups = build_groups(comm, 2)
+            groups = build_groups(comm, ParallelLayout(comm.size, 2))
             model = build_moda_model(CFG, groups, seed=99)  # wrong init
             load_distributed(ckpt, model)
             trainer = MoDaTrainer(model, Adam(model.parameters(), lr=3e-3),
@@ -75,7 +76,7 @@ class TestFullWorkflow:
 
         # ---- Phase 3: continue training from the checkpoint ----
         def phase3(comm):
-            groups = build_groups(comm, 2)
+            groups = build_groups(comm, ParallelLayout(comm.size, 2))
             model = build_moda_model(CFG, groups, seed=99)
             opt = Adam(model.parameters(), lr=3e-3)
             load_distributed(ckpt, model, optimizer=opt,
@@ -94,7 +95,7 @@ class TestFullWorkflow:
 
         # ---- Phase 4: single-process generation from the final model ----
         def build_single(comm):
-            groups = build_groups(comm, 1)
+            groups = build_groups(comm, ParallelLayout(comm.size))
             model = build_moda_model(CFG, groups, seed=0)
             load_distributed(ckpt, model)
             return model
@@ -113,7 +114,7 @@ class TestFullWorkflow:
 
     def test_distributed_eval_validation(self):
         def program(comm):
-            groups = build_groups(comm, 2)
+            groups = build_groups(comm, ParallelLayout(comm.size, 2))
             model = build_moda_model(CFG, groups, seed=1)
             trainer = MoDaTrainer(model, Adam(model.parameters(), lr=1e-3), groups)
             loader = ShardedLoader(_corpus(), 2, 8, dp_rank=comm.rank,
