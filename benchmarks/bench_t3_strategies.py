@@ -2,9 +2,9 @@
 
 Paper claim: the MoDa hybrid (experts sharded inside supernodes,
 hierarchical collectives, data parallelism everywhere) beats both
-single-axis strategies. Every measured row launches through the strategy
-registry (``TrainingRunConfig.strategy``), so the comparison exercises
-the same dispatch path the CLI uses; per-phase timings come from the
+single-axis strategies. Every measured row's layout selects its strategy
+(the row asserts the name it expects), so the comparison exercises the
+same dispatch path the CLI uses; per-phase timings come from the
 shared RunContext. Projected rows use the analytic step model. Pure DP
 is also memory-infeasible at brain scale (see T4), so its row at
 96,000 nodes is hypothetical-compute-only.
@@ -28,7 +28,7 @@ def _measure(strategy, ep_size, alltoall, allreduce):
     res = run_distributed_training(
         TrainingRunConfig(
             model=CFG, world_size=16, ep_size=ep_size, num_steps=3,
-            batch_size=2, seq_len=8, strategy=strategy,
+            batch_size=2, seq_len=8,
             alltoall_algorithm=alltoall, allreduce_algorithm=allreduce,
             model_compute_time=False,  # isolate communication differences
             trace=True,    # timed per-(op, rank) comm records

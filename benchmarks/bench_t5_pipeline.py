@@ -27,7 +27,6 @@ def _pipeline_time(num_microbatches: int) -> float:
         TrainingRunConfig(
             model=CFG, world_size=STAGES, pp_size=STAGES, num_steps=1,
             batch_size=BATCH, seq_len=8, num_microbatches=num_microbatches,
-            strategy="pipeline",
         ),
         network=flat_network(STAGES),
         machine=laptop_machine(STAGES),

@@ -4,7 +4,7 @@ With pipe x data x expert factorizations of the same 16 ranks, numerics
 are identical (tested) while the simulated step time varies with the
 communication mix: pipelines add p2p boundary traffic but shrink per-rank
 dense allreduce volume; EP adds alltoalls but shrinks expert memory.
-Every shape launches through the strategy registry — the layout alone
+Every shape launches through one entry point — the layout alone
 (``ep_size``/``pp_size``) selects dp, moda, or pp_moda — so this bench
 doubles as an end-to-end check of ``strategy_for_layout``.
 """

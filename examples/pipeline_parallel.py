@@ -1,13 +1,12 @@
 #!/usr/bin/env python
-"""Pipeline-parallel training (GPipe) through the strategy registry.
+"""Pipeline-parallel training (GPipe): the layout selects the pipeline strategy.
 
 Splits a 4-layer MoE transformer into 2 stages across 2 simulated ranks
 and trains with 4 microbatches per step — the third parallel axis beyond
 the paper's MoDa (data x expert). Setting ``pp_size=2`` on the run config
-is all it takes: the registry routes the layout to the ``pipeline``
-strategy, stage boundaries exchange activations/gradients point-to-point,
-and the classic pipeline *bubble* shows up directly in the virtual-clock
-timing.
+is all it takes: the layout is the ``pipeline`` strategy, stage
+boundaries exchange activations/gradients point-to-point, and the classic
+pipeline *bubble* shows up directly in the virtual-clock timing.
 
 Run:  python examples/pipeline_parallel.py
 """

@@ -3,8 +3,8 @@
 
 One call enumerates every launchable (dp, tp, pp, ep, zero) factorization
 of an 8-node world for a tiny MoE config, ranks them with the analytic
-step model, verifies the top-2 with short simulated training runs through
-the strategy registry, and calibrates the model against the best
+step model, verifies the top-2 with short simulated training runs of
+their launch configs, and calibrates the model against the best
 measurement. The script prints the ranked table, the rejections (each
 carrying the exact error message a real launch would raise), and writes
 ``plan_report.md`` — the same deterministic markdown the CLI's ``plan``

@@ -27,16 +27,9 @@ from repro.models import (
     tiny_config,
 )
 
-# Distributed training: strategy registry + measured runner ----------------
+# Distributed training: the layout picks the strategy; measured runner -----
 from repro.layout import ParallelLayout
-from repro.parallel import (
-    TrainingRunConfig,
-    TrainingRunResult,
-    available_strategies,
-    get_strategy,
-    register_strategy,
-    run_distributed_training,
-)
+from repro.parallel import TrainingRunConfig, TrainingRunResult, run_distributed_training
 
 # Elastic fault-tolerant training ------------------------------------------
 from repro.resilience import (
@@ -119,9 +112,6 @@ __all__ = [
     "ParallelLayout",
     "TrainingRunConfig",
     "TrainingRunResult",
-    "available_strategies",
-    "get_strategy",
-    "register_strategy",
     "run_distributed_training",
     # elastic
     "BackoffPolicy",

@@ -4,8 +4,8 @@ Commands
 --------
 ``train``       single-process training on the synthetic corpus
 ``distributed`` simulated multi-rank training with virtual timing; any
-                registered strategy (dp/ep/moda/tp/zero/pipeline and
-                composites) via ``--ep/--tp/--pp/--zero/--strategy``
+                strategy (dp/ep/moda/tp/zero/pipeline and composites)
+                is a layout: ``--ep/--tp/--pp/--zero``
 ``resilient``   supervised fault-tolerant training: stochastic faults
                 (``--mtbf``, ``--dead-node``, ``--straggler``), capped
                 backoff, and elastic shrink-and-reshard restarts
@@ -107,9 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pipeline stages (GPipe)")
     p_dist.add_argument("--zero", type=int, default=1,
                         help="ZeRO-1 optimizer-state shards (1 = off)")
-    p_dist.add_argument("--strategy", default="auto",
-                        help="registry name (see repro.parallel."
-                             "available_strategies()) or 'auto'")
     p_dist.add_argument("--microbatches", type=int, default=2,
                         help="microbatches per step (pipeline strategies)")
     p_dist.add_argument("--steps", type=int, default=5)
@@ -432,7 +429,6 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
         zero_shards=args.zero,
         num_microbatches=args.microbatches,
         overlap_chunks=args.overlap_chunks,
-        strategy=args.strategy,
         trace=args.trace is not None,
         observe=args.observe,
     )

@@ -4,7 +4,7 @@ One frozen dataclass describes how a world of ranks is factored over the
 four parallel axes the stack knows about — expert (EP), tensor (TP),
 pipeline (PP) and ZeRO optimizer-state sharding — and validates the
 factorization once, in one place. Both the measured side
-(:class:`~repro.parallel.runner.TrainingRunConfig`, the strategy registry,
+(:class:`~repro.parallel.runner.TrainingRunConfig`, the strategy checks,
 and the one process-group builder,
 :func:`~repro.parallel.groups.build_groups`, which takes its split colours
 and keys from it) and the analytic side (:class:`~repro.perf.ParallelPlan`) build

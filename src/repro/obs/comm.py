@@ -172,8 +172,6 @@ def profile_comm(
         buckets: dict[tuple[str, int], list] = {}
         ranks = set()
         for e in context.trace_events:
-            if e.op.startswith("event:"):
-                continue
             ranks.add(e.rank)
             buckets.setdefault((e.op, e.rank), []).append(e)
         group = list(members) if members is not None else sorted(ranks)

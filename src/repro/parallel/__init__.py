@@ -1,8 +1,8 @@
 """Parallel training strategies: MoDa hybrid, expert/data parallelism, ZeRO.
 
-Every strategy — and every composite of them — is reachable through the
-registry in :mod:`repro.parallel.strategy`; the measured runner
-(:func:`run_distributed_training`) dispatches through it.
+Every strategy — and every composite of them — is a layout;
+:func:`strategy_for_layout` names it, and the measured runner
+(:func:`run_distributed_training`) builds it.
 """
 
 from repro.layout import ParallelLayout
@@ -39,14 +39,7 @@ from repro.parallel.tp import (
     TensorParallelMLP,
     shard_linear_weights,
 )
-from repro.parallel.strategy import (
-    ParallelStrategy,
-    RankTrainer,
-    available_strategies,
-    get_strategy,
-    register_strategy,
-    strategy_for_layout,
-)
+from repro.parallel.strategy import ParallelStrategy, RankTrainer, strategy_for_layout
 from repro.parallel.runner import TrainingRunConfig, TrainingRunResult, run_distributed_training
 from repro.parallel.zero import ZeroAdamW, shard_bounds
 
@@ -54,9 +47,6 @@ __all__ = [
     "ParallelLayout",
     "ParallelStrategy",
     "RankTrainer",
-    "available_strategies",
-    "get_strategy",
-    "register_strategy",
     "strategy_for_layout",
     "dense_state",
     "global_expert_state",

@@ -30,10 +30,12 @@ from __future__ import annotations
 import json
 import zipfile
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from repro.errors import CheckpointError
+from repro.models.module import Parameter
 from repro.models.transformer import MoELanguageModel
 from repro.parallel.ep import DistributedMoELayer
 from repro.parallel.groups import MoDaGroups
@@ -56,22 +58,21 @@ _META = "meta.json"
 _OPT_SEP = "::"
 
 
-def _expert_layers(model: MoELanguageModel) -> list[tuple[int, DistributedMoELayer]]:
-    out = []
-    for i, block in enumerate(model.blocks):
-        if isinstance(block.ffn, DistributedMoELayer):
-            out.append((i, block.ffn))
-    return out
+def _global_expert_params(model: MoELanguageModel) -> Iterator[tuple[str, Parameter]]:
+    """``(global name, param)`` for every expert parameter this rank holds:
+    ``blocks.<layer>.ffn.experts.<global expert id>.<param name>``."""
+    for layer_idx, block in enumerate(model.blocks):
+        layer = block.ffn
+        if not isinstance(layer, DistributedMoELayer):
+            continue
+        for local_idx, gid in enumerate(layer.global_expert_ids):
+            for pname, p in layer.experts[local_idx].named_parameters():
+                yield f"blocks.{layer_idx}.ffn.experts.{gid}.{pname}", p
 
 
 def global_expert_state(model: MoELanguageModel) -> dict[str, np.ndarray]:
     """This rank's expert parameters under global (layout-free) names."""
-    state: dict[str, np.ndarray] = {}
-    for layer_idx, layer in _expert_layers(model):
-        for local_idx, gid in enumerate(layer.global_expert_ids):
-            for pname, p in layer.experts[local_idx].named_parameters():
-                state[f"blocks.{layer_idx}.ffn.experts.{gid}.{pname}"] = p.data.copy()
-    return state
+    return {name: p.data.copy() for name, p in _global_expert_params(model)}
 
 
 def dense_state(model: MoELanguageModel) -> dict[str, np.ndarray]:
@@ -89,10 +90,8 @@ def _global_param_names(model: MoELanguageModel) -> dict[int, str]:
     for name, p in model.named_parameters():
         if not getattr(p, "is_expert", False):
             names[id(p)] = name
-    for layer_idx, layer in _expert_layers(model):
-        for local_idx, gid in enumerate(layer.global_expert_ids):
-            for pname, p in layer.experts[local_idx].named_parameters():
-                names[id(p)] = f"blocks.{layer_idx}.ffn.experts.{gid}.{pname}"
+    for name, p in _global_expert_params(model):
+        names[id(p)] = name
     return names
 
 
@@ -298,8 +297,6 @@ def load_distributed(
     model: MoELanguageModel,
     strict: bool = True,
     optimizer=None,
-    world_rank: int | None = None,
-    world_size: int | None = None,
 ) -> dict:
     """Restore a sharded checkpoint into ``model`` (any EP layout).
 
@@ -307,9 +304,7 @@ def load_distributed(
     expert shards contain its local experts. When ``optimizer`` is given,
     its state is restored from the globally-named optimizer shards —
     layout-independent, so the saving and loading world sizes / EP widths
-    may differ (the elastic-restart path). ``world_rank``/``world_size``
-    are accepted for backwards compatibility and ignored. Returns the
-    metadata dict.
+    may differ (the elastic-restart path). Returns the metadata dict.
     """
     directory = Path(directory)
     meta_path = directory / _META
@@ -353,17 +348,13 @@ def load_distributed(
                 cache[f] = {k: blob[k] for k in blob.files}
         return cache[f][key]
 
-    for layer_idx, layer in _expert_layers(model):
-        for local_idx, gid in enumerate(layer.global_expert_ids):
-            for pname, p in layer.experts[local_idx].named_parameters():
-                key = f"blocks.{layer_idx}.ffn.experts.{gid}.{pname}"
-                arr = fetch(key)
-                if arr.shape != p.shape:
-                    raise CheckpointError(
-                        f"shape mismatch for {key!r}: checkpoint {arr.shape}, "
-                        f"model {p.shape}"
-                    )
-                p.data = quantize(arr, p.dtype).copy()
+    for key, p in _global_expert_params(model):
+        arr = fetch(key)
+        if arr.shape != p.shape:
+            raise CheckpointError(
+                f"shape mismatch for {key!r}: checkpoint {arr.shape}, model {p.shape}"
+            )
+        p.data = quantize(arr, p.dtype).copy()
 
     if optimizer is not None:
         opt_files = sorted(directory.glob("optim_*.npz"))

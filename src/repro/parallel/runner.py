@@ -1,16 +1,16 @@
-"""Turn-key SPMD experiment runner over the strategy registry.
+"""Turn-key SPMD experiment runner over every parallel layout.
 
 One parametrized entry point covers the measured side of every strategy
 comparison (experiment T3 and the measured halves of F1/F2). The layout
-knobs (``ep_size``, ``tp_size``, ``pp_size``, ``zero_shards``) pick a
-registered :class:`~repro.parallel.strategy.ParallelStrategy`:
+knobs (``ep_size``, ``tp_size``, ``pp_size``, ``zero_shards``) are the
+strategy (:func:`~repro.parallel.strategy.strategy_for_layout`):
 
 * ``ep_size=1``                  -> pure data parallelism;
 * ``ep_size=world, flat``        -> naive expert parallelism;
 * ``1 < ep_size`` + hierarchical -> the MoDa hybrid;
 * ``tp_size/pp_size/zero_shards``-> tensor, pipeline, and ZeRO runs, and
   the TP x EP / PP x DP / PP x MoDa composites — all through the same
-  dispatch (``strategy="auto"`` infers; name a strategy to pin it).
+  dispatch.
 
 Each rank trains on its own data shard; virtual clocks advance by modelled
 compute (via :class:`~repro.perf.ComputeTimer`) and by the network cost of
@@ -34,11 +34,7 @@ from repro.layout import ParallelLayout
 from repro.models.configs import ModelConfig
 from repro.network.costmodel import NetworkModel
 from repro.network.presets import sunway_network
-from repro.parallel.strategy import (
-    ParallelStrategy,
-    get_strategy,
-    strategy_for_layout,
-)
+from repro.parallel.strategy import ParallelStrategy, strategy_for_layout
 from repro.perf.plan import ParallelPlan
 from repro.simmpi import RunContext, run_spmd
 
@@ -76,8 +72,6 @@ class TrainingRunConfig:
     #: gradient allreduce to overlap with backward compute. Rejected by
     #: pipeline strategies (their dispatch is not chunked).
     overlap_chunks: int = 1
-    #: Registry name, or "auto" to infer from the layout.
-    strategy: str = "auto"
     #: Record TraceEvents (Chrome-trace exportable via the RunContext).
     trace: bool = False
     #: Give the run a live metric registry + router telemetry
@@ -88,10 +82,17 @@ class TrainingRunConfig:
     def __post_init__(self) -> None:
         if self.num_steps < 1:
             raise ConfigError(f"num_steps must be >= 1, got {self.num_steps}")
+        # Written as ``not x > 0`` so that NaN is refused too.
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 <= self.corpus_predictability <= 1.0:
+            raise ConfigError(
+                f"corpus_predictability must be in [0, 1], got {self.corpus_predictability}"
+            )
+        if not self.timeout > 0:
+            raise ConfigError(f"timeout must be > 0 wall seconds, got {self.timeout}")
         # Every layout and workload field is checked by building the plan.
         self.plan.check_seq_len(self.model)
-        if self.strategy != "auto":
-            get_strategy(self.strategy)  # unknown names fail at build time
 
     @cached_property
     def plan(self) -> ParallelPlan:
@@ -116,9 +117,7 @@ class TrainingRunConfig:
         return self.plan.layout
 
     def resolve_strategy(self) -> ParallelStrategy:
-        """The registered strategy this run dispatches through."""
-        if self.strategy != "auto":
-            return get_strategy(self.strategy)
+        """The strategy this run's layout describes."""
         return strategy_for_layout(self.layout)
 
 
@@ -167,9 +166,8 @@ def run_distributed_training(
 ) -> TrainingRunResult:
     """Execute the SPMD training run and aggregate per-rank results.
 
-    Dispatches through the strategy registry: the config's layout (or an
-    explicit ``cfg.strategy`` name) selects how groups, model wrapper, and
-    the distributed step are built on every rank.
+    The config's layout selects how groups, model wrapper, and the
+    distributed step are built on every rank.
     """
     strategy = cfg.resolve_strategy()
     strategy.validate(cfg)

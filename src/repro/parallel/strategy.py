@@ -1,33 +1,30 @@
-"""Composable parallel strategies behind one registry.
+"""The layout is the strategy: one name, one set of checks, two build paths.
 
 Every way this repo knows how to distribute training — data parallelism,
 expert parallelism, the MoDa hybrid, tensor parallelism, GPipe pipelines,
-ZeRO optimizer sharding, and their composites — is expressed as a
-:class:`ParallelStrategy`: an object that validates a
-:class:`~repro.layout.ParallelLayout`, builds the process groups and the
-wrapped per-rank model, and exposes one distributed :meth:`train_step`.
-The runner (:func:`~repro.parallel.runner.run_distributed_training`)
-dispatches through :func:`get_strategy` / :func:`strategy_for_layout`, so
-layouts that previously had no launch path (TP x EP, PP x MoDa) run
-through the same entry point as plain MoDa.
+ZeRO optimizer sharding, and their composites — is a
+:class:`~repro.layout.ParallelLayout`. :func:`strategy_for_layout` names
+the layout's family (``dp``, ``ep``, ``moda``, ``tp``, ``tp_ep``, ``zero``,
+``pipeline``, ``pp_dp`` or ``pp_moda``) and returns a
+:class:`ParallelStrategy` that validates a run config and builds one rank's
+:class:`RankTrainer`. The name is a label (metrics, reports); what runs is
+chosen by the layout alone: the in-plane body below when ``pp_size == 1``,
+the pipeline body (:class:`~repro.parallel.grid3d.Trainer3D`, pipe x data x
+expert) otherwise.
 
-Registered names: ``dp``, ``ep``, ``moda``, ``tp``, ``zero``,
-``pipeline``, and the composites ``tp_ep``, ``pp_dp``, ``pp_moda``.
-
-Rank geometry for the in-plane (non-pipeline) strategies follows
+Rank geometry for the in-plane layouts follows
 :class:`~repro.layout.ParallelLayout`: EP innermost (consecutive ranks,
 alltoalls on the tightest links), TP in the middle, replicas outermost.
 Ranks of one TP group consume the *same* data shard, so replicated
 gradients averaged over the world and TP-sharded gradients averaged over
-the same-shard group are both exact. Every strategy takes its communicators
-from :func:`~repro.parallel.groups.build_groups`; pipeline strategies step
-through :class:`~repro.parallel.grid3d.Trainer3D` (pipe x data x expert).
+the same-shard group are both exact. Every layout takes its communicators
+from :func:`~repro.parallel.groups.build_groups`.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,14 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - circular at runtime, typing only
     from repro.hardware.specs import MachineSpec
     from repro.parallel.runner import TrainingRunConfig
 
-__all__ = [
-    "RankTrainer",
-    "ParallelStrategy",
-    "register_strategy",
-    "get_strategy",
-    "available_strategies",
-    "strategy_for_layout",
-]
+__all__ = ["RankTrainer", "ParallelStrategy", "strategy_for_layout"]
 
 
 # ---------------------------------------------------------------------- #
@@ -170,216 +160,41 @@ class _ZeroHybridOptimizer:
 
 
 # ---------------------------------------------------------------------- #
-# Strategy protocol + registry
+# The strategy of a layout
 # ---------------------------------------------------------------------- #
 
 
-class ParallelStrategy(ABC):
-    """How to launch one parallel composition: validate, build, step.
+@dataclass(frozen=True)
+class ParallelStrategy:
+    """A layout's family name plus the launch-time checks and build."""
 
-    Subclasses set ``name`` (the registry key) and ``composite`` (True
-    when more than one parallel axis is active), implement
-    :meth:`check_layout` for the axis constraints, and :meth:`build` to
-    produce a :class:`RankTrainer` inside an SPMD rank.
-    """
-
-    name: str = ""
-    composite: bool = False
-
-    @abstractmethod
-    def check_layout(self, layout: ParallelLayout) -> None:
-        """Raise ConfigError unless ``layout`` fits this strategy."""
+    #: ``dp``/``ep``/``moda``/``tp``/``tp_ep``/``zero``/``pipeline``/
+    #: ``pp_dp``/``pp_moda``; a metric label, not a switch.
+    name: str
 
     def validate(self, cfg: "TrainingRunConfig") -> None:
-        """Fail fast (driver-side) on an incompatible config.
+        """Fail fast (driver-side) on a config no rank could run.
 
-        Axis constraints come from :meth:`check_layout`; the layout-vs-model
-        constraints (EP/TP/PP divisibility against the model's shape) come
-        from the shared :func:`~repro.layout.validate_layout_for_model`, so
-        the measured runner and the analytic planner reject identical
-        layouts with identical messages.
+        ZeRO's two limits come first, then the layout-vs-model constraints
+        (EP/TP/PP divisibility against the model's shape) from the shared
+        :func:`~repro.layout.validate_layout_for_model`, so the measured
+        runner and the analytic planner reject identical layouts with
+        identical messages; pipeline layouts then check their workload.
         """
-        self.check_layout(cfg.layout)
-        validate_layout_for_model(cfg.layout, cfg.model)
-
-    @abstractmethod
-    def build(
-        self, comm: Comm, cfg: "TrainingRunConfig", machine: "MachineSpec | None"
-    ) -> RankTrainer:
-        """Construct groups/model/optimizer on one rank (collective)."""
-
-    # Shared helpers ---------------------------------------------------- #
-
-    @staticmethod
-    def _timer(cfg: "TrainingRunConfig", machine) -> ComputeTimer | None:
-        if machine is None or not cfg.model_compute_time:
-            return None
-        return ComputeTimer(
-            cfg.model, machine, cfg.seq_len, tp_size=cfg.layout.tp_size
-        )
-
-    @staticmethod
-    def _compute_hooks(comm: Comm, cfg: "TrainingRunConfig", timer: ComputeTimer | None):
-        """``(expert_hook(rows), backward_hook())``: advance the modelled
-        expert-layer / dense-backward compute on the virtual clock."""
-
-        def expert_hook(rows: int) -> None:
-            if timer is not None:
-                comm.advance(timer.expert_layer_time(rows))
-
-        def backward_hook() -> None:
-            if timer is not None:
-                comm.advance(timer.dense_backward_time(cfg.batch_size * cfg.seq_len))
-
-        return expert_hook, backward_hook
-
-    @staticmethod
-    def _scaler(cfg: "TrainingRunConfig", model) -> DynamicLossScaler | None:
-        if not cfg.mixed_precision:
-            return None
-        cast_model(model, "fp16")
-        return DynamicLossScaler(init_scale=2.0**12, growth_interval=50)
-
-    @staticmethod
-    def _corpus(cfg: "TrainingRunConfig") -> SyntheticCorpus:
-        return SyntheticCorpus(
-            vocab_size=cfg.model.vocab_size,
-            predictability=cfg.corpus_predictability,
-            seed=cfg.seed,
-        )
-
-
-class _LayoutRule(ParallelStrategy):
-    """A built-in strategy: a name plus the layouts it fits (``wants`` is
-    that predicate in words, for the error message)."""
-
-    def __init__(self, name: str, wants: str,
-                 fits: Callable[[ParallelLayout], bool], composite: bool = False):
-        self.name = name
-        self.wants = wants
-        self.fits = fits
-        self.composite = composite
-
-    def check_layout(self, layout: ParallelLayout) -> None:
-        if not self.fits(layout):
-            raise ConfigError(f"{self.name} wants {self.wants}, got {layout.describe()}")
-
-
-_REGISTRY: dict[str, ParallelStrategy] = {}
-
-
-def register_strategy(strategy: ParallelStrategy) -> ParallelStrategy:
-    """Add a strategy to the registry (name must be unique)."""
-    if not strategy.name:
-        raise ConfigError("strategy must carry a non-empty name")
-    if strategy.name in _REGISTRY:
-        raise ConfigError(f"strategy {strategy.name!r} already registered")
-    _REGISTRY[strategy.name] = strategy
-    return strategy
-
-
-def get_strategy(name: str) -> ParallelStrategy:
-    """Look a strategy up by registry name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown strategy {name!r}; available: {available_strategies()}"
-        ) from None
-
-
-def available_strategies() -> list[str]:
-    """Sorted names of every registered strategy."""
-    return sorted(_REGISTRY)
-
-
-def strategy_for_layout(layout: ParallelLayout) -> ParallelStrategy:
-    """Infer the registered strategy a layout describes.
-
-    Pipeline beats TP beats ZeRO in the dispatch order; within each, the
-    expert axis selects the composite variant.
-    """
-    if layout.pp_size > 1:
-        if layout.ep_size > 1:
-            return get_strategy("pp_moda")
-        if layout.plane_size > 1:
-            return get_strategy("pp_dp")
-        return get_strategy("pipeline")
-    if layout.tp_size > 1:
-        return get_strategy("tp_ep" if layout.ep_size > 1 else "tp")
-    if layout.zero_shards > 1:
-        return get_strategy("zero")
-    if layout.ep_size == 1:
-        return get_strategy("dp")
-    if layout.ep_size == layout.world_size:
-        return get_strategy("ep")
-    return get_strategy("moda")
-
-
-# ---------------------------------------------------------------------- #
-# In-plane strategies (no pipeline axis)
-# ---------------------------------------------------------------------- #
-
-
-class _PlaneStrategy(_LayoutRule):
-    """Common build path for dp/ep/moda/tp/tp_ep/zero."""
-
-    def build(self, comm, cfg, machine) -> RankTrainer:
         layout = cfg.layout
-        timer = self._timer(cfg, machine)
-        compute_hook, backward_hook = self._compute_hooks(comm, cfg, timer)
-        overlap = cfg.overlap_chunks > 1
-        groups = build_groups(comm, layout)
-        model = build_moda_model(
-            cfg.model,
-            groups,
-            seed=cfg.seed,
-            alltoall_algorithm=cfg.alltoall_algorithm,
-            compute_hook=compute_hook,
-            overlap_chunks=cfg.overlap_chunks,
-        )
-        scaler = self._scaler(cfg, model)
-        if groups.zero is not None:
-            dense, expert = split_params(model)
-            optimizer = _ZeroHybridOptimizer(dense, expert, groups.zero, lr=cfg.lr)
-        else:
-            optimizer = Adam(model.parameters(), lr=cfg.lr)
-        trainer = MoDaTrainer(
-            model,
-            optimizer,
-            groups,
-            schedule=ConstantLR(cfg.lr),
-            scaler=scaler,
-            allreduce_algorithm=cfg.allreduce_algorithm,
-            grad_sync_buckets=cfg.overlap_chunks,
-            backward_compute_hook=backward_hook if overlap else None,
-        )
-        r = comm.rank
-        data_rank = layout.dp_index_of(r) * layout.ep_size + layout.ep_rank_of(r)
-        loader = ShardedLoader(
-            self._corpus(cfg), cfg.batch_size, cfg.seq_len,
-            dp_rank=data_rank, dp_size=layout.data_streams,
-        )
-        tokens = cfg.batch_size * cfg.seq_len
-        dense_seconds = None
-        if timer is not None:
-            dense_seconds = (
-                timer.dense_forward_time(tokens) if overlap else timer.dense_step_time(tokens)
+        if layout.zero_shards > layout.world_size:
+            raise ConfigError(
+                f"zero_shards={layout.zero_shards} must not exceed "
+                f"world_size={layout.world_size}"
             )
-        return RankTrainer(trainer, model, loader, timer, comm, tokens, self.name, dense_seconds)
-
-
-# ---------------------------------------------------------------------- #
-# Pipeline strategies
-# ---------------------------------------------------------------------- #
-
-
-class _PipelineBase(_LayoutRule):
-    """Common build path for pipeline/pp_dp/pp_moda (via grid3d)."""
-
-    def validate(self, cfg) -> None:
-        super().validate(cfg)
-        layout = cfg.layout
+        if layout.zero_shards > 1 and (layout.tp_size > 1 or layout.pp_size > 1):
+            raise ConfigError(
+                f"zero_shards={layout.zero_shards} does not compose with tp or pp "
+                f"yet, got {layout.describe()}"
+            )
+        validate_layout_for_model(layout, cfg.model)
+        if layout.pp_size == 1:
+            return
         if layout.tp_size != 1:
             raise ConfigError(
                 f"pipeline strategies do not compose with tp yet, got {layout.describe()}"
@@ -395,70 +210,154 @@ class _PipelineBase(_LayoutRule):
                 f"got overlap_chunks={cfg.overlap_chunks}"
             )
 
-    def build(self, comm, cfg, machine) -> RankTrainer:
-        layout = cfg.layout
-        timer = self._timer(cfg, machine)
-        compute_hook, _ = self._compute_hooks(comm, cfg, timer)
-        groups = build_groups(comm, layout)
-        trainer = Trainer3D(
-            cfg.model,
-            groups,
-            num_microbatches=cfg.num_microbatches,
-            seed=cfg.seed,
-            schedule=ConstantLR(cfg.lr),
-            alltoall_algorithm=cfg.alltoall_algorithm,
-            allreduce_algorithm=cfg.allreduce_algorithm,
-            compute_hook=compute_hook,
-        )
-        scaler = self._scaler(cfg, trainer.stage)
-        trainer.scaler = scaler
-        trainer.attach_optimizer(Adam(trainer.stage.parameters(), lr=cfg.lr))
-        loader = ShardedLoader(
-            self._corpus(cfg), cfg.batch_size, cfg.seq_len,
-            dp_rank=groups.pipeline_id, dp_size=layout.plane_size,
-        )
-        tokens = cfg.batch_size * cfg.seq_len
-        # Each stage holds ~1/pp of the layers, so the dense compute per
-        # rank is the full-model step time split across stages.
-        dense_seconds = None if timer is None else timer.dense_step_time(tokens) / layout.pp_size
-        return RankTrainer(
-            trainer, trainer.stage, loader, timer, comm, tokens, self.name, dense_seconds
-        )
+    def build(
+        self, comm: Comm, cfg: "TrainingRunConfig", machine: "MachineSpec | None"
+    ) -> RankTrainer:
+        """Construct groups/model/optimizer on one rank (collective)."""
+        build = _build_pipeline if cfg.layout.pp_size > 1 else _build_plane
+        return build(comm, cfg, machine, self.name)
 
 
-for _strategy in (
-    # Pure data parallelism: every rank holds the full model.
-    _PlaneStrategy("dp", "ep=tp=pp=zero=1",
-                   lambda lay: lay.ep_size == lay.tp_size == lay.pp_size == lay.zero_shards == 1),
-    # Flat expert parallelism: one EP group spanning the world.
-    _PlaneStrategy("ep", "ep_size == world_size and tp=pp=zero=1",
-                   lambda lay: lay.ep_size == lay.world_size
-                   and lay.tp_size == lay.pp_size == lay.zero_shards == 1),
-    # The paper's hybrid: EP groups inside, data parallelism outside.
-    _PlaneStrategy("moda", "tp=pp=zero=1",
-                   lambda lay: lay.tp_size == lay.pp_size == lay.zero_shards == 1),
-    # Megatron-style TP over dense FFN blocks (+ data parallelism).
-    _PlaneStrategy("tp", "tp_size >= 2 and ep=pp=zero=1",
-                   lambda lay: lay.tp_size >= 2
-                   and lay.ep_size == lay.pp_size == lay.zero_shards == 1),
-    # Composite TP x EP: sharded dense MLPs and sharded experts.
-    _PlaneStrategy("tp_ep", "tp_size >= 2, ep_size >= 2 and pp=zero=1",
-                   lambda lay: lay.tp_size >= 2 and lay.ep_size >= 2
-                   and lay.pp_size == lay.zero_shards == 1, composite=True),
-    # ZeRO-1 optimizer-state sharding over (possibly MoDa) replicas.
-    _PlaneStrategy("zero", "2 <= zero_shards <= world_size and tp=pp=1",
-                   lambda lay: 2 <= lay.zero_shards <= lay.world_size
-                   and lay.tp_size == lay.pp_size == 1),
-    # Pure GPipe: every rank is one pipeline stage.
-    _PipelineBase("pipeline", "pp_size == world_size >= 2 and zero=1",
-                  lambda lay: lay.pp_size == lay.world_size >= 2 and lay.zero_shards == 1),
-    # Composite PP x DP: replicated pipelines over data shards.
-    _PipelineBase("pp_dp", "pp_size >= 2 with a >1-rank plane and ep=zero=1",
-                  lambda lay: lay.pp_size >= 2 and lay.plane_size >= 2
-                  and lay.ep_size == lay.zero_shards == 1, composite=True),
-    # Composite PP x MoDa: pipeline stages whose planes run MoDa.
-    _PipelineBase("pp_moda", "pp_size >= 2, ep_size >= 2 and zero=1",
-                  lambda lay: lay.pp_size >= 2 and lay.ep_size >= 2 and lay.zero_shards == 1,
-                  composite=True),
-):
-    register_strategy(_strategy)
+def strategy_for_layout(layout: ParallelLayout) -> ParallelStrategy:
+    """The strategy a layout describes.
+
+    Pipeline beats TP beats ZeRO in the dispatch order; within each, the
+    expert axis selects the composite variant.
+    """
+    if layout.pp_size > 1:
+        if layout.ep_size > 1:
+            return ParallelStrategy("pp_moda")
+        if layout.plane_size > 1:
+            return ParallelStrategy("pp_dp")
+        return ParallelStrategy("pipeline")
+    if layout.tp_size > 1:
+        return ParallelStrategy("tp_ep" if layout.ep_size > 1 else "tp")
+    if layout.zero_shards > 1:
+        return ParallelStrategy("zero")
+    if layout.ep_size == 1:
+        return ParallelStrategy("dp")
+    if layout.ep_size == layout.world_size:
+        return ParallelStrategy("ep")
+    return ParallelStrategy("moda")
+
+
+# ---------------------------------------------------------------------- #
+# Shared build helpers
+# ---------------------------------------------------------------------- #
+
+
+def _timer(cfg: "TrainingRunConfig", machine) -> ComputeTimer | None:
+    if machine is None or not cfg.model_compute_time:
+        return None
+    return ComputeTimer(cfg.model, machine, cfg.seq_len, tp_size=cfg.layout.tp_size)
+
+
+def _compute_hooks(comm: Comm, cfg: "TrainingRunConfig", timer: ComputeTimer | None):
+    """``(expert_hook(rows), backward_hook())``: advance the modelled
+    expert-layer / dense-backward compute on the virtual clock."""
+
+    def expert_hook(rows: int) -> None:
+        if timer is not None:
+            comm.advance(timer.expert_layer_time(rows))
+
+    def backward_hook() -> None:
+        if timer is not None:
+            comm.advance(timer.dense_backward_time(cfg.batch_size * cfg.seq_len))
+
+    return expert_hook, backward_hook
+
+
+def _scaler(cfg: "TrainingRunConfig", model) -> DynamicLossScaler | None:
+    if not cfg.mixed_precision:
+        return None
+    cast_model(model, "fp16")
+    return DynamicLossScaler(init_scale=2.0**12, growth_interval=50)
+
+
+def _corpus(cfg: "TrainingRunConfig") -> SyntheticCorpus:
+    return SyntheticCorpus(
+        vocab_size=cfg.model.vocab_size,
+        predictability=cfg.corpus_predictability,
+        seed=cfg.seed,
+    )
+
+
+# ---------------------------------------------------------------------- #
+# The two build bodies
+# ---------------------------------------------------------------------- #
+
+
+def _build_plane(comm, cfg, machine, name: str) -> RankTrainer:
+    """In-plane layouts (dp/ep/moda/tp/tp_ep/zero) through MoDaTrainer."""
+    layout = cfg.layout
+    timer = _timer(cfg, machine)
+    compute_hook, backward_hook = _compute_hooks(comm, cfg, timer)
+    overlap = cfg.overlap_chunks > 1
+    groups = build_groups(comm, layout)
+    model = build_moda_model(
+        cfg.model,
+        groups,
+        seed=cfg.seed,
+        alltoall_algorithm=cfg.alltoall_algorithm,
+        compute_hook=compute_hook,
+        overlap_chunks=cfg.overlap_chunks,
+    )
+    scaler = _scaler(cfg, model)
+    if groups.zero is not None:
+        dense, expert = split_params(model)
+        optimizer = _ZeroHybridOptimizer(dense, expert, groups.zero, lr=cfg.lr)
+    else:
+        optimizer = Adam(model.parameters(), lr=cfg.lr)
+    trainer = MoDaTrainer(
+        model,
+        optimizer,
+        groups,
+        schedule=ConstantLR(cfg.lr),
+        scaler=scaler,
+        allreduce_algorithm=cfg.allreduce_algorithm,
+        grad_sync_buckets=cfg.overlap_chunks,
+        backward_compute_hook=backward_hook if overlap else None,
+    )
+    r = comm.rank
+    data_rank = layout.dp_index_of(r) * layout.ep_size + layout.ep_rank_of(r)
+    loader = ShardedLoader(
+        _corpus(cfg), cfg.batch_size, cfg.seq_len,
+        dp_rank=data_rank, dp_size=layout.data_streams,
+    )
+    tokens = cfg.batch_size * cfg.seq_len
+    dense_seconds = None
+    if timer is not None:
+        dense_seconds = (
+            timer.dense_forward_time(tokens) if overlap else timer.dense_step_time(tokens)
+        )
+    return RankTrainer(trainer, model, loader, timer, comm, tokens, name, dense_seconds)
+
+
+def _build_pipeline(comm, cfg, machine, name: str) -> RankTrainer:
+    """Pipeline layouts (pipeline/pp_dp/pp_moda) through Trainer3D."""
+    layout = cfg.layout
+    timer = _timer(cfg, machine)
+    compute_hook, _ = _compute_hooks(comm, cfg, timer)
+    groups = build_groups(comm, layout)
+    trainer = Trainer3D(
+        cfg.model,
+        groups,
+        num_microbatches=cfg.num_microbatches,
+        seed=cfg.seed,
+        schedule=ConstantLR(cfg.lr),
+        alltoall_algorithm=cfg.alltoall_algorithm,
+        allreduce_algorithm=cfg.allreduce_algorithm,
+        compute_hook=compute_hook,
+    )
+    scaler = _scaler(cfg, trainer.stage)
+    trainer.scaler = scaler
+    trainer.attach_optimizer(Adam(trainer.stage.parameters(), lr=cfg.lr))
+    loader = ShardedLoader(
+        _corpus(cfg), cfg.batch_size, cfg.seq_len,
+        dp_rank=groups.pipeline_id, dp_size=layout.plane_size,
+    )
+    tokens = cfg.batch_size * cfg.seq_len
+    # Each stage holds ~1/pp of the layers, so the dense compute per
+    # rank is the full-model step time split across stages.
+    dense_seconds = None if timer is None else timer.dense_step_time(tokens) / layout.pp_size
+    return RankTrainer(trainer, trainer.stage, loader, timer, comm, tokens, name, dense_seconds)

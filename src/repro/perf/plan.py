@@ -82,7 +82,7 @@ class ParallelPlan:
             raise ConfigError(
                 f"num_microbatches must be >= 1, got {self.num_microbatches}"
             )
-        if self.load_imbalance < 1.0:
+        if not self.load_imbalance >= 1.0:
             raise ConfigError(
                 f"load_imbalance must be >= 1, got {self.load_imbalance}"
             )

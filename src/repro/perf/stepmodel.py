@@ -187,7 +187,7 @@ def _exposed_step_time(bd: StepBreakdown, plan: ParallelPlan) -> float:
 class StepModel:
     """Bind (model config, machine, network) and evaluate plans.
 
-    Every registered strategy is priceable: plans may set any combination
+    Every strategy is priceable: plans may set any combination
     of ``ep_size`` / ``tp_size`` / ``pp_size`` / ``zero_shards`` and each
     axis contributes its own :class:`StepBreakdown` term.
     """

@@ -2,8 +2,8 @@
 
 One subsystem ties the stack's three halves together:
 
-* the shared :class:`~repro.layout.ParallelLayout` + strategy registry
-  decide what *launches* (the measured spine);
+* the shared :class:`~repro.layout.ParallelLayout` and its strategy's
+  checks decide what *launches* (the measured spine);
 * the analytic :class:`~repro.perf.StepModel` decides what is *fast*;
 * short simmpi runs decide what is *true*, feeding
   :func:`~repro.perf.calibrate_efficiency` back into the ranking.

@@ -3,9 +3,10 @@
 The planner answers "how should I factor N nodes over (dp, tp, pp, ep,
 zero) for this model on this cluster?" by walking every divisor-consistent
 :class:`~repro.layout.ParallelLayout`, filtering through exactly the
-validation path a measured run would take (the strategy registry plus the
-shared layout-vs-model checks), pricing the survivors with the analytic
-:class:`~repro.perf.StepModel`, and ranking them by predicted step time.
+validation path a measured run would take (the layout's strategy checks,
+including the shared layout-vs-model ones), pricing the survivors with the
+analytic :class:`~repro.perf.StepModel`, and ranking them by predicted
+step time.
 
 Because candidates are filtered by building a real
 :class:`~repro.parallel.runner.TrainingRunConfig` and calling its resolved
@@ -136,7 +137,7 @@ class PlanCandidate:
 
     @property
     def strategy(self) -> str:
-        """Registry name of the strategy the run dispatches to."""
+        """Name of the strategy the run's layout describes."""
         return self.run_config.resolve_strategy().name
 
     @property
@@ -238,8 +239,8 @@ def enumerate_layouts(
 
     Walks pp over divisors of the world, tp x ep over divisors of the
     per-stage plane, and ZeRO shard counts (divisors of the world, capped
-    at ``max_zero``) on otherwise-pure-DP layouts — the only shape the
-    registered ``zero`` strategy accepts. Order is deterministic:
+    at ``max_zero``) on otherwise-pure-DP layouts — ZeRO does not compose
+    with tp or pp. Order is deterministic:
     ascending (pp, tp, ep, zero).
     """
     if world_size < 1:

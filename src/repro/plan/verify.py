@@ -2,7 +2,7 @@
 
 The search layer ranks layouts analytically; this module closes the loop
 by actually *running* the top-k through the measured side — short simmpi
-SPMD runs dispatched through the strategy registry, on the same preset
+SPMD runs of each candidate's own launch config, on the same preset
 network and machine the analytic model priced — then feeding the best
 measurement back through :func:`~repro.perf.calibrate_efficiency` and
 re-pricing the whole ranking at the fitted efficiency.

@@ -50,11 +50,12 @@ class BackoffPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.base < 0 or self.cap < 0 or self.factor < 1.0:
-            raise ConfigError(
-                "backoff wants base >= 0, cap >= 0 and factor >= 1.0; got "
-                f"base={self.base} factor={self.factor} cap={self.cap}"
-            )
+        # ``not x >= low`` refuses NaN, which ``x < low`` lets through. The
+        # configs that own a policy call these fields ``backoff_<name>``.
+        for name, low in (("base", 0.0), ("factor", 1.0), ("cap", 0.0)):
+            value = getattr(self, name)
+            if not value >= low:
+                raise ConfigError(f"backoff_{name} must be >= {low}, got {value}")
         if not 0.0 <= self.jitter < 1.0:
             raise ConfigError(f"jitter must be in [0, 1), got {self.jitter}")
 

@@ -54,7 +54,7 @@ from repro.parallel.dist_checkpoint import load_distributed, save_distributed
 from repro.parallel.dp import flatten_grads, unflatten_grads
 from repro.parallel.moda import MoDaTrainer
 from repro.parallel.runner import TrainingRunConfig
-from repro.parallel.strategy import ParallelStrategy, _emit_step_observations
+from repro.parallel.strategy import _corpus, _emit_step_observations
 from repro.train.trainer import StepResult, apply_update
 
 __all__ = ["ElasticStepDriver", "SegmentProgress", "SegmentSpec"]
@@ -93,7 +93,7 @@ class SegmentSpec:
 class ElasticStepDriver:
     """Drives ``k = logical_world / world`` accumulation microsteps per step.
 
-    Wraps a built in-plane rank trainer (the strategy registry's
+    Wraps a built in-plane rank trainer (a
     :class:`~repro.parallel.strategy.RankTrainer` around a
     :class:`~repro.parallel.moda.MoDaTrainer`). Of the shared step it
     keeps the schedule, the local gradient producer, ``apply_update`` and
@@ -143,7 +143,7 @@ class ElasticStepDriver:
                     f"elastic accumulation cannot average sync group "
                     f"{label!r} (only dense/expert axes are supported)"
                 )
-        corpus = ParallelStrategy._corpus(cfg)
+        corpus = _corpus(cfg)
         # Microstep m reads logical rank (m*W + r)'s data stream.
         self.loaders = [
             ShardedLoader(
@@ -212,7 +212,7 @@ class ElasticStepDriver:
 def run_elastic_segment(comm, spec: SegmentSpec) -> dict[str, Any]:
     """SPMD rank program: train from the latest snapshot to completion.
 
-    Builds the rank trainer through the strategy registry, restores the
+    Builds the rank trainer its layout describes, restores the
     resume snapshot (parameters *and* optimizer state, under any layout),
     then steps the :class:`ElasticStepDriver`, checkpointing every
     ``checkpoint_every`` steps. Dies wherever the fault plan/model says.

@@ -63,9 +63,6 @@ __all__ = [
     "run_elastic_training",
 ]
 
-#: Strategies the elastic driver can accumulate for (dense/expert axes).
-_IN_PLANE = ("dp", "ep", "moda")
-
 
 def classify_failure(exc: BaseException) -> str:
     """Name the failure class of a modelled error.
@@ -139,7 +136,6 @@ class ElasticRunConfig:
     lr: float = 1e-3
     seed: int = 0
     corpus_predictability: float = 0.8
-    strategy: str = "auto"
     allreduce_algorithm: str | None = None
     alltoall_algorithm: str | None = None
     max_restarts: int = 5
@@ -163,7 +159,7 @@ class ElasticRunConfig:
     def __post_init__(self) -> None:
         if self.total_steps < 1 or self.checkpoint_every < 1:
             raise ConfigError("total_steps and checkpoint_every must be >= 1")
-        # Layout, workload and strategy are checked by the full-width launch.
+        # Layout and workload are checked by the full-width launch.
         self.training_config(self.world_size, self.ep_size)
         if self.max_restarts < 0:
             raise ConfigError("max_restarts must be >= 0")
@@ -202,17 +198,10 @@ class ElasticRunConfig:
             allreduce_algorithm=self.allreduce_algorithm,
             model_compute_time=self.model_compute_time,
             timeout=self.timeout,
-            strategy=self.strategy,
             trace=self.trace,
             observe=self.observe,
         )
-        strategy = run_cfg.resolve_strategy()
-        if strategy.name not in _IN_PLANE:
-            raise ConfigError(
-                f"the elastic supervisor drives in-plane strategies "
-                f"{_IN_PLANE}, not {strategy.name!r}"
-            )
-        strategy.validate(run_cfg)
+        run_cfg.resolve_strategy().validate(run_cfg)
         return run_cfg
 
 

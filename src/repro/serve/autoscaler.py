@@ -78,11 +78,11 @@ class AutoscalerConfig:
                 f"max_replicas ({self.max_replicas}) must be >= min_replicas "
                 f"({self.min_replicas})"
             )
-        if self.ttft_slo_s <= 0:
+        if not self.ttft_slo_s > 0:
             raise ConfigError(f"ttft_slo_s must be > 0, got {self.ttft_slo_s}")
         if self.tier < 0:
             raise ConfigError(f"tier must be >= 0, got {self.tier}")
-        if self.signal_window_s <= 0:
+        if not self.signal_window_s > 0:
             raise ConfigError(
                 f"signal_window_s must be > 0, got {self.signal_window_s}"
             )
@@ -91,20 +91,20 @@ class AutoscalerConfig:
                 f"need 0 < scale_down_frac < scale_up_frac, got "
                 f"{self.scale_down_frac} / {self.scale_up_frac}"
             )
-        if self.queue_low >= self.queue_high:
+        if not self.queue_low < self.queue_high:
             raise ConfigError(
                 f"queue_low ({self.queue_low}) must be < queue_high "
                 f"({self.queue_high})"
             )
-        if self.cooldown_s < 0:
+        if not self.cooldown_s >= 0:
             raise ConfigError(f"cooldown_s must be >= 0, got {self.cooldown_s}")
-        if self.spawn_delay_s < 0:
+        if not self.spawn_delay_s >= 0:
             raise ConfigError(
                 f"spawn_delay_s must be >= 0, got {self.spawn_delay_s}"
             )
         if self.min_samples < 1:
             raise ConfigError(f"min_samples must be >= 1, got {self.min_samples}")
-        if self.dispatch_window_s <= 0:
+        if not self.dispatch_window_s > 0:
             raise ConfigError(
                 f"dispatch_window_s must be > 0, got {self.dispatch_window_s}"
             )

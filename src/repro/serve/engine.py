@@ -148,7 +148,7 @@ class ServeConfig:
                 f"exceeds max_seq_len={self.model.max_seq_len}; cached rows "
                 "never roll over so requests must fit the window"
             )
-        if self.arrival_rate is not None and self.arrival_rate <= 0:
+        if self.arrival_rate is not None and not self.arrival_rate > 0:
             raise ConfigError(
                 f"arrival_rate must be > 0 req/s, got {self.arrival_rate}"
             )
@@ -165,7 +165,7 @@ class ServeConfig:
                     f"{self.arrival_ramp[0][0]}"
                 )
             for i, (t_seg, rate) in enumerate(self.arrival_ramp):
-                if rate <= 0:
+                if not rate > 0:
                     raise ConfigError(
                         f"arrival_ramp rates must be > 0 req/s, got {rate}"
                     )
@@ -175,15 +175,15 @@ class ServeConfig:
                         f"increasing, got {t_seg} after "
                         f"{self.arrival_ramp[i - 1][0]}"
                     )
-        if self.slo_ms is not None and self.slo_ms <= 0:
+        if self.slo_ms is not None and not self.slo_ms > 0:
             raise ConfigError(f"slo_ms must be > 0, got {self.slo_ms}")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if self.expert_capacity is not None and self.expert_capacity < 1:
             raise ConfigError(
                 f"expert_capacity must be >= 1 rows, got {self.expert_capacity}"
             )
-        if self.timeout <= 0:
+        if not self.timeout > 0:
             raise ConfigError(f"timeout must be > 0 wall seconds, got {self.timeout}")
         if self.shed_tier is not None and not 0 <= self.shed_tier < self.num_tiers:
             raise ConfigError(

@@ -118,18 +118,18 @@ class FleetConfig:
                 f"autoscale range [{self.autoscale.min_replicas}, "
                 f"{self.autoscale.max_replicas}]"
             )
-        if self.slo_horizon_s <= 0:
+        if not self.slo_horizon_s > 0:
             raise ConfigError(
                 f"slo_horizon_s must be > 0, got {self.slo_horizon_s}"
             )
-        if self.mtbf is not None and self.mtbf <= 0:
+        if self.mtbf is not None and not self.mtbf > 0:
             raise ConfigError(
                 f"mtbf must be > 0 virtual seconds, got {self.mtbf}"
             )
         if self.retry_max < 0:
             raise ConfigError(f"retry_max must be >= 0, got {self.retry_max}")
         if self.hedge_after_ms is not None:
-            if self.hedge_after_ms <= 0:
+            if not self.hedge_after_ms > 0:
                 raise ConfigError(
                     f"hedge_after_ms must be > 0, got {self.hedge_after_ms}"
                 )
@@ -138,7 +138,7 @@ class FleetConfig:
                     "hedging needs >= 2 replicas (a hedge never re-uses "
                     "the primary)"
                 )
-        if self.request_timeout_ms is not None and self.request_timeout_ms <= 0:
+        if self.request_timeout_ms is not None and not self.request_timeout_ms > 0:
             raise ConfigError(
                 f"request_timeout_ms must be > 0, got {self.request_timeout_ms}"
             )
@@ -146,10 +146,7 @@ class FleetConfig:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
         # Delegated: BackoffPolicy owns schedule validation, so the fleet
         # and the training supervisor reject the same inputs.
-        try:
-            self.backoff_policy()
-        except ConfigError as exc:
-            raise ConfigError(f"backoff_base/backoff_factor/backoff_cap: {exc}") from None
+        self.backoff_policy()
 
     def backoff_policy(self) -> BackoffPolicy:
         """Capped-exponential schedule crashed replicas wait before reuse."""

@@ -112,19 +112,15 @@ class RunContext:
     def record_event(self, kind: str, t: float = 0.0, **fields: Any) -> dict[str, Any]:
         """Append a lifecycle event (restart / backoff / reshard / ...).
 
-        ``t`` is the event's virtual timestamp. When tracing, the event
-        also lands in the trace stream as a zero-byte instant on rank 0,
-        so recovery structure is visible next to the communication
-        timeline in ``chrome://tracing``.
+        ``t`` is the event's virtual timestamp. The Chrome trace draws
+        every event as a global instant
+        (:func:`~repro.obs.export.chrome_trace_records`), so recovery
+        structure is visible next to the communication timeline.
         """
         event = {"kind": kind, "t": float(t), **fields}
         with self._phase_lock:
             self.events.append(event)
         self.flight.note(kind, t=t, **fields)
-        if self.trace_events is not None:
-            self.trace_events.append(
-                TraceEvent(rank=0, op=f"event:{kind}", t_start=t, t_end=t)
-            )
         return event
 
     def events_of(self, kind: str) -> list[dict[str, Any]]:

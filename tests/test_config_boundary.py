@@ -7,10 +7,12 @@ building its full-width run. So a nonsense field is refused at
 construction, with the one error type, instead of inside a rank thread (or,
 for a supervised run, after every retry the supervisor has). The serving
 configs (``ServeConfig``, ``FleetConfig``, ``AutoscalerConfig``) hold the
-same line, and their errors name the field they refuse.
+same line, and their errors name the field they refuse. NaN is refused by
+every float field, with the field named.
 """
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from repro.models import tiny_config
 from repro.parallel import TrainingRunConfig
 from repro.perf import ParallelPlan
 from repro.plan import PlannerConfig
-from repro.resilience import ElasticRunConfig
+from repro.resilience import BackoffPolicy, ElasticRunConfig
 from repro.serve import AutoscalerConfig, FleetConfig, ServeConfig
 
 MODEL = tiny_config()
@@ -150,9 +152,32 @@ def test_elastic_run_config_rejects_a_sequence_longer_than_the_model():
         ElasticRunConfig(**{**BASES[ElasticRunConfig], "seq_len": 64})
 
 
-def test_elastic_run_config_rejects_a_strategy_it_cannot_drive():
-    with pytest.raises(ConfigError, match="in-plane strategies"):
-        ElasticRunConfig(**BASES[ElasticRunConfig], strategy="zero")
+#: Every float field that used to construct with NaN (its check was written
+#: ``x <= 0``, which NaN passes).
+NAN_FIELDS = {
+    TrainingRunConfig: ("lr", "corpus_predictability", "timeout"),
+    ServeConfig: ("arrival_rate", "slo_ms", "temperature", "timeout"),
+    FleetConfig: ("mtbf", "hedge_after_ms", "request_timeout_ms", "backoff_base",
+                  "backoff_factor", "backoff_cap", "slo_horizon_s"),
+    AutoscalerConfig: ("ttft_slo_s", "signal_window_s", "queue_high", "queue_low",
+                       "cooldown_s", "spawn_delay_s", "dispatch_window_s"),
+    ElasticRunConfig: ("lr", "corpus_predictability", "backoff_base", "backoff_factor",
+                       "backoff_cap", "timeout"),
+    PlannerConfig: ("load_imbalance",),
+    ParallelPlan: ("load_imbalance",),
+    BackoffPolicy: ("base", "factor", "cap"),
+}
+
+
+@pytest.mark.parametrize(
+    ("cls", "name"),
+    [(cls, name) for cls, names in NAN_FIELDS.items() for name in names],
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
+)
+def test_nan_is_refused_naming_the_field(cls, name):
+    base = {**BASES, **SERVING_BASES}.get(cls, {})
+    with pytest.raises(ConfigError, match=name):
+        cls(**{**base, name: math.nan})
 
 
 def test_planner_config_rejects_workload_at_construction():

@@ -179,10 +179,7 @@ class TestOptimizerDistCheckpoint:
             groups = build_groups(comm, ParallelLayout(comm.size, 2))
             model = build_moda_model(self.CFG, groups, seed=77)
             opt = Adam(model.parameters(), lr=1e-3)
-            load_distributed(
-                tmp_path / "ckpt", model, optimizer=opt,
-                world_rank=comm.rank, world_size=comm.size,
-            )
+            load_distributed(tmp_path / "ckpt", model, optimizer=opt)
             return opt.step_count
 
         loaded = run_spmd(load_program, 4, timeout=300)
@@ -191,16 +188,14 @@ class TestOptimizerDistCheckpoint:
 
     def test_optimizer_restore_across_world_sizes(self, tmp_path):
         # Format 2 keys optimizer slots by global parameter name, so a
-        # world-4 snapshot restores into a world-2 run (the elastic path);
-        # the legacy world_rank/world_size coords are accepted and ignored.
+        # world-4 snapshot restores into a world-2 run (the elastic path).
         run_spmd(lambda c: self._train_and_save(tmp_path, c), 4, timeout=300)
 
         def shrunk_load(comm):
             groups = build_groups(comm, ParallelLayout(comm.size, 2))
             model = build_moda_model(self.CFG, groups, seed=0)
             opt = Adam(model.parameters(), lr=1e-3)
-            load_distributed(tmp_path / "ckpt", model, optimizer=opt,
-                             world_rank=comm.rank, world_size=comm.size)
+            load_distributed(tmp_path / "ckpt", model, optimizer=opt)
             return opt.step_count
 
         loaded = run_spmd(shrunk_load, 2, timeout=300)

@@ -15,6 +15,8 @@ The load-bearing claims tested here:
   recovery falls back to the previous one.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -326,9 +328,14 @@ class TestElasticAcceptance:
         fm = FaultModel(seed=0, mtbf=1e-3, dead_nodes=(3,))
         res = Supervisor(make_cfg(tmp_path, trace=True), faults=fm).run()
         ops = {e.op for e in res.context.trace_events}
-        assert "event:elastic_restart" in ops
-        assert "event:reshard" in ops
         assert any(op.startswith("allreduce") for op in ops)
+        # Each recovery event is one Chrome instant, not a rank slice too.
+        path = res.context.write_chrome_trace(tmp_path / "trace.json")
+        records = json.loads(path.read_text())["traceEvents"]
+        instants = [r["name"] for r in records if r["ph"] == "i"]
+        assert instants == [e["kind"] for e in res.context.events]
+        assert {"elastic_restart", "reshard"} <= set(instants)
+        assert not any(r["name"].startswith("event:") for r in records)
 
     def test_metrics_record_and_log_events(self, tmp_path):
         res = self._run(tmp_path)

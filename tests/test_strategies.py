@@ -1,6 +1,6 @@
-"""Strategy registry: every parallel composition trains via one entry point.
+"""The layout is the strategy: every parallel composition trains via one entry point.
 
-Tier-1 guard for the strategy layer: each registered strategy (and the
+Tier-1 guard for the strategy layer: each layout family (and the
 TP x EP / PP x DP composites) runs two steps at world_size=4 with finite,
 rank-agreed losses and nonzero traffic, the RunContext spine round-trips
 stats/trace/phases, and the measured and analytic sides validate layouts
@@ -15,20 +15,14 @@ import pytest
 from repro.errors import ConfigError
 from repro.layout import ParallelLayout
 from repro.models import tiny_config
-from repro.parallel import (
-    TrainingRunConfig,
-    available_strategies,
-    get_strategy,
-    run_distributed_training,
-    strategy_for_layout,
-)
+from repro.parallel import TrainingRunConfig, run_distributed_training, strategy_for_layout
 from repro.perf import ParallelPlan
 
 TINY = tiny_config()
 #: TP and pipeline strategies want dense FFN blocks / enough layers.
 TINY4 = tiny_config(n_layers=4, moe_every=2)
 
-#: One world_size=4 launch recipe per registered strategy.
+#: One world_size=4 launch recipe per strategy name.
 CASES = {
     "dp": dict(model=TINY),
     "ep": dict(model=TINY, ep_size=4),
@@ -42,17 +36,64 @@ CASES = {
 }
 
 
+#: Passes every layout-vs-model check up to world 8: ep and tp divide 840,
+#: eight layers feed eight stages, and every other block is dense.
+ROOMY = tiny_config(n_layers=8, moe_every=2, num_experts=840, d_ff=840)
+
+
+def _layouts(world: int):
+    """Every layout of ``world``: each pp, tp x ep and zero in 1..2*world."""
+    for pp in (d for d in range(1, world + 1) if world % d == 0):
+        plane = world // pp
+        for tp in (d for d in range(1, plane + 1) if plane % d == 0):
+            for ep in (d for d in range(1, plane // tp + 1) if plane // tp % d == 0):
+                for zero in range(1, 2 * world + 1):
+                    yield ParallelLayout(world, ep_size=ep, tp_size=tp, pp_size=pp,
+                                         zero_shards=zero)
+
+
+def _dispatch_name(lay: ParallelLayout) -> str:
+    """Pipeline beats TP beats ZeRO; the expert axis picks the variant."""
+    if lay.pp_size > 1:
+        return "pp_moda" if lay.ep_size > 1 else "pp_dp" if lay.plane_size > 1 else "pipeline"
+    if lay.tp_size > 1:
+        return "tp_ep" if lay.ep_size > 1 else "tp"
+    if lay.zero_shards > 1:
+        return "zero"
+    return "dp" if lay.ep_size == 1 else "ep" if lay.ep_size == lay.world_size else "moda"
+
+
 class TestRegistry:
-    def test_every_registered_strategy_is_exercised(self):
-        assert sorted(CASES) == available_strategies()
+    """``strategy_for_layout`` is the one map from layout to strategy."""
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigError):
-            get_strategy("fsdp")
-
-    def test_config_rejects_unknown_strategy(self):
-        with pytest.raises(ConfigError):
-            TrainingRunConfig(model=TINY, world_size=4, strategy="fsdp")
+    @pytest.mark.parametrize("world", range(1, 9))
+    def test_layout_sweep(self, world):
+        """Every layout gets its dispatch-order name, and ``validate``
+        refuses the two ZeRO rules (message naming ``zero_shards``) ahead
+        of everything else; the only other refusal a roomy model leaves is
+        pipeline x tp."""
+        names = set()
+        for lay in _layouts(world):
+            cfg = TrainingRunConfig(
+                model=ROOMY, world_size=world, ep_size=lay.ep_size, tp_size=lay.tp_size,
+                pp_size=lay.pp_size, zero_shards=lay.zero_shards, seq_len=8,
+            )
+            strategy = cfg.resolve_strategy()
+            assert strategy.name == _dispatch_name(lay)
+            names.add(strategy.name)
+            zero_refused = lay.zero_shards > world or (
+                lay.zero_shards > 1 and (lay.tp_size > 1 or lay.pp_size > 1)
+            )
+            if zero_refused:
+                with pytest.raises(ConfigError, match="zero_shards"):
+                    strategy.validate(cfg)
+            elif lay.pp_size > 1 and lay.tp_size > 1:
+                with pytest.raises(ConfigError, match="do not compose with tp"):
+                    strategy.validate(cfg)
+            else:
+                strategy.validate(cfg)
+        if world in (4, 6, 8):  # composite worlds reach every family
+            assert names == set(CASES)
 
     @pytest.mark.parametrize(
         ("layout_kw", "expected"),

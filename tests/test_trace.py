@@ -158,8 +158,6 @@ class TestChromeExport:
             meta(0, "simulated world"), meta(0, "rank 0", 0), meta(0, "rank 1", 1),
             rank_slice("alltoall", 250000.0, 500000.0, 0, nbytes=64,
                        hidden_seconds=0.125),
-            rank_slice("event:restart", 1e6, 0.001, 0),
-            rank_slice("event:backoff", 1.25e6, 0.001, 0),
             rank_slice("compute", 0.0, 500000.0, 1),
             {"name": "restart", "ph": "i", "ts": 1e6, "pid": 0, "tid": 0,
              "s": "g", "args": {"launch": 1}},

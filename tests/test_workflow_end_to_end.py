@@ -79,8 +79,7 @@ class TestFullWorkflow:
             groups = build_groups(comm, ParallelLayout(comm.size, 2))
             model = build_moda_model(CFG, groups, seed=99)
             opt = Adam(model.parameters(), lr=3e-3)
-            load_distributed(ckpt, model, optimizer=opt,
-                             world_rank=comm.rank, world_size=comm.size)
+            load_distributed(ckpt, model, optimizer=opt)
             trainer = MoDaTrainer(model, opt, groups, sync_initial_params=False)
             trainer.step_count = 6
             loader = ShardedLoader(_corpus(), 4, 8, dp_rank=comm.rank,
