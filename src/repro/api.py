@@ -96,7 +96,6 @@ from repro.obs import (
     slo_report,
     span_coverage,
     to_prometheus,
-    tumbling_windows,
 )
 
 __all__ = [
@@ -175,5 +174,4 @@ __all__ = [
     "slo_report",
     "span_coverage",
     "to_prometheus",
-    "tumbling_windows",
 ]

@@ -15,8 +15,8 @@ supplies it, layered on the :class:`~repro.simmpi.RunContext` spine:
   automatically onto fault / deadlock / overflow exceptions.
 - :mod:`~repro.obs.spans` — per-request / per-launch span trees on the
   virtual clock, with causal parent links.
-- :mod:`~repro.obs.timeseries` — windowed rates and quantiles over the
-  registry's timestamped streams (tumbling and sliding views).
+- :mod:`~repro.obs.timeseries` — the sliding window (count / rate /
+  quantile over the trailing virtual seconds) and the one percentile.
 - :mod:`~repro.obs.slo` — declarative latency SLOs with a multi-window
   burn-rate alert engine.
 - :mod:`~repro.obs.export` — Prometheus text exposition, JSONL records,
@@ -47,13 +47,7 @@ from repro.obs.slo import (
     slo_report,
 )
 from repro.obs.spans import NULL_TRACER, NullTracer, Span, Tracer, span_coverage
-from repro.obs.timeseries import (
-    SlidingWindow,
-    StreamingQuantile,
-    WindowStat,
-    tumbling_rates,
-    tumbling_windows,
-)
+from repro.obs.timeseries import SlidingWindow
 
 __all__ = [
     "Counter",
@@ -73,11 +67,7 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "span_coverage",
-    "WindowStat",
-    "tumbling_windows",
-    "tumbling_rates",
     "SlidingWindow",
-    "StreamingQuantile",
     "SLOObjective",
     "BurnRateWindow",
     "SLOMonitor",

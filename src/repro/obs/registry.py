@@ -19,8 +19,8 @@ run. Design constraints, in order:
    simulated rank may hit the same counter concurrently; creation and
    mutation are lock-guarded so concurrent increments sum exactly.
 
-Values are plain floats on the *virtual* timeline — sample timestamps,
-where present, are simulated-machine seconds.
+Values are plain floats on the *virtual* timeline (simulated-machine
+seconds where they are times).
 """
 
 from __future__ import annotations
@@ -72,35 +72,22 @@ class _Instrument:
 
 
 class Counter(_Instrument):
-    """Monotonically increasing total (steps, bytes, tokens, restarts).
-
-    Passing ``t`` (virtual seconds) to :meth:`inc` additionally records a
-    ``(t, amount)`` mark, which :mod:`repro.obs.timeseries` turns into
-    windowed rates; untimed increments stay exactly as cheap as before.
-    """
+    """Monotonically increasing total (steps, bytes, tokens, restarts)."""
 
     kind = "counter"
-    __slots__ = ("value", "_marks")
+    __slots__ = ("value",)
 
     def __init__(self, name: str, labels: LabelSet):
         super().__init__(name, labels)
         self.value = 0.0
-        self._marks: list[tuple[float, float]] = []
 
-    def inc(self, amount: float = 1.0, t: float | None = None) -> None:
+    def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ConfigError(
                 f"counter {self.name!r} cannot decrease (inc by {amount})"
             )
         with self._lock:
             self.value += amount
-            if t is not None:
-                self._marks.append((float(t), float(amount)))
-
-    @property
-    def marks(self) -> list[tuple[float, float]]:
-        """Timestamped ``(t, amount)`` increments, in record order."""
-        return list(self._marks)
 
 
 class Gauge(_Instrument):
@@ -127,33 +114,25 @@ class Histogram(_Instrument):
 
     Samples are stored raw (runs here are small worlds on a simulator);
     summaries flatten to count/sum/mean/p50/p95/max like
-    :class:`~repro.train.metrics.LatencyStats`. Passing ``t`` (virtual
-    seconds) to :meth:`observe` additionally records a ``(t, value)``
-    pair for the windowed views in :mod:`repro.obs.timeseries`.
+    :class:`~repro.train.metrics.LatencyStats`. A trailing-window view
+    over virtual time is :class:`~repro.obs.timeseries.SlidingWindow`,
+    which its consumers (the autoscaler, the SLO monitor) feed directly.
     """
 
     kind = "histogram"
-    __slots__ = ("_samples", "_stamps")
+    __slots__ = ("_samples",)
 
     def __init__(self, name: str, labels: LabelSet):
         super().__init__(name, labels)
         self._samples: list[float] = []
-        self._stamps: list[tuple[float, float]] = []
 
-    def observe(self, value: float, t: float | None = None) -> None:
+    def observe(self, value: float) -> None:
         with self._lock:
             self._samples.append(float(value))
-            if t is not None:
-                self._stamps.append((float(t), float(value)))
 
     def observe_many(self, values: Iterable[float]) -> None:
         with self._lock:
             self._samples.extend(float(v) for v in values)
-
-    @property
-    def stamped(self) -> list[tuple[float, float]]:
-        """Timestamped ``(t, value)`` observations, in record order."""
-        return list(self._stamps)
 
     @property
     def count(self) -> int:
@@ -265,15 +244,11 @@ class MetricRegistry:
         for inst in other.series():
             labels = inst.label_dict
             if isinstance(inst, Counter):
-                mine = self.counter(inst.name, **labels)
-                mine.inc(inst.value)
-                mine._marks.extend(inst._marks)
+                self.counter(inst.name, **labels).inc(inst.value)
             elif isinstance(inst, Gauge):
                 self.gauge(inst.name, **labels).set(inst.value)
             elif isinstance(inst, Histogram):
-                mine = self.histogram(inst.name, **labels)
-                mine.observe_many(inst._samples)
-                mine._stamps.extend(inst._stamps)
+                self.histogram(inst.name, **labels).observe_many(inst._samples)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MetricRegistry({len(self)} series)"
@@ -289,10 +264,8 @@ class _NullInstrument:
     value = 0.0
     count = 0
     sum = 0.0
-    marks: list = []
-    stamped: list = []
 
-    def inc(self, amount: float = 1.0, t: float | None = None) -> None:
+    def inc(self, amount: float = 1.0) -> None:
         pass
 
     def set(self, value: float) -> None:
@@ -301,7 +274,7 @@ class _NullInstrument:
     def add(self, amount: float) -> None:
         pass
 
-    def observe(self, value: float, t: float | None = None) -> None:
+    def observe(self, value: float) -> None:
         pass
 
     def observe_many(self, values: Iterable[float]) -> None:

@@ -194,11 +194,17 @@ class SLOMonitor:
         return self.good_total + self.bad_total
 
     def bad_fraction(self, now: float, window_s: float) -> float:
-        """Bad fraction over the trailing window (0.0 when empty)."""
+        """Bad fraction over the trailing window (0.0 when empty).
+
+        ``window_s`` must be one of the tracked widths (a window's long or
+        short width); any other width raises :class:`ConfigError`.
+        """
         stream = self._streams.get(window_s)
         if stream is None:
-            stream = SlidingWindow(window_s)
-            self._streams[window_s] = stream
+            raise ConfigError(
+                f"window_s {window_s} is not a tracked width; tracked: "
+                f"{sorted(self._streams)}"
+            )
         n = stream.count(now)
         if n == 0:
             return 0.0

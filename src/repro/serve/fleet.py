@@ -622,7 +622,7 @@ class _Fleet:
             if out["state"] == "done" and out["ttft"] is not None:
                 session.metrics.histogram(
                     "fleet_ttft_seconds", tier=out["tier"]
-                ).observe(out["ttft"], t=t_sig)
+                ).observe(out["ttft"])
                 if self.scaler is not None:
                     self.scaler.observe_ttft(t_sig, out["ttft"], out["tier"])
                 value = out["ttft"]
@@ -680,7 +680,7 @@ class _Fleet:
             reason=decision["reason"], replicas=replicas,
         )
         self.counts[f"{kind}s"] += 1
-        self.session.metrics.counter(f"fleet_{kind}").inc(t=self.clock)
+        self.session.metrics.counter(f"fleet_{kind}").inc()
 
     def run(self) -> FleetResult:
         """The loop: dispatch, serve each loaded replica, hedge, then the

@@ -17,9 +17,8 @@ from __future__ import annotations
 import json
 import threading
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import Any
 
 from repro.errors import ConfigError
 from repro.obs.export import chrome_trace_records
@@ -29,9 +28,6 @@ from repro.obs.router import RouterTelemetry
 from repro.obs.spans import NULL_TRACER, NullTracer, Tracer
 from repro.simmpi.stats import TrafficStats
 from repro.simmpi.trace import TraceEvent
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.simmpi.comm import Comm
 
 __all__ = ["RunContext"]
 
@@ -89,15 +85,6 @@ class RunContext:
             raise ConfigError(f"phase {name!r} got negative duration {seconds}")
         with self._phase_lock:
             self._phases[name] += seconds
-
-    @contextmanager
-    def timed(self, comm: "Comm", name: str) -> Iterator[None]:
-        """Record the virtual-clock delta of the wrapped block as a phase."""
-        t0 = comm.clock
-        try:
-            yield
-        finally:
-            self.add_phase(name, comm.clock - t0)
 
     @property
     def phase_seconds(self) -> dict[str, float]:

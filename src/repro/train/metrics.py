@@ -129,14 +129,6 @@ class MetricsLogger:
             self._csv_writer.writerow(record)
         self._count += 1
 
-    def log_context(self, context, **extra: Any) -> None:
-        """Append a :class:`~repro.simmpi.RunContext` snapshot as one flat
-        record (traffic totals + ``phase_<name>`` timers), merged with any
-        ``extra`` key/value pairs."""
-        record = dict(context.metrics_record())
-        record.update(extra)
-        self.log(record)
-
     def log_events(self, events, **extra: Any) -> int:
         """Append one record per lifecycle event (restart/backoff/...).
 

@@ -2,9 +2,10 @@
 
 The load-bearing guarantees:
 
-* windowed aggregation (tumbling / sliding / streaming-quantile) is pure
-  arithmetic on virtual timestamps — matches numpy on buffered data and
-  tolerates the out-of-order settling a fleet produces;
+* the sliding window is pure arithmetic on virtual timestamps — a query
+  is a function of the samples and ``now`` alone, matches a brute-force
+  filter for any insertion order and any query order, and tolerates the
+  out-of-order settling a fleet produces;
 * the multi-window burn-rate monitor fires only on sustained burn (long
   AND short window over threshold, enough samples) and resolves when the
   bleeding stops, recording each transition exactly once;
@@ -17,6 +18,7 @@ The load-bearing guarantees:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.models import tiny_config
@@ -26,11 +28,10 @@ from repro.obs import (
     SLOObjective,
     slo_report,
     to_prometheus,
-    tumbling_windows,
 )
 from repro.obs.export import registry_records
 from repro.obs.slo import BurnRateWindow, default_burn_windows
-from repro.obs.timeseries import StreamingQuantile, tumbling_rates
+from repro.obs.timeseries import percentile
 from repro.serve import (
     Autoscaler,
     AutoscalerConfig,
@@ -54,47 +55,27 @@ def _serve_cfg(**kw):
 
 
 # --------------------------------------------------------------------- #
-# Tumbling windows
-# --------------------------------------------------------------------- #
-
-
-class TestTumblingWindows:
-    def test_matches_numpy_per_bucket(self):
-        rng = np.random.default_rng(3)
-        stamped = [(float(t), float(v))
-                   for t, v in zip(np.sort(rng.uniform(0, 10, 200)),
-                                   rng.normal(5, 2, 200))]
-        windows = tumbling_windows(stamped, width=2.5, t_end=10.0)
-        assert len(windows) == 4
-        for w in windows:
-            values = [v for t, v in stamped if w.start <= t < w.end]
-            assert w.count == len(values)
-            assert w.p95 == pytest.approx(np.percentile(values, 95))
-            assert w.mean == pytest.approx(np.mean(values))
-            assert w.rate == pytest.approx(len(values) / 2.5)
-
-    def test_empty_buckets_stay_visible(self):
-        windows = tumbling_windows([(0.5, 1.0), (8.5, 2.0)], width=1.0,
-                                   t_end=10.0)
-        assert len(windows) == 10
-        assert [w.count for w in windows] == [1, 0, 0, 0, 0, 0, 0, 0, 1, 0]
-        assert windows[1].p95 == 0.0
-
-    def test_rates_integrate_counter_marks(self):
-        marks = [(0.1, 5.0), (0.9, 5.0), (1.5, 20.0)]
-        rates = tumbling_rates(marks, width=1.0, t_end=2.0)
-        assert rates == [(0.0, 1.0, 10.0), (1.0, 2.0, 20.0)]
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            tumbling_windows([], width=0.0)
-        with pytest.raises(ConfigError):
-            tumbling_windows([], width=1.0, t0=5.0, t_end=5.0)
-
-
-# --------------------------------------------------------------------- #
 # Sliding window
 # --------------------------------------------------------------------- #
+
+# Timestamps on a quarter-second grid (exact in binary, so duplicates and
+# samples exactly on a window edge are common); query clocks both on and
+# between grid points, in any order, including before the first sample.
+_TIMES = st.integers(0, 24).map(lambda i: i * 0.25)
+_NOWS = st.one_of(
+    st.integers(-4, 32).map(lambda i: i * 0.25),
+    st.floats(-1.0, 8.0, allow_nan=False),
+)
+_STREAMS = st.lists(
+    st.tuples(_TIMES, st.floats(-1e3, 1e3, allow_nan=False)), max_size=40
+)
+_WIDTHS = st.sampled_from([0.25, 1.0, 2.5, 10.0])
+
+
+def _brute_window(samples, width, now):
+    """Values with ``now - width < t <= now``, stable-sorted by ``t``."""
+    ordered = sorted(samples, key=lambda s: s[0])
+    return [v for t, v in ordered if now - width < t <= now]
 
 
 class TestSlidingWindow:
@@ -144,24 +125,30 @@ class TestSlidingWindow:
         with pytest.raises(ConfigError):
             SlidingWindow(1.0).quantile(101, 0.0)
 
+    def test_query_does_not_depend_on_earlier_queries(self):
+        win = SlidingWindow(1.0)
+        for t in (0.5, 1.5, 2.5):
+            win.observe(t, t)
+        assert win.window(2.5) == [2.5]
+        assert win.window(1.0) == [0.5]  # the clock may go backwards
 
-class TestStreamingQuantile:
-    def test_exact_below_five_samples(self):
-        sq = StreamingQuantile(0.5)
-        for v in (3.0, 1.0, 2.0):
-            sq.observe(v)
-        assert sq.value == 2.0
-
-    def test_tracks_p95_of_a_long_stream(self):
-        values = np.random.default_rng(1).normal(10, 3, 5000)
-        sq = StreamingQuantile(0.95)
-        for v in values:
-            sq.observe(v)
-        assert sq.value == pytest.approx(np.percentile(values, 95), rel=0.05)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            StreamingQuantile(1.0)
+    @settings(max_examples=200, deadline=None)
+    @given(samples=_STREAMS, width=_WIDTHS, nows=st.lists(_NOWS, max_size=8))
+    def test_matches_brute_force_for_any_insert_and_query_order(
+        self, samples, width, nows
+    ):
+        win = SlidingWindow(width)
+        for t, v in samples:
+            win.observe(t, v)
+        assert len(win) == len(samples)
+        for now in nows:
+            expected = _brute_window(samples, width, now)
+            assert win.window(now) == expected
+            assert win.count(now) == len(expected)
+            assert win.sum(now) == (float(np.sum(expected)) if expected else 0.0)
+            assert win.mean(now) == (float(np.mean(expected)) if expected else 0.0)
+            for q in (0, 50, 95, 100):
+                assert win.quantile(q, now) == percentile(expected, q)
 
 
 # --------------------------------------------------------------------- #
@@ -243,6 +230,40 @@ class TestSLOMonitor:
         summary = mon.summary()
         assert summary["alerts_fired"] == 1
         assert summary["alerts_resolved"] == 1
+
+    def test_untracked_width_is_refused(self):
+        mon = _monitor()
+        for i in range(10):
+            mon.observe(float(i), 0.5, tier=0)
+        for query in (mon.bad_fraction, mon.burn_rate):
+            with pytest.raises(ConfigError, match=r"window_s 7\.0 .*\[1\.0, 12\.0\]"):
+                query(9.0, 7.0)
+        # The tracked widths still see every sample.
+        assert mon.bad_fraction(9.0, 12.0) == 1.0
+        assert mon.bad_fraction(9.0, 1.0) == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        samples=st.lists(st.tuples(_TIMES, st.sampled_from([0.05, 0.5])),
+                         max_size=40),
+        width=_WIDTHS,
+        nows=st.lists(_NOWS, max_size=8),
+    )
+    def test_burn_rate_matches_brute_force(self, samples, width, nows):
+        objective = SLOObjective(name="ttft", threshold_s=0.1, target=0.9)
+        mon = SLOMonitor(
+            objective,
+            windows=(BurnRateWindow(window_s=width, threshold=2.0,
+                                    short_fraction=0.25),),
+        )
+        for t, v in samples:
+            mon.observe(t, v)
+        for now in nows:
+            for w in (width, width * 0.25):
+                bad = [0.0 if objective.good(v) else 1.0
+                       for v in _brute_window(samples, w, now)]
+                fraction = float(np.sum(bad)) / len(bad) if bad else 0.0
+                assert mon.burn_rate(now, w) == fraction / objective.budget
 
     def test_transitions_land_on_the_context(self):
         context = RunContext(observe=True)

@@ -74,23 +74,11 @@ class TestBackoffPolicy:
         assert sup == fleet
         assert sup.schedule(5) == fleet.schedule(5)
 
-    def test_jitter_is_seeded_and_bounded(self):
-        a = BackoffPolicy(base=1.0, jitter=0.5, seed=7)
-        b = BackoffPolicy(base=1.0, jitter=0.5, seed=7)
-        c = BackoffPolicy(base=1.0, jitter=0.5, seed=8)
-        assert a.delay(1) == b.delay(1)
-        assert a.delay(1) != c.delay(1)
-        nominal = BackoffPolicy(base=1.0)
-        for n in range(1, 6):
-            assert 0.5 * nominal.delay(n) <= a.delay(n) <= 1.5 * nominal.delay(n)
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             BackoffPolicy(base=-1.0)
         with pytest.raises(ConfigError):
             BackoffPolicy(factor=0.5)
-        with pytest.raises(ConfigError):
-            BackoffPolicy(jitter=1.5)
         with pytest.raises(ConfigError):
             BackoffPolicy().delay(0)
 
