@@ -6,13 +6,13 @@ Python over a simulated substrate:
 
 * :mod:`repro.simmpi` — thread-per-rank simulated MPI with virtual clocks;
 * :mod:`repro.network` — hierarchical topology + collective cost models;
-* :mod:`repro.hardware` — SW26010-Pro-like machine specs and rooflines;
+* :mod:`repro.hardware` — SW26010-Pro-like machine specs;
 * :mod:`repro.tensor` — NumPy autograd with fp16/bf16 emulation;
 * :mod:`repro.models` — transformer/MoE model zoo with brain-scale configs;
 * :mod:`repro.moe` — gating, capacity, dispatch/combine, load balancing;
 * :mod:`repro.parallel` — MoDa hybrid data x expert parallelism + baselines;
 * :mod:`repro.amp` — mixed precision (master weights, dynamic loss scaling);
-* :mod:`repro.train` — optimizers, schedules, trainer, checkpoints;
+* :mod:`repro.train` — optimizers, schedules, single-process trainer;
 * :mod:`repro.data` — synthetic Zipf corpus and sharded dataloaders;
 * :mod:`repro.perf` — analytic per-step time/FLOPS model up to 37 M cores;
 * :mod:`repro.resilience` — stochastic fault models, a recovery

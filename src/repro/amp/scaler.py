@@ -75,11 +75,6 @@ class DynamicLossScaler:
         #: Total overflow events observed (for logging).
         self.overflow_count = 0
 
-    @property
-    def inv_scale(self) -> float:
-        """1/scale, the factor applied to gradients before the step."""
-        return 1.0 / self.scale
-
     def update(self, found_overflow: bool) -> None:
         """Advance the state machine after one step attempt."""
         if found_overflow:
@@ -91,17 +86,3 @@ class DynamicLossScaler:
             if self._good_steps >= self.growth_interval:
                 self._good_steps = 0
                 self.scale = min(self.max_scale, self.scale * self.growth_factor)
-
-    def state_dict(self) -> dict[str, float]:
-        """Serializable state (for checkpointing)."""
-        return {
-            "scale": self.scale,
-            "good_steps": float(self._good_steps),
-            "overflow_count": float(self.overflow_count),
-        }
-
-    def load_state_dict(self, state: dict[str, float]) -> None:
-        """Restore from :meth:`state_dict`."""
-        self.scale = float(state["scale"])
-        self._good_steps = int(state["good_steps"])
-        self.overflow_count = int(state["overflow_count"])

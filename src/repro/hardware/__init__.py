@@ -1,6 +1,5 @@
 """Machine models: SW26010-Pro-like processors, nodes, whole machines."""
 
-from repro.hardware.roofline import Roofline, attainable_flops, kernel_time, node_roofline
 from repro.hardware.specs import (
     SUNWAY_NODE,
     SW26010_PRO,
@@ -12,10 +11,6 @@ from repro.hardware.specs import (
 )
 
 __all__ = [
-    "Roofline",
-    "attainable_flops",
-    "kernel_time",
-    "node_roofline",
     "SUNWAY_NODE",
     "SW26010_PRO",
     "MachineSpec",

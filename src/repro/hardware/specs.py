@@ -129,17 +129,9 @@ class MachineSpec:
     def total_cores(self) -> int:
         return self.node.cores * self.num_nodes
 
-    @property
-    def total_memory_bytes(self) -> float:
-        return self.node.memory_bytes * self.num_nodes
-
     def peak_flops(self, dtype: str) -> float:
         """Machine-wide peak FLOP/s for ``dtype``."""
         return self.node.flops(dtype) * self.num_nodes
-
-    def sustained_flops(self, dtype: str) -> float:
-        """Machine-wide sustained FLOP/s (peak x compute_efficiency)."""
-        return self.peak_flops(dtype) * self.compute_efficiency
 
     def with_nodes(self, num_nodes: int) -> "MachineSpec":
         """Copy of this machine scaled to ``num_nodes`` nodes."""

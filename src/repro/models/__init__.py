@@ -1,7 +1,7 @@
 """Model zoo: modules, layers, attention, MoE layer, transformer LM."""
 
 from repro.models.module import Module, Parameter
-from repro.models.layers import MLP, Dropout, Embedding, LayerNorm, Linear
+from repro.models.layers import MLP, Embedding, LayerNorm, Linear
 from repro.models.attention import CausalSelfAttention
 from repro.models.moe_layer import MoELayer
 from repro.models.generate import generate
@@ -20,7 +20,6 @@ __all__ = [
     "Module",
     "Parameter",
     "MLP",
-    "Dropout",
     "Embedding",
     "LayerNorm",
     "Linear",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.models.layers import Dropout, Linear
+from repro.models.layers import Linear
 from repro.models.module import Module
 from repro.tensor import Tensor, is_grad_enabled, softmax
 
@@ -24,7 +24,6 @@ class CausalSelfAttention(Module):
         d_model: int,
         n_heads: int,
         rng: np.random.Generator,
-        dropout_p: float = 0.0,
         init_std: float = 0.02,
         dtype: str = "fp32",
     ):
@@ -38,7 +37,6 @@ class CausalSelfAttention(Module):
         self.head_dim = d_model // n_heads
         self.qkv = Linear(d_model, 3 * d_model, rng, init_std=init_std, dtype=dtype)
         self.proj = Linear(d_model, d_model, rng, init_std=init_std, dtype=dtype)
-        self.drop = Dropout(dropout_p, rng) if dropout_p > 0 else None
         self._scale = 1.0 / np.sqrt(self.head_dim)
 
     def forward(self, x: Tensor, kv=None, valid: np.ndarray | None = None) -> Tensor:
@@ -65,8 +63,6 @@ class CausalSelfAttention(Module):
             causal = np.triu(np.full((t, t), -1e9, dtype=np.float32), k=1)
             scores = scores + causal  # broadcast over (B, H)
             attn = softmax(scores, axis=-1)
-            if self.drop is not None:
-                attn = self.drop(attn)
             out = attn @ v  # (B, H, T, hd)
         else:
             if is_grad_enabled():
@@ -92,8 +88,6 @@ class CausalSelfAttention(Module):
             mask = np.where(allowed, np.float32(0.0), np.float32(-1e9))
             scores = scores + mask[:, None, :, :]  # broadcast over heads
             attn = softmax(scores, axis=-1)
-            if self.drop is not None:
-                attn = self.drop(attn)
             out = attn @ Tensor(v_all)  # (B, H, T, hd)
 
         out = out.transpose(0, 2, 1, 3).reshape(b, t, d)

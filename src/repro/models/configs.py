@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
+from repro.moe.gates import make_gate
+from repro.tensor.dtype import DTYPES
 
 __all__ = [
     "ModelConfig",
@@ -44,9 +46,7 @@ class ModelConfig:
     capacity_factor: float | None = None
     aux_weight: float = 1e-2
     z_weight: float = 0.0
-    dropout: float = 0.0
     #: Recompute block activations in backward (activation checkpointing).
-    #: Requires dropout == 0 (segments must replay deterministically).
     recompute: bool = False
     dtype: str = "fp32"
     name: str = "custom"
@@ -63,11 +63,11 @@ class ModelConfig:
             raise ConfigError(
                 f"top_k={self.top_k} must be in [1, num_experts={self.num_experts}]"
             )
-        if self.recompute and self.dropout > 0:
-            raise ConfigError(
-                "recompute requires dropout == 0 (checkpointed segments "
-                "must replay deterministically)"
-            )
+        # Refused here, not inside a rank thread (where a supervisor would
+        # retry it as a fault).
+        make_gate(self.gate, self.num_experts, self.top_k)
+        if self.dtype not in DTYPES:
+            raise ConfigError(f"dtype must be one of {sorted(DTYPES)}, got {self.dtype!r}")
 
     # ------------------------------------------------------------------ #
     # Analytic parameter counts (exact for the models we can instantiate;

@@ -1,14 +1,14 @@
-"""Basic layers: Linear, Embedding, LayerNorm, Dropout, MLP."""
+"""Basic layers: Linear, Embedding, LayerNorm, MLP."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.tensor import Tensor, dropout as F_dropout, embedding as F_embedding, gelu, layer_norm
+from repro.tensor import Tensor, embedding as F_embedding, gelu, layer_norm
 from repro.models.module import Module, Parameter
 
-__all__ = ["Linear", "Embedding", "LayerNorm", "Dropout", "MLP"]
+__all__ = ["Linear", "Embedding", "LayerNorm", "MLP"]
 
 
 class Linear(Module):
@@ -83,20 +83,6 @@ class LayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.weight, self.bias, eps=self.eps)
-
-
-class Dropout(Module):
-    """Inverted dropout driven by an explicit RNG."""
-
-    def __init__(self, p: float, rng: np.random.Generator):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ConfigError(f"dropout p must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F_dropout(x, self.p, self._rng, training=self.training)
 
 
 class MLP(Module):

@@ -96,7 +96,7 @@ class Module:
     # ------------------------------------------------------------------ #
 
     def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects dropout etc.)."""
+        """Set training mode recursively (affects recompute and inference capacity)."""
         for m in self.modules():
             object.__setattr__(m, "training", mode)
         return self

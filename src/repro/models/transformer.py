@@ -7,7 +7,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.models.attention import CausalSelfAttention
 from repro.models.configs import ModelConfig
-from repro.models.layers import MLP, Dropout, Embedding, LayerNorm, Linear
+from repro.models.layers import MLP, Embedding, LayerNorm, Linear
 from repro.models.module import Module
 from repro.models.moe_layer import MoELayer
 from repro.tensor import Tensor, cross_entropy
@@ -29,16 +29,14 @@ class TransformerBlock(Module):
         n_heads: int,
         ffn: Module,
         rng: np.random.Generator,
-        dropout_p: float = 0.0,
         dtype: str = "fp32",
         recompute: bool = False,
     ):
         super().__init__()
         self.ln_attn = LayerNorm(d_model, dtype=dtype)
-        self.attn = CausalSelfAttention(d_model, n_heads, rng, dropout_p=dropout_p, dtype=dtype)
+        self.attn = CausalSelfAttention(d_model, n_heads, rng, dtype=dtype)
         self.ln_ffn = LayerNorm(d_model, dtype=dtype)
         self.ffn = ffn
-        self.drop = Dropout(dropout_p, rng) if dropout_p > 0 else None
         #: Recompute the attention sublayer (and the FFN, if it is
         #: ``recomputable``) in backward. MoE and tensor-parallel FFNs are
         #: never checkpointed: their aux loss and collectives must run
@@ -52,22 +50,16 @@ class TransformerBlock(Module):
         return self.ffn(self.ln_ffn(x))
 
     def forward(self, x: Tensor, kv=None, valid=None) -> Tensor:
-        use_ckpt = (
-            self.recompute and self.training and self.drop is None and kv is None
-        )
+        use_ckpt = self.recompute and self.training and kv is None
         if use_ckpt:
             h = checkpoint(self._attn_sublayer, x)
         else:
             h = self._attn_sublayer(x, kv=kv, valid=valid)
-        if self.drop is not None:
-            h = self.drop(h)
         x = x + h
         if use_ckpt and self.ffn.recomputable:
             h = checkpoint(self._ffn_sublayer, x)
         else:
             h = self._ffn_sublayer(x)
-        if self.drop is not None:
-            h = self.drop(h)
         return x + h
 
     @property
@@ -113,7 +105,6 @@ class MoELanguageModel(Module):
         emb_rng = np.random.default_rng(derive_seed(base, "emb"))
         self.tok_emb = Embedding(config.vocab_size, config.d_model, emb_rng, dtype=dt)
         self.pos_emb = Embedding(config.max_seq_len, config.d_model, emb_rng, dtype=dt)
-        self.emb_drop = Dropout(config.dropout, emb_rng) if config.dropout > 0 else None
 
         blocks = []
         for i in range(config.n_layers):
@@ -141,8 +132,7 @@ class MoELanguageModel(Module):
             blocks.append(
                 TransformerBlock(
                     config.d_model, config.n_heads, ffn, rng,
-                    dropout_p=config.dropout, dtype=dt,
-                    recompute=config.recompute,
+                    dtype=dt, recompute=config.recompute,
                 )
             )
         self.register_module_list("blocks", blocks)
@@ -182,8 +172,6 @@ class MoELanguageModel(Module):
                 )
             pos = np.arange(t)
             x = self.tok_emb(tokens) + self.pos_emb(pos)
-            if self.emb_drop is not None:
-                x = self.emb_drop(x)
             for block in self.blocks:
                 x = block(x)
             x = self.ln_f(x)
@@ -212,8 +200,6 @@ class MoELanguageModel(Module):
             ctx[:, None] + np.arange(t)[None, :], self.config.max_seq_len - 1
         )
         x = self.tok_emb(tokens) + self.pos_emb(pos)
-        if self.emb_drop is not None:
-            x = self.emb_drop(x)
         for i, block in enumerate(self.blocks):
             x = block(x, kv=kv_cache.layer(i, rows), valid=valid)
         x = self.ln_f(x)

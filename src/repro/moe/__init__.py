@@ -1,6 +1,5 @@
 """Mixture-of-Experts routing: gates, capacity, dispatch, load balance."""
 
-from repro.moe.analysis import expert_specialization, expert_usage_entropy, routing_entropy
 from repro.moe.balance import LoadStats, load_balance_loss, load_stats, router_z_loss
 from repro.moe.capacity import CapacityResult, apply_capacity, expert_capacity
 from repro.moe.dispatch import (
@@ -8,7 +7,6 @@ from repro.moe.dispatch import (
     build_dispatch,
     experts_of_rank,
     inference_keep_mask,
-    owner_of_expert,
 )
 from repro.moe.gates import (
     BalancedGate,
@@ -21,9 +19,6 @@ from repro.moe.gates import (
 )
 
 __all__ = [
-    "expert_specialization",
-    "expert_usage_entropy",
-    "routing_entropy",
     "LoadStats",
     "load_balance_loss",
     "load_stats",
@@ -35,7 +30,6 @@ __all__ = [
     "build_dispatch",
     "experts_of_rank",
     "inference_keep_mask",
-    "owner_of_expert",
     "BalancedGate",
     "Gate",
     "GateOutput",

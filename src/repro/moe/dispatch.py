@@ -13,13 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.utils.mathx import ceil_div
 
 __all__ = [
     "DispatchPlan",
     "build_dispatch",
     "inference_keep_mask",
-    "owner_of_expert",
     "experts_of_rank",
 ]
 
@@ -64,21 +62,6 @@ class DispatchPlan:
     def segment(self, expert: int) -> slice:
         """Slice of the dispatched arrays belonging to ``expert``."""
         return slice(int(self.offsets[expert]), int(self.offsets[expert + 1]))
-
-    def rank_segments(self, experts_per_rank: int) -> list[slice]:
-        """Contiguous slices per owning rank (experts are blocked by rank)."""
-        if experts_per_rank < 1 or self.num_experts % experts_per_rank != 0:
-            raise ConfigError(
-                f"experts_per_rank={experts_per_rank} must divide "
-                f"num_experts={self.num_experts}"
-            )
-        num_ranks = self.num_experts // experts_per_rank
-        out = []
-        for r in range(num_ranks):
-            lo = int(self.offsets[r * experts_per_rank])
-            hi = int(self.offsets[(r + 1) * experts_per_rank])
-            out.append(slice(lo, hi))
-        return out
 
 
 def build_dispatch(
@@ -161,18 +144,6 @@ def inference_keep_mask(
     keep = np.empty(flat.size, dtype=bool)
     keep[order] = keep_sorted
     return keep.reshape(n, k)
-
-
-def owner_of_expert(expert: int, num_experts: int, num_ranks: int) -> int:
-    """Rank owning ``expert`` under blocked expert placement."""
-    if num_experts % num_ranks != 0:
-        raise ConfigError(
-            f"num_ranks={num_ranks} must divide num_experts={num_experts}"
-        )
-    per = num_experts // num_ranks
-    if not 0 <= expert < num_experts:
-        raise ConfigError(f"expert {expert} out of range [0, {num_experts})")
-    return expert // per
 
 
 def experts_of_rank(rank: int, num_experts: int, num_ranks: int) -> range:

@@ -22,6 +22,11 @@ _ALLREDUCE_ALGOS = ("ring", "tree", "hierarchical", "auto")
 _ALLTOALL_ALGOS = ("flat", "hierarchical", "auto")
 
 
+def _refuse_unknown(op: str, algo: str, known: tuple[str, ...]) -> None:
+    if algo not in known:
+        raise ConfigError(f"{op}_algorithm must be one of {known}, got {algo!r}")
+
+
 @dataclass(frozen=True)
 class AlgorithmPolicy:
     """Which collective algorithm the runtime picks for each operation."""
@@ -30,16 +35,8 @@ class AlgorithmPolicy:
     alltoall: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.allreduce not in _ALLREDUCE_ALGOS:
-            raise ConfigError(
-                f"allreduce algorithm must be one of {_ALLREDUCE_ALGOS}, "
-                f"got {self.allreduce!r}"
-            )
-        if self.alltoall not in _ALLTOALL_ALGOS:
-            raise ConfigError(
-                f"alltoall algorithm must be one of {_ALLTOALL_ALGOS}, "
-                f"got {self.alltoall!r}"
-            )
+        _refuse_unknown("allreduce", self.allreduce, _ALLREDUCE_ALGOS)
+        _refuse_unknown("alltoall", self.alltoall, _ALLTOALL_ALGOS)
 
 
 @dataclass
@@ -105,6 +102,7 @@ class NetworkModel:
             return C.cost_tree_allreduce(self.topology, nbytes, nodes)
         if algo == "hierarchical":
             return C.cost_hierarchical_allreduce(self.topology, nbytes, nodes)
+        _refuse_unknown("allreduce", algo, _ALLREDUCE_ALGOS)
         # auto: take the best of the three estimates, as a tuned MPI would.
         return min(
             C.cost_ring_allreduce(self.topology, nbytes, nodes),
@@ -141,25 +139,8 @@ class NetworkModel:
             return C.cost_flat_alltoall(self.topology, nbytes_per_pair, nodes)
         if algo == "hierarchical":
             return C.cost_hierarchical_alltoall(self.topology, nbytes_per_pair, nodes)
+        _refuse_unknown("alltoall", algo, _ALLTOALL_ALGOS)
         return min(
             C.cost_flat_alltoall(self.topology, nbytes_per_pair, nodes),
             C.cost_hierarchical_alltoall(self.topology, nbytes_per_pair, nodes),
         )
-
-    def alltoallv_time(
-        self,
-        pair_bytes: Sequence[Sequence[float]],
-        ranks: Sequence[int],
-        algorithm: str | None = None,
-    ) -> float:
-        """Alltoall with a per-(src,dst) byte matrix; uses the max pair size.
-
-        A full per-pair simulation is unnecessary for the shapes we study:
-        the skewed-load effects are modelled at the MoE dispatch layer, and
-        the network sees the bounding uniform alltoall.
-        """
-        worst = 0.0
-        for row in pair_bytes:
-            for v in row:
-                worst = max(worst, float(v))
-        return self.alltoall_time(worst, ranks, algorithm=algorithm)

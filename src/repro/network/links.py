@@ -52,11 +52,6 @@ class LinkSpec:
         return 1.0 / self.bandwidth
 
     @property
-    def effective_bandwidth(self) -> float:
-        """Bandwidth available under full contention at this level."""
-        return self.bandwidth / self.oversubscription
-
-    @property
     def effective_beta(self) -> float:
         """Per-byte cost under full contention at this level."""
         return self.oversubscription / self.bandwidth

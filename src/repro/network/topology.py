@@ -24,7 +24,7 @@ multi-level hierarchies used in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import TopologyError
 from repro.network.links import LinkSpec
@@ -125,24 +125,6 @@ class Topology:
             out.append(rest % lv.arity)
             rest //= lv.arity
         return tuple(out)
-
-    def node_at(self, coords: Iterable[int]) -> int:
-        """Inverse of :meth:`coords`."""
-        coords = tuple(coords)
-        if len(coords) != len(self._levels):
-            raise TopologyError(
-                f"expected {len(self._levels)} coordinates, got {len(coords)}"
-            )
-        node = 0
-        stride = 1
-        for digit, lv in zip(coords, self._levels):
-            if not 0 <= digit < lv.arity:
-                raise TopologyError(
-                    f"coordinate {digit} out of range for level {lv.name!r}"
-                )
-            node += digit * stride
-            stride *= lv.arity
-        return node
 
     def group_of(self, node: int, level: int) -> int:
         """Index of the ``level``-unit containing ``node``."""

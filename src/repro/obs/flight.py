@@ -18,10 +18,8 @@ session recorder, shifted onto the session timeline.
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import deque
-from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigError
@@ -92,14 +90,6 @@ class FlightRecorder:
             "notes": list(self._notes),
             "phases": dict(phases) if phases else {},
         }
-
-    def dump_to(self, path: str | Path,
-                phases: dict[str, float] | None = None) -> Path:
-        """Write :meth:`dump` as sorted-key JSON; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.dump(phases), sort_keys=True, indent=1))
-        return path
 
     # ------------------------------------------------------------------ #
     # Session aggregation

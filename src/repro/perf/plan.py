@@ -8,6 +8,7 @@ from functools import cached_property
 from repro.errors import ConfigError
 from repro.layout import ParallelLayout, validate_layout_for_model
 from repro.models.configs import ModelConfig
+from repro.network.costmodel import AlgorithmPolicy
 
 __all__ = ["ParallelPlan"]
 
@@ -92,6 +93,9 @@ class ParallelPlan:
             raise ConfigError(
                 f"overlap_chunks must be >= 1, got {self.overlap_chunks}"
             )
+        # The cost model would price an unknown name as "auto" (None is the
+        # network's own policy).
+        AlgorithmPolicy(allreduce=self.allreduce or "auto", alltoall=self.alltoall or "auto")
 
     @cached_property
     def layout(self) -> ParallelLayout:
@@ -153,8 +157,3 @@ class ParallelPlan:
                 f"plan seq_len={self.seq_len} exceeds model "
                 f"max_seq_len={config.max_seq_len}"
             )
-
-    def expert_instances_per_rank(self, config: ModelConfig) -> float:
-        """Average expert MLPs owned per rank (may be fractional)."""
-        self.validate_against(config)
-        return config.num_moe_layers * config.num_experts / self.ep_size

@@ -8,8 +8,9 @@ construction — validated by a calibration test.
 
 Phases per training step (synchronous, conservatively non-overlapped):
 
-* dense compute: forward+backward matmul time on the node roofline, split
-  over pipeline stages and (for the dense-FFN share) over the TP group;
+* dense compute: forward+backward FLOPs divided by the node's sustained
+  FLOP/s (peak x ``compute_efficiency``), split over pipeline stages and
+  (for the dense-FFN share) over the TP group;
 * expert compute: routed-row MLP time, scaled by the gate's load-imbalance
   factor (the slowest expert paces the group);
 * token alltoall: 2 exchanges forward + 2 backward per MoE layer;
@@ -399,16 +400,3 @@ class StepModel:
         from repro.perf.flops import step_flops
 
         return step_flops(self.config, plan.global_tokens, plan.seq_len) / self.step_time(plan)
-
-    def parallel_efficiency(self, plan: ParallelPlan) -> float:
-        """Achieved / (nodes x single-node sustained compute throughput)."""
-        one = self.step_breakdown(
-            ParallelPlan(
-                num_nodes=1,
-                ep_size=1,
-                micro_batch=plan.micro_batch,
-                seq_len=plan.seq_len,
-            )
-        ).compute
-        per_node_ideal = plan.tokens_per_rank / one
-        return self.tokens_per_second(plan) / (per_node_ideal * plan.num_nodes)

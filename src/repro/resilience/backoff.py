@@ -24,20 +24,19 @@ __all__ = ["BackoffPolicy"]
 
 @dataclass(frozen=True)
 class BackoffPolicy:
-    """``min(cap, base * factor**(n-1))`` virtual seconds before retry n.
+    """``min(cap, base * 2**(n-1))`` virtual seconds before retry n.
 
-    ``base`` is the first-retry wait, ``factor`` the growth factor (>= 1)
-    and ``cap`` the ceiling, all in virtual seconds.
+    ``base`` is the first-retry wait and ``cap`` the ceiling, both in
+    virtual seconds; each consecutive retry doubles the wait.
     """
 
     base: float = 5.0
-    factor: float = 2.0
     cap: float = 60.0
 
     def __post_init__(self) -> None:
         # ``not x >= low`` refuses NaN, which ``x < low`` lets through. The
         # configs that own a policy call these fields ``backoff_<name>``.
-        for name, low in (("base", 0.0), ("factor", 1.0), ("cap", 0.0)):
+        for name, low in (("base", 0.0), ("cap", 0.0)):
             value = getattr(self, name)
             if not value >= low:
                 raise ConfigError(f"backoff_{name} must be >= {low}, got {value}")
@@ -48,7 +47,7 @@ class BackoffPolicy:
             raise ConfigError(
                 f"consecutive failure count must be >= 1, got {consecutive}"
             )
-        return min(self.cap, self.base * self.factor ** (consecutive - 1))
+        return min(self.cap, self.base * 2.0 ** (consecutive - 1))
 
     def schedule(self, retries: int) -> list[float]:
         """The first ``retries`` delays, in order (handy for tests/docs)."""

@@ -13,7 +13,7 @@ top of plain restart:
   and recoverable; programming errors propagate immediately, exactly as
   :mod:`repro.errors` prescribes;
 * **capped exponential backoff** — consecutive failures wait
-  ``base * factor**(n-1)`` virtual seconds (capped) before relaunching,
+  ``base * 2**(n-1)`` virtual seconds (capped) before relaunching,
   charged to the session clock and recorded as a ``backoff`` phase;
 * **blame-driven elastic restart** — when the same node keeps killing
   runs (``shrink_after`` strikes), the supervisor excludes it from the
@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 from repro.errors import (
     CommunicatorError,
@@ -48,7 +48,9 @@ from repro.errors import (
     OverflowDetected,
     ReproError,
 )
+from repro.hardware.specs import sunway_machine
 from repro.models.configs import ModelConfig
+from repro.network.presets import sunway_network
 from repro.parallel.dist_checkpoint import latest_snapshot
 from repro.parallel.runner import TrainingRunConfig
 from repro.resilience.backoff import BackoffPolicy
@@ -140,9 +142,8 @@ class ElasticRunConfig:
     alltoall_algorithm: str | None = None
     max_restarts: int = 5
     #: Backoff before relaunch n consecutive failures in:
-    #: ``min(cap, base * factor**(n-1))`` virtual seconds.
+    #: ``min(cap, base * 2**(n-1))`` virtual seconds.
     backoff_base: float = 5.0
-    backoff_factor: float = 2.0
     backoff_cap: float = 60.0
     #: Shrink the world when one node accumulates ``shrink_after`` blamed
     #: failures (set False to always relaunch at full width).
@@ -176,11 +177,7 @@ class ElasticRunConfig:
 
     def backoff_policy(self) -> BackoffPolicy:
         """The capped-exponential schedule this run waits between retries."""
-        return BackoffPolicy(
-            base=self.backoff_base,
-            factor=self.backoff_factor,
-            cap=self.backoff_cap,
-        )
+        return BackoffPolicy(base=self.backoff_base, cap=self.backoff_cap)
 
     def training_config(self, world: int, ep: int) -> TrainingRunConfig:
         """The validated launch config of one attempt at ``world`` x ``ep``."""
@@ -295,10 +292,9 @@ class Supervisor:
         ``fault_plans[i]`` is injected into the i-th launch only
         (``None`` / past the end = healthy) — how tests and benches
         script deterministic failure sequences.
-    network_factory / machine_factory:
-        ``world_size -> NetworkModel / MachineSpec`` for each launch
-        (defaults: the Sunway presets). The factories are re-invoked
-        after a shrink so the modelled machine matches the world.
+
+    Each launch models a Sunway machine and network of its own world size,
+    so after a shrink the modelled machine matches the world.
     """
 
     def __init__(
@@ -306,24 +302,10 @@ class Supervisor:
         cfg: ElasticRunConfig,
         faults: Any | None = None,
         fault_plans: list[Any] | None = None,
-        network_factory: Callable[[int], Any] | None = None,
-        machine_factory: Callable[[int], Any] | None = None,
     ):
         self.cfg = cfg
         self.faults = faults
         self.fault_plans = fault_plans
-        if network_factory is None:
-            from repro.network.presets import sunway_network
-
-            network_factory = sunway_network
-        self._network_factory = network_factory
-        if machine_factory is None:
-            from repro.hardware.specs import sunway_machine
-
-            def machine_factory(world: int):
-                return sunway_machine(num_nodes=world)
-
-        self._machine_factory = machine_factory
 
     # ------------------------------------------------------------------ #
     # Launch-plumbing helpers
@@ -398,9 +380,7 @@ class Supervisor:
                 checkpoint_dir=str(ckpt_dir),
                 resume_dir=str(resume_dir) if resume_dir is not None else None,
                 progress=progress,
-                machine=(
-                    self._machine_factory(world) if cfg.model_compute_time else None
-                ),
+                machine=sunway_machine(num_nodes=world) if cfg.model_compute_time else None,
             )
             world_history.append(world)
             launch = dict(
@@ -417,7 +397,7 @@ class Supervisor:
                 res = run_spmd(
                     run_elastic_segment,
                     world,
-                    network=self._network_factory(world),
+                    network=sunway_network(world),
                     timeout=cfg.timeout,
                     faults=self._plan_for(attempt),
                     args=(spec,),
@@ -560,14 +540,6 @@ def run_elastic_training(
     cfg: ElasticRunConfig,
     faults: Any | None = None,
     fault_plans: list[Any] | None = None,
-    network_factory: Callable[[int], Any] | None = None,
-    machine_factory: Callable[[int], Any] | None = None,
 ) -> ElasticRunResult:
     """Convenience wrapper: build a :class:`Supervisor` and run it."""
-    return Supervisor(
-        cfg,
-        faults=faults,
-        fault_plans=fault_plans,
-        network_factory=network_factory,
-        machine_factory=machine_factory,
-    ).run()
+    return Supervisor(cfg, faults=faults, fault_plans=fault_plans).run()

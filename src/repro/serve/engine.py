@@ -34,7 +34,7 @@ from repro.errors import ConfigError
 from repro.hardware.specs import MachineSpec, sunway_machine
 from repro.models.configs import ModelConfig
 from repro.models.transformer import MoELanguageModel
-from repro.network import sunway_network
+from repro.network import AlgorithmPolicy, sunway_network
 from repro.parallel.ep import ep_moe_factory
 from repro.perf.flops import (
     dense_forward_flops_per_token,
@@ -86,11 +86,9 @@ class ServeConfig:
     slo_ms: float | None = None
     use_cache: bool = True
     greedy: bool = True
-    temperature: float = 1.0
     seed: int = 0
     expert_capacity: int | None = None
     alltoall_algorithm: str | None = None
-    kv_block: int = 8
     #: Chunked async expert dispatch width for decode alltoalls (>1
     #: pipelines dispatch/combine against expert compute; bit-identical).
     overlap_chunks: int = 1
@@ -119,8 +117,8 @@ class ServeConfig:
     kv_token_budget: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("ep_size", "num_requests", "max_batch_size", "kv_block",
-                     "overlap_chunks", "supernode_size", "num_tiers"):
+        for name in ("ep_size", "num_requests", "max_batch_size", "overlap_chunks",
+                     "supernode_size", "num_tiers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.model.num_experts % self.ep_size != 0:
@@ -169,7 +167,7 @@ class ServeConfig:
                     raise ConfigError(
                         f"arrival_ramp rates must be > 0 req/s, got {rate}"
                     )
-                if i > 0 and t_seg <= self.arrival_ramp[i - 1][0]:
+                if i > 0 and not t_seg > self.arrival_ramp[i - 1][0]:
                     raise ConfigError(
                         "arrival_ramp segment times must be strictly "
                         f"increasing, got {t_seg} after "
@@ -177,14 +175,13 @@ class ServeConfig:
                     )
         if self.slo_ms is not None and not self.slo_ms > 0:
             raise ConfigError(f"slo_ms must be > 0, got {self.slo_ms}")
-        if not self.temperature > 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if self.expert_capacity is not None and self.expert_capacity < 1:
             raise ConfigError(
                 f"expert_capacity must be >= 1 rows, got {self.expert_capacity}"
             )
         if not self.timeout > 0:
             raise ConfigError(f"timeout must be > 0 wall seconds, got {self.timeout}")
+        AlgorithmPolicy(alltoall=self.alltoall_algorithm or "auto")
         if self.shed_tier is not None and not 0 <= self.shed_tier < self.num_tiers:
             raise ConfigError(
                 f"shed_tier must be in [0, num_tiers={self.num_tiers}), "
@@ -411,7 +408,6 @@ def _serve_model(
 def _sample_token(
     logits: np.ndarray, cfg: ServeConfig, rng: np.random.Generator | None
 ) -> int:
-    logits = logits / cfg.temperature
     if cfg.greedy:
         return int(logits.argmax())
     shifted = logits - logits.max()
@@ -448,7 +444,6 @@ def _serve_rank(
             model,
             batch_size=sched.max_batch_size,
             capacity=cfg.model.max_seq_len,
-            block_size=cfg.kv_block,
             token_budget=cfg.kv_token_budget,
         )
         if cfg.use_cache

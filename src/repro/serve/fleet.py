@@ -90,7 +90,6 @@ class FleetConfig:
     hedge_after_ms: float | None = None
     request_timeout_ms: float | None = None
     backoff_base: float = 0.5
-    backoff_factor: float = 2.0
     backoff_cap: float = 8.0
     #: Safety valve on the dispatch loop (retries bound it in practice).
     max_rounds: int = 64
@@ -150,11 +149,7 @@ class FleetConfig:
 
     def backoff_policy(self) -> BackoffPolicy:
         """Capped-exponential schedule crashed replicas wait before reuse."""
-        return BackoffPolicy(
-            base=self.backoff_base,
-            factor=self.backoff_factor,
-            cap=self.backoff_cap,
-        )
+        return BackoffPolicy(base=self.backoff_base, cap=self.backoff_cap)
 
 
 @dataclass

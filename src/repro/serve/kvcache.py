@@ -7,7 +7,7 @@ already produced so a decode step only projects the *new* tokens and
 attends over cached history.
 
 Storage is paged: each layer holds one (B, H, alloc, hd) buffer per
-tensor, grown in ``block_size``-token blocks up to ``capacity`` tokens, so
+tensor, grown in 8-token blocks up to ``capacity`` tokens, so
 short requests never pay for the full window. Rows are independent —
 per-row committed lengths let ragged batches (continuous batching) share
 one cache, and :meth:`reset` recycles a row's slot for the next request
@@ -39,8 +39,6 @@ class KVCache:
     capacity:
         Maximum cached tokens per row; writes past it raise
         :class:`~repro.errors.CacheOverflow`.
-    block_size:
-        Allocation granularity in tokens (paged growth).
     token_budget:
         Optional cap on *total* committed tokens across all rows — the
         shared-memory pressure a real paged KV pool has. ``commit`` past
@@ -49,6 +47,9 @@ class KVCache:
         row instead of ever hitting the error (graceful degradation).
     """
 
+    #: Allocation granularity in tokens (paged growth).
+    block_size = 8
+
     def __init__(
         self,
         num_layers: int,
@@ -56,7 +57,6 @@ class KVCache:
         n_heads: int,
         head_dim: int,
         capacity: int,
-        block_size: int = 8,
         dtype=np.float32,
         token_budget: int | None = None,
     ):
@@ -65,8 +65,6 @@ class KVCache:
                 "KVCache dims (layers, batch, heads, head_dim, capacity) "
                 "must all be >= 1"
             )
-        if block_size < 1:
-            raise ConfigError(f"block_size must be >= 1, got {block_size}")
         if token_budget is not None and token_budget < 1:
             raise ConfigError(f"token_budget must be >= 1, got {token_budget}")
         self.num_layers = num_layers
@@ -74,7 +72,6 @@ class KVCache:
         self.n_heads = n_heads
         self.head_dim = head_dim
         self.capacity = capacity
-        self.block_size = block_size
         self.token_budget = token_budget
         self.dtype = dtype
         self._alloc = 0
@@ -90,7 +87,6 @@ class KVCache:
         model,
         batch_size: int,
         capacity: int | None = None,
-        block_size: int = 8,
         token_budget: int | None = None,
     ) -> "KVCache":
         """Build a cache sized for ``model`` (a model or a ModelConfig)."""
@@ -101,7 +97,6 @@ class KVCache:
             n_heads=cfg.n_heads,
             head_dim=cfg.d_model // cfg.n_heads,
             capacity=cfg.max_seq_len if capacity is None else capacity,
-            block_size=block_size,
             token_budget=token_budget,
         )
 

@@ -143,11 +143,6 @@ class ReplicaRouter:
         state.down_until = crash_t + self.backoff.delay(state.consecutive_failures)
         return state.down_until
 
-    def next_recovery(self, now: float) -> float:
-        """Earliest down-until among replicas still in backoff (inf if none)."""
-        pending = [s.down_until for s in self.states if s.down_until > now]
-        return min(pending) if pending else float("inf")
-
     # ------------------------------------------------------------------ #
     # Elastic fleet membership (autoscaler mechanism)
     # ------------------------------------------------------------------ #

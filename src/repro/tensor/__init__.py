@@ -5,7 +5,6 @@ from repro.tensor.tensor import Tensor, is_grad_enabled, no_grad, ones, tensor, 
 from repro.tensor import ops
 from repro.tensor.functional import (
     cross_entropy,
-    dropout,
     embedding,
     gather_rows,
     gelu,
@@ -36,7 +35,6 @@ __all__ = [
     "zeros",
     "ops",
     "cross_entropy",
-    "dropout",
     "embedding",
     "gather_rows",
     "scatter_rows",

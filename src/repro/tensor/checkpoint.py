@@ -13,8 +13,7 @@ segment's; the outer backward drops this node's inputs the same way, and
 backpropagating through the returned tensor twice needs ``retain_graph``.
 
 Determinism caveat: ``fn`` must be a pure function of its tensor inputs
-(no consumed RNG state), otherwise the replay would diverge. Dropout
-layers should be given replayable generators or be outside segments.
+(no consumed RNG state), otherwise the replay would diverge.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ __all__ = [
     "cross_entropy",
     "layer_norm",
     "embedding",
-    "dropout",
     "gather_rows",
     "scatter_rows",
 ]
@@ -244,19 +243,3 @@ def scatter_rows(src: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
         return (g[idx],)
 
     return _make(out, src.dtype, (src,), backward)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout with an explicit RNG (determinism by construction)."""
-    if not 0.0 <= p < 1.0:
-        raise ShapeError(f"dropout p must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep) / keep
-    data = x.data * mask
-
-    def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        return (g * mask,)
-
-    return _make(data, x.dtype, (x,), backward)

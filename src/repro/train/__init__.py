@@ -1,15 +1,12 @@
-"""Training stack: optimizers, schedules, clipping, trainer, checkpoints."""
+"""Training stack: optimizers, schedules, clipping, trainer."""
 
-from repro.train.checkpoint import load_checkpoint, save_checkpoint
 from repro.train.clip import clip_grad_norm, global_grad_norm
 from repro.train.metrics import LatencyStats, MetricsLogger, read_jsonl
 from repro.train.optim import SGD, Adam, AdamW, Optimizer
-from repro.train.schedules import ConstantLR, LRSchedule, WarmupCosineLR, WarmupLinearLR
+from repro.train.schedules import ConstantLR, LRSchedule, WarmupCosineLR
 from repro.train.trainer import StepResult, Trainer
 
 __all__ = [
-    "load_checkpoint",
-    "save_checkpoint",
     "LatencyStats",
     "MetricsLogger",
     "read_jsonl",
@@ -22,7 +19,6 @@ __all__ = [
     "ConstantLR",
     "LRSchedule",
     "WarmupCosineLR",
-    "WarmupLinearLR",
     "StepResult",
     "Trainer",
 ]

@@ -100,8 +100,8 @@ class Optimizer:
             p.zero_grad()
 
     def step(self, grad_scale: float = 1.0) -> None:
-        """Apply one update. ``grad_scale`` multiplies gradients (use the
-        loss scaler's ``inv_scale`` for fp16 training)."""
+        """Apply one update. ``grad_scale`` multiplies gradients (``1 / scale``
+        of the loss scaler for fp16 training)."""
         raise NotImplementedError
 
     # -- checkpointing -------------------------------------------------- #

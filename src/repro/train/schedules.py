@@ -6,7 +6,7 @@ import math
 
 from repro.errors import ConfigError
 
-__all__ = ["LRSchedule", "ConstantLR", "WarmupCosineLR", "WarmupLinearLR"]
+__all__ = ["LRSchedule", "ConstantLR", "WarmupCosineLR"]
 
 
 class LRSchedule:
@@ -33,7 +33,9 @@ class ConstantLR(LRSchedule):
         return self.lr
 
 
-class _WarmupBase(LRSchedule):
+class WarmupCosineLR(LRSchedule):
+    """Linear warmup then cosine decay to ``min_lr`` (GPT-style default)."""
+
     def __init__(self, peak_lr: float, warmup_steps: int, total_steps: int, min_lr: float = 0.0):
         if peak_lr <= 0:
             raise ConfigError(f"peak_lr must be > 0, got {peak_lr}")
@@ -48,32 +50,10 @@ class _WarmupBase(LRSchedule):
         self.total_steps = int(total_steps)
         self.min_lr = float(min_lr)
 
-    def _warmup(self, step: int) -> float | None:
+    def lr_at(self, step: int) -> float:
         if step < self.warmup_steps:
             return self.peak_lr * (step + 1) / max(self.warmup_steps, 1)
-        return None
-
-    def _progress(self, step: int) -> float:
         span = max(self.total_steps - self.warmup_steps, 1)
-        return min((step - self.warmup_steps) / span, 1.0)
-
-
-class WarmupCosineLR(_WarmupBase):
-    """Linear warmup then cosine decay to ``min_lr`` (GPT-style default)."""
-
-    def lr_at(self, step: int) -> float:
-        warm = self._warmup(step)
-        if warm is not None:
-            return warm
-        cos = 0.5 * (1.0 + math.cos(math.pi * self._progress(step)))
+        progress = min((step - self.warmup_steps) / span, 1.0)
+        cos = 0.5 * (1.0 + math.cos(math.pi * progress))
         return self.min_lr + (self.peak_lr - self.min_lr) * cos
-
-
-class WarmupLinearLR(_WarmupBase):
-    """Linear warmup then linear decay to ``min_lr``."""
-
-    def lr_at(self, step: int) -> float:
-        warm = self._warmup(step)
-        if warm is not None:
-            return warm
-        return self.min_lr + (self.peak_lr - self.min_lr) * (1.0 - self._progress(step))

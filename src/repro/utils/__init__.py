@@ -6,9 +6,8 @@ from repro.utils.units import (
     format_count,
     format_flops,
     format_time,
-    parse_bytes,
 )
-from repro.utils.mathx import ceil_div, is_power_of_two, next_power_of_two, prod
+from repro.utils.mathx import ceil_div, prod
 
 __all__ = [
     "derive_seed",
@@ -17,9 +16,6 @@ __all__ = [
     "format_count",
     "format_flops",
     "format_time",
-    "parse_bytes",
     "ceil_div",
-    "is_power_of_two",
-    "next_power_of_two",
     "prod",
 ]

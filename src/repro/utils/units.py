@@ -6,30 +6,15 @@ formatting lives in one place.
 
 from __future__ import annotations
 
-from repro.errors import ConfigError
-
 __all__ = [
     "format_bytes",
     "format_count",
     "format_flops",
     "format_time",
-    "parse_bytes",
 ]
 
 _BYTE_UNITS = ["B", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB"]
 _SI_UNITS = ["", "K", "M", "G", "T", "P", "E"]
-
-_PARSE_SUFFIXES = {
-    "b": 1,
-    "kb": 10**3,
-    "mb": 10**6,
-    "gb": 10**9,
-    "tb": 10**12,
-    "kib": 2**10,
-    "mib": 2**20,
-    "gib": 2**30,
-    "tib": 2**40,
-}
 
 
 def format_bytes(n: float, precision: int = 2) -> str:
@@ -85,22 +70,3 @@ def format_time(seconds: float, precision: int = 2) -> str:
         return f"{sign}{s / 60.0:.{precision}f} min"
     return f"{sign}{s / 3600.0:.{precision}f} h"
 
-
-def parse_bytes(text: str) -> int:
-    """Parse a human byte string (``'4 MiB'``, ``'1gb'``, ``'512'``) to bytes."""
-    raw = text.strip().lower().replace(" ", "")
-    if not raw:
-        raise ConfigError("empty byte-size string")
-    idx = len(raw)
-    while idx > 0 and not raw[idx - 1].isdigit() and raw[idx - 1] != ".":
-        idx -= 1
-    number, suffix = raw[:idx], raw[idx:]
-    if not number:
-        raise ConfigError(f"no numeric part in byte-size string {text!r}")
-    if suffix and suffix not in _PARSE_SUFFIXES:
-        raise ConfigError(f"unknown byte-size suffix {suffix!r} in {text!r}")
-    scale = _PARSE_SUFFIXES.get(suffix, 1)
-    value = float(number) * scale
-    if value < 0:
-        raise ConfigError(f"negative byte size {text!r}")
-    return int(value)

@@ -62,19 +62,6 @@ class TestScalerStateMachine:
             s.update(False)
         assert s.scale == 2.0**24
 
-    def test_inv_scale(self):
-        s = DynamicLossScaler(init_scale=8.0)
-        assert s.inv_scale == pytest.approx(0.125)
-
-    def test_state_dict_roundtrip(self):
-        s = DynamicLossScaler(init_scale=1024.0, growth_interval=5)
-        s.update(True)
-        s.update(False)
-        s2 = DynamicLossScaler()
-        s2.load_state_dict(s.state_dict())
-        assert s2.scale == s.scale
-        assert s2.overflow_count == 1
-
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
             DynamicLossScaler(init_scale=-1.0)

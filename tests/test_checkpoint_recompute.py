@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, ShapeError
+from repro.errors import ShapeError
 from repro.models import MLP, build_model, tiny_config
 from repro.tensor import Tensor, checkpoint, gradcheck, no_grad
 from repro.tensor import ops as T
@@ -93,10 +93,6 @@ class TestModelRecompute:
         cfg = tiny_config(recompute=True)
         model = build_model(cfg)
         assert all(b.recompute for b in model.blocks)
-
-    def test_recompute_rejects_dropout(self):
-        with pytest.raises(ConfigError):
-            tiny_config(recompute=True, dropout=0.1)
 
     def test_loss_identical_with_and_without(self):
         cfg = tiny_config()

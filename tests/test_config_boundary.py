@@ -8,7 +8,10 @@ construction, with the one error type, instead of inside a rank thread (or,
 for a supervised run, after every retry the supervisor has). The serving
 configs (``ServeConfig``, ``FleetConfig``, ``AutoscalerConfig``) hold the
 same line, and their errors name the field they refuse. NaN is refused by
-every float field, with the field named.
+every float field, with the field named. The name fields (gate, dtype,
+collective algorithms) and the arrival ramp are perturbed too: a config
+that constructs holds a value its run accepts, and a refusal names the
+field.
 """
 
 import dataclasses
@@ -18,11 +21,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.models import tiny_config
+from repro.models import ModelConfig, tiny_config
 from repro.parallel import TrainingRunConfig
 from repro.perf import ParallelPlan
 from repro.plan import PlannerConfig
 from repro.resilience import BackoffPolicy, ElasticRunConfig
+from repro.network import sunway_network
 from repro.serve import AutoscalerConfig, FleetConfig, ServeConfig
 
 MODEL = tiny_config()
@@ -102,9 +106,117 @@ def test_perturbed_serving_fields_construct_or_name_the_field(cls, data):
         assert any(name in str(exc) for name in names), (names, str(exc))
 
 
+#: Names a run accepts, written out here rather than imported, so the
+#: oracle does not share the code it checks. ``None`` and ``""`` mean the
+#: network's default policy.
+ALLREDUCE_NAMES = {None, "", "auto", "ring", "tree", "hierarchical"}
+ALLTOALL_NAMES = {None, "", "auto", "flat", "hierarchical"}
+GATE_NAMES = {"topk", "noisy-topk", "balanced", "random"}
+DTYPE_NAMES = {"fp64", "fp32", "fp16", "bf16"}
+
+#: Known names, near misses and arbitrary text.
+TEXT = st.one_of(
+    st.sampled_from(sorted((ALLREDUCE_NAMES | ALLTOALL_NAMES | GATE_NAMES | DTYPE_NAMES)
+                           - {None}) + ["hierarchcal", "rng", "bogus", "fp8", "Auto"]),
+    st.text(max_size=8),
+)
+#: Ramps mostly start at t=0 with positive rates, so the ordering and
+#: rate checks are reached as well as the start check.
+RAMP_TIMES = st.one_of(st.sampled_from((0.0, 1.0, 5.0)), FLOATS)
+RAMP_RATES = st.one_of(st.sampled_from((1.0, 2.0)), FLOATS)
+RAMPS = st.none() | st.lists(st.tuples(RAMP_TIMES, RAMP_RATES), max_size=4).map(tuple)
+
+
+def _ramp_ok(ramp) -> bool:
+    return ramp is None or (
+        len(ramp) >= 1
+        and ramp[0][0] == 0.0
+        and all(rate > 0 for _, rate in ramp)
+        and all(b[0] > a[0] for a, b in zip(ramp, ramp[1:]))
+    )
+
+
+def _algorithms(allreduce: str, alltoall: str) -> dict:
+    return {allreduce: (st.none() | TEXT, ALLREDUCE_NAMES.__contains__),
+            alltoall: (st.none() | TEXT, ALLTOALL_NAMES.__contains__)}
+
+
+#: Per config: field -> (values drawn, what a constructed config may hold).
+TEXT_FIELDS = {
+    ModelConfig: {"gate": (TEXT, GATE_NAMES.__contains__),
+                  "dtype": (TEXT, DTYPE_NAMES.__contains__)},
+    ParallelPlan: _algorithms("allreduce", "alltoall"),
+    TrainingRunConfig: _algorithms("allreduce_algorithm", "alltoall_algorithm"),
+    ElasticRunConfig: _algorithms("allreduce_algorithm", "alltoall_algorithm"),
+    ServeConfig: {"alltoall_algorithm": (st.none() | TEXT, ALLTOALL_NAMES.__contains__),
+                  "arrival_ramp": (RAMPS, _ramp_ok)},
+}
+
+
+@pytest.mark.parametrize("cls", list(TEXT_FIELDS), ids=lambda cls: cls.__name__)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_perturbed_name_and_ramp_fields_are_valid_or_named(cls, data):
+    fields = TEXT_FIELDS[cls]
+    names = data.draw(
+        st.lists(st.sampled_from(sorted(fields)), min_size=1, max_size=2, unique=True)
+    )
+    base = dataclasses.asdict(MODEL) if cls is ModelConfig else {**BASES, **SERVING_BASES}[cls]
+    values = {name: data.draw(fields[name][0], label=name) for name in names}
+    try:
+        cls(**{**base, **values})
+    except ConfigError as exc:
+        assert any(name in str(exc) for name in names), (names, str(exc))
+    else:
+        for name, value in values.items():
+            assert fields[name][1](value), f"{cls.__name__} accepted {name}={value!r}"
+
+
+@pytest.mark.parametrize("bad", [dict(gate="bogus"), dict(dtype="fp8")],
+                         ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_misspelt_gate_or_dtype_is_refused_before_a_supervised_launch(bad):
+    """The parent built these configs; a supervisor then relaunched the
+    dying world six times (``training failed 6 times; giving up``)."""
+    (name,) = bad
+    with pytest.raises(ConfigError, match=name):
+        ElasticRunConfig(**{**BASES[ElasticRunConfig], "model": tiny_config(**bad)})
+
+
+@pytest.mark.parametrize(
+    ("cls", "name", "value"),
+    [(TrainingRunConfig, "alltoall_algorithm", "hierarchcal"),
+     (TrainingRunConfig, "allreduce_algorithm", "rng"),
+     (ElasticRunConfig, "alltoall_algorithm", "hierarchcal"),
+     (ServeConfig, "alltoall_algorithm", "hierarchcal"),
+     (ParallelPlan, "alltoall", "hierarchcal"),
+     (ParallelPlan, "allreduce", "rng")],
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
+)
+def test_unknown_algorithm_name_is_refused_naming_the_field(cls, name, value):
+    """The parent constructed these and priced the misspelt name as "auto"."""
+    base = {**BASES, **SERVING_BASES}[cls]
+    with pytest.raises(ConfigError, match=name):
+        cls(**{**base, name: value})
+
+
+def test_network_model_refuses_an_unknown_algorithm_name():
+    net = sunway_network(8)
+    with pytest.raises(ConfigError, match="allreduce_algorithm"):
+        net.allreduce_time(1024.0, range(8), algorithm="rng")
+    with pytest.raises(ConfigError, match="alltoall_algorithm"):
+        net.alltoall_time(1024.0, range(8), algorithm="hierarchcal")
+
+
+def test_nan_arrival_ramp_time_is_refused():
+    """The parent built this ramp and never entered its middle segment."""
+    with pytest.raises(ConfigError, match="arrival_ramp"):
+        ServeConfig(**SERVING_BASES[ServeConfig],
+                    arrival_ramp=((0.0, 1.0), (math.nan, 2.0), (5.0, 3.0)))
+
+
 @pytest.mark.parametrize(
     "bad",
-    [dict(kv_block=0), dict(expert_capacity=0), dict(expert_capacity=-1),
+    [dict(expert_capacity=0), dict(expert_capacity=-1),
      dict(supernode_size=0), dict(timeout=0.0)],
     ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
 )
@@ -156,16 +268,16 @@ def test_elastic_run_config_rejects_a_sequence_longer_than_the_model():
 #: ``x <= 0``, which NaN passes).
 NAN_FIELDS = {
     TrainingRunConfig: ("lr", "corpus_predictability", "timeout"),
-    ServeConfig: ("arrival_rate", "slo_ms", "temperature", "timeout"),
+    ServeConfig: ("arrival_rate", "slo_ms", "timeout"),
     FleetConfig: ("mtbf", "hedge_after_ms", "request_timeout_ms", "backoff_base",
-                  "backoff_factor", "backoff_cap", "slo_horizon_s"),
+                  "backoff_cap", "slo_horizon_s"),
     AutoscalerConfig: ("ttft_slo_s", "signal_window_s", "queue_high", "queue_low",
                        "cooldown_s", "spawn_delay_s", "dispatch_window_s"),
-    ElasticRunConfig: ("lr", "corpus_predictability", "backoff_base", "backoff_factor",
-                       "backoff_cap", "timeout"),
+    ElasticRunConfig: ("lr", "corpus_predictability", "backoff_base", "backoff_cap",
+                       "timeout"),
     PlannerConfig: ("load_imbalance",),
     ParallelPlan: ("load_imbalance",),
-    BackoffPolicy: ("base", "factor", "cap"),
+    BackoffPolicy: ("base", "cap"),
 }
 
 

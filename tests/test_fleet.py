@@ -56,8 +56,8 @@ def _tokens_by_rid(result):
 
 class TestBackoffPolicy:
     def test_capped_exponential_schedule(self):
-        policy = BackoffPolicy(base=2.0, factor=3.0, cap=10.0)
-        assert policy.schedule(4) == [2.0, 6.0, 10.0, 10.0]
+        policy = BackoffPolicy(base=2.0, cap=10.0)
+        assert policy.schedule(5) == [2.0, 4.0, 8.0, 10.0, 10.0]
 
     def test_supervisor_and_fleet_share_one_schedule(self):
         """The satellite guarantee: training supervisor retries and fleet
@@ -65,11 +65,11 @@ class TestBackoffPolicy:
         sup = ElasticRunConfig(
             model=tiny_config(), world_size=2, ep_size=2, total_steps=1,
             checkpoint_every=1, checkpoint_dir="/tmp/x",
-            backoff_base=2.0, backoff_factor=3.0, backoff_cap=10.0,
+            backoff_base=2.0, backoff_cap=10.0,
         ).backoff_policy()
         fleet = FleetConfig(
             serve=ServeConfig(model=tiny_config()),
-            backoff_base=2.0, backoff_factor=3.0, backoff_cap=10.0,
+            backoff_base=2.0, backoff_cap=10.0,
         ).backoff_policy()
         assert sup == fleet
         assert sup.schedule(5) == fleet.schedule(5)
@@ -78,7 +78,7 @@ class TestBackoffPolicy:
         with pytest.raises(ConfigError):
             BackoffPolicy(base=-1.0)
         with pytest.raises(ConfigError):
-            BackoffPolicy(factor=0.5)
+            BackoffPolicy(cap=-1.0)
         with pytest.raises(ConfigError):
             BackoffPolicy().delay(0)
 
@@ -130,15 +130,13 @@ class TestReplicaRouter:
         assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_crash_gates_dispatch_until_backoff_expires(self):
-        router = ReplicaRouter(2, backoff=BackoffPolicy(base=4.0, factor=2.0,
-                                                        cap=100.0))
+        router = ReplicaRouter(2, backoff=BackoffPolicy(base=4.0, cap=100.0))
         down = router.on_crash(0, crash_t=1.0)
         assert down == 5.0
         assert not router.states[0].healthy(4.9)
         assert router.states[0].healthy(5.0)
         # A ready-now request routes to the healthy replica.
         assert router.pick(1.0).index == 1
-        assert router.next_recovery(1.0) == 5.0
         # Consecutive failures escalate: 4, then 8.
         assert router.on_crash(0, crash_t=6.0) == 14.0
         router.on_segment_done(0, 14.0, 15.0, served=1)
@@ -377,7 +375,7 @@ class TestFleetConfigAndCLI:
         with pytest.raises(ConfigError):
             FleetConfig(serve=scfg, request_timeout_ms=0.0)
         with pytest.raises(ConfigError):
-            FleetConfig(serve=scfg, backoff_factor=0.1)
+            FleetConfig(serve=scfg, backoff_base=-1.0)
 
     def test_serve_config_validation(self, cfg):
         with pytest.raises(ConfigError):

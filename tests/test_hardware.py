@@ -1,4 +1,4 @@
-"""Machine model: specs, headline core counts, rooflines."""
+"""Machine model: specs and headline core counts."""
 
 import pytest
 
@@ -9,10 +9,7 @@ from repro.hardware import (
     MachineSpec,
     NodeSpec,
     ProcessorSpec,
-    Roofline,
-    kernel_time,
     laptop_machine,
-    node_roofline,
     sunway_machine,
 )
 
@@ -55,10 +52,6 @@ class TestMachine:
         m2 = sunway_machine(200)
         assert m2.peak_flops("fp16") == pytest.approx(2 * m1.peak_flops("fp16"))
 
-    def test_sustained_below_peak(self):
-        m = sunway_machine(10)
-        assert m.sustained_flops("fp32") < m.peak_flops("fp32")
-
     def test_headline_fp16_exaflops_class(self):
         """Full machine peak fp16 is in the multi-EFLOPS class."""
         m = sunway_machine(96_000)
@@ -84,42 +77,3 @@ class TestMachine:
         assert node.cores == 780
         assert node.flops("fp64") == pytest.approx(28e12)
 
-
-class TestRoofline:
-    def test_ridge_point(self):
-        r = Roofline(peak_flops=1e12, memory_bandwidth=1e11)
-        assert r.ridge_intensity == pytest.approx(10.0)
-
-    def test_memory_bound_below_ridge(self):
-        r = Roofline(peak_flops=1e12, memory_bandwidth=1e11)
-        assert r.attainable(1.0) == pytest.approx(1e11)
-
-    def test_compute_bound_above_ridge(self):
-        r = Roofline(peak_flops=1e12, memory_bandwidth=1e11)
-        assert r.attainable(100.0) == pytest.approx(1e12)
-
-    def test_zero_intensity(self):
-        r = Roofline(peak_flops=1e12, memory_bandwidth=1e11)
-        assert r.attainable(0.0) == 0.0
-
-    def test_time_for_max_of_roofs(self):
-        r = Roofline(peak_flops=1e12, memory_bandwidth=1e11)
-        # 1e12 flops (1 s of compute) over 1e9 bytes (10 ms of memory).
-        assert r.time_for(1e12, 1e9) == pytest.approx(1.0)
-        # 1e9 flops (1 ms) over 1e12 bytes (10 s).
-        assert r.time_for(1e9, 1e12) == pytest.approx(10.0)
-
-    def test_node_roofline_efficiency(self):
-        full = node_roofline(SUNWAY_NODE, "fp32", efficiency=1.0)
-        half = node_roofline(SUNWAY_NODE, "fp32", efficiency=0.5)
-        assert half.peak_flops == pytest.approx(full.peak_flops / 2)
-
-    def test_kernel_time_positive(self):
-        assert kernel_time(SUNWAY_NODE, "fp16", 1e12, 1e9) > 0
-
-    def test_negative_inputs_rejected(self):
-        r = Roofline(peak_flops=1.0, memory_bandwidth=1.0)
-        with pytest.raises(ConfigError):
-            r.time_for(-1.0, 0.0)
-        with pytest.raises(ConfigError):
-            r.attainable(-1.0)

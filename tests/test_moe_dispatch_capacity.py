@@ -12,7 +12,6 @@ from repro.moe import (
     experts_of_rank,
     load_balance_loss,
     load_stats,
-    owner_of_expert,
     router_z_loss,
 )
 from repro.tensor import Tensor
@@ -125,19 +124,6 @@ class TestBuildDispatch:
         pairs = set(zip(plan.token_idx.tolist(), plan.slot_idx.tolist()))
         assert pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
-    def test_rank_segments(self):
-        indices = np.array([[0], [1], [2], [3]])
-        plan = build_dispatch(indices, 4)
-        segs = plan.rank_segments(experts_per_rank=2)
-        assert len(segs) == 2
-        assert segs[0] == slice(0, 2)
-        assert segs[1] == slice(2, 4)
-
-    def test_rank_segments_bad_divisor(self):
-        plan = build_dispatch(np.array([[0]]), 3)
-        with pytest.raises(ConfigError):
-            plan.rank_segments(2)
-
     def test_out_of_range_expert(self):
         with pytest.raises(ConfigError):
             build_dispatch(np.array([[5]]), 3)
@@ -160,21 +146,16 @@ class TestBuildDispatch:
 
 
 class TestOwnership:
-    def test_owner_blocked(self):
-        assert owner_of_expert(0, 8, 4) == 0
-        assert owner_of_expert(7, 8, 4) == 3
-
     def test_experts_of_rank(self):
         assert list(experts_of_rank(1, 8, 4)) == [2, 3]
 
     def test_roundtrip(self):
-        for e in range(12):
-            r = owner_of_expert(e, 12, 3)
-            assert e in experts_of_rank(r, 12, 3)
+        owned = [e for r in range(3) for e in experts_of_rank(r, 12, 3)]
+        assert owned == list(range(12))
 
     def test_bad_divisor(self):
         with pytest.raises(ConfigError):
-            owner_of_expert(0, 7, 2)
+            experts_of_rank(0, 7, 2)
 
 
 class TestBalanceLosses:

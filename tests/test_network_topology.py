@@ -57,7 +57,8 @@ class TestTopology:
     def test_coords_roundtrip(self):
         topo = _two_level(4, 3)
         for node in range(topo.num_nodes):
-            assert topo.node_at(topo.coords(node)) == node
+            inner, outer = topo.coords(node)
+            assert inner + 4 * outer == node
 
     def test_coords_innermost_first(self):
         topo = _two_level(4, 3)

@@ -449,14 +449,6 @@ class TestFlightRecorder:
         assert dump["notes"][0]["kind"] == "failure"
         assert dump["phases"] == {"forward": 1.5}
 
-    def test_dump_to_is_sorted_json(self, tmp_path):
-        rec = FlightRecorder(limit=2)
-        rec.record(1, "send", 0.0, 0.1, nbytes=8)
-        path = rec.dump_to(tmp_path / "flight.json")
-        blob = json.loads(path.read_text())
-        assert blob["ranks"]["1"][0]["op"] == "send"
-        assert path.read_text() == json.dumps(blob, sort_keys=True, indent=1)
-
     def test_ingest_shifts_clock(self):
         a, b = FlightRecorder(limit=4), FlightRecorder(limit=4)
         b.record(0, "barrier", 1.0, 2.0)

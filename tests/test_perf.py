@@ -142,11 +142,6 @@ class TestParallelPlan:
         with pytest.raises(ConfigError):
             plan(seq_len=4096).validate_against(CFG)
 
-    def test_expert_instances_per_rank(self):
-        p = plan()
-        per = p.expert_instances_per_rank(CFG)
-        assert per == pytest.approx(48 * 2250 / 96_000)
-
     def test_imbalance_must_be_at_least_one(self):
         with pytest.raises(ConfigError):
             plan(load_imbalance=0.9)
@@ -229,11 +224,6 @@ class TestStepModel:
         sm = StepModel(CFG, sunway_machine(100), sunway_network(100))
         with pytest.raises(ConfigError):
             sm.step_time(plan(num_nodes=200, ep_size=200))
-
-    def test_parallel_efficiency_below_one(self):
-        sm = StepModel(CFG, MACHINE, NET)
-        eff = sm.parallel_efficiency(plan(micro_batch=4))
-        assert 0.0 < eff <= 1.0
 
 
 class TestSweeps:

@@ -248,14 +248,14 @@ class TestSupervisor:
     def test_backoff_grows_and_caps(self, tmp_path):
         cfg = make_cfg(
             tmp_path, elastic=False, max_restarts=4,
-            backoff_base=2.0, backoff_factor=3.0, backoff_cap=10.0,
+            backoff_base=2.0, backoff_cap=5.0,
         )
         plans = [FaultPlan().kill_rank(0, at_op=0) for _ in range(3)] + [None]
         res = Supervisor(cfg, fault_plans=plans).run()
         waits = [e["seconds"] for e in res.context.events_of("backoff")]
-        assert waits == [2.0, 6.0, 10.0]  # 2, 2*3, capped at 10
-        assert res.backoff_time == pytest.approx(18.0)
-        assert res.context.phase_seconds["backoff"] == pytest.approx(18.0)
+        assert waits == [2.0, 4.0, 5.0]  # 2, 2*2, capped at 5
+        assert res.backoff_time == pytest.approx(11.0)
+        assert res.context.phase_seconds["backoff"] == pytest.approx(11.0)
 
     @pytest.mark.parametrize(
         "bad", [{"total_steps": 0}, {"checkpoint_every": 0}, {"max_restarts": -1}]

@@ -55,7 +55,7 @@ def _rand_prompt(cfg, batch, length, seed=0):
 class TestKVCache:
     def _cache(self, **kw):
         base = dict(num_layers=2, batch_size=3, n_heads=2, head_dim=4,
-                    capacity=16, block_size=4)
+                    capacity=32)
         base.update(kw)
         return KVCache(**base)
 
@@ -64,14 +64,14 @@ class TestKVCache:
         assert cache.allocated_tokens == 0
         k = np.ones((3, 2, 3, 4), dtype=np.float32)
         cache.layer(0).append(k, k, np.array([3, 1, 2]))
-        # 3 tokens needed -> one 4-token block.
-        assert cache.allocated_tokens == 4
+        # 3 tokens needed -> one 8-token block.
+        assert cache.allocated_tokens == 8
         assert cache.num_blocks == 1
         cache.commit(np.arange(3), np.array([3, 1, 2]))
-        k5 = np.ones((3, 2, 5, 4), dtype=np.float32)
-        cache.layer(0).append(k5, k5, np.array([5, 5, 5]))
-        # Longest row now 3+5=8 -> two blocks.
-        assert cache.allocated_tokens == 8
+        k7 = np.ones((3, 2, 7, 4), dtype=np.float32)
+        cache.layer(0).append(k7, k7, np.array([7, 7, 7]))
+        # Longest row now 3+7=10 -> two blocks.
+        assert cache.allocated_tokens == 16
         assert cache.num_blocks == 2
 
     def test_append_returns_history_and_ctx(self):
@@ -402,8 +402,7 @@ class TestEngine:
                        max_new_tokens=10)
 
     def test_sampling_mode_runs(self, cfg):
-        res = run_serving(_serve_cfg(cfg, greedy=False, num_requests=3,
-                                     temperature=0.9))
+        res = run_serving(_serve_cfg(cfg, greedy=False, num_requests=3))
         assert res.completed == 3
 
     def test_expert_capacity_plumbs_through(self, cfg):

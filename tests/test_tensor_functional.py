@@ -12,7 +12,6 @@ from repro.errors import ShapeError
 from repro.tensor import (
     Tensor,
     cross_entropy,
-    dropout,
     embedding,
     gather_rows,
     gelu,
@@ -228,32 +227,6 @@ class TestEmbedding:
     def test_non_integer_ids(self):
         with pytest.raises(ShapeError):
             embedding(Tensor(np.zeros((3, 2))), np.array([0.5]))
-
-
-class TestDropout:
-    def test_eval_mode_identity(self):
-        x = Tensor(RNG.normal(size=(5, 5)))
-        out = dropout(x, 0.5, np.random.default_rng(0), training=False)
-        assert out is x
-
-    def test_p_zero_identity(self):
-        x = Tensor(RNG.normal(size=(5, 5)))
-        assert dropout(x, 0.0, np.random.default_rng(0)) is x
-
-    def test_expectation_preserved(self):
-        x = Tensor(np.ones((200, 200)), dtype="fp64")
-        out = dropout(x, 0.3, np.random.default_rng(0))
-        assert out.data.mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_deterministic_given_rng(self):
-        x = Tensor(np.ones((10, 10)))
-        a = dropout(x, 0.5, np.random.default_rng(3)).data
-        b = dropout(x, 0.5, np.random.default_rng(3)).data
-        assert np.array_equal(a, b)
-
-    def test_invalid_p(self):
-        with pytest.raises(ShapeError):
-            dropout(Tensor(np.zeros(2)), 1.0, np.random.default_rng(0))
 
 
 class TestGatherScatterRows:

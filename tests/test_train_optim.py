@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.models import Parameter
-from repro.train import SGD, Adam, AdamW, ConstantLR, WarmupCosineLR, WarmupLinearLR, clip_grad_norm, global_grad_norm
+from repro.train import SGD, Adam, AdamW, ConstantLR, WarmupCosineLR, clip_grad_norm, global_grad_norm
 from repro.tensor import Tensor
 
 
@@ -174,10 +174,6 @@ class TestSchedules:
 
     def test_cosine_midpoint(self):
         s = WarmupCosineLR(peak_lr=1.0, warmup_steps=0, total_steps=100)
-        assert s(50) == pytest.approx(0.5, abs=0.02)
-
-    def test_linear_decay(self):
-        s = WarmupLinearLR(peak_lr=1.0, warmup_steps=0, total_steps=100)
         assert s(50) == pytest.approx(0.5, abs=0.02)
 
     def test_monotone_after_warmup(self):

@@ -1,19 +1,17 @@
-"""Single-process trainer: convergence, fp16 protocol, checkpoint round-trip."""
+"""Single-process trainer: convergence and the fp16 protocol."""
 
 import numpy as np
 import pytest
 
 from repro.amp import DynamicLossScaler, cast_model
 from repro.data import ShardedLoader, SyntheticCorpus
-from repro.errors import CheckpointError, ConfigError
+from repro.errors import ConfigError
 from repro.models import build_model, tiny_config
 from repro.train import (
     Adam,
     ConstantLR,
     Trainer,
     WarmupCosineLR,
-    load_checkpoint,
-    save_checkpoint,
 )
 
 
@@ -98,65 +96,3 @@ class TestTrainer:
         with pytest.raises(ConfigError):
             trainer.fit(loader, 0)
 
-
-class TestCheckpoint:
-    def test_roundtrip_model_optimizer_scaler(self, tmp_path):
-        _, model, loader, opt, trainer = make_setup(seed=4)
-        scaler = DynamicLossScaler(init_scale=512.0)
-        trainer.fit(loader, 5)
-        path = save_checkpoint(tmp_path / "ckpt.npz", model, opt, scaler, step=5,
-                               extra={"note": "test"})
-
-        model2 = build_model(tiny_config(), seed=99)
-        opt2 = Adam(model2.parameters(), lr=3e-3)
-        scaler2 = DynamicLossScaler()
-        meta = load_checkpoint(path, model2, opt2, scaler2)
-
-        assert meta["step"] == 5
-        assert meta["extra"]["note"] == "test"
-        for (_, a), (_, b) in zip(model.named_parameters(), model2.named_parameters()):
-            assert np.array_equal(a.data, b.data)
-        assert opt2.step_count == opt.step_count
-        assert scaler2.scale == 512.0
-
-    def test_training_resumes_identically(self, tmp_path):
-        """Train 5+5 with a checkpoint in the middle == train 10 straight."""
-        _, model_a, loader, opt_a, trainer_a = make_setup(seed=7)
-        trainer_a.fit(loader, 10)
-
-        _, model_b, loader_b, opt_b, trainer_b = make_setup(seed=7)
-        trainer_b.fit(loader_b, 5)
-        p = save_checkpoint(tmp_path / "mid.npz", model_b, opt_b, step=5)
-
-        _, model_c, loader_c, opt_c, trainer_c = make_setup(seed=123)
-        meta = load_checkpoint(p, model_c, opt_c)
-        trainer_c.step_count = meta["step"]
-        trainer_c.fit(loader_c, 5)
-
-        for (_, a), (_, c) in zip(model_a.named_parameters(), model_c.named_parameters()):
-            assert np.allclose(a.data, c.data, atol=1e-6)
-
-    def test_missing_file(self, tmp_path):
-        model = build_model(tiny_config())
-        with pytest.raises(CheckpointError):
-            load_checkpoint(tmp_path / "nope.npz", model)
-
-    def test_corrupt_file(self, tmp_path):
-        bad = tmp_path / "bad.npz"
-        bad.write_bytes(b"not a checkpoint")
-        with pytest.raises(CheckpointError):
-            load_checkpoint(bad, build_model(tiny_config()))
-
-    def test_wrong_model_shape(self, tmp_path):
-        model = build_model(tiny_config())
-        path = save_checkpoint(tmp_path / "a.npz", model)
-        other = build_model(tiny_config(d_model=64, n_heads=4))
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path, other)
-
-    def test_model_only_checkpoint(self, tmp_path):
-        model = build_model(tiny_config(), seed=3)
-        path = save_checkpoint(tmp_path / "m.npz", model)
-        model2 = build_model(tiny_config(), seed=8)
-        load_checkpoint(path, model2)
-        assert np.array_equal(model.tok_emb.weight.data, model2.tok_emb.weight.data)

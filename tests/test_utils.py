@@ -12,9 +12,6 @@ from repro.utils import (
     format_count,
     format_flops,
     format_time,
-    is_power_of_two,
-    next_power_of_two,
-    parse_bytes,
     prod,
     rng_for_rank,
 )
@@ -80,32 +77,6 @@ class TestFormatTime:
         assert format_time(7200) == "2.00 h"
 
 
-class TestParseBytes:
-    def test_plain_number(self):
-        assert parse_bytes("512") == 512
-
-    def test_binary_units(self):
-        assert parse_bytes("4 MiB") == 4 * 2**20
-
-    def test_si_units(self):
-        assert parse_bytes("1gb") == 10**9
-
-    def test_fractional(self):
-        assert parse_bytes("1.5 KiB") == 1536
-
-    def test_empty_raises(self):
-        with pytest.raises(ConfigError):
-            parse_bytes("")
-
-    def test_unknown_suffix_raises(self):
-        with pytest.raises(ConfigError):
-            parse_bytes("5 parsecs")
-
-    @given(st.integers(min_value=0, max_value=10**15))
-    def test_roundtrip_plain(self, n):
-        assert parse_bytes(str(n)) == n
-
-
 class TestSeeding:
     def test_deterministic(self):
         assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)
@@ -144,29 +115,9 @@ class TestMathx:
             with pytest.raises(ConfigError, match="divisor b must be positive"):
                 ceil_div(4, b)
 
-    def test_is_power_of_two(self):
-        assert is_power_of_two(1)
-        assert is_power_of_two(64)
-        assert not is_power_of_two(0)
-        assert not is_power_of_two(6)
-        assert not is_power_of_two(-8)
-
-    def test_next_power_of_two(self):
-        assert next_power_of_two(0) == 1
-        assert next_power_of_two(1) == 1
-        assert next_power_of_two(5) == 8
-        assert next_power_of_two(64) == 64
-
     def test_prod(self):
         assert prod([]) == 1
         assert prod([2, 3, 4]) == 24
-
-    @given(st.integers(min_value=1, max_value=10**9))
-    def test_next_power_of_two_bounds(self, n):
-        p = next_power_of_two(n)
-        assert is_power_of_two(p)
-        assert p >= n
-        assert p < 2 * n or n == 1
 
     @given(
         st.integers(min_value=-(10**9), max_value=10**9),
