@@ -64,9 +64,7 @@ def test_f7_balanced_gate_never_needs_drops(benchmark, report):
     def sweep():
         rows = []
         for name in ("topk", "balanced"):
-            gate = make_gate(name, EXPERTS, top_k=1, **(
-                {"capacity_factor": 1.0} if name == "balanced" else {}
-            ))
+            gate = make_gate(name, EXPERTS, top_k=1)
             out = gate(logits, np.random.default_rng(2))
             cap = apply_capacity(out.indices, EXPERTS, 1.0)
             rows.append({"gate": name, "drop_rate_at_cf1": round(cap.drop_fraction, 4)})

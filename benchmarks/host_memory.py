@@ -70,7 +70,7 @@ def main() -> None:
     )
     cfg.resolve_strategy().validate(cfg)
     tracemalloc.start()
-    rows = run_spmd(_program, args.world, network=sunway_network(args.world), seed=0,
+    rows = run_spmd(_program, args.world, network=sunway_network(args.world),
                     args=(cfg, sunway_machine(num_nodes=args.world), args.steps, entries),
                     ).returns[0]
     between, entry, peak = (v / MB for v in rows[-1])

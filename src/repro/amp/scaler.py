@@ -38,39 +38,26 @@ class DynamicLossScaler:
     ----------
     init_scale:
         Starting scale (power of two recommended).
-    growth_factor / backoff_factor:
-        Multipliers applied on growth / overflow.
     growth_interval:
         Number of consecutive overflow-free steps before growing.
-    min_scale / max_scale:
-        Clamp bounds for the scale.
     """
 
-    def __init__(
-        self,
-        init_scale: float = 2.0**16,
-        growth_factor: float = 2.0,
-        backoff_factor: float = 0.5,
-        growth_interval: int = 200,
-        min_scale: float = 1.0,
-        max_scale: float = 2.0**24,
-    ):
-        if init_scale <= 0:
-            raise ConfigError(f"init_scale must be > 0, got {init_scale}")
-        if growth_factor <= 1.0:
-            raise ConfigError(f"growth_factor must be > 1, got {growth_factor}")
-        if not 0.0 < backoff_factor < 1.0:
-            raise ConfigError(f"backoff_factor must be in (0,1), got {backoff_factor}")
+    #: Multipliers applied on growth / overflow.
+    GROWTH_FACTOR = 2.0
+    BACKOFF_FACTOR = 0.5
+    #: Clamp bounds for the scale.
+    MIN_SCALE = 1.0
+    MAX_SCALE = 2.0**24
+
+    def __init__(self, init_scale: float = 2.0**16, growth_interval: int = 200):
+        if not self.MIN_SCALE <= init_scale <= self.MAX_SCALE:
+            raise ConfigError(
+                f"init_scale must be in [{self.MIN_SCALE}, {self.MAX_SCALE}], got {init_scale}"
+            )
         if growth_interval < 1:
             raise ConfigError(f"growth_interval must be >= 1, got {growth_interval}")
-        if not 0 < min_scale <= init_scale <= max_scale:
-            raise ConfigError("require 0 < min_scale <= init_scale <= max_scale")
         self.scale = float(init_scale)
-        self.growth_factor = growth_factor
-        self.backoff_factor = backoff_factor
         self.growth_interval = growth_interval
-        self.min_scale = float(min_scale)
-        self.max_scale = float(max_scale)
         self._good_steps = 0
         #: Total overflow events observed (for logging).
         self.overflow_count = 0
@@ -80,9 +67,9 @@ class DynamicLossScaler:
         if found_overflow:
             self.overflow_count += 1
             self._good_steps = 0
-            self.scale = max(self.min_scale, self.scale * self.backoff_factor)
+            self.scale = max(self.MIN_SCALE, self.scale * self.BACKOFF_FACTOR)
         else:
             self._good_steps += 1
             if self._good_steps >= self.growth_interval:
                 self._good_steps = 0
-                self.scale = min(self.max_scale, self.scale * self.growth_factor)
+                self.scale = min(self.MAX_SCALE, self.scale * self.GROWTH_FACTOR)

@@ -72,7 +72,7 @@ from repro.plan import (
 # Simulated substrate -------------------------------------------------------
 from repro.hardware import sunway_machine
 from repro.network import CLUSTER_PRESETS, ClusterPreset, cluster_preset, sunway_network
-from repro.simmpi import FaultModel, FaultPlan, FlakyLink, RunContext, run_spmd
+from repro.simmpi import FaultModel, FaultPlan, RunContext, run_spmd
 
 # Metrics -------------------------------------------------------------------
 from repro.train.metrics import LatencyStats, MetricsLogger, read_jsonl
@@ -147,7 +147,6 @@ __all__ = [
     "cluster_preset",
     "FaultModel",
     "FaultPlan",
-    "FlakyLink",
     "RunContext",
     "run_spmd",
     "sunway_machine",

@@ -400,7 +400,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     if args.sample > 0:
         prompt = np.array([[corpus.sample(1)[0]]])
-        out = generate(model, prompt, args.sample, greedy=True)
+        out = generate(model, prompt, args.sample)
         print("greedy sample:", out[0].tolist())
     return 0
 

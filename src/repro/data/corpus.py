@@ -45,7 +45,6 @@ class SyntheticCorpus:
         zipf_alpha: float = 1.1,
         predictability: float = 0.7,
         seed: int = 0,
-        num_domains: int = 1,
     ):
         if vocab_size < 2:
             raise ConfigError(f"vocab_size must be >= 2, got {vocab_size}")
@@ -53,40 +52,19 @@ class SyntheticCorpus:
             raise ConfigError(f"zipf_alpha must be > 0, got {zipf_alpha}")
         if not 0.0 <= predictability <= 1.0:
             raise ConfigError(f"predictability must be in [0,1], got {predictability}")
-        if num_domains < 1:
-            raise ConfigError(f"num_domains must be >= 1, got {num_domains}")
         self.vocab_size = vocab_size
         self.zipf_alpha = zipf_alpha
         self.predictability = predictability
         self.seed = seed
-        self.num_domains = num_domains
 
         ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
         probs = ranks**-zipf_alpha
         self.marginal = probs / probs.sum()
 
-        # Hidden successor tables: one fixed random permutation per
-        # *domain* (a crude stand-in for the paper's multimodal corpus
-        # mixture: each stream follows one domain's transition rule, so a
-        # model needs capacity for all of them — the regime where MoE
-        # experts can specialize).
-        self.successors = np.stack(
-            [
-                np.random.default_rng(derive_seed(seed, "succ-table", d)).permutation(
-                    vocab_size
-                )
-                for d in range(num_domains)
-            ]
-        )
-
-    @property
-    def successor(self) -> np.ndarray:
-        """Domain-0 successor table (backward-compatible accessor)."""
-        return self.successors[0]
-
-    def domain_of_stream(self, stream: int) -> int:
-        """Which domain a stream id follows (stable hash)."""
-        return derive_seed(self.seed, "domain", stream) % self.num_domains
+        #: Hidden successor table: one fixed random permutation.
+        self.successor = np.random.default_rng(
+            derive_seed(seed, "succ-table", 0)
+        ).permutation(vocab_size)
 
     def sample(self, num_tokens: int, stream: int = 0) -> np.ndarray:
         """A deterministic token array of length ``num_tokens``.
@@ -97,7 +75,7 @@ class SyntheticCorpus:
         if num_tokens < 1:
             raise ConfigError(f"num_tokens must be >= 1, got {num_tokens}")
         rng = np.random.default_rng(derive_seed(self.seed, "sample", stream))
-        table = self.successors[self.domain_of_stream(stream)]
+        table = self.successor
         out = np.empty(num_tokens, dtype=np.int64)
         out[0] = rng.choice(self.vocab_size, p=self.marginal)
         follow = rng.random(num_tokens) < self.predictability

@@ -8,7 +8,6 @@ so the shard stream id is a pure function of (seed, step, dp_rank).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -73,11 +72,6 @@ class ShardedLoader:
         stream = step * self.dp_size + self.dp_rank
         tokens, targets = self.corpus.batch(self.batch_size, self.seq_len, stream=stream)
         return Batch(tokens=tokens, targets=targets, step=step)
-
-    def iter_batches(self, num_steps: int, start_step: int = 0) -> Iterator[Batch]:
-        """Yield ``num_steps`` consecutive batches starting at ``start_step``."""
-        for s in range(start_step, start_step + num_steps):
-            yield self.get_batch(s)
 
     @property
     def global_batch_tokens(self) -> int:

@@ -13,7 +13,7 @@ performance *shapes*, and exposes every figure as a parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
@@ -117,7 +117,6 @@ class MachineSpec:
     node: NodeSpec
     num_nodes: int
     compute_efficiency: float = 0.25
-    extra: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
@@ -140,7 +139,6 @@ class MachineSpec:
             node=self.node,
             num_nodes=num_nodes,
             compute_efficiency=self.compute_efficiency,
-            extra=dict(self.extra),
         )
 
 

@@ -11,7 +11,8 @@ drives every scaling result).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
 from repro.moe.gates import make_gate
@@ -50,14 +51,24 @@ class ModelConfig:
     recompute: bool = False
     dtype: str = "fp32"
     name: str = "custom"
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("vocab_size", "max_seq_len", "d_model", "n_layers", "n_heads",
+                     "d_ff", "num_experts"):
+            if not getattr(self, name) >= 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.capacity_factor is not None and not 0 < self.capacity_factor < math.inf:
+            raise ConfigError(
+                f"capacity_factor must be None or finite and > 0, got {self.capacity_factor}"
+            )
+        for name in ("aux_weight", "z_weight"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
-        if self.moe_every < 1:
+        if not self.moe_every >= 1:
             raise ConfigError(f"moe_every must be >= 1, got {self.moe_every}")
         if not 1 <= self.top_k <= self.num_experts:
             raise ConfigError(

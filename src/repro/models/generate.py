@@ -1,4 +1,4 @@
-"""Autoregressive sampling from a trained language model."""
+"""Greedy autoregressive decoding from a trained language model."""
 
 from __future__ import annotations
 
@@ -16,13 +16,9 @@ def generate(
     model: MoELanguageModel,
     prompt: np.ndarray,
     max_new_tokens: int,
-    temperature: float = 1.0,
-    top_k: int | None = None,
-    rng: np.random.Generator | None = None,
-    greedy: bool = False,
     use_cache: bool = True,
 ) -> np.ndarray:
-    """Sample a continuation of ``prompt`` token by token.
+    """Greedy continuation of ``prompt``, one argmax token at a time.
 
     Parameters
     ----------
@@ -32,16 +28,6 @@ def generate(
         Integer array (B, T0) of prompt tokens; T0 >= 1.
     max_new_tokens:
         How many tokens to append.
-    temperature:
-        Softmax temperature (> 0); lower is sharper.
-    top_k:
-        Keep only the k most likely tokens before sampling.
-    rng:
-        Generator for sampling (defaults to a fresh seed-0 generator when
-        sampling; unused — and not constructed — when ``greedy``).
-    greedy:
-        Take the argmax instead of sampling (ignores temperature/top_k
-        randomness but still applies the top_k mask for consistency).
     use_cache:
         Decode through a :class:`~repro.serve.kvcache.KVCache`: prefill
         the prompt once, then O(1) work per token. Past ``max_seq_len``
@@ -63,13 +49,6 @@ def generate(
         )
     if max_new_tokens < 1:
         raise ConfigError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be > 0, got {temperature}")
-    vocab = model.config.vocab_size
-    if top_k is not None and not 1 <= top_k <= vocab:
-        raise ConfigError(f"top_k must be in [1, {vocab}], got {top_k}")
-    if not greedy and rng is None:
-        rng = np.random.default_rng(0)
 
     was_training = model.training
     model.eval()
@@ -94,19 +73,7 @@ def generate(
                     # every cached position's embedding changed: re-prefill.
                     cache.reset()
                     logits = model(window, kv_cache=cache).data[:, -1, :]
-                logits = logits / temperature
-                if top_k is not None and top_k < vocab:
-                    kth = np.partition(logits, -top_k, axis=-1)[:, -top_k][:, None]
-                    logits = np.where(logits < kth, -np.inf, logits)
-                if greedy:
-                    nxt = logits.argmax(axis=-1)
-                else:
-                    shifted = logits - logits.max(axis=-1, keepdims=True)
-                    probs = np.exp(shifted)
-                    probs /= probs.sum(axis=-1, keepdims=True)
-                    nxt = np.array(
-                        [rng.choice(vocab, p=p) for p in probs], dtype=np.int64
-                    )
+                nxt = logits.argmax(axis=-1)
                 tokens = np.concatenate([tokens, nxt[:, None]], axis=1)
     finally:
         if was_training:

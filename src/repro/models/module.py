@@ -118,26 +118,20 @@ class Module:
         """Copy of every parameter's data, keyed by dotted name."""
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load parameter values saved by :meth:`state_dict`.
-
-        With ``strict=True`` (default) the key sets and shapes must match
-        exactly; otherwise missing keys are skipped.
-        """
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Load parameter values saved by :meth:`state_dict`; the key sets
+        and shapes must match exactly."""
         own = dict(self.named_parameters())
-        if strict:
-            missing = sorted(set(own) - set(state))
-            unexpected = sorted(set(state) - set(own))
-            if missing or unexpected:
-                raise CheckpointError(
-                    f"state dict mismatch: missing={missing[:5]}..., "
-                    f"unexpected={unexpected[:5]}..."
-                    if len(missing) > 5 or len(unexpected) > 5
-                    else f"state dict mismatch: missing={missing}, unexpected={unexpected}"
-                )
+        missing = sorted(set(own) - set(state))
+        unexpected = sorted(set(state) - set(own))
+        if missing or unexpected:
+            raise CheckpointError(
+                f"state dict mismatch: missing={missing[:5]}..., "
+                f"unexpected={unexpected[:5]}..."
+                if len(missing) > 5 or len(unexpected) > 5
+                else f"state dict mismatch: missing={missing}, unexpected={unexpected}"
+            )
         for name, p in own.items():
-            if name not in state:
-                continue
             arr = np.asarray(state[name])
             if arr.shape != p.shape:
                 raise CheckpointError(

@@ -61,26 +61,18 @@ def apply_capacity(
     indices: np.ndarray,
     num_experts: int,
     capacity_factor: float,
-    priority: np.ndarray | None = None,
 ) -> CapacityResult:
     """Enforce per-expert capacity over (N, k) routing ``indices``.
 
-    Tokens claim buffer slots in priority order (highest first; defaults to
-    batch order like Switch Transformer). A slot whose expert buffer is
-    full is dropped.
+    Tokens claim buffer slots in batch order, like Switch Transformer. A
+    slot whose expert buffer is full is dropped.
     """
     n, k = indices.shape
     cap = expert_capacity(n, num_experts, k, capacity_factor)
-    if priority is None:
-        order = np.arange(n)
-    else:
-        if priority.shape != (n,):
-            raise ConfigError(f"priority must have shape ({n},), got {priority.shape}")
-        order = np.argsort(-priority, kind="stable")
     fill = np.zeros(num_experts, dtype=np.int64)
     keep = np.zeros((n, k), dtype=bool)
     pos = np.zeros((n, k), dtype=np.int64)
-    for token in order:
+    for token in range(n):
         for slot in range(k):
             e = indices[token, slot]
             if fill[e] < cap:

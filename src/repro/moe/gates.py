@@ -131,20 +131,13 @@ class TopKGate(Gate):
 
 
 class NoisyTopKGate(Gate):
-    """Top-k over logits perturbed with Gaussian noise (train-time only)."""
+    """Top-k over log-probabilities perturbed with unit Gaussian noise
+    (train-time only)."""
 
     name = "noisy-topk"
 
-    def __init__(self, num_experts: int, top_k: int = 1, noise_std: float = 1.0):
-        super().__init__(num_experts, top_k)
-        if noise_std < 0:
-            raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
-        self.noise_std = noise_std
-
     def assign(self, probs_data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        noisy = np.log(probs_data + 1e-9) + rng.normal(
-            0.0, self.noise_std, size=probs_data.shape
-        )
+        noisy = np.log(probs_data + 1e-9) + rng.normal(0.0, 1.0, size=probs_data.shape)
         k = self.top_k
         part = np.argpartition(-noisy, k - 1, axis=1)[:, :k]
         row = np.arange(probs_data.shape[0])[:, None]
@@ -224,10 +217,10 @@ _GATES = {
 }
 
 
-def make_gate(name: str, num_experts: int, top_k: int = 1, **kwargs) -> Gate:
+def make_gate(name: str, num_experts: int, top_k: int = 1) -> Gate:
     """Factory: build a gate by strategy name."""
     try:
         cls = _GATES[name]
     except KeyError:
         raise ConfigError(f"unknown gate {name!r}; known: {sorted(_GATES)}") from None
-    return cls(num_experts, top_k, **kwargs)
+    return cls(num_experts, top_k)

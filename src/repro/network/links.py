@@ -56,17 +56,8 @@ class LinkSpec:
         """Per-byte cost under full contention at this level."""
         return self.oversubscription / self.bandwidth
 
-    def transfer_time(self, nbytes: float, contended: bool = False) -> float:
-        """Time to move ``nbytes`` across this link in one message."""
+    def transfer_time(self, nbytes: float) -> float:
+        """Time to move ``nbytes`` across this link in one uncontended message."""
         if nbytes < 0:
             raise ConfigError(f"nbytes must be >= 0, got {nbytes}")
-        beta = self.effective_beta if contended else self.beta
-        return self.latency + nbytes * beta
-
-    def scaled(self, latency_factor: float = 1.0, bandwidth_factor: float = 1.0) -> "LinkSpec":
-        """Return a copy with latency/bandwidth multiplied by the factors."""
-        return LinkSpec(
-            latency=self.latency * latency_factor,
-            bandwidth=self.bandwidth * bandwidth_factor,
-            oversubscription=self.oversubscription,
-        )
+        return self.latency + nbytes * self.beta

@@ -19,7 +19,7 @@ table to show.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro.simmpi.comm import collective_seconds
 
@@ -58,8 +58,7 @@ class CommRecord:
         """model_seconds / seconds — <1.0 means time lost to skew/wait.
 
         >1.0 means the calls actually ran on sub-communicators smaller
-        than the assumed member set (pass the real group via
-        ``profile_comm(..., members=...)`` to reprice them).
+        than the assumed member set (every rank seen in the trace).
         """
         if self.model_seconds is None or self.seconds <= 0:
             return None
@@ -158,15 +157,13 @@ class CommProfile:
 def profile_comm(
     context: "RunContext",
     network: "NetworkModel | None" = None,
-    members: Sequence[int] | None = None,
 ) -> CommProfile:
     """Build a :class:`CommProfile` from a run's context.
 
     With a trace, records are per (op, rank) with recorded virtual time
-    and (given ``network``) cost-model utilization; ``members`` defaults
-    to every rank seen in the trace — pass the actual group for
-    collectives run on sub-communicators. Without a trace, falls back to
-    the TrafficStats per-op aggregates.
+    and (given ``network``) cost-model utilization, priced over every rank
+    seen in the trace. Without a trace, falls back to the TrafficStats
+    per-op aggregates.
     """
     if context.trace_events is not None:
         buckets: dict[tuple[str, int], list] = {}
@@ -174,7 +171,7 @@ def profile_comm(
         for e in context.trace_events:
             ranks.add(e.rank)
             buckets.setdefault((e.op, e.rank), []).append(e)
-        group = list(members) if members is not None else sorted(ranks)
+        group = sorted(ranks)
         records = []
         for (op, rank), events in buckets.items():
             # Re-priced from the table ``Comm`` itself issues from; ops it

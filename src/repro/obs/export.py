@@ -36,13 +36,8 @@ __all__ = ["to_prometheus", "registry_records", "chrome_trace_records"]
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-def _prom_name(name: str, namespace: str) -> str:
-    base = _NAME_OK.sub("_", name)
-    if namespace:
-        base = f"{_NAME_OK.sub('_', namespace)}_{base}"
-    if not base or base[0].isdigit():
-        base = f"_{base}"
-    return base
+def _prom_name(name: str) -> str:
+    return f"repro_{_NAME_OK.sub('_', name)}"
 
 
 def _prom_labels(pairs: tuple, extra: dict[str, str] | None = None) -> str:
@@ -61,10 +56,9 @@ def _prom_labels(pairs: tuple, extra: dict[str, str] | None = None) -> str:
     return "{" + body + "}"
 
 
-def to_prometheus(
-    registry: "MetricRegistry | NullRegistry", namespace: str = "repro"
-) -> str:
-    """Render a registry in the Prometheus text exposition format.
+def to_prometheus(registry: "MetricRegistry | NullRegistry") -> str:
+    """Render a registry in the Prometheus text exposition format, every
+    family named ``repro_<metric>``.
 
     Counters and gauges emit one sample; histograms emit a summary-style
     family (``_count`` / ``_sum`` plus ``quantile`` samples for p50/p95).
@@ -77,7 +71,7 @@ def to_prometheus(
     for name in sorted(by_name):
         family = by_name[name]
         kind = family[0].kind
-        prom = _prom_name(name, namespace)
+        prom = _prom_name(name)
         lines.append(f"# TYPE {prom} {'summary' if kind == 'histogram' else kind}")
         for inst in family:
             if isinstance(inst, Histogram):

@@ -7,7 +7,7 @@ making progress before the deadlock, what the cache was doing when it
 overflowed. The recorder keeps one fixed-size ring buffer per rank
 (``collections.deque(maxlen=...)``), fed unconditionally by the engine at
 every communication/compute record — appends are O(1) and the memory
-bound is ``limit * ranks`` small tuples regardless of run length.
+bound is ``DEFAULT_LIMIT * ranks`` small tuples regardless of run length.
 
 On any modelled failure the engine dumps the recorder onto the raised
 exception (``exc.flight_dump``), so fault / deadlock / cache-overflow
@@ -22,8 +22,6 @@ import threading
 from collections import deque
 from typing import Any
 
-from repro.errors import ConfigError
-
 __all__ = ["FlightRecorder"]
 
 #: Default ring depth per rank — enough to see a full training step's
@@ -35,13 +33,10 @@ class FlightRecorder:
     """Per-rank ring buffers of recent (op, t_start, t_end, nbytes) plus a
     ring of recent lifecycle notes (restart/backoff/evict/...)."""
 
-    def __init__(self, limit: int = DEFAULT_LIMIT):
-        if limit < 1:
-            raise ConfigError(f"flight recorder limit must be >= 1, got {limit}")
-        self.limit = int(limit)
+    def __init__(self):
         self._lock = threading.Lock()
         self._rings: dict[int, deque] = {}
-        self._notes: deque = deque(maxlen=self.limit)
+        self._notes: deque = deque(maxlen=DEFAULT_LIMIT)
 
     # ------------------------------------------------------------------ #
     # Feeding
@@ -53,7 +48,7 @@ class FlightRecorder:
         ring = self._rings.get(rank)
         if ring is None:
             with self._lock:
-                ring = self._rings.setdefault(rank, deque(maxlen=self.limit))
+                ring = self._rings.setdefault(rank, deque(maxlen=DEFAULT_LIMIT))
         ring.append((op, float(t_start), float(t_end), int(nbytes)))
 
     def note(self, kind: str, t: float = 0.0, **fields: Any) -> None:
@@ -84,7 +79,7 @@ class FlightRecorder:
             for r, events in ranks.items()
         }
         return {
-            "limit": self.limit,
+            "limit": DEFAULT_LIMIT,
             "ranks": ranks,
             "last_op": last_op,
             "notes": list(self._notes),
@@ -118,6 +113,6 @@ class FlightRecorder:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"FlightRecorder(limit={self.limit}, ranks={len(self._rings)}, "
+            f"FlightRecorder(limit={DEFAULT_LIMIT}, ranks={len(self._rings)}, "
             f"notes={len(self._notes)})"
         )

@@ -27,6 +27,10 @@ from repro.errors import ConfigError
 __all__ = ["RouterSample", "RouterTelemetry"]
 
 
+#: Heatmap shades from idle to the step's busiest expert.
+_HEATMAP_RAMP = " .:-=+*#%@"
+
+
 @dataclass(frozen=True)
 class RouterSample:
     """One (layer, step) observation of the router."""
@@ -175,7 +179,7 @@ class RouterTelemetry:
                     "router_expert_tokens", layer=layer, expert=expert
                 ).inc(float(tokens))
 
-    def heatmap(self, layer: int, ramp: str = " .:-=+*#%@") -> str:
+    def heatmap(self, layer: int) -> str:
         """ASCII heatmap of one layer: one row per step, one column per
         expert, shade = load / max load of that step (deterministic)."""
         matrix = self.load_matrix(layer)
@@ -185,10 +189,9 @@ class RouterTelemetry:
             if peak <= 0:
                 cells = " " * step_row.size
             else:
-                idx = np.minimum(
-                    (step_row / peak * (len(ramp) - 1)).astype(int), len(ramp) - 1
-                )
-                cells = "".join(ramp[i] for i in idx)
+                top = len(_HEATMAP_RAMP) - 1
+                idx = np.minimum((step_row / peak * top).astype(int), top)
+                cells = "".join(_HEATMAP_RAMP[i] for i in idx)
             lines.append(f"step {sample.step:>4} |{cells}|")
         return "\n".join(lines)
 

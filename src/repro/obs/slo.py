@@ -10,7 +10,7 @@ than budget the service is consuming it::
 Burn 1.0 exactly spends the budget over the objective's horizon; burn
 14.4 exhausts a 30-day budget in 2 days. Following SRE practice, each
 alert pairs a *long* window (is the burn sustained?) with a *short*
-window at ``short_fraction`` of its width (is it still happening?) and
+window at 1/12 of its width (is it still happening?) and
 fires only when **both** exceed the threshold — resistant to single
 spikes yet fast to resolve once the bleeding stops.
 
@@ -26,7 +26,7 @@ same-seed runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, ClassVar
 
 from repro.errors import ConfigError
 from repro.obs.timeseries import SlidingWindow
@@ -98,22 +98,20 @@ class BurnRateWindow:
 
     window_s: float
     threshold: float
-    short_fraction: float = 1.0 / 12.0
     severity: str = "page"
+
+    #: The short window's share of the long one.
+    SHORT_FRACTION: ClassVar[float] = 1.0 / 12.0
 
     def __post_init__(self) -> None:
         if self.window_s <= 0:
             raise ConfigError(f"window_s must be > 0, got {self.window_s}")
         if self.threshold <= 0:
             raise ConfigError(f"burn threshold must be > 0, got {self.threshold}")
-        if not 0 < self.short_fraction <= 1:
-            raise ConfigError(
-                f"short_fraction must be in (0, 1], got {self.short_fraction}"
-            )
 
     @property
     def short_window_s(self) -> float:
-        return self.window_s * self.short_fraction
+        return self.window_s * self.SHORT_FRACTION
 
 
 def default_burn_windows(horizon_s: float) -> tuple[BurnRateWindow, ...]:

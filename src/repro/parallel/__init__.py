@@ -6,9 +6,8 @@ Every strategy — and every composite of them — is a layout;
 """
 
 from repro.layout import ParallelLayout
-from repro.parallel.collective_ops import allreduce_sum, alltoall_rows, copy_to_tp_region
+from repro.parallel.collective_ops import allreduce_sum, copy_to_tp_region
 from repro.parallel.dp import (
-    allreduce_gradients,
     broadcast_parameters,
     flatten_grads,
     unflatten_grads,
@@ -72,8 +71,6 @@ __all__ = [
     "ZeroAdamW",
     "shard_bounds",
     "allreduce_sum",
-    "alltoall_rows",
-    "allreduce_gradients",
     "broadcast_parameters",
     "flatten_grads",
     "unflatten_grads",

@@ -13,8 +13,8 @@ collectives line up across ranks just like the forward ones.
 
 The row exchange is written once, as the handle :class:`PendingAlltoallRows`
 (issue at creation, differentiable output at ``wait()``); the blocking
-:func:`alltoall_rows` is that handle issued through ``comm.alltoall`` and
-waited on at once (DESIGN.md §8, "Blocking is issue-then-complete").
+exchange is that handle issued through ``comm.alltoall`` and waited on at
+once (DESIGN.md §8, "Blocking is issue-then-complete").
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from repro.tensor import Tensor
 from repro.tensor.tensor import _make
 
 __all__ = [
-    "alltoall_rows",
-    "ialltoall_rows",
+    "PendingAlltoallRows",
     "place_rows",
     "allreduce_sum",
     "copy_to_tp_region",
@@ -102,32 +101,6 @@ class PendingAlltoallRows:
         out = _make(data, x.dtype, (x,), backward, exact=True)
         self._result = (out, recv_counts)
         return self._result
-
-
-def alltoall_rows(
-    x: Tensor,
-    send_counts: Sequence[int],
-    comm: Comm,
-    algorithm: str | None = None,
-) -> tuple[Tensor, list[int]]:
-    """Exchange contiguous row blocks of ``x`` (M, D) between ranks:
-    a blocking :class:`PendingAlltoallRows`, waited on at once."""
-    return PendingAlltoallRows(x, send_counts, comm, algorithm, nonblocking=False).wait()
-
-
-def ialltoall_rows(
-    x: Tensor,
-    send_counts: Sequence[int],
-    comm: Comm,
-    algorithm: str | None = None,
-) -> PendingAlltoallRows:
-    """Nonblocking :func:`alltoall_rows`; returns the wait()-able handle.
-
-    Every rank must issue its nonblocking exchanges in the same order.
-    This is the primitive the chunked MoE dispatch pipelines expert
-    matmuls against.
-    """
-    return PendingAlltoallRows(x, send_counts, comm, algorithm, nonblocking=True)
 
 
 def place_rows(

@@ -8,7 +8,7 @@ class systems write shards in parallel. Layout used here (a directory):
   parameters, written by that position's expert-data-parallel leader,
   keyed by **global** parameter names (``blocks.3.ffn.experts.17.fc_in.weight``);
 * ``optim_dense.npz`` / ``optim_experts_<ep_rank>of<ep_size>.npz`` —
-  optimizer state (Adam moments, SGD velocity, fp16 masters) under the
+  optimizer state (Adam moments, fp16 masters) under the
   same global names (``m::<param name>`` etc.), written by the same
   leaders (replicated state is identical across replicas by the gradient
   sync invariant, so one writer per shard suffices);
@@ -98,7 +98,7 @@ def _global_param_names(model: MoELanguageModel) -> dict[int, str]:
 def named_optimizer_state(model: MoELanguageModel, optimizer) -> dict[str, np.ndarray]:
     """Optimizer state re-keyed by global parameter names.
 
-    :meth:`~repro.train.optim.Optimizer.state_dict` keys state by the
+    :meth:`~repro.train.optim.Adam.state_dict` keys state by the
     parameter's *position* in the optimizer's list (``m.3``), which is a
     property of one rank's layout. This maps each entry to
     ``<kind>::<global param name>`` (``m::blocks.0.ffn.experts.5.fc_in.weight``),
@@ -168,7 +168,7 @@ def save_distributed(
     names through a gather, and rank 0 writes ``meta.json`` (with the
     manifest) only after every shard landed — so a complete ``meta.json``
     certifies a complete snapshot. When ``optimizer`` is given
-    (:class:`~repro.train.optim.Optimizer` family), its state is saved
+    (:class:`~repro.train.optim.Adam`), its state is saved
     under global parameter names and restores under any layout. Returns
     the directory path.
     """
@@ -295,7 +295,6 @@ def latest_snapshot(root: str | Path) -> tuple[Path | None, int]:
 def load_distributed(
     directory: str | Path,
     model: MoELanguageModel,
-    strict: bool = True,
     optimizer=None,
 ) -> dict:
     """Restore a sharded checkpoint into ``model`` (any EP layout).
@@ -320,9 +319,7 @@ def load_distributed(
         if getattr(p, "is_expert", False):
             continue
         if name not in dense.files:
-            if strict:
-                raise CheckpointError(f"dense parameter {name!r} missing from checkpoint")
-            continue
+            raise CheckpointError(f"dense parameter {name!r} missing from checkpoint")
         arr = dense[name]
         if arr.shape != p.shape:
             raise CheckpointError(

@@ -5,9 +5,8 @@ and allreduced in one collective (the bucketing every production DP
 implementation performs — it converts many latency-bound allreduces into
 one bandwidth-bound one, which is also what the hierarchical-allreduce
 ablation F4 measures). :class:`PendingGradAllreduce` is that sync written
-once — flatten, issue the bucket(s), average and unflatten at ``wait()``;
-:func:`allreduce_gradients` is its one blocking bucket and
-:func:`iallreduce_gradients` its nonblocking, overlappable flavour.
+once — flatten, issue the bucket(s), average and unflatten at ``wait()`` —
+with one blocking bucket or several nonblocking, overlappable ones.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from repro.simmpi import Comm
 from repro.tensor import Tensor, quantize
 
 __all__ = [
-    "allreduce_gradients",
-    "iallreduce_gradients",
     "PendingGradAllreduce",
     "broadcast_parameters",
     "flatten_grads",
@@ -116,33 +113,6 @@ class PendingGradAllreduce:
                 total = total / self._comm.size
             unflatten_grads(self._params, total)
         return self._nbytes
-
-
-def allreduce_gradients(
-    comm: Comm,
-    params: Sequence[Tensor],
-    average: bool = True,
-    algorithm: str | None = None,
-) -> int:
-    """Sum (or average) gradients of ``params`` across ``comm``: one
-    blocking bucket of :class:`PendingGradAllreduce`, waited on at once.
-
-    Returns the number of bytes moved per rank (fp32 bucket size), which
-    callers can use for traffic accounting.
-    """
-    return PendingGradAllreduce(comm, params, average, algorithm, 1, nonblocking=False).wait()
-
-
-def iallreduce_gradients(
-    comm: Comm,
-    params: Sequence[Tensor],
-    average: bool = True,
-    algorithm: str | None = None,
-    num_buckets: int = 1,
-) -> PendingGradAllreduce:
-    """Nonblocking :func:`allreduce_gradients` in ``num_buckets`` (>= 1)
-    buckets; returns the wait()-able handle."""
-    return PendingGradAllreduce(comm, params, average, algorithm, num_buckets, nonblocking=True)
 
 
 def broadcast_parameters(comm: Comm, params: Sequence[Tensor], root: int = 0) -> None:

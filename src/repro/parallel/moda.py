@@ -29,9 +29,8 @@ from repro.parallel.ep import ep_moe_factory
 from repro.parallel.groups import MoDaGroups
 from repro.parallel.step import DistributedStep, SyncGroup, local_gradients
 from repro.parallel.tp import TensorParallelMLP
-from repro.train.optim import Optimizer
+from repro.train.optim import Adam
 from repro.train.schedules import LRSchedule
-from repro.train.trainer import eval_loss, eval_report
 
 __all__ = ["build_moda_model", "split_params", "MoDaTrainer"]
 
@@ -101,13 +100,11 @@ class MoDaTrainer(DistributedStep):
     def __init__(
         self,
         model: MoELanguageModel,
-        optimizer: Optimizer,
+        optimizer: Adam,
         groups: MoDaGroups,
         schedule: LRSchedule | None = None,
         scaler: DynamicLossScaler | None = None,
-        grad_clip: float | None = None,
         allreduce_algorithm: str | None = None,
-        sync_initial_params: bool = True,
         grad_sync_buckets: int = 1,
         backward_compute_hook: Callable[[], None] | None = None,
     ):
@@ -119,24 +116,11 @@ class MoDaTrainer(DistributedStep):
         self.groups = groups
         super().__init__(
             model, groups.world, groups.world, local_gradients(model, groups.world),
-            sync_plan(model, groups), optimizer, schedule, scaler, grad_clip,
-            allreduce_algorithm,
+            sync_plan(model, groups), optimizer, schedule, scaler, allreduce_algorithm,
         )
         self.grad_sync_buckets = grad_sync_buckets
         self.backward_compute_hook = backward_compute_hook
-        if sync_initial_params:
-            # Belt and braces: construction already makes replicas equal,
-            # but an explicit broadcast pins the invariant.
-            for _, params, comm in self.sync_groups:
-                broadcast_parameters(comm, params, root=0)
-
-    def evaluate(self, loader, num_steps: int, start_step: int = 0) -> dict[str, float]:
-        """Distributed held-out evaluation: every rank scores its own data
-        shard and the mean loss/perplexity is allreduced over the world.
-
-        Collective call — all ranks must participate with the same
-        arguments. Gradients and step counters are untouched.
-        """
-        local_mean = eval_loss(self.model, loader, num_steps, start_step)
-        world = self.groups.world
-        return eval_report(float(world.allreduce(local_mean)) / world.size)
+        # Belt and braces: construction already makes replicas equal, but
+        # an explicit broadcast pins the invariant.
+        for _, params, comm in self.sync_groups:
+            broadcast_parameters(comm, params, root=0)

@@ -177,7 +177,6 @@ def run_distributed_training(
         _rank_program,
         cfg.world_size,
         network=network,
-        seed=cfg.seed,
         timeout=cfg.timeout,
         args=(cfg, machine),
         trace=cfg.trace,

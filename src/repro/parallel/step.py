@@ -6,7 +6,7 @@ Every strategy in this repo takes the same step on every rank::
     produce gradients                   (batch, scale) -> loss, {phase: virtual s}
     average each (label, params, comm)  one bucket, or several behind backward
     agree on overflow                   MAX-allreduce of the local flag
-    apply_update                        skip, or clip + optimizer step
+    apply_update                        skip, or optimizer step
     global loss                         mean over ``loss_comm``
 
 What differs between strategies is *data* handed to :class:`DistributedStep`:
@@ -28,7 +28,7 @@ from repro.errors import ConfigError
 from repro.models.module import Module, Parameter
 from repro.parallel.dp import PendingGradAllreduce
 from repro.simmpi import MAX, Comm
-from repro.train.optim import Optimizer
+from repro.train.optim import Adam
 from repro.train.schedules import ConstantLR, LRSchedule
 from repro.train.trainer import StepResult, apply_update
 
@@ -76,38 +76,26 @@ class DistributedStep:
 
     def __init__(
         self, module: Module, world: Comm, loss_comm: Comm, produce: GradientProducer,
-        sync_groups: list[SyncGroup], optimizer: Optimizer | None = None,
+        sync_groups: list[SyncGroup], optimizer: Adam | None = None,
         schedule: LRSchedule | None = None, scaler: DynamicLossScaler | None = None,
-        grad_clip: float | None = None, allreduce_algorithm: str | None = None,
+        allreduce_algorithm: str | None = None,
     ):
-        if grad_clip is not None:
-            if grad_clip <= 0:
-                raise ConfigError(f"grad_clip must be > 0, got {grad_clip}")
-            sharded = [label for label, _, comm in sync_groups if comm.size < world.size]
-            if sharded:
-                # The norm is rank-local: ranks holding different shards would
-                # clip by different factors and their replicated params diverge.
-                raise ConfigError(
-                    f"grad_clip needs every parameter replicated over the world; "
-                    f"sync groups {sharded} hold per-rank shards"
-                )
         self.module = module
         self.world = world
         self.loss_comm = loss_comm
         self.produce = produce
         #: How gradients are averaged, one :data:`SyncGroup` per axis.
         self.sync_groups = sync_groups
-        self.optimizer: Optimizer | None = None
+        self.optimizer: Adam | None = None
         self.schedule = schedule
         self.scaler = scaler
-        self.grad_clip = grad_clip
         self.allreduce_algorithm = allreduce_algorithm
         self.step_count = 0
         self.history: list[StepResult] = []
         if optimizer is not None:
             self.attach_optimizer(optimizer)
 
-    def attach_optimizer(self, optimizer: Optimizer) -> None:
+    def attach_optimizer(self, optimizer: Adam) -> None:
         """Bind the optimizer (must cover every sync group's parameters)."""
         self.optimizer = optimizer
         if self.schedule is None:
@@ -172,7 +160,7 @@ class DistributedStep:
         # All ranks must agree on the skip decision (their shards differ).
         overflow = bool(world.allreduce(1.0 if found else 0.0, op=MAX) > 0)
         grad_norm, skipped = apply_update(
-            self.optimizer, self.scaler, self.grad_clip, scale, overflow
+            self.optimizer, self.scaler, None, scale, overflow
         )
         global_loss = float(self.loss_comm.allreduce(loss_value)) / self.loss_comm.size
         return self.finish_step(

@@ -128,7 +128,7 @@ class RankTrainer:
 
 
 class _ZeroHybridOptimizer:
-    """ZeRO-sharded AdamW for replicated params + local Adam for experts.
+    """ZeRO-sharded Adam for replicated params + local Adam for experts.
 
     Replicated (dense) parameters have world-synchronized gradients, so
     :class:`~repro.parallel.zero.ZeroAdamW` over any subgroup computes the

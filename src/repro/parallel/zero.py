@@ -10,7 +10,7 @@ brain-scale models fit (experiment T4 quantifies it).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -35,9 +35,9 @@ def shard_bounds(total: int, size: int, rank: int) -> tuple[int, int]:
 
 
 class ZeroAdamW(object):
-    """AdamW with optimizer state sharded over a communicator.
+    """Adam with optimizer state sharded over a communicator.
 
-    API-compatible with :class:`repro.train.optim.Optimizer` (``lr``,
+    API-compatible with :class:`repro.train.optim.Adam` (``lr``,
     ``params``, ``step(grad_scale)``, ``zero_grad``), so it drops into
     :class:`~repro.parallel.moda.MoDaTrainer`.
 
@@ -51,9 +51,6 @@ class ZeroAdamW(object):
         params: Iterable[Tensor],
         comm: Comm,
         lr: float = 1e-3,
-        betas: Sequence[float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ):
         self.params: list[Tensor] = list(params)
         if not self.params:
@@ -62,12 +59,6 @@ class ZeroAdamW(object):
             raise ConfigError(f"lr must be > 0, got {lr}")
         self.comm = comm
         self.lr = float(lr)
-        b1, b2 = betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ConfigError(f"betas must be in [0,1), got {betas}")
-        self.beta1, self.beta2 = float(b1), float(b2)
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
         self.step_count = 0
 
         self._total = sum(p.size for p in self.params)
@@ -100,8 +91,7 @@ class ZeroAdamW(object):
         self.step_count += 1
         g = flatten_grads(self.params)[self._lo: self._hi] * grad_scale
         self._master, self._m, self._v = adam_update(
-            self._master, self._m, self._v, g, self.step_count,
-            self.lr, self.beta1, self.beta2, self.eps, self.weight_decay,
+            self._master, self._m, self._v, g, self.step_count, self.lr,
         )
         assign_flat_params(self.params, np.concatenate(self.comm.allgather(self._master)))
 

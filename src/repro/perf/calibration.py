@@ -28,6 +28,9 @@ from repro.perf.stepmodel import StepModel
 
 __all__ = ["CalibrationResult", "calibrate_efficiency"]
 
+#: The lowest sustained/peak ratio a fit reports.
+MIN_EFFICIENCY = 0.01
+
 
 @dataclass(frozen=True)
 class CalibrationResult:
@@ -54,14 +57,12 @@ def calibrate_efficiency(
     network: NetworkModel,
     plan: ParallelPlan,
     measured_step_time: float,
-    min_efficiency: float = 0.01,
-    max_efficiency: float = 1.0,
 ) -> CalibrationResult:
     """Fit ``compute_efficiency`` so the model matches a measurement.
 
     Raises :class:`~repro.errors.ConfigError` when the measurement is
     faster than the communication floor (no efficiency can explain it) or
-    implies an efficiency outside ``[min_efficiency, max_efficiency]``
+    implies an efficiency outside ``[MIN_EFFICIENCY, 1]``
     after clamping tolerance.
     """
     if measured_step_time <= 0:
@@ -88,7 +89,7 @@ def calibrate_efficiency(
             "efficiency can explain it (check the plan/network)"
         )
     eff = compute_at_full / (measured_step_time - comm)
-    eff = min(max(eff, min_efficiency), max_efficiency)
+    eff = min(max(eff, MIN_EFFICIENCY), 1.0)
     fitted = replace(machine, compute_efficiency=eff)
     predicted = StepModel(config, fitted, network).step_time(plan)
     return CalibrationResult(

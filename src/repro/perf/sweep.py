@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.hardware.specs import MachineSpec
 from repro.models.configs import ModelConfig
-from repro.network.costmodel import NetworkModel
 from repro.network.presets import cluster_preset
 from repro.perf.flops import step_flops
 from repro.perf.plan import ParallelPlan
@@ -22,7 +21,6 @@ def weak_scaling_rows(
     ep_size: int,
     micro_batch: int = 1,
     seq_len: int | None = None,
-    network_builder: Callable[[int], NetworkModel] | None = None,
     load_imbalance: float = 1.0,
     alltoall: str | None = None,
     allreduce: str | None = None,
@@ -30,11 +28,10 @@ def weak_scaling_rows(
     """Fixed per-node load, growing node count (experiment F1).
 
     Returns one row per node count: step time, throughput, achieved
-    FLOP/s, and parallel efficiency relative to the smallest run.
-    ``network_builder`` defaults to the shared ``"sunway"`` entry of
-    :data:`~repro.network.CLUSTER_PRESETS`.
+    FLOP/s, and parallel efficiency relative to the smallest run, on the
+    shared ``"sunway"`` entry of :data:`~repro.network.CLUSTER_PRESETS`.
     """
-    network_builder = network_builder or cluster_preset("sunway").network
+    network_builder = cluster_preset("sunway").network
     seq = seq_len or config.max_seq_len
     rows: list[dict[str, float]] = []
     base_rate = None
@@ -74,11 +71,11 @@ def strong_scaling_rows(
     ep_size: int,
     global_batch_tokens: int,
     seq_len: int | None = None,
-    network_builder: Callable[[int], NetworkModel] | None = None,
     load_imbalance: float = 1.0,
 ) -> list[dict[str, float]]:
-    """Fixed global problem size, growing node count (experiment F2)."""
-    network_builder = network_builder or cluster_preset("sunway").network
+    """Fixed global problem size, growing node count (experiment F2), on
+    the shared ``"sunway"`` cluster preset."""
+    network_builder = cluster_preset("sunway").network
     seq = seq_len or config.max_seq_len
     rows: list[dict[str, float]] = []
     base_time = None

@@ -37,16 +37,15 @@ def verify_plans(
     result: PlanResult,
     top_k: int = 2,
     num_steps: int = 2,
-    calibrate: bool = True,
 ) -> PlanResult:
     """Run the top-k candidates through simmpi and calibrate the model.
 
     Each verified run uses the exact :class:`TrainingRunConfig` the search
     validated (same strategy dispatch, same workload), with the preset's
     network and machine models, so measured and predicted step times are
-    directly comparable. When ``calibrate`` is set, the top-ranked
-    candidate's measurement anchors an efficiency fit; all candidates are
-    then re-priced with the fitted machine into ``result.recalibrated``.
+    directly comparable. The top-ranked candidate's measurement anchors an
+    efficiency fit; all candidates are then re-priced with the fitted
+    machine into ``result.recalibrated``.
     Calibration failures (e.g. a measurement at the modelled communication
     floor) are tolerated: the result simply carries no fit.
     """
@@ -67,7 +66,7 @@ def verify_plans(
         measured.append((cand, run.step_time))
 
     calibration: CalibrationResult | None = None
-    if calibrate and measured:
+    if measured:
         anchor, anchor_time = measured[0]  # top-ranked candidate anchors the fit
         try:
             calibration = calibrate_efficiency(
@@ -115,12 +114,11 @@ def plan_layouts(
     model,
     num_nodes: int,
     *,
-    verify: bool = True,
     top_k: int = 2,
     verify_steps: int = 2,
     **planner,
 ) -> PlanResult:
-    """One-shot planner facade: search, rank, and (optionally) verify.
+    """One-shot planner facade: search, rank, and verify the top-k.
 
     ``planner`` keywords (``cluster``, ``micro_batch``, ``overlap_chunks``,
     ...) are :class:`PlannerConfig` fields, passed through unchanged::
@@ -129,6 +127,6 @@ def plan_layouts(
         print(result.best.layout.describe())
     """
     result = search_plans(PlannerConfig(model=model, num_nodes=num_nodes, **planner))
-    if verify and result.candidates:
+    if result.candidates:
         result = verify_plans(result, top_k=top_k, num_steps=verify_steps)
     return result

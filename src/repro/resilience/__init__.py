@@ -7,7 +7,7 @@ supervisor):
 * :mod:`repro.simmpi.faults` injects failures — scripted
   (:class:`~repro.simmpi.FaultPlan`) or stochastic
   (:class:`~repro.simmpi.FaultModel`: MTBF crashes, dead nodes,
-  stragglers, flaky links);
+  stragglers);
 * :class:`~repro.resilience.supervisor.Supervisor` classifies failures,
   backs off exponentially, relaunches from the latest verified snapshot,
   and — when one node keeps failing — performs an *elastic restart*:

@@ -638,7 +638,6 @@ def _run_serving(
         _serve_rank,
         cfg.ep_size,
         network=network,
-        seed=cfg.seed,
         timeout=cfg.timeout,
         trace=cfg.trace,
         observe=cfg.observe,

@@ -9,7 +9,7 @@ correct results and topology-aware simulated timings.
 from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, MAX, MIN, PROD, SUM, Comm
 from repro.simmpi.context import RunContext
 from repro.simmpi.engine import SpmdResult, run_spmd
-from repro.simmpi.faults import FaultModel, FaultPlan, FlakyLink, MessageFault
+from repro.simmpi.faults import FaultModel, FaultPlan, MessageFault
 from repro.simmpi.hier import hierarchical_alltoall
 from repro.simmpi.payload import clone_payload, payload_nbytes
 from repro.simmpi.stats import TrafficStats
@@ -28,7 +28,6 @@ __all__ = [
     "run_spmd",
     "FaultModel",
     "FaultPlan",
-    "FlakyLink",
     "hierarchical_alltoall",
     "MessageFault",
     "TrafficStats",

@@ -588,10 +588,10 @@ class Comm:
         """Non-blocking receive request; call ``.wait()`` for the payload."""
         return _RecvRequest(self, source, tag)
 
-    def sendrecv(self, obj: Any, dest: int, source: int, sendtag: int = 0, recvtag: int = ANY_TAG) -> Any:
+    def sendrecv(self, obj: Any, dest: int, source: int) -> Any:
         """Combined send+receive (deadlock-free for exchange patterns)."""
-        self.send(obj, dest, tag=sendtag)
-        return self.recv(source=source, tag=recvtag)
+        self.send(obj, dest)
+        return self.recv(source=source)
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """True if a matching message is already waiting."""

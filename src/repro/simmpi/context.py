@@ -22,7 +22,7 @@ from typing import Any
 
 from repro.errors import ConfigError
 from repro.obs.export import chrome_trace_records
-from repro.obs.flight import DEFAULT_LIMIT, FlightRecorder
+from repro.obs.flight import FlightRecorder
 from repro.obs.registry import NULL_REGISTRY, MetricRegistry, NullRegistry
 from repro.obs.router import RouterTelemetry
 from repro.obs.spans import NULL_TRACER, NullTracer, Tracer
@@ -49,8 +49,7 @@ class RunContext:
     post-mortem has the last operations of every rank.
     """
 
-    def __init__(self, trace: bool = False, observe: bool = False,
-                 flight_limit: int = DEFAULT_LIMIT):
+    def __init__(self, trace: bool = False, observe: bool = False):
         #: Aggregate traffic counters (updated by the engine).
         self.stats = TrafficStats()
         #: Virtual-time event stream, or None when tracing is off.
@@ -73,7 +72,7 @@ class RunContext:
             Tracer() if (trace or observe) else NULL_TRACER
         )
         #: Always-on bounded ring of recent per-rank activity.
-        self.flight = FlightRecorder(limit=flight_limit)
+        self.flight = FlightRecorder()
 
     # ------------------------------------------------------------------ #
     # Phase timers

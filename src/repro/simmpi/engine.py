@@ -29,7 +29,6 @@ from repro.errors import CommunicatorError, RankAbort
 from repro.simmpi.comm import Comm, _CommState, _World
 from repro.simmpi.faults import FaultModel, FaultPlan
 from repro.simmpi.stats import TrafficStats
-from repro.utils.seeding import rng_for_rank
 
 __all__ = ["run_spmd", "SpmdResult"]
 
@@ -66,25 +65,24 @@ def run_spmd(
     timeout: float = 120.0,
     faults: FaultPlan | FaultModel | None = None,
     args: Sequence[Any] = (),
-    kwargs: dict[str, Any] | None = None,
-    pass_rng: bool = False,
     trace: bool = False,
     observe: bool = False,
 ) -> SpmdResult:
-    """Execute ``fn(comm, *args, **kwargs)`` on ``size`` simulated ranks.
+    """Execute ``fn(comm, *args)`` on ``size`` simulated ranks.
 
     Parameters
     ----------
     fn:
         The rank program. Receives a :class:`~repro.simmpi.Comm` as first
-        argument (plus a per-rank ``numpy`` Generator when ``pass_rng``).
+        argument.
     size:
         World size (number of rank threads).
     network:
         Optional :class:`~repro.network.NetworkModel`; when given, every
         communication call advances virtual clocks by its modelled cost.
     seed:
-        Base seed for per-rank RNGs (``pass_rng=True``).
+        The run's seed, accepted for callers that tag a launch with it; the
+        engine itself draws no randomness.
     timeout:
         Wall-clock seconds before blocked ranks raise ``DeadlockError``.
     faults:
@@ -102,8 +100,6 @@ def run_spmd(
     """
     if size < 1:
         raise CommunicatorError(f"world size must be >= 1, got {size}")
-    if kwargs is None:
-        kwargs = {}
 
     world = _World(size=size, network=network, timeout=timeout, faults=faults,
                    trace=trace, observe=observe)
@@ -114,13 +110,8 @@ def run_spmd(
 
     def runner(rank: int) -> None:
         comm = Comm(state, rank)
-        call_args: tuple[Any, ...]
-        if pass_rng:
-            call_args = (comm, rng_for_rank(seed, rank)) + tuple(args)
-        else:
-            call_args = (comm,) + tuple(args)
         try:
-            returns[rank] = fn(*call_args, **kwargs)
+            returns[rank] = fn(comm, *args)
         except RankAbort as exc:
             errors[rank] = exc
         except BaseException as exc:  # noqa: BLE001 - must ferry any failure

@@ -8,11 +8,11 @@ Two layers of failure modelling share one engine hook surface:
   / :class:`~repro.errors.DeadlockError` instead of hanging.
 * :class:`FaultModel` — *stochastic* faults. A seeded model of the kinds
   of trouble a 96,000-node machine produces continuously: MTBF-driven
-  rank crashes in virtual time, permanently dead nodes, straggler nodes
-  (compute slowdown factors applied to virtual clocks), and flaky links
-  (probabilistic message drop/delay). All randomness is derived from the
-  seed, the launch index, and the node id, so a run is exactly
-  reproducible — including across the relaunches of a recovery driver.
+  rank crashes in virtual time, permanently dead nodes, and straggler
+  nodes (compute slowdown factors applied to virtual clocks). All
+  randomness is derived from the seed, the launch index, and the node id,
+  so a run is exactly reproducible — including across the relaunches of a
+  recovery driver.
 
 The engine consults four hooks (serialized under the world lock):
 ``on_launch(size)``, ``should_kill(rank, op_index, clock)``,
@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 
-__all__ = ["FaultPlan", "MessageFault", "FaultModel", "FlakyLink"]
+__all__ = ["FaultPlan", "MessageFault", "FaultModel"]
 
 
 @dataclass(frozen=True)
@@ -115,33 +115,6 @@ class FaultPlan:
         return 1.0
 
 
-@dataclass(frozen=True)
-class FlakyLink:
-    """A stochastically degraded (src, dst) node edge.
-
-    Each message on the edge is independently dropped with probability
-    ``drop_prob``, otherwise delayed by ``delay`` virtual seconds with
-    probability ``delay_prob``. Use ``src=-1`` / ``dst=-1`` as wildcards.
-    """
-
-    src: int
-    dst: int
-    drop_prob: float = 0.0
-    delay_prob: float = 0.0
-    delay: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("drop_prob", "delay_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name} must be in [0,1], got {p}")
-        if self.delay < 0:
-            raise ConfigError(f"delay must be >= 0, got {self.delay}")
-
-    def matches(self, src: int, dst: int) -> bool:
-        return (self.src in (-1, src)) and (self.dst in (-1, dst))
-
-
 class FaultModel:
     """Seeded stochastic faults over a fleet of *nodes*.
 
@@ -163,9 +136,6 @@ class FaultModel:
         node -> compute slowdown factor (>= 1.0). The engine multiplies
         the node's local compute time by this factor, degrading the whole
         world's synchronous step time to the straggler's pace.
-    flaky_links:
-        :class:`FlakyLink` specs; message faults are drawn per occurrence
-        from a dedicated rng, so drops/delays are reproducible.
 
     The model is stateful across launches (``launch_index`` increments on
     every :meth:`on_launch`; :meth:`exclude_node` shrinks the usable
@@ -178,7 +148,6 @@ class FaultModel:
         mtbf: float | None = None,
         dead_nodes: tuple[int, ...] | frozenset[int] = (),
         stragglers: dict[int, float] | None = None,
-        flaky_links: tuple[FlakyLink, ...] = (),
     ):
         if mtbf is not None and mtbf <= 0:
             raise ConfigError(f"mtbf must be > 0 virtual seconds, got {mtbf}")
@@ -191,12 +160,10 @@ class FaultModel:
                 raise ConfigError(
                     f"straggler factor for node {node} must be >= 1.0, got {factor}"
                 )
-        self.flaky_links = tuple(flaky_links)
         self.excluded: set[int] = set()
         self.launch_index = -1
         self._node_of_rank: list[int] = []
         self._failure_time: dict[int, float] = {}
-        self._link_rng = np.random.default_rng([self.seed, 0xF1A2])
 
     # ------------------------------------------------------------------ #
     # Fleet management
@@ -246,17 +213,8 @@ class FaultModel:
         """Compute-time multiplier from the rank's node straggler factor."""
         return self.stragglers.get(self.node_of_rank(rank), 1.0)
 
-    def on_message(self, src: int, dst: int) -> MessageFault | None:
-        """Draw drop/delay outcomes for a message on a flaky link."""
-        src_node = self.node_of_rank(src)
-        dst_node = self.node_of_rank(dst)
-        for link in self.flaky_links:
-            if not link.matches(src_node, dst_node):
-                continue
-            if link.drop_prob and self._link_rng.random() < link.drop_prob:
-                return MessageFault(src=src, dst=dst, drop=True)
-            if link.delay_prob and self._link_rng.random() < link.delay_prob:
-                return MessageFault(src=src, dst=dst, delay=link.delay)
+    def on_message(self, src: int, dst: int) -> None:
+        """Messages are never faulted by the model (nodes fail, links don't)."""
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -97,7 +97,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(data, x.dtype, (x,), backward)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int | None = None) -> Tensor:
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean token-level cross-entropy.
 
     Parameters
@@ -106,8 +106,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int | None 
         Tensor of shape (N, V) — one row of vocabulary scores per token.
     targets:
         Integer array of shape (N,).
-    ignore_index:
-        Optional target value excluded from the loss (e.g. padding).
 
     The loss and its gradient are computed in fp32 regardless of the logit
     dtype (the standard "loss in high precision" practice), while the
@@ -126,21 +124,16 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int | None 
     logsum = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logsum  # (N, V)
 
-    if ignore_index is not None:
-        valid = targets != ignore_index
-    else:
-        valid = np.ones_like(targets, dtype=bool)
-    count = max(int(valid.sum()), 1)
-    safe_targets = np.where(valid, targets, 0)
-    picked = logp[np.arange(len(targets)), safe_targets]
-    loss = -(picked * valid).sum() / count
+    count = max(len(targets), 1)
+    picked = logp[np.arange(len(targets)), targets]
+    loss = -picked.sum() / count
 
     soft = np.exp(logp)
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
         grad = soft.copy()
-        grad[np.arange(len(targets)), safe_targets] -= 1.0
-        grad *= (valid[:, None] / count)
+        grad[np.arange(len(targets)), targets] -= 1.0
+        grad *= 1.0 / count
         return (np.asarray(g) * grad.astype(logits.data.dtype),)
 
     return _make(np.asarray(loss), logits.dtype if logits.dtype.name == "fp64" else _fp32(), (logits,), backward)

@@ -34,21 +34,18 @@ class ConstantLR(LRSchedule):
 
 
 class WarmupCosineLR(LRSchedule):
-    """Linear warmup then cosine decay to ``min_lr`` (GPT-style default)."""
+    """Linear warmup then cosine decay to zero (GPT-style default)."""
 
-    def __init__(self, peak_lr: float, warmup_steps: int, total_steps: int, min_lr: float = 0.0):
+    def __init__(self, peak_lr: float, warmup_steps: int, total_steps: int):
         if peak_lr <= 0:
             raise ConfigError(f"peak_lr must be > 0, got {peak_lr}")
         if warmup_steps < 0 or total_steps <= 0 or warmup_steps > total_steps:
             raise ConfigError(
                 f"need 0 <= warmup_steps <= total_steps, got {warmup_steps}/{total_steps}"
             )
-        if not 0.0 <= min_lr <= peak_lr:
-            raise ConfigError("need 0 <= min_lr <= peak_lr")
         self.peak_lr = float(peak_lr)
         self.warmup_steps = int(warmup_steps)
         self.total_steps = int(total_steps)
-        self.min_lr = float(min_lr)
 
     def lr_at(self, step: int) -> float:
         if step < self.warmup_steps:
@@ -56,4 +53,4 @@ class WarmupCosineLR(LRSchedule):
         span = max(self.total_steps - self.warmup_steps, 1)
         progress = min((step - self.warmup_steps) / span, 1.0)
         cos = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.min_lr + (self.peak_lr - self.min_lr) * cos
+        return self.peak_lr * cos

@@ -2,9 +2,9 @@
 
 Handles the full mixed-precision protocol: scaled loss, overflow detection,
 skipped steps, gradient clipping, and LR scheduling. The distributed step
-(:mod:`repro.parallel.step`) shares the update block (:func:`apply_update`),
-the eval loop (:func:`eval_loss`) and the result type with this loop, and
-inserts communication at the gradient stage.
+(:mod:`repro.parallel.step`) shares the update block (:func:`apply_update`)
+and the result type with this loop, and inserts communication at the
+gradient stage.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from repro.amp import DynamicLossScaler, grads_have_overflow
 from repro.data.loader import Batch, ShardedLoader
 from repro.errors import ConfigError
 from repro.models.module import Module
-from repro.tensor import no_grad
 from repro.train.clip import clip_grad_norm, global_grad_norm
-from repro.train.optim import Optimizer
+from repro.train.optim import Adam
 from repro.train.schedules import ConstantLR, LRSchedule
 
-__all__ = ["StepResult", "Trainer", "apply_update", "eval_loss", "eval_report"]
+__all__ = ["StepResult", "Trainer", "apply_update"]
 
 
 @dataclass
@@ -52,7 +51,7 @@ class StepResult:
 
 
 def apply_update(
-    optimizer: Optimizer,
+    optimizer: Adam,
     scaler: DynamicLossScaler | None,
     grad_clip: float | None,
     scale: float,
@@ -80,29 +79,6 @@ def apply_update(
     return grad_norm, False
 
 
-def eval_loss(model: Module, loader: ShardedLoader, num_steps: int, start_step: int = 0) -> float:
-    """Mean held-out loss of ``model`` over ``num_steps`` loader batches, in
-    eval mode and without touching gradients."""
-    if num_steps < 1:
-        raise ConfigError(f"num_steps must be >= 1, got {num_steps}")
-    was_training = model.training
-    model.eval()
-    total = 0.0
-    try:
-        with no_grad():
-            for batch in loader.iter_batches(num_steps, start_step=start_step):
-                total += float(model.loss(batch.tokens, batch.targets).item())
-    finally:
-        if was_training:
-            model.train()
-    return total / num_steps
-
-
-def eval_report(mean_loss: float) -> dict[str, float]:
-    """The ``evaluate`` result for a mean loss: loss and (capped) perplexity."""
-    return {"loss": mean_loss, "perplexity": float(np.exp(min(mean_loss, 50.0)))}
-
-
 class Trainer:
     """Glue between model, optimizer, schedule, loss scaler, and data.
 
@@ -112,7 +88,7 @@ class Trainer:
         Any :class:`~repro.models.Module` exposing
         ``loss(tokens, targets) -> Tensor``.
     optimizer:
-        An :class:`~repro.train.optim.Optimizer` over the model parameters.
+        An :class:`~repro.train.optim.Adam` over the model parameters.
     schedule:
         LR schedule (constant when omitted; the optimizer's ``lr`` is
         overwritten every step).
@@ -125,7 +101,7 @@ class Trainer:
     def __init__(
         self,
         model: Module,
-        optimizer: Optimizer,
+        optimizer: Adam,
         schedule: LRSchedule | None = None,
         scaler: DynamicLossScaler | None = None,
         grad_clip: float | None = None,
@@ -142,25 +118,14 @@ class Trainer:
 
     def train_step(self, batch: Batch) -> StepResult:
         """Run forward/backward/update on one batch; returns metrics."""
-        return self.train_step_accumulated([batch])
-
-    def train_step_accumulated(self, batches: list[Batch]) -> StepResult:
-        """One optimizer step over several microbatches (gradient
-        accumulation): each backward is scaled by 1/len(batches), so the
-        update equals a single step on the concatenated batch."""
-        if not batches:
-            raise ConfigError("train_step_accumulated needs >= 1 batch")
         lr = self.schedule(self.step_count)
         self.optimizer.lr = lr
         self.model.zero_grad()
 
         scale = self.scaler.scale if self.scaler is not None else 1.0
-        inv_n = 1.0 / len(batches)
-        loss_value = 0.0
-        for batch in batches:
-            loss = self.model.loss(batch.tokens, batch.targets)
-            loss_value += float(loss.item()) * inv_n
-            loss.backward(np.asarray(scale * inv_n, dtype=loss.data.dtype))
+        loss = self.model.loss(batch.tokens, batch.targets)
+        loss_value = float(loss.item())
+        loss.backward(np.asarray(scale, dtype=loss.data.dtype))
 
         overflow = self.scaler is not None and grads_have_overflow(self.optimizer.params)
         grad_norm, skipped = apply_update(
@@ -179,33 +144,19 @@ class Trainer:
         self.history.append(result)
         return result
 
-    def evaluate(self, loader: ShardedLoader, num_steps: int, start_step: int = 0) -> dict[str, float]:
-        """Held-out evaluation: mean loss and perplexity over ``num_steps``
-        batches, without touching gradients or the step counter."""
-        return eval_report(eval_loss(self.model, loader, num_steps, start_step))
-
     def fit(
         self,
         loader: ShardedLoader,
         num_steps: int,
         log_every: int = 0,
         on_step: Callable[[StepResult], None] | None = None,
-        accumulate_steps: int = 1,
     ) -> list[StepResult]:
-        """Train for ``num_steps`` optimizer steps from ``loader``.
-
-        With ``accumulate_steps > 1``, each optimizer step consumes that
-        many consecutive loader batches (gradient accumulation).
-        """
+        """Train for ``num_steps`` optimizer steps, one loader batch each."""
         if num_steps < 1:
             raise ConfigError(f"num_steps must be >= 1, got {num_steps}")
-        if accumulate_steps < 1:
-            raise ConfigError(f"accumulate_steps must be >= 1, got {accumulate_steps}")
         results = []
         for _ in range(num_steps):
-            base = self.step_count * accumulate_steps
-            batches = [loader.get_batch(base + i) for i in range(accumulate_steps)]
-            result = self.train_step_accumulated(batches)
+            result = self.train_step(loader.get_batch(self.step_count))
             results.append(result)
             if on_step is not None:
                 on_step(result)

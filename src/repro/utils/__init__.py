@@ -1,6 +1,6 @@
 """Small shared utilities: seeding, humanized units, math helpers."""
 
-from repro.utils.seeding import derive_seed, rng_for_rank
+from repro.utils.seeding import derive_seed
 from repro.utils.units import (
     format_bytes,
     format_count,
@@ -11,7 +11,6 @@ from repro.utils.mathx import ceil_div, prod
 
 __all__ = [
     "derive_seed",
-    "rng_for_rank",
     "format_bytes",
     "format_count",
     "format_flops",

@@ -1,6 +1,6 @@
 """Deterministic seed derivation.
 
-Every stochastic component in the library (rank-local RNGs, data shuffling,
+Every stochastic component in the library (data sampling, fault draws,
 gate noise, parameter init) derives its seed from a single user seed plus a
 stable string *stream* name, so that runs are reproducible regardless of
 thread scheduling and of how many other components consumed randomness.
@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
-__all__ = ["derive_seed", "rng_for_rank"]
+__all__ = ["derive_seed"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -34,8 +32,3 @@ def derive_seed(base_seed: int, *streams: object) -> int:
     text = repr((int(base_seed),) + tuple(streams))
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") & _MASK64
-
-
-def rng_for_rank(base_seed: int, rank: int, stream: str = "rank") -> np.random.Generator:
-    """Return a NumPy Generator unique to ``(base_seed, stream, rank)``."""
-    return np.random.default_rng(derive_seed(base_seed, stream, rank))

@@ -51,26 +51,26 @@ class TestScalerStateMachine:
         assert s.scale == 512.0  # not grown yet
 
     def test_min_scale_floor(self):
-        s = DynamicLossScaler(init_scale=2.0, min_scale=1.0)
+        s = DynamicLossScaler(init_scale=2.0)
         for _ in range(10):
             s.update(True)
-        assert s.scale == 1.0
+        assert s.scale == DynamicLossScaler.MIN_SCALE == 1.0
 
     def test_max_scale_ceiling(self):
-        s = DynamicLossScaler(init_scale=2.0**23, growth_interval=1, max_scale=2.0**24)
+        s = DynamicLossScaler(init_scale=2.0**23, growth_interval=1)
         for _ in range(10):
             s.update(False)
-        assert s.scale == 2.0**24
+        assert s.scale == DynamicLossScaler.MAX_SCALE == 2.0**24
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
             DynamicLossScaler(init_scale=-1.0)
         with pytest.raises(ConfigError):
-            DynamicLossScaler(growth_factor=1.0)
+            DynamicLossScaler(init_scale=0.5)
         with pytest.raises(ConfigError):
-            DynamicLossScaler(backoff_factor=1.5)
+            DynamicLossScaler(init_scale=2.0**25)
         with pytest.raises(ConfigError):
-            DynamicLossScaler(init_scale=0.5, min_scale=1.0)
+            DynamicLossScaler(growth_interval=0)
 
 
 class TestCasting:

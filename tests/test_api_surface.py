@@ -159,7 +159,6 @@ class TestKeyAPIsHaveDocstrings:
             "repro.resilience.ElasticStepDriver",
             "repro.resilience.classify_failure",
             "repro.simmpi.FaultModel",
-            "repro.simmpi.FlakyLink",
             "repro.perf.StepModel",
             "repro.perf.calibrate_efficiency",
             "repro.train.Trainer",

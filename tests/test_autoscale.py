@@ -251,15 +251,12 @@ class TestSLOMonitor:
     )
     def test_burn_rate_matches_brute_force(self, samples, width, nows):
         objective = SLOObjective(name="ttft", threshold_s=0.1, target=0.9)
-        mon = SLOMonitor(
-            objective,
-            windows=(BurnRateWindow(window_s=width, threshold=2.0,
-                                    short_fraction=0.25),),
-        )
+        window = BurnRateWindow(window_s=width, threshold=2.0)
+        mon = SLOMonitor(objective, windows=(window,))
         for t, v in samples:
             mon.observe(t, v)
         for now in nows:
-            for w in (width, width * 0.25):
+            for w in (width, window.short_window_s):
                 bad = [0.0 if objective.good(v) else 1.0
                        for v in _brute_window(samples, w, now)]
                 fraction = float(np.sum(bad)) / len(bad) if bad else 0.0

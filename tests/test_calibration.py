@@ -13,6 +13,7 @@ from repro.perf import (
     StepModel,
     calibrate_efficiency,
 )
+from repro.perf.calibration import MIN_EFFICIENCY
 
 CFG = bagualu_14_5t()
 MACHINE = sunway_machine(1024)
@@ -44,9 +45,9 @@ class TestClosedFormFit:
         assert slow.efficiency < fast.efficiency
 
     def test_clamped_to_bounds(self):
-        # Absurdly slow measurement -> clamp at min_efficiency.
-        fit = calibrate_efficiency(CFG, MACHINE, NET, PLAN, 1e9, min_efficiency=0.05)
-        assert fit.efficiency == 0.05
+        # Absurdly slow measurement -> clamp at the lowest efficiency.
+        fit = calibrate_efficiency(CFG, MACHINE, NET, PLAN, 1e9)
+        assert fit.efficiency == MIN_EFFICIENCY == 0.01
 
     def test_below_comm_floor_rejected(self):
         with pytest.raises(ConfigError, match="communication floor"):

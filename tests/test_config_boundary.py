@@ -7,8 +7,9 @@ building its full-width run. So a nonsense field is refused at
 construction, with the one error type, instead of inside a rank thread (or,
 for a supervised run, after every retry the supervisor has). The serving
 configs (``ServeConfig``, ``FleetConfig``, ``AutoscalerConfig``) hold the
-same line, and their errors name the field they refuse. NaN is refused by
-every float field, with the field named. The name fields (gate, dtype,
+same line, and their errors name the field they refuse; so does
+``ModelConfig`` for its sizes, capacity factor and loss weights. NaN is
+refused by every float field, with the field named. The name fields (gate, dtype,
 collective algorithms) and the arrival ramp are perturbed too: a config
 that constructs holds a value its run accepts, and a refusal names the
 field.
@@ -104,6 +105,57 @@ def test_perturbed_serving_fields_construct_or_name_the_field(cls, data):
         cls(**kwargs)
     except ConfigError as exc:
         assert any(name in str(exc) for name in names), (names, str(exc))
+
+
+def _model_config_ok(config: ModelConfig) -> bool:
+    """What a constructed model config may hold, written out here rather
+    than imported, so the oracle does not share the code it checks."""
+    sizes = (config.vocab_size, config.max_seq_len, config.d_model, config.n_layers,
+             config.n_heads, config.d_ff, config.num_experts, config.moe_every)
+    return (
+        all(n >= 1 for n in sizes)
+        and 1 <= config.top_k <= config.num_experts
+        and config.d_model % config.n_heads == 0
+        and (config.capacity_factor is None or 0 < config.capacity_factor < math.inf)
+        and 0 <= config.aux_weight < math.inf
+        and 0 <= config.z_weight < math.inf
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_perturbed_model_fields_construct_or_name_the_field(data):
+    """Every size, the capacity factor and the two loss weights: a model
+    config that constructs can be built, and a refusal names the field."""
+    names, kwargs = _perturbed(ModelConfig, dataclasses.asdict(MODEL), data)
+    assert "capacity_factor" in _numeric_fields(ModelConfig)
+    try:
+        config = ModelConfig(**kwargs)
+    except ConfigError as exc:
+        assert any(name in str(exc) for name in names), (names, str(exc))
+    else:
+        assert _model_config_ok(config), kwargs
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(vocab_size=0), dict(max_seq_len=0), dict(d_model=0), dict(n_layers=0),
+     dict(d_ff=-1), dict(n_heads=0), dict(aux_weight=-1.0), dict(z_weight=-1e-3),
+     dict(aux_weight=math.nan), dict(capacity_factor=math.nan),
+     dict(capacity_factor=0.0)],
+    ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+)
+def test_model_config_refuses_nonsense_naming_the_field(bad):
+    """The parent constructed each of these (``n_heads=0`` raised
+    ``ZeroDivisionError``)."""
+    (name,) = bad
+    with pytest.raises(ConfigError, match=name):
+        dataclasses.replace(MODEL, **bad)
+
+
+def test_model_config_allows_zero_loss_weights():
+    config = dataclasses.replace(MODEL, aux_weight=0.0, z_weight=0.0)
+    assert config.aux_weight == config.z_weight == 0.0
 
 
 #: Names a run accepts, written out here rather than imported, so the

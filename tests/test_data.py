@@ -100,11 +100,6 @@ class TestShardedLoader:
                 assert key not in seen
                 seen.add(key)
 
-    def test_iter_batches(self):
-        loader = ShardedLoader(self._corpus(), 1, 4)
-        batches = list(loader.iter_batches(3, start_step=2))
-        assert [b.step for b in batches] == [2, 3, 4]
-
     def test_global_batch_tokens(self):
         loader = ShardedLoader(self._corpus(), 4, 16, dp_rank=0, dp_size=8)
         assert loader.global_batch_tokens == 4 * 16 * 8

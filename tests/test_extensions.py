@@ -1,5 +1,5 @@
-"""Extension features: evaluation, phase timing, overlap knob,
-multi-domain corpus, optimizer-state distributed checkpoints."""
+"""Extension features: phase timing, overlap knob, the corpus's successor
+table, optimizer-state distributed checkpoints."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from repro.data import ShardedLoader, SyntheticCorpus
 from repro.errors import CheckpointError, ConfigError
 from repro.hardware import sunway_machine
-from repro.models import bagualu_14_5t, build_model, tiny_config
+from repro.models import bagualu_14_5t, tiny_config
 from repro.network import sunway_network
 from repro.parallel import (
     MoDaTrainer,
@@ -19,49 +19,8 @@ from repro.parallel import (
 )
 from repro.perf import ParallelPlan, StepModel
 from repro.simmpi import run_spmd
-from repro.train import Adam, Trainer
-
-
-class TestEvaluate:
-    def _setup(self):
-        cfg = tiny_config()
-        model = build_model(cfg, seed=1)
-        corpus = SyntheticCorpus(vocab_size=cfg.vocab_size, predictability=0.9, seed=2)
-        loader = ShardedLoader(corpus, 4, 8)
-        trainer = Trainer(model, Adam(model.parameters(), lr=3e-3))
-        return model, loader, trainer
-
-    def test_returns_loss_and_perplexity(self):
-        _, loader, trainer = self._setup()
-        metrics = trainer.evaluate(loader, 3)
-        assert metrics["perplexity"] == pytest.approx(np.exp(metrics["loss"]), rel=1e-6)
-        assert metrics["loss"] > 0
-
-    def test_does_not_touch_grads_or_steps(self):
-        model, loader, trainer = self._setup()
-        trainer.evaluate(loader, 2)
-        assert trainer.step_count == 0
-        assert all(p.grad is None for p in model.parameters())
-
-    def test_restores_training_mode(self):
-        model, loader, trainer = self._setup()
-        trainer.evaluate(loader, 1)
-        assert model.training
-
-    def test_eval_improves_with_training(self):
-        _, loader, trainer = self._setup()
-        eval_loader = ShardedLoader(
-            SyntheticCorpus(vocab_size=128, predictability=0.9, seed=2), 4, 8,
-        )
-        before = trainer.evaluate(eval_loader, 3, start_step=1000)["loss"]
-        trainer.fit(loader, 40)
-        after = trainer.evaluate(eval_loader, 3, start_step=1000)["loss"]
-        assert after < before
-
-    def test_invalid_steps(self):
-        _, loader, trainer = self._setup()
-        with pytest.raises(ConfigError):
-            trainer.evaluate(loader, 0)
+from repro.train import Adam
+from repro.utils import derive_seed
 
 
 class TestPhaseTiming:
@@ -121,36 +80,13 @@ class TestOverlapKnob:
             ParallelPlan(num_nodes=4, ep_size=4, overlap=1.5)
 
 
-class TestMultiDomainCorpus:
-    def test_single_domain_backward_compatible(self):
+class TestSuccessorTable:
+    def test_table_is_the_seeded_permutation(self):
+        """The one successor table is the stream the per-domain tables drew
+        domain 0 from, so every corpus keeps its tokens."""
         c = SyntheticCorpus(vocab_size=64, seed=1)
-        assert c.num_domains == 1
-        assert np.array_equal(c.successor, c.successors[0])
-
-    def test_domains_have_distinct_tables(self):
-        c = SyntheticCorpus(vocab_size=64, seed=1, num_domains=4)
-        assert not np.array_equal(c.successors[0], c.successors[1])
-
-    def test_stream_follows_its_domain_table(self):
-        c = SyntheticCorpus(vocab_size=32, predictability=1.0, seed=2, num_domains=3)
-        for stream in range(5):
-            s = c.sample(200, stream=stream)
-            table = c.successors[c.domain_of_stream(stream)]
-            follows = sum(s[i + 1] == table[s[i]] for i in range(len(s) - 1))
-            assert follows == len(s) - 1
-
-    def test_domains_assigned_stably(self):
-        c = SyntheticCorpus(vocab_size=32, seed=2, num_domains=3)
-        assert c.domain_of_stream(7) == c.domain_of_stream(7)
-
-    def test_multiple_domains_used(self):
-        c = SyntheticCorpus(vocab_size=32, seed=2, num_domains=3)
-        domains = {c.domain_of_stream(s) for s in range(50)}
-        assert len(domains) == 3
-
-    def test_invalid(self):
-        with pytest.raises(ConfigError):
-            SyntheticCorpus(num_domains=0)
+        expected = np.random.default_rng(derive_seed(1, "succ-table", 0)).permutation(64)
+        assert np.array_equal(c.successor, expected)
 
 
 class TestOptimizerDistCheckpoint:

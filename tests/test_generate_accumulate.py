@@ -1,12 +1,12 @@
-"""Generation API and gradient accumulation."""
+"""Greedy generation API."""
 
 import numpy as np
 import pytest
 
-from repro.data import Batch, ShardedLoader, SyntheticCorpus
+from repro.data import ShardedLoader, SyntheticCorpus
 from repro.errors import ConfigError
 from repro.models import build_model, generate, tiny_config
-from repro.train import Adam, ConstantLR, SGD, Trainer
+from repro.train import Adam, Trainer
 
 RNG = np.random.default_rng(0)
 CFG = tiny_config()
@@ -19,47 +19,31 @@ class TestGenerate:
     def test_output_shape(self):
         model = self._model()
         prompt = RNG.integers(0, CFG.vocab_size, size=(2, 3))
-        out = generate(model, prompt, max_new_tokens=5, rng=np.random.default_rng(0))
+        out = generate(model, prompt, max_new_tokens=5)
         assert out.shape == (2, 8)
         assert np.array_equal(out[:, :3], prompt)
 
     def test_tokens_in_vocab(self):
         model = self._model()
-        out = generate(model, RNG.integers(0, CFG.vocab_size, size=(1, 2)), 10,
-                       rng=np.random.default_rng(1))
+        out = generate(model, RNG.integers(0, CFG.vocab_size, size=(1, 2)), 10)
         assert out.min() >= 0 and out.max() < CFG.vocab_size
 
     def test_greedy_deterministic(self):
         model = self._model()
         prompt = RNG.integers(0, CFG.vocab_size, size=(1, 4))
-        a = generate(model, prompt, 6, greedy=True)
-        b = generate(model, prompt, 6, greedy=True)
+        a = generate(model, prompt, 6)
+        b = generate(model, prompt, 6)
         assert np.array_equal(a, b)
-
-    def test_sampling_reproducible_with_rng(self):
-        model = self._model()
-        prompt = RNG.integers(0, CFG.vocab_size, size=(1, 4))
-        a = generate(model, prompt, 6, rng=np.random.default_rng(7))
-        b = generate(model, prompt, 6, rng=np.random.default_rng(7))
-        assert np.array_equal(a, b)
-
-    def test_top_k_restricts_support(self):
-        model = self._model()
-        prompt = RNG.integers(0, CFG.vocab_size, size=(1, 4))
-        greedy = generate(model, prompt, 1, greedy=True)
-        topk1 = generate(model, prompt, 1, top_k=1, rng=np.random.default_rng(3))
-        # top_k=1 sampling must equal the greedy choice.
-        assert np.array_equal(greedy, topk1)
 
     def test_window_clipping_beyond_max_seq_len(self):
         model = self._model()
         prompt = RNG.integers(0, CFG.vocab_size, size=(1, CFG.max_seq_len))
-        out = generate(model, prompt, 3, greedy=True)
+        out = generate(model, prompt, 3)
         assert out.shape[1] == CFG.max_seq_len + 3
 
     def test_restores_training_mode(self):
         model = self._model().train()
-        generate(model, RNG.integers(0, CFG.vocab_size, size=(1, 2)), 1, greedy=True)
+        generate(model, RNG.integers(0, CFG.vocab_size, size=(1, 2)), 1)
         assert model.training
 
     def test_trained_model_generates_structure(self):
@@ -71,7 +55,7 @@ class TestGenerate:
         loader = ShardedLoader(corpus, 8, 16)
         Trainer(model, Adam(model.parameters(), lr=3e-3)).fit(loader, 80)
         start = np.array([[5]])
-        out = generate(model, start, 10, greedy=True)[0]
+        out = generate(model, start, 10)[0]
         follows = sum(out[i + 1] == corpus.successor[out[i]] for i in range(len(out) - 1))
         assert follows >= 7  # mostly on the learned rule
 
@@ -82,80 +66,3 @@ class TestGenerate:
             generate(model, prompt.ravel(), 1)
         with pytest.raises(ConfigError):
             generate(model, prompt, 0)
-        with pytest.raises(ConfigError):
-            generate(model, prompt, 1, temperature=0.0)
-        with pytest.raises(ConfigError):
-            generate(model, prompt, 1, top_k=0)
-
-
-class TestGradientAccumulation:
-    def _setup(self, seed=4):
-        model = build_model(CFG, seed=seed)
-        corpus = SyntheticCorpus(vocab_size=CFG.vocab_size, predictability=0.9, seed=9)
-        return model, corpus
-
-    def test_accumulated_equals_concatenated(self):
-        """N accumulated microbatches == one step on the stacked batch.
-
-        aux_weight=0: the MoE balance loss is nonlinear in the batch
-        partition, so exact equality only holds for the CE objective (the
-        same caveat applies to per-rank aux in data parallelism).
-        """
-        exact_cfg = tiny_config(aux_weight=0.0)
-        corpus = SyntheticCorpus(vocab_size=CFG.vocab_size, predictability=0.9, seed=9)
-        model_a = build_model(exact_cfg, seed=4)
-        loader = ShardedLoader(corpus, 4, 8)
-        b0, b1 = loader.get_batch(0), loader.get_batch(1)
-        # SGD: Adam's 1/sqrt(v) normalization amplifies fp32 rounding of
-        # otherwise-identical gradients.
-        tr_a = Trainer(model_a, SGD(model_a.parameters(), lr=1e-2),
-                       schedule=ConstantLR(1e-2))
-        tr_a.train_step_accumulated([b0, b1])
-
-        model_b = build_model(exact_cfg, seed=4)
-        big = Batch(
-            tokens=np.concatenate([b0.tokens, b1.tokens]),
-            targets=np.concatenate([b0.targets, b1.targets]),
-            step=0,
-        )
-        tr_b = Trainer(model_b, SGD(model_b.parameters(), lr=1e-2),
-                       schedule=ConstantLR(1e-2))
-        tr_b.train_step(big)
-
-        for (_, pa), (_, pb) in zip(model_a.named_parameters(), model_b.named_parameters()):
-            assert np.allclose(pa.data, pb.data, atol=1e-6)
-
-    def test_fit_with_accumulation_consumes_distinct_batches(self):
-        model, corpus = self._setup()
-        loader = ShardedLoader(corpus, 2, 8)
-        tr = Trainer(model, Adam(model.parameters(), lr=1e-3))
-        results = tr.fit(loader, num_steps=3, accumulate_steps=2)
-        assert len(results) == 3
-        assert tr.step_count == 3
-
-    def test_reported_loss_is_mean(self):
-        model, corpus = self._setup()
-        loader = ShardedLoader(corpus, 4, 8)
-        b0, b1 = loader.get_batch(0), loader.get_batch(1)
-        tr = Trainer(model, Adam(model.parameters(), lr=1e-9))
-        res = tr.train_step_accumulated([b0, b1])
-
-        model2, _ = self._setup()
-        l0 = model2.loss(b0.tokens, b0.targets).item()
-        l1 = model2.loss(b1.tokens, b1.targets).item()
-        assert res.loss == pytest.approx((l0 + l1) / 2, abs=1e-5)
-
-    def test_empty_batches_rejected(self):
-        model, _ = self._setup()
-        tr = Trainer(model, Adam(model.parameters(), lr=1e-3))
-        with pytest.raises(ConfigError):
-            tr.train_step_accumulated([])
-        with pytest.raises(ConfigError):
-            tr.fit(ShardedLoader(SyntheticCorpus(), 1, 4), 1, accumulate_steps=0)
-
-    def test_convergence_with_accumulation(self):
-        model, corpus = self._setup(seed=6)
-        loader = ShardedLoader(corpus, 4, 8)
-        tr = Trainer(model, Adam(model.parameters(), lr=3e-3))
-        results = tr.fit(loader, 20, accumulate_steps=2)
-        assert results[-1].loss < results[0].loss

@@ -55,21 +55,11 @@ class TestApplyCapacity:
         cap = apply_capacity(indices, 4, 1.0)
         assert cap.keep_mask[0, 0]  # earliest token wins
 
-    def test_explicit_priority(self):
-        indices = np.zeros((4, 1), dtype=np.int64)
-        priority = np.array([0.0, 0.0, 5.0, 1.0])
-        cap = apply_capacity(indices, 4, 1.0, priority=priority)
-        assert cap.keep_mask[2, 0]  # highest priority kept
-
     def test_positions_within_capacity(self):
         indices = np.array([[0], [0], [1], [0]])
         cap = apply_capacity(indices, 2, 2.0)
         kept_positions = cap.positions[cap.keep_mask]
         assert kept_positions.max() < cap.capacity
-
-    def test_bad_priority_shape(self):
-        with pytest.raises(ConfigError):
-            apply_capacity(np.zeros((3, 1), dtype=int), 2, 1.0, priority=np.zeros(2))
 
     @given(
         st.integers(min_value=1, max_value=64),

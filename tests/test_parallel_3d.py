@@ -14,7 +14,7 @@ from repro.parallel import (
     build_moda_model,
 )
 from repro.simmpi import run_spmd
-from repro.train import Adam, SGD
+from repro.train import Adam
 
 CFG = tiny_config(n_layers=4, num_experts=4, aux_weight=0.0)
 #: Every token reaches every expert: routing has no top-k choice to make.
@@ -213,7 +213,7 @@ class TestTrainer3D:
         def program(comm):
             groups = _groups(comm, 2, 2)
             trainer = Trainer3D(CFG, groups, num_microbatches=2, seed=3)
-            trainer.attach_optimizer(SGD(trainer.stage.parameters(), lr=1e-9))
+            trainer.attach_optimizer(Adam(trainer.stage.parameters(), lr=1e-9))
             loader = ShardedLoader(
                 corpus, 4, 8, dp_rank=groups.pipeline_id,
                 dp_size=groups.layout.plane_size,

@@ -6,9 +6,15 @@ import pytest
 
 from repro.errors import CommunicatorError, ConfigError
 from repro.models import MoELayer
-from repro.parallel import DistributedMoELayer, allreduce_sum, alltoall_rows
+from repro.parallel import DistributedMoELayer, allreduce_sum
+from repro.parallel.collective_ops import PendingAlltoallRows
 from repro.simmpi import run_spmd
 from repro.tensor import Tensor
+
+
+def alltoall_rows(x, send_counts, comm):
+    """The blocking row exchange: the handle issued and waited on at once."""
+    return PendingAlltoallRows(x, send_counts, comm, None, nonblocking=False).wait()
 
 
 class TestAlltoallRows:

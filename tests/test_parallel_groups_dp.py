@@ -9,12 +9,12 @@ from repro.errors import CommunicatorError, ConfigError
 from repro.models import Linear, Parameter
 from repro.parallel import (
     ParallelLayout,
-    allreduce_gradients,
     broadcast_parameters,
     build_groups,
     flatten_grads,
     unflatten_grads,
 )
+from repro.parallel.dp import PendingGradAllreduce
 from repro.simmpi import run_spmd
 
 
@@ -200,12 +200,17 @@ class TestGradFlattening:
             unflatten_grads(self._params(), np.zeros(3, dtype=np.float32))
 
 
+def _sync(comm, params, average=True):
+    """One blocking bucket of the gradient sync, waited on at once."""
+    return PendingGradAllreduce(comm, params, average, None, 1, nonblocking=False).wait()
+
+
 class TestAllreduceGradients:
     def test_averages_across_ranks(self):
         def program(comm):
             p = Parameter(np.zeros(4))
             p.grad = np.full(4, float(comm.rank), dtype=np.float32)
-            nbytes = allreduce_gradients(comm, [p], average=True)
+            nbytes = _sync(comm, [p], average=True)
             return p.grad.copy(), nbytes
 
         res = run_spmd(program, 4)
@@ -218,7 +223,7 @@ class TestAllreduceGradients:
         def program(comm):
             p = Parameter(np.zeros(2))
             p.grad = np.ones(2, dtype=np.float32)
-            allreduce_gradients(comm, [p], average=False)
+            _sync(comm, [p], average=False)
             return p.grad.copy()
 
         res = run_spmd(program, 3)
@@ -228,7 +233,7 @@ class TestAllreduceGradients:
         def program(comm):
             p = Parameter(np.zeros(2))
             p.grad = np.ones(2, dtype=np.float32)
-            return allreduce_gradients(comm, [p])
+            return _sync(comm, [p])
 
         assert run_spmd(program, 1).returns == [0]
 
@@ -236,7 +241,7 @@ class TestAllreduceGradients:
         def program(comm):
             p = Parameter(np.zeros(2), dtype="fp16")
             p.grad = np.full(2, 1.0 + 2**-12, dtype=np.float32)
-            allreduce_gradients(comm, [p], average=True)
+            _sync(comm, [p], average=True)
             return p.grad.copy()
 
         res = run_spmd(program, 2)

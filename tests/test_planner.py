@@ -227,16 +227,20 @@ class TestVerification:
         assert verified.best is fastest.candidate
 
     def test_no_verify_skips_measured_runs(self):
-        result = plan_layouts(TINY4, num_nodes=4, cluster="toy", verify=False)
+        """``plan --no-verify`` ranks only: the search result carries no
+        measurements."""
+        result = search_plans(_planner())
         assert result.verified == ()
         assert result.calibration is None
         assert result.median_relative_error is None
 
-    def test_facade_passes_every_planner_field_through(self):
+    def test_facade_passes_every_planner_field_through(self, monkeypatch):
         """``overlap_chunks`` was the field the facade's copied parameter
         list could not pass."""
-        result = plan_layouts(TINY4, num_nodes=4, cluster="toy",
-                              overlap_chunks=2, verify=False)
+        import repro.plan.verify as verify_module
+
+        monkeypatch.setattr(verify_module, "verify_plans", lambda result, **_: result)
+        result = plan_layouts(TINY4, num_nodes=4, cluster="toy", overlap_chunks=2)
         assert result == search_plans(_planner(overlap_chunks=2))
         assert {c.plan.overlap_chunks for c in result.candidates} == {1, 2}
 
@@ -251,8 +255,7 @@ class TestVerification:
 
         monkeypatch.setattr(verify_module, "run_distributed_training", record)
         config = _planner(load_imbalance=1.25, overlap_chunks=2)
-        result = verify_plans(search_plans(config), top_k=3, num_steps=5,
-                              calibrate=False)
+        result = verify_plans(search_plans(config), top_k=3, num_steps=5)
         top = result.candidates[:3]
         assert launched == [replace(c.run_config, num_steps=5) for c in top]
         for cfg, cand in zip(launched, top):
@@ -311,17 +314,15 @@ class TestClusterPresets:
             cluster_preset("hyperscale")
 
     def test_sweeps_use_shared_preset(self):
-        """The sweep default equals the preset table's sunway builder."""
+        """The sweep prices on the preset table's sunway builder."""
         from repro.perf.sweep import weak_scaling_rows
 
         cfg = tiny_config()
         machine = sunway_machine(8)
-        default = weak_scaling_rows(cfg, machine, [4, 8], ep_size=2)
-        explicit = weak_scaling_rows(
-            cfg, machine, [4, 8], ep_size=2,
-            network_builder=cluster_preset("sunway").network,
-        )
-        assert default == explicit
+        rows = weak_scaling_rows(cfg, machine, [4, 8], ep_size=2)
+        network = cluster_preset("sunway").network(8)
+        plan = ParallelPlan(num_nodes=8, ep_size=2, seq_len=cfg.max_seq_len)
+        assert rows[1]["step_time_s"] == StepModel(cfg, machine, network).step_time(plan)
 
 
 class TestStepModelNewTerms:

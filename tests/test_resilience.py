@@ -3,8 +3,8 @@
 The load-bearing claims tested here:
 
 * :class:`~repro.simmpi.FaultModel` is seeded and exactly reproducible —
-  MTBF crash times, straggler slowdowns and flaky-link outcomes all
-  derive from (seed, launch_index, node);
+  MTBF crash times and straggler slowdowns all derive from
+  (seed, launch_index, node);
 * the :class:`~repro.resilience.Supervisor` only retries modelled
   failures (programming errors propagate), backs off exponentially, and
   shrinks the world around a repeat-offender node;
@@ -37,7 +37,7 @@ from repro.resilience import (
     classify_failure,
     run_elastic_training,
 )
-from repro.simmpi import FaultModel, FaultPlan, FlakyLink, run_spmd
+from repro.simmpi import FaultModel, FaultPlan, run_spmd
 from repro.train.metrics import MetricsLogger, read_jsonl
 
 CFG = tiny_config()
@@ -126,40 +126,11 @@ class TestFaultModel:
         assert res.returns[0] == pytest.approx(1.0)
         assert res.returns[1] == pytest.approx(5.0)
 
-    def test_flaky_link_certain_drop_deadlocks(self):
-        fm = FaultModel(seed=0, flaky_links=(FlakyLink(0, 1, drop_prob=1.0),))
-
-        def program(comm):
-            if comm.rank == 0:
-                comm.send("lost", dest=1)
-            else:
-                comm.recv(source=0)
-
-        with pytest.raises(DeadlockError):
-            run_spmd(program, 2, faults=fm, timeout=1.0)
-
-    def test_flaky_link_certain_delay(self):
-        fm = FaultModel(
-            seed=0, flaky_links=(FlakyLink(0, 1, delay_prob=1.0, delay=3.0),)
-        )
-
-        def program(comm):
-            if comm.rank == 0:
-                comm.send("slow", dest=1)
-                return comm.clock
-            comm.recv(source=0)
-            return comm.clock
-
-        res = run_spmd(program, 2, faults=fm)
-        assert res.returns[1] >= 3.0
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             FaultModel(mtbf=0.0)
         with pytest.raises(ConfigError):
             FaultModel(stragglers={0: 0.5})
-        with pytest.raises(ConfigError):
-            FlakyLink(0, 1, drop_prob=1.5)
         with pytest.raises(ConfigError):
             FaultModel().node_of_rank(0)
 

@@ -152,8 +152,8 @@ class TestKVCache:
 class TestCacheEquivalence:
     def test_greedy_tokens_identical_batched(self, cfg, model):
         prompt = _rand_prompt(cfg, batch=3, length=5)
-        cached = generate(model, prompt, 12, greedy=True, use_cache=True)
-        uncached = generate(model, prompt, 12, greedy=True, use_cache=False)
+        cached = generate(model, prompt, 12, use_cache=True)
+        uncached = generate(model, prompt, 12, use_cache=False)
         np.testing.assert_array_equal(cached, uncached)
 
     def test_greedy_tokens_identical_through_rollover(self, cfg, model):
@@ -161,17 +161,9 @@ class TestCacheEquivalence:
         # the cached path must re-prefill to stay exact.
         assert 8 + 30 > cfg.max_seq_len
         prompt = _rand_prompt(cfg, batch=2, length=8, seed=3)
-        cached = generate(model, prompt, 30, greedy=True, use_cache=True)
-        uncached = generate(model, prompt, 30, greedy=True, use_cache=False)
+        cached = generate(model, prompt, 30, use_cache=True)
+        uncached = generate(model, prompt, 30, use_cache=False)
         np.testing.assert_array_equal(cached, uncached)
-
-    def test_sampled_tokens_identical(self, cfg, model):
-        prompt = _rand_prompt(cfg, batch=2, length=4, seed=1)
-        a = generate(model, prompt, 10, rng=np.random.default_rng(7),
-                     temperature=0.8, top_k=20, use_cache=True)
-        b = generate(model, prompt, 10, rng=np.random.default_rng(7),
-                     temperature=0.8, top_k=20, use_cache=False)
-        np.testing.assert_array_equal(a, b)
 
     def test_prefill_logits_bitwise_equal(self, cfg, model):
         toks = _rand_prompt(cfg, batch=2, length=6)
@@ -229,11 +221,7 @@ class TestGenerateFixes:
             raise AssertionError("default_rng constructed on greedy path")
 
         monkeypatch.setattr(np.random, "default_rng", boom)
-        out = generate(model, prompt, 2, greedy=True)
-        assert out.shape == (1, 5)
-
-    def test_sampling_defaults_rng_when_missing(self, cfg, model):
-        out = generate(model, _rand_prompt(cfg, 1, 3), 2, greedy=False)
+        out = generate(model, prompt, 2)
         assert out.shape == (1, 5)
 
 

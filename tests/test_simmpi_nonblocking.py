@@ -5,9 +5,8 @@ import pytest
 
 from repro.models import Parameter
 from repro.network import sunway_network
-from repro.parallel import allreduce_gradients, alltoall_rows
-from repro.parallel.collective_ops import ialltoall_rows
-from repro.parallel.dp import iallreduce_gradients
+from repro.parallel.collective_ops import PendingAlltoallRows
+from repro.parallel.dp import PendingGradAllreduce
 from repro.simmpi import SUM, run_spmd
 from repro.simmpi.comm import collective_seconds, complete_request
 from repro.tensor import Tensor
@@ -374,14 +373,13 @@ def test_completion_rule_is_pure_arithmetic():
 
 @pytest.mark.parametrize("dtype", ["fp32", "fp16", "bf16"])
 def test_alltoall_rows_is_ialltoall_rows_waited(dtype):
+    """The row exchange issued blocking equals it issued nonblocking and
+    waited: same rows, counts, gradients and clock."""
     def program(comm, nonblocking):
         rng = np.random.default_rng(5)  # same stream on every rank: counts line up
         counts = rng.integers(0, 4, size=(comm.size, comm.size))[comm.rank].tolist()
         x = Tensor(rng.standard_normal((sum(counts), 3)), requires_grad=True, dtype=dtype)
-        if nonblocking:
-            out, recv = ialltoall_rows(x, counts, comm).wait()
-        else:
-            out, recv = alltoall_rows(x, counts, comm)
+        out, recv = PendingAlltoallRows(x, counts, comm, None, nonblocking).wait()
         weights = Tensor(rng.standard_normal(out.shape), dtype=dtype)
         (out * weights).sum().backward()
         return out.data.tobytes(), recv, x.grad.tobytes(), comm.clock
@@ -397,15 +395,17 @@ def test_alltoall_rows_is_ialltoall_rows_waited(dtype):
 @pytest.mark.parametrize("num_buckets", [1, 2, 3])
 @pytest.mark.parametrize("average", [True, False])
 def test_allreduce_gradients_is_iallreduce_gradients_waited(num_buckets, average):
+    """One blocking bucket of the gradient sync equals ``num_buckets``
+    nonblocking ones, waited."""
     def program(comm, buckets):
         rng = np.random.default_rng(100 + comm.rank)
         params = [Parameter(np.zeros(shape, dtype=np.float32)) for shape in [(3, 2), (5,), (1,)]]
         for p in params[:2]:  # the third keeps grad None: synced as zeros
             p.grad = rng.standard_normal(p.shape).astype(np.float32)
         if buckets is None:
-            nbytes = allreduce_gradients(comm, params, average=average)
+            nbytes = PendingGradAllreduce(comm, params, average, None, 1, nonblocking=False).wait()
         else:
-            handle = iallreduce_gradients(comm, params, average=average, num_buckets=buckets)
+            handle = PendingGradAllreduce(comm, params, average, None, buckets, nonblocking=True)
             nbytes = handle.wait()
             assert handle.wait() == nbytes  # idempotent: no second averaging
         return nbytes, [p.grad.tobytes() for p in params]

@@ -199,13 +199,3 @@ def test_world_size_one_works():
 def test_invalid_world_size():
     with pytest.raises(CommunicatorError):
         run_spmd(lambda comm: None, 0)
-
-
-def test_pass_rng_gives_per_rank_generators():
-    def program(comm, rng):
-        return float(rng.random())
-
-    res = run_spmd(program, 4, pass_rng=True, seed=3)
-    assert len(set(res.returns)) == 4  # all ranks draw differently
-    res2 = run_spmd(program, 4, pass_rng=True, seed=3)
-    assert res.returns == res2.returns  # but reproducibly

@@ -1,11 +1,11 @@
-"""Optimizers, LR schedules, gradient clipping."""
+"""Adam, LR schedules, gradient clipping."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.models import Parameter
-from repro.train import SGD, Adam, AdamW, ConstantLR, WarmupCosineLR, clip_grad_norm, global_grad_norm
+from repro.train import Adam, ConstantLR, WarmupCosineLR, clip_grad_norm, global_grad_norm
 from repro.tensor import Tensor
 
 
@@ -16,64 +16,6 @@ def quad_param(value=5.0, dtype="fp32"):
 
 def set_grad(p, g):
     p.grad = np.asarray(g, dtype=p.data.dtype)
-
-
-class TestSGD:
-    def test_basic_step(self):
-        p = quad_param(1.0)
-        opt = SGD([p], lr=0.1)
-        set_grad(p, [2.0])
-        opt.step()
-        assert p.data[0] == pytest.approx(0.8)
-
-    def test_momentum_accumulates(self):
-        p = quad_param(0.0)
-        opt = SGD([p], lr=1.0, momentum=0.5)
-        set_grad(p, [1.0])
-        opt.step()
-        set_grad(p, [1.0])
-        opt.step()  # velocity = 0.5*1 + 1 = 1.5
-        assert p.data[0] == pytest.approx(-2.5)
-
-    def test_skips_params_without_grad(self):
-        p = quad_param(3.0)
-        opt = SGD([p], lr=0.1)
-        opt.step()
-        assert p.data[0] == pytest.approx(3.0)
-
-    def test_converges_on_quadratic(self):
-        p = quad_param(5.0)
-        opt = SGD([p], lr=0.1)
-        for _ in range(100):
-            set_grad(p, 2 * p.data)
-            opt.step()
-        assert abs(p.data[0]) < 1e-3
-
-    def test_grad_scale(self):
-        p = quad_param(1.0)
-        opt = SGD([p], lr=0.1)
-        set_grad(p, [20.0])
-        opt.step(grad_scale=0.1)  # effective grad 2.0
-        assert p.data[0] == pytest.approx(0.8)
-
-    def test_invalid(self):
-        with pytest.raises(ConfigError):
-            SGD([], lr=0.1)
-        with pytest.raises(ConfigError):
-            SGD([quad_param()], lr=-1.0)
-        with pytest.raises(ConfigError):
-            SGD([quad_param()], lr=0.1, momentum=1.0)
-
-    def test_state_dict_roundtrip(self):
-        p = quad_param(1.0)
-        opt = SGD([p], lr=0.1, momentum=0.9)
-        set_grad(p, [1.0])
-        opt.step()
-        state = opt.state_dict()
-        opt2 = SGD([quad_param(1.0)], lr=0.1, momentum=0.9)
-        opt2.load_state_dict(state)
-        assert opt2.step_count == 1
-        assert np.allclose(opt2._velocity[0], opt._velocity[0])
 
 
 class TestAdam:
@@ -93,23 +35,26 @@ class TestAdam:
             opt.step()
         assert abs(p.data[0]) < 1e-2
 
-    def test_weight_decay_coupled(self):
-        p = quad_param(1.0)
-        opt = Adam([p], lr=0.01, weight_decay=0.1)
-        set_grad(p, [0.0])
+    def test_skips_params_without_grad(self):
+        p = quad_param(3.0)
+        opt = Adam([p], lr=0.1)
         opt.step()
-        assert p.data[0] < 1.0  # decay pulls toward zero via the gradient
+        assert p.data[0] == pytest.approx(3.0)
 
-    def test_adamw_decoupled_decay(self):
-        p = quad_param(1.0)
-        opt = AdamW([p], lr=0.01, weight_decay=0.1)
-        set_grad(p, [0.0])
-        opt.step()
-        assert p.data[0] == pytest.approx(1.0 - 0.01 * 0.1 * 1.0)
+    def test_grad_scale(self):
+        scaled, plain = quad_param(1.0), quad_param(1.0)
+        opt_scaled, opt_plain = Adam([scaled], lr=0.1), Adam([plain], lr=0.1)
+        set_grad(scaled, [20.0])
+        opt_scaled.step(grad_scale=0.1)  # effective grad 2.0
+        set_grad(plain, [2.0])
+        opt_plain.step()
+        assert scaled.data[0] == pytest.approx(plain.data[0])
 
-    def test_invalid_betas(self):
+    def test_invalid(self):
         with pytest.raises(ConfigError):
-            Adam([quad_param()], betas=(1.0, 0.9))
+            Adam([], lr=0.1)
+        with pytest.raises(ConfigError):
+            Adam([quad_param()], lr=-1.0)
 
     def test_state_dict_roundtrip(self):
         p = quad_param(2.0)
@@ -137,17 +82,18 @@ class TestMasterWeights:
     def test_tiny_updates_accumulate_in_master(self):
         """fp16 weights stall on tiny updates; masters must not."""
         p = quad_param(1.0, dtype="fp16")
-        opt = SGD([p], lr=1e-7)
+        opt = Adam([p], lr=1e-7)
         for _ in range(1000):
             set_grad(p, [1.0])
             opt.step()
-        # 1000 updates of 1e-7 = 1e-4 total, invisible per-step in fp16
-        # around 1.0 (grid ~ 5e-4) but preserved by the fp32 master.
-        assert opt.master_of(0)[0] == pytest.approx(1.0 - 1e-4, rel=1e-3)
+        # A constant gradient makes every Adam update ~lr: 1000 updates of
+        # 1e-7 = 1e-4 total, invisible per-step in fp16 around 1.0 (grid
+        # ~ 5e-4) but preserved by the fp32 master.
+        assert opt._masters[0][0] == pytest.approx(1.0 - 1e-4, rel=1e-3)
 
     def test_param_stays_quantized(self):
         p = quad_param(1.0, dtype="fp16")
-        opt = SGD([p], lr=0.1)
+        opt = Adam([p], lr=0.1)
         set_grad(p, [0.3])
         opt.step()
         from repro.tensor import quantize
@@ -167,10 +113,10 @@ class TestSchedules:
         assert s(9) == pytest.approx(1.0)
 
     def test_cosine_decays_to_min(self):
-        s = WarmupCosineLR(peak_lr=1.0, warmup_steps=0, total_steps=100, min_lr=0.1)
+        s = WarmupCosineLR(peak_lr=1.0, warmup_steps=0, total_steps=100)
         assert s(0) <= 1.0
-        assert s(99) == pytest.approx(0.1, abs=0.01)
-        assert s(1000) == pytest.approx(0.1)
+        assert s(99) == pytest.approx(0.0, abs=0.01)
+        assert s(1000) == 0.0
 
     def test_cosine_midpoint(self):
         s = WarmupCosineLR(peak_lr=1.0, warmup_steps=0, total_steps=100)

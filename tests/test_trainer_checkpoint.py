@@ -69,7 +69,7 @@ class TestTrainer:
 
     def test_overflow_skips_step(self):
         """A huge loss scale forces overflow; the step must be skipped."""
-        scaler = DynamicLossScaler(init_scale=2.0**24, min_scale=1.0)
+        scaler = DynamicLossScaler(init_scale=2.0**24)
         cfg, model, loader, opt, trainer = make_setup(dtype="fp16", scaler=scaler)
         before = model.tok_emb.weight.data.copy()
         res = trainer.train_step(loader.get_batch(0))

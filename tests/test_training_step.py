@@ -1,8 +1,8 @@
-"""The one training step: its update block, its guards, and what it reports.
+"""The one training step: its update block and what it reports.
 
-``apply_update`` is checked without threads; the clip guard and the replica
-invariant at world <= 4; the ``extras`` / ``phase_seconds`` keys for every
-strategy in ``tests/test_strategies.py::CASES``.
+``apply_update`` is checked without threads; the world-1 distributed step
+against the single-process trainer; the ``extras`` / ``phase_seconds`` keys
+for every strategy in ``tests/test_strategies.py::CASES``.
 """
 
 import hashlib
@@ -13,7 +13,6 @@ import pytest
 
 from repro.amp import DynamicLossScaler
 from repro.data import ShardedLoader, SyntheticCorpus
-from repro.errors import ConfigError
 from repro.layout import ParallelLayout
 from repro.models import Parameter, tiny_config
 from repro.parallel import (
@@ -22,13 +21,12 @@ from repro.parallel import (
     build_groups,
     build_moda_model,
     run_distributed_training,
-    split_params,
 )
 from repro.simmpi import run_spmd
 from repro.train import Adam, Trainer
 from repro.train.trainer import apply_update
 
-from .test_strategies import CASES, TINY4
+from .test_strategies import CASES
 
 
 # --------------------------------------------------------------------- #
@@ -99,56 +97,32 @@ def _sha(params) -> str:
     return digest.hexdigest()
 
 
-def _clipped_moda(comm, ep_size, grad_clip, steps=3):
-    groups = build_groups(comm, ParallelLayout(comm.size, ep_size))
+def _moda(comm, steps=3):
+    groups = build_groups(comm, ParallelLayout(comm.size))
     model = build_moda_model(CFG, groups, seed=11)
-    trainer = MoDaTrainer(model, Adam(model.parameters(), lr=3e-3), groups, grad_clip=grad_clip)
+    trainer = MoDaTrainer(model, Adam(model.parameters(), lr=3e-3), groups)
     corpus = SyntheticCorpus(vocab_size=CFG.vocab_size, predictability=0.9, seed=2)
     loader = ShardedLoader(corpus, 4, 8, dp_rank=comm.rank, dp_size=comm.size)
-    norms = [trainer.train_step(loader.get_batch(s)).grad_norm for s in range(steps)]
-    return norms, _sha(split_params(model)[0]), _sha(model.parameters())
+    for s in range(steps):
+        trainer.train_step(loader.get_batch(s))
+    return _sha(model.parameters())
 
 
-class TestGradClipGuard:
-    def test_rejected_with_expert_shards(self):
-        with pytest.raises(ConfigError, match="grad_clip.*expert"):
-            run_spmd(_clipped_moda, 4, args=(2, 0.05), timeout=300)
+def test_world_1_step_is_the_single_process_trainers():
+    """One rank, no communication: the distributed step and
+    ``train.Trainer`` reach the same ``apply_update`` with the same bits."""
+    distributed = run_spmd(_moda, 1, timeout=300).returns[0]
 
-    def test_rejected_with_tensor_parallel_shards(self):
-        def program(comm):
-            groups = build_groups(comm, ParallelLayout(world_size=4, tp_size=2))
-            model = build_moda_model(TINY4, groups, seed=0)
-            MoDaTrainer(model, Adam(model.parameters()), groups, grad_clip=1.0)
+    def reference(comm):
+        model = build_moda_model(CFG, build_groups(comm, ParallelLayout(comm.size)), seed=11)
+        trainer = Trainer(model, Adam(model.parameters(), lr=3e-3))
+        corpus = SyntheticCorpus(vocab_size=CFG.vocab_size, predictability=0.9, seed=2)
+        loader = ShardedLoader(corpus, 4, 8)
+        for s in range(3):
+            trainer.train_step(loader.get_batch(s))
+        return _sha(model.parameters())
 
-        with pytest.raises(ConfigError, match="grad_clip.*tp"):
-            run_spmd(program, 4, timeout=300)
-
-    def test_non_positive_clip_rejected(self):
-        with pytest.raises(ConfigError, match="grad_clip must be > 0"):
-            run_spmd(_clipped_moda, 1, args=(1, 0.0), timeout=300)
-
-    def test_pure_dp_clipping_keeps_replicas_equal(self):
-        ranks = run_spmd(_clipped_moda, 4, args=(1, 0.05), timeout=300).returns
-        assert all(norm > 0.05 for norm in ranks[0][0]), "the clip never fired"
-        assert len({r[2] for r in ranks}) == 1
-        unclipped = run_spmd(_clipped_moda, 4, args=(1, None), timeout=300).returns
-        assert unclipped[0][2] != ranks[0][2]
-
-    def test_world_1_clipping_is_the_single_process_trainers(self):
-        """One rank, no communication: the distributed step and
-        ``train.Trainer`` reach the same ``apply_update`` with the same bits."""
-        _, _, distributed = run_spmd(_clipped_moda, 1, args=(1, 0.05), timeout=300).returns[0]
-
-        def reference(comm):
-            model = build_moda_model(CFG, build_groups(comm, ParallelLayout(comm.size)), seed=11)
-            trainer = Trainer(model, Adam(model.parameters(), lr=3e-3), grad_clip=0.05)
-            corpus = SyntheticCorpus(vocab_size=CFG.vocab_size, predictability=0.9, seed=2)
-            loader = ShardedLoader(corpus, 4, 8)
-            for s in range(3):
-                trainer.train_step(loader.get_batch(s))
-            return _sha(model.parameters())
-
-        assert run_spmd(reference, 1, timeout=300).returns[0] == distributed
+    assert run_spmd(reference, 1, timeout=300).returns[0] == distributed
 
 
 # --------------------------------------------------------------------- #

@@ -13,7 +13,6 @@ from repro.utils import (
     format_flops,
     format_time,
     prod,
-    rng_for_rank,
 )
 
 
@@ -86,16 +85,6 @@ class TestSeeding:
 
     def test_seeds_differ(self):
         assert derive_seed(1, "a") != derive_seed(2, "a")
-
-    def test_rank_rngs_are_independent(self):
-        a = rng_for_rank(0, 0).random(8)
-        b = rng_for_rank(0, 1).random(8)
-        assert not np.allclose(a, b)
-
-    def test_rank_rngs_are_reproducible(self):
-        a = rng_for_rank(7, 3).random(8)
-        b = rng_for_rank(7, 3).random(8)
-        assert np.allclose(a, b)
 
     @given(st.integers(min_value=0, max_value=2**32), st.text(max_size=10))
     def test_derive_seed_in_64bit_range(self, seed, label):
