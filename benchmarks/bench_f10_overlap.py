@@ -10,7 +10,8 @@ bit-identical to the blocking schedule. The analytic half sweeps the
 same knobs at full machine scale with :class:`~repro.perf.StepModel`.
 
 Run standalone as ``python benchmarks/bench_f10_overlap.py --smoke`` for
-a seconds-scale CI smoke (world=4, asserts measured speedup > 1).
+a seconds-scale CI smoke (world=4, overlap_chunks 2 and 4: measured speedup
+> 1, bitwise-equal losses and the blocking run's traffic bytes).
 """
 
 from repro.hardware import sunway_machine
@@ -184,22 +185,27 @@ def test_f10_overlap_matters_most_at_small_batch(benchmark, report):
 
 
 def _smoke() -> int:
-    """Fast end-to-end check: measured speedup at overlap_chunks=4."""
+    """Fast end-to-end check: measured speedup at overlap_chunks=2 and 4."""
     baseline = _run_measured(1)
-    overlapped = _run_measured(4)
-    if overlapped.losses != baseline.losses:
-        print("f10 smoke: FAIL — overlap changed the loss trajectory")
-        return 1
-    hidden = sum(overlapped.context.stats.overlapped_seconds.values())
-    speedup = baseline.step_time / overlapped.step_time
-    print(
-        f"f10 smoke: step {format_time(baseline.step_time)} -> "
-        f"{format_time(overlapped.step_time)} at overlap_chunks=4 "
-        f"(speedup {speedup:.3f}x, hidden {hidden:.2e}s, losses bitwise equal)"
-    )
-    if speedup <= 1.0 or hidden <= 0.0:
-        print("f10 smoke: FAIL — expected a strictly positive overlap win")
-        return 1
+    for chunks in (2, 4):
+        overlapped = _run_measured(chunks)
+        if overlapped.losses != baseline.losses:
+            print(f"f10 smoke: FAIL — overlap_chunks={chunks} changed the loss trajectory")
+            return 1
+        if overlapped.traffic["total_bytes"] != baseline.traffic["total_bytes"]:
+            print(f"f10 smoke: FAIL — overlap_chunks={chunks} changed the traffic bytes")
+            return 1
+        hidden = sum(overlapped.context.stats.overlapped_seconds.values())
+        speedup = baseline.step_time / overlapped.step_time
+        print(
+            f"f10 smoke: step {format_time(baseline.step_time)} -> "
+            f"{format_time(overlapped.step_time)} at overlap_chunks={chunks} "
+            f"(speedup {speedup:.3f}x, hidden {hidden:.2e}s, losses bitwise "
+            f"equal, {overlapped.traffic['total_bytes']} bytes as blocking)"
+        )
+        if speedup <= 1.0 or hidden <= 0.0:
+            print("f10 smoke: FAIL — expected a strictly positive overlap win")
+            return 1
     return 0
 
 

@@ -12,13 +12,16 @@ Because every rank executes a structurally identical program, the backward
 collectives line up across ranks just like the forward ones.
 
 The row exchange is written once, as the handle :class:`PendingAlltoallRows`
-(issue at creation, differentiable output at ``wait()``); the blocking
-exchange is that handle issued through ``comm.alltoall`` and waited on at
-once (DESIGN.md §8, "Blocking is issue-then-complete").
+(``issue(c)`` per chunk, one differentiable receive tensor filled by
+``wait(c)``); the blocking exchange is its one-chunk case, issued through
+``comm.alltoall`` and complete at once (DESIGN.md §8, "Blocking is
+issue-then-complete"). The forward is pipelined per chunk; the backward is
+one exchange per direction, whatever the chunk count.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -30,107 +33,156 @@ from repro.tensor.tensor import _make
 
 __all__ = [
     "PendingAlltoallRows",
-    "place_rows",
     "allreduce_sum",
     "copy_to_tp_region",
 ]
 
 
 class PendingAlltoallRows:
-    """An issued exchange of contiguous row blocks; ``wait()`` -> (rows, counts).
+    """The row exchange, in chunks: ``issue(c, x)`` per chunk, ``wait(c)`` ->
+    the one differentiable receive tensor.
 
-    ``send_counts[r]`` rows of ``x`` (M, D) go to rank r (blocks are
-    consecutive in row order). The exchange is issued (and rendezvoused)
-    at creation — by ``comm.ialltoall`` when ``nonblocking``, whose exposed
-    network cost ``wait()`` charges net of compute overlapped through
-    ``Comm.advance``; by ``comm.alltoall`` otherwise, which has charged it
-    all already. ``wait()`` builds the differentiable output either way:
-    the received rows ordered by source rank, and the per-source counts.
+    Chunk ``c`` sends ``send_counts[c][r]`` rows to rank r and receives
+    ``recv_counts[c][s]`` rows from rank s (both known before the exchange:
+    a mismatch on arrival is an error). Both sides of the exchange have one
+    *whole* layout: ordered by rank, and by chunk within each rank — the
+    layout of the one-chunk exchange. ``issue(c, x)`` sends chunk ``c``'s
+    blocks either from ``x`` in that whole layout (the expert dispatch sends
+    every chunk from the expert-sorted rows) or from ``x`` holding chunk
+    ``c``'s rows alone, ordered by destination (the combine sends each
+    chunk's expert outputs). One chunk is issued through ``comm.alltoall``,
+    complete as issued; more go through ``comm.ialltoall``, whose exposed
+    network cost ``wait(c)`` charges net of compute overlapped through
+    ``Comm.advance``.
 
-    Backward routes output gradients back with the transposed counts, so
-    token gradients flow to the rank that owns the token. It is always a
-    *blocking* alltoall — gradient values are identical either way, and
-    by then there is no forward compute left to hide behind.
+    The receive tensor is one autograd node over every tensor issued from,
+    built by the first ``wait`` and filled chunk by chunk. Its backward is
+    the whole exchange transposed — one *blocking* alltoall, whatever the
+    chunk count: the backward has no forward compute left to hide behind,
+    so chunking it would only pay the latency again. The forward is
+    pipelined per chunk, the backward is one exchange per direction.
     """
 
-    def __init__(self, x: Tensor, send_counts: Sequence[int], comm: Comm,
+    def __init__(self, send_counts: Sequence[Sequence[int]],
+                 recv_counts: Sequence[Sequence[int]], comm: Comm,
                  algorithm: str | None, nonblocking: bool):
-        send_counts = [int(c) for c in send_counts]
-        if len(send_counts) != comm.size:
+        # Plain ints: a decode step exchanges a handful of rows per layer,
+        # where NumPy's per-call cost would outweigh the bookkeeping.
+        send = [[int(n) for n in row] for row in send_counts]
+        recv = [[int(n) for n in row] for row in recv_counts]
+        if len(send) != len(recv) or any(
+            len(row) != comm.size for row in send + recv
+        ):
             raise CommunicatorError(
-                f"send_counts must have {comm.size} entries, got {len(send_counts)}"
+                f"send and receive counts must both be (chunks, {comm.size}), "
+                f"got {len(send)} and {len(recv)} chunks"
             )
-        if sum(send_counts) != x.shape[0]:
-            raise CommunicatorError(
-                f"send_counts sum {sum(send_counts)} != rows {x.shape[0]}"
-            )
-        self._x = x
-        self._send_counts = send_counts
+        self._send, self._recv = send, recv
+        self._send_total = sum(map(sum, send))
+        self._send_starts, self._recv_starts = _whole_starts(send), _whole_starts(recv)
         self._comm = comm
         self._algorithm = algorithm
-        offsets = np.concatenate([[0], np.cumsum(send_counts)])
-        parts = [x.data[offsets[r]: offsets[r + 1]] for r in range(comm.size)]
-        issue = comm.ialltoall if nonblocking else comm.alltoall
-        #: The received parts (blocking) or the request that yields them.
-        self._received = issue(parts, algorithm=algorithm)
         self._nonblocking = nonblocking
-        self._result: tuple[Tensor, list[int]] | None = None
+        self._sources: list[Tensor | None] = [None] * len(send)
+        #: Per chunk: the received parts (blocking) or the request that yields them.
+        self._in_flight: list = [None] * len(send)
+        self._parents: tuple[Tensor, ...] = ()
+        self._out: Tensor | None = None
 
-    def wait(self) -> tuple[Tensor, list[int]]:
-        if self._result is not None:
-            return self._result
-        x, comm = self._x, self._comm
-        send_counts, algorithm = self._send_counts, self._algorithm
-        received = self._received.wait() if self._nonblocking else self._received
-        recv_counts = [int(p.shape[0]) for p in received]
-        if sum(recv_counts):
-            data = np.concatenate(received, axis=0)
+    def issue(self, c: int, x: Tensor) -> None:
+        """Send chunk ``c``'s blocks from ``x``: its own rows, or the whole."""
+        counts = self._send[c]
+        if x.shape[0] == sum(counts):
+            starts = list(accumulate(counts[:-1], initial=0))
+        elif x.shape[0] == self._send_total:
+            starts = self._send_starts[c]
         else:
-            data = np.empty((0,) + x.shape[1:], dtype=x.data.dtype)
-        recv_offsets = np.concatenate([[0], np.cumsum(recv_counts)])
+            raise CommunicatorError(
+                f"chunk {c} sends {sum(counts)} of {self._send_total} rows, "
+                f"but the tensor has {x.shape[0]}"
+            )
+        if self._out is not None and not any(x is p for p in self._parents):
+            raise CommunicatorError(
+                f"chunk {c} issued after the first wait() from a new tensor"
+            )
+        self._sources[c] = x
+        parts = [x.data[lo: lo + n] for lo, n in zip(starts, counts)]
+        issue = self._comm.ialltoall if self._nonblocking else self._comm.alltoall
+        self._in_flight[c] = issue(parts, algorithm=self._algorithm)
+
+    def rows(self, c: int) -> np.ndarray:
+        """Indices of chunk ``c``'s rows in the receive tensor, by source."""
+        counts = self._recv[c]
+        spans = (range(lo, lo + n) for lo, n in zip(self._recv_starts[c], counts))
+        return np.fromiter(chain.from_iterable(spans), dtype=np.int64, count=sum(counts))
+
+    def wait(self, c: int) -> Tensor:
+        """Complete chunk ``c`` and return the receive tensor.
+
+        The tensor is allocated whole by the first ``wait`` and filled here,
+        one chunk at a time: the rows of a chunk not yet waited on are not
+        written. Invariant: every reader of chunk ``c``'s rows runs after
+        ``wait(c)``, and nothing reads a chunk before its ``wait``.
+        """
+        issued, self._in_flight[c] = self._in_flight[c], None
+        if issued is None:
+            raise CommunicatorError(f"chunk {c} is not in flight")
+        received = issued.wait() if self._nonblocking else issued
+        got = [len(part) for part in received]
+        if got != self._recv[c]:
+            raise CommunicatorError(
+                f"chunk {c} received {got} rows per source, expected "
+                f"{self._recv[c]} (alltoall transpose mismatch)"
+            )
+        out = self._out if self._out is not None else self._receive_node()
+        for lo, part in zip(self._recv_starts[c], received):
+            out.data[lo: lo + len(part)] = part
+        return out
+
+    def _receive_node(self) -> Tensor:
+        """The (unfilled) receive tensor over every tensor issued from."""
+        sources = self._sources
+        self._parents = parents = tuple({id(x): x for x in sources if x is not None}.values())
+        whole = len(parents) == 1
+        if not whole and any(
+            x is None or x.shape[0] != sum(counts) for x, counts in zip(sources, self._send)
+        ):
+            raise CommunicatorError(
+                "every chunk must send from one tensor, or each from its own"
+            )
+        first = parents[0]
+        if any(x.dtype != first.dtype for x in parents):
+            raise CommunicatorError("the chunks' tensors differ in dtype")
+        comm, algorithm, send = self._comm, self._algorithm, self._send
+        per_rank = [sum(col) for col in zip(*self._recv)]
+        rank_starts = list(accumulate(per_rank[:-1], initial=0))
 
         def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-            gparts = [g[recv_offsets[r]: recv_offsets[r + 1]] for r in range(comm.size)]
+            gparts = [g[lo: lo + n] for lo, n in zip(rank_starts, per_rank)]
             back = comm.alltoall(gparts, algorithm=algorithm)
-            if sum(send_counts):
-                gx = np.concatenate(back, axis=0)
-            else:
-                gx = np.empty((0,) + g.shape[1:], dtype=g.dtype)
-            return (gx,)
+            if whole:
+                return (np.concatenate(back, axis=0),)
+            # back[r] holds the gradient of every chunk's block for rank r, by chunk.
+            cuts = [list(accumulate(col[:-1])) for col in zip(*send)]
+            pieces = [np.split(b, cut) for b, cut in zip(back, cuts)]
+            return tuple(
+                np.concatenate([p[c] for p in pieces], axis=0) for c in range(len(send))
+            )
 
-        out = _make(data, x.dtype, (x,), backward, exact=True)
-        self._result = (out, recv_counts)
-        return self._result
+        data = np.empty((sum(per_rank),) + first.shape[1:], dtype=first.data.dtype)
+        self._out = _make(data, first.dtype, parents, backward, exact=True)
+        return self._out
 
 
-def place_rows(
-    chunks: Sequence[Tensor],
-    index_lists: Sequence[np.ndarray],
-    total_rows: int,
-) -> Tensor:
-    """Reassemble disjoint row chunks into one (total_rows, D) tensor.
-
-    ``chunks[c]`` lands at row indices ``index_lists[c]``; the index lists
-    must partition ``range(total_rows)``. Forward is pure placement and
-    backward pure slicing — no arithmetic — so a chunked pipeline that
-    splits rows and reassembles them is bit-exact against the unsplit
-    path in both directions.
-    """
-    if len(chunks) != len(index_lists):
-        raise CommunicatorError(
-            f"{len(chunks)} chunks but {len(index_lists)} index lists"
-        )
-    if not chunks:
-        raise CommunicatorError("place_rows() of an empty chunk list")
-    data = np.zeros((total_rows,) + chunks[0].shape[1:], dtype=chunks[0].data.dtype)
-    for t, idx in zip(chunks, index_lists):
-        data[idx] = t.data
-
-    def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        return tuple(g[idx] for idx in index_lists)
-
-    return _make(data, chunks[0].dtype, tuple(chunks), backward,
-                 exact=all(t.dtype == chunks[0].dtype for t in chunks))
+def _whole_starts(counts: list[list[int]]) -> list[list[int]]:
+    """[chunk][rank] -> first row of that block in the whole layout: by
+    rank, and by chunk within each rank."""
+    starts = [[0] * len(row) for row in counts]
+    row = 0
+    for r, blocks in enumerate(zip(*counts)):  # rank r's block in each chunk
+        for c, n in enumerate(blocks):
+            starts[c][r], row = row, row + n
+    return starts
 
 
 def allreduce_sum(x: Tensor, comm: Comm, algorithm: str | None = None) -> Tensor:

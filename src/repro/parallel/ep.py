@@ -18,7 +18,9 @@ changes.
 
 Dispatch -> experts -> combine is one method for any number of expert
 chunks (:meth:`DistributedMoELayer._dispatch`); the blocking exchange is
-its one-chunk case, and more chunks only change the virtual timeline.
+its one-chunk case, and more chunks only change the virtual timeline: the
+forward is pipelined per chunk, the backward is one exchange per
+direction.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.models.layers import MLP
 from repro.models.moe_layer import MoELayer
 from repro.moe.dispatch import DispatchPlan, experts_of_rank
 from repro.moe.gates import Gate
-from repro.parallel.collective_ops import PendingAlltoallRows, place_rows
+from repro.parallel.collective_ops import PendingAlltoallRows
 from repro.simmpi import Comm
 from repro.tensor import Tensor
 from repro.tensor import ops as T
@@ -72,12 +74,13 @@ class DistributedMoELayer(MoELayer):
         chunk (so the advanced compute can overlap the in-flight
         exchanges of the other chunks).
     overlap_chunks:
-        Split dispatch/combine into this many chunks of local experts and
-        pipeline chunk *k*'s combine (and chunk *k+1*'s dispatch) against
-        chunk *k*'s expert matmuls via nonblocking alltoalls. Output is
-        bit-identical for every count; only the virtual timeline changes.
-        Clamped to the number of local experts; 1 = one blocking exchange
-        each way.
+        Split the forward dispatch/combine into this many chunks of local
+        experts and pipeline chunk *k*'s combine (and chunk *k+1*'s
+        dispatch) against chunk *k*'s expert matmuls via nonblocking
+        alltoalls; the backward stays one blocking exchange per direction.
+        Output and gradients are bit-identical for every count; only the
+        virtual timeline changes. Clamped to the number of local experts;
+        1 = one blocking exchange each way.
     """
 
     def __init__(
@@ -157,58 +160,52 @@ class DistributedMoELayer(MoELayer):
         (>= 1) chunks of local experts; returns the rows in ``xs`` order.
 
         Chunk ``c`` covers local experts ``[edges[c], edges[c+1])`` on
-        every rank. Each expert sees its full canonical row block in
-        canonical (expert, source) order, and the returned chunks are
-        reassembled into ``xs`` order by pure placement
-        (:func:`place_rows`) before the single combine-weight multiply —
-        so the output is bit-identical for every chunk count. With more
-        than one chunk the exchanges are nonblocking: chunk ``c``'s expert
-        matmuls (charged through ``compute_hook``) overlap chunk ``c+1``'s
-        dispatch and chunk ``c-1``'s combine on the virtual clock. One
-        chunk is the whole of ``xs``, exchanged by the blocking alltoall —
-        complete as issued, no rows gathered or placed.
+        every rank, so its rows for each destination are one contiguous
+        slice of the expert-sorted ``xs``. Each expert sees its full
+        canonical row block in canonical (expert, source) order, and the
+        combine places every chunk's rows at their home positions before
+        the single combine-weight multiply — so the output and every
+        gradient are bit-identical for every chunk count. The forward is
+        pipelined per chunk: with more than one chunk the exchanges are
+        nonblocking, and chunk ``c``'s expert matmuls (charged through
+        ``compute_hook``) overlap chunk ``c+1``'s dispatch and chunk
+        ``c-1``'s combine on the virtual clock. The backward is one
+        blocking exchange per direction (:class:`PendingAlltoallRows`).
         """
         comm = self.ep_comm
         p = comm.size
         per_rank = self.num_local_experts
-        algorithm = self.alltoall_algorithm
-        nonblocking = chunks > 1
         edges = [(per_rank * c) // chunks for c in range(chunks + 1)]
         goff = plan.offsets.tolist()
-
-        # Each chunk's (dest-major) row slices of the expert-sorted xs.
-        bounds = [
-            [(goff[r * per_rank + edges[c]], goff[r * per_rank + edges[c + 1]])
+        send_counts = [
+            [goff[r * per_rank + edges[c + 1]] - goff[r * per_rank + edges[c]]
              for r in range(p)]
             for c in range(chunks)
         ]
-        send_counts = [[hi - lo for lo, hi in chunk] for chunk in bounds]
-        idx_lists = [
-            np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in chunk])
-            for chunk in bounds
-        ] if nonblocking else None
+        by_source = [src.tolist() for src in recv_expert_counts]
+        recv_counts = [
+            [sum(src[edges[c]:edges[c + 1]]) for src in by_source] for c in range(chunks)
+        ]
+        exchange = (comm, self.alltoall_algorithm, chunks > 1)
+        dispatch = PendingAlltoallRows(send_counts, recv_counts, *exchange)
+        combine = PendingAlltoallRows(recv_counts, send_counts, *exchange)
 
-        def dispatch(c: int) -> PendingAlltoallRows:
-            rows = gather_rows(xs, idx_lists[c]) if nonblocking else xs
-            return PendingAlltoallRows(rows, send_counts[c], comm, algorithm, nonblocking)
-
-        pending = [dispatch(0)]
-        combines = []
+        dispatch.issue(0, xs)
         local_rows = 0
         for c in range(chunks):
             if c + 1 < chunks:
-                pending.append(dispatch(c + 1))
-            recv_rows, recv_counts = pending[c].wait()
+                dispatch.issue(c + 1, xs)
+            recv = dispatch.wait(c)
 
-            # Regroup received rows by local expert (they arrive blocked
-            # by source, sorted by expert within each block).
+            # Regroup chunk c's received rows by local expert (they arrive
+            # blocked by source, sorted by expert within each block).
             lo_e, hi_e = edges[c], edges[c + 1]
             expert_of_row = np.concatenate(
                 [np.repeat(np.arange(lo_e, hi_e), src[lo_e:hi_e])
                  for src in recv_expert_counts]
             )
             order = np.argsort(expert_of_row, kind="stable")
-            xr = gather_rows(recv_rows, order)
+            xr = gather_rows(recv, dispatch.rows(c)[order])
             rows_per_expert = np.bincount(expert_of_row, minlength=hi_e)[lo_e:]
             local_rows += len(expert_of_row)
             if self.compute_hook is not None:
@@ -225,20 +222,12 @@ class DistributedMoELayer(MoELayer):
             ys_sorted = T.concat(outs, axis=0) if outs else xr * 0.0
 
             # Undo the regrouping and send results home.
-            ys = gather_rows(ys_sorted, np.argsort(order, kind="stable"))
-            combines.append(
-                PendingAlltoallRows(ys, recv_counts, comm, algorithm, nonblocking)
-            )
+            combine.issue(c, gather_rows(ys_sorted, np.argsort(order, kind="stable")))
 
         self.last_local_rows = local_rows
-        back_chunks = []
-        for combine, counts in zip(combines, send_counts):
-            back_c, back_counts = combine.wait()
-            assert back_counts == counts, "alltoall transpose mismatch"
-            back_chunks.append(back_c)
-        if not nonblocking:
-            return back_chunks[0]
-        return place_rows(back_chunks, idx_lists, int(xs.shape[0]))
+        for c in range(chunks):
+            out = combine.wait(c)
+        return out
 
 
 def ep_moe_factory(

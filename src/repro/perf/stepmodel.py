@@ -13,7 +13,8 @@ Phases per training step (synchronous, conservatively non-overlapped):
   (for the dense-FFN share) over the TP group;
 * expert compute: routed-row MLP time, scaled by the gate's load-imbalance
   factor (the slowest expert paces the group);
-* token alltoall: 2 exchanges forward + 2 backward per MoE layer;
+* token alltoall: 2 exchanges forward + 2 backward per MoE layer (the
+  forward ones in ``overlap_chunks`` chunks each, the backward ones whole);
 * dense-gradient allreduce over the stage plane (TP-sharded FFN gradients
   sync separately over the same-shard group);
 * expert-gradient allreduce over the expert-data-parallel group;
@@ -68,6 +69,9 @@ class StepBreakdown:
     pipeline_p2p: float = 0.0
     #: GPipe fill/drain idle time; scales with compute, not bandwidth.
     pipeline_bubble: float = 0.0
+    #: The forward share of ``alltoall`` (already counted there): the
+    #: chunked exchanges, the only ones expert compute can hide.
+    alltoall_forward: float = 0.0
 
     @property
     def compute(self) -> float:
@@ -181,7 +185,7 @@ def _exposed_step_time(bd: StepBreakdown, plan: ParallelPlan) -> float:
     hidden = min(sync, overlap * bd.compute)
     if plan.overlap_chunks > 1:
         frac = (plan.overlap_chunks - 1) / plan.overlap_chunks
-        hidden += min(bd.alltoall / 2.0 * frac, bd.expert_compute)
+        hidden += min(bd.alltoall_forward * frac, bd.expert_compute)
     return bd.total - hidden
 
 
@@ -235,24 +239,38 @@ class StepModel:
 
     def alltoall_time(self, plan: ParallelPlan) -> float:
         """Token exchanges: (2 fwd + 2 bwd) per MoE layer over the EP group."""
+        forward, backward = self._alltoall_times(plan)
+        return forward + backward
+
+    def _alltoall_times(self, plan: ParallelPlan) -> tuple[float, float]:
+        """(forward, backward) seconds of the token exchanges.
+
+        Per MoE layer the dispatch and the combine each go forward in
+        ``overlap_chunks`` exchanges and come back, as gradients, in one
+        exchange each — the schedule ``parallel/ep.py`` runs.
+        """
         cfg = self.config
         if plan.ep_size == 1:
-            return 0.0
+            return 0.0, 0.0
         bytes_per_token = cfg.d_model * itemsize(cfg.dtype)
         # Per-pair payload: this rank's routed slots spread over the group.
         per_pair = (
             plan.tokens_per_rank * cfg.top_k * bytes_per_token / plan.ep_size
         ) * plan.load_imbalance
         ranks = range(plan.ep_size)  # EP groups are consecutive ranks
-        # Chunked dispatch issues overlap_chunks smaller exchanges per
-        # alltoall: the bandwidth term is unchanged but every chunk pays
-        # the latency (alpha) term again — the price of overlap.
+        whole = self.network.alltoall_time(per_pair, ranks, algorithm=plan.alltoall)
+        # A chunked forward exchange issues overlap_chunks smaller ones: the
+        # bandwidth term is unchanged but every chunk pays the latency
+        # (alpha) term again — the price of overlap.
         chunks = plan.overlap_chunks
-        one = chunks * self.network.alltoall_time(
+        chunked = whole if chunks == 1 else chunks * self.network.alltoall_time(
             per_pair / chunks, ranks, algorithm=plan.alltoall
         )
         # A stage owns 1/pp of the MoE layers.
-        return 4.0 * cfg.num_moe_layers * one / plan.pp_size
+        return (
+            2.0 * cfg.num_moe_layers * chunked / plan.pp_size,
+            2.0 * cfg.num_moe_layers * whole / plan.pp_size,
+        )
 
     def dense_allreduce_time(self, plan: ParallelPlan) -> float:
         """Per-stage gradient allreduce of replicated parameters (fp32).
@@ -362,10 +380,11 @@ class StepModel:
                 f"plan uses {plan.num_nodes} nodes but machine has "
                 f"{self.machine.num_nodes}"
             )
+        forward, backward = self._alltoall_times(plan)
         return StepBreakdown(
             dense_compute=self.dense_compute_time(plan),
             expert_compute=self.expert_compute_time(plan),
-            alltoall=self.alltoall_time(plan),
+            alltoall=forward + backward,
             dense_allreduce=self.dense_allreduce_time(plan),
             expert_allreduce=self.expert_allreduce_time(plan),
             tp_allreduce=(
@@ -375,6 +394,7 @@ class StepModel:
             zero_allgather=self.zero_allgather_time(plan),
             pipeline_p2p=self.pipeline_p2p_time(plan),
             pipeline_bubble=self.pipeline_bubble_time(plan),
+            alltoall_forward=forward,
         )
 
     def step_time(self, plan: ParallelPlan) -> float:
@@ -384,10 +404,12 @@ class StepModel:
         communication behind backward compute (the TP activation
         exchanges stay on the critical path and never overlap). With
         ``plan.overlap_chunks > 1`` the chunked dispatch pipeline also
-        hides token alltoalls behind expert compute — all but the first
-        dispatch and last combine (a ``(C-1)/C`` fraction) can overlap,
-        with one dispatch and one combine in flight per compute window —
-        and gradient sync is bucket-overlapped (``overlap`` -> 1).
+        hides forward token alltoalls behind expert compute — all but the
+        first dispatch and last combine (a ``(C-1)/C`` fraction of the
+        forward share) can overlap, with one dispatch and one combine in
+        flight per compute window; the backward exchanges are whole and
+        stay exposed — and gradient sync is bucket-overlapped
+        (``overlap`` -> 1).
         """
         return _exposed_step_time(self.step_breakdown(plan), plan)
 

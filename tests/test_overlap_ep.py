@@ -165,3 +165,67 @@ def test_training_run_overlap_is_bitwise_and_faster():
     assert stats.overlapped_seconds["iallreduce"] > 0
     # Byte totals must not change when only the schedule changes.
     assert (overlapped.traffic["total_bytes"] == blocking.traffic["total_bytes"])
+
+
+def _moda_steps(comm, chunks, config, steps):
+    """``steps`` MoDa training steps at ep 2; per step the loss, every
+    synced gradient's bytes and the clocks that bound its backward."""
+    from repro.data import ShardedLoader, SyntheticCorpus
+    from repro.parallel import MoDaTrainer, ParallelLayout, build_groups, build_moda_model
+    from repro.train import Adam
+
+    groups = build_groups(comm, ParallelLayout(comm.size, 2))
+    model = build_moda_model(config, groups, seed=11, overlap_chunks=chunks)
+    forward_ends = []
+    loss_of = model.loss
+
+    def marked_loss(tokens, targets):
+        loss = loss_of(tokens, targets)
+        forward_ends.append(comm.clock)
+        return loss
+
+    model.loss = marked_loss
+    trainer = MoDaTrainer(model, Adam(model.parameters(), lr=3e-3), groups)
+    corpus = SyntheticCorpus(vocab_size=config.vocab_size, predictability=0.9, seed=2)
+    loader = ShardedLoader(corpus, 4, 8, dp_rank=comm.rank, dp_size=comm.size)
+    losses, grads, step_ends = [], [], []
+    for step in range(steps):
+        losses.append(trainer.train_step(loader.get_batch(step)).global_loss)
+        grads.append([p.grad.tobytes() for p in model.parameters() if p.grad is not None])
+        step_ends.append(comm.clock)
+    return losses, grads, list(zip(forward_ends, step_ends))
+
+
+def test_backward_is_one_exchange_per_direction_at_any_chunk_count():
+    """Forward pipelined per chunk, backward one blocking alltoall per
+    direction: per MoE layer and step the backward issues exactly 2
+    blocking alltoalls moving the one-chunk bytes, and losses and
+    gradients are bitwise equal for 1, 2 and 4 chunks (world 4, ep 2)."""
+    from repro.models import tiny_config
+    from repro.network import sunway_network
+
+    config = tiny_config(num_experts=8)  # 4 local experts: 4 chunks unclamped
+    steps, layers = 2, config.num_moe_layers
+    runs = {}
+    for chunks in (1, 2, 4):
+        res = run_spmd(_moda_steps, 4, network=sunway_network(4), trace=True,
+                       args=(chunks, config, steps))
+        backward = []  # per (rank, step): the blocking alltoalls of its backward
+        for rank, (_, _, windows) in enumerate(res.returns):
+            for fwd_end, step_end in windows:
+                backward.append([
+                    e.nbytes for e in res.context.trace_events
+                    if e.rank == rank and e.op == "alltoall"
+                    and fwd_end <= e.t_start < step_end
+                ])
+        ialltoalls = res.context.stats.collective_calls.get("ialltoall", 0)
+        runs[chunks] = ([r[:2] for r in res.returns], backward, ialltoalls)
+
+    one_chunk = runs[1]
+    for chunks, (numerics, backward, ialltoalls) in runs.items():
+        assert numerics == one_chunk[0], chunks  # losses and gradients, bitwise
+        assert all(len(ops) == 2 * layers for ops in backward), chunks
+        assert [sum(ops) for ops in backward] == [sum(ops) for ops in one_chunk[1]]
+        # The forward alone is chunked: 2 exchanges per chunk, layer, step
+        # and EP group (each group counts its collectives once).
+        assert ialltoalls == (0 if chunks == 1 else 2 * chunks * layers * steps * 2)

@@ -13,8 +13,12 @@ from repro.tensor import Tensor
 
 
 def alltoall_rows(x, send_counts, comm):
-    """The blocking row exchange: the handle issued and waited on at once."""
-    return PendingAlltoallRows(x, send_counts, comm, None, nonblocking=False).wait()
+    """The blocking row exchange: the receive counts exchanged first, then
+    the one-chunk handle issued and waited on at once."""
+    recv_counts = [int(n) for n in comm.alltoall([np.array(n) for n in send_counts])]
+    handle = PendingAlltoallRows([send_counts], [recv_counts], comm, None, nonblocking=False)
+    handle.issue(0, x)
+    return handle.wait(0), recv_counts
 
 
 class TestAlltoallRows:

@@ -377,9 +377,12 @@ def test_alltoall_rows_is_ialltoall_rows_waited(dtype):
     waited: same rows, counts, gradients and clock."""
     def program(comm, nonblocking):
         rng = np.random.default_rng(5)  # same stream on every rank: counts line up
-        counts = rng.integers(0, 4, size=(comm.size, comm.size))[comm.rank].tolist()
+        matrix = rng.integers(0, 4, size=(comm.size, comm.size))
+        counts, recv = matrix[comm.rank].tolist(), matrix[:, comm.rank].tolist()
         x = Tensor(rng.standard_normal((sum(counts), 3)), requires_grad=True, dtype=dtype)
-        out, recv = PendingAlltoallRows(x, counts, comm, None, nonblocking).wait()
+        handle = PendingAlltoallRows([counts], [recv], comm, None, nonblocking)
+        handle.issue(0, x)
+        out = handle.wait(0)
         weights = Tensor(rng.standard_normal(out.shape), dtype=dtype)
         (out * weights).sum().backward()
         return out.data.tobytes(), recv, x.grad.tobytes(), comm.clock

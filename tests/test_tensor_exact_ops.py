@@ -24,9 +24,7 @@ from repro.parallel import (
     ParallelLayout, ZeroAdamW, build_groups, build_moda_model, load_distributed,
     save_distributed,
 )
-from repro.parallel.collective_ops import (
-    PendingAlltoallRows, copy_to_tp_region, place_rows,
-)
+from repro.parallel.collective_ops import PendingAlltoallRows, copy_to_tp_region
 from repro.simmpi import run_spmd
 from repro.tensor import Tensor, embedding, gather_rows, quantize
 from repro.tensor import ops as T
@@ -133,15 +131,6 @@ def _case_embedding(rng, dtype):
     return (lambda: embedding(w, ids)), [w]
 
 
-def _case_place_rows(rng, dtype):
-    total = int(rng.integers(2, 12))
-    cut = int(rng.integers(1, total))
-    perm = rng.permutation(total)
-    lists = [perm[:cut], perm[cut:]]
-    chunks = [_leaf(rng, (len(idx), 3), dtype) for idx in lists]
-    return (lambda: place_rows(chunks, lists, total)), chunks
-
-
 def _case_detach(rng, dtype):
     a = _leaf(rng, (3, 4), dtype)
     a.name = "kept"
@@ -158,7 +147,6 @@ LOCAL_CASES = {
     "concat": _case_concat,
     "gather_rows": _case_gather_rows,
     "embedding": _case_embedding,
-    "place_rows": _case_place_rows,
     "Tensor.detach": _case_detach,
 }
 
@@ -173,25 +161,41 @@ def test_exact_ops_equal_the_rounded_construction(name, dtype, seed):
     _check_exact(rng, build, leaves)
 
 
+def _exchange(sources, send, recv, comm, nonblocking):
+    """Issue every chunk, then wait on every chunk: the receive tensor."""
+    handle = PendingAlltoallRows(send, recv, comm, None, nonblocking)
+    for c, x in enumerate(sources):
+        handle.issue(c, x)
+    for c in range(len(sources)):
+        out = handle.wait(c)
+    return out
+
+
 def _comm_cases(comm, dtype, seed):
-    """The call sites that need a communicator (the row exchange by both its
-    call forms), on every rank of a world of 2."""
-    rng = np.random.default_rng(seed)  # same stream on both ranks: counts line up
+    """The call sites that need a communicator, on every rank of a world of
+    2: the row exchange blocking and not, in 1-3 chunks sent from one tensor
+    (the dispatch) or each from its own (the combine)."""
+    shared = np.random.default_rng(seed)  # same stream on both ranks: counts line up
+    rng = np.random.default_rng([seed, comm.rank])
     for _ in range(4):
-        counts = [int(c) for c in rng.integers(0, 4, size=comm.size)]
-        x = _leaf(rng, (sum(counts), 3), dtype)
+        chunks = int(shared.integers(1, 4))
+        matrix = shared.integers(0, 4, size=(chunks, comm.size, comm.size))  # c, src, dst
+        send, recv = matrix[:, comm.rank].tolist(), matrix[:, :, comm.rank].tolist()
+        whole = _leaf(rng, (sum(map(sum, send)), 3), dtype)
+        own = [_leaf(rng, (sum(counts), 3), dtype) for counts in send]
         for nonblocking in (False, True):
-            _check_exact(
-                rng,
-                lambda: PendingAlltoallRows(x, counts, comm, None, nonblocking).wait()[0],
-                [x],
-            )
+            for sources, leaves in (([whole] * chunks, [whole]), (own, own)):
+                _check_exact(
+                    rng,
+                    lambda: _exchange(sources, send, recv, comm, nonblocking),
+                    leaves,
+                )
         y = _leaf(rng, (4, 3), dtype)
         _check_exact(rng, lambda: copy_to_tp_region(y, comm), [y])
     return True
 
 
-COMM_CASES = {"PendingAlltoallRows.wait", "copy_to_tp_region"}
+COMM_CASES = {"PendingAlltoallRows._receive_node", "copy_to_tp_region"}
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
