@@ -17,6 +17,12 @@ The row exchange is written once, as the handle :class:`PendingAlltoallRows`
 ``comm.alltoall`` and complete at once (DESIGN.md §8, "Blocking is
 issue-then-complete"). The forward is pipelined per chunk; the backward is
 one exchange per direction, whatever the chunk count.
+
+What crosses the wire is the modelled dtype (DESIGN.md §8, "The wire carries
+the modelled dtype"): the forward rows of an fp16 tensor and the "g"
+operator's forward travel as 2-byte float16 (:func:`~repro.tensor.to_wire`).
+Gradients stay float32 on the wire — the emulation computes activation
+gradients at fp32 precision, so they are not on the fp16 grid.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 
 from repro.errors import CommunicatorError
 from repro.simmpi import Comm
-from repro.tensor import Tensor
+from repro.tensor import Tensor, to_wire
 from repro.tensor.tensor import _make
 
 __all__ = [
@@ -53,7 +59,9 @@ class PendingAlltoallRows:
     chunk's expert outputs). One chunk is issued through ``comm.alltoall``,
     complete as issued; more go through ``comm.ialltoall``, whose exposed
     network cost ``wait(c)`` charges net of compute overlapped through
-    ``Comm.advance``.
+    ``Comm.advance``. The blocks for other ranks go in ``x``'s wire format
+    (float16 for fp16), and ``wait(c)`` widens them into the float32 receive
+    tensor; the block a rank keeps never crosses the wire.
 
     The receive tensor is one autograd node over every tensor issued from,
     built by the first ``wait`` and filled chunk by chunk. Its backward is
@@ -106,7 +114,11 @@ class PendingAlltoallRows:
                 f"chunk {c} issued after the first wait() from a new tensor"
             )
         self._sources[c] = x
-        parts = [x.data[lo: lo + n] for lo, n in zip(starts, counts)]
+        me = self._comm.rank
+        parts = [
+            x.data[lo: lo + n] if r == me else to_wire(x.data[lo: lo + n], x.dtype)
+            for r, (lo, n) in enumerate(zip(starts, counts))
+        ]
         issue = self._comm.ialltoall if self._nonblocking else self._comm.alltoall
         self._in_flight[c] = issue(parts, algorithm=self._algorithm)
 
@@ -194,8 +206,10 @@ def allreduce_sum(x: Tensor, comm: Comm, algorithm: str | None = None) -> Tensor
     (already replicated) output gradient with no further communication.
     This is the Megatron "g" operator used by tensor parallelism
     (:mod:`repro.parallel.tp`): allreduce forward, passthrough backward.
+    The forward sends ``x`` in its wire format (float16 for fp16) and
+    receives the float32 sum, which the result quantizes to ``x.dtype``.
     """
-    data = comm.allreduce(x.data, algorithm=algorithm)
+    data = comm.allreduce(to_wire(x.data, x.dtype), algorithm=algorithm)
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
         return (g,)
@@ -209,7 +223,8 @@ def copy_to_tp_region(x: Tensor, comm: Comm, algorithm: str | None = None) -> Te
     Marks the point where a replicated activation enters a
     tensor-parallel region: each shard consumes the same input, so the
     input's gradient is the *sum* of the shards' contributions.
-    The dual of :func:`allreduce_sum` (the "g" operator).
+    The dual of :func:`allreduce_sum` (the "g" operator). Its allreduce
+    carries activation gradients, so it stays float32 on the wire.
     """
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
         return (comm.allreduce(g, algorithm=algorithm),)

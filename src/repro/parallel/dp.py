@@ -1,12 +1,15 @@
 """Data parallelism: gradient synchronization and parameter broadcast.
 
-Gradients of replicated parameters are flattened into a single fp32 bucket
-and allreduced in one collective (the bucketing every production DP
+Gradients of replicated parameters are flattened into a single bucket and
+allreduced in one collective (the bucketing every production DP
 implementation performs — it converts many latency-bound allreduces into
 one bandwidth-bound one, which is also what the hierarchical-allreduce
-ablation F4 measures). :class:`PendingGradAllreduce` is that sync written
-once — flatten, issue the bucket(s), average and unflatten at ``wait()`` —
-with one blocking bucket or several nonblocking, overlappable ones.
+ablation F4 measures). The bucket is float16 on the wire when every
+parameter is fp16 (2 bytes a gradient, summed in float32: DESIGN.md §8,
+"The wire carries the modelled dtype") and float32 otherwise.
+:class:`PendingGradAllreduce` is that sync written once — flatten, issue
+the bucket(s), average and unflatten at ``wait()`` — with one blocking
+bucket or several nonblocking, overlappable ones.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from repro.errors import CommunicatorError
 from repro.simmpi import Comm
-from repro.tensor import Tensor, quantize
+from repro.tensor import Tensor, quantize, to_wire
 
 __all__ = [
     "PendingGradAllreduce",
@@ -26,6 +29,7 @@ __all__ = [
     "unflatten_grads",
     "flatten_params",
     "assign_flat_params",
+    "wire_dtype",
 ]
 
 
@@ -55,6 +59,12 @@ def _assign_flat(params: Sequence[Tensor], flat: np.ndarray, attr: str) -> None:
         offset += n
 
 
+def wire_dtype(params: Sequence[Tensor]) -> str:
+    """The dtype a flat vector of ``params`` crosses the wire in: fp16 when
+    every parameter is fp16 (:func:`~repro.tensor.to_wire`), else fp32."""
+    return "fp16" if all(p.dtype.name == "fp16" for p in params) else "fp32"
+
+
 def unflatten_grads(params: Sequence[Tensor], flat: np.ndarray) -> None:
     """Write a flat gradient vector back into per-parameter ``.grad``."""
     _assign_flat(params, flat, "grad")
@@ -73,29 +83,31 @@ def assign_flat_params(params: Sequence[Tensor], flat: np.ndarray) -> None:
 class PendingGradAllreduce:
     """An issued gradient sync of ``params`` over ``comm``; ``wait()`` -> bytes.
 
-    The flat fp32 gradient vector is split into ``num_buckets`` contiguous
-    buckets, each issued (and rendezvoused) at creation as one collective:
-    ``comm.iallreduce`` when ``nonblocking`` — compute advanced via
-    ``Comm.advance`` before ``wait()`` is credited against every in-flight
-    bucket, so the sync overlaps (modelled) backward compute on the virtual
-    clock — else ``comm.allreduce``, which has charged its cost already.
-    ``wait()`` completes the buckets, writes their sum (or average) back
-    into per-parameter ``.grad`` and returns the fp32 bucket bytes moved per
-    rank. Element-wise bucket sums concatenate to exactly the whole-vector
-    sum, so every bucket count gives the same gradients bit for bit.
+    The flat gradient vector — float16 when every parameter is fp16, whose
+    gradients are on the fp16 grid, else float32 — is split into
+    ``num_buckets`` contiguous buckets, each issued (and rendezvoused) at
+    creation as one collective: ``comm.iallreduce`` when ``nonblocking`` —
+    compute advanced via ``Comm.advance`` before ``wait()`` is credited
+    against every in-flight bucket, so the sync overlaps (modelled) backward
+    compute on the virtual clock — else ``comm.allreduce``, which has charged
+    its cost already. Either way the sum comes back float32 (simmpi
+    accumulates float16 payloads in float32). ``wait()`` completes the
+    buckets, writes their average back into per-parameter ``.grad`` and
+    returns the bucket bytes moved per rank. Element-wise bucket sums
+    concatenate to exactly the whole-vector sum, so every bucket count gives
+    the same gradients bit for bit.
     """
 
-    def __init__(self, comm: Comm, params: Sequence[Tensor], average: bool,
+    def __init__(self, comm: Comm, params: Sequence[Tensor],
                  algorithm: str | None, num_buckets: int, nonblocking: bool):
         self._comm = comm
         self._params = params
-        self._average = average
         self._nonblocking = nonblocking
         self._parts: list = []
         self._nbytes = 0
         if comm.size == 1:  # nothing to issue, grads stay untouched
             return
-        flat = flatten_grads(params)
+        flat = to_wire(flatten_grads(params), wire_dtype(params))
         self._nbytes = int(flat.nbytes)
         reduce = comm.iallreduce if nonblocking else comm.allreduce
         #: Per bucket: the reduction (blocking) or the request yielding it.
@@ -108,10 +120,7 @@ class PendingGradAllreduce:
         if self._parts:
             parts = [p.wait() for p in self._parts] if self._nonblocking else self._parts
             self._parts = []  # a second wait() must not average again
-            total = np.concatenate(parts)
-            if self._average:
-                total = total / self._comm.size
-            unflatten_grads(self._params, total)
+            unflatten_grads(self._params, np.concatenate(parts) / self._comm.size)
         return self._nbytes
 
 

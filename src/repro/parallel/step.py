@@ -108,11 +108,12 @@ class DistributedStep:
         any) runs, and then each group is waited on. One bucket is the
         blocking allreduce, complete as issued, so the groups still sync
         one after another; each bucket is a contiguous slice of the flat
-        fp32 gradient, so the sums are bit-identical for every count.
+        gradient (float16 on the wire when the group is all fp16), so the
+        sums are bit-identical for every count.
         """
         pending = [
             (label, PendingGradAllreduce(
-                comm, params, True, self.allreduce_algorithm,
+                comm, params, self.allreduce_algorithm,
                 self.grad_sync_buckets, nonblocking=self.grad_sync_buckets > 1,
             ))
             for label, params, comm in self.sync_groups

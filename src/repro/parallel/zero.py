@@ -5,7 +5,10 @@ contiguous 1/P shard of the flattened parameter vector; after the
 (already-synchronized) gradients arrive, the rank updates its shard and an
 allgather redistributes the fresh parameters. Optimizer memory per rank
 drops from 12 bytes/param to 12/P + parameter storage — the knob that lets
-brain-scale models fit (experiment T4 quantifies it).
+brain-scale models fit (experiment T4 quantifies it). When every parameter
+is fp16 the allgather carries the shard rounded to fp16, as 2-byte float16
+(DESIGN.md §8, "The wire carries the modelled dtype"): each receiver rounds
+the parameters to fp16 anyway, so what it stores is unchanged.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from typing import Iterable
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.parallel.dp import assign_flat_params, flatten_grads, flatten_params
+from repro.parallel.dp import assign_flat_params, flatten_grads, flatten_params, wire_dtype
 from repro.simmpi import Comm
-from repro.tensor import Tensor
+from repro.tensor import Tensor, quantize, to_wire
 from repro.train.optim import adam_update
 
 __all__ = ["ZeroAdamW", "shard_bounds"]
@@ -66,6 +69,7 @@ class ZeroAdamW(object):
         shard_len = self._hi - self._lo
         # fp32 master + moments for the local shard only.
         self._master = flatten_params(self.params)[self._lo: self._hi].copy()
+        self._wire = wire_dtype(self.params)
         self._m = np.zeros(shard_len, dtype=np.float32)
         self._v = np.zeros(shard_len, dtype=np.float32)
 
@@ -87,13 +91,16 @@ class ZeroAdamW(object):
     # ------------------------------------------------------------------ #
 
     def step(self, grad_scale: float = 1.0) -> None:
-        """Update the local shard, then allgather fresh parameters."""
+        """Update the local shard, then allgather fresh parameters (in the
+        parameters' wire format; the fp32 master stays local)."""
         self.step_count += 1
         g = flatten_grads(self.params)[self._lo: self._hi] * grad_scale
         self._master, self._m, self._v = adam_update(
             self._master, self._m, self._v, g, self.step_count, self.lr,
         )
-        assign_flat_params(self.params, np.concatenate(self.comm.allgather(self._master)))
+        shard = to_wire(quantize(self._master, self._wire), self._wire)
+        flat = np.concatenate(self.comm.allgather(shard), dtype=np.float32)
+        assign_flat_params(self.params, flat)
 
     # ------------------------------------------------------------------ #
 

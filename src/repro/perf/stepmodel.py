@@ -17,9 +17,12 @@ Phases per training step (synchronous, conservatively non-overlapped):
   forward ones in ``overlap_chunks`` chunks each, the backward ones whole);
 * dense-gradient allreduce over the stage plane (TP-sharded FFN gradients
   sync separately over the same-shard group);
-* expert-gradient allreduce over the expert-data-parallel group;
+* expert-gradient allreduce over the expert-data-parallel group (every
+  gradient sync priced at 4 B an element, although a measured fp16 run
+  sends 2: DESIGN.md §8, "The wire carries the modelled dtype");
 * TP activation allreduces (2 per sharded dense-FFN block, fwd + bwd);
-* ZeRO-1 allgather of the updated fp32 master shards;
+* ZeRO-1 allgather of the updated master shards (at 4 B, like the
+  gradient sync);
 * pipeline p2p activation/grad transfers between adjacent stages;
 * pipeline bubble: the GPipe fill/drain idle time,
   ``(pp - 1) / num_microbatches`` of the per-stage compute.
@@ -273,7 +276,9 @@ class StepModel:
         )
 
     def dense_allreduce_time(self, plan: ParallelPlan) -> float:
-        """Per-stage gradient allreduce of replicated parameters (fp32).
+        """Per-stage gradient allreduce of replicated parameters, priced at
+        4 B a gradient (fp32) even for an fp16 model, whose measured sync
+        sends 2.
 
         With ``pp > 1`` each stage syncs its own ``1/pp`` parameter slice
         over its plane; with ``tp > 1`` the TP-sharded dense-FFN gradients
@@ -291,7 +296,8 @@ class StepModel:
         return self.network.allreduce_time(nbytes, ranks, algorithm=plan.allreduce)
 
     def tp_grad_allreduce_time(self, plan: ParallelPlan) -> float:
-        """TP-sharded FFN gradients allreduced over the same-shard group."""
+        """TP-sharded FFN gradients allreduced over the same-shard group
+        (4 B a gradient, like :meth:`dense_allreduce_time`)."""
         layout = plan.layout
         if plan.tp_size == 1:
             return 0.0
@@ -316,7 +322,9 @@ class StepModel:
         return 2.0 * blocks * one
 
     def expert_allreduce_time(self, plan: ParallelPlan) -> float:
-        """Expert-gradient allreduce across EP-group replicas (fp32)."""
+        """Expert-gradient allreduce across EP-group replicas, priced at
+        4 B a gradient (fp32) even for an fp16 model, whose measured sync
+        sends 2."""
         layout = plan.layout
         if layout.num_ep_groups == 1:
             return 0.0
@@ -335,7 +343,8 @@ class StepModel:
         Mirrors :class:`~repro.parallel.zero.ZeroAdamW`: each rank updates
         its ``1/zero_shards`` slice of the replicated (dense) parameters in
         fp32 and allgathers the result over the (consecutive-rank) ZeRO
-        group every step.
+        group every step. Priced at 4 B a parameter; a measured fp16 run
+        allgathers the shard rounded to fp16, at 2 B.
         """
         if plan.zero_shards == 1:
             return 0.0

@@ -52,11 +52,21 @@ _REDUCERS: dict[str, Callable[[Any, Any], Any]] = {
 
 
 def _reduce_payloads(values: Sequence[Any], op: str) -> Any:
-    """Fold ``values`` with the named reduction, left to right."""
+    """Fold ``values`` with the named reduction, left to right.
+
+    A ``SUM`` of float16 arrays (half-precision payloads on the wire)
+    accumulates in float32 and returns float32: widening fp16 is exact, so
+    this is the sum the same values as float32 payloads give, bit for bit.
+    """
     if op not in _REDUCERS:
         raise CommunicatorError(f"unknown reduction op {op!r}")
-    fn = _REDUCERS[op]
     acc = values[0]
+    if op == SUM and isinstance(acc, np.ndarray) and acc.dtype == np.float16:
+        acc = acc.astype(np.float32)
+        for v in values[1:]:
+            acc += v
+        return acc
+    fn = _REDUCERS[op]
     for v in values[1:]:
         acc = fn(acc, v)
     return acc
@@ -223,7 +233,12 @@ class _World:
 
 
 class _Round:
-    """One in-flight collective instance (op seq number on a comm)."""
+    """One in-flight collective instance (op seq number on a comm).
+
+    ``result``/``computed`` hold a reduction computed once for the round
+    (:meth:`Comm._rendezvous` with ``combine``), of which every member takes
+    its own copy.
+    """
 
     __slots__ = ("op", "contribs", "clocks", "result", "computed", "pickups")
 
@@ -609,12 +624,16 @@ class Comm:
     # Collective rendezvous machinery
     # ------------------------------------------------------------------ #
 
-    def _rendezvous(self, op: str, contribution: Any) -> tuple[dict[int, Any], float]:
+    def _rendezvous(self, op: str, contribution: Any,
+                    combine: Callable[[list[Any]], Any] | None = None) -> tuple[Any, float]:
         """Synchronize with all members; returns (contributions, t_start).
 
-        ``contributions`` maps group rank -> (cloned) payload. ``t_start``
-        is the max member clock at entry; the caller prices the op
-        (:meth:`_collective`) and its request's ``wait()`` advances the clock.
+        ``contributions`` maps group rank -> (cloned) payload. With
+        ``combine``, the first member to pick the round up applies it once to
+        the contributions in group-rank order, and every member returns its
+        own copy of that result instead. ``t_start`` is the max member clock
+        at entry; the caller prices the op (:meth:`_collective`) and its
+        request's ``wait()`` advances the clock.
         """
         self._tick_op()
         state = self._state
@@ -650,11 +669,16 @@ class Comm:
                 f"collective {op!r} round {seq} ({len(rnd.contribs)}/{len(state.members)} arrived)",
             )
             t_start = max(rnd.clocks.values())
-            contribs = rnd.contribs
+            value = rnd.contribs
+            if combine is not None:
+                if not rnd.computed:
+                    rnd.result = combine([value[i] for i in range(len(state.members))])
+                    rnd.computed = True
+                value = clone_payload(rnd.result)
             rnd.pickups += 1
             if rnd.pickups == len(state.members):
                 del state.rounds[seq]
-            return contribs, t_start
+            return value, t_start
 
     def _collective(self, op: str, value: Any, t_start: float, nbytes: int,
                     algorithm: str | None = None) -> _CollectiveRequest:
@@ -737,8 +761,7 @@ class Comm:
 
     def _allreduce(self, name: str, value: Any, op: str,
                    algorithm: str | None) -> _CollectiveRequest:
-        contribs, t0 = self._rendezvous(name, value)
-        result = _reduce_payloads([contribs[i] for i in range(self.size)], op)
+        result, t0 = self._rendezvous(name, value, lambda vs: _reduce_payloads(vs, op))
         return self._collective(name, result, t0, payload_nbytes(value), algorithm)
 
     def allreduce(self, value: Any, op: str = SUM, algorithm: str | None = None) -> Any:

@@ -1,6 +1,8 @@
 """NumPy autograd engine with emulated low-precision dtypes."""
 
-from repro.tensor.dtype import DTYPES, DTypeSpec, as_dtype, itemsize, promote, quantize, storage_dtype
+from repro.tensor.dtype import (
+    DTYPES, DTypeSpec, as_dtype, itemsize, promote, quantize, storage_dtype, to_wire,
+)
 from repro.tensor.tensor import Tensor, is_grad_enabled, no_grad, ones, tensor, unbroadcast, zeros
 from repro.tensor import ops
 from repro.tensor.functional import (
@@ -26,6 +28,7 @@ __all__ = [
     "promote",
     "quantize",
     "storage_dtype",
+    "to_wire",
     "Tensor",
     "is_grad_enabled",
     "no_grad",

@@ -48,6 +48,7 @@ __all__ = [
     "DTypeSpec",
     "as_dtype",
     "quantize",
+    "to_wire",
     "promote",
     "storage_dtype",
     "itemsize",
@@ -61,7 +62,9 @@ class DTypeSpec:
     name: str
     #: NumPy dtype used for in-memory storage.
     storage: np.dtype
-    #: Bytes per element *on the modelled machine* (not in our emulation).
+    #: Bytes per element on the modelled machine: what a payload of this
+    #: dtype is charged on the simulated wire (:func:`to_wire`). In memory the
+    #: emulation stores ``storage`` (4 bytes for fp16 and bf16).
     nbytes: int
     #: Max finite representable magnitude (for overflow emulation docs).
     max_value: float
@@ -185,6 +188,23 @@ def quantize(arr: np.ndarray, dtype: str | DTypeSpec) -> np.ndarray:
     if spec.name == "bf16":
         return _quantize_bf16(np.asarray(arr, dtype=np.float32))
     raise DtypeError(f"unhandled dtype {spec.name!r}")  # pragma: no cover
+
+
+def to_wire(arr: np.ndarray, dtype: str | DTypeSpec) -> np.ndarray:
+    """``arr`` as a payload of ``dtype`` crosses the simulated wire.
+
+    fp16 travels as 2-byte ``np.float16``, so simmpi charges the modelled
+    machine's bytes; the receiver widens it back to float32 (simmpi's ``SUM``
+    does so for float16 payloads). Every other dtype is returned unchanged:
+    bf16 stays float32 on the wire, because NumPy has no 2-byte bfloat16 type.
+
+    Precondition for fp16: every value of ``arr`` is on the fp16 grid, as
+    every ``Tensor.data`` of dtype fp16 is. The narrowing is then exact, and
+    widening the result to float32 gives back ``arr`` bit for bit.
+    """
+    if as_dtype(dtype).name == "fp16":
+        return arr.astype(np.float16)
+    return arr
 
 
 def promote(a: str | DTypeSpec, b: str | DTypeSpec) -> DTypeSpec:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DtypeError
-from repro.tensor import DTYPES, as_dtype, itemsize, promote, quantize, storage_dtype
+from repro.tensor import DTYPES, as_dtype, itemsize, promote, quantize, storage_dtype, to_wire
 from repro.tensor import dtype as dtype_module
 from repro.tensor.dtype import _FP16_KERNEL_MIN_SIZE
 
@@ -277,6 +277,23 @@ class TestPromotion:
 
     def test_same_dtype(self):
         assert promote("fp16", "fp16").name == "fp16"
+
+
+class TestWireFormat:
+    def test_every_fp16_value_round_trips_through_the_wire_bit_for_bit(self):
+        halves = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16).view(np.float16)
+        values = halves.astype(np.float32)  # the fp16 grid, as Tensor.data stores it
+        wire = to_wire(values, "fp16")
+        assert wire.dtype == np.float16 and wire.nbytes == 2 * values.size
+        back = wire.astype(np.float32)
+        nan = np.isnan(values)
+        assert np.array_equal(np.isnan(back), nan)
+        assert _same_bits(back[~nan], values[~nan])
+
+    @pytest.mark.parametrize("dtype", ["fp32", "bf16", "fp64"])
+    def test_other_dtypes_cross_unchanged(self, dtype):
+        arr = quantize(np.linspace(-3.0, 3.0, 7), dtype)
+        assert to_wire(arr, dtype) is arr
 
 
 def _exhaustive(chunk: int = 1 << 22) -> int:

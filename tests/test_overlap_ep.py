@@ -229,3 +229,39 @@ def test_backward_is_one_exchange_per_direction_at_any_chunk_count():
         # The forward alone is chunked: 2 exchanges per chunk, layer, step
         # and EP group (each group counts its collectives once).
         assert ialltoalls == (0 if chunks == 1 else 2 * chunks * layers * steps * 2)
+
+
+def test_fp16_payloads_cross_the_wire_as_two_bytes():
+    """World 4, ep 2, 2 chunks, traced: under mixed precision each step's
+    gradient sync moves 2 B per synced element and the forward ialltoalls
+    half the fp32 run's bytes, while the backward alltoalls (activation
+    gradients, computed at fp32 precision) move the fp32 run's bytes."""
+    from repro.models import tiny_config
+    from repro.parallel.runner import TrainingRunConfig, run_distributed_training
+
+    config, steps, world, ep = tiny_config(), 2, 4, 2
+    synced = config.replicated_params + (
+        config.num_moe_layers * config.num_experts // ep * config.ffn_expert_params
+    )
+
+    def bytes_per_step(mixed):
+        res = run_distributed_training(TrainingRunConfig(
+            model=config, world_size=world, ep_size=ep, num_steps=steps,
+            batch_size=2, seq_len=8, overlap_chunks=2, mixed_precision=mixed,
+            trace=True,
+        ))
+        per = {}  # (rank, op) -> bytes per step
+        for op in ("iallreduce", "ialltoall", "alltoall"):
+            for rank in range(world):
+                nbytes = [e.nbytes for e in res.trace if e.rank == rank and e.op == op]
+                assert nbytes and len(nbytes) % steps == 0, (op, rank)
+                per[rank, op] = [int(sum(s)) for s in np.array_split(nbytes, steps)]
+        return per
+
+    fp32, fp16 = bytes_per_step(False), bytes_per_step(True)
+    for rank in range(world):
+        assert fp32[rank, "iallreduce"] == [4 * synced] * steps
+        assert fp16[rank, "iallreduce"] == [2 * synced] * steps
+        assert fp16[rank, "ialltoall"] == [b // 2 for b in fp32[rank, "ialltoall"]]
+        assert all(b % 2 == 0 for b in fp32[rank, "ialltoall"])
+        assert fp16[rank, "alltoall"] == fp32[rank, "alltoall"]

@@ -200,9 +200,9 @@ class TestGradFlattening:
             unflatten_grads(self._params(), np.zeros(3, dtype=np.float32))
 
 
-def _sync(comm, params, average=True):
+def _sync(comm, params):
     """One blocking bucket of the gradient sync, waited on at once."""
-    return PendingGradAllreduce(comm, params, average, None, 1, nonblocking=False).wait()
+    return PendingGradAllreduce(comm, params, None, 1, nonblocking=False).wait()
 
 
 class TestAllreduceGradients:
@@ -210,7 +210,7 @@ class TestAllreduceGradients:
         def program(comm):
             p = Parameter(np.zeros(4))
             p.grad = np.full(4, float(comm.rank), dtype=np.float32)
-            nbytes = _sync(comm, [p], average=True)
+            nbytes = _sync(comm, [p])
             return p.grad.copy(), nbytes
 
         res = run_spmd(program, 4)
@@ -218,16 +218,6 @@ class TestAllreduceGradients:
         for grad, nbytes in res.returns:
             assert np.allclose(grad, expected)
             assert nbytes == 16
-
-    def test_sum_mode(self):
-        def program(comm):
-            p = Parameter(np.zeros(2))
-            p.grad = np.ones(2, dtype=np.float32)
-            _sync(comm, [p], average=False)
-            return p.grad.copy()
-
-        res = run_spmd(program, 3)
-        assert np.allclose(res.returns[0], 3.0)
 
     def test_single_rank_noop(self):
         def program(comm):
@@ -241,7 +231,7 @@ class TestAllreduceGradients:
         def program(comm):
             p = Parameter(np.zeros(2), dtype="fp16")
             p.grad = np.full(2, 1.0 + 2**-12, dtype=np.float32)
-            _sync(comm, [p], average=True)
+            _sync(comm, [p])
             return p.grad.copy()
 
         res = run_spmd(program, 2)

@@ -60,6 +60,40 @@ def test_allreduce_arrays_elementwise():
     assert np.allclose(res.returns[0], [3, 0])
 
 
+@pytest.mark.parametrize("nonblocking", [False, True])
+def test_allreduce_of_float16_is_the_float32_left_fold(nonblocking):
+    """A SUM of float16 payloads accumulates in float32, in rank order, and
+    returns float32; the traffic counts the float16 bytes, and every member
+    gets its own result array."""
+    size, n = 4, 256
+    halves = [
+        (np.random.default_rng(r).standard_normal(n) * 300).astype(np.float16)
+        for r in range(size)
+    ]
+
+    def program(comm):
+        if nonblocking:
+            return comm.iallreduce(halves[comm.rank]).wait()
+        return comm.allreduce(halves[comm.rank])
+
+    res = run_spmd(program, size)
+    fold = halves[0].astype(np.float32)
+    for h in halves[1:]:
+        fold = fold + h.astype(np.float32)
+    half_fold = halves[0]
+    for h in halves[1:]:
+        half_fold = half_fold + h
+    assert not np.array_equal(fold, half_fold.astype(np.float32))  # fp16 sums would round
+    for got in res.returns:
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), fold.view(np.uint32))
+    for i, got in enumerate(res.returns):
+        assert not any(np.shares_memory(got, other) for other in res.returns[i + 1:])
+    op = "iallreduce" if nonblocking else "allreduce"
+    assert res.context.stats.collective_calls[op] == 1
+    assert res.context.stats.collective_bytes[op] == 2 * n
+
+
 def test_allreduce_unknown_op():
     def program(comm):
         comm.allreduce(1, op="median")

@@ -9,7 +9,7 @@ from repro.parallel.collective_ops import PendingAlltoallRows
 from repro.parallel.dp import PendingGradAllreduce
 from repro.simmpi import SUM, run_spmd
 from repro.simmpi.comm import collective_seconds, complete_request
-from repro.tensor import Tensor
+from repro.tensor import Tensor, quantize
 
 WORLD = 4
 
@@ -396,19 +396,22 @@ def test_alltoall_rows_is_ialltoall_rows_waited(dtype):
 
 
 @pytest.mark.parametrize("num_buckets", [1, 2, 3])
-@pytest.mark.parametrize("average", [True, False])
-def test_allreduce_gradients_is_iallreduce_gradients_waited(num_buckets, average):
+@pytest.mark.parametrize("fp16", [True, False])
+def test_allreduce_gradients_is_iallreduce_gradients_waited(num_buckets, fp16):
     """One blocking bucket of the gradient sync equals ``num_buckets``
-    nonblocking ones, waited."""
+    nonblocking ones, waited; fp16 parameters sync as 2-byte float16."""
+    dtype = "fp16" if fp16 else "fp32"
+
     def program(comm, buckets):
         rng = np.random.default_rng(100 + comm.rank)
-        params = [Parameter(np.zeros(shape, dtype=np.float32)) for shape in [(3, 2), (5,), (1,)]]
+        params = [Parameter(np.zeros(shape, dtype=np.float32), dtype=dtype)
+                  for shape in [(3, 2), (5,), (1,)]]
         for p in params[:2]:  # the third keeps grad None: synced as zeros
-            p.grad = rng.standard_normal(p.shape).astype(np.float32)
+            p.grad = quantize(rng.standard_normal(p.shape), dtype)
         if buckets is None:
-            nbytes = PendingGradAllreduce(comm, params, average, None, 1, nonblocking=False).wait()
+            nbytes = PendingGradAllreduce(comm, params, None, 1, nonblocking=False).wait()
         else:
-            handle = PendingGradAllreduce(comm, params, average, None, buckets, nonblocking=True)
+            handle = PendingGradAllreduce(comm, params, None, buckets, nonblocking=True)
             nbytes = handle.wait()
             assert handle.wait() == nbytes  # idempotent: no second averaging
         return nbytes, [p.grad.tobytes() for p in params]
@@ -416,6 +419,6 @@ def test_allreduce_gradients_is_iallreduce_gradients_waited(num_buckets, average
     blocking = run_spmd(program, WORLD, network=_net(), args=(None,))
     bucketed = run_spmd(program, WORLD, network=_net(), args=(num_buckets,))
     assert bucketed.returns == blocking.returns
-    assert blocking.returns[0][0] == (6 + 5 + 1) * 4
+    assert blocking.returns[0][0] == (6 + 5 + 1) * (2 if fp16 else 4)
     assert blocking.context.stats.collective_calls["allreduce"] == 1
     assert bucketed.context.stats.collective_calls["iallreduce"] == num_buckets
