@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.data import ShardedLoader, SyntheticCorpus
 from repro.models import build_model, tiny_config
-from repro.moe import apply_capacity, expert_capacity, make_gate
+from repro.moe import build_dispatch, expert_capacity, make_gate
 from repro.models import Embedding, Linear
 from repro.train import Adam, ConstantLR, Trainer
 
@@ -32,13 +32,14 @@ def test_f7_drop_rate_vs_capacity(benchmark, report):
     def sweep():
         rows = []
         for factor in (0.5, 1.0, 1.5, 2.0, 4.0):
-            cap = apply_capacity(out.indices, EXPERTS, factor)
+            buffer = expert_capacity(2048, EXPERTS, 1, factor)
+            dropped = 2048 - build_dispatch(out.indices, EXPERTS, buffer).num_slots
             rows.append(
                 {
                     "capacity_factor": factor,
-                    "buffer_per_expert": expert_capacity(2048, EXPERTS, 1, factor),
-                    "dropped_tokens": cap.dropped,
-                    "drop_rate": round(cap.drop_fraction, 4),
+                    "buffer_per_expert": buffer,
+                    "dropped_tokens": dropped,
+                    "drop_rate": round(dropped / 2048, 4),
                 }
             )
         return rows
@@ -66,8 +67,9 @@ def test_f7_balanced_gate_never_needs_drops(benchmark, report):
         for name in ("topk", "balanced"):
             gate = make_gate(name, EXPERTS, top_k=1)
             out = gate(logits, np.random.default_rng(2))
-            cap = apply_capacity(out.indices, EXPERTS, 1.0)
-            rows.append({"gate": name, "drop_rate_at_cf1": round(cap.drop_fraction, 4)})
+            plan = build_dispatch(out.indices, EXPERTS, expert_capacity(2048, EXPERTS, 1, 1.0))
+            dropped = 2048 - plan.num_slots
+            rows.append({"gate": name, "drop_rate_at_cf1": round(dropped / 2048, 4)})
         return rows
 
     rows = benchmark(sweep)

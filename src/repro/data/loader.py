@@ -72,8 +72,3 @@ class ShardedLoader:
         stream = step * self.dp_size + self.dp_rank
         tokens, targets = self.corpus.batch(self.batch_size, self.seq_len, stream=stream)
         return Batch(tokens=tokens, targets=targets, step=step)
-
-    @property
-    def global_batch_tokens(self) -> int:
-        """Tokens consumed per step across the whole data-parallel group."""
-        return self.batch_size * self.seq_len * self.dp_size

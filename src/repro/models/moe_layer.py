@@ -1,7 +1,7 @@
 """The Mixture-of-Experts feed-forward layer.
 
 :meth:`MoELayer.forward` is the one MoE forward in the repo: route tokens
-with a gate, mask capacity overflow, build the expert-sorted dispatch plan,
+with a gate, build the expert-sorted dispatch plan (dropping capacity overflow),
 run the *expert stage*, combine with differentiable weights, and expose the
 auxiliary balance loss. The expert-parallel layer
 (:class:`repro.parallel.ep.DistributedMoELayer`) is a subclass that only
@@ -18,8 +18,7 @@ from repro.errors import ConfigError
 from repro.models.layers import MLP, Linear
 from repro.models.module import Module
 from repro.moe.balance import load_balance_loss, router_z_loss
-from repro.moe.capacity import apply_capacity
-from repro.moe.dispatch import DispatchPlan, build_dispatch, inference_keep_mask
+from repro.moe.dispatch import DispatchPlan, build_dispatch, expert_capacity
 from repro.moe.gates import Gate, make_gate
 from repro.tensor import Tensor, is_grad_enabled
 from repro.tensor import ops as T
@@ -99,8 +98,9 @@ class MoELayer(Module):
         #: Fraction of (token, slot) pairs dropped by capacity last forward.
         self.last_drop_fraction: float = 0.0
         #: Eval-only absolute per-expert slot bound over this layer's tokens
-        #: (serving engines set this; ``None`` disables it). See
-        #: :func:`repro.moe.dispatch.inference_keep_mask`.
+        #: (serving engines set this so one hot expert cannot stall a decode
+        #: iteration; ``None`` disables it). With ``capacity_factor`` also
+        #: set, the smaller of the two buffers applies.
         self.inference_capacity: int | None = None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -121,21 +121,19 @@ class MoELayer(Module):
         self.last_load = gate_out.load
         self.last_global_load = self._group_load(gate_out.load)
 
+        # One cap: the training buffer, the serving bound in eval, or the
+        # smaller of the two.
+        k = gate_out.indices.shape[1]
+        caps = []
         if self.capacity_factor is not None:
-            cap = apply_capacity(gate_out.indices, self.num_experts, self.capacity_factor)
-            keep = cap.keep_mask
-            self.last_drop_fraction = cap.drop_fraction
-        else:
-            keep = None
-            self.last_drop_fraction = 0.0
+            caps.append(expert_capacity(n, self.num_experts, k, self.capacity_factor))
         if not self.training and self.inference_capacity is not None:
-            icap = inference_keep_mask(
-                gate_out.indices, self.num_experts, self.inference_capacity
-            )
-            keep = icap if keep is None else keep & icap
-            self.last_drop_fraction = float(1.0 - keep.mean())
-
-        plan = build_dispatch(gate_out.indices, self.num_experts, keep)
+            caps.append(self.inference_capacity)
+        cap = min(caps) if caps else None
+        plan = build_dispatch(gate_out.indices, self.num_experts, cap)
+        self.last_drop_fraction = (
+            1.0 - plan.num_slots / (n * k) if cap is not None and n * k else 0.0
+        )
         xs = gather_rows(x, plan.token_idx)  # (M, D), expert-sorted
         ys = self._expert_stage(xs, plan)
 

@@ -1,13 +1,7 @@
-"""Mixture-of-Experts routing: gates, capacity, dispatch, load balance."""
+"""Mixture-of-Experts routing: gates, dispatch with capacity, load balance."""
 
 from repro.moe.balance import LoadStats, load_balance_loss, load_stats, router_z_loss
-from repro.moe.capacity import CapacityResult, apply_capacity, expert_capacity
-from repro.moe.dispatch import (
-    DispatchPlan,
-    build_dispatch,
-    experts_of_rank,
-    inference_keep_mask,
-)
+from repro.moe.dispatch import DispatchPlan, build_dispatch, expert_capacity, experts_of_rank
 from repro.moe.gates import (
     BalancedGate,
     Gate,
@@ -23,13 +17,10 @@ __all__ = [
     "load_balance_loss",
     "load_stats",
     "router_z_loss",
-    "CapacityResult",
-    "apply_capacity",
-    "expert_capacity",
     "DispatchPlan",
     "build_dispatch",
+    "expert_capacity",
     "experts_of_rank",
-    "inference_keep_mask",
     "BalancedGate",
     "Gate",
     "GateOutput",

@@ -4,6 +4,15 @@ A :class:`DispatchPlan` flattens the kept (token, slot) pairs of a routing
 decision into expert-sorted order — the layout both the local MoE layer
 (per-expert batched matmuls) and the expert-parallel alltoall (contiguous
 per-destination buffers) consume.
+
+Capacity is part of building the plan. Static expert buffers are what make
+MoE communication fixed-size (and the alltoall schedulable): with a
+``capacity``, each expert keeps at most that many slots and drops the rest
+(their combine weight is never applied and the residual path carries them),
+exactly as in Switch/GShard-style systems. Slots claim buffer places in
+batch order, so the kept ones are the first ``capacity`` of each expert in
+the stable expert sort. :func:`expert_capacity` is the one buffer-size
+formula; experiment F7 sweeps its factor.
 """
 
 from __future__ import annotations
@@ -13,13 +22,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.utils.mathx import ceil_div
 
 __all__ = [
     "DispatchPlan",
     "build_dispatch",
-    "inference_keep_mask",
+    "expert_capacity",
     "experts_of_rank",
 ]
+
+
+def expert_capacity(num_tokens: int, num_experts: int, top_k: int, capacity_factor: float) -> int:
+    """Per-expert buffer size: ``ceil(tokens * top_k * capacity_factor / experts)``, at least 1."""
+    if num_tokens < 0 or num_experts < 1 or top_k < 1:
+        raise ConfigError("invalid capacity arguments")
+    if capacity_factor <= 0:
+        raise ConfigError(f"capacity_factor must be > 0, got {capacity_factor}")
+    return max(1, ceil_div(int(np.ceil(num_tokens * top_k * capacity_factor)), num_experts))
 
 
 @dataclass(frozen=True)
@@ -67,65 +86,19 @@ class DispatchPlan:
 def build_dispatch(
     indices: np.ndarray,
     num_experts: int,
-    keep_mask: np.ndarray | None = None,
+    capacity: int | None = None,
 ) -> DispatchPlan:
     """Build an expert-sorted dispatch plan from (N, k) routing indices.
 
-    ``keep_mask`` (same shape) excludes capacity-dropped slots. The sort is
-    stable, so within one expert tokens appear in batch order — making the
-    plan deterministic and the combine reproducible.
+    The sort is stable, so within one expert slots appear in batch order —
+    making the plan deterministic and the combine reproducible. A slot's
+    rank within its expert is its claim on that expert's buffer: with a
+    ``capacity``, the slot of claim rank ``r`` is kept iff ``r < capacity``.
     """
     if indices.ndim != 2:
         raise ConfigError(f"indices must be (N, k), got shape {indices.shape}")
-    n, k = indices.shape
-    if keep_mask is None:
-        keep_mask = np.ones((n, k), dtype=bool)
-    if keep_mask.shape != (n, k):
-        raise ConfigError(
-            f"keep_mask shape {keep_mask.shape} must match indices {indices.shape}"
-        )
-    tok, slot = np.nonzero(keep_mask)
-    exp = indices[tok, slot]
-    if exp.size and (exp.min() < 0 or exp.max() >= num_experts):
-        raise ConfigError(
-            f"expert index out of range [0, {num_experts}): "
-            f"[{exp.min()}, {exp.max()}]"
-        )
-    order = np.argsort(exp, kind="stable")
-    tok, slot, exp = tok[order], slot[order], exp[order]
-    counts = np.bincount(exp, minlength=num_experts)
-    offsets = np.zeros(num_experts + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return DispatchPlan(
-        token_idx=tok.astype(np.int64),
-        expert_idx=exp.astype(np.int64),
-        slot_idx=slot.astype(np.int64),
-        counts=counts.astype(np.int64),
-        offsets=offsets,
-        num_tokens=n,
-    )
-
-
-def inference_keep_mask(
-    indices: np.ndarray, num_experts: int, max_per_expert: int
-) -> np.ndarray:
-    """Cap each expert at ``max_per_expert`` dispatched slots (absolute).
-
-    Training capacity (:func:`repro.moe.capacity.apply_capacity`) sizes
-    buffers relative to the batch; a serving engine instead bounds each
-    expert's *absolute* per-step work so one hot expert cannot stall a
-    decode iteration for every request in flight. Slots are kept in batch
-    order (earliest rows win — matching the stable dispatch sort), so the
-    mask composes with :func:`build_dispatch` deterministically. Returns an
-    (N, k) bool mask; dropped slots fall back to the residual path exactly
-    like capacity drops.
-    """
-    if indices.ndim != 2:
-        raise ConfigError(f"indices must be (N, k), got shape {indices.shape}")
-    if max_per_expert < 1:
-        raise ConfigError(
-            f"max_per_expert must be >= 1, got {max_per_expert}"
-        )
+    if capacity is not None and capacity < 1:
+        raise ConfigError(f"capacity must be >= 1, got {capacity}")
     n, k = indices.shape
     flat = indices.reshape(-1)
     if flat.size and (flat.min() < 0 or flat.max() >= num_experts):
@@ -133,17 +106,25 @@ def inference_keep_mask(
             f"expert index out of range [0, {num_experts}): "
             f"[{flat.min()}, {flat.max()}]"
         )
-    # Stable sort groups slots by expert while preserving batch order;
-    # each slot's rank within its expert group is its claim number.
     order = np.argsort(flat, kind="stable")
-    sorted_experts = flat[order]
-    counts = np.bincount(sorted_experts, minlength=num_experts)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    claim = np.arange(flat.size) - offsets[sorted_experts]
-    keep_sorted = claim < max_per_expert
-    keep = np.empty(flat.size, dtype=bool)
-    keep[order] = keep_sorted
-    return keep.reshape(n, k)
+    exp = flat[order].astype(np.int64)
+    counts = np.bincount(exp, minlength=num_experts)
+    offsets = np.zeros(num_experts + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    if capacity is not None:
+        kept = np.arange(order.size) - offsets[exp] < capacity
+        order, exp = order[kept], exp[kept]
+        np.minimum(counts, capacity, out=counts)
+        np.cumsum(counts, out=offsets[1:])
+    tok, slot = np.divmod(order, k)
+    return DispatchPlan(
+        token_idx=tok,
+        expert_idx=exp,
+        slot_idx=slot,
+        counts=counts,
+        offsets=offsets,
+        num_tokens=n,
+    )
 
 
 def experts_of_rank(rank: int, num_experts: int, num_ranks: int) -> range:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.moe.dispatch import expert_capacity
 from repro.tensor import Tensor, softmax
-from repro.utils.mathx import ceil_div
 
 __all__ = [
     "GateOutput",
@@ -150,23 +150,18 @@ class BalancedGate(Gate):
 
     Tokens are processed in descending order of routing confidence; each
     takes its most-preferred expert that still has capacity
-    ``ceil(N * k / E * capacity_factor)``. The result bounds every expert's
-    load, which bounds the slowest expert's compute and the largest
-    alltoall bucket — the property that keeps 96,000 nodes in lock-step.
+    ``expert_capacity(N, E, k, 1.0)``, i.e. ``ceil(N * k / E)``. The result
+    bounds every expert's load, which bounds the slowest expert's compute
+    and the largest alltoall bucket — the property that keeps 96,000 nodes
+    in lock-step.
     """
 
     name = "balanced"
 
-    def __init__(self, num_experts: int, top_k: int = 1, capacity_factor: float = 1.0):
-        super().__init__(num_experts, top_k)
-        if capacity_factor <= 0:
-            raise ConfigError(f"capacity_factor must be > 0, got {capacity_factor}")
-        self.capacity_factor = capacity_factor
-
     def assign(self, probs_data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         n, e = probs_data.shape
         k = self.top_k
-        capacity = max(1, ceil_div(int(np.ceil(n * k * self.capacity_factor)), e))
+        capacity = expert_capacity(n, e, k, 1.0)
         # Preference order per token; confidence order across tokens.
         pref = np.argsort(-probs_data, axis=1)
         conf_order = np.argsort(-probs_data.max(axis=1), kind="stable")

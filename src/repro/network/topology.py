@@ -92,13 +92,6 @@ class Topology:
         """Total number of leaf nodes in the machine."""
         return self._num_nodes
 
-    def level_named(self, name: str) -> int:
-        """Index of the level called ``name``."""
-        for i, lv in enumerate(self._levels):
-            if lv.name == name:
-                return i
-        raise TopologyError(f"no level named {name!r}")
-
     def group_size(self, level: int) -> int:
         """Number of leaf nodes contained in one unit at ``level``.
 

@@ -311,9 +311,6 @@ class NullTracer:
     def subtree(self, span: Any) -> list[Span]:
         return []
 
-    def find(self, name: str | None = None, kind: str | None = None) -> list[Span]:
-        return []
-
     def absorb(self, other: Any, clock_offset: float = 0.0) -> None:
         pass
 

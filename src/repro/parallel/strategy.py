@@ -33,6 +33,7 @@ from repro.data import ShardedLoader, SyntheticCorpus
 from repro.errors import ConfigError
 from repro.layout import ParallelLayout, validate_layout_for_model
 from repro.models.moe_layer import MoELayer
+from repro.moe.balance import load_stats
 from repro.parallel.grid3d import Trainer3D
 from repro.parallel.groups import build_groups
 from repro.parallel.moda import MoDaTrainer, build_moda_model, split_params
@@ -56,34 +57,27 @@ __all__ = ["RankTrainer", "ParallelStrategy", "strategy_for_layout"]
 # ---------------------------------------------------------------------- #
 
 
-def _imbalance_of(moe_layers: list[MoELayer]) -> float:
-    """Max/mean expert load summed over ``moe_layers``."""
-    loads = [m.last_global_load for m in moe_layers if m.last_global_load is not None]
-    if not loads:
-        return 1.0
-    total = np.sum(loads, axis=0).astype(np.float64)
-    mean = total.mean()
-    return float(total.max() / mean) if mean > 0 else 1.0
-
-
-def _emit_step_observations(comm, step: int, global_loss: float,
+def _emit_step_observations(comm, step: int, result: StepResult,
                             moe_layers: list[MoELayer], strategy_name: str) -> None:
-    """Emit one step's metrics + router telemetry into the run's spine.
+    """Fill in the step's expert-load imbalance, then emit the step's
+    metrics + router telemetry into the run's spine.
 
-    Called by every rank after each step; only world rank 0 of an
-    observing run records (loads are already group-allreduced, so one
-    writer keeps the numbers global and counted once). On an unobserved
-    run this is two attribute reads and a return.
+    Called by every rank after each step. The imbalance is max/mean of the
+    expert loads summed over ``moe_layers`` (1.0 when no layer has loads).
+    Only world rank 0 of an observing run records (loads are already
+    group-allreduced, so one writer keeps the numbers global and counted
+    once). On an unobserved run the rest is two attribute reads and a
+    return.
     """
+    loads = [m.last_global_load for m in moe_layers if m.last_global_load is not None]
+    result.imbalance = load_stats(np.sum(loads, axis=0)).imbalance if loads else 1.0
     context = comm.context
     if not context.observing or comm.rank != 0:
         return
     registry = context.metrics
     registry.counter("train_steps", strategy=strategy_name).inc()
-    registry.gauge("train_loss", strategy=strategy_name).set(global_loss)
-    registry.histogram("train_imbalance", strategy=strategy_name).observe(
-        _imbalance_of(moe_layers)
-    )
+    registry.gauge("train_loss", strategy=strategy_name).set(result.global_loss)
+    registry.histogram("train_imbalance", strategy=strategy_name).observe(result.imbalance)
     if context.router is not None:
         context.router.record_layers(step, moe_layers)
 
@@ -120,9 +114,8 @@ class RankTrainer:
         if self.dense_seconds is not None:
             self.comm.advance(self.dense_seconds)
         outcome = self.trainer.train_step(self.loader.get_batch(step))
-        outcome.imbalance = _imbalance_of(self.moe_layers)
         _emit_step_observations(
-            self.comm, step, outcome.global_loss, self.moe_layers, self.strategy_name
+            self.comm, step, outcome, self.moe_layers, self.strategy_name
         )
         return outcome
 

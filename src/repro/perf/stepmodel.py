@@ -26,10 +26,6 @@ Phases per training step (synchronous, conservatively non-overlapped):
 * pipeline p2p activation/grad transfers between adjacent stages;
 * pipeline bubble: the GPipe fill/drain idle time,
   ``(pp - 1) / num_microbatches`` of the per-stage compute.
-
-Every term maps onto :func:`~repro.obs.comm.profile_comm`'s op taxonomy via
-:meth:`StepBreakdown.comm_by_op`, so a projected step and a measured comm
-profile decompose along the same axes.
 """
 
 from __future__ import annotations
@@ -107,22 +103,6 @@ class StepBreakdown:
             "pipeline_p2p": self.pipeline_p2p,
             "pipeline_bubble": self.pipeline_bubble,
             "total": self.total,
-        }
-
-    def comm_by_op(self) -> dict[str, float]:
-        """Communication seconds keyed by ``profile_comm``'s op taxonomy.
-
-        The same names a measured run's comm profile reports (``alltoall``,
-        ``allreduce``, ``allgather``, ``p2p``), so projected and measured
-        communication decompose along identical axes.
-        """
-        return {
-            "alltoall": self.alltoall,
-            "allreduce": (
-                self.dense_allreduce + self.expert_allreduce + self.tp_allreduce
-            ),
-            "allgather": self.zero_allgather,
-            "p2p": self.pipeline_p2p,
         }
 
 

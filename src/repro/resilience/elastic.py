@@ -203,8 +203,7 @@ class ElasticStepDriver:
         # Same registry/router series as the measured runs (microstep
         # loads are summed — the logical step's totals).
         _emit_step_observations(
-            world, step, result.global_loss, self.model.moe_layers(),
-            strategy_name="elastic",
+            world, step, result, self.model.moe_layers(), strategy_name="elastic"
         )
         return result
 

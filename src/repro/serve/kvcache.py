@@ -119,11 +119,6 @@ class KVCache:
         return self.committed_tokens + int(new_tokens) <= self.token_budget
 
     @property
-    def allocated_tokens(self) -> int:
-        """Tokens of storage currently allocated per row."""
-        return self._alloc
-
-    @property
     def num_blocks(self) -> int:
         return ceil_div(self._alloc, self.block_size)
 

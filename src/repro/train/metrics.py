@@ -99,7 +99,6 @@ class MetricsLogger:
         self._format = suffix
         self._csv_writer: csv.DictWriter | None = None
         self._fieldnames: list[str] | None = None
-        self._count = 0
 
     def log(self, record: Mapping[str, Any]) -> None:
         """Append one record (flat dict of JSON-serializable values)."""
@@ -127,7 +126,6 @@ class MetricsLogger:
                     f"record: {'; '.join(detail)}"
                 )
             self._csv_writer.writerow(record)
-        self._count += 1
 
     def log_events(self, events, **extra: Any) -> int:
         """Append one record per lifecycle event (restart/backoff/...).
@@ -150,10 +148,6 @@ class MetricsLogger:
             self.log(record)
             n += 1
         return n
-
-    @property
-    def records_written(self) -> int:
-        return self._count
 
     def close(self) -> None:
         if not self._fh.closed:

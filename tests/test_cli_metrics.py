@@ -48,12 +48,6 @@ class TestMetricsLogger:
         with pytest.raises(ConfigError):
             MetricsLogger(tmp_path / "m.txt")
 
-    def test_records_written_counter(self, tmp_path):
-        with MetricsLogger(tmp_path / "m.jsonl") as logger:
-            assert logger.records_written == 0
-            logger.log({"x": 1})
-            assert logger.records_written == 1
-
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             read_jsonl(tmp_path / "nope.jsonl")

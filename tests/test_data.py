@@ -100,10 +100,6 @@ class TestShardedLoader:
                 assert key not in seen
                 seen.add(key)
 
-    def test_global_batch_tokens(self):
-        loader = ShardedLoader(self._corpus(), 4, 16, dp_rank=0, dp_size=8)
-        assert loader.global_batch_tokens == 4 * 16 * 8
-
     def test_invalid_coords(self):
         with pytest.raises(PartitionError):
             ShardedLoader(self._corpus(), 1, 8, dp_rank=4, dp_size=4)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.moe import (
-    apply_capacity,
     build_dispatch,
     expert_capacity,
     experts_of_rank,
@@ -14,6 +13,7 @@ from repro.moe import (
     load_stats,
     router_z_loss,
 )
+from repro.models.moe_layer import MoELayer
 from repro.tensor import Tensor
 
 
@@ -35,31 +35,56 @@ class TestExpertCapacity:
             expert_capacity(10, 2, 1, 0.0)
 
 
+def _first_come_keep(indices, cap):
+    """The per-slot claim loop the one capacity rule must equal: slots claim
+    their expert's buffer in batch order; a full buffer drops the slot."""
+    n, k = indices.shape
+    fill = {}
+    keep = np.zeros((n, k), dtype=bool)
+    for token in range(n):
+        for slot in range(k):
+            e = indices[token, slot]
+            if fill.get(e, 0) < cap:
+                keep[token, slot] = True
+                fill[e] = fill.get(e, 0) + 1
+    return keep
+
+
+def _kept_pairs(plan):
+    return sorted(zip(plan.token_idx.tolist(), plan.slot_idx.tolist()))
+
+
 class TestApplyCapacity:
+    """Capacity is a ``build_dispatch`` argument: the first ``capacity``
+    slots of each expert, in batch order, are kept."""
+
     def test_no_drops_when_under_capacity(self):
         indices = np.array([[0], [1], [2], [3]])
-        cap = apply_capacity(indices, 4, 1.0)
-        assert cap.dropped == 0
-        assert cap.keep_mask.all()
+        plan = build_dispatch(indices, 4, expert_capacity(4, 4, 1, 1.0))
+        assert plan.num_slots == 4
+        assert plan.counts.tolist() == [1, 1, 1, 1]
 
     def test_drops_overflow(self):
         indices = np.zeros((8, 1), dtype=np.int64)  # everyone wants expert 0
-        cap = apply_capacity(indices, 4, 1.0)
-        assert cap.capacity == 2
-        assert cap.keep_mask.sum() == 2
-        assert cap.dropped == 6
-        assert cap.drop_fraction == pytest.approx(6 / 8)
+        cap = expert_capacity(8, 4, 1, 1.0)
+        assert cap == 2
+        plan = build_dispatch(indices, 4, cap)
+        assert plan.num_slots == 2
+        assert plan.counts.tolist() == [2, 0, 0, 0]
+        assert plan.offsets.tolist() == [0, 2, 2, 2, 2]
 
     def test_batch_order_priority(self):
         indices = np.zeros((4, 1), dtype=np.int64)
-        cap = apply_capacity(indices, 4, 1.0)
-        assert cap.keep_mask[0, 0]  # earliest token wins
+        plan = build_dispatch(indices, 4, 1)
+        assert plan.token_idx.tolist() == [0]  # earliest token wins
 
     def test_positions_within_capacity(self):
+        """A kept slot's place in its expert's segment is below capacity."""
         indices = np.array([[0], [0], [1], [0]])
-        cap = apply_capacity(indices, 2, 2.0)
-        kept_positions = cap.positions[cap.keep_mask]
-        assert kept_positions.max() < cap.capacity
+        cap = expert_capacity(4, 2, 1, 2.0)
+        plan = build_dispatch(indices, 2, cap)
+        places = np.arange(plan.num_slots) - plan.offsets[plan.expert_idx]
+        assert places.max() < cap
 
     @given(
         st.integers(min_value=1, max_value=64),
@@ -70,10 +95,87 @@ class TestApplyCapacity:
     def test_kept_never_exceeds_capacity(self, n, e, factor):
         rng = np.random.default_rng(n * e)
         indices = rng.integers(0, e, size=(n, 1))
-        cap = apply_capacity(indices, e, factor)
-        for expert in range(e):
-            kept_here = (indices[cap.keep_mask[:, 0], 0] == expert).sum()
-            assert kept_here <= cap.capacity
+        cap = expert_capacity(n, e, 1, factor)
+        plan = build_dispatch(indices, e, cap)
+        assert plan.counts.max() <= cap
+        assert np.array_equal(plan.counts, np.minimum(np.bincount(indices[:, 0], minlength=e), cap))
+
+
+class TestOneCapacityRule:
+    """``build_dispatch(..., capacity=c)`` equals the first-come claim loop."""
+
+    @given(
+        st.integers(min_value=0, max_value=48),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_claim_loop(self, n, e, k, c, seed):
+        rng = np.random.default_rng(seed)
+        # Skewed routing, so small caps drop and large ones (c >= N*k) don't.
+        indices = np.minimum(rng.zipf(1.5, size=(n, k)) - 1, e - 1)
+        keep = _first_come_keep(indices, c)
+        plan = build_dispatch(indices, e, c)
+        full = build_dispatch(indices, e)
+        tok, slot = np.nonzero(keep)
+        assert _kept_pairs(plan) == sorted(zip(tok.tolist(), slot.tolist()))
+        assert np.array_equal(plan.counts, np.bincount(indices[keep], minlength=e))
+        # The kept slots are the uncapped plan's, in the same order.
+        assert np.array_equal(plan.expert_idx, full.expert_idx[keep[full.token_idx, full.slot_idx]])
+        assert np.array_equal(plan.token_idx, full.token_idx[keep[full.token_idx, full.slot_idx]])
+        assert np.array_equal(plan.offsets, np.concatenate([[0], np.cumsum(plan.counts)]))
+        if c >= n * k:
+            assert keep.all() and _kept_pairs(plan) == _kept_pairs(full)
+
+    @given(
+        st.integers(min_value=1, max_value=48),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=3),
+        st.floats(min_value=0.1, max_value=3.0),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_two_caps_are_their_min(self, n, e, k, factor, c, seed):
+        """A training buffer and a serving bound keep what both claim loops
+        keep, which is what one cap of their ``min`` keeps."""
+        indices = np.random.default_rng(seed).integers(0, e, size=(n, k))
+        train = expert_capacity(n, e, k, factor)
+        keep = _first_come_keep(indices, train) & _first_come_keep(indices, c)
+        plan = build_dispatch(indices, e, min(train, c))
+        tok, slot = np.nonzero(keep)
+        assert _kept_pairs(plan) == sorted(zip(tok.tolist(), slot.tolist()))
+
+    def test_cap_of_one(self):
+        indices = np.array([[2, 0], [0, 2], [1, 0]])
+        plan = build_dispatch(indices, 3, 1)
+        assert _kept_pairs(plan) == [(0, 0), (0, 1), (2, 0)]
+        assert plan.counts.tolist() == [1, 1, 1]
+
+    def test_invalid_capacity(self):
+        with pytest.raises(ConfigError):
+            build_dispatch(np.array([[0]]), 1, 0)
+
+    @pytest.mark.parametrize("factor", [None, 0.5, 1.5])
+    @pytest.mark.parametrize("inference_capacity", [1, 2, 3, 5, 40])
+    def test_layer_drop_fraction_is_the_serving_form(self, factor, inference_capacity):
+        """In eval, ``last_drop_fraction`` has the bits of the serving form
+        ``1.0 - keep.mean()`` over the claim loop's keep mask."""
+        layer = MoELayer(d_model=8, d_ff=16, num_experts=4, rng=np.random.default_rng(5),
+                         gate="topk", top_k=2, capacity_factor=factor)
+        layer.eval()
+        layer.inference_capacity = inference_capacity
+        x = Tensor(np.random.default_rng(7).normal(size=(21, 8)).astype(np.float32))
+        layer(x)
+        indices = layer.gate(layer.router(x), np.random.default_rng(0)).indices
+        cap = inference_capacity
+        if factor is not None:
+            cap = min(cap, expert_capacity(21, 4, 2, factor))
+        keep = _first_come_keep(indices, cap)
+        assert layer.last_drop_fraction == float(1.0 - keep.mean())
+        assert layer.last_drop_fraction > 0 or keep.all()
 
 
 class TestBuildDispatch:
@@ -96,9 +198,9 @@ class TestBuildDispatch:
         assert sorted(plan.token_idx[plan.segment(1)].tolist()) == [0, 2]
 
     def test_keep_mask_excludes(self):
+        """A capacity excludes the overflow slots from the plan."""
         indices = np.array([[0], [0], [1]])
-        keep = np.array([[True], [False], [True]])
-        plan = build_dispatch(indices, 2, keep)
+        plan = build_dispatch(indices, 2, capacity=1)
         assert plan.num_slots == 2
         assert 1 not in plan.token_idx
 

@@ -103,13 +103,6 @@ class TestTopology:
         with pytest.raises(TopologyError):
             _two_level().link_at(5)
 
-    def test_level_named(self):
-        topo = _two_level()
-        assert topo.level_named("node") == 0
-        assert topo.level_named("group") == 1
-        with pytest.raises(TopologyError):
-            topo.level_named("cabinet")
-
     def test_empty_levels_rejected(self):
         with pytest.raises(TopologyError):
             Topology([])
@@ -162,7 +155,6 @@ class TestCabinetTopology:
                                 num_cabinets=3)
         assert topo.num_levels == 3
         assert topo.num_nodes == 24
-        assert topo.level_named("cabinet") == 2
 
     def test_span_levels_across_hierarchy(self):
         from repro.network import cabinet_topology

@@ -359,12 +359,6 @@ class TestStepModelNewTerms:
         # TP shards the dense-FFN matmuls -> less dense compute per rank.
         assert bd.dense_compute < self._bd(ep_size=1).dense_compute
 
-    def test_comm_by_op_taxonomy(self):
-        bd = self._bd(ep_size=2, pp_size=2, num_microbatches=2)
-        ops = bd.comm_by_op()
-        assert set(ops) == {"alltoall", "allreduce", "allgather", "p2p"}
-        assert sum(ops.values()) == pytest.approx(bd.communication)
-
     def test_total_includes_bubble(self):
         bd = self._bd(ep_size=1, pp_size=2, num_microbatches=2)
         assert bd.total == pytest.approx(

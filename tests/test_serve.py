@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import CacheOverflow, ConfigError
 from repro.models import build_model, generate, tiny_config
-from repro.moe import inference_keep_mask
+from repro.moe import build_dispatch
 from repro.serve import (
     ContinuousBatchScheduler,
     KVCache,
@@ -61,17 +61,15 @@ class TestKVCache:
 
     def test_paged_growth(self):
         cache = self._cache()
-        assert cache.allocated_tokens == 0
+        assert cache.num_blocks == 0
         k = np.ones((3, 2, 3, 4), dtype=np.float32)
         cache.layer(0).append(k, k, np.array([3, 1, 2]))
         # 3 tokens needed -> one 8-token block.
-        assert cache.allocated_tokens == 8
         assert cache.num_blocks == 1
         cache.commit(np.arange(3), np.array([3, 1, 2]))
         k7 = np.ones((3, 2, 7, 4), dtype=np.float32)
         cache.layer(0).append(k7, k7, np.array([7, 7, 7]))
         # Longest row now 3+7=10 -> two blocks.
-        assert cache.allocated_tokens == 16
         assert cache.num_blocks == 2
 
     def test_append_returns_history_and_ctx(self):
@@ -231,20 +229,29 @@ class TestGenerateFixes:
 
 
 class TestInferenceKeepMask:
+    """The serving bound is ``build_dispatch``'s absolute capacity."""
+
+    @staticmethod
+    def _kept(idx, num_experts, cap):
+        plan = build_dispatch(idx, num_experts, capacity=cap)
+        keep = np.zeros(idx.shape, dtype=bool)
+        keep[plan.token_idx, plan.slot_idx] = True
+        return keep
+
     def test_caps_each_expert(self):
         idx = np.array([[0], [0], [0], [1]])
-        keep = inference_keep_mask(idx, num_experts=2, max_per_expert=2)
+        keep = self._kept(idx, 2, 2)
         assert keep.tolist() == [[True], [True], [False], [True]]
 
     def test_stable_earlier_rows_win(self):
         idx = np.array([[3], [3], [3]])
-        keep = inference_keep_mask(idx, num_experts=4, max_per_expert=1)
+        keep = self._kept(idx, 4, 1)
         assert keep.tolist() == [[True], [False], [False]]
 
     def test_no_drops_under_cap(self):
         rng = np.random.default_rng(0)
         idx = rng.integers(0, 4, size=(6, 2))
-        keep = inference_keep_mask(idx, num_experts=4, max_per_expert=100)
+        keep = self._kept(idx, 4, 100)
         assert keep.all()
 
 
