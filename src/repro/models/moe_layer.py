@@ -93,7 +93,8 @@ class MoELayer(Module):
         #: Per-expert token counts of this layer's tokens, most recent forward.
         self.last_load: np.ndarray | None = None
         #: Per-expert counts over the whole expert group (``last_load``
-        #: itself when the layer is its own group).
+        #: itself when the layer is its own group). A distributed layer's
+        #: training forward leaves it ``None``; the step end fills it.
         self.last_global_load: np.ndarray | None = None
         #: Fraction of (token, slot) pairs dropped by capacity last forward.
         self.last_drop_fraction: float = 0.0
@@ -187,8 +188,9 @@ class MoELayer(Module):
             for _ in range(self.num_experts)
         ]
 
-    def _group_load(self, load: np.ndarray) -> np.ndarray:
-        """Per-expert load over the expert group: here, this layer's own."""
+    def _group_load(self, load: np.ndarray) -> np.ndarray | None:
+        """Per-expert load over the expert group (``None``: filled later, at
+        the step end): here, this layer's own."""
         return load
 
     def _expert_stage(self, xs: Tensor, plan: DispatchPlan) -> Tensor:

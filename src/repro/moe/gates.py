@@ -179,8 +179,11 @@ class BalancedGate(Gate):
                     taken += 1
             while taken < k:
                 # Capacity exhausted everywhere preferred: spill to the
-                # globally least-loaded expert (never drops tokens).
-                candidate = int(np.argmax(remaining))
+                # least-loaded expert this token has not taken (never drops
+                # tokens, never routes one token to an expert twice).
+                spill = remaining.copy()
+                spill[chosen] = np.iinfo(np.int64).min
+                candidate = int(np.argmax(spill))
                 remaining[candidate] -= 1
                 chosen.append(candidate)
                 taken += 1

@@ -10,8 +10,10 @@ hierarchical) exposed as the knob experiment F3 measures.
 :class:`DistributedMoELayer` is a :class:`~repro.models.MoELayer` whose
 forward is inherited unchanged (route -> plan -> expert stage -> combine ->
 aux); it replaces only three hooks: its experts are this rank's shard, each
-seeded by global id; its group load is allreduced over the EP group; and
-its expert stage is the counts alltoall followed by :meth:`_dispatch`. So
+seeded by global id; its group load is allreduced over the EP group (per
+forward in eval, once per step for every layer in training:
+:func:`fill_group_loads`); and its expert stage is the counts alltoall
+followed by :meth:`_dispatch`. So
 numerics match the local layer exactly for deterministic gates (verified by
 equivalence tests): only the *place* where each expert's matmuls run
 changes.
@@ -132,9 +134,14 @@ class DistributedMoELayer(MoELayer):
             for gid in self.global_expert_ids
         ]
 
-    def _group_load(self, load: np.ndarray) -> np.ndarray:
-        """Per-expert load allreduced over the EP group."""
-        return self.ep_comm.allreduce(load)
+    def _group_load(self, load: np.ndarray) -> np.ndarray | None:
+        """Per-expert load allreduced over the EP group — in eval only.
+
+        A training forward leaves it ``None``: the step end fills every
+        layer's ``last_global_load`` at once (:func:`fill_group_loads`), so
+        a step pays one load allreduce instead of one per MoE forward.
+        """
+        return None if self.training else self.ep_comm.allreduce(load)
 
     def _expert_stage(self, xs: Tensor, plan: DispatchPlan) -> Tensor:
         """Tell each destination how many rows it gets per local expert,
@@ -228,6 +235,22 @@ class DistributedMoELayer(MoELayer):
         for c in range(chunks):
             out = combine.wait(c)
         return out
+
+
+def fill_group_loads(layers: list[MoELayer]) -> None:
+    """Fill ``last_global_load`` of every layer whose training forward left
+    it ``None`` from ONE allreduce of their concatenated ``last_load``s.
+
+    Collective over the layers' EP group: every member holds the same
+    layers in the same mode, so all of them call it or none does. Integer
+    counts, so each layer's slice equals its own per-layer allreduce.
+    """
+    pending = [m for m in layers if m.last_global_load is None]
+    if not pending:
+        return
+    total = pending[0].ep_comm.allreduce(np.concatenate([m.last_load for m in pending]))
+    for m, load in zip(pending, np.split(total, len(pending))):
+        m.last_global_load = load
 
 
 def ep_moe_factory(

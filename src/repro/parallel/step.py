@@ -5,9 +5,8 @@ Every strategy in this repo takes the same step on every rank::
     lr <- schedule                      zero_grad
     produce gradients                   (batch, scale) -> loss, {phase: virtual s}
     average each (label, params, comm)  one bucket, or several behind backward
-    agree on overflow                   MAX-allreduce of the local flag
+    agree on overflow + global loss     ONE world allreduce of [flag, loss slots]
     apply_update                        skip, or optimizer step
-    global loss                         mean over ``loss_comm``
 
 What differs between strategies is *data* handed to :class:`DistributedStep`:
 the sync groups, the communicator the loss is averaged over, and the
@@ -27,7 +26,7 @@ from repro.data.loader import Batch
 from repro.errors import ConfigError
 from repro.models.module import Module, Parameter
 from repro.parallel.dp import PendingGradAllreduce
-from repro.simmpi import MAX, Comm
+from repro.simmpi import Comm
 from repro.train.optim import Adam
 from repro.train.schedules import ConstantLR, LRSchedule
 from repro.train.trainer import StepResult, apply_update
@@ -145,6 +144,25 @@ class DistributedStep:
         self.history.append(result)
         return result
 
+    def _agree(self, found: bool, loss_value: float) -> tuple[bool, float]:
+        """``(any rank overflowed, mean loss over loss_comm)`` from ONE world
+        allreduce of ``[flag, one loss slot per loss group]``.
+
+        All ranks must agree on the skip decision (their shards differ), so
+        a flag sum above 0 is the MAX vote. ``loss_comm`` is a block of
+        consecutive world ranks (the world, or one stage plane), so this
+        rank's loss slot is ``1 + world.rank // loss_comm.size``; the other
+        groups add +0.0 to it, which leaves its left fold bit-equal to the
+        sum over ``loss_comm`` alone.
+        """
+        world, size = self.world, self.loss_comm.size
+        slot = 1 + world.rank // size
+        vote = np.zeros(1 + world.size // size)
+        vote[0] = 1.0 if found else 0.0
+        vote[slot] = loss_value
+        total = world.allreduce(vote)
+        return bool(total[0] > 0), float(total[slot]) / size
+
     def train_step(self, batch: Batch) -> StepResult:
         """Run one synchronous distributed step on this rank's batch."""
         world = self.world
@@ -158,12 +176,10 @@ class DistributedStep:
         phases["grad_sync"] = world.clock - t0
 
         found = self.scaler is not None and grads_have_overflow(self.optimizer.params)
-        # All ranks must agree on the skip decision (their shards differ).
-        overflow = bool(world.allreduce(1.0 if found else 0.0, op=MAX) > 0)
+        overflow, global_loss = self._agree(found, loss_value)
         grad_norm, skipped = apply_update(
             self.optimizer, self.scaler, None, scale, overflow
         )
-        global_loss = float(self.loss_comm.allreduce(loss_value)) / self.loss_comm.size
         return self.finish_step(
             phases,
             {

@@ -34,6 +34,7 @@ from repro.errors import ConfigError
 from repro.layout import ParallelLayout, validate_layout_for_model
 from repro.models.moe_layer import MoELayer
 from repro.moe.balance import load_stats
+from repro.parallel.ep import fill_group_loads
 from repro.parallel.grid3d import Trainer3D
 from repro.parallel.groups import build_groups
 from repro.parallel.moda import MoDaTrainer, build_moda_model, split_params
@@ -59,17 +60,20 @@ __all__ = ["RankTrainer", "ParallelStrategy", "strategy_for_layout"]
 
 def _emit_step_observations(comm, step: int, result: StepResult,
                             moe_layers: list[MoELayer], strategy_name: str) -> None:
-    """Fill in the step's expert-load imbalance, then emit the step's
+    """Fill in the step's expert loads and imbalance, then emit the step's
     metrics + router telemetry into the run's spine.
 
-    Called by every rank after each step. The imbalance is max/mean of the
-    expert loads summed over ``moe_layers`` (1.0 when no layer has loads).
-    Only world rank 0 of an observing run records (loads are already
-    group-allreduced, so one writer keeps the numbers global and counted
-    once). On an unobserved run the rest is two attribute reads and a
-    return.
+    Called by every rank after each step (collective over the EP group):
+    the layers' group loads come from one EP allreduce of their last
+    forward's local loads (:func:`~repro.parallel.ep.fill_group_loads`).
+    The imbalance is max/mean of the expert loads summed over
+    ``moe_layers`` (1.0 when no layer has loads). Only world rank 0 of an
+    observing run records (loads are group-allreduced, so one writer keeps
+    the numbers global and counted once). On an unobserved run the rest is
+    two attribute reads and a return.
     """
-    loads = [m.last_global_load for m in moe_layers if m.last_global_load is not None]
+    fill_group_loads(moe_layers)
+    loads = [m.last_global_load for m in moe_layers]
     result.imbalance = load_stats(np.sum(loads, axis=0)).imbalance if loads else 1.0
     context = comm.context
     if not context.observing or comm.rank != 0:

@@ -26,6 +26,10 @@ Phases per training step (synchronous, conservatively non-overlapped):
 * pipeline p2p activation/grad transfers between adjacent stages;
 * pipeline bubble: the GPipe fill/drain idle time,
   ``(pp - 1) / num_microbatches`` of the per-stage compute.
+
+Not priced: the per-layer counts alltoall and the step's two bookkeeping
+allreduces (expert loads; overflow flag + loss), DESIGN.md §8 "Step
+bookkeeping is two collectives".
 """
 
 from __future__ import annotations

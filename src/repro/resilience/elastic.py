@@ -200,8 +200,9 @@ class ElasticStepDriver:
             skipped=skipped,
             loss_scale=1.0,
         )
-        # Same registry/router series as the measured runs (microstep
-        # loads are summed — the logical step's totals).
+        # Same registry/router series as the measured runs. The loads are
+        # the last microstep's (each training forward overwrites a layer's
+        # local load), allreduced once over the EP group here.
         _emit_step_observations(
             world, step, result, self.model.moe_layers(), strategy_name="elastic"
         )

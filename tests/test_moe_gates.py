@@ -112,6 +112,22 @@ class TestBalancedGate:
         assert out.load.max() <= cap
         assert out.load.sum() == n
 
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=2, max_value=4),
+        st.floats(min_value=0.0, max_value=12.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_topk_slots_distinct_property(self, n, e, k, skew):
+        """A spill never sends a token to an expert it already took."""
+        k = min(k, e)
+        out = BalancedGate(num_experts=e, top_k=k)(
+            logits(n, e, skew=skew, seed=n * e + k), RNG
+        )
+        assert all(len(set(row)) == k for row in out.indices.tolist())
+        assert out.load.sum() == n * k
+
 
 class TestRandomGate:
     def test_balanced_in_expectation(self):

@@ -510,8 +510,10 @@ class TestFlightDumpOnFailure:
         from repro.resilience import ElasticRunConfig, Supervisor
         from repro.simmpi import FaultModel
 
+        # Six steps, so the seeded MTBF crash of the shrunk world lands
+        # mid-run (four steps of the world-2 run end 1.8 µs before it).
         cfg = ElasticRunConfig(
-            model=CFG, world_size=4, ep_size=2, total_steps=4,
+            model=CFG, world_size=4, ep_size=2, total_steps=6,
             checkpoint_every=2, checkpoint_dir=tmp_path / "ckpt",
             batch_size=2, seq_len=8, seed=0, max_restarts=8,
         )

@@ -8,6 +8,7 @@ from repro.errors import CommunicatorError, ConfigError
 from repro.models import MoELayer
 from repro.parallel import DistributedMoELayer, allreduce_sum
 from repro.parallel.collective_ops import PendingAlltoallRows
+from repro.parallel.ep import fill_group_loads
 from repro.simmpi import run_spmd
 from repro.tensor import Tensor
 
@@ -176,18 +177,43 @@ class TestDistributedEquivalence:
         assert any(touched for _, touched in res.returns)
 
     def test_global_load_allreduced(self):
-        def program(comm):
-            layer = DistributedMoELayer(
-                8, 16, 4, comm, shared_rng=np.random.default_rng(1), seed=0,
-            )
-            x = Tensor(np.random.default_rng(comm.rank).normal(size=(5, 8)))
-            layer(x)
-            return layer.last_load.sum(), layer.last_global_load.sum()
+        """Eval: every forward fills ``last_global_load``. Training: the
+        forward leaves it ``None`` and the step end fills every layer with
+        the same values from one allreduce."""
 
-        res = run_spmd(program, 4)
-        for local, global_ in res.returns:
+        def program(comm):
+            layers = [
+                DistributedMoELayer(
+                    8, 16, 4, comm, shared_rng=np.random.default_rng(i), seed=0,
+                    layer_id=i,
+                )
+                for i in range(2)
+            ]
+            x = Tensor(np.random.default_rng(comm.rank).normal(size=(5, 8)))
+            evaluated = []
+            for layer in layers:
+                layer.eval()
+                layer(x)
+                evaluated.append(layer.last_global_load)
+            for layer in layers:
+                layer.train()
+                layer(x)
+            untouched = [layer.last_global_load for layer in layers]
+            mine = [e for e in comm.context.trace_events if e.rank == comm.rank]
+            fill_group_loads(layers)
+            calls = [e.op for e in comm.context.trace_events if e.rank == comm.rank]
+            calls = calls[len(mine):]
+            trained = [layer.last_global_load for layer in layers]
+            return layers[0].last_load.sum(), evaluated, untouched, trained, calls
+
+        res = run_spmd(program, 4, trace=True)
+        for local, evaluated, untouched, trained, calls in res.returns:
             assert local == 5
-            assert global_ == 20
+            assert calls == ["allreduce"]
+            assert [e.sum() for e in evaluated] == [20, 20]
+            assert untouched == [None, None]
+            assert all(np.array_equal(t, e) for t, e in zip(trained, evaluated))
+        assert all(np.array_equal(r[1][0], res.returns[0][1][0]) for r in res.returns)
 
     def test_compute_hook_called_with_rows(self):
         def program(comm):

@@ -33,6 +33,7 @@ from repro.parallel.dist_checkpoint import latest_snapshot, verify_snapshot
 from repro.parallel.runner import TrainingRunConfig, run_distributed_training
 from repro.resilience import (
     ElasticRunConfig,
+    ElasticStepDriver,
     Supervisor,
     classify_failure,
     run_elastic_training,
@@ -323,6 +324,33 @@ class TestElasticAcceptance:
         with MetricsLogger(tmp_path / "events.csv") as logger:
             with pytest.raises(ConfigError):
                 logger.log_events(res.context.events)
+
+
+class TestElasticTelemetry:
+    """At k = 2 microsteps the step's loads are the *last* microstep's, read
+    once at the step end; these are the values the driver gave when each
+    MoE forward allreduced its own load."""
+
+    IMBALANCE = [1.09375, 1.28125, 1.1875]
+    #: (step, layer, loads): each row sums to one microstep's 2 ranks x 16 tokens x top-2.
+    ROUTER = [
+        (0, 0, [17.0, 12.0, 17.0, 18.0]), (0, 1, [17.0, 19.0, 18.0, 10.0]),
+        (1, 0, [18.0, 14.0, 19.0, 13.0]), (1, 1, [23.0, 17.0, 17.0, 7.0]),
+        (2, 0, [14.0, 15.0, 17.0, 18.0]), (2, 1, [24.0, 19.0, 12.0, 9.0]),
+    ]
+
+    def test_imbalance_and_router_samples_of_the_last_microstep(self):
+        def program(comm, cfg):
+            plane = cfg.resolve_strategy().build(comm, cfg, None)
+            driver = ElasticStepDriver(plane, 4, 2, cfg)
+            return [driver.train_step(step).imbalance for step in range(3)]
+
+        cfg = TrainingRunConfig(model=tiny_config(num_experts=4, top_k=2), world_size=2,
+                                ep_size=2, batch_size=2, seq_len=8, seed=0)
+        res = run_spmd(program, 2, args=(cfg,), observe=True)
+        assert res.returns == [self.IMBALANCE] * 2
+        samples = [(s.step, s.layer, s.loads.tolist()) for s in res.context.router.samples]
+        assert samples == self.ROUTER
 
 
 # ---------------------------------------------------------------------- #
