@@ -12,6 +12,7 @@ goodput/availability against failure rate (T7c).
 import numpy as np
 
 from repro.models import tiny_config
+from repro.parallel import TrainingRunConfig
 from repro.resilience import ElasticRunConfig, Supervisor
 from repro.simmpi import FaultModel, FaultPlan
 
@@ -23,12 +24,17 @@ TOTAL = 8
 KILL_AT_OP = 120
 
 
-def _restart_cfg(checkpoint_dir, total_steps, checkpoint_every, seed):
+def _run(num_steps, seed):
+    """The full-width launch every T7 session supervises."""
+    return TrainingRunConfig(model=CFG, world_size=4, ep_size=2, num_steps=num_steps,
+                             batch_size=2, seq_len=8, seed=seed)
+
+
+def _restart_cfg(checkpoint_dir, num_steps, checkpoint_every, seed):
     """Plain checkpoint-restart: always relaunch at full width."""
     return ElasticRunConfig(
-        model=CFG, world_size=4, ep_size=2, total_steps=total_steps,
-        checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
-        batch_size=2, seq_len=8, seed=seed, elastic=False,
+        run=_run(num_steps, seed), checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir, elastic=False,
     )
 
 
@@ -104,10 +110,8 @@ def test_t7_goodput_vs_mtbf(benchmark, report, tmp_path):
         rows = []
         for mtbf in (3e-4, 1e-3, 1e-2, None):
             cfg = ElasticRunConfig(
-                model=CFG, world_size=4, ep_size=2, total_steps=TOTAL,
-                checkpoint_every=2,
+                run=_run(TOTAL, seed=0), checkpoint_every=2,
                 checkpoint_dir=tmp_path / f"mtbf{mtbf or 'inf'}",
-                batch_size=2, seq_len=8, seed=0,
                 max_restarts=30, backoff_base=1e-4, backoff_cap=1e-3,
             )
             res = Supervisor(

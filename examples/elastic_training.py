@@ -33,9 +33,11 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         supervisor = Supervisor(
             ElasticRunConfig(
-                model=CFG, world_size=4, ep_size=2, total_steps=STEPS,
+                run=TrainingRunConfig(model=CFG, world_size=4, ep_size=2,
+                                      num_steps=STEPS, batch_size=2, seq_len=8,
+                                      seed=0),
                 checkpoint_every=2, checkpoint_dir=Path(tmp) / "ckpts",
-                batch_size=2, seq_len=8, seed=0, max_restarts=8,
+                max_restarts=8,
                 # Virtual step times for this tiny model are ~1e-4 s;
                 # scale the backoff to the same regime so the goodput
                 # number printed below stays meaningful.

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.models import tiny_config
+from repro.parallel import TrainingRunConfig
 from repro.resilience import ElasticRunConfig, Supervisor
 from repro.simmpi import FaultPlan
 
@@ -32,9 +33,9 @@ STEPS = 8
 def run(workdir: Path, faults=None):
     return Supervisor(
         ElasticRunConfig(
-            model=CFG, world_size=4, ep_size=2, total_steps=STEPS,
-            checkpoint_every=2, checkpoint_dir=workdir,
-            batch_size=4, seq_len=8, seed=13, elastic=False,
+            run=TrainingRunConfig(model=CFG, world_size=4, ep_size=2,
+                                  num_steps=STEPS, batch_size=4, seq_len=8, seed=13),
+            checkpoint_every=2, checkpoint_dir=workdir, elastic=False,
         ),
         fault_plans=faults,
     ).run()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.models.module import Module
 from repro.tensor import as_dtype, quantize
 
-__all__ = ["cast_model", "model_dtype"]
+__all__ = ["cast_model"]
 
 
 def cast_model(model: Module, dtype: str) -> Module:
@@ -27,11 +27,3 @@ def cast_model(model: Module, dtype: str) -> Module:
         p.dtype = spec
         p.grad = None
     return model
-
-
-def model_dtype(model: Module) -> str:
-    """The common parameter dtype, or "mixed" when parameters disagree."""
-    names = {p.dtype.name for p in model.parameters()}
-    if not names:
-        return "fp32"
-    return names.pop() if len(names) == 1 else "mixed"

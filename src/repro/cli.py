@@ -460,6 +460,7 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
 def _cmd_resilient(args: argparse.Namespace) -> int:
     import tempfile
 
+    from repro.parallel import TrainingRunConfig
     from repro.resilience import ElasticRunConfig, Supervisor
     from repro.simmpi import FaultModel
 
@@ -485,22 +486,24 @@ def _cmd_resilient(args: argparse.Namespace) -> int:
 
     ckpt_dir = args.checkpoint_dir or tempfile.mkdtemp(prefix="repro-ckpt-")
     run_cfg = ElasticRunConfig(
-        model=cfg,
-        world_size=args.world,
-        ep_size=args.ep,
-        total_steps=args.steps,
+        run=TrainingRunConfig(
+            model=cfg,
+            world_size=args.world,
+            ep_size=args.ep,
+            num_steps=args.steps,
+            batch_size=args.batch_size,
+            seq_len=args.seq_len,
+            seed=args.seed,
+            trace=args.trace is not None,
+            observe=args.observe,
+        ),
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=ckpt_dir,
-        batch_size=args.batch_size,
-        seq_len=args.seq_len,
-        seed=args.seed,
         max_restarts=args.max_restarts,
         backoff_base=args.backoff_base,
         elastic=args.elastic,
         shrink_after=args.shrink_after,
         min_world_size=args.min_world,
-        trace=args.trace is not None,
-        observe=args.observe,
     )
     fault_desc = "healthy machine" if faults is None else (
         f"mtbf={args.mtbf} dead={tuple(args.dead_node or ())} "

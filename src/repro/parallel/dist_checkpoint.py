@@ -215,6 +215,7 @@ def save_distributed(
     # until all shard writes above have happened.
     listed = groups.world.gather(written, root=0)
     if groups.world.rank == 0:
+        # gather returns the gathered list at its root, which is rank 0.
         assert listed is not None
         manifest = sorted({name for sub in listed for name in sub})
         meta = {

@@ -11,7 +11,8 @@ supervisor):
 * :class:`~repro.resilience.supervisor.Supervisor` classifies failures,
   backs off exponentially, relaunches from the latest verified snapshot,
   and — when one node keeps failing — performs an *elastic restart*:
-  exclude the node, halve the world, reshard through the
+  exclude the node, shrink to at most half the world (to a size that
+  divides the original, so it can replay it), reshard through the
   layout-independent checkpoint, resume;
 * :class:`~repro.resilience.elastic.ElasticStepDriver` makes the
   shrunken world reproduce the full world's loss trajectory exactly via

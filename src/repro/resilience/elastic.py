@@ -82,7 +82,6 @@ class SegmentSpec:
     logical_world: int
     #: The original EP width (sets the expert-gradient divisor).
     logical_ep: int
-    total_steps: int
     checkpoint_every: int
     checkpoint_dir: str
     resume_dir: str | None
@@ -233,13 +232,13 @@ def run_elastic_segment(comm, spec: SegmentSpec) -> dict[str, Any]:
 
     losses: list[float] = []
     ckpts: list[int] = []
-    for step in range(start, spec.total_steps):
+    for step in range(start, cfg.num_steps):
         out = driver.train_step(step)
         losses.append(out.global_loss)
         done = step + 1
         if comm.rank == 0:
             spec.progress.completed_step = done
-        if done % spec.checkpoint_every == 0 or done == spec.total_steps:
+        if done % spec.checkpoint_every == 0 or done == cfg.num_steps:
             save_distributed(
                 Path(spec.checkpoint_dir) / f"step-{done:06d}",
                 model,

@@ -17,7 +17,8 @@ top of plain restart:
   charged to the session clock and recorded as a ``backoff`` phase;
 * **blame-driven elastic restart** — when the same node keeps killing
   runs (``shrink_after`` strikes), the supervisor excludes it from the
-  fault model's rank↦node map, halves the world, and resumes from the
+  fault model's rank↦node map, shrinks the world to the largest size of
+  at most half that divides the full width, and resumes from the
   latest verified snapshot. The layout-independent checkpoint format
   (:mod:`repro.parallel.dist_checkpoint`) reshards experts and optimizer
   state into the new world, and the fold-carry driver
@@ -36,7 +37,7 @@ goodput numbers are reproducible bit for bit across hosts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -49,7 +50,6 @@ from repro.errors import (
     ReproError,
 )
 from repro.hardware.specs import sunway_machine
-from repro.models.configs import ModelConfig
 from repro.network.presets import sunway_network
 from repro.parallel.dist_checkpoint import latest_snapshot
 from repro.parallel.runner import TrainingRunConfig
@@ -125,21 +125,13 @@ def post_mortem(exc: ReproError) -> PostMortem:
 
 @dataclass(frozen=True)
 class ElasticRunConfig:
-    """Setup for a supervised, elastically-restartable training run."""
+    """Setup for a supervised, elastically-restartable training run: the
+    full-width launch plus the policy that restarts it."""
 
-    model: ModelConfig
-    world_size: int
-    ep_size: int
-    total_steps: int
+    #: The full-width launch; every attempt runs it at its own world x ep.
+    run: TrainingRunConfig
     checkpoint_every: int
     checkpoint_dir: str | Path
-    batch_size: int = 4
-    seq_len: int = 8
-    lr: float = 1e-3
-    seed: int = 0
-    corpus_predictability: float = 0.8
-    allreduce_algorithm: str | None = None
-    alltoall_algorithm: str | None = None
     max_restarts: int = 5
     #: Backoff before relaunch n consecutive failures in:
     #: ``min(cap, base * 2**(n-1))`` virtual seconds.
@@ -150,18 +142,24 @@ class ElasticRunConfig:
     elastic: bool = True
     shrink_after: int = 2
     min_world_size: int = 1
-    model_compute_time: bool = True
-    timeout: float = 120.0
-    trace: bool = False
-    #: Give the session (and every launch) a live metric registry +
-    #: router telemetry; the session context absorbs each launch's.
-    observe: bool = False
 
     def __post_init__(self) -> None:
-        if self.total_steps < 1 or self.checkpoint_every < 1:
-            raise ConfigError("total_steps and checkpoint_every must be >= 1")
+        if self.checkpoint_every < 1:
+            raise ConfigError(
+                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
+            )
+        # What ElasticStepDriver cannot execute: it steps one in-plane MoDa
+        # trainer, unchunked, and never scales the loss.
+        run = self.run
+        for name in ("tp_size", "pp_size", "zero_shards", "overlap_chunks"):
+            if getattr(run, name) != 1:
+                raise ConfigError(
+                    f"elastic training runs {name}=1 only, got {getattr(run, name)}"
+                )
+        if run.mixed_precision:
+            raise ConfigError("elastic training runs mixed_precision=False only")
         # Layout and workload are checked by the full-width launch.
-        self.training_config(self.world_size, self.ep_size)
+        self.training_config(run.world_size, run.ep_size)
         if self.max_restarts < 0:
             raise ConfigError("max_restarts must be >= 0")
         # Delegated: BackoffPolicy owns the schedule validation, so the
@@ -169,9 +167,9 @@ class ElasticRunConfig:
         self.backoff_policy()
         if self.shrink_after < 1:
             raise ConfigError(f"shrink_after must be >= 1, got {self.shrink_after}")
-        if not 1 <= self.min_world_size <= self.world_size:
+        if not 1 <= self.min_world_size <= run.world_size:
             raise ConfigError(
-                f"min_world_size must be in [1, {self.world_size}], "
+                f"min_world_size must be in [1, {run.world_size}], "
                 f"got {self.min_world_size}"
             )
 
@@ -181,23 +179,7 @@ class ElasticRunConfig:
 
     def training_config(self, world: int, ep: int) -> TrainingRunConfig:
         """The validated launch config of one attempt at ``world`` x ``ep``."""
-        run_cfg = TrainingRunConfig(
-            model=self.model,
-            world_size=world,
-            ep_size=ep,
-            num_steps=self.total_steps,
-            batch_size=self.batch_size,
-            seq_len=self.seq_len,
-            lr=self.lr,
-            seed=self.seed,
-            corpus_predictability=self.corpus_predictability,
-            alltoall_algorithm=self.alltoall_algorithm,
-            allreduce_algorithm=self.allreduce_algorithm,
-            model_compute_time=self.model_compute_time,
-            timeout=self.timeout,
-            trace=self.trace,
-            observe=self.observe,
-        )
+        run_cfg = replace(self.run, world_size=world, ep_size=ep)
         run_cfg.resolve_strategy().validate(run_cfg)
         return run_cfg
 
@@ -206,13 +188,13 @@ class ElasticRunConfig:
 class ElasticRunResult:
     """Outcome + goodput accounting of a supervised run.
 
-    ``losses`` covers the contiguous range ``[first_step, total_steps)``
+    ``losses`` covers the contiguous range ``[first_step, run.num_steps)``
     executed by surviving segments (losses computed by a crashed attempt
     died with it, as on a real machine). All times are virtual seconds
     on the session clock.
     """
 
-    #: Global loss for steps ``first_step .. total_steps - 1``.
+    #: Global loss for steps ``first_step .. run.num_steps - 1``.
     losses: list[float]
     #: Step index of ``losses[0]``.
     first_step: int
@@ -329,11 +311,16 @@ class Supervisor:
         return int(rank)
 
     def _shrunk(self, world: int, ep: int) -> tuple[int, int]:
-        """Halve the world; shrink EP only if it must (keeps exactness)."""
-        new_world = world // 2
+        """The largest world of at most half this one that still replays the
+        full-width run, which it divides (0 at world 1); shrink EP only if
+        it must (keeps exactness)."""
+        logical = self.cfg.run.world_size
+        new_world = max(
+            (d for d in range(1, world // 2 + 1) if logical % d == 0), default=0
+        )
         new_ep = ep
         while new_ep > 1 and (
-            new_world % new_ep != 0 or self.cfg.model.num_experts % new_ep != 0
+            new_world % new_ep != 0 or self.cfg.run.model.num_experts % new_ep != 0
         ):
             new_ep //= 2
         return new_world, new_ep
@@ -343,16 +330,16 @@ class Supervisor:
     # ------------------------------------------------------------------ #
 
     def run(self) -> ElasticRunResult:
-        """Drive training to ``total_steps``; raise after ``max_restarts``
+        """Drive training to ``run.num_steps``; raise after ``max_restarts``
         consecutive failed launches."""
         cfg = self.cfg
         backoff_policy = cfg.backoff_policy()
         ckpt_dir = Path(cfg.checkpoint_dir)
         ckpt_dir.mkdir(parents=True, exist_ok=True)
-        session = RunContext(trace=cfg.trace, observe=cfg.observe)
+        session = RunContext(trace=cfg.run.trace, observe=cfg.run.observe)
 
-        world = cfg.world_size
-        ep = cfg.ep_size
+        world = cfg.run.world_size
+        ep = cfg.run.ep_size
         clock = 0.0
         useful_time = lost_time = backoff_time = 0.0
         lost_steps = 0
@@ -373,14 +360,13 @@ class Supervisor:
             run_cfg = cfg.training_config(world, ep)
             spec = SegmentSpec(
                 run_cfg=run_cfg,
-                logical_world=cfg.world_size,
-                logical_ep=cfg.ep_size,
-                total_steps=cfg.total_steps,
+                logical_world=cfg.run.world_size,
+                logical_ep=cfg.run.ep_size,
                 checkpoint_every=cfg.checkpoint_every,
                 checkpoint_dir=str(ckpt_dir),
                 resume_dir=str(resume_dir) if resume_dir is not None else None,
                 progress=progress,
-                machine=sunway_machine(num_nodes=world) if cfg.model_compute_time else None,
+                machine=sunway_machine(num_nodes=world) if cfg.run.model_compute_time else None,
             )
             world_history.append(world)
             launch = dict(
@@ -398,12 +384,15 @@ class Supervisor:
                     run_elastic_segment,
                     world,
                     network=sunway_network(world),
-                    timeout=cfg.timeout,
+                    timeout=cfg.run.timeout,
                     faults=self._plan_for(attempt),
                     args=(spec,),
-                    trace=cfg.trace,
-                    observe=cfg.observe,
+                    trace=cfg.run.trace,
+                    observe=cfg.run.observe,
                 )
+            except ConfigError:
+                # A config that cannot launch is refused, not retried.
+                raise
             except ReproError as exc:
                 # A modelled failure: charge the crashed attempt's virtual
                 # makespan and partial observations to the session, then
@@ -443,12 +432,11 @@ class Supervisor:
                 session.metrics.counter("session_lost_steps").inc(wasted)
                 if key is not None and cfg.elastic:
                     blame[key] += 1
+                    new_world, new_ep = self._shrunk(world, ep)
                     if (
                         blame[key] >= cfg.shrink_after
-                        and world > 1
-                        and world // 2 >= cfg.min_world_size
+                        and new_world >= cfg.min_world_size
                     ):
-                        new_world, new_ep = self._shrunk(world, ep)
                         exclude = getattr(self.faults, "exclude_node", None)
                         if exclude is not None:
                             exclude(key)
@@ -467,7 +455,7 @@ class Supervisor:
                             to_world=new_world,
                             from_ep=ep,
                             to_ep=new_ep,
-                            microsteps=cfg.world_size // new_world,
+                            microsteps=cfg.run.world_size // new_world,
                         )
                         world, ep = new_world, new_ep
                         shrinks += 1
@@ -529,8 +517,8 @@ class Supervisor:
             backoff_time=backoff_time,
             context=session,
             meta={
-                "world_size": cfg.world_size,
-                "ep_size": cfg.ep_size,
+                "world_size": cfg.run.world_size,
+                "ep_size": cfg.run.ep_size,
                 "elastic": cfg.elastic,
             },
         )

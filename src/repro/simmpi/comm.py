@@ -596,6 +596,7 @@ class Comm:
             world.wait_for(lambda: self._match(source, tag) is not None,
                            f"recv(source={source}, tag={tag}) on rank {self.rank}")
             idx = self._match(source, tag)
+            # cv is held since wait_for saw the match; only this rank takes from its mailbox.
             assert idx is not None
             return self._take(idx)
 
@@ -878,6 +879,7 @@ class Comm:
         # Find the state allocated by my group's leader.
         leader_grank = self._state.rank_of_world[leader]
         shared = alloc_contribs[leader_grank]
+        # The leader (the first member of its color) contributed a _CommState above.
         assert isinstance(shared, _CommState)
         return Comm(shared, shared.rank_of_world[self.world_rank])
 
@@ -889,6 +891,7 @@ class Comm:
         contribs, t0 = self._rendezvous("dup", state)
         self._collective("dup", None, t0, 0).wait()
         shared = contribs[0]
+        # Group rank 0 contributed a _CommState to this rendezvous.
         assert isinstance(shared, _CommState)
         return Comm(shared, self._group_rank)
 

@@ -55,6 +55,7 @@ def hierarchical_alltoall(
 
     intra = comm.Split(color=me // g, key=my_pos)
     inter = comm.Split(color=my_pos, key=me // g)
+    # Split returns None only for color=None, and both colors are ints here.
     assert intra is not None and inter is not None
 
     # Phase 1: give group member at position (dest % g) the (src, dest,

@@ -3,7 +3,7 @@
 from repro.tensor.dtype import (
     DTYPES, DTypeSpec, as_dtype, itemsize, promote, quantize, storage_dtype, to_wire,
 )
-from repro.tensor.tensor import Tensor, is_grad_enabled, no_grad, ones, tensor, unbroadcast, zeros
+from repro.tensor.tensor import Tensor, is_grad_enabled, no_grad, ones, unbroadcast, zeros
 from repro.tensor import ops
 from repro.tensor.functional import (
     cross_entropy,
@@ -11,10 +11,7 @@ from repro.tensor.functional import (
     gather_rows,
     gelu,
     layer_norm,
-    log_softmax,
-    relu,
     scatter_rows,
-    silu,
     softmax,
 )
 from repro.tensor.checkpoint import checkpoint
@@ -33,7 +30,6 @@ __all__ = [
     "is_grad_enabled",
     "no_grad",
     "ones",
-    "tensor",
     "unbroadcast",
     "zeros",
     "ops",
@@ -43,9 +39,6 @@ __all__ = [
     "scatter_rows",
     "gelu",
     "layer_norm",
-    "log_softmax",
-    "relu",
-    "silu",
     "softmax",
     "checkpoint",
     "gradcheck",

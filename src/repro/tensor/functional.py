@@ -16,28 +16,14 @@ from repro.tensor.ops import _scatter_add
 from repro.tensor.tensor import Tensor, _make
 
 __all__ = [
-    "relu",
     "gelu",
-    "silu",
     "softmax",
-    "log_softmax",
     "cross_entropy",
     "layer_norm",
     "embedding",
     "gather_rows",
     "scatter_rows",
 ]
-
-
-def relu(x: Tensor) -> Tensor:
-    """Rectified linear unit."""
-    data = np.maximum(x.data, 0.0)
-    mask = x.data > 0.0
-
-    def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        return (g * mask,)
-
-    return _make(data, x.dtype, (x,), backward)
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -58,19 +44,6 @@ def gelu(x: Tensor) -> Tensor:
     return _make(data, x.dtype, (x,), backward)
 
 
-def silu(x: Tensor) -> Tensor:
-    """SiLU / swish activation: x * sigmoid(x)."""
-    v = x.data
-    e = np.exp(-np.abs(v))  # in (0, 1]: neither branch can overflow
-    s = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    data = v * s
-
-    def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        return (g * (s + v * s * (1.0 - s)),)
-
-    return _make(data, x.dtype, (x,), backward)
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable softmax along ``axis``."""
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
@@ -80,19 +53,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
         dot = (g * data).sum(axis=axis, keepdims=True)
         return (data * (g - dot),)
-
-    return _make(data, x.dtype, (x,), backward)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable log-softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    logsum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - logsum
-    soft = np.exp(data)
-
-    def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        return (g - soft * g.sum(axis=axis, keepdims=True),)
 
     return _make(data, x.dtype, (x,), backward)
 

@@ -36,7 +36,6 @@ __all__ = [
     "exp",
     "log",
     "tanh",
-    "sigmoid",
     "maximum",
     "where",
     "reshape",
@@ -193,17 +192,6 @@ def tanh(a: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
         return (g * (1.0 - data * data),)
-
-    return _make(data, a.dtype, (a,), backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    """Numerically-stable logistic sigmoid."""
-    x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
-
-    def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        return (g * data * (1.0 - data),)
 
     return _make(data, a.dtype, (a,), backward)
 

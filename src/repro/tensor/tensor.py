@@ -33,7 +33,7 @@ import numpy as np
 from repro.errors import AutogradError, ShapeError
 from repro.tensor.dtype import DTypeSpec, as_dtype, promote, quantize, storage_dtype
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "tensor", "zeros", "ones", "unbroadcast"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "zeros", "ones", "unbroadcast"]
 
 
 class _GradMode(threading.local):
@@ -357,11 +357,6 @@ def _make(
     out._parents, out._backward = (parents, backward) if track else ((), None)
     out.name = None
     return out
-
-
-def tensor(data: Any, requires_grad: bool = False, dtype: str | DTypeSpec = "fp32") -> Tensor:
-    """Construct a leaf tensor (convenience alias of the constructor)."""
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
 
 
 def zeros(shape: int | Iterable[int], dtype: str | DTypeSpec = "fp32", requires_grad: bool = False) -> Tensor:

@@ -39,10 +39,30 @@ BASES = {
                             batch_size=2, seq_len=8),
     PlannerConfig: dict(model=MODEL, num_nodes=4, cluster="toy",
                         micro_batch=2, seq_len=8),
-    ElasticRunConfig: dict(model=MODEL, world_size=4, ep_size=2,
-                           total_steps=4, checkpoint_every=2,
-                           checkpoint_dir="unused", batch_size=2, seq_len=8),
+    ElasticRunConfig: dict(run=TrainingRunConfig(model=MODEL, world_size=4, ep_size=2,
+                                                 num_steps=4, batch_size=2, seq_len=8),
+                           checkpoint_every=2, checkpoint_dir="unused"),
 }
+
+
+def _elastic(**run_fields) -> ElasticRunConfig:
+    """The elastic base with ``run_fields`` set on its full-width run. The
+    run's own fields are fuzzed through ``TrainingRunConfig``'s row; the
+    elastic row perturbs the restart policy."""
+    base = BASES[ElasticRunConfig]
+    return ElasticRunConfig(**{**base, "run": dataclasses.replace(base["run"], **run_fields)})
+
+
+def _construct(cls, base: dict, values: dict):
+    """``cls`` built from ``base`` with ``values`` set. An elastic config
+    takes the fields of its run on that run, so a bad training field is
+    refused before any supervised launch."""
+    if cls is not ElasticRunConfig:
+        return cls(**{**base, **values})
+    own = {f.name for f in dataclasses.fields(ElasticRunConfig)}
+    run_fields = {k: v for k, v in values.items() if k not in own}
+    return ElasticRunConfig(**{**base, **{k: v for k, v in values.items() if k in own},
+                               "run": dataclasses.replace(base["run"], **run_fields)})
 
 #: The serving family: the same perturbations, and each refusal names a
 #: perturbed field.
@@ -216,7 +236,7 @@ def test_perturbed_name_and_ramp_fields_are_valid_or_named(cls, data):
     base = dataclasses.asdict(MODEL) if cls is ModelConfig else {**BASES, **SERVING_BASES}[cls]
     values = {name: data.draw(fields[name][0], label=name) for name in names}
     try:
-        cls(**{**base, **values})
+        _construct(cls, base, values)
     except ConfigError as exc:
         assert any(name in str(exc) for name in names), (names, str(exc))
     else:
@@ -231,7 +251,7 @@ def test_misspelt_gate_or_dtype_is_refused_before_a_supervised_launch(bad):
     dying world six times (``training failed 6 times; giving up``)."""
     (name,) = bad
     with pytest.raises(ConfigError, match=name):
-        ElasticRunConfig(**{**BASES[ElasticRunConfig], "model": tiny_config(**bad)})
+        _elastic(model=tiny_config(**bad))
 
 
 @pytest.mark.parametrize(
@@ -248,7 +268,7 @@ def test_unknown_algorithm_name_is_refused_naming_the_field(cls, name, value):
     """The parent constructed these and priced the misspelt name as "auto"."""
     base = {**BASES, **SERVING_BASES}[cls]
     with pytest.raises(ConfigError, match=name):
-        cls(**{**base, name: value})
+        _construct(cls, base, {name: value})
 
 
 def test_network_model_refuses_an_unknown_algorithm_name():
@@ -301,7 +321,7 @@ def test_elastic_run_config_rejects_workload_at_construction():
     """The parent built this config, then retried the dying launch as if it
     were a fault until ``CommunicatorError: training failed 6 times``."""
     with pytest.raises(ConfigError, match="micro_batch and seq_len"):
-        ElasticRunConfig(**{**BASES[ElasticRunConfig], "batch_size": 0})
+        _elastic(batch_size=0)
 
 
 def test_training_run_config_rejects_a_sequence_longer_than_the_model():
@@ -313,7 +333,23 @@ def test_training_run_config_rejects_a_sequence_longer_than_the_model():
 def test_elastic_run_config_rejects_a_sequence_longer_than_the_model():
     """The parent retried this until ``CommunicatorError: training failed 6 times``."""
     with pytest.raises(ConfigError, match="plan seq_len=64 exceeds model max_seq_len=32"):
-        ElasticRunConfig(**{**BASES[ElasticRunConfig], "seq_len": 64})
+        _elastic(seq_len=64)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(tp_size=2), dict(pp_size=2), dict(zero_shards=2),
+     dict(mixed_precision=True), dict(overlap_chunks=2)],
+    ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+)
+def test_elastic_run_config_refuses_a_run_its_driver_cannot_execute(bad):
+    """Each run launches on its own; the fold-carry driver steps one
+    unchunked in-plane trainer and never scales the loss, so the supervised
+    session is refused at construction, naming the field."""
+    (name,) = bad
+    TrainingRunConfig(**{**BASES[TrainingRunConfig], **bad})
+    with pytest.raises(ConfigError, match=name):
+        _elastic(**bad)
 
 
 #: Every float field that used to construct with NaN (its check was written
@@ -341,7 +377,7 @@ NAN_FIELDS = {
 def test_nan_is_refused_naming_the_field(cls, name):
     base = {**BASES, **SERVING_BASES}.get(cls, {})
     with pytest.raises(ConfigError, match=name):
-        cls(**{**base, name: math.nan})
+        _construct(cls, base, {name: math.nan})
 
 
 def test_planner_config_rejects_workload_at_construction():

@@ -218,7 +218,7 @@ class TestElasticResumeTrajectory:
             batch_size=2, seq_len=8, seed=0, model_compute_time=False,
         )
         spec = SegmentSpec(
-            run_cfg=run_cfg, logical_world=4, logical_ep=4, total_steps=total,
+            run_cfg=run_cfg, logical_world=4, logical_ep=4,
             checkpoint_every=every, checkpoint_dir=str(ckpt_dir),
             resume_dir=resume, progress=SegmentProgress(), machine=None,
         )

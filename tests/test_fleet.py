@@ -19,6 +19,7 @@ import pytest
 
 from repro.errors import ConfigError, FaultInjected, ReproError
 from repro.models import tiny_config
+from repro.parallel import TrainingRunConfig
 from repro.resilience import BackoffPolicy, ElasticRunConfig
 from repro.serve import (
     FleetConfig,
@@ -63,7 +64,8 @@ class TestBackoffPolicy:
         """The satellite guarantee: training supervisor retries and fleet
         replica backoff follow the *identical* schedule object."""
         sup = ElasticRunConfig(
-            model=tiny_config(), world_size=2, ep_size=2, total_steps=1,
+            run=TrainingRunConfig(model=tiny_config(), world_size=2, ep_size=2,
+                                  num_steps=1, seq_len=8),
             checkpoint_every=1, checkpoint_dir="/tmp/x",
             backoff_base=2.0, backoff_cap=10.0,
         ).backoff_policy()

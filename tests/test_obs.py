@@ -507,15 +507,16 @@ class TestFlightDumpOnFailure:
         assert ei.value.flight_dump["last_op"][1] == "barrier"
 
     def test_supervisor_failure_event_references_flight(self, tmp_path):
+        from repro.parallel import TrainingRunConfig
         from repro.resilience import ElasticRunConfig, Supervisor
         from repro.simmpi import FaultModel
 
         # Six steps, so the seeded MTBF crash of the shrunk world lands
         # mid-run (four steps of the world-2 run end 1.8 µs before it).
         cfg = ElasticRunConfig(
-            model=CFG, world_size=4, ep_size=2, total_steps=6,
-            checkpoint_every=2, checkpoint_dir=tmp_path / "ckpt",
-            batch_size=2, seq_len=8, seed=0, max_restarts=8,
+            run=TrainingRunConfig(model=CFG, world_size=4, ep_size=2, num_steps=6,
+                                  batch_size=2, seq_len=8, seed=0),
+            checkpoint_every=2, checkpoint_dir=tmp_path / "ckpt", max_restarts=8,
         )
         result = Supervisor(
             cfg, faults=FaultModel(seed=0, mtbf=1e-3, dead_nodes=(3,))
@@ -660,12 +661,13 @@ class TestContextIntegration:
         assert len(res.context.router) > 0
 
     def test_elastic_emits_into_session_registry(self, tmp_path):
+        from repro.parallel import TrainingRunConfig
         from repro.resilience import ElasticRunConfig, run_elastic_training
 
         res = run_elastic_training(ElasticRunConfig(
-            model=CFG, world_size=4, ep_size=2, total_steps=4,
+            run=TrainingRunConfig(model=CFG, world_size=4, ep_size=2, num_steps=4,
+                                  batch_size=2, seq_len=8, seed=0, observe=True),
             checkpoint_every=2, checkpoint_dir=tmp_path / "ckpt",
-            batch_size=2, seq_len=8, seed=0, observe=True,
         ))
         reg = res.context.metrics
         assert reg.counter("train_steps", strategy="elastic").value == 4.0

@@ -15,6 +15,7 @@ The load-bearing claims tested here:
   recovery falls back to the previous one.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -57,14 +58,18 @@ def healthy_losses():
     return res.losses
 
 
+RUN_FIELDS = {f.name for f in dataclasses.fields(TrainingRunConfig)}
+
+
 def make_cfg(tmp_path, **overrides) -> ElasticRunConfig:
-    kwargs = dict(
-        model=CFG, world_size=4, ep_size=2, total_steps=STEPS,
-        checkpoint_every=2, checkpoint_dir=tmp_path / "ckpt",
-        batch_size=2, seq_len=8, seed=0, max_restarts=8,
-    )
-    kwargs.update(overrides)
-    return ElasticRunConfig(**kwargs)
+    """The supervised world-4 ep-2 session; an override of a
+    ``TrainingRunConfig`` field goes to its full-width run."""
+    run = dict(model=CFG, world_size=4, ep_size=2, num_steps=STEPS,
+               batch_size=2, seq_len=8, seed=0)
+    policy = dict(checkpoint_every=2, checkpoint_dir=tmp_path / "ckpt", max_restarts=8)
+    for name, value in overrides.items():
+        (run if name in RUN_FIELDS else policy)[name] = value
+    return ElasticRunConfig(run=TrainingRunConfig(**run), **policy)
 
 
 # ---------------------------------------------------------------------- #
@@ -158,6 +163,17 @@ class TestClassification:
         with pytest.raises(TypeError, match="bug, not a hardware fault"):
             Supervisor(make_cfg(tmp_path), fault_plans=[BrokenPlan()]).run()
 
+    def test_config_error_in_a_launch_propagates(self, tmp_path):
+        """A launch that refuses its config is not a fault: the parent
+        retried it until ``training failed 9 times; giving up``."""
+
+        class RefusingPlan(FaultPlan):
+            def should_kill(self, rank, op_index, clock=0.0):
+                raise ConfigError("a config no relaunch can fix")
+
+        with pytest.raises(ConfigError, match="no relaunch can fix"):
+            Supervisor(make_cfg(tmp_path), fault_plans=[RefusingPlan()]).run()
+
     def test_gives_up_after_max_restarts(self, tmp_path):
         cfg = make_cfg(tmp_path, elastic=False, max_restarts=2)
         fm = FaultModel(seed=0, dead_nodes=(3,))
@@ -230,7 +246,7 @@ class TestSupervisor:
         assert res.context.phase_seconds["backoff"] == pytest.approx(11.0)
 
     @pytest.mark.parametrize(
-        "bad", [{"total_steps": 0}, {"checkpoint_every": 0}, {"max_restarts": -1}]
+        "bad", [{"num_steps": 0}, {"checkpoint_every": 0}, {"max_restarts": -1}]
     )
     def test_config_rejects_invalid_schedule(self, tmp_path, bad):
         with pytest.raises(ConfigError):
@@ -239,6 +255,49 @@ class TestSupervisor:
     def test_run_elastic_training_wrapper(self, tmp_path, healthy_losses):
         res = run_elastic_training(make_cfg(tmp_path))
         assert res.losses == healthy_losses
+
+
+# ---------------------------------------------------------------------- #
+# Shrink targets: a world the fold-carry driver can replay
+# ---------------------------------------------------------------------- #
+
+
+class TestShrinkTarget:
+    def test_every_shrink_divides_the_logical_world(self, tmp_path):
+        """Worlds 1-64 at every EP width the model allows: each step of the
+        shrink chain lands on the largest divisor of the logical world that
+        is at most half the current one, and its EP divides that world and
+        the expert count. The parent halved (5 -> 2, 18 -> 9 -> 4)."""
+        for logical in range(1, 65):
+            for ep in (e for e in (1, 2, 4) if logical % e == 0):
+                sup = Supervisor(make_cfg(tmp_path, world_size=logical, ep_size=ep))
+                world = logical
+                while world > 1:
+                    new_world, new_ep = sup._shrunk(world, ep)
+                    assert logical % new_world == 0 and 1 <= new_world <= world // 2
+                    larger = range(new_world + 1, world // 2 + 1)
+                    assert not any(logical % d == 0 for d in larger), (logical, world)
+                    assert new_world % new_ep == 0 and CFG.num_experts % new_ep == 0
+                    if world & (world - 1) == 0:
+                        assert new_world == world // 2  # powers of two halve, as before
+                    world, ep = new_world, new_ep
+                assert sup._shrunk(1, 1)[0] == 0  # nothing below one rank
+
+    def test_odd_world_shrinks_to_one_rank_with_the_healthy_losses(self, tmp_path):
+        """World 5 loses node 1 and finishes on one rank by fold-carry
+        (k = 5). The parent shrank to world 2, which cannot replay world 5,
+        and retried the resulting ConfigError until it gave up."""
+        healthy = run_distributed_training(
+            TrainingRunConfig(model=CFG, world_size=5, ep_size=1, num_steps=4,
+                              batch_size=2, seq_len=8, seed=0)
+        ).losses
+        res = Supervisor(
+            make_cfg(tmp_path, world_size=5, ep_size=1, num_steps=4, shrink_after=1),
+            faults=FaultModel(seed=0, dead_nodes=(1,)),
+        ).run()
+        assert res.world_history == [5, 1]
+        assert res.shrinks == 1 and res.restarts == 1
+        assert res.losses == healthy
 
 
 # ---------------------------------------------------------------------- #
@@ -398,7 +457,7 @@ class TestSnapshotFallback:
         assert step == 4 and path.name == "step-000004"
         # Recovery resumes from the surviving snapshot and reproduces the
         # healthy tail exactly.
-        res = Supervisor(make_cfg(tmp_path, total_steps=STEPS)).run()
+        res = Supervisor(make_cfg(tmp_path, num_steps=STEPS)).run()
         assert res.first_step == 4
         assert res.losses == healthy_losses[4:]
 

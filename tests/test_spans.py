@@ -21,6 +21,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.models import tiny_config
 from repro.obs import NULL_TRACER, Span, Tracer, span_coverage
+from repro.parallel import TrainingRunConfig
 from repro.resilience import ElasticRunConfig, Supervisor
 from repro.serve import FleetConfig, ServeConfig, run_fleet_serving
 from repro.simmpi import FaultModel, RunContext
@@ -387,9 +388,9 @@ class TestEngineSpans:
 class TestSupervisorSpans:
     def test_launches_and_backoffs_become_spans(self, tmp_path):
         cfg = ElasticRunConfig(
-            model=CFG, world_size=4, ep_size=2, total_steps=6,
-            checkpoint_every=2, checkpoint_dir=tmp_path / "ckpt",
-            batch_size=2, seq_len=8, seed=0, max_restarts=8, observe=True,
+            run=TrainingRunConfig(model=CFG, world_size=4, ep_size=2, num_steps=6,
+                                  batch_size=2, seq_len=8, seed=0, observe=True),
+            checkpoint_every=2, checkpoint_dir=tmp_path / "ckpt", max_restarts=8,
         )
         faults = FaultModel(seed=0, mtbf=1e-3, dead_nodes=(3,))
         res = Supervisor(cfg, faults=faults).run()
