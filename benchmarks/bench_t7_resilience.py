@@ -9,6 +9,8 @@ and sweeps the node MTBF through the elastic supervisor to chart
 goodput/availability against failure rate (T7c).
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from repro.models import tiny_config
@@ -19,9 +21,8 @@ from repro.simmpi import FaultModel, FaultPlan
 CFG = tiny_config(num_experts=4)
 TOTAL = 8
 
-# Op index that lands the kill around training step ~6 of the first launch
-# (measured for this model/batch configuration).
-KILL_AT_OP = 120
+# Training step (0-based) of the first launch during which T7a kills a rank.
+KILL_STEP = 6
 
 
 def _run(num_steps, seed):
@@ -38,13 +39,44 @@ def _restart_cfg(checkpoint_dir, num_steps, checkpoint_every, seed):
     )
 
 
+@dataclass
+class _OpCounter(FaultPlan):
+    """A plan that kills nothing and counts the operations each rank issues."""
+
+    issued: dict[int, int] = field(default_factory=dict)
+
+    def should_kill(self, rank: int, op_index: int, clock: float = 0.0) -> bool:
+        self.issued[rank] = op_index + 1
+        return False
+
+
+def _mid_step_op(make_cfg, rank, step):
+    """An op index of ``rank`` inside training step ``step`` of the first launch.
+
+    Halfway between the op counts of healthy sessions of ``step`` and
+    ``step + 1`` steps (``make_cfg(num_steps)``), so a kill there lands in
+    that step however many operations a step issues.
+    """
+    issued = []
+    for num_steps in (step, step + 1):
+        counter = _OpCounter()
+        Supervisor(make_cfg(num_steps), fault_plans=[counter]).run()
+        issued.append(counter.issued[rank])
+    return sum(issued) // 2
+
+
 def test_t7_interval_vs_lost_work(benchmark, report, tmp_path):
     def measure():
         rows = []
         for interval in (1, 2, 4):
+            kill_at = _mid_step_op(
+                lambda steps: _restart_cfg(tmp_path / f"count{interval}-{steps}", steps,
+                                           interval, seed=7),
+                rank=1, step=KILL_STEP,
+            )
             cfg = _restart_cfg(tmp_path / f"ival{interval}", TOTAL, interval, seed=7)
             res = Supervisor(
-                cfg, fault_plans=[FaultPlan().kill_rank(1, at_op=KILL_AT_OP), None]
+                cfg, fault_plans=[FaultPlan().kill_rank(1, at_op=kill_at), None]
             ).run()
             # Steps recomputed = steps the surviving segment replayed that
             # the crashed attempt had already processed (upper-bounded by
@@ -76,9 +108,13 @@ def test_t7_recovery_is_exact(benchmark, report, tmp_path):
 
     def measure():
         healthy = Supervisor(_restart_cfg(tmp_path / "healthy", 6, 2, seed=9)).run()
+        kill_at = _mid_step_op(
+            lambda steps: _restart_cfg(tmp_path / f"count{steps}", steps, 2, seed=9),
+            rank=2, step=4,
+        )
         faulted = Supervisor(
             _restart_cfg(tmp_path / "faulted", 6, 2, seed=9),
-            fault_plans=[FaultPlan().kill_rank(2, at_op=100), None],
+            fault_plans=[FaultPlan().kill_rank(2, at_op=kill_at), None],
         ).run()
         overlap = healthy.losses[faulted.first_step:]
         worst = float(np.abs(np.array(overlap) - np.array(faulted.losses)).max())

@@ -2,12 +2,14 @@
 
 :meth:`MoELayer.forward` is the one MoE forward in the repo: route tokens
 with a gate, build the expert-sorted dispatch plan (dropping capacity overflow),
-run the *expert stage*, combine with differentiable weights, and expose the
-auxiliary balance loss. The expert-parallel layer
-(:class:`repro.parallel.ep.DistributedMoELayer`) is a subclass that only
-swaps three private hooks — how experts are built, what the group load is,
-and the expert stage (an alltoall exchange instead of the local loop) — so
-it produces exactly these numerics (tested bit for bit).
+run the *expert stage* (every expert in one
+:func:`~repro.tensor.functional.expert_ffn` node), combine with
+differentiable weights, and expose the auxiliary balance loss. The
+expert-parallel layer (:class:`repro.parallel.ep.DistributedMoELayer`) is a
+subclass that only swaps three private hooks — how experts are built, what
+the group load is, and the expert stage (an alltoall exchange around one
+``expert_ffn`` call per chunk of local experts) — so it produces exactly
+these numerics (tested bit for bit).
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from repro.moe.balance import load_balance_loss, router_z_loss
 from repro.moe.dispatch import DispatchPlan, build_dispatch, expert_capacity
 from repro.moe.gates import Gate, make_gate
 from repro.tensor import Tensor, is_grad_enabled
-from repro.tensor import ops as T
-from repro.tensor.functional import gather_rows, scatter_rows
+from repro.tensor.functional import expert_ffn, gather_rows, scatter_rows
 from repro.tensor.tensor import grad_mode
 
 __all__ = ["MoELayer"]
@@ -196,9 +197,12 @@ class MoELayer(Module):
     def _expert_stage(self, xs: Tensor, plan: DispatchPlan) -> Tensor:
         """Run each expert on its segment of the expert-sorted rows ``xs``;
         returns the outputs in ``xs`` order."""
-        outs = []
-        for e in range(self.num_experts):
-            seg = plan.segment(e)
-            if seg.stop > seg.start:
-                outs.append(self.experts[e](xs[seg]))
-        return T.concat(outs, axis=0) if outs else xs * 0.0
+        return expert_ffn(xs, plan.counts, self._expert_weights(0, self.num_experts))
+
+    def _expert_weights(self, lo: int, hi: int) -> list[tuple[Tensor, Tensor, Tensor, Tensor]]:
+        """``(w_in, b_in, w_out, b_out)`` of experts ``lo..hi-1`` of this
+        layer's list, as :func:`~repro.tensor.functional.expert_ffn` takes them."""
+        return [
+            (m.fc_in.weight, m.fc_in.bias, m.fc_out.weight, m.fc_out.bias)
+            for m in self.experts[lo:hi]
+        ]

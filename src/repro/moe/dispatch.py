@@ -78,10 +78,6 @@ class DispatchPlan:
     def num_experts(self) -> int:
         return int(self.counts.shape[0])
 
-    def segment(self, expert: int) -> slice:
-        """Slice of the dispatched arrays belonging to ``expert``."""
-        return slice(int(self.offsets[expert]), int(self.offsets[expert + 1]))
-
 
 def build_dispatch(
     indices: np.ndarray,

@@ -40,8 +40,7 @@ from repro.moe.gates import Gate
 from repro.parallel.collective_ops import PendingAlltoallRows
 from repro.simmpi import Comm
 from repro.tensor import Tensor
-from repro.tensor import ops as T
-from repro.tensor.functional import gather_rows
+from repro.tensor.functional import expert_ffn, gather_rows
 from repro.utils.seeding import derive_seed
 
 __all__ = ["DistributedMoELayer", "ep_moe_factory"]
@@ -218,15 +217,7 @@ class DistributedMoELayer(MoELayer):
             if self.compute_hook is not None:
                 self.compute_hook(len(expert_of_row))
 
-            # Run local experts on contiguous segments.
-            outs = []
-            lo = 0
-            for e, rows in zip(range(lo_e, hi_e), rows_per_expert.tolist()):
-                hi = lo + rows
-                if hi > lo:
-                    outs.append(self.experts[e](xr[lo:hi]))
-                lo = hi
-            ys_sorted = T.concat(outs, axis=0) if outs else xr * 0.0
+            ys_sorted = expert_ffn(xr, rows_per_expert, self._expert_weights(lo_e, hi_e))
 
             # Undo the regrouping and send results home.
             combine.issue(c, gather_rows(ys_sorted, np.argsort(order, kind="stable")))

@@ -8,6 +8,7 @@ from repro.tensor import ops
 from repro.tensor.functional import (
     cross_entropy,
     embedding,
+    expert_ffn,
     gather_rows,
     gelu,
     layer_norm,
@@ -35,6 +36,7 @@ __all__ = [
     "ops",
     "cross_entropy",
     "embedding",
+    "expert_ffn",
     "gather_rows",
     "scatter_rows",
     "gelu",

@@ -3,9 +3,9 @@
 Each op computes its forward result in NumPy, quantizes onto the output
 dtype grid, and registers a backward closure returning one gradient per
 parent (already unbroadcast to the parent's shape). The exception: an op
-that only *moves* values (here ``reshape``, ``transpose``, ``getitem``,
-``concat``) passes ``exact`` to ``_make`` — every element already sits on
-the grid in a parent — and is not rounded again. Anything that computes or
+that only *moves* values (here ``reshape``, ``transpose``, ``getitem``)
+passes ``exact`` to ``_make`` — every element already sits on the grid in a
+parent — and is not rounded again. Anything that computes or
 chooses between values (arithmetic, ``where``, ``clip``, ``maximum``,
 reductions) never may.
 
@@ -22,7 +22,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.tensor.dtype import promote
 from repro.tensor.tensor import Tensor, _coerce, _make, result_dtype, unbroadcast
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "reshape",
     "transpose",
     "getitem",
-    "concat",
     "sum_",
     "mean",
     "max_",
@@ -315,30 +313,6 @@ def getitem(a: Tensor, index: Any) -> Tensor:
         return (out,)
 
     return _make(data, a.dtype, (a,), backward, exact=True)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along ``axis``; grad splits back."""
-    if not tensors:
-        raise ShapeError("concat() of an empty sequence")
-    out_dtype = tensors[0].dtype
-    for t in tensors[1:]:
-        out_dtype = promote(out_dtype, t.dtype)
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        grads = []
-        for i in range(len(tensors)):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(sl)])
-        return grads
-
-    # fp16 and bf16 are the one pair of grids where neither holds the other.
-    exact = out_dtype.nbytes > 2 or all(t.dtype == out_dtype for t in tensors)
-    return _make(data, out_dtype, tuple(tensors), backward, exact=exact)
 
 
 # ---------------------------------------------------------------------- #

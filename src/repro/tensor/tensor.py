@@ -147,12 +147,6 @@ class Tensor:
     def _item_err(self) -> float:
         raise ShapeError(f"item() requires a 1-element tensor, got shape {self.shape}")
 
-    def detach(self) -> "Tensor":
-        """A view of the same data cut off from the graph."""
-        out = _make(self.data, self.dtype, (), None, exact=True)
-        out.name = self.name
-        return out
-
     def astype(self, dtype: str | DTypeSpec) -> "Tensor":
         """Cast to another emulated dtype (differentiable: grad casts back)."""
         spec = as_dtype(dtype)

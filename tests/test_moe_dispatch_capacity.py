@@ -194,8 +194,9 @@ class TestBuildDispatch:
     def test_segment_slices(self):
         indices = np.array([[1], [0], [1]])
         plan = build_dispatch(indices, 2)
-        assert plan.token_idx[plan.segment(0)].tolist() == [1]
-        assert sorted(plan.token_idx[plan.segment(1)].tolist()) == [0, 2]
+        lo, mid, hi = plan.offsets.tolist()
+        assert plan.token_idx[lo:mid].tolist() == [1]
+        assert sorted(plan.token_idx[mid:hi].tolist()) == [0, 2]
 
     def test_keep_mask_excludes(self):
         """A capacity excludes the overflow slots from the plan."""

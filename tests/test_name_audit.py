@@ -57,10 +57,6 @@ KEEP = {
     "repro.network.topology:Topology.coords": _ORACLE,
     "repro.network.topology:Topology.group_of": _ORACLE,
     "repro.network.topology:Topology.num_levels": _ORACLE,
-    "repro.tensor.tensor:Tensor.detach": (
-        "test-only: the graph cut of the autograd surface; ROADMAP aim 2 lists "
-        "it as the remaining known test-only leftover"
-    ),
     "repro.tensor.gradcheck:gradcheck": (
         "the test reference every op's backward is checked against"
     ),

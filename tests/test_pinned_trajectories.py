@@ -29,7 +29,8 @@ lists old against new. The final clocks of ten cases (the world-4 plane, the
 three pipelines, ``ep``, ``tp``, ``tp_ep``, ``zero`` and both elastic worlds)
 moved once more, and nothing else did, when a step's bookkeeping became two
 collectives (DESIGN.md §8, "Step bookkeeping is two collectives"); CHANGES.md
-lists old against new.
+lists old against new. All twelve sets passed unmodified when a rank's local
+experts became one autograd node (DESIGN.md §8, "One node per expert stage").
 
 The floats go through BLAS and libm, whose last bits depend on the CPU's
 kernels; ``PLATFORM`` fingerprints the arithmetic the literals were made

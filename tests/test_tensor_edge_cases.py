@@ -33,12 +33,6 @@ class TestEmptyTensors:
         assert out.shape == (4, 2)
         assert np.allclose(out.data, 0.0)
 
-    def test_empty_concat_segment(self):
-        a = Tensor(np.zeros((0, 3)), dtype="fp64")
-        b = Tensor(np.ones((2, 3)), dtype="fp64")
-        out = T.concat([a, b], axis=0)
-        assert out.shape == (2, 3)
-
     def test_empty_softmax(self):
         out = softmax(Tensor(np.zeros((0, 5)), dtype="fp64"))
         assert out.shape == (0, 5)

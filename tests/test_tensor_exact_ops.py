@@ -112,13 +112,6 @@ def _case_getitem(rng, dtype):
     return (lambda: a[index]), [a]
 
 
-def _case_concat(rng, dtype):
-    # A mixed fp16/bf16 concat is the one that may not claim exactness.
-    dtypes = [dtype] + [DTYPES[i] for i in rng.integers(3, size=2)]
-    parts = [_leaf(rng, (rng.integers(1, 4), 5), d) for d in dtypes]
-    return (lambda: T.concat(parts, axis=0)), parts
-
-
 def _case_gather_rows(rng, dtype):
     x = _leaf(rng, (rng.integers(1, 9), 4), dtype)
     idx = rng.integers(x.shape[0], size=rng.integers(0, 20))
@@ -131,23 +124,12 @@ def _case_embedding(rng, dtype):
     return (lambda: embedding(w, ids)), [w]
 
 
-def _case_detach(rng, dtype):
-    a = _leaf(rng, (3, 4), dtype)
-    a.name = "kept"
-    out = a.detach()
-    assert out.name == "kept" and out.data is a.data
-    assert not out.requires_grad and out._parents == () and out._backward is None
-    return (lambda: (a * 2.0).transpose().detach()), []  # cut off: no leaf to reach
-
-
 LOCAL_CASES = {
     "reshape": _case_reshape,
     "transpose": _case_transpose,
     "getitem": _case_getitem,
-    "concat": _case_concat,
     "gather_rows": _case_gather_rows,
     "embedding": _case_embedding,
-    "Tensor.detach": _case_detach,
 }
 
 
