@@ -17,16 +17,17 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.tensor import Tensor
+from repro.tensor.buckets import buckets
 
 __all__ = ["DynamicLossScaler", "grads_have_overflow"]
 
 
 def grads_have_overflow(params: Iterable[Tensor]) -> bool:
-    """True if any parameter gradient contains inf or NaN."""
-    for p in params:
-        if p.grad is None:
-            continue
-        if not np.isfinite(p.grad).all():
+    """True if any parameter gradient contains inf or NaN (one ``isfinite``
+    per bucket of :func:`~repro.tensor.buckets.buckets`)."""
+    for run, _ in buckets(params):
+        grads = [p.grad for p in run if p.grad is not None]
+        if grads and not np.isfinite(np.concatenate(grads, axis=None)).all():
             return True
     return False
 

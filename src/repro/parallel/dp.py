@@ -21,6 +21,7 @@ import numpy as np
 from repro.errors import CommunicatorError
 from repro.simmpi import Comm
 from repro.tensor import Tensor, quantize, to_wire
+from repro.tensor.buckets import buckets
 
 __all__ = [
     "PendingGradAllreduce",
@@ -35,28 +36,29 @@ __all__ = [
 
 def flatten_grads(params: Sequence[Tensor]) -> np.ndarray:
     """Concatenate all gradients into one fp32 vector (zeros when absent)."""
-    chunks = []
-    for p in params:
-        if p.grad is None:
-            chunks.append(np.zeros(p.size, dtype=np.float32))
-        else:
-            chunks.append(p.grad.astype(np.float32).reshape(-1))
+    chunks = [np.zeros(p.size, dtype=np.float32) if p.grad is None else p.grad
+              for p in params]
     if not chunks:
         return np.zeros(0, dtype=np.float32)
-    return np.concatenate(chunks)
+    return np.concatenate(chunks, axis=None, dtype=np.float32)
 
 
 def _assign_flat(params: Sequence[Tensor], flat: np.ndarray, attr: str) -> None:
-    expected = sum(p.size for p in params)
+    """Set each parameter's ``attr`` to its slice of ``flat``, rounded to its
+    dtype: one rounding per bucket (:func:`~repro.tensor.buckets.buckets`),
+    each parameter getting a view of its bucket's rounded array."""
+    runs = buckets(params)
+    expected = sum(bounds[-1] for _, bounds in runs)
     if flat.shape != (expected,):
         raise CommunicatorError(
             f"flat {attr} vector has shape {flat.shape}, expected ({expected},)"
         )
     offset = 0
-    for p in params:
-        n = p.size
-        setattr(p, attr, quantize(flat[offset: offset + n].reshape(p.shape), p.dtype))
-        offset += n
+    for run, bounds in runs:
+        values = quantize(flat[offset: offset + bounds[-1]], run[0].dtype)
+        for p, lo, hi in zip(run, bounds, bounds[1:]):
+            setattr(p, attr, values[lo:hi].reshape(p.shape))
+        offset += bounds[-1]
 
 
 def wire_dtype(params: Sequence[Tensor]) -> str:
@@ -72,7 +74,7 @@ def unflatten_grads(params: Sequence[Tensor], flat: np.ndarray) -> None:
 
 def flatten_params(params: Sequence[Tensor]) -> np.ndarray:
     """Concatenate all (at least one) parameter values into one fp32 vector."""
-    return np.concatenate([p.data.astype(np.float32).reshape(-1) for p in params])
+    return np.concatenate([p.data for p in params], axis=None, dtype=np.float32)
 
 
 def assign_flat_params(params: Sequence[Tensor], flat: np.ndarray) -> None:

@@ -137,12 +137,11 @@ def run_spmd(
             "likely a non-interruptible hang inside user code"
         )
 
-    # Prefer reporting a real failure over the secondary RankAborts.
-    primary = None
-    for exc in errors:
-        if exc is not None and not isinstance(exc, RankAbort):
-            primary = exc
-            break
+    # Prefer reporting a real failure over the secondary RankAborts. (A
+    # generator: a loop variable would keep the exception in this frame.)
+    primary = next(
+        (exc for exc in errors if exc is not None and not isinstance(exc, RankAbort)), None
+    )
     if primary is None and world.abort_exc is not None:
         primary = world.abort_exc
     if primary is not None:
@@ -156,7 +155,17 @@ def run_spmd(
         primary.flight_dump = world.context.flight.dump(
             phases=world.context.phase_seconds
         )
-        raise primary
+        # A crashed rank's traceback holds ``runner``'s frame, whose closure
+        # holds ``errors`` and ``world``, and the traceback raised from here
+        # holds this frame: drop every reference back to the exceptions, so
+        # the dead world and its rank models are freed by reference
+        # counting, not whenever the cyclic collector runs.
+        errors.clear()
+        world.abort_exc = None
+        try:
+            raise primary
+        finally:
+            primary = None
 
     return SpmdResult(
         returns=returns,

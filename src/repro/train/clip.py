@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.tensor import Tensor
+from repro.tensor.buckets import buckets
 
 __all__ = ["global_grad_norm", "clip_grad_norm"]
 
@@ -17,16 +18,24 @@ def global_grad_norm(params: Iterable[Tensor], grad_scale: float = 1.0) -> float
     """L2 norm over all gradients (after applying ``grad_scale``).
 
     Returns inf when any gradient is non-finite (so callers can treat a
-    scaled-fp16 overflow uniformly).
+    scaled-fp16 overflow uniformly). Works per bucket of
+    :func:`~repro.tensor.buckets.buckets`, in float64, but still sums each
+    gradient's squares on its own and adds the sums in parameter order, so
+    the value is the per-parameter one bit for bit.
     """
     total = 0.0
-    for p in params:
-        if p.grad is None:
+    for run, _ in buckets(params):
+        grads = [p.grad for p in run if p.grad is not None]
+        if not grads:
             continue
-        g = p.grad.astype(np.float64) * grad_scale
+        g = np.concatenate(grads, axis=None, dtype=np.float64) * grad_scale
         if not np.isfinite(g).all():
             return math.inf
-        total += float((g * g).sum())
+        g *= g
+        lo = 0
+        for x in grads:
+            total += float(g[lo: lo + x.size].sum())
+            lo += x.size
     return math.sqrt(total)
 
 

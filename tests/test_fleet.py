@@ -14,6 +14,9 @@ The load-bearing guarantees:
   degrades gracefully (lowest-priority slot evicted, run survives).
 """
 
+import gc
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -240,6 +243,29 @@ class TestFleetCrashRecovery:
                      if e["kind"] == "replica_crash")
         assert crash["down_until"] > crash["t"]
         assert "flight_events" in crash
+
+    def test_crashing_call_is_freed_by_reference_counting(self, cfg):
+        """Neither the rank models of a fleet call nor its crashed ranks'
+        tracebacks wait for the cyclic collector: with it off, collecting
+        afterwards finds no ``Parameter`` and no traceback in a cycle."""
+        scfg = _serve_cfg(cfg, arrival_rate=200.0)
+        gc.collect()
+        debug = gc.get_debug()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            crashes = run_fleet_serving(FleetConfig(
+                serve=scfg, replicas=2, mtbf=0.005,
+                backoff_base=0.05, backoff_cap=0.4,
+            )).crashes
+            gc.collect()
+            left = Counter(type(o).__name__ for o in gc.garbage)
+        finally:
+            gc.garbage.clear()
+            gc.set_debug(debug)
+            gc.enable()
+        assert crashes > 0
+        assert left["Parameter"] == 0 and left["traceback"] == 0, left.most_common(8)
 
     def test_retry_budget_exhaustion_is_explicit(self, cfg):
         """A fleet whose only replica dies instantly every launch evicts

@@ -27,6 +27,7 @@ from repro.parallel import (
 from repro.parallel.collective_ops import PendingAlltoallRows, copy_to_tp_region
 from repro.simmpi import run_spmd
 from repro.tensor import Tensor, embedding, gather_rows, quantize
+from repro.tensor.buckets import BUCKET_ELEMENTS
 from repro.tensor import ops as T
 from repro.tensor.ops import _scatter_add
 from repro.train import Adam
@@ -309,7 +310,20 @@ def test_scatter_add_leaves_other_index_kinds_to_add_at():
 # (c) optimizers against the allocate-everything update they replaced
 # --------------------------------------------------------------------- #
 
-class _OldAdam(Adam):
+class _OldAdam:
+    """The per-parameter Adam the bucketed one replaced, standalone: state in
+    dicts keyed by parameter index (moments in the order they started), and
+    the allocate-everything update."""
+
+    def __init__(self, params, lr: float):
+        self.params, self.lr, self.step_count = list(params), lr, 0
+        self.masters = {
+            i: p.data.astype(np.float32).copy()
+            for i, p in enumerate(self.params) if p.dtype.name in ("fp16", "bf16")
+        }
+        self.m: dict[int, np.ndarray] = {}
+        self.v: dict[int, np.ndarray] = {}
+
     def step(self, grad_scale: float = 1.0) -> None:
         self.step_count += 1
         t = self.step_count
@@ -319,19 +333,37 @@ class _OldAdam(Adam):
             if p.grad is None:
                 continue
             g = p.grad.astype(np.float32) * grad_scale
-            master = self._masters.get(i, p.data).astype(np.float32)
-            m = self._m.get(i)
-            v = self._v.get(i)
+            master = self.masters.get(i, p.data).astype(np.float32)
+            m = self.m.get(i)
+            v = self.v.get(i)
             m = (1 - BETA1) * g if m is None else BETA1 * m + (1 - BETA1) * g
             v = (1 - BETA2) * g * g if v is None else BETA2 * v + (1 - BETA2) * g * g
-            self._m[i], self._v[i] = m, v
+            self.m[i], self.v[i] = m, v
             update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             new_master = master - self.lr * update
-            if i in self._masters:
-                self._masters[i] = new_master
+            if i in self.masters:
+                self.masters[i] = new_master
                 p.data = quantize(new_master, p.dtype)
             else:
                 p.data = new_master.astype(p.data.dtype, copy=False)
+
+    def state_dict(self) -> dict:
+        state = {"step_count": float(self.step_count)}
+        for kind, arrays in (("master", self.masters), ("m", self.m), ("v", self.v)):
+            for i, array in arrays.items():
+                state[f"{kind}.{i}"] = array.copy()
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        self.step_count = int(state["step_count"])
+        for i in self.masters:
+            if f"master.{i}" in state:
+                self.masters[i] = np.asarray(state[f"master.{i}"], dtype=np.float32).copy()
+        for kind in ("m", "v"):
+            setattr(self, kind, {
+                int(k.split(".")[1]): np.asarray(a, dtype=np.float32).copy()
+                for k, a in state.items() if k.startswith(f"{kind}.")
+            })
 
 
 OPTIMIZERS = {
@@ -343,34 +375,67 @@ def _state_arrays(opt) -> dict:
     return {k: v for k, v in opt.state_dict().items() if isinstance(v, np.ndarray)}
 
 
-@pytest.mark.parametrize("dtype", ["fp16", "fp32"])
+#: Buckets 0-1 (one dtype): a run of small parameters, a half-bucket one and
+#: a joiner that closes bucket 0, then one larger than a whole bucket alone.
+_SHAPES = ((7, 5), (11,), (2, 3, 4), (BUCKET_ELEMENTS // 2 + 3,), (5,),
+           (BUCKET_ELEMENTS + 5,), (3,))
+#: Parameter -> first step with a gradient: buckets mix started and not.
+_JOINS = {1: 3, 4: 6, 6: 2}
+#: Parameter -> steps without a gradient after it started (skipped runs).
+_GAPS = {2: {8, 9}, 5: {12}, 0: {10}}
+
+
+@pytest.mark.parametrize("dtype", ["fp16", "bf16", "fp32", "fp64", "mixed"])
 @pytest.mark.parametrize("kind", sorted(OPTIMIZERS))
 def test_optimizers_are_bit_identical_to_the_update_they_replaced(kind, dtype):
+    """Late joiners and gaps inside one bucket, a parameter over the bucket
+    cap, exact zeros of both signs from the first step on, and a
+    ``state_dict`` -> ``load_state_dict`` round trip into fresh optimizers
+    mid-run (``mixed`` cycles the four dtypes, so every parameter is its own
+    dtype run)."""
     new_cls, old_cls, kwargs = OPTIMIZERS[kind]
+    names = ("fp16", "bf16", "fp32", "fp64")
+    dtypes = [names[i % 4] if dtype == "mixed" else dtype for i in range(len(_SHAPES))]
     rng = np.random.default_rng(5)
-    init = [rng.standard_normal(shape) for shape in ((7, 5), (11,), (2, 3, 4))]
+    init = [rng.standard_normal(shape) for shape in _SHAPES]
     sides = []
     for cls in (new_cls, old_cls):
-        params = [Parameter(a, dtype=dtype) for a in init]
+        params = [Parameter(a, dtype=dt) for a, dt in zip(init, dtypes)]
         sides.append((params, cls(params, **kwargs)))
     for step in range(20):
+        if step == 11:
+            sides = [(params, _reloaded(opt, params, kwargs)) for params, opt in sides]
         scale = float(2.0 ** rng.integers(-12, 1))
-        grads = [quantize(rng.standard_normal(a.shape) * 100.0, dtype) for a in init]
+        grads = [quantize(rng.standard_normal(a.shape) * 100.0, dt)
+                 for a, dt in zip(init, dtypes)]
+        grads[0][0, :3] = (0.0, -0.0, 0.0)
+        grads[1][::2] = -0.0
+        grads[5][:7] = -0.0
         for params, opt in sides:
             for i, (p, g) in enumerate(zip(params, grads)):
-                # The last parameter joins late: its moments start at t = 4.
-                p.grad = None if (i == 2 and step < 3) else g.copy()
+                absent = step < _JOINS.get(i, 0) or step in _GAPS.get(i, ())
+                p.grad = None if absent else g.copy()
             opt.step(grad_scale=scale)
         (new_params, new_opt), (old_params, old_opt) = sides
         for p, q in zip(new_params, old_params):
             assert p.data.tobytes() == q.data.tobytes()
-            assert p.data.tobytes() == quantize(p.data, dtype).tobytes()
+            assert p.data.dtype == q.data.dtype and p.shape == q.shape
+            assert p.data.tobytes() == quantize(p.data, p.dtype).tobytes()
         new_state, old_state = _state_arrays(new_opt), _state_arrays(old_opt)
-        assert new_state.keys() == old_state.keys()
+        assert list(new_state) == list(old_state)  # checkpoint files keep their order
         for key, value in new_state.items():
             assert value.tobytes() == old_state[key].tobytes(), (step, key)
             assert value.dtype == old_state[key].dtype
-    assert (dtype == "fp16") == any(k.startswith("master.") for k in new_state)
+            assert value.shape == old_state[key].shape
+    assert any(k.startswith("master.") for k in new_state) == (dtype in ("fp16", "bf16", "mixed"))
+
+
+def _reloaded(opt, params, kwargs):
+    """A fresh optimizer of ``opt``'s class over ``params``, loaded from
+    ``opt.state_dict()``."""
+    fresh = type(opt)(params, **kwargs)
+    fresh.load_state_dict(opt.state_dict())
+    return fresh
 
 
 @pytest.mark.parametrize("kind", ["adam"])

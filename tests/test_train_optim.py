@@ -64,20 +64,21 @@ class TestAdam:
         opt2 = Adam([quad_param(2.0)], lr=0.1)
         opt2.load_state_dict(opt.state_dict())
         assert opt2.step_count == 1
-        assert np.allclose(opt2._m[0], opt._m[0])
-        assert np.allclose(opt2._v[0], opt._v[0])
+        saved, loaded = opt.state_dict(), opt2.state_dict()
+        assert np.allclose(loaded["m.0"], saved["m.0"])
+        assert np.allclose(loaded["v.0"], saved["v.0"])
 
 
 class TestMasterWeights:
     def test_fp16_param_gets_master(self):
         p = quad_param(1.0, dtype="fp16")
         opt = Adam([p], lr=1e-4)
-        assert 0 in opt._masters
+        assert "master.0" in opt.state_dict()
 
     def test_fp32_param_no_master(self):
         p = quad_param(1.0, dtype="fp32")
         opt = Adam([p], lr=1e-4)
-        assert 0 not in opt._masters
+        assert "master.0" not in opt.state_dict()
 
     def test_tiny_updates_accumulate_in_master(self):
         """fp16 weights stall on tiny updates; masters must not."""
@@ -89,7 +90,7 @@ class TestMasterWeights:
         # A constant gradient makes every Adam update ~lr: 1000 updates of
         # 1e-7 = 1e-4 total, invisible per-step in fp16 around 1.0 (grid
         # ~ 5e-4) but preserved by the fp32 master.
-        assert opt._masters[0][0] == pytest.approx(1.0 - 1e-4, rel=1e-3)
+        assert opt.state_dict()["master.0"][0] == pytest.approx(1.0 - 1e-4, rel=1e-3)
 
     def test_param_stays_quantized(self):
         p = quad_param(1.0, dtype="fp16")
