@@ -116,8 +116,7 @@ def _fleet_cfg(scfg, slo_s, span_s, floor, ceiling) -> FleetConfig:
     )
     return FleetConfig(
         serve=scfg, replicas=floor, max_rounds=2048, autoscale=scale,
-        slos=(SLOObjective(name="premium-ttft", threshold_s=slo_s,
-                           metric="ttft", tier=0),),
+        slos=(SLOObjective(name="premium-ttft", threshold_s=slo_s, tier=0),),
         # Burn windows derive from the horizon (h/10 down to h/720); five
         # ramp spans puts the "notice" window at ~half the ramp, wide
         # enough to accumulate min_samples during the overload stage.

@@ -29,8 +29,7 @@ def test_t9_planner_node_sweep(benchmark, report):
         medians = {}
         for nodes in NODE_COUNTS:
             result = plan_layouts(
-                CFG, num_nodes=nodes, cluster="toy",
-                top_k=TOP_K, verify_steps=2,
+                CFG, num_nodes=nodes, cluster="toy", top_k=TOP_K,
             )
             medians[nodes] = result.median_relative_error
             measured = {

@@ -31,7 +31,6 @@ def main() -> None:
         num_nodes=NODES,
         cluster="toy",  # laptop-class nodes on 4-node supernodes
         top_k=2,
-        verify_steps=2,
     )
 
     print(f"planned {CFG.name} on {NODES} 'toy' nodes: "

@@ -649,8 +649,7 @@ def _serve_fleet(args: argparse.Namespace, serve_cfg):
             ttft_slo_s=ttft_slo_ms / 1e3,
         )
     if ttft_slo_ms is not None:
-        slos = (SLOObjective(name="premium-ttft", threshold_s=ttft_slo_ms / 1e3,
-                             metric="ttft", tier=0),)
+        slos = (SLOObjective(name="premium-ttft", threshold_s=ttft_slo_ms / 1e3, tier=0),)
     fleet_cfg = FleetConfig(
         serve=serve_cfg,
         replicas=args.replicas,

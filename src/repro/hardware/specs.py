@@ -77,29 +77,24 @@ class ProcessorSpec:
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """One compute node (here: one CPU per node, Sunway-style)."""
+    """One compute node: one CPU per node, Sunway-style."""
 
     processor: ProcessorSpec
-    processors_per_node: int = 1
-
-    def __post_init__(self) -> None:
-        if self.processors_per_node < 1:
-            raise ConfigError("processors_per_node must be >= 1")
 
     @property
     def cores(self) -> int:
-        return self.processor.cores * self.processors_per_node
+        return self.processor.cores
 
     @property
     def memory_bytes(self) -> float:
-        return self.processor.memory_bytes * self.processors_per_node
+        return self.processor.memory_bytes
 
     @property
     def memory_bandwidth(self) -> float:
-        return self.processor.memory_bandwidth * self.processors_per_node
+        return self.processor.memory_bandwidth
 
     def flops(self, dtype: str) -> float:
-        return self.processor.flops(dtype) * self.processors_per_node
+        return self.processor.flops(dtype)
 
 
 @dataclass(frozen=True)
@@ -160,17 +155,13 @@ SW26010_PRO = ProcessorSpec(
 )
 
 #: One Sunway node = one SW26010-Pro-like CPU.
-SUNWAY_NODE = NodeSpec(processor=SW26010_PRO, processors_per_node=1)
+SUNWAY_NODE = NodeSpec(processor=SW26010_PRO)
 
 
-def sunway_machine(num_nodes: int = 96_000, compute_efficiency: float = 0.25) -> MachineSpec:
-    """The headline machine: 96,000 nodes -> 37.44 M cores."""
-    return MachineSpec(
-        name="new-sunway-like",
-        node=SUNWAY_NODE,
-        num_nodes=num_nodes,
-        compute_efficiency=compute_efficiency,
-    )
+def sunway_machine(num_nodes: int = 96_000) -> MachineSpec:
+    """The headline machine: 96,000 nodes -> 37.44 M cores, at the default
+    ``compute_efficiency``."""
+    return MachineSpec(name="new-sunway-like", node=SUNWAY_NODE, num_nodes=num_nodes)
 
 
 def laptop_machine(num_nodes: int = 1) -> MachineSpec:

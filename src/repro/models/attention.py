@@ -24,7 +24,6 @@ class CausalSelfAttention(Module):
         d_model: int,
         n_heads: int,
         rng: np.random.Generator,
-        init_std: float = 0.02,
         dtype: str = "fp32",
     ):
         super().__init__()
@@ -35,8 +34,8 @@ class CausalSelfAttention(Module):
         self.d_model = d_model
         self.n_heads = n_heads
         self.head_dim = d_model // n_heads
-        self.qkv = Linear(d_model, 3 * d_model, rng, init_std=init_std, dtype=dtype)
-        self.proj = Linear(d_model, d_model, rng, init_std=init_std, dtype=dtype)
+        self.qkv = Linear(d_model, 3 * d_model, rng, dtype=dtype)
+        self.proj = Linear(d_model, d_model, rng, dtype=dtype)
         self._scale = 1.0 / np.sqrt(self.head_dim)
 
     def forward(self, x: Tensor, kv=None, valid: np.ndarray | None = None) -> Tensor:
@@ -62,7 +61,7 @@ class CausalSelfAttention(Module):
             scores = (q @ k.transpose(0, 1, 3, 2)) * self._scale  # (B, H, T, T)
             causal = np.triu(np.full((t, t), -1e9, dtype=np.float32), k=1)
             scores = scores + causal  # broadcast over (B, H)
-            attn = softmax(scores, axis=-1)
+            attn = softmax(scores)
             out = attn @ v  # (B, H, T, hd)
         else:
             if is_grad_enabled():
@@ -87,7 +86,7 @@ class CausalSelfAttention(Module):
             )
             mask = np.where(allowed, np.float32(0.0), np.float32(-1e9))
             scores = scores + mask[:, None, :, :]  # broadcast over heads
-            attn = softmax(scores, axis=-1)
+            attn = softmax(scores)
             out = attn @ Tensor(v_all)  # (B, H, T, hd)
 
         out = out.transpose(0, 2, 1, 3).reshape(b, t, d)

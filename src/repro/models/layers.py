@@ -10,6 +10,9 @@ from repro.models.module import Module, Parameter
 
 __all__ = ["Linear", "Embedding", "LayerNorm", "MLP"]
 
+#: GPT-style weight init: every weight matrix draws from N(0, INIT_STD).
+INIT_STD = 0.02
+
 
 class Linear(Module):
     """Affine map ``y = x W + b`` with GPT-style init (normal, std=0.02)."""
@@ -20,7 +23,6 @@ class Linear(Module):
         out_features: int,
         rng: np.random.Generator,
         bias: bool = True,
-        init_std: float = 0.02,
         dtype: str = "fp32",
     ):
         super().__init__()
@@ -29,7 +31,7 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(
-            rng.normal(0.0, init_std, size=(in_features, out_features)), dtype=dtype
+            rng.normal(0.0, INIT_STD, size=(in_features, out_features)), dtype=dtype
         )
         self.bias = Parameter(np.zeros(out_features), dtype=dtype) if bias else None
 
@@ -53,7 +55,6 @@ class Embedding(Module):
         num_embeddings: int,
         embedding_dim: int,
         rng: np.random.Generator,
-        init_std: float = 0.02,
         dtype: str = "fp32",
     ):
         super().__init__()
@@ -62,7 +63,7 @@ class Embedding(Module):
         self.num_embeddings = num_embeddings
         self.embedding_dim = embedding_dim
         self.weight = Parameter(
-            rng.normal(0.0, init_std, size=(num_embeddings, embedding_dim)), dtype=dtype
+            rng.normal(0.0, INIT_STD, size=(num_embeddings, embedding_dim)), dtype=dtype
         )
 
     def forward(self, ids: np.ndarray) -> Tensor:
@@ -72,17 +73,16 @@ class Embedding(Module):
 class LayerNorm(Module):
     """Learned layer normalization over the last dimension."""
 
-    def __init__(self, dim: int, eps: float = 1e-5, dtype: str = "fp32"):
+    def __init__(self, dim: int, dtype: str = "fp32"):
         super().__init__()
         if dim < 1:
             raise ConfigError("LayerNorm dim must be >= 1")
         self.dim = dim
-        self.eps = eps
         self.weight = Parameter(np.ones(dim), dtype=dtype)
         self.bias = Parameter(np.zeros(dim), dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.weight, self.bias, eps=self.eps)
+        return layer_norm(x, self.weight, self.bias)
 
 
 class MLP(Module):
@@ -97,14 +97,13 @@ class MLP(Module):
         d_model: int,
         d_ff: int,
         rng: np.random.Generator,
-        init_std: float = 0.02,
         dtype: str = "fp32",
     ):
         super().__init__()
         self.d_model = d_model
         self.d_ff = d_ff
-        self.fc_in = Linear(d_model, d_ff, rng, init_std=init_std, dtype=dtype)
-        self.fc_out = Linear(d_ff, d_model, rng, init_std=init_std, dtype=dtype)
+        self.fc_in = Linear(d_model, d_ff, rng, dtype=dtype)
+        self.fc_out = Linear(d_ff, d_model, rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.fc_out(gelu(self.fc_in(x)))

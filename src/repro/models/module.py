@@ -27,8 +27,8 @@ class Parameter(Tensor):
 
     __slots__ = ("is_expert", "is_tp")
 
-    def __init__(self, data: Any, dtype: str = "fp32", name: str | None = None):
-        super().__init__(data, requires_grad=True, dtype=dtype, name=name)
+    def __init__(self, data: Any, dtype: str = "fp32"):
+        super().__init__(data, requires_grad=True, dtype=dtype)
         self.is_expert = False
         self.is_tp = False
 

@@ -66,7 +66,6 @@ class MoELayer(Module):
         capacity_factor: float | None = None,
         aux_weight: float = 1e-2,
         z_weight: float = 0.0,
-        init_std: float = 0.02,
         dtype: str = "fp32",
     ):
         super().__init__()
@@ -79,8 +78,8 @@ class MoELayer(Module):
         self.aux_weight = aux_weight
         self.z_weight = z_weight
         self._rng = rng
-        self.router = Linear(d_model, num_experts, rng, bias=False, init_std=init_std, dtype=dtype)
-        self.register_module_list("experts", self._build_experts(init_std, dtype))
+        self.router = Linear(d_model, num_experts, rng, bias=False, dtype=dtype)
+        self.register_module_list("experts", self._build_experts(dtype))
         for expert in self.experts:
             for p in expert.parameters():
                 p.is_expert = True
@@ -182,10 +181,10 @@ class MoELayer(Module):
     # The three steps an expert-parallel subclass replaces
     # ------------------------------------------------------------------ #
 
-    def _build_experts(self, init_std: float, dtype: str) -> list[MLP]:
+    def _build_experts(self, dtype: str) -> list[MLP]:
         """Every expert, drawn from the layer's rng in order after the router."""
         return [
-            MLP(self.d_model, self.d_ff, self._rng, init_std=init_std, dtype=dtype)
+            MLP(self.d_model, self.d_ff, self._rng, dtype=dtype)
             for _ in range(self.num_experts)
         ]
 

@@ -105,7 +105,7 @@ class Gate:
             raise ConfigError(
                 f"gate expects (N, {self.num_experts}) logits, got {logits.shape}"
             )
-        probs = softmax(logits, axis=-1)
+        probs = softmax(logits)
         indices = self.assign(probs.data, rng)
         weights = _gather_weights(probs, indices)
         return GateOutput(

@@ -9,7 +9,7 @@ correct *and* produces topology-aware timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import ConfigError
@@ -29,7 +29,8 @@ def _refuse_unknown(op: str, algo: str, known: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class AlgorithmPolicy:
-    """Which collective algorithm the runtime picks for each operation."""
+    """A checked pair of collective algorithm names: a config validates
+    its ``alltoall``/``allreduce`` choice by building one."""
 
     allreduce: str = "auto"
     alltoall: str = "auto"
@@ -41,21 +42,21 @@ class AlgorithmPolicy:
 
 @dataclass
 class NetworkModel:
-    """Topology + algorithm policy -> operation timing.
+    """Topology -> operation timing.
+
+    A call with ``algorithm=None`` runs "auto", which picks the cheapest
+    analytic estimate, as a tuned MPI would.
 
     Parameters
     ----------
     topology:
         The machine interconnect.
-    policy:
-        Algorithm selection; "auto" picks the cheaper analytic estimate.
     node_of_rank:
         Optional mapping from MPI rank to leaf-node id. Defaults to
         ``rank % num_nodes`` (dense packing).
     """
 
     topology: Topology
-    policy: AlgorithmPolicy = field(default_factory=AlgorithmPolicy)
     node_of_rank: Callable[[int], int] | None = None
 
     def node(self, rank: int) -> int:
@@ -95,7 +96,7 @@ class NetworkModel:
     ) -> float:
         """Allreduce of an ``nbytes`` buffer over ``ranks``."""
         nodes = self._nodes(ranks)
-        algo = algorithm or self.policy.allreduce
+        algo = algorithm or "auto"
         if algo == "ring":
             return C.cost_ring_allreduce(self.topology, nbytes, nodes)
         if algo == "tree":
@@ -134,7 +135,7 @@ class NetworkModel:
     ) -> float:
         """Alltoall with a uniform per-pair payload."""
         nodes = self._nodes(ranks)
-        algo = algorithm or self.policy.alltoall
+        algo = algorithm or "auto"
         if algo == "flat":
             return C.cost_flat_alltoall(self.topology, nbytes_per_pair, nodes)
         if algo == "hierarchical":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import TopologyError
-from repro.network.costmodel import AlgorithmPolicy, NetworkModel
+from repro.network.costmodel import NetworkModel
 from repro.network.links import LinkSpec
 from repro.network.topology import Level, Topology
 from repro.utils.mathx import ceil_div
@@ -43,6 +43,9 @@ INTRA_SUPERNODE_LINK = LinkSpec(latency=1.0e-6, bandwidth=16e9, oversubscription
 #: Inter-supernode optical fat-tree: higher latency, 4:1 taper.
 INTER_SUPERNODE_LINK = LinkSpec(latency=7.0e-6, bandwidth=16e9, oversubscription=4.0)
 
+#: The uniform cluster's one link: commodity latency, full bisection.
+FLAT_LINK = LinkSpec(latency=2.0e-6, bandwidth=12.5e9, oversubscription=1.0)
+
 
 def sunway_topology(num_nodes: int, supernode_size: int = SUPERNODE_SIZE) -> Topology:
     """A Sunway-like two-level topology covering ``num_nodes`` leaf nodes.
@@ -66,42 +69,21 @@ def sunway_topology(num_nodes: int, supernode_size: int = SUPERNODE_SIZE) -> Top
     )
 
 
-def sunway_network(
-    num_nodes: int,
-    supernode_size: int = SUPERNODE_SIZE,
-    policy: AlgorithmPolicy | None = None,
-) -> NetworkModel:
-    """NetworkModel over :func:`sunway_topology`."""
-    return NetworkModel(
-        topology=sunway_topology(num_nodes, supernode_size),
-        policy=policy or AlgorithmPolicy(),
-    )
+def sunway_network(num_nodes: int, supernode_size: int = SUPERNODE_SIZE) -> NetworkModel:
+    """NetworkModel over :func:`sunway_topology` ("auto" algorithms by default)."""
+    return NetworkModel(topology=sunway_topology(num_nodes, supernode_size))
 
 
-def flat_topology(
-    num_nodes: int,
-    latency: float = 2.0e-6,
-    bandwidth: float = 12.5e9,
-    oversubscription: float = 1.0,
-) -> Topology:
+def flat_topology(num_nodes: int) -> Topology:
     """A single-level, uniform cluster (the non-topology-aware baseline)."""
     if num_nodes < 1:
         raise TopologyError(f"num_nodes must be >= 1, got {num_nodes}")
-    link = LinkSpec(latency=latency, bandwidth=bandwidth, oversubscription=oversubscription)
-    return Topology([Level("node", num_nodes, link)])
+    return Topology([Level("node", num_nodes, FLAT_LINK)])
 
 
-def flat_network(
-    num_nodes: int,
-    latency: float = 2.0e-6,
-    bandwidth: float = 12.5e9,
-    policy: AlgorithmPolicy | None = None,
-) -> NetworkModel:
-    """NetworkModel over :func:`flat_topology`."""
-    return NetworkModel(
-        topology=flat_topology(num_nodes, latency=latency, bandwidth=bandwidth),
-        policy=policy or AlgorithmPolicy(),
-    )
+def flat_network(num_nodes: int) -> NetworkModel:
+    """NetworkModel over :func:`flat_topology` ("auto" algorithms by default)."""
+    return NetworkModel(topology=flat_topology(num_nodes))
 
 
 #: Inter-cabinet optical trunks: longest latency, strongest taper.

@@ -45,31 +45,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SLOObjective:
-    """One service-level objective over a per-request measurement.
+    """One service-level objective over each request's time to first token.
 
-    ``metric`` names what :meth:`SLOMonitor.observe` receives (``ttft``,
-    ``latency``, ...); a request is *good* when the measured value is
-    <= ``threshold_s`` (and the request completed at all — callers feed
-    failures as ``float('inf')``). ``tier`` restricts the objective to
-    one SLO class (None = all traffic). ``target`` is the good fraction
-    promised, e.g. 0.95.
+    :meth:`SLOMonitor.observe` receives the TTFT; a request is *good* when
+    it is <= ``threshold_s`` (and the request completed at all — callers
+    feed failures as ``float('inf')``). ``tier`` restricts the objective
+    to one SLO class (None = all traffic). Every objective promises the
+    good fraction :attr:`TARGET`.
     """
 
     name: str
     threshold_s: float
-    target: float = 0.95
-    metric: str = "ttft"
     tier: int | None = None
+
+    #: The good fraction promised.
+    TARGET: ClassVar[float] = 0.95
 
     def __post_init__(self) -> None:
         if self.threshold_s <= 0:
             raise ConfigError(
                 f"SLO {self.name!r}: threshold_s must be > 0, got "
                 f"{self.threshold_s}"
-            )
-        if not 0 < self.target < 1:
-            raise ConfigError(
-                f"SLO {self.name!r}: target must be in (0, 1), got {self.target}"
             )
         if self.tier is not None and self.tier < 0:
             raise ConfigError(
@@ -79,7 +75,7 @@ class SLOObjective:
     @property
     def budget(self) -> float:
         """Allowed bad fraction (the error budget)."""
-        return 1.0 - self.target
+        return 1.0 - self.TARGET
 
     def good(self, value: float) -> bool:
         return value <= self.threshold_s
@@ -87,8 +83,8 @@ class SLOObjective:
     def describe(self) -> str:
         scope = "all tiers" if self.tier is None else f"tier {self.tier}"
         return (
-            f"{self.name}: {self.metric} <= {self.threshold_s * 1e3:g} ms "
-            f"for {self.target:.0%} of {scope}"
+            f"{self.name}: ttft <= {self.threshold_s * 1e3:g} ms "
+            f"for {self.TARGET:.0%} of {scope}"
         )
 
 
@@ -136,24 +132,23 @@ class SLOMonitor:
     Feed measurements with :meth:`observe` (virtual-time ordered), then
     call :meth:`evaluate` at decision points; transitions append
     ``slo_alert`` / ``slo_resolve`` events to the context (when given)
-    and accumulate in :attr:`alerts` for the report.
+    and accumulate in :attr:`alerts` for the report. A window fires only
+    once it holds :attr:`MIN_SAMPLES` measurements.
     """
+
+    MIN_SAMPLES = 5
 
     def __init__(
         self,
         objective: SLOObjective,
         windows: tuple[BurnRateWindow, ...] | None = None,
-        min_samples: int = 5,
     ):
         if windows is None:
             windows = default_burn_windows(horizon_s=3600.0)
         if not windows:
             raise ConfigError("SLOMonitor needs at least one burn-rate window")
-        if min_samples < 1:
-            raise ConfigError(f"min_samples must be >= 1, got {min_samples}")
         self.objective = objective
         self.windows = tuple(windows)
-        self.min_samples = min_samples
         # One sliding bad-indicator stream per distinct width (long +
         # short windows may coincide across policies).
         widths = {w.window_s for w in self.windows}
@@ -215,7 +210,7 @@ class SLOMonitor:
     def firing(self, now: float, window: BurnRateWindow) -> bool:
         """Both the long and the short window exceed the threshold."""
         stream = self._streams[window.window_s]
-        if stream.count(now) < self.min_samples:
+        if stream.count(now) < self.MIN_SAMPLES:
             return False
         return (
             self.burn_rate(now, window.window_s) > window.threshold

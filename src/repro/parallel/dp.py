@@ -126,8 +126,8 @@ class PendingGradAllreduce:
         return self._nbytes
 
 
-def broadcast_parameters(comm: Comm, params: Sequence[Tensor], root: int = 0) -> None:
-    """Make every rank's parameters bit-identical to ``root``'s.
+def broadcast_parameters(comm: Comm, params: Sequence[Tensor]) -> None:
+    """Make every rank's parameters bit-identical to rank 0's.
 
     Called once at startup so replicated parameters start in sync (the
     invariant DP training preserves thereafter).
@@ -135,6 +135,6 @@ def broadcast_parameters(comm: Comm, params: Sequence[Tensor], root: int = 0) ->
     if comm.size == 1:
         return
     if not params:
-        comm.bcast(None, root=root)
+        comm.bcast(None)
         return
-    assign_flat_params(params, comm.bcast(flatten_params(params), root=root))
+    assign_flat_params(params, comm.bcast(flatten_params(params)))

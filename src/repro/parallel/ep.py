@@ -99,7 +99,6 @@ class DistributedMoELayer(MoELayer):
         aux_weight: float = 1e-2,
         z_weight: float = 0.0,
         alltoall_algorithm: str | None = None,
-        init_std: float = 0.02,
         dtype: str = "fp32",
         compute_hook: Callable[[int], None] | None = None,
         overlap_chunks: int = 1,
@@ -120,16 +119,16 @@ class DistributedMoELayer(MoELayer):
         super().__init__(
             d_model, d_ff, num_experts, shared_rng, gate=gate, top_k=top_k,
             capacity_factor=capacity_factor, aux_weight=aux_weight,
-            z_weight=z_weight, init_std=init_std, dtype=dtype,
+            z_weight=z_weight, dtype=dtype,
         )
 
-    def _build_experts(self, init_std: float, dtype: str) -> list[MLP]:
+    def _build_experts(self, dtype: str) -> list[MLP]:
         """This rank's shard, each expert from its own global-id seed."""
         seed, layer_id = self._expert_seed
         return [
             MLP(self.d_model, self.d_ff,
                 np.random.default_rng(derive_seed(seed, "expert", layer_id, gid)),
-                init_std=init_std, dtype=dtype)
+                dtype=dtype)
             for gid in self.global_expert_ids
         ]
 

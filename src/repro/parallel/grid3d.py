@@ -24,7 +24,6 @@ stages.
 
 from __future__ import annotations
 
-from repro.amp import DynamicLossScaler
 from repro.data.loader import Batch
 from repro.errors import ConfigError
 from repro.models.configs import ModelConfig
@@ -50,7 +49,9 @@ class Trainer3D(DistributedStep):
 
     The caller provides the optimizer over ``trainer.stage.parameters()``
     (built after construction, e.g. ``Adam(trainer.stage.parameters())``)
-    through :meth:`attach_optimizer`, then calls :meth:`train_step` with
+    through :meth:`attach_optimizer`, and a loss scaler, if any, by
+    assigning ``trainer.scaler`` (an fp16 run casts the built stage first),
+    then calls :meth:`train_step` with
     the batch of *this rank's pipeline* (fetch it with
     ``dp_rank=groups.pipeline_id, dp_size=groups.layout.plane_size``);
     ``loss`` in each step's result is the mean over this rank's pipeline.
@@ -63,7 +64,6 @@ class Trainer3D(DistributedStep):
         num_microbatches: int,
         seed: int = 0,
         schedule: LRSchedule | None = None,
-        scaler: DynamicLossScaler | None = None,
         alltoall_algorithm: str | None = None,
         allreduce_algorithm: str | None = None,
         compute_hook=None,
@@ -86,7 +86,7 @@ class Trainer3D(DistributedStep):
         # pipeline exactly once.
         super().__init__(
             self.stage, groups.world, groups.plane, self._pipeline_gradients,
-            sync_plan(self.stage, groups), schedule=schedule, scaler=scaler,
+            sync_plan(self.stage, groups), schedule=schedule,
             allreduce_algorithm=allreduce_algorithm,
         )
 

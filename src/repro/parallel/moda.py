@@ -40,6 +40,7 @@ def build_moda_model(
     groups: MoDaGroups,
     seed: int = 0,
     alltoall_algorithm: str | None = None,
+    allreduce_algorithm: str | None = None,
     compute_hook: Callable[[int], None] | None = None,
     overlap_chunks: int = 1,
 ) -> MoELanguageModel:
@@ -49,7 +50,9 @@ def build_moda_model(
     every rank; expert parameters are seeded per global expert id, so the
     *model* (the union of all shards) is independent of the layout. With
     ``groups.tp`` set, dense FFN blocks are sharded over it; the factory
-    draws full weights from the shared per-block rng before sharding.
+    draws full weights from the shared per-block rng before sharding, and
+    its activation allreduces run ``allreduce_algorithm``, as the gradient
+    sync does.
     """
     moe_factory = ep_moe_factory(
         config, groups.ep, seed, alltoall_algorithm, compute_hook, overlap_chunks
@@ -59,7 +62,8 @@ def build_moda_model(
 
         def mlp_factory(layer_idx: int, rng: np.random.Generator):
             return TensorParallelMLP(
-                config.d_model, config.d_ff, groups.tp, rng, dtype=config.dtype
+                config.d_model, config.d_ff, groups.tp, rng, config.dtype,
+                allreduce_algorithm,
             )
 
     return MoELanguageModel(
@@ -123,4 +127,4 @@ class MoDaTrainer(DistributedStep):
         # Belt and braces: construction already makes replicas equal, but
         # an explicit broadcast pins the invariant.
         for _, params, comm in self.sync_groups:
-            broadcast_parameters(comm, params, root=0)
+            broadcast_parameters(comm, params)

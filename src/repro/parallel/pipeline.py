@@ -27,6 +27,7 @@ from repro.models.module import Module
 from repro.models.transformer import MoELanguageModel, _aux_loss_of
 from repro.simmpi import Comm
 from repro.tensor import Tensor, cross_entropy
+from repro.utils.mathx import balanced_bounds
 
 __all__ = ["PipelineStage", "GPipeRunner", "pipeline_bubble_fraction", "stage_bounds"]
 
@@ -46,11 +47,7 @@ def stage_bounds(n_layers: int, num_stages: int, stage: int) -> tuple[int, int]:
         raise ConfigError(
             f"cannot split {n_layers} layers into {num_stages} stages"
         )
-    base = n_layers // num_stages
-    extra = n_layers % num_stages
-    lo = stage * base + min(stage, extra)
-    hi = lo + base + (1 if stage < extra else 0)
-    return lo, hi
+    return balanced_bounds(n_layers, num_stages, stage)
 
 
 class PipelineStage(Module):

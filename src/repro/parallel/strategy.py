@@ -296,6 +296,7 @@ def _build_plane(comm, cfg, machine, name: str) -> RankTrainer:
         groups,
         seed=cfg.seed,
         alltoall_algorithm=cfg.alltoall_algorithm,
+        allreduce_algorithm=cfg.allreduce_algorithm,
         compute_hook=compute_hook,
         overlap_chunks=cfg.overlap_chunks,
     )

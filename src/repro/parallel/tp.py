@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.models.layers import Linear
+from repro.models.layers import INIT_STD
 from repro.models.module import Module, Parameter
 from repro.parallel.collective_ops import allreduce_sum, copy_to_tp_region
 from repro.simmpi import Comm
@@ -76,9 +76,8 @@ class ColumnParallelLinear(Module):
         out_features: int,
         tp_comm: Comm,
         rng: np.random.Generator,
-        bias: bool = True,
-        init_std: float = 0.02,
         dtype: str = "fp32",
+        allreduce_algorithm: str | None = None,
     ):
         super().__init__()
         if out_features % tp_comm.size != 0:
@@ -87,29 +86,27 @@ class ColumnParallelLinear(Module):
                 f"tp_size={tp_comm.size}"
             )
         self.comm = tp_comm
+        self.allreduce_algorithm = allreduce_algorithm
         self.in_features = in_features
         self.out_features = out_features
         self.local_out = out_features // tp_comm.size
         # Draw the *full* weight from the shared rng (identical on every
         # rank), then keep the local slice: the sharded model is exactly a
         # partition of the dense one.
-        full_w = rng.normal(0.0, init_std, size=(in_features, out_features))
-        full_b = np.zeros(out_features) if bias else None
-        w, b = shard_linear_weights(full_w, full_b, tp_comm.rank, tp_comm.size, axis=1)
+        full_w = rng.normal(0.0, INIT_STD, size=(in_features, out_features))
+        w, b = shard_linear_weights(
+            full_w, np.zeros(out_features), tp_comm.rank, tp_comm.size, axis=1
+        )
         self.weight = Parameter(w, dtype=dtype)
         self.weight.is_tp = True
-        self.bias = Parameter(b, dtype=dtype) if b is not None else None
-        if self.bias is not None:
-            self.bias.is_tp = True
+        self.bias = Parameter(b, dtype=dtype)
+        self.bias.is_tp = True
 
     def forward(self, x: Tensor) -> Tensor:
         # "f" operator: every shard consumes the replicated input, so the
         # input gradient is the allreduced sum of shard contributions.
-        x = copy_to_tp_region(x, self.comm)
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        x = copy_to_tp_region(x, self.comm, self.allreduce_algorithm)
+        return x @ self.weight + self.bias
 
 
 class RowParallelLinear(Module):
@@ -127,9 +124,8 @@ class RowParallelLinear(Module):
         out_features: int,
         tp_comm: Comm,
         rng: np.random.Generator,
-        bias: bool = True,
-        init_std: float = 0.02,
         dtype: str = "fp32",
+        allreduce_algorithm: str | None = None,
     ):
         super().__init__()
         if in_features % tp_comm.size != 0:
@@ -137,25 +133,24 @@ class RowParallelLinear(Module):
                 f"in_features={in_features} not divisible by tp_size={tp_comm.size}"
             )
         self.comm = tp_comm
+        self.allreduce_algorithm = allreduce_algorithm
         self.in_features = in_features
         self.out_features = out_features
         self.local_in = in_features // tp_comm.size
-        full_w = rng.normal(0.0, init_std, size=(in_features, out_features))
-        full_b = np.zeros(out_features) if bias else None
-        w, b = shard_linear_weights(full_w, full_b, tp_comm.rank, tp_comm.size, axis=0)
+        full_w = rng.normal(0.0, INIT_STD, size=(in_features, out_features))
+        w, b = shard_linear_weights(
+            full_w, np.zeros(out_features), tp_comm.rank, tp_comm.size, axis=0
+        )
         self.weight = Parameter(w, dtype=dtype)
         self.weight.is_tp = True
         # Bias is applied once, after the sum (only the values matter; all
         # ranks hold the same copy and its gradient averages in DP), so it
         # is *replicated*, not TP-sharded.
-        self.bias = Parameter(b, dtype=dtype) if b is not None else None
+        self.bias = Parameter(b, dtype=dtype)
 
     def forward(self, x_local: Tensor) -> Tensor:
         partial = x_local @ self.weight
-        total = allreduce_sum(partial, self.comm)
-        if self.bias is not None:
-            total = total + self.bias
-        return total
+        return allreduce_sum(partial, self.comm, self.allreduce_algorithm) + self.bias
 
 
 class TensorParallelMLP(Module):
@@ -175,18 +170,18 @@ class TensorParallelMLP(Module):
         d_ff: int,
         tp_comm: Comm,
         rng: np.random.Generator,
-        init_std: float = 0.02,
         dtype: str = "fp32",
+        allreduce_algorithm: str | None = None,
     ):
         super().__init__()
         self.d_model = d_model
         self.d_ff = d_ff
         self.comm = tp_comm
         self.fc_in = ColumnParallelLinear(
-            d_model, d_ff, tp_comm, rng, init_std=init_std, dtype=dtype
+            d_model, d_ff, tp_comm, rng, dtype, allreduce_algorithm
         )
         self.fc_out = RowParallelLinear(
-            d_ff, d_model, tp_comm, rng, init_std=init_std, dtype=dtype
+            d_ff, d_model, tp_comm, rng, dtype, allreduce_algorithm
         )
 
     def forward(self, x: Tensor) -> Tensor:

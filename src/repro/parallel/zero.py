@@ -22,6 +22,7 @@ from repro.parallel.dp import assign_flat_params, flatten_grads, flatten_params,
 from repro.simmpi import Comm
 from repro.tensor import Tensor, quantize, to_wire
 from repro.train.optim import adam_update
+from repro.utils.mathx import balanced_bounds
 
 __all__ = ["ZeroAdamW", "shard_bounds"]
 
@@ -30,11 +31,7 @@ def shard_bounds(total: int, size: int, rank: int) -> tuple[int, int]:
     """Contiguous, balanced [lo, hi) bounds of ``rank``'s shard."""
     if size < 1 or not 0 <= rank < size:
         raise ConfigError(f"invalid shard coordinates rank={rank} size={size}")
-    base = total // size
-    extra = total % size
-    lo = rank * base + min(rank, extra)
-    hi = lo + base + (1 if rank < extra else 0)
-    return lo, hi
+    return balanced_bounds(total, size, rank)
 
 
 class ZeroAdamW(object):

@@ -22,8 +22,6 @@ def weak_scaling_rows(
     micro_batch: int = 1,
     seq_len: int | None = None,
     load_imbalance: float = 1.0,
-    alltoall: str | None = None,
-    allreduce: str | None = None,
 ) -> list[dict[str, float]]:
     """Fixed per-node load, growing node count (experiment F1).
 
@@ -42,8 +40,6 @@ def weak_scaling_rows(
             micro_batch=micro_batch,
             seq_len=seq,
             load_imbalance=load_imbalance,
-            alltoall=alltoall,
-            allreduce=allreduce,
         )
         model = StepModel(config, machine.with_nodes(n), network_builder(n))
         t = model.step_time(plan)
@@ -71,7 +67,6 @@ def strong_scaling_rows(
     ep_size: int,
     global_batch_tokens: int,
     seq_len: int | None = None,
-    load_imbalance: float = 1.0,
 ) -> list[dict[str, float]]:
     """Fixed global problem size, growing node count (experiment F2), on
     the shared ``"sunway"`` cluster preset."""
@@ -87,7 +82,6 @@ def strong_scaling_rows(
             ep_size=min(ep_size, n),
             micro_batch=micro_batch,
             seq_len=seq,
-            load_imbalance=load_imbalance,
         )
         model = StepModel(config, machine.with_nodes(n), network_builder(n))
         t = model.step_time(plan)

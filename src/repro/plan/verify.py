@@ -115,10 +115,10 @@ def plan_layouts(
     num_nodes: int,
     *,
     top_k: int = 2,
-    verify_steps: int = 2,
     **planner,
 ) -> PlanResult:
-    """One-shot planner facade: search, rank, and verify the top-k.
+    """One-shot planner facade: search, rank, and verify the top-k with
+    :func:`verify_plans`' default run length.
 
     ``planner`` keywords (``cluster``, ``micro_batch``, ``overlap_chunks``,
     ...) are :class:`PlannerConfig` fields, passed through unchanged::
@@ -128,5 +128,5 @@ def plan_layouts(
     """
     result = search_plans(PlannerConfig(model=model, num_nodes=num_nodes, **planner))
     if result.candidates:
-        result = verify_plans(result, top_k=top_k, num_steps=verify_steps)
+        result = verify_plans(result, top_k=top_k)
     return result

@@ -10,7 +10,7 @@ is exactly as reproducible as a fixed-size one.
 
 Policy, evaluated once per dispatch round at virtual time ``now``:
 
-- **scale up** when the trailing-window p95 of the protected tier's TTFT
+- **scale up** when the trailing-window p95 of the premium tier's (tier 0) TTFT
   exceeds ``ttft_slo_s * scale_up_frac``, or the backlog per live
   replica exceeds ``queue_high`` — capacity is added *before* the SLO
   monitor starts paging, one replica at a time;
@@ -44,10 +44,9 @@ class AutoscalerConfig:
 
     min_replicas: int = 1
     max_replicas: int = 4
-    #: TTFT objective for the protected tier, in virtual seconds.
+    #: TTFT objective for the premium tier (tier 0), the only one the
+    #: signal is computed over, in virtual seconds.
     ttft_slo_s: float = 0.5
-    #: SLO class the TTFT signal is computed over (0 = premium).
-    tier: int = 0
     #: Width of the trailing signal window, in virtual seconds.
     signal_window_s: float = 30.0
     #: Scale up when windowed p95 exceeds slo * this fraction.
@@ -80,8 +79,6 @@ class AutoscalerConfig:
             )
         if not self.ttft_slo_s > 0:
             raise ConfigError(f"ttft_slo_s must be > 0, got {self.ttft_slo_s}")
-        if self.tier < 0:
-            raise ConfigError(f"tier must be >= 0, got {self.tier}")
         if not self.signal_window_s > 0:
             raise ConfigError(
                 f"signal_window_s must be > 0, got {self.signal_window_s}"
@@ -121,8 +118,8 @@ class Autoscaler:
         self.decisions: list[dict[str, Any]] = []
 
     def observe_ttft(self, t: float, ttft_s: float, tier: int) -> None:
-        """Feed one completed first token (only the protected tier counts)."""
-        if tier == self.config.tier:
+        """Feed one completed first token (only the premium tier counts)."""
+        if tier == 0:
             self._ttft.observe(t, ttft_s)
 
     def decide(self, now: float, active: int, backlog: int) -> dict[str, Any]:

@@ -92,7 +92,6 @@ class ServeConfig:
     #: Chunked async expert dispatch width for decode alltoalls (>1
     #: pipelines dispatch/combine against expert compute; bit-identical).
     overlap_chunks: int = 1
-    model_compute_time: bool = True
     supernode_size: int = 256
     timeout: float = 600.0
     trace: bool = False
@@ -364,7 +363,7 @@ def build_requests(cfg: ServeConfig) -> list[Request]:
 
 
 def _serve_model(
-    cfg: ServeConfig, comm: Comm, timer: DecodeTimer | None,
+    cfg: ServeConfig, comm: Comm, timer: DecodeTimer,
     pool: dict[int, tuple] | None,
 ) -> MoELanguageModel:
     """This rank's EP-sharded model in eval mode, bound to ``comm``.
@@ -378,8 +377,7 @@ def _serve_model(
     """
 
     def compute_hook(rows: int) -> None:
-        if timer is not None:
-            comm.advance(timer.expert_time(rows))
+        comm.advance(timer.expert_time(rows))
 
     built = None if pool is None else pool.get(comm.rank)
     if built is None:
@@ -419,16 +417,12 @@ def _sample_token(
 def _serve_rank(
     comm: Comm,
     cfg: ServeConfig,
-    machine: MachineSpec | None,
+    machine: MachineSpec,
     requests: list[Request] | None,
     pool: dict[int, tuple] | None,
 ) -> dict:
     """The SPMD rank program: one scheduler + model + cache per rank."""
-    timer = (
-        DecodeTimer(cfg.model, machine)
-        if machine is not None and cfg.model_compute_time
-        else None
-    )
+    timer = DecodeTimer(cfg.model, machine)
     model = _serve_model(cfg, comm, timer, pool)
     sched = ContinuousBatchScheduler(
         cfg.max_batch_size,
@@ -518,8 +512,7 @@ def _serve_rank(
             # Idle rank: dummy uncached forward with the same collective
             # sequence, so the SPMD program stays in lockstep.
             model(dummy)
-            if timer is not None:
-                comm.advance(timer.dense_time(np.zeros(1), np.ones(1)))
+            comm.advance(timer.dense_time(np.zeros(1), np.ones(1)))
             return
         if cfg.use_cache:
             feeds = [
@@ -542,8 +535,7 @@ def _serve_rank(
             ctx = np.zeros(1, dtype=np.int64)
             valid = np.array([window.size], dtype=np.int64)
             last = model(window[None, :]).data[:, -1, :]
-        if timer is not None:
-            comm.advance(timer.dense_time(ctx, valid))
+        comm.advance(timer.dense_time(ctx, valid))
         dt = comm.clock - t0
         if context is not None and comm.rank == 0:
             context.add_phase("prefill" if admitted else "decode", dt)
@@ -596,20 +588,27 @@ def _serve_rank(
     }
 
 
-def run_serving(
-    cfg: ServeConfig,
-    network: Any | None = None,
-    machine: MachineSpec | None = None,
-    requests: list[Request] | None = None,
-    faults: Any | None = None,
-) -> ServeResult:
+def run_serving(cfg: ServeConfig) -> ServeResult:
     """Serve the synthetic workload on ``ep_size`` simulated ranks.
 
     Requests are sharded round-robin over ranks; each rank decodes its
     share through the EP-sharded model (every rank participates in every
     alltoall). Returns aggregated counts, latency histograms (TTFT and
     per-decoded-token, in virtual seconds), per-request records, and the
-    merged :class:`~repro.simmpi.RunContext`.
+    merged :class:`~repro.simmpi.RunContext`. The world is
+    :func:`~repro.network.sunway_network` at ``supernode_size``, and
+    compute is priced on :func:`~repro.hardware.sunway_machine`.
+    """
+    return _run_serving(cfg, requests=None, faults=None, pool=None)
+
+
+def _run_serving(
+    cfg: ServeConfig,
+    requests: list[Request] | None,
+    faults: Any | None,
+    pool: dict[int, tuple] | None,
+) -> ServeResult:
+    """:func:`run_serving` on the models of ``pool`` (see :func:`_serve_model`).
 
     ``requests`` overrides the synthetic workload (the fleet router passes
     each replica its assigned share); ``faults`` is a
@@ -618,26 +617,11 @@ def run_serving(
     :class:`~repro.errors.ReproError` with partial clocks/context attached,
     which the fleet turns into a re-dispatch.
     """
-    return _run_serving(cfg, network, machine, requests, faults, pool=None)
-
-
-def _run_serving(
-    cfg: ServeConfig,
-    network: Any | None,
-    machine: MachineSpec | None,
-    requests: list[Request] | None,
-    faults: Any | None,
-    pool: dict[int, tuple] | None,
-) -> ServeResult:
-    """:func:`run_serving` on the models of ``pool`` (see :func:`_serve_model`)."""
-    if network is None:
-        network = sunway_network(cfg.ep_size, supernode_size=cfg.supernode_size)
-    if machine is None and cfg.model_compute_time:
-        machine = sunway_machine(num_nodes=max(cfg.ep_size, 1))
+    machine = sunway_machine(num_nodes=max(cfg.ep_size, 1))
     spmd = run_spmd(
         _serve_rank,
         cfg.ep_size,
-        network=network,
+        network=sunway_network(cfg.ep_size, supernode_size=cfg.supernode_size),
         timeout=cfg.timeout,
         trace=cfg.trace,
         observe=cfg.observe,
@@ -813,16 +797,11 @@ def emit_request_spans(result: ServeResult) -> None:
         )
 
 
-def run_sequential_baseline(
-    cfg: ServeConfig,
-    network: Any | None = None,
-    machine: MachineSpec | None = None,
-) -> ServeResult:
+def run_sequential_baseline(cfg: ServeConfig) -> ServeResult:
     """The uncached ``generate()`` baseline on the same world/workload.
 
     Identical model sharding, network, cost model, and request stream —
     only the serving policy changes: FIFO depth-1 per rank, no KV cache,
     full window re-forward per decoded token.
     """
-    base = replace(cfg, use_cache=False, max_batch_size=1)
-    return run_serving(base, network=network, machine=machine)
+    return run_serving(replace(cfg, use_cache=False, max_batch_size=1))

@@ -319,18 +319,14 @@ class _Fleet:
 
     :meth:`run` is the loop; each step is a method that reads and writes
     this state only, so a test can drive one at a time. ``run_engine`` is
-    the engine call, ``(serve_cfg, network=, requests=, faults=) ->
-    ServeResult`` (:func:`run_serving`'s shape; tests script a replica's
-    segments without rank threads).
+    the engine call, ``(serve_cfg, requests=, faults=) -> ServeResult``
+    (``engine._run_serving``'s shape with its model pool bound; tests
+    script a replica's segments without rank threads).
     """
 
-    def __init__(
-        self, cfg: FleetConfig, run_engine: Callable[..., ServeResult],
-        network: Any | None = None,
-    ):
+    def __init__(self, cfg: FleetConfig, run_engine: Callable[..., ServeResult]):
         self.cfg = cfg
         self.run_engine = run_engine
-        self.network = network
         serve = cfg.serve
         self.router = ReplicaRouter(cfg.replicas, backoff=cfg.backoff_policy())
         self.session = RunContext(trace=serve.trace, observe=serve.observe)
@@ -441,8 +437,7 @@ class _Fleet:
         router.on_dispatch(replica, len(requests))
         try:
             result = self.run_engine(
-                self.cfg.serve, network=self.network, requests=requests,
-                faults=self.faults[replica],
+                self.cfg.serve, requests=requests, faults=self.faults[replica]
             )
         except ReproError as exc:
             crash = post_mortem(exc)
@@ -750,7 +745,7 @@ class _Fleet:
         return result
 
 
-def run_fleet_serving(cfg: FleetConfig, network: Any | None = None) -> FleetResult:
+def run_fleet_serving(cfg: FleetConfig) -> FleetResult:
     """Serve the workload on ``replicas`` independent engine worlds.
 
     Each dispatch round assigns every pending request to the replica the
@@ -765,5 +760,4 @@ def run_fleet_serving(cfg: FleetConfig, network: Any | None = None) -> FleetResu
     segment's world (:func:`~repro.serve.engine._serve_model`); the pool
     dies with the call.
     """
-    engine = partial(_run_serving, machine=None, pool={})
-    return _Fleet(cfg, engine, network).run()
+    return _Fleet(cfg, partial(_run_serving, pool={})).run()

@@ -49,6 +49,8 @@ class KVCache:
 
     #: Allocation granularity in tokens (paged growth).
     block_size = 8
+    #: Cached keys and values are float32 whatever the model's dtype.
+    dtype = np.float32
 
     def __init__(
         self,
@@ -57,7 +59,6 @@ class KVCache:
         n_heads: int,
         head_dim: int,
         capacity: int,
-        dtype=np.float32,
         token_budget: int | None = None,
     ):
         if min(num_layers, batch_size, n_heads, head_dim, capacity) < 1:
@@ -73,11 +74,10 @@ class KVCache:
         self.head_dim = head_dim
         self.capacity = capacity
         self.token_budget = token_budget
-        self.dtype = dtype
         self._alloc = 0
         shape = (batch_size, n_heads, 0, head_dim)
-        self._k = [np.zeros(shape, dtype=dtype) for _ in range(num_layers)]
-        self._v = [np.zeros(shape, dtype=dtype) for _ in range(num_layers)]
+        self._k = [np.zeros(shape, dtype=self.dtype) for _ in range(num_layers)]
+        self._v = [np.zeros(shape, dtype=self.dtype) for _ in range(num_layers)]
         #: Committed cached tokens per row (shared by all layers).
         self.lengths = np.zeros(batch_size, dtype=np.int64)
 

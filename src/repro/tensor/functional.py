@@ -29,6 +29,8 @@ __all__ = [
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
+#: Added to the variance under :func:`layer_norm`'s square root.
+LAYER_NORM_EPS = 1e-5
 
 
 def _gelu(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,14 +66,14 @@ def gelu(x: Tensor) -> Tensor:
     return _make(data, x.dtype, (x,), backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Numerically-stable softmax along the last axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        dot = (g * data).sum(axis=axis, keepdims=True)
+        dot = (g * data).sum(axis=-1, keepdims=True)
         return (data * (g - dot),)
 
     return _make(data, x.dtype, (x,), backward)
@@ -124,7 +126,7 @@ def _fp32():
     return as_dtype("fp32")
 
 
-def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Layer normalization over the last dimension.
 
     Statistics are computed in fp32 (standard practice in fp16 training),
@@ -140,7 +142,7 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     v = x.data if x.data.dtype == np.float64 else x.data.astype(np.float32)
     mu = v.mean(axis=-1, keepdims=True)
     var = v.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (v - mu) * inv
     data = xhat * weight.data + bias.data
 

@@ -353,16 +353,16 @@ def _make(
     return out
 
 
-def zeros(shape: int | Iterable[int], dtype: str | DTypeSpec = "fp32", requires_grad: bool = False) -> Tensor:
-    """A tensor of zeros."""
+def zeros(shape: int | Iterable[int], dtype: str | DTypeSpec = "fp32") -> Tensor:
+    """A constant tensor of zeros."""
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
-    return Tensor(np.zeros(shape), requires_grad=requires_grad, dtype=dtype)
+    return Tensor(np.zeros(shape), dtype=dtype)
 
 
-def ones(shape: int | Iterable[int], dtype: str | DTypeSpec = "fp32", requires_grad: bool = False) -> Tensor:
-    """A tensor of ones."""
+def ones(shape: int | Iterable[int], dtype: str | DTypeSpec = "fp32") -> Tensor:
+    """A constant tensor of ones."""
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
-    return Tensor(np.ones(shape), requires_grad=requires_grad, dtype=dtype)
+    return Tensor(np.ones(shape), dtype=dtype)
 
 
 def _coerce(x: Any, like: Tensor) -> Tensor:

@@ -6,7 +6,7 @@ from typing import Iterable
 
 from repro.errors import ConfigError
 
-__all__ = ["ceil_div", "prod"]
+__all__ = ["balanced_bounds", "ceil_div", "prod"]
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -22,3 +22,12 @@ def prod(items: Iterable[int]) -> int:
     for x in items:
         out *= int(x)
     return out
+
+
+def balanced_bounds(total: int, parts: int, index: int) -> tuple[int, int]:
+    """``[lo, hi)`` of part ``index`` when ``total`` items split into
+    ``parts`` contiguous runs whose sizes differ by at most one (the first
+    ``total % parts`` runs take the extra item). Callers validate."""
+    base, extra = divmod(total, parts)
+    lo = index * base + min(index, extra)
+    return lo, lo + base + (1 if index < extra else 0)

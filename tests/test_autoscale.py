@@ -158,11 +158,9 @@ class TestSlidingWindow:
 
 def _monitor(**kw):
     base = dict(
-        objective=SLOObjective(name="ttft", threshold_s=0.1, target=0.9,
-                               tier=0),
+        objective=SLOObjective(name="ttft", threshold_s=0.1, tier=0),
         windows=(BurnRateWindow(window_s=12.0, threshold=2.0,
                                 severity="page"),),
-        min_samples=3,
     )
     base.update(kw)
     return SLOMonitor(**base)
@@ -172,8 +170,6 @@ class TestSLOMonitor:
     def test_objective_validation(self):
         with pytest.raises(ConfigError):
             SLOObjective(name="x", threshold_s=0.0)
-        with pytest.raises(ConfigError):
-            SLOObjective(name="x", threshold_s=0.1, target=1.0)
         with pytest.raises(ConfigError):
             BurnRateWindow(window_s=1.0, threshold=0.0)
         with pytest.raises(ConfigError):
@@ -201,31 +197,31 @@ class TestSLOMonitor:
             mon.observe(float(i), 0.05, tier=0)  # good
         mon.observe(8.0, 0.5, tier=0)  # bad
         mon.observe(9.0, 0.5, tier=0)  # bad
-        # 2 bad / 10 samples = 0.2 bad fraction over a 0.1 budget.
-        assert mon.burn_rate(9.0, 12.0) == pytest.approx(2.0)
+        # 2 bad / 10 samples = 0.2 bad fraction over a 0.05 budget.
+        assert mon.burn_rate(9.0, 12.0) == pytest.approx(4.0)
 
     def test_fires_only_with_sustained_burn_and_samples(self):
         mon = _monitor()
         mon.observe(0.0, 0.5, tier=0)
-        assert mon.evaluate(0.0) == []  # 1 sample < min_samples
-        mon.observe(1.0, 0.5, tier=0)
-        mon.observe(2.0, 0.5, tier=0)
-        fired = mon.evaluate(2.0)
+        assert mon.evaluate(0.0) == []  # 1 sample < MIN_SAMPLES
+        for i in range(1, SLOMonitor.MIN_SAMPLES):
+            mon.observe(float(i), 0.5, tier=0)
+        fired = mon.evaluate(4.0)
         assert [f["kind"] for f in fired] == ["slo_alert"]
         assert fired[0]["severity"] == "page"
         assert fired[0]["burn_long"] > 2.0
         # Idempotent while the state holds.
-        assert mon.evaluate(2.5) == []
+        assert mon.evaluate(4.5) == []
 
     def test_resolves_when_short_window_drains(self):
         mon = _monitor()
-        for i in range(3):
+        for i in range(SLOMonitor.MIN_SAMPLES):
             mon.observe(float(i), 0.5, tier=0)
-        assert mon.evaluate(2.0)
-        # Good traffic floods in; the burn drops under threshold.
+        assert mon.evaluate(4.0)
+        # Good traffic floods in; the short window's burn drops to zero.
         for i in range(20):
-            mon.observe(2.1 + i * 0.1, 0.01, tier=0)
-        resolved = mon.evaluate(4.1)
+            mon.observe(4.1 + i * 0.1, 0.01, tier=0)
+        resolved = mon.evaluate(6.1)
         assert [r["kind"] for r in resolved] == ["slo_resolve"]
         summary = mon.summary()
         assert summary["alerts_fired"] == 1
@@ -250,7 +246,7 @@ class TestSLOMonitor:
         nows=st.lists(_NOWS, max_size=8),
     )
     def test_burn_rate_matches_brute_force(self, samples, width, nows):
-        objective = SLOObjective(name="ttft", threshold_s=0.1, target=0.9)
+        objective = SLOObjective(name="ttft", threshold_s=0.1)
         window = BurnRateWindow(window_s=width, threshold=2.0)
         mon = SLOMonitor(objective, windows=(window,))
         for t, v in samples:
@@ -265,9 +261,9 @@ class TestSLOMonitor:
     def test_transitions_land_on_the_context(self):
         context = RunContext(observe=True)
         mon = _monitor()
-        for i in range(3):
+        for i in range(SLOMonitor.MIN_SAMPLES):
             mon.observe(float(i), 0.5, tier=0)
-        mon.evaluate(2.0, context)
+        mon.evaluate(4.0, context)
         events = [e for e in context.events if e["kind"] == "slo_alert"]
         assert len(events) == 1 and events[0]["slo"] == "ttft"
         assert len(context.spans.find(kind="slo")) == 1
@@ -275,9 +271,9 @@ class TestSLOMonitor:
     def test_report_is_byte_stable(self):
         def build():
             mon = _monitor()
-            for i in range(3):
+            for i in range(SLOMonitor.MIN_SAMPLES):
                 mon.observe(float(i), 0.5, tier=0)
-            mon.evaluate(2.0)
+            mon.evaluate(4.0)
             return slo_report([mon])
         text = build()
         assert text == build()
@@ -387,8 +383,7 @@ def _burst_fleet(ceiling, **kw):
             arrival_ramp=((0.0, 50.0), (0.08, 2000.0)),
         ),
         replicas=1, max_rounds=2048, autoscale=scale,
-        slos=(SLOObjective(name="premium-ttft", threshold_s=0.05,
-                           metric="ttft", tier=0),),
+        slos=(SLOObjective(name="premium-ttft", threshold_s=0.05, tier=0),),
         slo_horizon_s=2.0,
     )
     base.update(kw)

@@ -1,5 +1,7 @@
 """Calibration of the machine model against measured runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ class TestClosedFormFit:
     def test_recovers_known_efficiency(self):
         """Fitting against the model's own output recovers the truth."""
         for truth in (0.1, 0.25, 0.6):
-            m = sunway_machine(1024, compute_efficiency=truth)
+            m = replace(MACHINE, compute_efficiency=truth)
             measured = StepModel(CFG, m, NET).step_time(PLAN)
             fit = calibrate_efficiency(CFG, MACHINE, NET, PLAN, measured)
             assert fit.efficiency == pytest.approx(truth, rel=1e-6)

@@ -31,6 +31,7 @@ from repro.serve import (
     run_fleet_serving,
     run_serving,
 )
+from repro.serve.engine import _run_serving
 from repro.simmpi import FaultPlan
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -112,7 +113,8 @@ class TestKillRankAtTime:
         healthy = run_serving(scfg)
         t_kill = healthy.simulated_time / 2
         with pytest.raises(FaultInjected) as info:
-            run_serving(scfg, faults=FaultPlan().kill_rank_at(0, t_kill))
+            _run_serving(scfg, requests=None, faults=FaultPlan().kill_rank_at(0, t_kill),
+                         pool=None)
         exc = info.value
         assert exc.partial_clocks and max(exc.partial_clocks) >= t_kill
         assert exc.partial_context is not None
@@ -433,4 +435,5 @@ class TestFleetConfigAndCLI:
         FaultInjected killer at op 0 is the degenerate case."""
         scfg = _serve_cfg(cfg, num_requests=4)
         with pytest.raises(ReproError):
-            run_serving(scfg, faults=FaultPlan().kill_rank(0, at_op=0))
+            _run_serving(scfg, requests=None, faults=FaultPlan().kill_rank(0, at_op=0),
+                         pool=None)

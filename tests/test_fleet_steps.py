@@ -77,7 +77,7 @@ class Script:
         self.segments = list(segments)
         self.calls = []
 
-    def __call__(self, cfg, network=None, requests=None, faults=None):
+    def __call__(self, cfg, requests=None, faults=None):
         self.calls.append({"rids": [r.rid for r in requests],
                            "arrivals": [r.arrival for r in requests],
                            "faults": faults})
@@ -314,7 +314,7 @@ class TestControlSteps:
         assert down["backlog"] == 0 and down["replicas"] == 1
 
     def test_monitors_see_each_outcome_exactly_once(self):
-        slo = SLOObjective(name="ttft", threshold_s=0.1, metric="ttft")
+        slo = SLOObjective(name="ttft", threshold_s=0.1)
         fleet = make_fleet(served(service=1.0, rid1=("shed", "shed", False)),
                            requests=2, slos=(slo,))
         fleet.serve_group(0, fleet.flights)

@@ -72,8 +72,9 @@ class TestMachine:
         m = laptop_machine()
         assert m.total_cores < 100
 
-    def test_node_spec_multiprocessor(self):
-        node = NodeSpec(processor=SW26010_PRO, processors_per_node=2)
-        assert node.cores == 780
-        assert node.flops("fp64") == pytest.approx(28e12)
+    def test_node_spec_is_one_processor(self):
+        node = NodeSpec(processor=SW26010_PRO)
+        assert node.cores == 390
+        assert node.flops("fp64") == 14e12
+        assert node.memory_bytes == 96 * 2**30
 

@@ -229,8 +229,8 @@ class TestTrainer3D:
         def program(comm):
             groups = _groups(comm, 2, 2)
             scaler = DynamicLossScaler(init_scale=2.0**8, growth_interval=10)
-            trainer = Trainer3D(CFG, groups, num_microbatches=2, seed=3,
-                                scaler=scaler)
+            trainer = Trainer3D(CFG, groups, num_microbatches=2, seed=3)
+            trainer.scaler = scaler
             trainer.attach_optimizer(Adam(trainer.stage.parameters(), lr=3e-3))
             corpus = SyntheticCorpus(vocab_size=CFG.vocab_size, seed=5)
             loader = ShardedLoader(corpus, 4, 8, dp_rank=groups.pipeline_id,

@@ -245,7 +245,7 @@ class TestBroadcastParameters:
         def program(comm):
             rng = np.random.default_rng(comm.rank)  # deliberately divergent
             lin = Linear(3, 3, rng)
-            broadcast_parameters(comm, lin.parameters(), root=0)
+            broadcast_parameters(comm, lin.parameters())
             return lin.weight.data.copy()
 
         res = run_spmd(program, 4)
@@ -254,16 +254,16 @@ class TestBroadcastParameters:
 
     def test_root_value_wins(self):
         def program(comm):
-            p = Parameter(np.full(2, float(comm.rank)))
-            broadcast_parameters(comm, [p], root=2)
+            p = Parameter(np.full(2, float(comm.rank) + 5.0))
+            broadcast_parameters(comm, [p])
             return p.data.copy()
 
         res = run_spmd(program, 4)
-        assert all(np.allclose(w, 2.0) for w in res.returns)
+        assert all(np.array_equal(w, [5.0, 5.0]) for w in res.returns)
 
     def test_empty_param_list(self):
         def program(comm):
-            broadcast_parameters(comm, [], root=0)
+            broadcast_parameters(comm, [])
             return True
 
         assert all(run_spmd(program, 2).returns)

@@ -1,17 +1,22 @@
-"""Tensor parallelism: sharding math and exact dense equivalence."""
+"""Tensor parallelism: sharding math, exact dense equivalence, and the
+collective algorithm of the activation allreduces."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.models import MLP, Linear
+from repro.models import MLP, Linear, tiny_config
+from repro.network import sunway_network
 from repro.parallel import (
     ColumnParallelLinear,
     RowParallelLinear,
     TensorParallelMLP,
+    TrainingRunConfig,
+    run_distributed_training,
     shard_linear_weights,
 )
 from repro.simmpi import run_spmd
+from repro.simmpi.comm import collective_seconds
 from repro.tensor import Tensor
 
 D, FF = 8, 16
@@ -129,9 +134,38 @@ class TestValidation:
             tp = TensorParallelMLP(D, FF, comm, np.random.default_rng(1))
             # Row bias is replicated; count it once (on rank 0).
             n = tp.num_parameters()
-            if comm.rank != 0 and tp.fc_out.bias is not None:
+            if comm.rank != 0:
                 n -= tp.fc_out.bias.size
             return n
 
         res = run_spmd(program, 2, timeout=60)
         assert sum(res.returns) == dense_params
+
+
+def test_activation_allreduces_run_the_chosen_algorithm():
+    """A TP run's forward and backward activation allreduces take the run's
+    ``allreduce_algorithm``, the one ``StepModel`` prices them at: each
+    traced one lasts ``collective_seconds`` at that algorithm past the later
+    peer's arrival. At this size "tree" costs more than "auto"."""
+    model = tiny_config(moe_every=2)
+    cfg = TrainingRunConfig(
+        model=model, world_size=4, ep_size=2, tp_size=2, num_steps=2,
+        batch_size=2, seq_len=8, trace=True, allreduce_algorithm="tree",
+    )
+    trace = run_distributed_training(cfg).trace
+    # The only allreduces of one activation's fp32 bytes are the TP ones.
+    nbytes = cfg.batch_size * cfg.seq_len * model.d_model * 4
+    net = sunway_network(cfg.world_size)
+    # TP peers sit at stride ep_size.
+    for members in ([0, 2], [1, 3]):
+        tree = collective_seconds(net, "allreduce", nbytes, members, "tree")
+        assert tree > collective_seconds(net, "allreduce", nbytes, members)
+        calls = [
+            [e for e in trace if e.rank == r and e.op == "allreduce" and e.nbytes == nbytes]
+            for r in members
+        ]
+        # One dense block: a forward and a backward allreduce per step.
+        assert [len(c) for c in calls] == [2 * cfg.num_steps] * 2
+        for a, b in zip(*calls):
+            assert a.t_end == b.t_end
+            assert a.t_end - max(a.t_start, b.t_start) == pytest.approx(tree, rel=1e-9)

@@ -196,7 +196,7 @@ class TestVerification:
     def verified(self):
         model = tiny_config(num_experts=8)
         return plan_layouts(model, num_nodes=8, cluster="toy",
-                            top_k=2, verify_steps=2)
+                            top_k=2)
 
     def test_topk_measured(self, verified):
         assert len(verified.verified) == 2
@@ -383,11 +383,11 @@ class TestPlanReport:
     @pytest.fixture(scope="class")
     def result(self):
         return plan_layouts(tiny_config(num_experts=8), num_nodes=8,
-                            cluster="toy", top_k=2, verify_steps=2)
+                            cluster="toy", top_k=2)
 
     def test_report_is_byte_stable(self, result):
         again = plan_layouts(tiny_config(num_experts=8), num_nodes=8,
-                             cluster="toy", top_k=2, verify_steps=2)
+                             cluster="toy", top_k=2)
         assert build_plan_report(result) == build_plan_report(again)
 
     def test_report_sections(self, result):

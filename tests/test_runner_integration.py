@@ -13,8 +13,15 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.models import tiny_config
-from repro.network import flat_network, sunway_network
+from repro.network import LinkSpec, Level, NetworkModel, Topology, sunway_network
 from repro.parallel import TrainingRunConfig, run_distributed_training
+
+
+def _flat_network(num_nodes: int, bandwidth: float) -> NetworkModel:
+    """``flat_network`` with its link's bandwidth replaced."""
+    link = LinkSpec(latency=2.0e-6, bandwidth=bandwidth)
+    return NetworkModel(topology=Topology([Level("node", num_nodes, link)]))
+
 
 CFG = tiny_config(num_experts=8)
 
@@ -121,12 +128,12 @@ class TestTimingShapes:
         slow = run_distributed_training(
             TrainingRunConfig(model=CFG, world_size=4, ep_size=4, num_steps=2,
                               batch_size=2, seq_len=8, model_compute_time=False),
-            network=flat_network(4, bandwidth=1e8),
+            network=_flat_network(4, bandwidth=1e8),
         )
         fast = run_distributed_training(
             TrainingRunConfig(model=CFG, world_size=4, ep_size=4, num_steps=2,
                               batch_size=2, seq_len=8, model_compute_time=False),
-            network=flat_network(4, bandwidth=1e11),
+            network=_flat_network(4, bandwidth=1e11),
         )
         assert slow.simulated_time > fast.simulated_time
 

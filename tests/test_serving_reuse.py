@@ -4,8 +4,8 @@ that make it invisible.
 * **Models, once per EP rank per fleet run.** ``run_fleet_serving`` keeps
   each EP rank's model across segments and rebinds it to every new world
   (communicator, compute hook, gate rng restored to its post-build state).
-  A fleet driven through ``_Fleet`` with ``run_serving`` — which builds
-  every segment's models fresh — must give the same requests, goodput and
+  A fleet driven through ``_Fleet`` with ``_run_serving`` and no model
+  pool — which builds every segment's models fresh — must give the same requests, goodput and
   span dump, crashes and hedges included.
 * **Collective prices, once per key.** A communicator prices an
   (op kind, bytes, algorithm) key once; every price must equal what
@@ -17,6 +17,7 @@ that make it invisible.
 
 import json
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -38,6 +39,9 @@ from tests.test_pinned_trajectories import PLATFORM, _platform
 # --------------------------------------------------------------------- #
 # One model build per EP rank per fleet run
 # --------------------------------------------------------------------- #
+
+#: The engine call of a fleet that builds every segment's models fresh.
+FRESH_BUILDS = partial(engine_mod._run_serving, pool=None)
 
 #: Every third segment's rank 1 dies at this op: mid-decode for the tiny
 #: model (9 collectives per engine iteration).
@@ -88,7 +92,7 @@ def outputs(result):
 )
 def test_pooled_fleet_equals_fresh_builds(monkeypatch, serve_kw):
     cfg = fleet_config(**serve_kw)
-    fresh = fleet_mod._Fleet(cfg, scripted_crashes(run_serving)).run()
+    fresh = fleet_mod._Fleet(cfg, scripted_crashes(FRESH_BUILDS)).run()
 
     builds = []
     real_build = engine_mod.MoELanguageModel
@@ -111,7 +115,7 @@ def test_pooled_fleet_equals_fresh_builds(monkeypatch, serve_kw):
 def test_pooled_healthy_fleet_equals_fresh_builds():
     cfg = fleet_config(gate="noisy-topk", overlap_chunks=2)
     assert outputs(run_fleet_serving(cfg)) == outputs(
-        fleet_mod._Fleet(cfg, run_serving).run()
+        fleet_mod._Fleet(cfg, FRESH_BUILDS).run()
     )
 
 

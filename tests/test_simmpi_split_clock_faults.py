@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, FaultInjected
-from repro.network import flat_network, sunway_network
+from repro.network import LinkSpec, Level, NetworkModel, Topology, flat_network, sunway_network
 from repro.simmpi import FaultPlan, MessageFault, run_spmd
 
 
@@ -127,7 +127,9 @@ class TestVirtualClock:
             comm.recv(source=0)
             return comm.clock
 
-        res = run_spmd(program, 2, network=flat_network(2, bandwidth=1e9))
+        link = LinkSpec(latency=2.0e-6, bandwidth=1e9)
+        net = NetworkModel(topology=Topology([Level("node", 2, link)]))
+        res = run_spmd(program, 2, network=net)
         # 8 MB at 1 GB/s = 8 ms transit, receiver waits for it.
         assert res.returns[1] >= 8e-3
         assert res.returns[0] < res.returns[1]
