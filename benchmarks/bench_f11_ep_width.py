@@ -7,7 +7,7 @@ brain scale the memory constraint dominates, and the hierarchical
 alltoall keeps the communication cost of width nearly flat.
 """
 
-from repro.hardware import SUNWAY_NODE, sunway_machine
+from repro.hardware import SW26010_PRO, sunway_machine
 from repro.models import bagualu_14_5t
 from repro.network import sunway_network
 from repro.perf import ParallelPlan, StepModel, node_memory
@@ -38,7 +38,7 @@ def test_f11_ep_width_sweep(benchmark, report):
                     "expert_allreduce": format_time(bd.expert_allreduce),
                     "step_total": format_time(bd.total),
                     "node_memory": format_bytes(mem.total),
-                    "fits_96GiB": mem.total <= SUNWAY_NODE.memory_bytes,
+                    "fits_96GiB": mem.total <= SW26010_PRO.memory_bytes,
                     "_mem": mem.total,
                     "_step": bd.total,
                 }

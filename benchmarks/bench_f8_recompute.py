@@ -8,7 +8,7 @@ functional implementation costs what the model says.
 
 import numpy as np
 
-from repro.hardware import SUNWAY_NODE, sunway_machine
+from repro.hardware import SW26010_PRO, sunway_machine
 from repro.models import bagualu_14_5t, build_model, tiny_config
 from repro.network import sunway_network
 from repro.perf import ParallelPlan, StepModel, node_memory
@@ -35,7 +35,7 @@ def test_f8_memory_compute_trade(benchmark, report):
                         "recompute": recompute,
                         "activations": format_bytes(mem.activations),
                         "node_total": format_bytes(mem.total),
-                        "fits_96GiB": mem.total <= SUNWAY_NODE.memory_bytes,
+                        "fits_96GiB": mem.total <= SW26010_PRO.memory_bytes,
                         "step_time": format_time(bd.total),
                         "_seconds": bd.total,
                         "_total": mem.total,

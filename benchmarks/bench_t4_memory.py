@@ -8,13 +8,13 @@ across data-parallel peers (ZeRO-1).
 
 import numpy as np
 
-from repro.hardware import SUNWAY_NODE, sunway_machine
+from repro.hardware import SW26010_PRO, sunway_machine
 from repro.models import BRAIN_SCALE_CONFIGS, bagualu_14_5t
 from repro.perf import ParallelPlan, node_memory
 from repro.utils import format_bytes
 
 NODES = 96_000
-NODE_BUDGET = SUNWAY_NODE.memory_bytes
+NODE_BUDGET = SW26010_PRO.memory_bytes
 
 
 def test_t4_memory_breakdown(benchmark, report):

@@ -11,7 +11,7 @@ questions for each brain-scale configuration (1.93 T / 14.5 T / 174 T):
 Run:  python examples/brain_scale_projection.py
 """
 
-from repro.hardware import SUNWAY_NODE, sunway_machine
+from repro.hardware import SW26010_PRO, sunway_machine
 from repro.models import BRAIN_SCALE_CONFIGS
 from repro.network import sunway_network
 from repro.perf import ParallelPlan, StepModel, node_memory
@@ -62,9 +62,9 @@ def main() -> None:
         print(f"  active per token    : {format_count(cfg.active_params_per_token)}")
         print(f"  EP width            : {plan.ep_size:,} "
               f"({instances:,} expert instances)")
-        fits = "yes" if mem.total <= SUNWAY_NODE.memory_bytes else "NO"
+        fits = "yes" if mem.total <= SW26010_PRO.memory_bytes else "NO"
         print(f"  node memory         : {format_bytes(mem.total)} "
-              f"(budget {format_bytes(SUNWAY_NODE.memory_bytes)}) fits: {fits}")
+              f"(budget {format_bytes(SW26010_PRO.memory_bytes)}) fits: {fits}")
         print(f"  step time           : {format_time(bd.total)} "
               f"(compute {bd.compute / bd.total:.0%}, comm {bd.communication / bd.total:.0%})")
         print(f"  sustained (mixed)   : {format_flops(sm.achieved_flops(plan))}")

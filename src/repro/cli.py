@@ -773,7 +773,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
-    from repro.hardware import SUNWAY_NODE, sunway_machine
+    from repro.hardware import SW26010_PRO, sunway_machine
     from repro.network import sunway_network
     from repro.perf import ParallelPlan, StepModel, node_memory
 
@@ -795,7 +795,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
           f"({format_count(machine.total_cores)} cores)")
     print(f"  total params : {format_count(cfg.total_params)}")
     print(f"  node memory  : {format_bytes(mem.total)} "
-          f"(budget {format_bytes(SUNWAY_NODE.memory_bytes)})")
+          f"(budget {format_bytes(SW26010_PRO.memory_bytes)})")
     print(f"  step time    : {format_time(bd.total)} "
           f"(compute {bd.compute / bd.total:.0%})")
     print(f"  sustained    : {format_flops(sm.achieved_flops(plan))}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
-__all__ = ["ProcessorSpec", "NodeSpec", "MachineSpec", "SW26010_PRO", "SUNWAY_NODE", "sunway_machine", "laptop_machine"]
+__all__ = ["ProcessorSpec", "MachineSpec", "SW26010_PRO", "sunway_machine", "laptop_machine"]
 
 
 @dataclass(frozen=True)
@@ -76,30 +76,8 @@ class ProcessorSpec:
 
 
 @dataclass(frozen=True)
-class NodeSpec:
-    """One compute node: one CPU per node, Sunway-style."""
-
-    processor: ProcessorSpec
-
-    @property
-    def cores(self) -> int:
-        return self.processor.cores
-
-    @property
-    def memory_bytes(self) -> float:
-        return self.processor.memory_bytes
-
-    @property
-    def memory_bandwidth(self) -> float:
-        return self.processor.memory_bandwidth
-
-    def flops(self, dtype: str) -> float:
-        return self.processor.flops(dtype)
-
-
-@dataclass(frozen=True)
 class MachineSpec:
-    """A whole machine: node spec x node count (+ efficiency knobs).
+    """A whole machine: one processor a node x node count (+ efficiency knobs).
 
     ``compute_efficiency`` is the sustained-to-peak ratio applied by the
     performance model to matmul-dominated workloads (real large-scale runs
@@ -109,7 +87,7 @@ class MachineSpec:
     """
 
     name: str
-    node: NodeSpec
+    processor: ProcessorSpec
     num_nodes: int
     compute_efficiency: float = 0.25
 
@@ -121,17 +99,17 @@ class MachineSpec:
 
     @property
     def total_cores(self) -> int:
-        return self.node.cores * self.num_nodes
+        return self.processor.cores * self.num_nodes
 
     def peak_flops(self, dtype: str) -> float:
         """Machine-wide peak FLOP/s for ``dtype``."""
-        return self.node.flops(dtype) * self.num_nodes
+        return self.processor.flops(dtype) * self.num_nodes
 
     def with_nodes(self, num_nodes: int) -> "MachineSpec":
         """Copy of this machine scaled to ``num_nodes`` nodes."""
         return MachineSpec(
             name=self.name,
-            node=self.node,
+            processor=self.processor,
             num_nodes=num_nodes,
             compute_efficiency=self.compute_efficiency,
         )
@@ -154,14 +132,11 @@ SW26010_PRO = ProcessorSpec(
     memory_bandwidth=307e9,
 )
 
-#: One Sunway node = one SW26010-Pro-like CPU.
-SUNWAY_NODE = NodeSpec(processor=SW26010_PRO)
-
 
 def sunway_machine(num_nodes: int = 96_000) -> MachineSpec:
     """The headline machine: 96,000 nodes -> 37.44 M cores, at the default
     ``compute_efficiency``."""
-    return MachineSpec(name="new-sunway-like", node=SUNWAY_NODE, num_nodes=num_nodes)
+    return MachineSpec(name="new-sunway-like", processor=SW26010_PRO, num_nodes=num_nodes)
 
 
 def laptop_machine(num_nodes: int = 1) -> MachineSpec:
@@ -177,7 +152,7 @@ def laptop_machine(num_nodes: int = 1) -> MachineSpec:
     )
     return MachineSpec(
         name="laptop",
-        node=NodeSpec(processor=cpu),
+        processor=cpu,
         num_nodes=num_nodes,
         compute_efficiency=0.5,
     )

@@ -91,9 +91,3 @@ class CausalSelfAttention(Module):
 
         out = out.transpose(0, 2, 1, 3).reshape(b, t, d)
         return self.proj(out)
-
-    def flops_per_token(self, seq_len: int) -> int:
-        """Forward FLOPs per token: projections + two score matmuls."""
-        proj = 2 * self.d_model * 4 * self.d_model  # qkv + output proj
-        scores = 2 * 2 * seq_len * self.d_model  # QK^T and attn @ V
-        return proj + scores

@@ -46,7 +46,6 @@ class ModelConfig:
     gate: str = "topk"
     capacity_factor: float | None = None
     aux_weight: float = 1e-2
-    z_weight: float = 0.0
     #: Recompute block activations in backward (activation checkpointing).
     recompute: bool = False
     dtype: str = "fp32"
@@ -61,9 +60,8 @@ class ModelConfig:
             raise ConfigError(
                 f"capacity_factor must be None or finite and > 0, got {self.capacity_factor}"
             )
-        for name in ("aux_weight", "z_weight"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0 <= self.aux_weight < math.inf:
+            raise ConfigError(f"aux_weight must be finite and >= 0, got {self.aux_weight}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"

@@ -41,11 +41,6 @@ class Linear(Module):
             out = out + self.bias
         return out
 
-    @property
-    def flops_per_token(self) -> int:
-        """Forward multiply-add FLOPs per input row (2 * in * out)."""
-        return 2 * self.in_features * self.out_features
-
 
 class Embedding(Module):
     """Token embedding table (V, D)."""
@@ -107,8 +102,3 @@ class MLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.fc_out(gelu(self.fc_in(x)))
-
-    @property
-    def flops_per_token(self) -> int:
-        """Forward FLOPs per token (two matmuls)."""
-        return self.fc_in.flops_per_token + self.fc_out.flops_per_token

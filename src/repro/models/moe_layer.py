@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.models.layers import MLP, Linear
 from repro.models.module import Module
-from repro.moe.balance import load_balance_loss, router_z_loss
+from repro.moe.balance import load_balance_loss
 from repro.moe.dispatch import DispatchPlan, build_dispatch, expert_capacity
 from repro.moe.gates import Gate, make_gate
 from repro.tensor import Tensor, is_grad_enabled
@@ -48,9 +48,9 @@ class MoELayer(Module):
     capacity_factor:
         When set, enforce per-expert buffer capacity and drop overflow
         slots (Switch-style). ``None`` disables dropping.
-    aux_weight / z_weight:
-        Coefficients of the balance and router-z auxiliary losses,
-        summed into :attr:`last_aux_loss` when it is read.
+    aux_weight:
+        Coefficient of the balance auxiliary loss, applied when
+        :attr:`last_aux_loss` is read.
     """
 
     recomputable = False
@@ -65,7 +65,6 @@ class MoELayer(Module):
         top_k: int = 1,
         capacity_factor: float | None = None,
         aux_weight: float = 1e-2,
-        z_weight: float = 0.0,
         dtype: str = "fp32",
     ):
         super().__init__()
@@ -76,7 +75,6 @@ class MoELayer(Module):
         self.num_experts = num_experts
         self.capacity_factor = capacity_factor
         self.aux_weight = aux_weight
-        self.z_weight = z_weight
         self._rng = rng
         self.router = Linear(d_model, num_experts, rng, bias=False, dtype=dtype)
         self.register_module_list("experts", self._build_experts(dtype))
@@ -87,7 +85,7 @@ class MoELayer(Module):
             gate if isinstance(gate, Gate) else make_gate(gate, num_experts, top_k)
         )
         #: What :attr:`last_aux_loss` is computed from until it is read:
-        #: ``(probs, indices, logits, grad mode)`` of the latest forward.
+        #: ``(probs, indices, grad mode)`` of the latest forward.
         self._aux_inputs: tuple | None = None
         self._aux_loss: Tensor | None = None
         #: Per-expert token counts of this layer's tokens, most recent forward.
@@ -144,9 +142,7 @@ class MoELayer(Module):
         ys = ys * w.reshape(-1, 1)
         out = scatter_rows(ys, plan.token_idx, n)
 
-        self._aux_inputs = (
-            gate_out.probs, gate_out.indices, logits, is_grad_enabled()
-        )
+        self._aux_inputs = (gate_out.probs, gate_out.indices, is_grad_enabled())
         self._aux_loss = None
 
         if len(orig_shape) == 3:
@@ -160,22 +156,12 @@ class MoELayer(Module):
         A head of the forward graph until the step's backward consumes it,
         a bare scalar afterwards."""
         if self._aux_inputs is not None:
-            probs, indices, logits, grad = self._aux_inputs
+            probs, indices, grad = self._aux_inputs
             self._aux_inputs = None
             with grad_mode(grad):
                 aux = load_balance_loss(probs, indices, self.num_experts)
-                aux = aux * self.aux_weight
-                if self.z_weight > 0:
-                    aux = aux + router_z_loss(logits) * self.z_weight
-            self._aux_loss = aux
+                self._aux_loss = aux * self.aux_weight
         return self._aux_loss
-
-    @property
-    def flops_per_token(self) -> int:
-        """Forward FLOPs per token: router + top_k active experts."""
-        router = 2 * self.d_model * self.num_experts
-        expert = self.experts[0].flops_per_token if self.experts else 0
-        return router + self.gate.top_k * expert
 
     # ------------------------------------------------------------------ #
     # The three steps an expert-parallel subclass replaces

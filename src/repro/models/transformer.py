@@ -122,7 +122,6 @@ class MoELanguageModel(Module):
                         top_k=config.top_k,
                         capacity_factor=config.capacity_factor,
                         aux_weight=config.aux_weight,
-                        z_weight=config.z_weight,
                         dtype=dt,
                     )
             elif mlp_factory is not None:

@@ -1,6 +1,6 @@
 """Mixture-of-Experts routing: gates, dispatch with capacity, load balance."""
 
-from repro.moe.balance import LoadStats, load_balance_loss, load_stats, router_z_loss
+from repro.moe.balance import LoadStats, load_balance_loss, load_stats
 from repro.moe.dispatch import DispatchPlan, build_dispatch, expert_capacity, experts_of_rank
 from repro.moe.gates import (
     BalancedGate,
@@ -16,7 +16,6 @@ __all__ = [
     "LoadStats",
     "load_balance_loss",
     "load_stats",
-    "router_z_loss",
     "DispatchPlan",
     "build_dispatch",
     "expert_capacity",

@@ -1,9 +1,8 @@
 """Auxiliary load-balancing losses and imbalance metrics.
 
 The Switch-Transformer auxiliary loss pushes the router toward uniform
-expert utilization; the z-loss keeps router logits small (fp16 safety).
-Imbalance metrics quantify what the gating strategies achieve — the
-quantity experiment F5 reports.
+expert utilization. Imbalance metrics quantify what the gating strategies
+achieve — the quantity experiment F5 reports.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from repro.errors import ConfigError
 from repro.tensor import Tensor
 from repro.tensor import ops as T
 
-__all__ = ["load_balance_loss", "router_z_loss", "LoadStats", "load_stats"]
+__all__ = ["load_balance_loss", "LoadStats", "load_stats"]
 
 
 def load_balance_loss(probs: Tensor, indices: np.ndarray, num_experts: int) -> Tensor:
@@ -36,16 +35,6 @@ def load_balance_loss(probs: Tensor, indices: np.ndarray, num_experts: int) -> T
     mean_p = probs.mean(axis=0)  # (E,) Tensor
     weighted = mean_p * Tensor(f, dtype=probs.dtype)
     return T.sum_(weighted) * float(num_experts)
-
-
-def router_z_loss(logits: Tensor) -> Tensor:
-    """ST-MoE z-loss: mean of log-sum-exp(logits)^2 (keeps logits bounded)."""
-    if logits.ndim != 2:
-        raise ConfigError(f"logits must be 2-D, got shape {logits.shape}")
-    # logsumexp via the stable decomposition on raw data + autograd exp/log.
-    m = T.max_(logits, axis=1, keepdims=True)
-    z = T.log(T.sum_(T.exp(logits - m), axis=1, keepdims=True)) + m
-    return T.mean(z * z)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from repro.network.links import LinkSpec
 from repro.network.topology import Level, Topology
-from repro.network.costmodel import AlgorithmPolicy, NetworkModel
+from repro.network.costmodel import NetworkModel, check_algorithm_names
 from repro.network.presets import (
     CABINET_LINK,
     CLUSTER_PRESETS,
@@ -23,8 +23,8 @@ __all__ = [
     "LinkSpec",
     "Level",
     "Topology",
-    "AlgorithmPolicy",
     "NetworkModel",
+    "check_algorithm_names",
     "SUPERNODE_SIZE",
     "INTRA_SUPERNODE_LINK",
     "INTER_SUPERNODE_LINK",

@@ -16,7 +16,7 @@ from repro.errors import ConfigError
 from repro.network import collectives as C
 from repro.network.topology import Topology
 
-__all__ = ["AlgorithmPolicy", "NetworkModel"]
+__all__ = ["NetworkModel", "check_algorithm_names"]
 
 _ALLREDUCE_ALGOS = ("ring", "tree", "hierarchical", "auto")
 _ALLTOALL_ALGOS = ("flat", "hierarchical", "auto")
@@ -27,17 +27,11 @@ def _refuse_unknown(op: str, algo: str, known: tuple[str, ...]) -> None:
         raise ConfigError(f"{op}_algorithm must be one of {known}, got {algo!r}")
 
 
-@dataclass(frozen=True)
-class AlgorithmPolicy:
-    """A checked pair of collective algorithm names: a config validates
-    its ``alltoall``/``allreduce`` choice by building one."""
-
-    allreduce: str = "auto"
-    alltoall: str = "auto"
-
-    def __post_init__(self) -> None:
-        _refuse_unknown("allreduce", self.allreduce, _ALLREDUCE_ALGOS)
-        _refuse_unknown("alltoall", self.alltoall, _ALLTOALL_ALGOS)
+def check_algorithm_names(allreduce: str | None, alltoall: str | None) -> None:
+    """Refuse an unknown collective algorithm name; ``None`` is the
+    network's own choice, "auto". A config validates its choices with it."""
+    _refuse_unknown("allreduce", allreduce or "auto", _ALLREDUCE_ALGOS)
+    _refuse_unknown("alltoall", alltoall or "auto", _ALLTOALL_ALGOS)
 
 
 @dataclass

@@ -124,18 +124,6 @@ class CommProfile:
             for r in self._records
         ]
 
-    def emit(self, registry) -> None:
-        """Write the profile into a metric registry (per-op aggregates)."""
-        for r in self.per_op():
-            registry.counter("comm_calls", op=r.op).inc(r.calls)
-            registry.counter("comm_bytes", op=r.op).inc(r.nbytes)
-            registry.gauge("comm_seconds", op=r.op).set(r.seconds)
-            if r.utilization is not None:
-                registry.gauge("comm_utilization", op=r.op).set(r.utilization)
-            if r.hidden_seconds > 0:
-                registry.gauge("comm_overlapped_seconds", op=r.op).set(r.hidden_seconds)
-                registry.gauge("comm_exposed_seconds", op=r.op).set(r.seconds)
-
     def format_table(self) -> str:
         """Fixed-width per-op table (deterministic, report-ready)."""
         header = (

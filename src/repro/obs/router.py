@@ -159,26 +159,6 @@ class RouterTelemetry:
     # Export
     # ------------------------------------------------------------------ #
 
-    def emit(self, registry) -> None:
-        """Write per-layer aggregates into a metric registry.
-
-        Gauges ``router_imbalance`` / ``router_cv`` / ``router_drop_fraction``
-        (labeled by layer, mean over steps) and counters
-        ``router_expert_tokens`` (labeled by layer and expert).
-        """
-        for row in self.layer_summary():
-            layer = row["layer"]
-            registry.gauge("router_imbalance", layer=layer).set(row["mean_imbalance"])
-            registry.gauge("router_cv", layer=layer).set(row["mean_cv"])
-            registry.gauge("router_drop_fraction", layer=layer).set(
-                row["mean_drop_fraction"]
-            )
-            totals = self.load_matrix(layer).sum(axis=0)
-            for expert, tokens in enumerate(totals):
-                registry.counter(
-                    "router_expert_tokens", layer=layer, expert=expert
-                ).inc(float(tokens))
-
     def heatmap(self, layer: int) -> str:
         """ASCII heatmap of one layer: one row per step, one column per
         expert, shade = load / max load of that step (deterministic)."""

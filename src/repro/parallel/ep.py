@@ -97,7 +97,6 @@ class DistributedMoELayer(MoELayer):
         top_k: int = 1,
         capacity_factor: float | None = None,
         aux_weight: float = 1e-2,
-        z_weight: float = 0.0,
         alltoall_algorithm: str | None = None,
         dtype: str = "fp32",
         compute_hook: Callable[[int], None] | None = None,
@@ -118,8 +117,7 @@ class DistributedMoELayer(MoELayer):
         self.last_local_rows: int = 0
         super().__init__(
             d_model, d_ff, num_experts, shared_rng, gate=gate, top_k=top_k,
-            capacity_factor=capacity_factor, aux_weight=aux_weight,
-            z_weight=z_weight, dtype=dtype,
+            capacity_factor=capacity_factor, aux_weight=aux_weight, dtype=dtype,
         )
 
     def _build_experts(self, dtype: str) -> list[MLP]:
@@ -273,7 +271,6 @@ def ep_moe_factory(
             top_k=config.top_k,
             capacity_factor=config.capacity_factor,
             aux_weight=config.aux_weight,
-            z_weight=config.z_weight,
             alltoall_algorithm=alltoall_algorithm,
             dtype=config.dtype,
             compute_hook=compute_hook,

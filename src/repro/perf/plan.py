@@ -8,7 +8,7 @@ from functools import cached_property
 from repro.errors import ConfigError
 from repro.layout import ParallelLayout, validate_layout_for_model
 from repro.models.configs import ModelConfig
-from repro.network.costmodel import AlgorithmPolicy
+from repro.network.costmodel import check_algorithm_names
 
 __all__ = ["ParallelPlan"]
 
@@ -93,9 +93,8 @@ class ParallelPlan:
             raise ConfigError(
                 f"overlap_chunks must be >= 1, got {self.overlap_chunks}"
             )
-        # The cost model would price an unknown name as "auto" (None is the
-        # network's own policy).
-        AlgorithmPolicy(allreduce=self.allreduce or "auto", alltoall=self.alltoall or "auto")
+        # The cost model would price an unknown name as "auto".
+        check_algorithm_names(allreduce=self.allreduce, alltoall=self.alltoall)
 
     @cached_property
     def layout(self) -> ParallelLayout:

@@ -138,7 +138,7 @@ class ComputeTimer:
         self.seq_len = seq_len
         self.tp_size = tp_size
         self._node_flops = (
-            machine.node.flops(config.dtype) * machine.compute_efficiency
+            machine.processor.flops(config.dtype) * machine.compute_efficiency
         )
         self._dense_fwd_per_token = dense_forward_flops_per_token(
             config, seq_len, tp_size
@@ -194,7 +194,7 @@ class StepModel:
     # ------------------------------------------------------------------ #
 
     def _node_flops(self) -> float:
-        return self.machine.node.flops(self.config.dtype) * self.machine.compute_efficiency
+        return self.machine.processor.flops(self.config.dtype) * self.machine.compute_efficiency
 
     def dense_compute_time(self, plan: ParallelPlan) -> float:
         """Per-node attention/backbone/router compute (fwd + bwd).
@@ -223,11 +223,6 @@ class StepModel:
         )
         flops *= (1.0 + BACKWARD_MULTIPLIER) * plan.load_imbalance
         return flops / self._node_flops()
-
-    def alltoall_time(self, plan: ParallelPlan) -> float:
-        """Token exchanges: (2 fwd + 2 bwd) per MoE layer over the EP group."""
-        forward, backward = self._alltoall_times(plan)
-        return forward + backward
 
     def _alltoall_times(self, plan: ParallelPlan) -> tuple[float, float]:
         """(forward, backward) seconds of the token exchanges.

@@ -50,7 +50,7 @@ def weak_scaling_rows(
         rows.append(
             {
                 "nodes": float(n),
-                "cores": float(n * machine.node.cores),
+                "cores": float(n * machine.processor.cores),
                 "step_time_s": t,
                 "tokens_per_s": tput,
                 "flops": step_flops(config, plan.global_tokens, seq) / t,

@@ -291,7 +291,7 @@ def search_plans(config: PlannerConfig) -> PlanResult:
     machine = preset.machine(config.num_nodes)
     network = preset.network(config.num_nodes)
     step_model = StepModel(config.model, machine, network)
-    mem_budget = machine.node.memory_bytes
+    mem_budget = machine.processor.memory_bytes
 
     candidates: list[PlanCandidate] = []
     rejected: list[RejectedLayout] = []

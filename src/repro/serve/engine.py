@@ -34,7 +34,7 @@ from repro.errors import ConfigError
 from repro.hardware.specs import MachineSpec, sunway_machine
 from repro.models.configs import ModelConfig
 from repro.models.transformer import MoELanguageModel
-from repro.network import AlgorithmPolicy, sunway_network
+from repro.network import check_algorithm_names, sunway_network
 from repro.parallel.ep import ep_moe_factory
 from repro.perf.flops import (
     dense_forward_flops_per_token,
@@ -180,7 +180,7 @@ class ServeConfig:
             )
         if not self.timeout > 0:
             raise ConfigError(f"timeout must be > 0 wall seconds, got {self.timeout}")
-        AlgorithmPolicy(alltoall=self.alltoall_algorithm or "auto")
+        check_algorithm_names(allreduce=None, alltoall=self.alltoall_algorithm)
         if self.shed_tier is not None and not 0 <= self.shed_tier < self.num_tiers:
             raise ConfigError(
                 f"shed_tier must be in [0, num_tiers={self.num_tiers}), "
@@ -283,7 +283,7 @@ class DecodeTimer:
         self.config = config
         self.machine = machine
         self._node_flops = (
-            machine.node.flops(config.dtype) * machine.compute_efficiency
+            machine.processor.flops(config.dtype) * machine.compute_efficiency
         )
         #: Attention-score FLOPs per (token, attended position) pair.
         self._quad = config.n_layers * 4.0 * config.d_model

@@ -1,9 +1,9 @@
 """NumPy autograd engine with emulated low-precision dtypes."""
 
 from repro.tensor.dtype import (
-    DTYPES, DTypeSpec, as_dtype, itemsize, promote, quantize, storage_dtype, to_wire,
+    DTYPES, DTypeSpec, as_dtype, itemsize, promote, quantize, to_wire,
 )
-from repro.tensor.tensor import Tensor, is_grad_enabled, no_grad, ones, unbroadcast, zeros
+from repro.tensor.tensor import Tensor, is_grad_enabled, no_grad, unbroadcast
 from repro.tensor import ops
 from repro.tensor.functional import (
     cross_entropy,
@@ -25,14 +25,11 @@ __all__ = [
     "itemsize",
     "promote",
     "quantize",
-    "storage_dtype",
     "to_wire",
     "Tensor",
     "is_grad_enabled",
     "no_grad",
-    "ones",
     "unbroadcast",
-    "zeros",
     "ops",
     "cross_entropy",
     "embedding",

@@ -50,7 +50,6 @@ __all__ = [
     "quantize",
     "to_wire",
     "promote",
-    "storage_dtype",
     "itemsize",
 ]
 
@@ -88,11 +87,6 @@ def as_dtype(dtype: str | DTypeSpec) -> DTypeSpec:
         return DTYPES[dtype]
     except KeyError:
         raise DtypeError(f"unknown dtype {dtype!r}; known: {sorted(DTYPES)}") from None
-
-
-def storage_dtype(dtype: str | DTypeSpec) -> np.dtype:
-    """NumPy storage dtype for an emulated dtype."""
-    return as_dtype(dtype).storage
 
 
 def itemsize(dtype: str | DTypeSpec) -> int:

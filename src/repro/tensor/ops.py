@@ -5,9 +5,8 @@ dtype grid, and registers a backward closure returning one gradient per
 parent (already unbroadcast to the parent's shape). The exception: an op
 that only *moves* values (here ``reshape``, ``transpose``, ``getitem``)
 passes ``exact`` to ``_make`` — every element already sits on the grid in a
-parent — and is not rounded again. Anything that computes or
-chooses between values (arithmetic, ``where``, ``clip``, ``maximum``,
-reductions) never may.
+parent — and is not rounded again. Anything that computes values
+(arithmetic, matmul, reductions) never may.
 
 Scatter-adds go through :func:`_scatter_add`, whose contract is NumPy's
 ``add.at``: one destination's contributions are added left to right in index
@@ -26,24 +25,14 @@ from repro.tensor.tensor import Tensor, _coerce, _make, result_dtype, unbroadcas
 
 __all__ = [
     "add",
-    "sub",
     "mul",
     "div",
-    "neg",
-    "power",
     "matmul",
-    "exp",
-    "log",
-    "tanh",
-    "maximum",
-    "where",
     "reshape",
     "transpose",
     "getitem",
     "sum_",
     "mean",
-    "max_",
-    "clip",
 ]
 
 
@@ -61,20 +50,6 @@ def add(a: Any, b: Any) -> Tensor:
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
         return unbroadcast(g, a.shape), unbroadcast(g, b.shape)
-
-    return _make(data, out_dtype, (a, b), backward)
-
-
-def sub(a: Any, b: Any) -> Tensor:
-    """Elementwise ``a - b`` with broadcasting."""
-    if not isinstance(a, Tensor):
-        a = _coerce(a, b)
-    b = _coerce(b, a)
-    out_dtype = result_dtype(a, b)
-    data = a.data - b.data
-
-    def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        return unbroadcast(g, a.shape), unbroadcast(-g, b.shape)
 
     return _make(data, out_dtype, (a, b), backward)
 
@@ -107,102 +82,6 @@ def div(a: Any, b: Any) -> Tensor:
         return ga, gb
 
     return _make(data, out_dtype, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    """Elementwise negation."""
-    return _make(-a.data, a.dtype, (a,), lambda g: (-g,))
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    """Elementwise ``a ** p`` for a scalar exponent."""
-    p = float(exponent)
-    data = a.data ** p
-
-    def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        return (g * p * a.data ** (p - 1.0),)
-
-    return _make(data, a.dtype, (a,), backward)
-
-
-def maximum(a: Any, b: Any) -> Tensor:
-    """Elementwise max; gradient routes to the winner (ties go to ``a``)."""
-    if not isinstance(a, Tensor):
-        a = _coerce(a, b)
-    b = _coerce(b, a)
-    out_dtype = result_dtype(a, b)
-    data = np.maximum(a.data, b.data)
-    mask = (a.data >= b.data)
-
-    def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        return unbroadcast(g * mask, a.shape), unbroadcast(g * ~mask, b.shape)
-
-    return _make(data, out_dtype, (a, b), backward)
-
-
-def where(cond: np.ndarray, a: Any, b: Any) -> Tensor:
-    """Select ``a`` where ``cond`` else ``b``; ``cond`` is non-differentiable."""
-    cond = np.asarray(cond, dtype=bool)
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        raise ShapeError("where() needs at least one Tensor operand")
-    if not isinstance(a, Tensor):
-        a = _coerce(a, b)
-    b = _coerce(b, a)
-    out_dtype = result_dtype(a, b)
-    data = np.where(cond, a.data, b.data)
-
-    def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        return (
-            unbroadcast(np.where(cond, g, 0.0), a.shape),
-            unbroadcast(np.where(cond, 0.0, g), b.shape),
-        )
-
-    return _make(data, out_dtype, (a, b), backward)
-
-
-# ---------------------------------------------------------------------- #
-# Elementwise unary
-# ---------------------------------------------------------------------- #
-
-def exp(a: Tensor) -> Tensor:
-    """Elementwise natural exponential."""
-    data = np.exp(a.data)
-
-    def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        return (g * data,)
-
-    return _make(data, a.dtype, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    """Elementwise natural logarithm."""
-    data = np.log(a.data)
-
-    def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        return (g / a.data,)
-
-    return _make(data, a.dtype, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    """Elementwise hyperbolic tangent."""
-    data = np.tanh(a.data)
-
-    def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        return (g * (1.0 - data * data),)
-
-    return _make(data, a.dtype, (a,), backward)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient is zero outside the interval."""
-    data = np.clip(a.data, lo, hi)
-    mask = (a.data >= lo) & (a.data <= hi)
-
-    def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        return (g * mask,)
-
-    return _make(data, a.dtype, (a,), backward)
 
 
 # ---------------------------------------------------------------------- #
@@ -353,20 +232,3 @@ def mean(a: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = 
 
     return _make(data, a.dtype, (a,), backward)
 
-
-def max_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    """Max reduction; gradient flows to (all) argmax positions."""
-    data = a.data.max(axis=axis, keepdims=keepdims)
-    expanded = a.data.max(axis=axis, keepdims=True) if axis is not None else a.data.max()
-    mask = (a.data == expanded)
-
-    def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        gg = g
-        if not keepdims and axis is not None:
-            gg = np.expand_dims(g, axis)
-        elif not keepdims and axis is None:
-            gg = np.asarray(g).reshape((1,) * a.ndim)
-        counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-        return (np.broadcast_to(gg, a.shape) * mask / counts,)
-
-    return _make(data, a.dtype, (a,), backward)

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.errors import AutogradError, ShapeError
-from repro.tensor.dtype import DTypeSpec, as_dtype, promote, quantize, storage_dtype
+from repro.tensor.dtype import DTypeSpec, as_dtype, promote, quantize
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "zeros", "ones", "unbroadcast"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "unbroadcast"]
 
 
 class _GradMode(threading.local):
@@ -136,23 +136,12 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        """The underlying storage array (not a copy)."""
-        return self.data
-
     def item(self) -> float:
         """Python scalar for 1-element tensors."""
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._item_err()
 
     def _item_err(self) -> float:
         raise ShapeError(f"item() requires a 1-element tensor, got shape {self.shape}")
-
-    def astype(self, dtype: str | DTypeSpec) -> "Tensor":
-        """Cast to another emulated dtype (differentiable: grad casts back)."""
-        spec = as_dtype(dtype)
-        out = _make(quantize(self.data, spec), spec, (self,),
-                    lambda g: (g.astype(storage_dtype(self.dtype), copy=False),))
-        return out
 
     # ------------------------------------------------------------------ #
     # Autograd
@@ -247,12 +236,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):  # noqa: D105
-        return ops.sub(self, other)
-
-    def __rsub__(self, other):  # noqa: D105
-        return ops.sub(other, self)
-
     def __mul__(self, other):  # noqa: D105
         return ops.mul(self, other)
 
@@ -261,17 +244,8 @@ class Tensor:
     def __truediv__(self, other):  # noqa: D105
         return ops.div(self, other)
 
-    def __rtruediv__(self, other):  # noqa: D105
-        return ops.div(other, self)
-
-    def __neg__(self):  # noqa: D105
-        return ops.neg(self)
-
     def __matmul__(self, other):  # noqa: D105
         return ops.matmul(self, other)
-
-    def __pow__(self, exponent):  # noqa: D105
-        return ops.power(self, exponent)
 
     def __getitem__(self, index):  # noqa: D105
         return ops.getitem(self, index)
@@ -291,18 +265,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):  # noqa: D102
         return ops.mean(self, axis=axis, keepdims=keepdims)
-
-    def exp(self):  # noqa: D102
-        return ops.exp(self)
-
-    def log(self):  # noqa: D102
-        return ops.log(self)
-
-    def tanh(self):  # noqa: D102
-        return ops.tanh(self)
-
-    def sqrt(self):  # noqa: D102
-        return ops.power(self, 0.5)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" name={self.name!r}" if self.name else ""
@@ -351,18 +313,6 @@ def _make(
     out._parents, out._backward = (parents, backward) if track else ((), None)
     out.name = None
     return out
-
-
-def zeros(shape: int | Iterable[int], dtype: str | DTypeSpec = "fp32") -> Tensor:
-    """A constant tensor of zeros."""
-    shape = (shape,) if isinstance(shape, int) else tuple(shape)
-    return Tensor(np.zeros(shape), dtype=dtype)
-
-
-def ones(shape: int | Iterable[int], dtype: str | DTypeSpec = "fp32") -> Tensor:
-    """A constant tensor of ones."""
-    shape = (shape,) if isinstance(shape, int) else tuple(shape)
-    return Tensor(np.ones(shape), dtype=dtype)
 
 
 def _coerce(x: Any, like: Tensor) -> Tensor:

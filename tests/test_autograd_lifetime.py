@@ -21,7 +21,7 @@ from repro.models import tiny_config
 from repro.network import sunway_network
 from repro.parallel import TrainingRunConfig
 from repro.simmpi import run_spmd
-from repro.tensor import Tensor, checkpoint, quantize
+from repro.tensor import Tensor, checkpoint, gelu, quantize
 from tests.test_strategies import CASES
 
 
@@ -73,9 +73,9 @@ def _two_heads(dtype: str):
     a = Tensor(rng.standard_normal((5, 4)), requires_grad=True, dtype=dtype)
     b = Tensor(rng.standard_normal((4, 3)), requires_grad=True, dtype=dtype)
     c = Tensor(rng.standard_normal((3,)), requires_grad=True, dtype=dtype)
-    h = (a @ b).tanh() + c          # shared by both heads
+    h = gelu(a @ b) + c             # shared by both heads
     main = (h * h).transpose().reshape(-1).sum()
-    aux = (h.exp() * c).mean() + (a * a).sum()
+    aux = (gelu(h) * c).mean() + (a * a).sum()
     return [a, b, c], main, aux
 
 
@@ -144,11 +144,11 @@ def test_retain_graph_is_the_two_pass_accumulation_bit_for_bit(dtype):
 def test_checkpointed_segment_replays_inside_a_consuming_backward():
     w = Tensor(np.full((3, 3), 0.5), requires_grad=True)
     x = Tensor(np.ones((2, 3)), requires_grad=True)
-    out = checkpoint(lambda t: (t @ w).tanh(), x)
+    out = checkpoint(lambda t: gelu(t @ w), x)
     (out * out).sum().backward()
     plain_w = Tensor(np.full((3, 3), 0.5), requires_grad=True)
     plain_x = Tensor(np.ones((2, 3)), requires_grad=True)
-    y = (plain_x @ plain_w).tanh()
+    y = gelu(plain_x @ plain_w)
     (y * y).sum().backward()
     assert w.grad.tobytes() == plain_w.grad.tobytes()
     assert x.grad.tobytes() == plain_x.grad.tobytes()

@@ -8,7 +8,7 @@ construction, with the one error type, instead of inside a rank thread (or,
 for a supervised run, after every retry the supervisor has). The serving
 configs (``ServeConfig``, ``FleetConfig``, ``AutoscalerConfig``) hold the
 same line, and their errors name the field they refuse; so does
-``ModelConfig`` for its sizes, capacity factor and loss weights. NaN is
+``ModelConfig`` for its sizes, capacity factor and loss weight. NaN is
 refused by every float field, with the field named. The name fields (gate, dtype,
 collective algorithms) and the arrival ramp are perturbed too: a config
 that constructs holds a value its run accepts, and a refusal names the
@@ -138,14 +138,13 @@ def _model_config_ok(config: ModelConfig) -> bool:
         and config.d_model % config.n_heads == 0
         and (config.capacity_factor is None or 0 < config.capacity_factor < math.inf)
         and 0 <= config.aux_weight < math.inf
-        and 0 <= config.z_weight < math.inf
     )
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_perturbed_model_fields_construct_or_name_the_field(data):
-    """Every size, the capacity factor and the two loss weights: a model
+    """Every size, the capacity factor and the loss weight: a model
     config that constructs can be built, and a refusal names the field."""
     names, kwargs = _perturbed(ModelConfig, dataclasses.asdict(MODEL), data)
     assert "capacity_factor" in _numeric_fields(ModelConfig)
@@ -160,7 +159,7 @@ def test_perturbed_model_fields_construct_or_name_the_field(data):
 @pytest.mark.parametrize(
     "bad",
     [dict(vocab_size=0), dict(max_seq_len=0), dict(d_model=0), dict(n_layers=0),
-     dict(d_ff=-1), dict(n_heads=0), dict(aux_weight=-1.0), dict(z_weight=-1e-3),
+     dict(d_ff=-1), dict(n_heads=0), dict(aux_weight=-1.0),
      dict(aux_weight=math.nan), dict(capacity_factor=math.nan),
      dict(capacity_factor=0.0)],
     ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
@@ -174,8 +173,8 @@ def test_model_config_refuses_nonsense_naming_the_field(bad):
 
 
 def test_model_config_allows_zero_loss_weights():
-    config = dataclasses.replace(MODEL, aux_weight=0.0, z_weight=0.0)
-    assert config.aux_weight == config.z_weight == 0.0
+    config = dataclasses.replace(MODEL, aux_weight=0.0)
+    assert config.aux_weight == 0.0
 
 
 #: Names a run accepts, written out here rather than imported, so the

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DtypeError
-from repro.tensor import DTYPES, as_dtype, itemsize, promote, quantize, storage_dtype, to_wire
+from repro.tensor import DTYPES, as_dtype, itemsize, promote, quantize, to_wire
 from repro.tensor import dtype as dtype_module
 from repro.tensor.dtype import _FP16_KERNEL_MIN_SIZE
 
@@ -127,9 +127,9 @@ class TestRegistry:
         assert itemsize("bf16") == 2
 
     def test_storage_is_at_least_fp32(self):
-        assert storage_dtype("fp16") == np.float32
-        assert storage_dtype("bf16") == np.float32
-        assert storage_dtype("fp64") == np.float64
+        assert as_dtype("fp16").storage == np.float32
+        assert as_dtype("bf16").storage == np.float32
+        assert as_dtype("fp64").storage == np.float64
 
 
 class TestQuantizeFp16:

@@ -4,10 +4,8 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.hardware import (
-    SUNWAY_NODE,
     SW26010_PRO,
     MachineSpec,
-    NodeSpec,
     ProcessorSpec,
     laptop_machine,
     sunway_machine,
@@ -60,21 +58,22 @@ class TestMachine:
     def test_with_nodes(self):
         m = sunway_machine(96_000).with_nodes(128)
         assert m.num_nodes == 128
-        assert m.node is SUNWAY_NODE
+        assert m.processor is SW26010_PRO
 
     def test_invalid_machine(self):
         with pytest.raises(ConfigError):
-            MachineSpec(name="x", node=SUNWAY_NODE, num_nodes=0)
+            MachineSpec(name="x", processor=SW26010_PRO, num_nodes=0)
         with pytest.raises(ConfigError):
-            MachineSpec(name="x", node=SUNWAY_NODE, num_nodes=1, compute_efficiency=0.0)
+            MachineSpec(name="x", processor=SW26010_PRO, num_nodes=1, compute_efficiency=0.0)
 
     def test_laptop_machine_small(self):
         m = laptop_machine()
         assert m.total_cores < 100
 
     def test_node_spec_is_one_processor(self):
-        node = NodeSpec(processor=SW26010_PRO)
-        assert node.cores == 390
-        assert node.flops("fp64") == 14e12
-        assert node.memory_bytes == 96 * 2**30
+        node = sunway_machine(1)
+        assert node.processor is SW26010_PRO
+        assert node.total_cores == 390
+        assert node.peak_flops("fp64") == 14e12
+        assert node.processor.memory_bytes == 96 * 2**30
 

@@ -106,10 +106,6 @@ KEEP = {
     "repro.models.generate:generate.use_cache": (
         "the uncached decode the KV-cache tests check cached generation against"
     ),
-    "repro.models.configs:ModelConfig.z_weight": (
-        "the router z-loss weight: no run turns it on, but a pinned literal of "
-        "test_serving_reuse fingerprints the aux loss with it"
-    ),
 }
 
 

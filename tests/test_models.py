@@ -110,9 +110,6 @@ class TestLayers:
         assert lin.bias is None
         assert len(lin.parameters()) == 1
 
-    def test_linear_flops(self):
-        assert Linear(4, 6, RNG).flops_per_token == 48
-
     def test_embedding_forward(self):
         emb = Embedding(10, 4, RNG)
         out = emb(np.array([[1, 2], [3, 4]]))
@@ -128,9 +125,6 @@ class TestLayers:
         mlp = MLP(8, 32, RNG)
         out = mlp(Tensor(np.zeros((5, 8))))
         assert out.shape == (5, 8)
-
-    def test_mlp_flops(self):
-        assert MLP(8, 32, RNG).flops_per_token == 2 * 8 * 32 * 2
 
     def test_invalid_dims(self):
         with pytest.raises(ConfigError):
@@ -232,10 +226,6 @@ class TestMoELayer:
         expert_flags = [getattr(p, "is_expert", False) for p in layer.experts[0].parameters()]
         assert all(expert_flags)
         assert not getattr(layer.router.weight, "is_expert", False)
-
-    def test_flops_property(self):
-        layer = self._layer(top_k=1)
-        assert layer.flops_per_token == 2 * 8 * 4 + 2 * 8 * 16 * 2
 
     def test_invalid_input_ndim(self):
         with pytest.raises(ConfigError):

@@ -11,7 +11,6 @@ from repro.moe import (
     experts_of_rank,
     load_balance_loss,
     load_stats,
-    router_z_loss,
 )
 from repro.models.moe_layer import MoELayer
 from repro.tensor import Tensor
@@ -272,15 +271,6 @@ class TestBalanceLosses:
         indices = np.random.default_rng(1).integers(0, 4, size=(16, 1))
         load_balance_loss(probs, indices, 4).backward()
         assert probs.grad is not None
-
-    def test_z_loss_zero_logits(self):
-        logits = Tensor(np.zeros((4, 8)), dtype="fp64")
-        assert router_z_loss(logits).item() == pytest.approx(np.log(8) ** 2)
-
-    def test_z_loss_penalizes_large_logits(self):
-        small = router_z_loss(Tensor(np.zeros((4, 8)), dtype="fp64")).item()
-        large = router_z_loss(Tensor(np.full((4, 8), 50.0), dtype="fp64")).item()
-        assert large > small
 
     def test_empty_probs_rejected(self):
         with pytest.raises(ConfigError):

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.network import (
-    AlgorithmPolicy,
     NetworkModel,
+    check_algorithm_names,
     flat_network,
     sunway_network,
     sunway_topology,
@@ -181,9 +181,9 @@ class TestNetworkModel:
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            AlgorithmPolicy(allreduce="magic")
+            check_algorithm_names(allreduce="magic", alltoall=None)
         with pytest.raises(ConfigError):
-            AlgorithmPolicy(alltoall="magic")
+            check_algorithm_names(allreduce=None, alltoall="magic")
 
     def test_rank_to_node_default_mapping_wraps(self):
         net = flat_network(4)

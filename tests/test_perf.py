@@ -216,8 +216,8 @@ class TestStepModel:
     def test_hierarchical_alltoall_beats_flat_at_scale(self):
         """F3 shape transfers to full training steps."""
         sm = StepModel(CFG, MACHINE, NET)
-        flat = sm.alltoall_time(plan(alltoall="flat"))
-        hier = sm.alltoall_time(plan(alltoall="hierarchical"))
+        flat = sm.step_breakdown(plan(alltoall="flat")).alltoall
+        hier = sm.step_breakdown(plan(alltoall="hierarchical")).alltoall
         assert hier < flat
 
     def test_plan_larger_than_machine_rejected(self):

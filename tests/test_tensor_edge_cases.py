@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ShapeError
 from repro.tensor import Tensor, softmax, gather_rows, scatter_rows
-from repro.tensor import ops as T
 
 
 class TestEmptyTensors:
@@ -59,9 +58,9 @@ class TestScalars:
 
     def test_python_scalar_operands(self):
         x = Tensor([1.0, 2.0], requires_grad=True, dtype="fp64")
-        out = 2.0 * x + 1.0 - 0.5 / (x + 1.0)
+        out = 2.0 * x + 1.0 + x / 4.0
         out.sum().backward()
-        assert x.grad is not None
+        assert np.allclose(x.grad, 2.25)
 
 
 class TestBroadcastingCorners:
@@ -78,14 +77,6 @@ class TestBroadcastingCorners:
         (a * b).sum().backward()
         assert np.allclose(a.grad, 4.0)
         assert np.allclose(b.grad, 3.0)
-
-    def test_where_broadcast(self):
-        cond = np.array([[True], [False]])
-        a = Tensor(np.ones((2, 3)), requires_grad=True, dtype="fp64")
-        b = Tensor(np.zeros((2, 3)), dtype="fp64")
-        out = T.where(cond, a, b)
-        assert np.allclose(out.data[0], 1.0)
-        assert np.allclose(out.data[1], 0.0)
 
 
 class TestDtypeMixing:
@@ -120,10 +111,6 @@ class TestErrorPaths:
 
         with pytest.raises(ShapeError):
             unbroadcast(np.ones((2, 3)), (5,))
-
-    def test_where_without_tensors(self):
-        with pytest.raises(ShapeError):
-            T.where(np.array([True]), 1.0, 2.0)
 
     def test_reshape_size_mismatch(self):
         with pytest.raises(ValueError):

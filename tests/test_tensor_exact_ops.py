@@ -229,8 +229,7 @@ def test_init_still_rounds_and_computed_values_still_round():
     raw = np.array([1.0 + 2.0 ** -12, 70000.0, -0.0], dtype=np.float32)
     assert Tensor(raw, dtype="fp16").data.tobytes() == quantize(raw, "fp16").tobytes()
     a = Tensor(np.array([0.1, 0.2, 0.3]), dtype="fp16")
-    for out in (a * a, T.where(np.array([True, False, True]), a * 3.0, a),
-                T.clip(a, 0.15, 0.25), T.maximum(a, 0.25)):
+    for out in (a * a, a + 0.05, a / 3.0, a.mean()):
         assert out.data.tobytes() == quantize(out.data, "fp16").tobytes()
 
 

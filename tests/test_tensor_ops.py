@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.tensor import Tensor, gradcheck, no_grad, ones, zeros
+from repro.tensor import Tensor, gradcheck, no_grad
 from repro.tensor import ops as T
 
 RNG = np.random.default_rng(42)
@@ -20,10 +20,6 @@ class TestConstruction:
         assert x.shape == (2, 3)
         assert x.dtype.name == "fp32"
         assert x.data.dtype == np.float32
-
-    def test_zeros_ones(self):
-        assert np.all(zeros((2, 2)).data == 0)
-        assert np.all(ones(3).data == 1)
 
     def test_item_scalar(self):
         assert Tensor(5.0).item() == 5.0
@@ -50,9 +46,6 @@ class TestElementwiseGrads:
     def test_add_scalar_broadcast(self):
         gradcheck(lambda ins: ins[0] + ins[1], [t64((2, 3)), t64(())])
 
-    def test_sub(self):
-        gradcheck(lambda ins: ins[0] - ins[1], [t64((2, 5)), t64((2, 5))])
-
     def test_mul(self):
         gradcheck(lambda ins: ins[0] * ins[1], [t64((3, 3)), t64((3, 3))])
 
@@ -63,36 +56,6 @@ class TestElementwiseGrads:
         a, b = t64((3,)), t64((3,))
         b.data = np.abs(b.data) + 1.0  # keep away from zero
         gradcheck(lambda ins: ins[0] / ins[1], [a, b])
-
-    def test_neg(self):
-        gradcheck(lambda ins: -ins[0], [t64((4,))])
-
-    def test_power(self):
-        x = t64((3,))
-        x.data = np.abs(x.data) + 0.5
-        gradcheck(lambda ins: ins[0] ** 3.0, [x])
-
-    def test_sqrt(self):
-        x = t64((3,))
-        x.data = np.abs(x.data) + 1.0
-        gradcheck(lambda ins: ins[0].sqrt(), [x], rtol=1e-3)
-
-    def test_exp_log_tanh(self):
-        gradcheck(lambda ins: T.exp(ins[0]), [t64((3,), 0.5)])
-        x = t64((3,))
-        x.data = np.abs(x.data) + 0.5
-        gradcheck(lambda ins: T.log(ins[0]), [x])
-        gradcheck(lambda ins: T.tanh(ins[0]), [t64((3,))])
-
-    def test_maximum(self):
-        gradcheck(lambda ins: T.maximum(ins[0], ins[1]), [t64((6,)), t64((6,))], atol=1e-4)
-
-    def test_clip(self):
-        gradcheck(lambda ins: T.clip(ins[0], -0.5, 0.5), [t64((8,))], atol=1e-4)
-
-    def test_where(self):
-        cond = RNG.random(6) > 0.5
-        gradcheck(lambda ins: T.where(cond, ins[0], ins[1]), [t64((6,)), t64((6,))])
 
 
 class TestMatmulGrads:
@@ -153,10 +116,6 @@ class TestReductionGrads:
     def test_mean_axis(self):
         gradcheck(lambda ins: ins[0].mean(axis=1), [t64((4, 2))])
 
-    def test_max(self):
-        x = t64((3, 5))
-        gradcheck(lambda ins: T.max_(ins[0], axis=1), [x], atol=1e-4)
-
 
 class TestAutogradMachinery:
     def test_backward_accumulates_on_reuse(self):
@@ -202,10 +161,6 @@ class TestAutogradMachinery:
         b = x * 5.0
         (a + b).backward()
         assert x.grad[0] == pytest.approx(7.0)
-
-    def test_astype_roundtrip_grad(self):
-        x = t64((3,))
-        gradcheck(lambda ins: ins[0].astype("fp64") * 2.0, [x])
 
     def test_mixed_dtype_promotes(self):
         a = Tensor([1.0], dtype="fp16")
