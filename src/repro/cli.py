@@ -432,9 +432,11 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
         trace=args.trace is not None,
         observe=args.observe,
     )
+    strategy = run_cfg.resolve_strategy()
+    strategy.validate(run_cfg)  # refuse a layout before announcing its launch
     net = sunway_network(args.world, supernode_size=args.supernode)
     print(f"launching {args.world} simulated ranks via strategy "
-          f"'{run_cfg.resolve_strategy().name}' "
+          f"'{strategy.name}' "
           f"({run_cfg.layout.describe()}, supernode={args.supernode})")
     result = run_distributed_training(run_cfg, network=net)
     for step, loss in enumerate(result.losses):

@@ -94,7 +94,7 @@ class PendingAlltoallRows:
         self._sources: list[Tensor | None] = [None] * len(send)
         #: Per chunk: the received parts (blocking) or the request that yields them.
         self._in_flight: list = [None] * len(send)
-        self._parents: tuple[Tensor, ...] = ()
+        self._issued_from: tuple[Tensor, ...] = ()
         self._out: Tensor | None = None
 
     def issue(self, c: int, x: Tensor) -> None:
@@ -109,7 +109,7 @@ class PendingAlltoallRows:
                 f"chunk {c} sends {sum(counts)} of {self._send_total} rows, "
                 f"but the tensor has {x.shape[0]}"
             )
-        if self._out is not None and not any(x is p for p in self._parents):
+        if self._out is not None and not any(x is p for p in self._issued_from):
             raise CommunicatorError(
                 f"chunk {c} issued after the first wait() from a new tensor"
             )
@@ -154,7 +154,7 @@ class PendingAlltoallRows:
     def _receive_node(self) -> Tensor:
         """The (unfilled) receive tensor over every tensor issued from."""
         sources = self._sources
-        self._parents = parents = tuple({id(x): x for x in sources if x is not None}.values())
+        self._issued_from = parents = tuple({id(x): x for x in sources if x is not None}.values())
         whole = len(parents) == 1
         if not whole and any(
             x is None or x.shape[0] != sum(counts) for x, counts in zip(sources, self._send)

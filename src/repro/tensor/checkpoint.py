@@ -46,17 +46,22 @@ def checkpoint(fn: Callable[..., Tensor], *inputs: Tensor) -> Tensor:
     if not isinstance(out, Tensor):
         raise ShapeError("checkpoint() function must return a Tensor")
 
+    # The inputs' values, not the tensors: a non-leaf input's node belongs
+    # to the graph below, which this node reaches through its parents.
+    saved = [(x.data, x.dtype, x.name) for x in inputs]
+    out_shape = out.shape
+
     def backward(g: np.ndarray) -> Sequence[np.ndarray | None]:
         # Replay with fresh leaves so gradients are isolated to this call.
         leaves = [
-            Tensor(x.data, requires_grad=True, dtype=x.dtype, name=x.name)
-            for x in inputs
+            Tensor(data, requires_grad=True, dtype=dtype, name=name)
+            for data, dtype, name in saved
         ]
         replay = fn(*leaves)
-        if replay.shape != out.shape:
+        if replay.shape != out_shape:
             raise ShapeError(
                 "checkpoint() replay produced a different shape "
-                f"({replay.shape} vs {out.shape}); fn must be pure"
+                f"({replay.shape} vs {out_shape}); fn must be pure"
             )
         replay.backward(g)
         return [leaf.grad for leaf in leaves]

@@ -111,12 +111,13 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     loss = -picked.sum() / count
 
     soft = np.exp(logp)
+    grad_dtype = logits.data.dtype
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
         grad = soft.copy()
         grad[np.arange(len(targets)), targets] -= 1.0
         grad *= 1.0 / count
-        return (np.asarray(g) * grad.astype(logits.data.dtype),)
+        return (np.asarray(g) * grad.astype(grad_dtype),)
 
     return _make(np.asarray(loss), logits.dtype if logits.dtype.name == "fp64" else _fp32(), (logits,), backward)
 
@@ -144,17 +145,18 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     var = v.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (v - mu) * inv
-    data = xhat * weight.data + bias.data
+    w, x_dtype = weight.data, x.data.dtype
+    data = xhat * w + bias.data
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
         gw = (g * xhat).sum(axis=tuple(range(g.ndim - 1)))
         gb = g.sum(axis=tuple(range(g.ndim - 1)))
-        gx_hat = g * weight.data
+        gx_hat = g * w
         # d/dx of (x - mu) * inv with mu, var functions of x:
         m1 = gx_hat.mean(axis=-1, keepdims=True)
         m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
         gx = inv * (gx_hat - m1 - xhat * m2)
-        return gx.astype(x.data.dtype), gw, gb
+        return gx.astype(x_dtype), gw, gb
 
     return _make(data, x.dtype, (x, weight, bias), backward)
 
@@ -173,10 +175,11 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
             f"embedding ids out of range [0, {weight.shape[0]}): "
             f"[{ids.min()}, {ids.max()}]"
         )
-    data = weight.data[ids]
+    table = weight.data
+    data = table[ids]
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        gw = np.zeros_like(weight.data)
+        gw = np.zeros_like(table)
         _scatter_add(gw, ids, g)
         return (gw,)
 
@@ -191,9 +194,10 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """
     idx = np.asarray(idx)
     data = x.data[idx]
+    src_shape, src_np = x.shape, x.data.dtype
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(src_shape, dtype=src_np)
         _scatter_add(gx, idx, g)
         return (gx,)
 

@@ -2,7 +2,10 @@
 
 Each op computes its forward result in NumPy, quantizes onto the output
 dtype grid, and registers a backward closure returning one gradient per
-parent (already unbroadcast to the parent's shape). The exception: an op
+parent (already unbroadcast to the parent's shape). A closure captures
+the arrays it computes with, plus shapes and dtypes, never a non-leaf
+tensor: the graph holds what backward reads (:mod:`repro.tensor.tensor`).
+The exception to the rounding: an op
 that only *moves* values (here ``reshape``, ``transpose``, ``getitem``)
 passes ``exact`` to ``_make`` — every element already sits on the grid in a
 parent — and is not rounded again. Anything that computes values
@@ -47,9 +50,10 @@ def add(a: Any, b: Any) -> Tensor:
     b = _coerce(b, a)
     out_dtype = result_dtype(a, b)
     data = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        return unbroadcast(g, a.shape), unbroadcast(g, b.shape)
+        return unbroadcast(g, a_shape), unbroadcast(g, b_shape)
 
     return _make(data, out_dtype, (a, b), backward)
 
@@ -60,10 +64,11 @@ def mul(a: Any, b: Any) -> Tensor:
         a = _coerce(a, b)
     b = _coerce(b, a)
     out_dtype = result_dtype(a, b)
-    data = a.data * b.data
+    av, bv = a.data, b.data
+    data = av * bv
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        return unbroadcast(g * b.data, a.shape), unbroadcast(g * a.data, b.shape)
+        return unbroadcast(g * bv, av.shape), unbroadcast(g * av, bv.shape)
 
     return _make(data, out_dtype, (a, b), backward)
 
@@ -74,11 +79,12 @@ def div(a: Any, b: Any) -> Tensor:
         a = _coerce(a, b)
     b = _coerce(b, a)
     out_dtype = result_dtype(a, b)
-    data = a.data / b.data
+    av, bv = a.data, b.data
+    data = av / bv
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        ga = unbroadcast(g / b.data, a.shape)
-        gb = unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = unbroadcast(g / bv, av.shape)
+        gb = unbroadcast(-g * av / (bv * bv), bv.shape)
         return ga, gb
 
     return _make(data, out_dtype, (a, b), backward)
@@ -93,25 +99,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if not isinstance(a, Tensor) or not isinstance(b, Tensor):
         raise ShapeError("matmul requires Tensor operands")
     out_dtype = result_dtype(a, b)
-    data = a.data @ b.data
+    av, bv = a.data, b.data
+    data = av @ bv
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        if a.ndim == 1 and b.ndim == 1:
+        if av.ndim == 1 and bv.ndim == 1:
             # Inner product: g is scalar.
-            return g * b.data, g * a.data
-        if a.ndim == 1:
+            return g * bv, g * av
+        if av.ndim == 1:
             # (K,) @ (..., K, N) -> (..., N)
-            ga = (g[..., None, :] @ np.swapaxes(b.data, -1, -2)).reshape(b.data.shape[:-2] + a.shape)
-            ga = unbroadcast(ga, a.shape)
-            gb = unbroadcast(a.data[..., :, None] @ g[..., None, :], b.shape)
+            ga = (g[..., None, :] @ np.swapaxes(bv, -1, -2)).reshape(bv.shape[:-2] + av.shape)
+            ga = unbroadcast(ga, av.shape)
+            gb = unbroadcast(av[..., :, None] @ g[..., None, :], bv.shape)
             return ga, gb
-        if b.ndim == 1:
+        if bv.ndim == 1:
             # (..., M, K) @ (K,) -> (..., M)
-            ga = unbroadcast(g[..., :, None] @ b.data[None, :], a.shape)
-            gb = unbroadcast(np.swapaxes(a.data, -1, -2) @ g[..., :, None], (b.shape[0], 1)).reshape(b.shape)
+            ga = unbroadcast(g[..., :, None] @ bv[None, :], av.shape)
+            gb = unbroadcast(np.swapaxes(av, -1, -2) @ g[..., :, None], (bv.shape[0], 1)).reshape(bv.shape)
             return ga, gb
-        ga = unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)
+        gb = unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)
         return ga, gb
 
     return _make(data, out_dtype, (a, b), backward)

@@ -1,8 +1,11 @@
 """A minimal reverse-mode autograd engine over NumPy.
 
-Design follows the classic tape-free graph approach (each output tensor
-holds references to its parents and a backward closure); all math is
-vectorized NumPy. Invariant: ``Tensor.data`` always sits on the grid of the
+Design follows the classic tape-free graph approach, with the graph kept
+apart from the values as PyTorch's ``grad_fn`` keeps it: an op's output
+tensor holds its value and a private :class:`_Node`, and the node holds the
+op's backward closure and its parents' *nodes*. A leaf (a parameter or a
+``requires_grad`` input) is its own node. All math is vectorized NumPy.
+Invariant: ``Tensor.data`` always sits on the grid of the
 tensor's emulated dtype (see :mod:`repro.tensor.dtype`) — the constructor
 rounds what it is given, every op rounds what it computes, loaders round
 what they load — so fp16/bf16 runs faithfully reproduce rounding and
@@ -13,11 +16,15 @@ Gradients are accumulated in the tensor's own dtype: an fp16 tensor gets
 fp16-quantized gradients, which is what makes dynamic loss scaling (in
 :mod:`repro.amp`) observable and necessary, exactly as on real hardware.
 
-Lifetime: ``backward`` consumes the graph it walks. A node hands its
-parents and its closure (hence every saved activation) back as soon as its
-own gradient has been propagated, so a forward graph dies with the backward
-that used it; a tensor that outlives the step (a loss kept for logging, an
-MoE layer's ``last_aux_loss``) is then a plain value, not a pin on the step's
+Lifetime: the graph holds what backward reads. A closure captures the
+arrays it computes with (plus shapes and dtypes), never a non-leaf tensor,
+and a node does not point back at its output, so an intermediate no closure
+reads is freed during the forward, when its last Python reference goes.
+``backward`` consumes the graph it walks: a node hands its parents and its
+closure (hence every saved activation) back as soon as its own gradient has
+been propagated, so a forward graph dies with the backward that used it; a
+tensor that outlives the step (a loss kept for logging, an MoE layer's
+``last_aux_loss``) is then a plain value, not a pin on the step's
 activations. A second backward over a shared subgraph is the one case that
 must say so up front: the first one is called with ``retain_graph`` set.
 """
@@ -85,6 +92,27 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+class _Node:
+    """An op's place in the graph: its backward closure and its parents'.
+
+    ``parents`` holds, per input of the op, that input's node — a leaf
+    :class:`Tensor`, another ``_Node``, or ``None`` for a plain value — in
+    the order ``backward`` returns their gradients. The node never refers to
+    the tensor it belongs to, so that tensor lives only as long as its
+    holders.
+    """
+
+    __slots__ = ("parents", "backward")
+
+    def __init__(
+        self,
+        parents: tuple["Tensor | _Node | None", ...],
+        backward: Callable[[np.ndarray], Sequence[np.ndarray | None]],
+    ):
+        self.parents = parents
+        self.backward = backward
+
+
 class Tensor:
     """An n-dimensional array with reverse-mode autograd.
 
@@ -98,9 +126,14 @@ class Tensor:
         Emulated dtype name ("fp64", "fp32", "fp16", "bf16").
     name:
         Optional label used in error messages and parameter listings.
+
+    A ``requires_grad`` tensor is a leaf: it is its own graph node. Any
+    other tensor has a private ``_node`` (a :class:`_Node`), or ``None``
+    when no graph was recorded for it; ``_parents`` and ``_backward`` build
+    that node.
     """
 
-    __slots__ = ("data", "dtype", "requires_grad", "grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "dtype", "requires_grad", "grad", "_node", "name", "__weakref__")
 
     def __init__(
         self,
@@ -116,8 +149,7 @@ class Tensor:
         self.dtype: DTypeSpec = spec
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents = _parents
-        self._backward = _backward
+        self._node = None if _backward is None else _Node(_nodes_of(_parents), _backward)
         self.name = name
 
     # ------------------------------------------------------------------ #
@@ -165,8 +197,8 @@ class Tensor:
         accumulate into ``.grad`` of every reachable tensor that has
         ``requires_grad=True``; call :meth:`zero_grad` between steps.
 
-        Every non-leaf node reachable from here gives up its parents and
-        its backward closure once it has been visited, so the activations
+        Every op node reachable from here gives up its parents and its
+        backward closure once it has been visited, so the activations
         are freed while the pass runs; backpropagating through such a node
         again raises :class:`~repro.errors.AutogradError`. Set
         ``retain_graph`` when another backward over (part of) the same
@@ -182,11 +214,14 @@ class Tensor:
                     f"backward grad shape {grad.shape} != tensor shape {self.shape}"
                 )
 
-        # Topological order via iterative DFS (recursion-free: deep MoE
-        # stacks easily exceed Python's recursion limit).
-        topo: list[Tensor] = []
+        root = self if self.requires_grad else self._node
+        if root is None:
+            return
+        # Topological order of the nodes via iterative DFS (recursion-free:
+        # deep MoE stacks easily exceed Python's recursion limit).
+        topo: list[Tensor | _Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Tensor | _Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -196,31 +231,32 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
+            if type(node) is _Node:
+                for p in node.parents:
+                    if p is not None and id(p) not in visited:
+                        stack.append((p, False))
 
         # Walk it in reverse by popping, so ``topo`` stops holding a node
         # (and the node its activations) the moment the node is done.
-        grads: dict[int, np.ndarray] = {id(self): grad}
+        grads: dict[int, np.ndarray] = {id(root): grad}
         while topo:
             node = topo.pop()
             g = grads.pop(id(node), None)
-            if g is not None:
-                if node.requires_grad:
+            if type(node) is not _Node:  # a leaf
+                if g is not None:
                     node._accumulate(g)
-                if node._backward is not None:
-                    parent_grads = node._backward(g)
-                    for parent, pg in zip(node._parents, parent_grads):
-                        if pg is None:
-                            continue
-                        pid = id(parent)
-                        if pid in grads:
-                            grads[pid] = grads[pid] + pg
-                        else:
-                            grads[pid] = pg
-            if node._backward is not None and not retain_graph:
-                node._parents, node._backward = (), _consumed
+                continue
+            if g is not None:
+                for parent, pg in zip(node.parents, node.backward(g)):
+                    if pg is None or parent is None:
+                        continue
+                    pid = id(parent)
+                    if pid in grads:
+                        grads[pid] = grads[pid] + pg
+                    else:
+                        grads[pid] = pg
+            if not retain_graph:
+                node.parents, node.backward = (), _consumed
 
     def zero_grad(self) -> None:
         """Drop the accumulated gradient."""
@@ -275,7 +311,7 @@ class Tensor:
 
 
 def _consumed(g: np.ndarray) -> Sequence[np.ndarray | None]:
-    """What a node's ``_backward`` becomes once a backward pass has used it."""
+    """What a node's ``backward`` becomes once a backward pass has used it."""
     raise AutogradError(
         "backward reached a node whose graph an earlier backward() already consumed; "
         "pass retain_graph=True to that earlier call to backpropagate through it again"
@@ -309,10 +345,16 @@ def _make(
     out.dtype = dtype
     out.requires_grad = False
     out.grad = None
-    track = _grad_mode.enabled and any(p.requires_grad or p._parents for p in parents)
-    out._parents, out._backward = (parents, backward) if track else ((), None)
+    nodes = _nodes_of(parents) if _grad_mode.enabled else ()
+    track = any(n is not None and (type(n) is not _Node or n.parents) for n in nodes)
+    out._node = _Node(nodes, backward) if track else None
     out.name = None
     return out
+
+
+def _nodes_of(tensors: Sequence[Tensor]) -> tuple[Tensor | _Node | None, ...]:
+    """Each tensor's graph node: itself for a leaf, else its op's (``None`` if untracked)."""
+    return tuple(t if t.requires_grad else t._node for t in tensors)
 
 
 def _coerce(x: Any, like: Tensor) -> Tensor:

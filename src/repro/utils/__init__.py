@@ -7,7 +7,7 @@ from repro.utils.units import (
     format_flops,
     format_time,
 )
-from repro.utils.mathx import ceil_div, prod
+from repro.utils.mathx import ceil_div
 
 __all__ = [
     "derive_seed",
@@ -16,5 +16,4 @@ __all__ = [
     "format_flops",
     "format_time",
     "ceil_div",
-    "prod",
 ]

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.errors import ConfigError
 
-__all__ = ["balanced_bounds", "ceil_div", "prod"]
+__all__ = ["balanced_bounds", "ceil_div"]
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -14,14 +12,6 @@ def ceil_div(a: int, b: int) -> int:
     if b <= 0:
         raise ConfigError(f"ceil_div divisor b must be positive, got {b}")
     return -(-a // b)
-
-
-def prod(items: Iterable[int]) -> int:
-    """Product of an iterable of ints (1 for empty input)."""
-    out = 1
-    for x in items:
-        out *= int(x)
-    return out
 
 
 def balanced_bounds(total: int, parts: int, index: int) -> tuple[int, int]:

@@ -104,6 +104,12 @@ class TestCLI:
         assert summary["strategy"] == "moda"
         assert any(k.startswith("phase_") for k in summary)
 
+    def test_distributed_refuses_a_layout_before_announcing_it(self, capsys):
+        with pytest.raises(ConfigError, match="does not compose"):
+            main(["distributed", "--world", "4", "--ep", "1", "--tp", "2",
+                  "--zero", "2", "--steps", "1", "--batch-size", "2", "--seq-len", "8"])
+        assert capsys.readouterr().out == ""
+
     def test_project_command(self, capsys):
         assert main(["project", "--model", "174T", "--zero", "64"]) == 0
         out = capsys.readouterr().out

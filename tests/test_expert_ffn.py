@@ -76,7 +76,7 @@ def test_same_bits_as_the_per_expert_mlps(dtype, seed, grad):
         with no_grad():
             out = expert_ffn(x, counts, _params(mlps))
             ref = [mlps[e](x[offsets[e]:offsets[e + 1]]) for e in range(num) if counts[e]]
-        assert out._parents == () and out._backward is None
+        assert out._node is None
         assert out.shape == (m, d_model)
         assert out.data.tobytes() == b"".join(r.data.tobytes() for r in ref)
         return

@@ -5,9 +5,11 @@ The companion of ``tests/test_knob_audit.py`` one level up: where that audit
 asks whether each defaulted parameter is passed, this one asks whether each
 public function, class and method (methods of private classes too, since
 their instances are handed out) is referred to at all. A reference is a
-``Name``, an ``Attribute``, an imported name or a string constant anywhere in
-the caller trees — ``src/``, ``bench/``, ``benchmarks/``, ``examples/``, never
-``tests/``. Naming a function in ``__all__``, or re-importing it in a
+``Name``, an ``Attribute``, an imported name or a string constant passed as
+the name argument of ``getattr``, ``hasattr``, ``setattr`` or ``delattr``
+anywhere in the caller trees — ``src/``, ``bench/``, ``benchmarks/``,
+``examples/``, never ``tests/``. Any other string (a metric name, a dict
+key) names nothing. Naming a function in ``__all__``, or re-importing it in a
 package ``__init__`` or ``api.py``, hands the name out and is not a
 reference. Otherwise the name sits on :data:`KEEP` with the reason it stays.
 Matching is by name, so the check is a floor: a method whose name some other
@@ -38,10 +40,14 @@ _FIXTURE_TOPOLOGY = (
     "depth-generic collective costs against"
 )
 
+#: The builtins whose second argument names an attribute.
+_BY_NAME = frozenset({"getattr", "hasattr", "setattr", "delattr"})
+
 #: ``module:Qualname`` -> why the name stays although no caller refers to it.
 KEEP = {
-    "repro.simmpi.comm:Comm.Get_rank": _MPI_SURFACE,
-    "repro.simmpi.comm:Comm.Get_size": _MPI_SURFACE,
+    **{f"repro.simmpi.comm:Comm.{name}": _MPI_SURFACE for name in (
+        "Dup", "Get_rank", "Get_size", "isend", "irecv", "scatter",
+        "reduce_scatter", "iallgather")},
     "repro.simmpi.comm:_Request.test": _MPI_SURFACE,
     "repro.simmpi.comm:_RecvRequest.test": _MPI_SURFACE,
     "repro.simmpi.faults:FaultPlan.add_message_fault": _FAULT_HOOK,
@@ -98,8 +104,11 @@ def _references(root: Path) -> set[str]:
                     elif isinstance(node, (ast.Import, ast.ImportFrom)):
                         if not reexports:
                             names.update(a.name.rsplit(".", 1)[-1] for a in node.names)
-                    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                        names.add(node.value)
+                    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id in _BY_NAME and len(node.args) > 1
+                          and isinstance(node.args[1], ast.Constant)
+                          and isinstance(node.args[1].value, str)):
+                        names.add(node.args[1].value)
     return names
 
 
@@ -138,3 +147,17 @@ def test_every_name_has_a_caller_or_a_reason():
 def test_keep_list_names_only_live_names():
     """A kept name that has gone (or gained a caller) leaves the list."""
     assert sorted(set(KEEP) - set(unreferenced_names())) == []
+
+
+def test_a_string_names_a_function_only_as_the_name_argument_of_getattr(tmp_path):
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "mod.py").write_text(
+        "def by_string():\n    pass\n\n\ndef by_getattr():\n    pass\n"
+    )
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "caller.py").write_text(
+        "import repro.mod as m\n"
+        "TABLE = {'by_string': 1}\n"
+        "getattr(m, 'by_getattr')()\n"
+    )
+    assert unreferenced_names(tmp_path) == ("repro.mod:by_string",)

@@ -240,7 +240,7 @@ def test_cached_decode_never_computes_the_aux_loss(balance_calls):
     assert balance_calls == []
     aux = model.aux_loss()  # read after the no_grad block...
     assert len(balance_calls) == len(model.moe_layers())
-    assert aux._parents == ()  # ...yet built under the forward's no_grad
+    assert aux._node is None  # ...yet built under the forward's no_grad
 
 
 def test_one_read_is_cached(balance_calls):

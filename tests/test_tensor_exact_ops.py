@@ -52,7 +52,9 @@ def _leaf(rng, shape, dtype):
 
 def _through_init(out: Tensor) -> Tensor:
     """The same node built the way every op output used to be: rounded by ``__init__``."""
-    return Tensor(out.data, dtype=out.dtype, _parents=out._parents, _backward=out._backward)
+    ref = Tensor(out.data, dtype=out.dtype)
+    ref._node = out._node
+    return ref
 
 
 def _check_exact(rng, build, leaves):

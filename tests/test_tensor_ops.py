@@ -31,7 +31,7 @@ class TestConstruction:
     def test_detach_cuts_graph(self):
         x = t64((2,))
         y = Tensor((x * 2.0).data, requires_grad=True, dtype=x.dtype)
-        assert y._parents == ()
+        assert y._node is None
         (y * 3.0).sum().backward()
         assert x.grad is None and y.grad is not None
 
@@ -140,7 +140,7 @@ class TestAutogradMachinery:
         x = Tensor([1.0], requires_grad=True)
         with no_grad():
             y = x * 2.0
-        assert y._parents == ()
+        assert y._node is None
 
     def test_deep_chain_no_recursion_error(self):
         x = Tensor([1.0], requires_grad=True, dtype="fp64")

@@ -12,7 +12,6 @@ from repro.utils import (
     format_count,
     format_flops,
     format_time,
-    prod,
 )
 
 
@@ -103,10 +102,6 @@ class TestMathx:
         for b in (0, -3):
             with pytest.raises(ConfigError, match="divisor b must be positive"):
                 ceil_div(4, b)
-
-    def test_prod(self):
-        assert prod([]) == 1
-        assert prod([2, 3, 4]) == 24
 
     @given(
         st.integers(min_value=-(10**9), max_value=10**9),

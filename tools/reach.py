@@ -166,8 +166,7 @@ KEEP: dict[str, str] = {
         "repro.serve.kvcache:KVCache.nbytes",
         "repro.serve.kvcache:KVCache.num_blocks",
         "repro.serve.scheduler:ContinuousBatchScheduler.evict",
-        "repro.train.optim:Adam.zero_grad",
-        "repro.utils.mathx:prod")},
+        "repro.train.optim:Adam.zero_grad")},
 }
 
 #: The hook. ``{out}`` is the directory each process writes its reached
