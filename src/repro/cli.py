@@ -486,35 +486,40 @@ def _cmd_resilient(args: argparse.Namespace) -> int:
             stragglers=stragglers or None,
         )
 
-    ckpt_dir = args.checkpoint_dir or tempfile.mkdtemp(prefix="repro-ckpt-")
-    run_cfg = ElasticRunConfig(
-        run=TrainingRunConfig(
-            model=cfg,
-            world_size=args.world,
-            ep_size=args.ep,
-            num_steps=args.steps,
-            batch_size=args.batch_size,
-            seq_len=args.seq_len,
-            seed=args.seed,
-            trace=args.trace is not None,
-            observe=args.observe,
-        ),
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_dir=ckpt_dir,
-        max_restarts=args.max_restarts,
-        backoff_base=args.backoff_base,
-        elastic=args.elastic,
-        shrink_after=args.shrink_after,
-        min_world_size=args.min_world,
+    # Without --checkpoint-dir the checkpoints live only as long as the run.
+    ckpt_scratch = (
+        nullcontext(args.checkpoint_dir) if args.checkpoint_dir
+        else tempfile.TemporaryDirectory(prefix="repro-ckpt-")
     )
-    fault_desc = "healthy machine" if faults is None else (
-        f"mtbf={args.mtbf} dead={tuple(args.dead_node or ())} "
-        f"stragglers={stragglers or {}}"
-    )
-    print(f"supervising {args.world} ranks (ep={args.ep}) for {args.steps} "
-          f"steps [{fault_desc}]")
-    print(f"checkpoints: {ckpt_dir}")
-    result = Supervisor(run_cfg, faults=faults).run()
+    with ckpt_scratch as ckpt_dir:
+        run_cfg = ElasticRunConfig(
+            run=TrainingRunConfig(
+                model=cfg,
+                world_size=args.world,
+                ep_size=args.ep,
+                num_steps=args.steps,
+                batch_size=args.batch_size,
+                seq_len=args.seq_len,
+                seed=args.seed,
+                trace=args.trace is not None,
+                observe=args.observe,
+            ),
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_dir=ckpt_dir,
+            max_restarts=args.max_restarts,
+            backoff_base=args.backoff_base,
+            elastic=args.elastic,
+            shrink_after=args.shrink_after,
+            min_world_size=args.min_world,
+        )
+        fault_desc = "healthy machine" if faults is None else (
+            f"mtbf={args.mtbf} dead={tuple(args.dead_node or ())} "
+            f"stragglers={stragglers or {}}"
+        )
+        print(f"supervising {args.world} ranks (ep={args.ep}) for {args.steps} "
+              f"steps [{fault_desc}]")
+        print(f"checkpoints: {ckpt_dir}")
+        result = Supervisor(run_cfg, faults=faults).run()
 
     for event in result.context.events:
         extra = {k: v for k, v in event.items() if k not in ("kind", "t")}

@@ -25,10 +25,6 @@ class Batch:
     targets: np.ndarray
     step: int
 
-    @property
-    def num_tokens(self) -> int:
-        return int(self.tokens.size)
-
 
 class ShardedLoader:
     """Per-rank view of a :class:`SyntheticCorpus`.

@@ -74,10 +74,6 @@ class DispatchPlan:
     def num_slots(self) -> int:
         return int(self.token_idx.shape[0])
 
-    @property
-    def num_experts(self) -> int:
-        return int(self.counts.shape[0])
-
 
 def build_dispatch(
     indices: np.ndarray,

@@ -60,14 +60,6 @@ class GateOutput:
     probs: Tensor
     load: np.ndarray
 
-    @property
-    def num_tokens(self) -> int:
-        return self.indices.shape[0]
-
-    @property
-    def top_k(self) -> int:
-        return self.indices.shape[1]
-
 
 def _gather_weights(probs: Tensor, indices: np.ndarray) -> Tensor:
     """Differentiably pick probs[n, indices[n, j]] and renormalize per row."""

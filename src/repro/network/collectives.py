@@ -47,12 +47,10 @@ __all__ = [
     "cost_ring_allreduce",
     "cost_tree_allreduce",
     "cost_hierarchical_allreduce",
-    "cost_reduce_scatter",
     "cost_allgather",
     "cost_flat_alltoall",
     "cost_hierarchical_alltoall",
     "cost_gather",
-    "cost_scatter",
 ]
 
 
@@ -197,11 +195,6 @@ def cost_hierarchical_allreduce(
     return intra_rs + inter + intra_ag
 
 
-def cost_reduce_scatter(topo: Topology, nbytes: float, nodes: Sequence[int]) -> float:
-    """Ring reduce-scatter: (p-1) steps of an nbytes/p chunk."""
-    return _reduce_scatter(nbytes, *_shape(topo, nodes))
-
-
 def cost_allgather(topo: Topology, nbytes: float, nodes: Sequence[int]) -> float:
     """Ring allgather where each node contributes ``nbytes``."""
     return _allgather(nbytes, *_shape(topo, nodes))
@@ -215,11 +208,6 @@ def cost_gather(topo: Topology, nbytes: float, nodes: Sequence[int]) -> float:
     rounds = math.ceil(math.log2(p))
     # Data volume into the root doubles each round; total volume dominates.
     return rounds * link.latency + (p - 1) * nbytes * link.beta
-
-
-def cost_scatter(topo: Topology, nbytes: float, nodes: Sequence[int]) -> float:
-    """Binomial scatter of ``nbytes`` per destination from a root."""
-    return cost_gather(topo, nbytes, nodes)
 
 
 def cost_flat_alltoall(

@@ -105,21 +105,11 @@ class NetworkModel:
             C.cost_hierarchical_allreduce(self.topology, nbytes, nodes),
         )
 
-    def reduce_time(self, nbytes: float, ranks: Sequence[int]) -> float:
-        # Reduce-to-root is roughly half an allreduce; use a gather-tree.
-        return C.cost_gather(self.topology, nbytes, self._nodes(ranks))
-
-    def reduce_scatter_time(self, nbytes: float, ranks: Sequence[int]) -> float:
-        return C.cost_reduce_scatter(self.topology, nbytes, self._nodes(ranks))
-
     def allgather_time(self, nbytes_per_rank: float, ranks: Sequence[int]) -> float:
         return C.cost_allgather(self.topology, nbytes_per_rank, self._nodes(ranks))
 
     def gather_time(self, nbytes_per_rank: float, ranks: Sequence[int]) -> float:
         return C.cost_gather(self.topology, nbytes_per_rank, self._nodes(ranks))
-
-    def scatter_time(self, nbytes_per_rank: float, ranks: Sequence[int]) -> float:
-        return C.cost_scatter(self.topology, nbytes_per_rank, self._nodes(ranks))
 
     def alltoall_time(
         self,

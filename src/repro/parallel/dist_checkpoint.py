@@ -213,7 +213,7 @@ def save_distributed(
 
     # The gather doubles as the pre-metadata barrier: every rank blocks
     # until all shard writes above have happened.
-    listed = groups.world.gather(written, root=0)
+    listed = groups.world.gather(written)
     if groups.world.rank == 0:
         # gather returns the gathered list at its root, which is rank 0.
         assert listed is not None

@@ -46,16 +46,6 @@ class MemoryBreakdown:
     def total(self) -> float:
         return self.params + self.gradients + self.optimizer_state + self.activations
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "dense_params": self.dense_params,
-            "expert_params": self.expert_params,
-            "gradients": self.gradients,
-            "optimizer_state": self.optimizer_state,
-            "activations": self.activations,
-            "total": self.total,
-        }
-
 
 def node_memory(
     config: ModelConfig,

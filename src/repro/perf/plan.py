@@ -108,10 +108,6 @@ class ParallelPlan:
         )
 
     @property
-    def num_ep_groups(self) -> int:
-        return self.num_nodes // self.ep_size
-
-    @property
     def tokens_per_rank(self) -> int:
         return self.micro_batch * self.seq_len
 

@@ -1,12 +1,14 @@
-"""Simulated MPI: thread-per-rank SPMD with an mpi4py-style API.
+"""Simulated MPI: thread-per-rank SPMD over the operations a run issues.
 
-The runtime is functionally faithful (messages, collectives, communicator
-splitting) and additionally maintains a per-rank **virtual clock** advanced
-by a :class:`~repro.network.NetworkModel`, so the same program yields both
+:class:`Comm` carries point-to-point messages, the collectives the
+strategies and the serving engine call, and communicator splitting. The
+runtime is functionally faithful for those and additionally maintains a
+per-rank **virtual clock** advanced by a
+:class:`~repro.network.NetworkModel`, so the same program yields both
 correct results and topology-aware simulated timings.
 """
 
-from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, MAX, MIN, PROD, SUM, Comm
+from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, MIN, SUM, Comm
 from repro.simmpi.context import RunContext
 from repro.simmpi.engine import SpmdResult, run_spmd
 from repro.simmpi.faults import FaultModel, FaultPlan, MessageFault
@@ -19,9 +21,7 @@ __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
     "SUM",
-    "MAX",
     "MIN",
-    "PROD",
     "Comm",
     "RunContext",
     "SpmdResult",

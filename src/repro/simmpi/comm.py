@@ -1,9 +1,11 @@
 """The simulated MPI communicator.
 
-The API deliberately mirrors mpi4py's pickle-based interface
-(``Get_rank``, ``send``/``recv``, ``bcast``/``allreduce``/``alltoall``,
-``Split``...), so SPMD code written against this module reads like real
-mpi4py code. Two differences:
+:class:`Comm` carries the operations a run issues and no others:
+``send``/``recv``/``sendrecv`` between pipeline stages; ``barrier``,
+``bcast``, ``gather``, ``allgather``, ``allreduce`` and ``alltoall`` over a
+group, with nonblocking ``ialltoall`` and ``iallreduce``; and ``Split`` to
+derive the groups. Payloads are Python objects, as in mpi4py's pickle-based
+interface. Two differences from a real MPI:
 
 * every operation also advances a per-rank **virtual clock** using the
   attached :class:`~repro.network.NetworkModel` (when present), so runs
@@ -30,24 +32,20 @@ from repro.simmpi.faults import FaultPlan
 from repro.simmpi.payload import clone_payload, payload_nbytes
 from repro.simmpi.stats import TrafficStats
 
-__all__ = ["Comm", "ANY_SOURCE", "ANY_TAG", "SUM", "MAX", "MIN", "PROD"]
+__all__ = ["Comm", "ANY_SOURCE", "ANY_TAG", "SUM", "MIN"]
 
 #: Wildcard source for :meth:`Comm.recv`.
 ANY_SOURCE = -1
 #: Wildcard tag for :meth:`Comm.recv`.
 ANY_TAG = -1
 
-# Reduction op names (string constants, mpi4py-style usage: op=simmpi.SUM).
+# Reduction op names, passed as ``allreduce(value, op=MIN)``.
 SUM = "sum"
-MAX = "max"
 MIN = "min"
-PROD = "prod"
 
 _REDUCERS: dict[str, Callable[[Any, Any], Any]] = {
     SUM: lambda a, b: a + b,
-    MAX: lambda a, b: np.maximum(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else max(a, b),
     MIN: lambda a, b: np.minimum(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else min(a, b),
-    PROD: lambda a, b: a * b,
 }
 
 
@@ -78,22 +76,16 @@ def _reduce_payloads(values: Sequence[Any], op: str) -> Any:
 _COLLECTIVE_KINDS = {
     "barrier": "barrier",
     "bcast": "bcast",
-    "scatter": "scatter",
     "gather": "gather",
     "allgather": "allgather",
-    "reduce": "reduce",
     "allreduce": "allreduce",
-    "reduce_scatter": "reduce_scatter",
     "alltoall": "alltoall",
     # Communicator management synchronizes like a barrier.
     "split": "barrier",
-    "split-alloc": "barrier",
-    "dup": "barrier",
     # Nonblocking variants price identically; only *when* the cost lands
     # on the clock differs (see :func:`complete_request`).
     "ialltoall": "alltoall",
     "iallreduce": "allreduce",
-    "iallgather": "allgather",
 }
 
 
@@ -276,13 +268,14 @@ class _CommState:
 
 
 class _Request:
-    """An issued operation whose cost is charged at ``wait()``.
+    """An issued collective whose cost is charged at ``wait()``.
 
-    The data plane already ran at issue time (payloads rendezvoused or
-    enqueued eagerly), so completion can never deadlock — ``wait()`` is a
-    purely local accounting step (:func:`complete_request`). A blocking
-    collective is a request waited on before the call returns. A
-    nonblocking one is registered on ``_World.inflight`` in between, where
+    The rendezvous already ran at issue time (every member must issue its
+    collectives in the same order), so completion can never deadlock —
+    ``wait()`` is a purely local accounting step (:func:`complete_request`)
+    and ranks may complete requests in any order. A blocking collective is
+    a request waited on before the call returns. A nonblocking one is
+    registered on ``_World.inflight`` in between, where
     :meth:`Comm.advance` credits this rank's compute seconds into
     ``overlapped``; only those report their hidden/exposed split (from
     world rank 0, so float accumulation order stays deterministic) to
@@ -300,10 +293,6 @@ class _Request:
         #: Compute seconds accumulated while in flight (world lock held).
         self.overlapped = 0.0
         self._done = False
-
-    def test(self) -> tuple[bool, Any]:
-        """Nonblocking completion check; completes the request (see wait)."""
-        return True, self.wait()
 
     def wait(self) -> Any:
         """Charge the exposed cost remainder and return the result."""
@@ -323,8 +312,7 @@ class _Request:
             )
             world.record(me, self.op, t0, world.clocks[me], self._nbytes,
                          hidden=hidden)
-            # (An isend's bytes were counted as p2p traffic at issue time.)
-            if self.op in _COLLECTIVE_KINDS and comm._group_rank == 0:
+            if comm._group_rank == 0:
                 world.stats.record_collective(self.op, self._nbytes)
             if was_inflight and me == 0:
                 world.stats.record_overlap(self.op, hidden, exposed)
@@ -332,54 +320,6 @@ class _Request:
                 if ctx.observing:
                     ctx.metrics.counter("comm_overlapped_seconds", op=self.op).inc(hidden)
                     ctx.metrics.counter("comm_exposed_seconds", op=self.op).inc(exposed)
-        self._done = True
-        return self._value
-
-
-class _SendRequest(_Request):
-    """Request returned by :meth:`Comm.isend`.
-
-    The payload is delivered eagerly (receiver semantics match blocking
-    ``send``), but the sender-side cost — the full point-to-point time for
-    the message, not just the alpha a blocking eager send charges — is
-    deferred to ``wait()`` with overlap crediting.
-    """
-
-
-class _CollectiveRequest(_Request):
-    """Request behind every collective, handed out by the nonblocking ones.
-
-    Rendezvous happens eagerly at issue time (all members must issue their
-    nonblocking collectives in the same order), so waits are purely local
-    and ranks may complete requests in any order without deadlocking.
-    """
-
-
-class _RecvRequest:
-    """Lazy receive request returned by :meth:`Comm.irecv`."""
-
-    def __init__(self, comm: "Comm", source: int, tag: int):
-        self._comm = comm
-        self._source = source
-        self._tag = tag
-        self._done = False
-        self._value: Any = None
-
-    def test(self) -> tuple[bool, Any]:
-        """Non-blocking completion check; returns (done, value_or_None)."""
-        if self._done:
-            return True, self._value
-        got = self._comm._try_recv(self._source, self._tag)
-        if got is not None:
-            self._done = True
-            self._value = got[0]
-            return True, self._value
-        return False, None
-
-    def wait(self) -> Any:
-        if self._done:
-            return self._value
-        self._value = self._comm.recv(source=self._source, tag=self._tag)
         self._done = True
         return self._value
 
@@ -404,12 +344,6 @@ class Comm:
     def size(self) -> int:
         """Number of ranks in the communicator."""
         return len(self._state.members)
-
-    def Get_rank(self) -> int:  # noqa: N802 - mpi4py naming
-        return self.rank
-
-    def Get_size(self) -> int:  # noqa: N802 - mpi4py naming
-        return self.size
 
     @property
     def world_rank(self) -> int:
@@ -516,43 +450,6 @@ class Comm:
             world.record(src_w, "send", now, world.clocks[src_w], nbytes)
             world.cv.notify_all()
 
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> _SendRequest:
-        """Non-blocking send: payload delivered eagerly, cost charged lazily.
-
-        The envelope lands in the destination mailbox immediately (same
-        receiver-side semantics as :meth:`send`), but the sender's clock is
-        untouched until ``request.wait()``, which charges the full
-        point-to-point time minus whatever compute overlapped it.
-        """
-        self._tick_op()
-        self._check_peer(dest)
-        world = self._state.world
-        src_w = self.world_rank
-        dst_w = self._state.members[dest]
-        payload = clone_payload(obj)
-        nbytes = payload_nbytes(payload)
-        with world.cv:
-            world.check_live()
-            fault = world.faults.on_message(src_w, dst_w) if world.faults else None
-            now = world.clocks[src_w]
-            if world.network is not None:
-                transit = world.network.p2p_time(nbytes, src_w, dst_w)
-            else:
-                transit = 0.0
-            if fault is not None and fault.drop:
-                world.stats.dropped_messages += 1
-            else:
-                arrival = now + transit + (fault.delay if fault is not None else 0.0)
-                world.mailboxes[dst_w].append(
-                    _Envelope(source=src_w, tag=tag, payload=payload,
-                              nbytes=nbytes, arrival=arrival)
-                )
-                world.stats.record_p2p(src_w, nbytes)
-            req = _SendRequest(self, "isend", None, now, transit, nbytes)
-            world.inflight[src_w].append(req)
-            world.cv.notify_all()
-        return req
-
     def _match(self, source: int, tag: int) -> int | None:
         """Index of the first matching envelope in my mailbox (lock held)."""
         box = self._state.world.mailboxes[self.world_rank]
@@ -568,24 +465,6 @@ class Comm:
             return i
         return None
 
-    def _take(self, idx: int) -> Any:
-        """Consume mailbox envelope ``idx`` (lock held): wait out its arrival
-        on the clock and record the ``recv`` — polled or blocking alike."""
-        world = self._state.world
-        me = self.world_rank
-        env = world.mailboxes[me].pop(idx)
-        t0 = world.clocks[me]
-        world.clocks[me] = max(t0, env.arrival)
-        world.record(me, "recv", t0, world.clocks[me], env.nbytes)
-        return env.payload
-
-    def _try_recv(self, source: int, tag: int) -> tuple[Any] | None:
-        """Non-blocking receive: a 1-tuple, or None when nothing matches —
-        which leaves no trace (nothing recorded, no fault-plan op ticked)."""
-        with self._state.world.cv:
-            idx = self._match(source, tag)
-            return None if idx is None else (self._take(idx),)
-
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking receive; returns the payload object."""
         self._tick_op()
@@ -598,22 +477,18 @@ class Comm:
             idx = self._match(source, tag)
             # cv is held since wait_for saw the match; only this rank takes from its mailbox.
             assert idx is not None
-            return self._take(idx)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> _RecvRequest:
-        """Non-blocking receive request; call ``.wait()`` for the payload."""
-        return _RecvRequest(self, source, tag)
+            # Wait out the envelope's arrival on the clock.
+            me = self.world_rank
+            env = world.mailboxes[me].pop(idx)
+            t0 = world.clocks[me]
+            world.clocks[me] = max(t0, env.arrival)
+            world.record(me, "recv", t0, world.clocks[me], env.nbytes)
+            return env.payload
 
     def sendrecv(self, obj: Any, dest: int, source: int) -> Any:
         """Combined send+receive (deadlock-free for exchange patterns)."""
         self.send(obj, dest)
         return self.recv(source=source)
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """True if a matching message is already waiting."""
-        world = self._state.world
-        with world.lock:
-            return self._match(source, tag) is not None
 
     def _check_peer(self, rank: int) -> None:
         if not 0 <= rank < self.size:
@@ -682,7 +557,7 @@ class Comm:
             return value, t_start
 
     def _collective(self, op: str, value: Any, t_start: float, nbytes: int,
-                    algorithm: str | None = None) -> _CollectiveRequest:
+                    algorithm: str | None = None) -> _Request:
         """Price an already-rendezvoused ``op`` into its request: a blocking
         collective waits on it at once, a nonblocking one registers it
         :meth:`_in_flight` and hands it to the caller."""
@@ -694,9 +569,9 @@ class Comm:
             cost = state.prices[key] = 0.0 if net is None else collective_seconds(
                 net, op, nbytes, state.members, algorithm
             )
-        return _CollectiveRequest(self, op, value, t_start, cost, nbytes)
+        return _Request(self, op, value, t_start, cost, nbytes)
 
-    def _in_flight(self, req: _CollectiveRequest) -> _CollectiveRequest:
+    def _in_flight(self, req: _Request) -> _Request:
         """Register ``req`` so :meth:`advance` credits compute against it."""
         world = self._state.world
         with world.lock:
@@ -712,56 +587,30 @@ class Comm:
         _, t0 = self._rendezvous("barrier", None)
         self._collective("barrier", None, t0, 0).wait()
 
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        """Broadcast ``obj`` from ``root``; every rank returns the value."""
-        self._check_peer(root)
-        contribs, t0 = self._rendezvous("bcast", obj if self.rank == root else None)
-        payload = contribs[root]
+    def bcast(self, obj: Any) -> Any:
+        """Broadcast rank 0's ``obj``; every rank returns the value."""
+        contribs, t0 = self._rendezvous("bcast", obj if self.rank == 0 else None)
+        payload = contribs[0]
         return self._collective(
             "bcast", clone_payload(payload), t0, payload_nbytes(payload)
         ).wait()
 
-    def scatter(self, send_list: Sequence[Any] | None, root: int = 0) -> Any:
-        """Scatter a length-``size`` sequence from ``root``."""
-        self._check_peer(root)
-        if self.rank == root:
-            if send_list is None or len(send_list) != self.size:
-                raise CommunicatorError(
-                    f"scatter root must pass a sequence of length {self.size}"
-                )
-        contribs, t0 = self._rendezvous("scatter", send_list if self.rank == root else None)
-        mine = clone_payload(contribs[root][self.rank])
-        return self._collective("scatter", mine, t0, payload_nbytes(mine)).wait()
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        """Gather one object per rank to ``root`` (None elsewhere)."""
-        self._check_peer(root)
+    def gather(self, obj: Any) -> list[Any] | None:
+        """Gather one object per rank to rank 0 (None elsewhere)."""
         contribs, t0 = self._rendezvous("gather", obj)
         value = None
-        if self.rank == root:
+        if self.rank == 0:
             value = [clone_payload(contribs[i]) for i in range(self.size)]
         return self._collective("gather", value, t0, payload_nbytes(obj)).wait()
 
-    def _allgather(self, op: str, obj: Any) -> _CollectiveRequest:
-        contribs, t0 = self._rendezvous(op, obj)
-        value = [clone_payload(contribs[i]) for i in range(self.size)]
-        return self._collective(op, value, t0, payload_nbytes(obj))
-
     def allgather(self, obj: Any) -> list[Any]:
         """Gather one object per rank to every rank."""
-        return self._allgather("allgather", obj).wait()
-
-    def reduce(self, value: Any, op: str = SUM, root: int = 0) -> Any:
-        """Reduce to ``root`` (None elsewhere)."""
-        self._check_peer(root)
-        contribs, t0 = self._rendezvous("reduce", value)
-        result = None
-        if self.rank == root:
-            result = _reduce_payloads([contribs[i] for i in range(self.size)], op)
-        return self._collective("reduce", result, t0, payload_nbytes(value)).wait()
+        contribs, t0 = self._rendezvous("allgather", obj)
+        value = [clone_payload(contribs[i]) for i in range(self.size)]
+        return self._collective("allgather", value, t0, payload_nbytes(obj)).wait()
 
     def _allreduce(self, name: str, value: Any, op: str,
-                   algorithm: str | None) -> _CollectiveRequest:
+                   algorithm: str | None) -> _Request:
         result, t0 = self._rendezvous(name, value, lambda vs: _reduce_payloads(vs, op))
         return self._collective(name, result, t0, payload_nbytes(value), algorithm)
 
@@ -773,22 +622,8 @@ class Comm:
         """
         return self._allreduce("allreduce", value, op, algorithm).wait()
 
-    def reduce_scatter(self, chunks: Sequence[Any], op: str = SUM) -> Any:
-        """Each rank passes ``size`` chunks; returns the reduction of its own.
-
-        Equivalent to MPI_Reduce_scatter_block with object semantics: rank r
-        receives ``reduce(op, [chunks_from_rank_i[r] for i in ranks])``.
-        """
-        if len(chunks) != self.size:
-            raise CommunicatorError(
-                f"reduce_scatter needs {self.size} chunks, got {len(chunks)}"
-            )
-        contribs, t0 = self._rendezvous("reduce_scatter", list(chunks))
-        mine = _reduce_payloads([contribs[i][self.rank] for i in range(self.size)], op)
-        return self._collective("reduce_scatter", mine, t0, payload_nbytes(chunks)).wait()
-
     def _alltoall(self, op: str, send_list: Sequence[Any],
-                  algorithm: str | None) -> _CollectiveRequest:
+                  algorithm: str | None) -> _Request:
         if len(send_list) != self.size:
             raise CommunicatorError(
                 f"alltoall needs {self.size} entries, got {len(send_list)}"
@@ -817,7 +652,7 @@ class Comm:
 
     def ialltoall(
         self, send_list: Sequence[Any], algorithm: str | None = None
-    ) -> _CollectiveRequest:
+    ) -> _Request:
         """Nonblocking total exchange; ``request.wait()`` yields the parts.
 
         The rendezvous runs eagerly (every member must issue its
@@ -827,15 +662,9 @@ class Comm:
         """
         return self._in_flight(self._alltoall("ialltoall", send_list, algorithm))
 
-    def iallreduce(
-        self, value: Any, op: str = SUM, algorithm: str | None = None
-    ) -> _CollectiveRequest:
-        """Nonblocking allreduce; ``request.wait()`` yields the reduction."""
-        return self._in_flight(self._allreduce("iallreduce", value, op, algorithm))
-
-    def iallgather(self, obj: Any) -> _CollectiveRequest:
-        """Nonblocking allgather; ``request.wait()`` yields the list."""
-        return self._in_flight(self._allgather("iallgather", obj))
+    def iallreduce(self, value: Any, algorithm: str | None = None) -> _Request:
+        """Nonblocking sum allreduce; ``request.wait()`` yields the sum."""
+        return self._in_flight(self._allreduce("iallreduce", value, SUM, algorithm))
 
     # ------------------------------------------------------------------ #
     # Communicator management
@@ -854,7 +683,8 @@ class Comm:
         # Deterministically build one shared _CommState per color. Every
         # member computes the same membership, but the state object must be
         # shared — we stash it on the round via a second rendezvous where
-        # rank 0 of each color group allocates.
+        # rank 0 of each color group allocates. That rendezvous is a round of
+        # the stream only: nothing records or prices "split-alloc".
         if color is None:
             # Still participate in the allocation rendezvous to keep the
             # collective streams aligned across members.
@@ -882,18 +712,6 @@ class Comm:
         # The leader (the first member of its color) contributed a _CommState above.
         assert isinstance(shared, _CommState)
         return Comm(shared, shared.rank_of_world[self.world_rank])
-
-    def Dup(self) -> "Comm":  # noqa: N802
-        """Duplicate the communicator with a fresh collective context."""
-        state: _CommState | None = None
-        if self._group_rank == 0:
-            state = _CommState(self._state.world, list(self._state.members))
-        contribs, t0 = self._rendezvous("dup", state)
-        self._collective("dup", None, t0, 0).wait()
-        shared = contribs[0]
-        # Group rank 0 contributed a _CommState to this rendezvous.
-        assert isinstance(shared, _CommState)
-        return Comm(shared, self._group_rank)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -4,6 +4,7 @@ import argparse
 import inspect
 import json
 import re
+import tempfile
 
 import pytest
 
@@ -109,6 +110,15 @@ class TestCLI:
             main(["distributed", "--world", "4", "--ep", "1", "--tp", "2",
                   "--zero", "2", "--steps", "1", "--batch-size", "2", "--seq-len", "8"])
         assert capsys.readouterr().out == ""
+
+    def test_resilient_removes_its_scratch_checkpoints(self, tmp_path, monkeypatch, capsys):
+        """Without --checkpoint-dir the checkpoints go to a temporary
+        directory that is gone when the command returns."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["resilient", "--world", "2", "--ep", "2", "--steps", "2"]) == 0
+        announced = re.search(r"^checkpoints: (.+)$", capsys.readouterr().out, re.M)
+        assert announced and announced.group(1).startswith(str(tmp_path / "repro-ckpt-"))
+        assert not list(tmp_path.glob("repro-ckpt-*"))
 
     def test_project_command(self, capsys):
         assert main(["project", "--model", "174T", "--zero", "64"]) == 0

@@ -41,7 +41,6 @@ _FAULT_HOOK = (
     "and the crash paths"
 )
 _RUN_STATE = "run state the code fills in after construction, not a setting"
-_MPI_SURFACE = "part of Comm's mpi4py-shaped surface, kept so rank programs port unchanged"
 _ORACLE = "a tolerance of the finite-difference reference every op's backward is checked against"
 _WALL_CLOCK = (
     "the wall-clock deadline of a world's rank threads: a deployment setting "
@@ -87,12 +86,6 @@ KEEP = {
     "repro.train.trainer:StepResult.imbalance": (
         "run state: the step end assigns it after the result is built"
     ),
-    **{
-        f"repro.simmpi.comm:Comm.{op}": _MPI_SURFACE
-        for op in ("isend.tag", "irecv.source", "irecv.tag", "probe.source", "probe.tag",
-                   "bcast.root", "scatter.root", "gather.root", "reduce.op", "reduce.root",
-                   "reduce_scatter.op", "iallreduce.op")
-    },
     **{
         f"repro.tensor.gradcheck:{knob}": _ORACLE
         for knob in ("numerical_grad.eps", "gradcheck.rtol", "gradcheck.atol", "gradcheck.eps")

@@ -4,19 +4,10 @@ the feature-focused suites."""
 import numpy as np
 import pytest
 
-from repro.moe import TopKGate, load_stats
+from repro.moe import load_stats
 from repro.models import tiny_config
 from repro.simmpi import SpmdResult, TrafficStats
 from repro.tensor import Tensor
-
-
-class TestGateOutputAccessors:
-    def test_num_tokens_and_top_k(self):
-        gate = TopKGate(num_experts=4, top_k=2)
-        logits = Tensor(np.random.default_rng(0).normal(size=(10, 4)), dtype="fp64")
-        out = gate(logits, np.random.default_rng(1))
-        assert out.num_tokens == 10
-        assert out.top_k == 2
 
 
 class TestSpmdResultAccessors:

@@ -25,7 +25,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_TREES = ("src", "bench", "benchmarks", "examples")
 
-_MPI_SURFACE = "part of Comm's mpi4py-shaped surface, kept so rank programs port unchanged"
 _FAULT_HOOK = (
     "FaultPlan's scripted faults are the test hooks of the deadlock detector "
     "and the crash paths"
@@ -45,11 +44,6 @@ _BY_NAME = frozenset({"getattr", "hasattr", "setattr", "delattr"})
 
 #: ``module:Qualname`` -> why the name stays although no caller refers to it.
 KEEP = {
-    **{f"repro.simmpi.comm:Comm.{name}": _MPI_SURFACE for name in (
-        "Dup", "Get_rank", "Get_size", "isend", "irecv", "scatter",
-        "reduce_scatter", "iallgather")},
-    "repro.simmpi.comm:_Request.test": _MPI_SURFACE,
-    "repro.simmpi.comm:_RecvRequest.test": _MPI_SURFACE,
     "repro.simmpi.faults:FaultPlan.add_message_fault": _FAULT_HOOK,
     "repro.simmpi.faults:FaultPlan.kill_rank_at": _FAULT_HOOK,
     "repro.simmpi.context:RunContext.events_of": (
@@ -58,7 +52,7 @@ KEEP = {
     "repro.obs.spans:Tracer.find": "the query tests ask of a finished run's span trees",
     **{
         f"repro.network.costmodel:NetworkModel.{kind}_time": _OP_TABLE
-        for kind in ("bcast", "gather", "scatter", "reduce", "reduce_scatter")
+        for kind in ("bcast", "gather")
     },
     "repro.network.topology:Topology.coords": _ORACLE,
     "repro.network.topology:Topology.group_of": _ORACLE,

@@ -161,12 +161,10 @@ REFERENCE = {
     "cost_ring_allreduce": ref_ring_allreduce,
     "cost_tree_allreduce": ref_tree_allreduce,
     "cost_hierarchical_allreduce": ref_hierarchical_allreduce,
-    "cost_reduce_scatter": ref_reduce_scatter,
     "cost_allgather": ref_allgather,
     "cost_flat_alltoall": ref_flat_alltoall,
     "cost_hierarchical_alltoall": ref_hierarchical_alltoall,
     "cost_gather": ref_gather,
-    "cost_scatter": ref_gather,
 }
 HIERARCHICAL = ("cost_hierarchical_allreduce", "cost_hierarchical_alltoall")
 

@@ -29,9 +29,10 @@ from repro.network.collectives import (
     cost_hierarchical_alltoall,
     cost_hierarchical_allreduce,
     cost_p2p,
-    cost_reduce_scatter,
     cost_ring_allreduce,
     cost_tree_allreduce,
+    _reduce_scatter,
+    _shape,
 )
 
 
@@ -149,8 +150,10 @@ class TestAlltoallShapes:
 
 class TestOtherCollectives:
     def test_reduce_scatter_half_of_ring_allreduce(self, topo):
+        """The ring reduce-scatter that is the first phase of the
+        hierarchical allreduce is half a ring allreduce."""
         nbytes = 1e6
-        rs = cost_reduce_scatter(topo, nbytes, INTRA)
+        rs = _reduce_scatter(nbytes, *_shape(topo, INTRA))
         ar = cost_ring_allreduce(topo, nbytes, INTRA)
         assert rs == pytest.approx(ar / 2)
 

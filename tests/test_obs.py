@@ -31,7 +31,7 @@ from repro.errors import (
     OverflowDetected,
 )
 from repro.models import tiny_config
-from repro.network import flat_network, sunway_network
+from repro.network import NetworkModel, flat_network, sunway_network
 from repro.obs import (
     NULL_REGISTRY,
     CommProfile,
@@ -48,6 +48,7 @@ from repro.obs import (
 from repro.parallel import TrainingRunConfig, run_distributed_training
 from repro.obs.flight import DEFAULT_LIMIT
 from repro.simmpi import FaultPlan, RunContext, run_spmd
+from repro.simmpi.comm import _COLLECTIVE_KINDS
 
 CFG = tiny_config(num_experts=4)
 
@@ -309,18 +310,14 @@ class TestCommProfiler:
 
 def _every_collective(comm):
     sub = comm.Split(color=comm.rank % 2, key=comm.rank)
-    dup = comm.Dup()
     x = np.ones(64, dtype=np.float32)
-    dup.barrier()
+    comm.barrier()
     comm.bcast(x if comm.rank == 0 else None)
-    comm.scatter([x] * comm.size if comm.rank == 0 else None)
     comm.gather(x)
     comm.allgather(x)
-    comm.reduce(x)
     comm.allreduce(x)
-    comm.reduce_scatter([x] * comm.size)
     comm.alltoall([x] * comm.size)
-    reqs = [comm.ialltoall([x] * comm.size), comm.iallreduce(x), comm.iallgather(x)]
+    reqs = [comm.ialltoall([x] * comm.size), comm.iallreduce(x)]
     sub.allreduce(x)
     for req in reqs:
         req.wait()
@@ -330,14 +327,10 @@ def _every_collective(comm):
 _ONE_CALL = {
     "barrier": lambda c, x: c.barrier(),
     "bcast": lambda c, x: c.bcast(x if c.rank == 0 else None),
-    "scatter": lambda c, x: c.scatter([x] * c.size if c.rank == 0 else None),
     "gather": lambda c, x: c.gather(x),
     "allgather": lambda c, x: c.allgather(x),
-    "reduce": lambda c, x: c.reduce(x),
     "allreduce": lambda c, x: c.allreduce(x),
-    "reduce_scatter": lambda c, x: c.reduce_scatter([x] * c.size),
     "alltoall": lambda c, x: c.alltoall([x] * c.size),
-    "dup": lambda c, x: c.Dup(),
 }
 
 
@@ -345,14 +338,19 @@ class TestProfilerPricesFromCommsTable:
     """The profiler re-prices from the op table ``Comm`` issues from."""
 
     def test_every_collective_is_priced(self):
+        """The table has a row for each op ``Comm`` records and no other,
+        and each ``NetworkModel`` collective formula prices some row."""
         net = sunway_network(4, supernode_size=2)
         res = run_spmd(_every_collective, 4, network=net, trace=True)
         prof = profile_comm(res.context, network=net)
         by_op = {r.op for r in prof}
-        assert {"split", "dup", "ialltoall", "iallreduce", "iallgather"} <= by_op
+        assert by_op == set(_COLLECTIVE_KINDS)
         assert set(_ONE_CALL) <= by_op
         for r in prof:
-            assert r.model_seconds is not None, r.op  # "dup" was a blank cell
+            assert r.model_seconds is not None, r.op
+        formulas = {name.removesuffix("_time") for name in vars(NetworkModel)
+                    if name.endswith("_time")}
+        assert formulas - {"p2p"} <= set(_COLLECTIVE_KINDS.values())
 
     @pytest.mark.parametrize("op", sorted(_ONE_CALL))
     def test_model_seconds_is_the_recorded_charge(self, op):

@@ -126,7 +126,7 @@ class TestParallelPlan:
 
     def test_ep_grouping(self):
         p = plan(ep_size=250, num_nodes=1000)
-        assert p.num_ep_groups == 4
+        assert p.layout.num_ep_groups == 4  # what StepModel reads
 
     def test_ep_must_divide_nodes(self):
         with pytest.raises(ConfigError):
@@ -175,10 +175,6 @@ class TestMemory:
         assert mem.total == pytest.approx(
             mem.params + mem.gradients + mem.optimizer_state + mem.activations
         )
-        assert set(mem.as_dict()) == {
-            "dense_params", "expert_params", "gradients",
-            "optimizer_state", "activations", "total",
-        }
 
 
 class TestStepModel:

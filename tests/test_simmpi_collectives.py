@@ -4,25 +4,20 @@ import numpy as np
 import pytest
 
 from repro.errors import CommunicatorError
-from repro.simmpi import MAX, MIN, PROD, SUM, run_spmd
+from repro.simmpi import MIN, SUM, run_spmd
 
 SIZES = [1, 2, 3, 5, 8]
 
 
 @pytest.mark.parametrize("size", SIZES)
 def test_bcast_scalar(size):
-    res = run_spmd(lambda c: c.bcast(c.rank * 7 + 1, root=0), size)
+    res = run_spmd(lambda c: c.bcast(c.rank * 7 + 1), size)
     assert res.returns == [1] * size
-
-
-def test_bcast_from_nonzero_root():
-    res = run_spmd(lambda c: c.bcast("hello" if c.rank == 2 else None, root=2), 4)
-    assert res.returns == ["hello"] * 4
 
 
 def test_bcast_array_is_private_copy():
     def program(comm):
-        arr = comm.bcast(np.zeros(3) if comm.rank == 0 else None, root=0)
+        arr = comm.bcast(np.zeros(3) if comm.rank == 0 else None)
         arr += comm.rank  # must not leak to other ranks
         comm.barrier()
         return float(arr.sum())
@@ -42,22 +37,20 @@ def test_allreduce_ops():
         v = comm.rank + 1
         return (
             comm.allreduce(v, op=SUM),
-            comm.allreduce(v, op=MAX),
             comm.allreduce(v, op=MIN),
-            comm.allreduce(v, op=PROD),
         )
 
     res = run_spmd(program, 4)
-    assert res.returns[0] == (10, 4, 1, 24)
+    assert res.returns == [(10, 1)] * 4
 
 
 def test_allreduce_arrays_elementwise():
     def program(comm):
         x = np.array([comm.rank, -comm.rank], dtype=np.float64)
-        return comm.allreduce(x, op=MAX)
+        return comm.allreduce(x, op=MIN)
 
     res = run_spmd(program, 4)
-    assert np.allclose(res.returns[0], [3, 0])
+    assert np.allclose(res.returns[0], [0, -3])
 
 
 @pytest.mark.parametrize("nonblocking", [False, True])
@@ -102,14 +95,6 @@ def test_allreduce_unknown_op():
         run_spmd(program, 2)
 
 
-def test_reduce_root_only():
-    def program(comm):
-        return comm.reduce(comm.rank, root=1)
-
-    res = run_spmd(program, 4)
-    assert res.returns == [None, 6, None, None]
-
-
 @pytest.mark.parametrize("size", SIZES)
 def test_allgather(size):
     res = run_spmd(lambda c: c.allgather(c.rank**2), size)
@@ -117,27 +102,9 @@ def test_allgather(size):
 
 
 def test_gather_root_only():
-    res = run_spmd(lambda c: c.gather(c.rank, root=0), 4)
+    res = run_spmd(lambda c: c.gather(c.rank), 4)
     assert res.returns[0] == [0, 1, 2, 3]
     assert res.returns[1] is None
-
-
-def test_scatter():
-    def program(comm):
-        data = [f"item{i}" for i in range(comm.size)] if comm.rank == 0 else None
-        return comm.scatter(data, root=0)
-
-    res = run_spmd(program, 4)
-    assert res.returns == ["item0", "item1", "item2", "item3"]
-
-
-def test_scatter_wrong_length_raises():
-    def program(comm):
-        data = [1, 2] if comm.rank == 0 else None
-        comm.scatter(data, root=0)
-
-    with pytest.raises(CommunicatorError):
-        run_spmd(program, 3)
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -171,25 +138,6 @@ def test_alltoall_variable_sizes():
     # rank r receives from s an array of length s + r + 1 filled with s.
     for r in range(3):
         assert res.returns[r] == [s * (s + r + 1) for s in range(3)]
-
-
-def test_reduce_scatter():
-    def program(comm):
-        # Rank s contributes chunk j = s * 10 + j.
-        chunks = [comm.rank * 10 + j for j in range(comm.size)]
-        return comm.reduce_scatter(chunks)
-
-    res = run_spmd(program, 4)
-    # Rank r receives sum_s (s*10 + r) = 10*6 + 4r.
-    assert res.returns == [60 + 4 * r for r in range(4)]
-
-
-def test_reduce_scatter_wrong_length():
-    def program(comm):
-        comm.reduce_scatter([1])
-
-    with pytest.raises(CommunicatorError):
-        run_spmd(program, 2)
 
 
 def test_barrier_completes():

@@ -7,7 +7,7 @@ from repro.models import Parameter
 from repro.network import sunway_network
 from repro.parallel.collective_ops import PendingAlltoallRows
 from repro.parallel.dp import PendingGradAllreduce
-from repro.simmpi import SUM, run_spmd
+from repro.simmpi import run_spmd
 from repro.simmpi.comm import collective_seconds, complete_request
 from repro.tensor import Tensor, quantize
 
@@ -27,7 +27,7 @@ def _net(size=WORLD):
 def test_iallreduce_matches_allreduce(size):
     def program(comm):
         blocking = comm.allreduce(comm.rank + 1.0)
-        req = comm.iallreduce(comm.rank + 1.0, op=SUM)
+        req = comm.iallreduce(comm.rank + 1.0)
         return blocking, req.wait()
 
     for blocking, nonblocking in run_spmd(program, size).returns:
@@ -42,15 +42,6 @@ def test_ialltoall_matches_alltoall(size):
         blocking = comm.alltoall(send)
         got = comm.ialltoall(send).wait()
         return all(np.array_equal(a, b) for a, b in zip(blocking, got))
-
-    assert all(run_spmd(program, size).returns)
-
-
-@pytest.mark.parametrize("size", [1, 2, 4])
-def test_iallgather_matches_allgather(size):
-    def program(comm):
-        blocking = comm.allgather(comm.rank * 2)
-        return comm.iallgather(comm.rank * 2).wait() == blocking
 
     assert all(run_spmd(program, size).returns)
 
@@ -138,37 +129,6 @@ def test_overlap_recorded_in_trace_and_stats():
     assert res.context.stats.overlapped_seconds["iallreduce"] > 0
 
 
-def test_isend_charges_bytes_on_wait():
-    """isend cost (full p2p time) lands at wait(), net of overlap."""
-
-    def program(comm):
-        if comm.rank == 0:
-            req = comm.isend(np.zeros(1 << 16), dest=1)
-            t_issue = comm.clock
-            req.wait()
-            return t_issue, comm.clock
-        return comm.recv(source=0) is not None
-
-    res = run_spmd(program, 2, network=_net(2))
-    t_issue, t_done = res.returns[0]
-    assert t_issue == 0.0  # issue itself is free
-    assert t_done > 0.0  # the wire time is charged at wait()
-
-
-def test_isend_overlap_credits_compute():
-    def program(comm):
-        if comm.rank == 0:
-            req = comm.isend(np.zeros(1 << 16), dest=1)
-            comm.advance(10.0)
-            req.wait()
-            return comm.clock
-        comm.recv(source=0)
-        return None
-
-    res = run_spmd(program, 2, network=_net(2))
-    assert res.returns[0] == pytest.approx(10.0)
-
-
 # --------------------------------------------------------------------- #
 # Deadlock regression: waits are local, so wait order cannot matter
 # --------------------------------------------------------------------- #
@@ -181,7 +141,7 @@ def test_interleaved_wait_orders_do_not_deadlock():
     def program(comm):
         req_a = comm.iallreduce(float(comm.rank))
         req_b = comm.ialltoall([comm.rank * 10 + d for d in range(comm.size)])
-        req_c = comm.iallgather(comm.rank)
+        req_c = comm.iallreduce(np.full(2, comm.rank))
         reqs = {"a": req_a, "b": req_b, "c": req_c}
         orders = ["abc", "cba", "bca", "acb"]
         out = {k: reqs[k].wait() for k in orders[comm.rank % len(orders)]}
@@ -192,7 +152,7 @@ def test_interleaved_wait_orders_do_not_deadlock():
     for rank, (a, b, c) in enumerate(res.returns):
         assert a == float(total)
         assert b == [src * 10 + rank for src in range(WORLD)]
-        assert c == list(range(WORLD))
+        assert c.tolist() == [total, total]
 
 
 def test_mixed_blocking_between_nonblocking_waits():
@@ -257,7 +217,7 @@ def test_alltoall_skewed_cheaper_than_uniform_max():
 # Blocking is issue-then-complete: X(...) == iX(...).wait(), bitwise
 # --------------------------------------------------------------------- #
 
-PAIRS = ["alltoall", "allreduce", "allgather"]
+PAIRS = ["alltoall", "allreduce"]
 
 
 def _call(sub, kind, nonblocking, rng_seed, world_rank):
@@ -267,10 +227,8 @@ def _call(sub, kind, nonblocking, rng_seed, world_rank):
     sizes = np.random.default_rng(rng_seed).integers(0, 65, size=(WORLD, WORLD))
     if kind == "alltoall":
         arg = [np.full(int(sizes[world_rank, d]), world_rank + 0.5) for d in range(sub.size)]
-    elif kind == "allreduce":
-        arg = np.full(int(sizes[0, 0]) + 1, world_rank + 0.25)
     else:
-        arg = np.full(int(sizes[world_rank, 0]), float(world_rank))
+        arg = np.full(int(sizes[0, 0]) + 1, world_rank + 0.25)
     return getattr(sub, ("i" if nonblocking else "") + kind)(arg)
 
 

@@ -13,19 +13,10 @@ from hypothesis import given, settings, strategies as st
 from repro.network import sunway_network
 from repro.simmpi import run_spmd
 
-# An op is (kind, parameter). Inputs for rank r at step i are derived
+# An op is its kind. Inputs for rank r at step i are derived
 # deterministically from (r, i), so the oracle can recompute them.
 op_strategy = st.sampled_from(
-    [
-        ("allreduce", None),
-        ("allgather", None),
-        ("bcast", 0),
-        ("bcast", -1),  # root = size - 1
-        ("alltoall", None),
-        ("barrier", None),
-        ("reduce", 0),
-        ("scatter", 0),
-    ]
+    ["allreduce", "allgather", "bcast", "gather", "alltoall", "barrier"]
 )
 
 
@@ -36,7 +27,7 @@ def _input(rank: int, step: int) -> int:
 def _oracle(size: int, ops) -> list[list]:
     """Sequentially simulate the per-rank outputs of the op sequence."""
     outs: list[list] = [[] for _ in range(size)]
-    for step, (kind, param) in enumerate(ops):
+    for step, kind in enumerate(ops):
         vals = [_input(r, step) for r in range(size)]
         if kind == "allreduce":
             total = sum(vals)
@@ -46,9 +37,11 @@ def _oracle(size: int, ops) -> list[list]:
             for r in range(size):
                 outs[r].append(list(vals))
         elif kind == "bcast":
-            root = param % size
             for r in range(size):
-                outs[r].append(vals[root])
+                outs[r].append(vals[0])
+        elif kind == "gather":
+            for r in range(size):
+                outs[r].append(list(vals) if r == 0 else None)
         elif kind == "alltoall":
             # rank r sends vals[r] * 10 + d to dest d.
             for r in range(size):
@@ -56,42 +49,26 @@ def _oracle(size: int, ops) -> list[list]:
         elif kind == "barrier":
             for r in range(size):
                 outs[r].append("b")
-        elif kind == "reduce":
-            root = param % size
-            total = sum(vals)
-            for r in range(size):
-                outs[r].append(total if r == root else None)
-        elif kind == "scatter":
-            root = param % size
-            chunks = [vals[root] * 10 + d for d in range(size)]
-            for r in range(size):
-                outs[r].append(chunks[r])
     return outs
 
 
 def _program(comm, ops):
     out = []
-    for step, (kind, param) in enumerate(ops):
+    for step, kind in enumerate(ops):
         v = _input(comm.rank, step)
         if kind == "allreduce":
             out.append(comm.allreduce(v))
         elif kind == "allgather":
             out.append(comm.allgather(v))
         elif kind == "bcast":
-            root = param % comm.size
-            out.append(comm.bcast(v if comm.rank == root else None, root=root))
+            out.append(comm.bcast(v if comm.rank == 0 else None))
+        elif kind == "gather":
+            out.append(comm.gather(v))
         elif kind == "alltoall":
             out.append(comm.alltoall([v * 10 + d for d in range(comm.size)]))
         elif kind == "barrier":
             comm.barrier()
             out.append("b")
-        elif kind == "reduce":
-            root = param % comm.size
-            out.append(comm.reduce(v, root=root))
-        elif kind == "scatter":
-            root = param % comm.size
-            data = [v * 10 + d for d in range(comm.size)] if comm.rank == root else None
-            out.append(comm.scatter(data, root=root))
     return out
 
 
@@ -117,32 +94,27 @@ def test_random_programs_clock_monotone(size, ops):
     def program(comm):
         last = comm.clock
         checkpoints = []
-        for step, (kind, param) in enumerate(ops):
-            _program_step(comm, step, kind, param)
+        for step, kind in enumerate(ops):
+            _program_step(comm, step, kind)
             now = comm.clock
             checkpoints.append(now >= last)
             last = now
         return all(checkpoints)
 
-    def _program_step(comm, step, kind, param):
+    def _program_step(comm, step, kind):
         v = _input(comm.rank, step)
         if kind == "allreduce":
             comm.allreduce(v)
         elif kind == "allgather":
             comm.allgather(v)
         elif kind == "bcast":
-            root = param % comm.size
-            comm.bcast(v if comm.rank == root else None, root=root)
+            comm.bcast(v if comm.rank == 0 else None)
+        elif kind == "gather":
+            comm.gather(v)
         elif kind == "alltoall":
             comm.alltoall([v] * comm.size)
         elif kind == "barrier":
             comm.barrier()
-        elif kind == "reduce":
-            comm.reduce(v, root=param % comm.size)
-        elif kind == "scatter":
-            root = param % comm.size
-            data = [v] * comm.size if comm.rank == root else None
-            comm.scatter(data, root=root)
 
     res = run_spmd(program, size, network=sunway_network(size), timeout=60)
     assert all(res.returns)

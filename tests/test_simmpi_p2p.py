@@ -76,59 +76,19 @@ def test_any_source_any_tag():
     assert res.returns[2] == [0, 1]
 
 
-def test_isend_irecv():
-    def program(comm):
-        if comm.rank == 0:
-            req = comm.isend([1, 2], dest=1)
-            req.wait()
-            return None
-        req = comm.irecv(source=0)
-        return req.wait()
-
-    res = run_spmd(program, 2)
-    assert res.returns[1] == [1, 2]
-
-
-def test_irecv_test_polling():
-    def program(comm):
-        if comm.rank == 0:
-            comm.recv(source=1, tag=9)  # wait for the poke
-            comm.send("payload", dest=1)
-            return None
-        req = comm.irecv(source=0)
-        done, _ = req.test()
-        assert not done  # nothing sent yet
-        comm.send("poke", dest=0, tag=9)
-        return req.wait()
-
-    res = run_spmd(program, 2)
-    assert res.returns[1] == "payload"
-
-
-def test_polled_receive_is_traced_like_a_blocking_one():
-    """``irecv().test()`` completing leaves the same ``recv`` evidence as
-    ``recv()``; a poll that finds nothing leaves none and is no fault-plan op."""
+def test_recv_is_traced_at_its_arrival():
+    """A receive records its bytes in the trace and the flight ring and
+    moves the receiver's clock to the message's arrival."""
     payload = np.zeros(100)
 
     def program(comm):
-        world = comm._state.world
         if comm.rank == 0:
-            comm.recv(source=1, tag=9)  # wait for the poke
             comm.send(payload, dest=1)
             return None
-        req = comm.irecv(source=0)
-        ops_before = world.op_counters[1]
-        assert req.test() == (False, None)  # nothing sent yet
-        assert world.op_counters[1] == ops_before
-        polled_nothing = [e.op for e in world.trace_events if e.rank == 1]
-        comm.send("poke", dest=0, tag=9)
-        while not req.test()[0]:
-            pass
-        return polled_nothing, req.test()[1].nbytes
+        return comm.recv(source=0).nbytes
 
     res = run_spmd(program, 2, network=sunway_network(2, supernode_size=2), trace=True)
-    polled_nothing, nbytes = res.returns[1]
-    assert polled_nothing == [] and nbytes == payload.nbytes
+    assert res.returns[1] == payload.nbytes
     recvs = [e for e in res.context.trace_events if (e.rank, e.op) == (1, "recv")]
     assert [e.nbytes for e in recvs] == [payload.nbytes]
     assert recvs[0].t_end == res.clocks[1] > 0.0
@@ -143,22 +103,6 @@ def test_sendrecv_exchange():
 
     res = run_spmd(program, 2)
     assert res.returns == [10, 0]
-
-
-def test_probe():
-    def program(comm):
-        if comm.rank == 0:
-            comm.send("x", dest=1)
-            comm.barrier()
-            return None
-        comm.barrier()
-        assert comm.probe(source=0)
-        comm.recv(source=0)
-        assert not comm.probe(source=0)
-        return True
-
-    res = run_spmd(program, 2)
-    assert res.returns[1] is True
 
 
 def test_recv_from_invalid_rank_raises():

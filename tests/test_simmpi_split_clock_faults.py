@@ -61,16 +61,6 @@ class TestSplit:
         res = run_spmd(program, 6)
         assert res.returns[4] == "hi"  # world rank 4 = even-group rank 2
 
-    def test_dup_gives_independent_stream(self):
-        def program(comm):
-            dup = comm.Dup()
-            a = comm.allreduce(1)
-            b = dup.allreduce(2)
-            return (a, b)
-
-        res = run_spmd(program, 3)
-        assert res.returns == [(3, 6)] * 3
-
     def test_world_rank_mapping(self):
         def program(comm):
             sub = comm.Split(color=comm.rank // 2)
