@@ -37,7 +37,6 @@ from repro.resilience import (
     ElasticRunConfig,
     ElasticRunResult,
     Supervisor,
-    run_elastic_training,
 )
 
 # Serving: KV cache + continuous batching on EP ranks, replicated fleet -----
@@ -117,7 +116,6 @@ __all__ = [
     "ElasticRunConfig",
     "ElasticRunResult",
     "Supervisor",
-    "run_elastic_training",
     # serving
     "Autoscaler",
     "AutoscalerConfig",

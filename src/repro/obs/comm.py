@@ -80,10 +80,6 @@ class CommProfile:
     def __iter__(self):
         return iter(self._records)
 
-    @property
-    def per_rank(self) -> list[CommRecord]:
-        return list(self._records)
-
     def per_op(self) -> list[CommRecord]:
         """Collapse ranks: one record per op (seconds = max over ranks,
         since ranks run concurrently; bytes/calls summed)."""

@@ -104,10 +104,6 @@ class Gauge(_Instrument):
         with self._lock:
             self.value = float(value)
 
-    def add(self, amount: float) -> None:
-        with self._lock:
-            self.value += float(amount)
-
 
 class Histogram(_Instrument):
     """Sample distribution with percentile summaries (latencies, loads).
@@ -269,9 +265,6 @@ class _NullInstrument:
         pass
 
     def set(self, value: float) -> None:
-        pass
-
-    def add(self, amount: float) -> None:
         pass
 
     def observe(self, value: float) -> None:

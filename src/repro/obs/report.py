@@ -148,7 +148,7 @@ def _section_traffic(records: list[dict]) -> list[str]:
         return []
     totals: dict[str, float] = {}
     for ctx in ctxs:
-        for key in ("p2p_messages", "p2p_bytes", "total_bytes", "dropped_messages"):
+        for key in ("p2p_messages", "p2p_bytes", "total_bytes"):
             if key in ctx:
                 totals[key] = totals.get(key, 0.0) + float(ctx[key])
     if not totals:

@@ -101,10 +101,6 @@ class RouterTelemetry:
     def __len__(self) -> int:
         return len(self._samples)
 
-    @property
-    def samples(self) -> list[RouterSample]:
-        return list(self._samples)
-
     def layers(self) -> list[int]:
         """Sorted layer ids with at least one sample."""
         return sorted({s.layer for s in self._samples})

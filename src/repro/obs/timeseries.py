@@ -71,17 +71,9 @@ class SlidingWindow:
     def count(self, now: float) -> int:
         return len(self.window(now))
 
-    def rate(self, now: float) -> float:
-        """Samples per virtual second over the trailing window."""
-        return self.count(now) / self.width
-
     def sum(self, now: float) -> float:
         values = self.window(now)
         return float(np.sum(values)) if values else 0.0
-
-    def mean(self, now: float) -> float:
-        values = self.window(now)
-        return float(np.mean(values)) if values else 0.0
 
     def quantile(self, q: float, now: float) -> float:
         """Percentile ``q`` (0-100) of the trailing window (0.0 if empty)."""

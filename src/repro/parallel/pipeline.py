@@ -133,7 +133,6 @@ class GPipeRunner:
     #: message tags
     _FWD = 101
     _BWD = 102
-    _LOSS = 103
 
     def __init__(
         self,

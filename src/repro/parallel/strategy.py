@@ -132,27 +132,21 @@ class _ZeroHybridOptimizer:
     same update everywhere; expert shards get a plain local Adam (their
     gradients are EDP-synchronized, so local updates agree across
     replicas). Carries what the distributed step reads of an optimizer:
-    ``params``, ``lr`` and ``step(grad_scale)``.
+    ``params``, ``lr`` and ``step(grad_scale)``; the step hands ``lr`` to
+    both halves.
     """
 
     def __init__(self, dense_params, expert_params, zero_comm: Comm, lr: float):
         self._zero = ZeroAdamW(dense_params, zero_comm, lr=lr)
         self._local = Adam(expert_params, lr=lr) if expert_params else None
         self.params = list(dense_params) + list(expert_params)
-
-    @property
-    def lr(self) -> float:
-        return self._zero.lr
-
-    @lr.setter
-    def lr(self, value: float) -> None:
-        self._zero.lr = value
-        if self._local is not None:
-            self._local.lr = value
+        self.lr = lr
 
     def step(self, grad_scale: float = 1.0) -> None:
+        self._zero.lr = self.lr
         self._zero.step(grad_scale)
         if self._local is not None:
+            self._local.lr = self.lr
             self._local.step(grad_scale)
 
 

@@ -37,9 +37,9 @@ def shard_bounds(total: int, size: int, rank: int) -> tuple[int, int]:
 class ZeroAdamW(object):
     """Adam with optimizer state sharded over a communicator.
 
-    API-compatible with :class:`repro.train.optim.Adam` (``lr``,
-    ``params``, ``step(grad_scale)``, ``zero_grad``), so it drops into
-    :class:`~repro.parallel.moda.MoDaTrainer`.
+    Carries what the distributed step reads of an optimizer, as
+    :class:`repro.train.optim.Adam` does: ``lr``, ``params`` and
+    ``step(grad_scale)``.
 
     Requirements: every rank of ``comm`` holds the same parameter list
     (same shapes, same values) with *synchronized gradients* before
@@ -72,10 +72,6 @@ class ZeroAdamW(object):
 
     # ------------------------------------------------------------------ #
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
     @property
     def shard_size(self) -> int:
         """Number of scalar parameters this rank's optimizer state covers."""
@@ -98,19 +94,3 @@ class ZeroAdamW(object):
         shard = to_wire(quantize(self._master, self._wire), self._wire)
         flat = np.concatenate(self.comm.allgather(shard), dtype=np.float32)
         assign_flat_params(self.params, flat)
-
-    # ------------------------------------------------------------------ #
-
-    def state_dict(self) -> dict[str, np.ndarray | float]:
-        return {
-            "step_count": float(self.step_count),
-            "master": self._master.copy(),
-            "m": self._m.copy(),
-            "v": self._v.copy(),
-        }
-
-    def load_state_dict(self, state) -> None:
-        self.step_count = int(state["step_count"])
-        self._master = np.asarray(state["master"], dtype=np.float32).copy()
-        self._m = np.asarray(state["m"], dtype=np.float32).copy()
-        self._v = np.asarray(state["v"], dtype=np.float32).copy()

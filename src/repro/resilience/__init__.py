@@ -31,7 +31,6 @@ from repro.resilience.supervisor import (
     ElasticRunResult,
     Supervisor,
     classify_failure,
-    run_elastic_training,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "Supervisor",
     "classify_failure",
     "run_elastic_segment",
-    "run_elastic_training",
 ]

@@ -48,9 +48,3 @@ class BackoffPolicy:
                 f"consecutive failure count must be >= 1, got {consecutive}"
             )
         return min(self.cap, self.base * 2.0 ** (consecutive - 1))
-
-    def schedule(self, retries: int) -> list[float]:
-        """The first ``retries`` delays, in order (handy for tests/docs)."""
-        if retries < 0:
-            raise ConfigError(f"retries must be >= 0, got {retries}")
-        return [self.delay(n) for n in range(1, retries + 1)]

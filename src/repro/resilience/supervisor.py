@@ -7,7 +7,7 @@ simulated machine and extends it with what production schedulers add on
 top of plain restart:
 
 * **failure classification** — a rank killed by the fault model
-  (:class:`~repro.errors.FaultInjected`), a hang from dropped messages
+  (:class:`~repro.errors.FaultInjected`), a hang
   (:class:`~repro.errors.DeadlockError`) and a loss-scale blow-up
   (:class:`~repro.errors.OverflowDetected`) are all *modelled* failures
   and recoverable; programming errors propagate immediately, exactly as
@@ -62,15 +62,14 @@ __all__ = [
     "ElasticRunResult",
     "Supervisor",
     "classify_failure",
-    "run_elastic_training",
 ]
 
 
 def classify_failure(exc: BaseException) -> str:
     """Name the failure class of a modelled error.
 
-    ``fault`` (a rank killed by the plan/model), ``deadlock`` (lost
-    messages / real hangs hitting the wall-clock deadline), ``overflow``
+    ``fault`` (a rank killed by the plan/model), ``deadlock`` (a hang
+    hitting the wall-clock deadline), ``overflow``
     (loss-scale exhaustion), or the exception class name for any other
     :class:`~repro.errors.ReproError`. Non-``ReproError`` exceptions are
     programming errors — the supervisor never catches them, but this
@@ -522,12 +521,3 @@ class Supervisor:
                 "elastic": cfg.elastic,
             },
         )
-
-
-def run_elastic_training(
-    cfg: ElasticRunConfig,
-    faults: Any | None = None,
-    fault_plans: list[Any] | None = None,
-) -> ElasticRunResult:
-    """Convenience wrapper: build a :class:`Supervisor` and run it."""
-    return Supervisor(cfg, faults=faults, fault_plans=fault_plans).run()

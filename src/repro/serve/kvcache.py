@@ -118,15 +118,6 @@ class KVCache:
             return True
         return self.committed_tokens + int(new_tokens) <= self.token_budget
 
-    @property
-    def num_blocks(self) -> int:
-        return ceil_div(self._alloc, self.block_size)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held across all layers' K and V buffers."""
-        return sum(k.nbytes + v.nbytes for k, v in zip(self._k, self._v))
-
     def layer(self, index: int, rows: np.ndarray | None = None) -> "KVLayerView":
         """View of layer ``index`` restricted to ``rows`` (default: all)."""
         if not 0 <= index < self.num_layers:
@@ -186,7 +177,7 @@ class KVCache:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"KVCache(layers={self.num_layers}, batch={self.batch_size}, "
-            f"len={self.max_length}/{self.capacity}, blocks={self.num_blocks})"
+            f"len={self.max_length}/{self.capacity}, alloc={self._alloc})"
         )
 
 

@@ -8,18 +8,16 @@ per-rank **virtual clock** advanced by a
 correct results and topology-aware simulated timings.
 """
 
-from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, MIN, SUM, Comm
+from repro.simmpi.comm import MIN, SUM, Comm
 from repro.simmpi.context import RunContext
 from repro.simmpi.engine import SpmdResult, run_spmd
-from repro.simmpi.faults import FaultModel, FaultPlan, MessageFault
+from repro.simmpi.faults import FaultModel, FaultPlan
 from repro.simmpi.hier import hierarchical_alltoall
 from repro.simmpi.payload import clone_payload, payload_nbytes
 from repro.simmpi.stats import TrafficStats
 from repro.simmpi.trace import TraceEvent
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "SUM",
     "MIN",
     "Comm",
@@ -29,7 +27,6 @@ __all__ = [
     "FaultModel",
     "FaultPlan",
     "hierarchical_alltoall",
-    "MessageFault",
     "TrafficStats",
     "TraceEvent",
     "clone_payload",

@@ -32,12 +32,7 @@ from repro.simmpi.faults import FaultPlan
 from repro.simmpi.payload import clone_payload, payload_nbytes
 from repro.simmpi.stats import TrafficStats
 
-__all__ = ["Comm", "ANY_SOURCE", "ANY_TAG", "SUM", "MIN"]
-
-#: Wildcard source for :meth:`Comm.recv`.
-ANY_SOURCE = -1
-#: Wildcard tag for :meth:`Comm.recv`.
-ANY_TAG = -1
+__all__ = ["Comm", "SUM", "MIN"]
 
 # Reduction op names, passed as ``allreduce(value, op=MIN)``.
 SUM = "sum"
@@ -165,9 +160,7 @@ class _World:
         if faults is not None:
             # Stochastic models map ranks onto their node fleet and draw
             # this launch's failure times; scripted plans no-op.
-            on_launch = getattr(faults, "on_launch", None)
-            if on_launch is not None:
-                on_launch(size)
+            faults.on_launch(size)
         from repro.simmpi.context import RunContext  # local import: no cycle
         from repro.simmpi.trace import TraceEvent
         self.context = RunContext(trace=trace, observe=observe)
@@ -388,9 +381,8 @@ class Comm:
         if seconds < 0:
             raise CommunicatorError(f"cannot advance clock by {seconds}")
         world = self._state.world
-        scale_of = getattr(world.faults, "compute_scale", None)
-        if scale_of is not None:
-            seconds *= scale_of(self.world_rank)
+        if world.faults is not None:
+            seconds *= world.faults.compute_scale(self.world_rank)
         with world.lock:
             t0 = world.clocks[self.world_rank]
             world.clocks[self.world_rank] = t0 + seconds
@@ -431,10 +423,6 @@ class Comm:
         nbytes = payload_nbytes(payload)
         with world.cv:
             world.check_live()
-            fault = world.faults.on_message(src_w, dst_w) if world.faults else None
-            if fault is not None and fault.drop:
-                world.stats.dropped_messages += 1
-                return
             now = world.clocks[src_w]
             if world.network is not None:
                 transit = world.network.p2p_time(nbytes, src_w, dst_w)
@@ -442,34 +430,29 @@ class Comm:
                 world.clocks[src_w] = now + world.network.p2p_time(0, src_w, dst_w)
             else:
                 transit = 0.0
-            arrival = now + transit + (fault.delay if fault is not None else 0.0)
             world.mailboxes[dst_w].append(
-                _Envelope(source=src_w, tag=tag, payload=payload, nbytes=nbytes, arrival=arrival)
+                _Envelope(source=src_w, tag=tag, payload=payload, nbytes=nbytes,
+                          arrival=now + transit)
             )
-            world.stats.record_p2p(src_w, nbytes)
+            world.stats.record_p2p(nbytes)
             world.record(src_w, "send", now, world.clocks[src_w], nbytes)
             world.cv.notify_all()
 
     def _match(self, source: int, tag: int) -> int | None:
-        """Index of the first matching envelope in my mailbox (lock held)."""
+        """Index of the first envelope from ``source`` with ``tag`` in my
+        mailbox (lock held)."""
         box = self._state.world.mailboxes[self.world_rank]
-        want_src = None if source == ANY_SOURCE else self._state.members[source]
+        want_src = self._state.members[source]
         for i, env in enumerate(box):
-            if want_src is not None and env.source != want_src:
-                continue
-            if tag != ANY_TAG and env.tag != tag:
-                continue
-            # Only accept messages from ranks within this communicator.
-            if env.source not in self._state.rank_of_world:
-                continue
-            return i
+            if env.source == want_src and env.tag == tag:
+                return i
         return None
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
-        """Blocking receive; returns the payload object."""
+    def recv(self, source: int, tag: int = 0) -> Any:
+        """Blocking receive of the next message from ``source`` with ``tag``;
+        returns the payload object."""
         self._tick_op()
-        if source != ANY_SOURCE:
-            self._check_peer(source)
+        self._check_peer(source)
         world = self._state.world
         with world.cv:
             world.wait_for(lambda: self._match(source, tag) is not None,

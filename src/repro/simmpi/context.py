@@ -191,7 +191,6 @@ class RunContext:
             "p2p_messages": traffic["p2p_messages"],
             "p2p_bytes": traffic["p2p_bytes"],
             "total_bytes": traffic["total_bytes"],
-            "dropped_messages": traffic["dropped_messages"],
         }
         for name, seconds in self.phase_seconds.items():
             record[f"phase_{name}"] = seconds

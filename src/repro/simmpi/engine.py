@@ -15,8 +15,9 @@ This plays the role of ``mpiexec`` for the simulated MPI: the user writes
 
 Error handling: if any rank raises, every other rank is unblocked with
 :class:`~repro.errors.RankAbort` and :func:`run_spmd` re-raises the original
-exception in the caller's thread. A global timeout converts hangs (real
-deadlocks, dropped messages) into :class:`~repro.errors.DeadlockError`.
+exception in the caller's thread. A global timeout converts a hang (a
+receive no rank sends to, a collective a rank never joins) into
+:class:`~repro.errors.DeadlockError`.
 """
 
 from __future__ import annotations

@@ -2,10 +2,9 @@
 
 Two layers of failure modelling share one engine hook surface:
 
-* :class:`FaultPlan` — *scripted* faults. Tests drop or delay individual
-  messages, or kill a rank at a chosen operation index, and assert that
-  the engine surfaces the failure as :class:`~repro.errors.FaultInjected`
-  / :class:`~repro.errors.DeadlockError` instead of hanging.
+* :class:`FaultPlan` — *scripted* faults. Tests and benchmarks kill a rank
+  at a chosen operation index or virtual time, and assert that the engine
+  surfaces the failure as :class:`~repro.errors.FaultInjected`.
 * :class:`FaultModel` — *stochastic* faults. A seeded model of the kinds
   of trouble a 96,000-node machine produces continuously: MTBF-driven
   rank crashes in virtual time, permanently dead nodes, and straggler
@@ -14,11 +13,11 @@ Two layers of failure modelling share one engine hook surface:
   so a run is exactly reproducible — including across the relaunches of a
   recovery driver.
 
-The engine consults four hooks (serialized under the world lock):
-``on_launch(size)``, ``should_kill(rank, op_index, clock)``,
-``compute_scale(rank)``, and ``on_message(src, dst)``. ``FaultPlan``
-implements the same hooks with scripted/no-op behaviour, so either object
-can be passed as ``run_spmd(faults=...)``.
+The engine consults three hooks: ``on_launch(size)``,
+``should_kill(rank, op_index, clock)`` and ``compute_scale(rank)``.
+``FaultPlan`` implements the same hooks with scripted/no-op behaviour, so
+either object can be passed as ``run_spmd(faults=...)``. Messages are
+never faulted: at machine scale nodes fail, links do not.
 
 Nodes vs ranks: a :class:`FaultModel` targets *nodes* (stable hardware
 identities). Each launch maps world rank ``r`` to the ``r``-th
@@ -35,42 +34,19 @@ import numpy as np
 
 from repro.errors import ConfigError
 
-__all__ = ["FaultPlan", "MessageFault", "FaultModel"]
-
-
-@dataclass(frozen=True)
-class MessageFault:
-    """A fault applied to the nth message on a (src, dst) edge.
-
-    ``drop=True`` silently discards the message (the receiver will block
-    until the engine's deadlock timeout). ``delay`` adds virtual seconds to
-    the message's arrival time.
-    """
-
-    src: int
-    dst: int
-    match_index: int = 0
-    drop: bool = False
-    delay: float = 0.0
+__all__ = ["FaultPlan", "FaultModel"]
 
 
 @dataclass
 class FaultPlan:
-    """A collection of scripted faults for one SPMD run."""
+    """A collection of scripted rank kills for one SPMD run."""
 
-    message_faults: list[MessageFault] = field(default_factory=list)
     #: rank -> operation index at which the rank raises FaultInjected.
     kill_rank_at_op: dict[int, int] = field(default_factory=dict)
     #: rank -> virtual time (seconds) past which the rank dies at its next
     #: communication operation — scripted *mid-run* crashes whose position
     #: in the timeline does not depend on how many ops preceded them.
     kill_rank_at_time: dict[int, float] = field(default_factory=dict)
-
-    _edge_counts: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
-
-    def add_message_fault(self, fault: MessageFault) -> "FaultPlan":
-        self.message_faults.append(fault)
-        return self
 
     def kill_rank(self, rank: int, at_op: int = 0) -> "FaultPlan":
         """Schedule ``rank`` to die when it issues its ``at_op``-th operation."""
@@ -85,22 +61,12 @@ class FaultPlan:
         return self
 
     # ------------------------------------------------------------------ #
-    # Engine hooks (not thread-safe by themselves; the engine serializes
-    # access under the world lock).
+    # Engine hooks (on_launch runs before the rank threads start; the
+    # other two only read, so rank threads call them without a lock).
     # ------------------------------------------------------------------ #
 
     def on_launch(self, size: int) -> None:
         """Called once when a world of ``size`` ranks starts (no-op)."""
-
-    def on_message(self, src: int, dst: int) -> MessageFault | None:
-        """Return the fault matching this message occurrence, if any."""
-        key = (src, dst)
-        idx = self._edge_counts.get(key, 0)
-        self._edge_counts[key] = idx + 1
-        for fault in self.message_faults:
-            if fault.src == src and fault.dst == dst and fault.match_index == idx:
-                return fault
-        return None
 
     def should_kill(self, rank: int, op_index: int, clock: float = 0.0) -> bool:
         """True when ``rank`` must abort at ``op_index`` / virtual ``clock``."""
@@ -212,10 +178,6 @@ class FaultModel:
     def compute_scale(self, rank: int) -> float:
         """Compute-time multiplier from the rank's node straggler factor."""
         return self.stragglers.get(self.node_of_rank(rank), 1.0)
-
-    def on_message(self, src: int, dst: int) -> None:
-        """Messages are never faulted by the model (nodes fail, links don't)."""
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

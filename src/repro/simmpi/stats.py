@@ -16,27 +16,24 @@ class TrafficStats:
     moved), not modelled wire bytes; the virtual clock already accounts for
     protocol efficiency through the link model.
 
-    The per-op and per-rank counters are :class:`collections.Counter`
-    instances, and :meth:`summary` emits every key (top-level and nested)
-    in sorted order, so two logged runs diff cleanly line-for-line.
+    The per-op counters are :class:`collections.Counter` instances, and
+    :meth:`summary` emits every key (top-level and nested) in sorted order,
+    so two logged runs diff cleanly line-for-line.
     """
 
     p2p_messages: int = 0
     p2p_bytes: int = 0
     collective_calls: Counter[str] = field(default_factory=Counter)
     collective_bytes: Counter[str] = field(default_factory=Counter)
-    bytes_sent_by_rank: Counter[int] = field(default_factory=Counter)
-    dropped_messages: int = 0
     #: Per-op virtual seconds of nonblocking comm hidden behind compute
     #: (and the exposed remainder), recorded from world rank 0's thread
     #: only so float accumulation order is deterministic.
     overlapped_seconds: Counter[str] = field(default_factory=Counter)
     exposed_seconds: Counter[str] = field(default_factory=Counter)
 
-    def record_p2p(self, src: int, nbytes: int) -> None:
+    def record_p2p(self, nbytes: int) -> None:
         self.p2p_messages += 1
         self.p2p_bytes += nbytes
-        self.bytes_sent_by_rank[src] += nbytes
 
     def record_collective(self, op: str, nbytes: int) -> None:
         self.collective_calls[op] += 1
@@ -61,25 +58,20 @@ class TrafficStats:
         self.p2p_bytes += other.p2p_bytes
         self.collective_calls.update(other.collective_calls)
         self.collective_bytes.update(other.collective_bytes)
-        self.bytes_sent_by_rank.update(other.bytes_sent_by_rank)
-        self.dropped_messages += other.dropped_messages
         self.overlapped_seconds.update(other.overlapped_seconds)
         self.exposed_seconds.update(other.exposed_seconds)
 
     def summary(self) -> dict[str, object]:
         """A plain-dict snapshot convenient for logging.
 
-        Nested per-op / per-rank dicts are key-sorted so serialized
+        Nested per-op dicts are key-sorted so serialized
         summaries are deterministic across runs.
         """
         return {
-            "bytes_by_rank": {r: self.bytes_sent_by_rank[r]
-                              for r in sorted(self.bytes_sent_by_rank)},
             "collective_bytes": {k: self.collective_bytes[k]
                                  for k in sorted(self.collective_bytes)},
             "collective_calls": {k: self.collective_calls[k]
                                  for k in sorted(self.collective_calls)},
-            "dropped_messages": self.dropped_messages,
             "exposed_seconds": {k: self.exposed_seconds[k]
                                 for k in sorted(self.exposed_seconds)},
             "overlapped_seconds": {k: self.overlapped_seconds[k]

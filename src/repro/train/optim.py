@@ -97,10 +97,6 @@ class Adam:
         #: started (the order ``state_dict`` lists them in).
         self._started: dict[int, None] = {}
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
     def step(self, grad_scale: float = 1.0) -> None:
         """Apply one update. ``grad_scale`` multiplies gradients (``1 / scale``
         of the loss scaler for fp16 training)."""

@@ -60,7 +60,7 @@ class TestApiFacade:
         for name in (
             "build_model", "generate", "tiny_config",           # models
             "TrainingRunConfig", "run_distributed_training",    # training
-            "ElasticRunConfig", "run_elastic_training",         # elastic
+            "ElasticRunConfig", "Supervisor",                   # elastic
             "ServeConfig", "run_serving", "KVCache",            # serving
             "run_spmd", "sunway_network", "sunway_machine",     # substrate
             "LatencyStats", "MetricsLogger",                    # metrics

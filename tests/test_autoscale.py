@@ -86,7 +86,6 @@ class TestSlidingWindow:
         assert win.window(1.5) == [1.0, 1.5]  # (0.5, 1.5]
         assert win.count(1.5) == 2
         assert win.sum(1.5) == 2.5
-        assert win.rate(1.5) == 2.0
 
     def test_out_of_order_insert_lands_sorted(self):
         win = SlidingWindow(10.0)
@@ -111,7 +110,6 @@ class TestSlidingWindow:
         assert win.quantile(95, 49.0) == pytest.approx(
             np.percentile(values, 95)
         )
-        assert win.mean(49.0) == pytest.approx(np.mean(values))
 
     def test_empty_window_is_zero(self):
         win = SlidingWindow(1.0)
@@ -146,7 +144,6 @@ class TestSlidingWindow:
             assert win.window(now) == expected
             assert win.count(now) == len(expected)
             assert win.sum(now) == (float(np.sum(expected)) if expected else 0.0)
-            assert win.mean(now) == (float(np.mean(expected)) if expected else 0.0)
             for q in (0, 50, 95, 100):
                 assert win.quantile(q, now) == percentile(expected, q)
 

@@ -36,9 +36,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_TREES = ("src", "bench", "benchmarks", "examples")
 
-_FAULT_HOOK = (
-    "FaultPlan's scripted faults are the test hooks of the deadlock detector "
-    "and the crash paths"
+_VIRTUAL_TIME_KILL = (
+    "a kill scheduled in virtual time, which ROADMAP item 1 needs to place a crash "
+    "independently of the thread scheduler"
 )
 _RUN_STATE = "run state the code fills in after construction, not a setting"
 _ORACLE = "a tolerance of the finite-difference reference every op's backward is checked against"
@@ -72,12 +72,11 @@ KEEP = {
         )
         for link in ("intra", "inter")
     },
-    "repro.simmpi.faults:MessageFault.match_index": _FAULT_HOOK,
-    "repro.simmpi.faults:MessageFault.drop": _FAULT_HOOK,
-    "repro.simmpi.faults:MessageFault.delay": _FAULT_HOOK,
-    "repro.simmpi.faults:FaultPlan.message_faults": _FAULT_HOOK,
-    "repro.simmpi.faults:FaultPlan.kill_rank_at_op": _FAULT_HOOK,
-    "repro.simmpi.faults:FaultPlan.kill_rank_at_time": _FAULT_HOOK,
+    "repro.simmpi.faults:FaultPlan.kill_rank_at_op": (
+        "filled in by kill_rank, which T7 and examples/fault_tolerance.py call, "
+        "not by the constructor"
+    ),
+    "repro.simmpi.faults:FaultPlan.kill_rank_at_time": _VIRTUAL_TIME_KILL,
     "repro.serve.engine:ServeResult.*": _RUN_STATE,
     "repro.serve.fleet:FleetResult.*": _RUN_STATE,
     "repro.serve.router:ReplicaState.*": _RUN_STATE,
@@ -94,8 +93,6 @@ KEEP = {
     "repro.obs.spans:Tracer.find.kind": "the query tests ask of a finished run's span trees",
     "repro.parallel.runner:TrainingRunConfig.timeout": _WALL_CLOCK,
     "repro.serve.engine:ServeConfig.timeout": _WALL_CLOCK,
-    "repro.resilience.supervisor:run_elastic_training.faults": _FAULT_HOOK,
-    "repro.resilience.supervisor:run_elastic_training.fault_plans": _FAULT_HOOK,
     "repro.models.generate:generate.use_cache": (
         "the uncached decode the KV-cache tests check cached generation against"
     ),

@@ -17,7 +17,7 @@ class TestSpmdResultAccessors:
 
     def test_traffic_stats_summary_keys(self):
         s = TrafficStats()
-        s.record_p2p(0, 100)
+        s.record_p2p(100)
         s.record_collective("allreduce", 50)
         summary = s.summary()
         assert summary["p2p_bytes"] == 100

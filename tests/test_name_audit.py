@@ -25,9 +25,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_TREES = ("src", "bench", "benchmarks", "examples")
 
-_FAULT_HOOK = (
-    "FaultPlan's scripted faults are the test hooks of the deadlock detector "
-    "and the crash paths"
+_VIRTUAL_TIME_KILL = (
+    "a kill scheduled in virtual time, which ROADMAP item 1 needs to place a crash "
+    "independently of the thread scheduler"
 )
 _OP_TABLE = "collective_seconds reaches it through getattr(net, f'{kind}_time')"
 _ORACLE = (
@@ -44,8 +44,7 @@ _BY_NAME = frozenset({"getattr", "hasattr", "setattr", "delattr"})
 
 #: ``module:Qualname`` -> why the name stays although no caller refers to it.
 KEEP = {
-    "repro.simmpi.faults:FaultPlan.add_message_fault": _FAULT_HOOK,
-    "repro.simmpi.faults:FaultPlan.kill_rank_at": _FAULT_HOOK,
+    "repro.simmpi.faults:FaultPlan.kill_rank_at": _VIRTUAL_TIME_KILL,
     "repro.simmpi.context:RunContext.events_of": (
         "the query tests ask of a finished run's lifecycle events"
     ),
@@ -65,9 +64,6 @@ KEEP = {
     "repro.simmpi.hier:hierarchical_alltoall": (
         "proves that the hierarchical alltoall the cost model prices moves the "
         "right data; ROADMAP item 20 gives it a caller or deletes it"
-    ),
-    "repro.resilience.supervisor:run_elastic_training": (
-        "a facade entry of repro.api that test_api_surface promises"
     ),
 }
 

@@ -103,7 +103,7 @@ class TestRegistry:
         reg = MetricRegistry()
         g = reg.gauge("world")
         g.set(4)
-        g.add(-2)
+        g.set(2)
         assert g.value == 2.0
         h = reg.histogram("lat")
         h.observe_many([1.0, 2.0, 3.0, 4.0])
@@ -648,13 +648,13 @@ class TestContextIntegration:
 
     def test_elastic_emits_into_session_registry(self, tmp_path):
         from repro.parallel import TrainingRunConfig
-        from repro.resilience import ElasticRunConfig, run_elastic_training
+        from repro.resilience import ElasticRunConfig, Supervisor
 
-        res = run_elastic_training(ElasticRunConfig(
+        res = Supervisor(ElasticRunConfig(
             run=TrainingRunConfig(model=CFG, world_size=4, ep_size=2, num_steps=4,
                                   batch_size=2, seq_len=8, seed=0, observe=True),
             checkpoint_every=2, checkpoint_dir=tmp_path / "ckpt",
-        ))
+        )).run()
         reg = res.context.metrics
         assert reg.counter("train_steps", strategy="elastic").value == 4.0
         assert reg.gauge("session_final_world_size").value == 4.0

@@ -61,16 +61,16 @@ class TestKVCache:
 
     def test_paged_growth(self):
         cache = self._cache()
-        assert cache.num_blocks == 0
+        assert cache._alloc == 0
         k = np.ones((3, 2, 3, 4), dtype=np.float32)
         cache.layer(0).append(k, k, np.array([3, 1, 2]))
         # 3 tokens needed -> one 8-token block.
-        assert cache.num_blocks == 1
+        assert cache._alloc == 8
         cache.commit(np.arange(3), np.array([3, 1, 2]))
         k7 = np.ones((3, 2, 7, 4), dtype=np.float32)
         cache.layer(0).append(k7, k7, np.array([7, 7, 7]))
         # Longest row now 3+7=10 -> two blocks.
-        assert cache.num_blocks == 2
+        assert cache._alloc == 16
 
     def test_append_returns_history_and_ctx(self):
         cache = self._cache(batch_size=2)

@@ -10,8 +10,9 @@ Python process, and lists each top-level function and method of ``repro``
 whose code object no process entered. The caller set is:
 
 - every ``examples/*.py``, each from a scratch directory;
-- every CLI command CI's smokes run (once each), plus ``train``, ``project``
-  and ``configs``, and the ``--smoke`` entries of the benchmarks CI runs;
+- every CLI command CI's smokes run (once each, with CI's flags), plus
+  ``train``, ``project`` and ``configs``, and the benchmark entries CI runs
+  as scripts (``tests/test_reach.py`` checks both against the workflow);
 - the four ``bench/child.py --quick`` workloads, plain, traced and probed;
 - every ``benchmarks/bench_*.py`` under ``pytest --benchmark-disable``
   (pytest-benchmark's instrumentation pause would otherwise clear the hook
@@ -49,9 +50,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-_MESSAGE_FAULT = (
-    "a message fault: FaultPlan's scripted drops and delays are the test hooks of "
-    "the deadlock detector, and dropped_messages is a key of every metrics JSONL"
+_VIRTUAL_TIME_KILL = (
+    "a kill scheduled in virtual time, which ROADMAP item 1 needs to place a crash "
+    "independently of the thread scheduler"
+)
+_KV_BUDGET = (
+    "the cache-pressure path: serve under --kv-budget, a flag no caller of this "
+    "audit passes"
 )
 _BF16 = "bf16 rounding: whether bf16 gets a run or is refused is a decision of its own"
 _ORACLE = "a test oracle: tests check the program against it"
@@ -63,19 +68,15 @@ _NULL = (
 _ABSTRACT = "the base of an interface; every class a run builds overrides it"
 _ERROR_PATH = "raises on misuse; a run that is right never enters it"
 _DUNDER = "a protocol method (repr, len, iteration) tests and debugging use"
-_TESTS_ONLY = (
-    "only tests call it; left for the next harvest (ROADMAP item 21), not decided here"
-)
 
 #: ``module:qualname`` -> why the function stays although no run enters it.
 KEEP: dict[str, str] = {
-    "repro.simmpi.faults:FaultPlan.add_message_fault": _MESSAGE_FAULT,
-    "repro.simmpi.faults:FaultPlan.kill_rank_at": _MESSAGE_FAULT,
-    "repro.simmpi.faults:FaultPlan.on_message": _MESSAGE_FAULT,
-    "repro.simmpi.faults:FaultModel.on_message": _MESSAGE_FAULT,
+    "repro.simmpi.faults:FaultPlan.kill_rank_at": _VIRTUAL_TIME_KILL,
     "repro.tensor.dtype:_quantize_bf16": _BF16,
     "repro.tensor.gradcheck:gradcheck": _ORACLE,
-    "repro.tensor.gradcheck:numerical_grad": _ORACLE,
+    "repro.tensor.gradcheck:numerical_grad": (
+        "the central differences of gradcheck, the test oracle, its one caller"
+    ),
     "repro.simmpi.hier:hierarchical_alltoall": (
         "proves that the hierarchical alltoall the cost model prices moves the "
         "right data; ROADMAP item 20 gives it a caller or deletes it"
@@ -91,19 +92,12 @@ KEEP: dict[str, str] = {
     "repro.simmpi.context:RunContext.tracing": _QUERY,
     "repro.obs.spans:Tracer.find": _QUERY,
     "repro.obs.spans:Tracer.subtree": _QUERY,
-    "repro.obs.comm:CommProfile.per_rank": _QUERY,
     **{f"repro.simmpi.comm:Comm.{name}": _QUERY for name in ("members", "network", "stats")},
-    "repro.serve.kvcache:KVCache.committed_tokens": (
-        "the budget check reads it: KVCache.fits under --kv-budget, a flag no "
-        "caller of this audit passes"
-    ),
-    "repro.resilience.supervisor:run_elastic_training": (
-        "a facade entry of repro.api that test_api_surface promises"
-    ),
+    "repro.serve.kvcache:KVCache.committed_tokens": _KV_BUDGET,
+    "repro.serve.scheduler:ContinuousBatchScheduler.evict": _KV_BUDGET,
     **{f"repro.obs.registry:{name}": _NULL for name in (
-        "NullRegistry.series", "NullRegistry.snapshot", "_NullInstrument.add",
-        "_NullInstrument.observe_many", "_NullInstrument.percentile",
-        "_NullInstrument.summary")},
+        "NullRegistry.series", "NullRegistry.snapshot", "_NullInstrument.observe_many",
+        "_NullInstrument.percentile", "_NullInstrument.summary")},
     **{f"repro.obs.spans:NullTracer.{name}": _NULL for name in (
         "children", "instant", "records", "roots", "spans", "subtree")},
     "repro.models.module:Module.forward": _ABSTRACT,
@@ -138,21 +132,6 @@ KEEP: dict[str, str] = {
         "repro.simmpi.faults:FaultModel.__repr__",
         "repro.tensor.tensor:Tensor.__repr__",
         "repro.train.metrics:LatencyStats.__repr__")},
-    **{name: _TESTS_ONLY for name in (
-        "repro.obs.registry:Gauge.add",
-        "repro.obs.router:RouterTelemetry.samples",
-        "repro.obs.slo:slo_report",
-        "repro.obs.timeseries:SlidingWindow.mean",
-        "repro.obs.timeseries:SlidingWindow.rate",
-        "repro.parallel.strategy:_ZeroHybridOptimizer.lr",
-        "repro.parallel.zero:ZeroAdamW.load_state_dict",
-        "repro.parallel.zero:ZeroAdamW.state_dict",
-        "repro.parallel.zero:ZeroAdamW.zero_grad",
-        "repro.resilience.backoff:BackoffPolicy.schedule",
-        "repro.serve.kvcache:KVCache.nbytes",
-        "repro.serve.kvcache:KVCache.num_blocks",
-        "repro.serve.scheduler:ContinuousBatchScheduler.evict",
-        "repro.train.optim:Adam.zero_grad")},
 }
 
 #: The hook. ``{out}`` is the directory each process writes its reached
@@ -253,6 +232,7 @@ def caller_set(tree: Path, work: Path) -> list[tuple[list[str], Path, int]]:
           for layout in _LAYOUTS),
         ["plan", "--nodes", "4", "--top-k", "2", "--steps", "2", "--out", "plan.md",
          "--metrics", "plan.jsonl"],
+        ["plan", "--nodes", "4", "--top-k", "2", "--steps", "2", "--out", "plan_b.md"],
         ["plan", "--nodes", "8", "--overlap-chunks", "2", "--no-verify", "--out",
          "plan_ov2.md", "--metrics", "plan_ov2.jsonl"],
         ["plan", "--nodes", "96000", "--cluster", "sunway", "--no-verify", "--out",
@@ -277,6 +257,7 @@ def caller_set(tree: Path, work: Path) -> list[tuple[list[str], Path, int]]:
         ["resilient", "--world", "5", "--ep", "1", "--steps", "4", "--dead-node", "1",
          "--shrink-after", "1", "--checkpoint-dir", "ck_odd", "--metrics",
          "res_odd.jsonl", "--trace", "res_odd_trace.json"],
+        ["resilient", "--world", "2", "--ep", "2", "--steps", "2"],
         ["train", "--steps", "2", "--batch-size", "2", "--seq-len", "8", "--sample", "2"],
         ["project"],
         ["configs"],
@@ -286,8 +267,9 @@ def caller_set(tree: Path, work: Path) -> list[tuple[list[str], Path, int]]:
     commands.append((_cli("distributed", "--world", "4", "--ep", "1", "--tp", "2", "--zero",
                           "2", "--steps", "1", "--batch-size", "2", "--seq-len", "8"),
                      work / "cli", 1))
-    for name in ("t8_serving", "t10_fleet", "t11_autoscale", "f10_overlap"):
-        commands.append(([py, str(tree / "benchmarks" / f"bench_{name}.py"), "--smoke"],
+    for name, out in (("t8_serving", []), ("t10_fleet", ["--out", "fleet.txt"]),
+                      ("t11_autoscale", ["--out", "scale.txt"]), ("f10_overlap", [])):
+        commands.append(([py, str(tree / "benchmarks" / f"bench_{name}.py"), "--smoke", *out],
                          work / "smoke", 0))
     for example in sorted((tree / "examples").glob("*.py")):
         commands.append(([py, str(example)], work / "examples" / example.stem, 0))
