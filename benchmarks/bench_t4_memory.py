@@ -6,9 +6,7 @@ budget) and optimizer state is the next wall, addressed by sharding it
 across data-parallel peers (ZeRO-1).
 """
 
-import numpy as np
-
-from repro.hardware import SW26010_PRO, sunway_machine
+from repro.hardware import SW26010_PRO
 from repro.models import BRAIN_SCALE_CONFIGS, bagualu_14_5t
 from repro.perf import ParallelPlan, node_memory
 from repro.utils import format_bytes

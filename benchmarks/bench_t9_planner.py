@@ -2,7 +2,7 @@
 
 The planner enumerates every launchable (dp, tp, pp, ep, zero) layout for
 a model + cluster preset, ranks them with the analytic step model, then
-verifies the top-k with short simulated runs through the same strategy
+verifies the top two with short simulated runs through the same strategy
 registry a real launch uses. This bench sweeps node counts on the
 compute-dominated ``toy`` preset and publishes the ranked table with
 model-vs-measured error columns — the planner's accuracy contract is a
@@ -15,7 +15,6 @@ from repro.plan import plan_layouts
 CFG = tiny_config(n_layers=4, moe_every=2, num_experts=8)
 
 NODE_COUNTS = (4, 8, 16)
-TOP_K = 2
 
 
 def _axes(layout) -> str:
@@ -28,9 +27,7 @@ def test_t9_planner_node_sweep(benchmark, report):
         rows = []
         medians = {}
         for nodes in NODE_COUNTS:
-            result = plan_layouts(
-                CFG, num_nodes=nodes, cluster="toy", top_k=TOP_K,
-            )
+            result = plan_layouts(CFG, num_nodes=nodes, cluster="toy")
             medians[nodes] = result.median_relative_error
             measured = {
                 v.candidate.layout: v for v in result.verified

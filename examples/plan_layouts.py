@@ -30,7 +30,6 @@ def main() -> None:
         CFG,
         num_nodes=NODES,
         cluster="toy",  # laptop-class nodes on 4-node supernodes
-        top_k=2,
     )
 
     print(f"planned {CFG.name} on {NODES} 'toy' nodes: "

@@ -36,8 +36,6 @@ class ProcessorSpec:
         Dict dtype-name -> peak FLOP/s for the whole CPU.
     memory_bytes:
         Attached memory capacity in bytes.
-    memory_bandwidth:
-        Aggregate memory bandwidth in bytes/s.
     """
 
     name: str
@@ -46,7 +44,6 @@ class ProcessorSpec:
     cpe_per_group: int
     peak_flops: dict[str, float]
     memory_bytes: float
-    memory_bandwidth: float
 
     def __post_init__(self) -> None:
         if self.core_groups < 1 or self.mpe_per_group < 0 or self.cpe_per_group < 0:
@@ -56,8 +53,8 @@ class ProcessorSpec:
         for dtype, flops in self.peak_flops.items():
             if flops <= 0:
                 raise ConfigError(f"peak_flops[{dtype!r}] must be > 0")
-        if self.memory_bytes <= 0 or self.memory_bandwidth <= 0:
-            raise ConfigError("memory size/bandwidth must be > 0")
+        if self.memory_bytes <= 0:
+            raise ConfigError("memory size must be > 0")
 
     @property
     def cores(self) -> int:
@@ -129,7 +126,6 @@ SW26010_PRO = ProcessorSpec(
         "bf16": 55.3e12,
     },
     memory_bytes=96 * 2**30,
-    memory_bandwidth=307e9,
 )
 
 
@@ -148,7 +144,6 @@ def laptop_machine(num_nodes: int = 1) -> MachineSpec:
         cpe_per_group=8,
         peak_flops={"fp64": 1.0e11, "fp32": 2.0e11, "fp16": 4.0e11, "bf16": 4.0e11},
         memory_bytes=16 * 2**30,
-        memory_bandwidth=50e9,
     )
     return MachineSpec(
         name="laptop",

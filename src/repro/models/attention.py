@@ -24,7 +24,6 @@ class CausalSelfAttention(Module):
         d_model: int,
         n_heads: int,
         rng: np.random.Generator,
-        dtype: str = "fp32",
     ):
         super().__init__()
         if d_model % n_heads != 0:
@@ -34,8 +33,8 @@ class CausalSelfAttention(Module):
         self.d_model = d_model
         self.n_heads = n_heads
         self.head_dim = d_model // n_heads
-        self.qkv = Linear(d_model, 3 * d_model, rng, dtype=dtype)
-        self.proj = Linear(d_model, d_model, rng, dtype=dtype)
+        self.qkv = Linear(d_model, 3 * d_model, rng)
+        self.proj = Linear(d_model, d_model, rng)
         self._scale = 1.0 / np.sqrt(self.head_dim)
 
     def forward(self, x: Tensor, kv=None, valid: np.ndarray | None = None) -> Tensor:

@@ -48,6 +48,8 @@ class ModelConfig:
     aux_weight: float = 1e-2
     #: Recompute block activations in backward (activation checkpointing).
     recompute: bool = False
+    #: The dtype the step and memory models price. A built model holds fp32
+    #: parameters; a mixed-precision run casts them (``amp.cast_model``).
     dtype: str = "fp32"
     name: str = "custom"
 

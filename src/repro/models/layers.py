@@ -23,7 +23,6 @@ class Linear(Module):
         out_features: int,
         rng: np.random.Generator,
         bias: bool = True,
-        dtype: str = "fp32",
     ):
         super().__init__()
         if in_features < 1 or out_features < 1:
@@ -31,9 +30,9 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(
-            rng.normal(0.0, INIT_STD, size=(in_features, out_features)), dtype=dtype
+            rng.normal(0.0, INIT_STD, size=(in_features, out_features))
         )
-        self.bias = Parameter(np.zeros(out_features), dtype=dtype) if bias else None
+        self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         out = x @ self.weight
@@ -50,7 +49,6 @@ class Embedding(Module):
         num_embeddings: int,
         embedding_dim: int,
         rng: np.random.Generator,
-        dtype: str = "fp32",
     ):
         super().__init__()
         if num_embeddings < 1 or embedding_dim < 1:
@@ -58,7 +56,7 @@ class Embedding(Module):
         self.num_embeddings = num_embeddings
         self.embedding_dim = embedding_dim
         self.weight = Parameter(
-            rng.normal(0.0, INIT_STD, size=(num_embeddings, embedding_dim)), dtype=dtype
+            rng.normal(0.0, INIT_STD, size=(num_embeddings, embedding_dim))
         )
 
     def forward(self, ids: np.ndarray) -> Tensor:
@@ -68,13 +66,13 @@ class Embedding(Module):
 class LayerNorm(Module):
     """Learned layer normalization over the last dimension."""
 
-    def __init__(self, dim: int, dtype: str = "fp32"):
+    def __init__(self, dim: int):
         super().__init__()
         if dim < 1:
             raise ConfigError("LayerNorm dim must be >= 1")
         self.dim = dim
-        self.weight = Parameter(np.ones(dim), dtype=dtype)
-        self.bias = Parameter(np.zeros(dim), dtype=dtype)
+        self.weight = Parameter(np.ones(dim))
+        self.bias = Parameter(np.zeros(dim))
 
     def forward(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.weight, self.bias)
@@ -92,13 +90,12 @@ class MLP(Module):
         d_model: int,
         d_ff: int,
         rng: np.random.Generator,
-        dtype: str = "fp32",
     ):
         super().__init__()
         self.d_model = d_model
         self.d_ff = d_ff
-        self.fc_in = Linear(d_model, d_ff, rng, dtype=dtype)
-        self.fc_out = Linear(d_ff, d_model, rng, dtype=dtype)
+        self.fc_in = Linear(d_model, d_ff, rng)
+        self.fc_out = Linear(d_ff, d_model, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.fc_out(gelu(self.fc_in(x)))

@@ -65,7 +65,6 @@ class MoELayer(Module):
         top_k: int = 1,
         capacity_factor: float | None = None,
         aux_weight: float = 1e-2,
-        dtype: str = "fp32",
     ):
         super().__init__()
         if num_experts < 1:
@@ -76,8 +75,8 @@ class MoELayer(Module):
         self.capacity_factor = capacity_factor
         self.aux_weight = aux_weight
         self._rng = rng
-        self.router = Linear(d_model, num_experts, rng, bias=False, dtype=dtype)
-        self.register_module_list("experts", self._build_experts(dtype))
+        self.router = Linear(d_model, num_experts, rng, bias=False)
+        self.register_module_list("experts", self._build_experts())
         for expert in self.experts:
             for p in expert.parameters():
                 p.is_expert = True
@@ -167,10 +166,10 @@ class MoELayer(Module):
     # The three steps an expert-parallel subclass replaces
     # ------------------------------------------------------------------ #
 
-    def _build_experts(self, dtype: str) -> list[MLP]:
+    def _build_experts(self) -> list[MLP]:
         """Every expert, drawn from the layer's rng in order after the router."""
         return [
-            MLP(self.d_model, self.d_ff, self._rng, dtype=dtype)
+            MLP(self.d_model, self.d_ff, self._rng)
             for _ in range(self.num_experts)
         ]
 

@@ -29,13 +29,12 @@ class TransformerBlock(Module):
         n_heads: int,
         ffn: Module,
         rng: np.random.Generator,
-        dtype: str = "fp32",
         recompute: bool = False,
     ):
         super().__init__()
-        self.ln_attn = LayerNorm(d_model, dtype=dtype)
-        self.attn = CausalSelfAttention(d_model, n_heads, rng, dtype=dtype)
-        self.ln_ffn = LayerNorm(d_model, dtype=dtype)
+        self.ln_attn = LayerNorm(d_model)
+        self.attn = CausalSelfAttention(d_model, n_heads, rng)
+        self.ln_ffn = LayerNorm(d_model)
         self.ffn = ffn
         #: Recompute the attention sublayer (and the FFN, if it is
         #: ``recomputable``) in backward. MoE and tensor-parallel FFNs are
@@ -100,11 +99,10 @@ class MoELanguageModel(Module):
         # of the model (e.g. one pipeline stage) can be constructed
         # independently with identical weights.
         base = derive_seed(seed, "model", config.name)
-        dt = config.dtype
 
         emb_rng = np.random.default_rng(derive_seed(base, "emb"))
-        self.tok_emb = Embedding(config.vocab_size, config.d_model, emb_rng, dtype=dt)
-        self.pos_emb = Embedding(config.max_seq_len, config.d_model, emb_rng, dtype=dt)
+        self.tok_emb = Embedding(config.vocab_size, config.d_model, emb_rng)
+        self.pos_emb = Embedding(config.max_seq_len, config.d_model, emb_rng)
 
         blocks = []
         for i in range(config.n_layers):
@@ -122,22 +120,21 @@ class MoELanguageModel(Module):
                         top_k=config.top_k,
                         capacity_factor=config.capacity_factor,
                         aux_weight=config.aux_weight,
-                        dtype=dt,
                     )
             elif mlp_factory is not None:
                 ffn = mlp_factory(i, rng)
             else:
-                ffn = MLP(config.d_model, config.d_ff, rng, dtype=dt)
+                ffn = MLP(config.d_model, config.d_ff, rng)
             blocks.append(
                 TransformerBlock(
                     config.d_model, config.n_heads, ffn, rng,
-                    dtype=dt, recompute=config.recompute,
+                    recompute=config.recompute,
                 )
             )
         self.register_module_list("blocks", blocks)
         head_rng = np.random.default_rng(derive_seed(base, "head"))
-        self.ln_f = LayerNorm(config.d_model, dtype=dt)
-        self.lm_head = Linear(config.d_model, config.vocab_size, head_rng, dtype=dt)
+        self.ln_f = LayerNorm(config.d_model)
+        self.lm_head = Linear(config.d_model, config.vocab_size, head_rng)
 
     # ------------------------------------------------------------------ #
     # Forward / loss

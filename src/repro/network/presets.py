@@ -94,9 +94,6 @@ def cabinet_topology(
     nodes_per_supernode: int = SUPERNODE_SIZE,
     supernodes_per_cabinet: int = 4,
     num_cabinets: int = 4,
-    intra: LinkSpec | None = None,
-    inter: LinkSpec | None = None,
-    trunk: LinkSpec | None = None,
 ) -> Topology:
     """Three-level machine: node -> supernode -> cabinet.
 
@@ -108,26 +105,21 @@ def cabinet_topology(
         raise TopologyError("all cabinet_topology arities must be >= 1")
     return Topology(
         [
-            Level("node", nodes_per_supernode, intra or INTRA_SUPERNODE_LINK),
-            Level("supernode", supernodes_per_cabinet, inter or INTER_SUPERNODE_LINK),
-            Level("cabinet", num_cabinets, trunk or CABINET_LINK),
+            Level("node", nodes_per_supernode, INTRA_SUPERNODE_LINK),
+            Level("supernode", supernodes_per_cabinet, INTER_SUPERNODE_LINK),
+            Level("cabinet", num_cabinets, CABINET_LINK),
         ]
     )
 
 
-def two_level_topology(
-    group_size: int,
-    num_groups: int,
-    intra: LinkSpec | None = None,
-    inter: LinkSpec | None = None,
-) -> Topology:
+def two_level_topology(group_size: int, num_groups: int) -> Topology:
     """Explicit two-level topology for tests and ablations."""
     if group_size < 1 or num_groups < 1:
         raise TopologyError("group_size and num_groups must be >= 1")
     return Topology(
         [
-            Level("node", group_size, intra or INTRA_SUPERNODE_LINK),
-            Level("group", num_groups, inter or INTER_SUPERNODE_LINK),
+            Level("node", group_size, INTRA_SUPERNODE_LINK),
+            Level("group", num_groups, INTER_SUPERNODE_LINK),
         ]
     )
 

@@ -98,7 +98,6 @@ class DistributedMoELayer(MoELayer):
         capacity_factor: float | None = None,
         aux_weight: float = 1e-2,
         alltoall_algorithm: str | None = None,
-        dtype: str = "fp32",
         compute_hook: Callable[[int], None] | None = None,
         overlap_chunks: int = 1,
     ):
@@ -117,16 +116,15 @@ class DistributedMoELayer(MoELayer):
         self.last_local_rows: int = 0
         super().__init__(
             d_model, d_ff, num_experts, shared_rng, gate=gate, top_k=top_k,
-            capacity_factor=capacity_factor, aux_weight=aux_weight, dtype=dtype,
+            capacity_factor=capacity_factor, aux_weight=aux_weight,
         )
 
-    def _build_experts(self, dtype: str) -> list[MLP]:
+    def _build_experts(self) -> list[MLP]:
         """This rank's shard, each expert from its own global-id seed."""
         seed, layer_id = self._expert_seed
         return [
             MLP(self.d_model, self.d_ff,
-                np.random.default_rng(derive_seed(seed, "expert", layer_id, gid)),
-                dtype=dtype)
+                np.random.default_rng(derive_seed(seed, "expert", layer_id, gid)))
             for gid in self.global_expert_ids
         ]
 
@@ -272,7 +270,6 @@ def ep_moe_factory(
             capacity_factor=config.capacity_factor,
             aux_weight=config.aux_weight,
             alltoall_algorithm=alltoall_algorithm,
-            dtype=config.dtype,
             compute_hook=compute_hook,
             overlap_chunks=overlap_chunks,
         )

@@ -62,8 +62,7 @@ def build_moda_model(
 
         def mlp_factory(layer_idx: int, rng: np.random.Generator):
             return TensorParallelMLP(
-                config.d_model, config.d_ff, groups.tp, rng, config.dtype,
-                allreduce_algorithm,
+                config.d_model, config.d_ff, groups.tp, rng, allreduce_algorithm,
             )
 
     return MoELanguageModel(

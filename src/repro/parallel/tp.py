@@ -76,7 +76,6 @@ class ColumnParallelLinear(Module):
         out_features: int,
         tp_comm: Comm,
         rng: np.random.Generator,
-        dtype: str = "fp32",
         allreduce_algorithm: str | None = None,
     ):
         super().__init__()
@@ -97,9 +96,9 @@ class ColumnParallelLinear(Module):
         w, b = shard_linear_weights(
             full_w, np.zeros(out_features), tp_comm.rank, tp_comm.size, axis=1
         )
-        self.weight = Parameter(w, dtype=dtype)
+        self.weight = Parameter(w)
         self.weight.is_tp = True
-        self.bias = Parameter(b, dtype=dtype)
+        self.bias = Parameter(b)
         self.bias.is_tp = True
 
     def forward(self, x: Tensor) -> Tensor:
@@ -124,7 +123,6 @@ class RowParallelLinear(Module):
         out_features: int,
         tp_comm: Comm,
         rng: np.random.Generator,
-        dtype: str = "fp32",
         allreduce_algorithm: str | None = None,
     ):
         super().__init__()
@@ -141,12 +139,12 @@ class RowParallelLinear(Module):
         w, b = shard_linear_weights(
             full_w, np.zeros(out_features), tp_comm.rank, tp_comm.size, axis=0
         )
-        self.weight = Parameter(w, dtype=dtype)
+        self.weight = Parameter(w)
         self.weight.is_tp = True
         # Bias is applied once, after the sum (only the values matter; all
         # ranks hold the same copy and its gradient averages in DP), so it
         # is *replicated*, not TP-sharded.
-        self.bias = Parameter(b, dtype=dtype)
+        self.bias = Parameter(b)
 
     def forward(self, x_local: Tensor) -> Tensor:
         partial = x_local @ self.weight
@@ -170,7 +168,6 @@ class TensorParallelMLP(Module):
         d_ff: int,
         tp_comm: Comm,
         rng: np.random.Generator,
-        dtype: str = "fp32",
         allreduce_algorithm: str | None = None,
     ):
         super().__init__()
@@ -178,10 +175,10 @@ class TensorParallelMLP(Module):
         self.d_ff = d_ff
         self.comm = tp_comm
         self.fc_in = ColumnParallelLinear(
-            d_model, d_ff, tp_comm, rng, dtype, allreduce_algorithm
+            d_model, d_ff, tp_comm, rng, allreduce_algorithm
         )
         self.fc_out = RowParallelLinear(
-            d_ff, d_model, tp_comm, rng, dtype, allreduce_algorithm
+            d_ff, d_model, tp_comm, rng, allreduce_algorithm
         )
 
     def forward(self, x: Tensor) -> Tensor:

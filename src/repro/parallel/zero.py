@@ -50,7 +50,7 @@ class ZeroAdamW(object):
         self,
         params: Iterable[Tensor],
         comm: Comm,
-        lr: float = 1e-3,
+        lr: float,
     ):
         self.params: list[Tensor] = list(params)
         if not self.params:

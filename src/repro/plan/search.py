@@ -97,9 +97,7 @@ class PlannerConfig:
         except TopologyError as exc:
             raise ConfigError(str(exc)) from None
 
-    def training_config(
-        self, layout: ParallelLayout, num_steps: int = 2
-    ) -> TrainingRunConfig:
+    def training_config(self, layout: ParallelLayout) -> TrainingRunConfig:
         """The measured-run config this planner row corresponds to; its
         ``.plan`` is what the row is priced at. Pipeline layouts launch
         (and so price) at one overlap chunk."""
@@ -110,7 +108,7 @@ class PlannerConfig:
             tp_size=layout.tp_size,
             pp_size=layout.pp_size,
             zero_shards=layout.zero_shards,
-            num_steps=num_steps,
+            num_steps=2,
             batch_size=self.micro_batch,
             seq_len=self.seq_len,
             num_microbatches=self.num_microbatches,

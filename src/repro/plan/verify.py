@@ -113,12 +113,10 @@ def verify_plans(
 def plan_layouts(
     model,
     num_nodes: int,
-    *,
-    top_k: int = 2,
     **planner,
 ) -> PlanResult:
-    """One-shot planner facade: search, rank, and verify the top-k with
-    :func:`verify_plans`' default run length.
+    """One-shot planner facade: search, rank, and verify with
+    :func:`verify_plans`' defaults (the top two, two steps each).
 
     ``planner`` keywords (``cluster``, ``micro_batch``, ``overlap_chunks``,
     ...) are :class:`PlannerConfig` fields, passed through unchanged::
@@ -128,5 +126,5 @@ def plan_layouts(
     """
     result = search_plans(PlannerConfig(model=model, num_nodes=num_nodes, **planner))
     if result.candidates:
-        result = verify_plans(result, top_k=top_k)
+        result = verify_plans(result)
     return result

@@ -48,14 +48,13 @@ def checkpoint(fn: Callable[..., Tensor], *inputs: Tensor) -> Tensor:
 
     # The inputs' values, not the tensors: a non-leaf input's node belongs
     # to the graph below, which this node reaches through its parents.
-    saved = [(x.data, x.dtype, x.name) for x in inputs]
+    saved = [(x.data, x.dtype) for x in inputs]
     out_shape = out.shape
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray | None]:
         # Replay with fresh leaves so gradients are isolated to this call.
         leaves = [
-            Tensor(data, requires_grad=True, dtype=dtype, name=name)
-            for data, dtype, name in saved
+            Tensor(data, requires_grad=True, dtype=dtype) for data, dtype in saved
         ]
         replay = fn(*leaves)
         if replay.shape != out_shape:

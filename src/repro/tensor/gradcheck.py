@@ -10,12 +10,14 @@ from repro.tensor.tensor import Tensor
 
 __all__ = ["numerical_grad", "gradcheck"]
 
+#: The central-difference step.
+EPS = 1e-5
+
 
 def numerical_grad(
     fn: Callable[[Sequence[Tensor]], Tensor],
     inputs: Sequence[Tensor],
     index: int,
-    eps: float = 1e-5,
 ) -> np.ndarray:
     """Central-difference gradient of ``fn(inputs).sum()`` w.r.t. one input.
 
@@ -28,12 +30,12 @@ def numerical_grad(
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + EPS
         plus = float(fn(inputs).data.sum())
-        flat[i] = orig - eps
+        flat[i] = orig - EPS
         minus = float(fn(inputs).data.sum())
         flat[i] = orig
-        gflat[i] = (plus - minus) / (2.0 * eps)
+        gflat[i] = (plus - minus) / (2.0 * EPS)
     return grad
 
 
@@ -42,7 +44,6 @@ def gradcheck(
     inputs: Sequence[Tensor],
     rtol: float = 1e-4,
     atol: float = 1e-6,
-    eps: float = 1e-5,
 ) -> bool:
     """Compare autograd gradients of every ``requires_grad`` input to
     numerical gradients; raises AssertionError with a diagnostic on failure.
@@ -60,7 +61,7 @@ def gradcheck(
     for i, t in enumerate(inputs):
         if not t.requires_grad:
             continue
-        num = numerical_grad(fn, inputs, i, eps=eps)
+        num = numerical_grad(fn, inputs, i)
         ana = t.grad if t.grad is not None else np.zeros_like(t.data)
         if not np.allclose(ana, num, rtol=rtol, atol=atol):
             worst = np.abs(np.asarray(ana, dtype=np.float64) - num).max()

@@ -221,20 +221,19 @@ def sum_(a: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = 
     return _make(data, a.dtype, (a,), backward)
 
 
-def mean(a: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
+def mean(a: Tensor, axis: int | tuple[int, ...] | None = None) -> Tensor:
     """Arithmetic mean over ``axis``."""
-    data = a.data.mean(axis=axis, keepdims=keepdims)
+    data = a.data.mean(axis=axis)
     src_shape = a.shape
     count = a.data.size if axis is None else np.prod(
         [src_shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
 
     def backward(g: np.ndarray) -> Sequence[np.ndarray]:
-        gg = g
-        if not keepdims and axis is not None:
-            gg = np.expand_dims(g, axis)
-        elif not keepdims and axis is None:
+        if axis is None:
             gg = np.asarray(g).reshape((1,) * len(src_shape))
+        else:
+            gg = np.expand_dims(g, axis)
         return (np.broadcast_to(gg, src_shape) / count,)
 
     return _make(data, a.dtype, (a,), backward)

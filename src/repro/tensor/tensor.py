@@ -124,8 +124,9 @@ class Tensor:
         Whether to accumulate gradients into ``.grad`` on backward.
     dtype:
         Emulated dtype name ("fp64", "fp32", "fp16", "bf16").
-    name:
-        Optional label used in error messages and parameter listings.
+
+    ``name`` is the label a :class:`~repro.models.Module` gives each of its
+    parameters, shown by ``repr``.
 
     A ``requires_grad`` tensor is a leaf: it is its own graph node. Any
     other tensor has a private ``_node`` (a :class:`_Node`), or ``None``
@@ -140,7 +141,6 @@ class Tensor:
         data: Any,
         requires_grad: bool = False,
         dtype: str | DTypeSpec = "fp32",
-        name: str | None = None,
         _parents: tuple["Tensor", ...] = (),
         _backward: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None,
     ):
@@ -150,7 +150,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._node = None if _backward is None else _Node(_nodes_of(_parents), _backward)
-        self.name = name
+        self.name: str | None = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -299,8 +299,8 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):  # noqa: D102
         return ops.sum_(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):  # noqa: D102
-        return ops.mean(self, axis=axis, keepdims=keepdims)
+    def mean(self, axis=None):  # noqa: D102
+        return ops.mean(self, axis=axis)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" name={self.name!r}" if self.name else ""

@@ -114,7 +114,9 @@ class TestReprs:
     def test_tensor_repr(self):
         from repro.tensor import Tensor
 
-        r = repr(Tensor(np.zeros((2, 3)), requires_grad=True, name="w"))
+        t = Tensor(np.zeros((2, 3)), requires_grad=True)
+        t.name = "w"
+        r = repr(t)
         assert "shape=(2, 3)" in r and "'w'" in r
 
     def test_topology_repr(self):

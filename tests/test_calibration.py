@@ -2,7 +2,6 @@
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigError

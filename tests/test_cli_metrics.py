@@ -2,7 +2,6 @@
 
 import argparse
 import inspect
-import json
 import re
 import tempfile
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.amp import cast_model
 from repro.errors import ShapeError
 from repro.models.layers import MLP
 from repro.tensor import Tensor, expert_ffn, gradcheck, no_grad, quantize
@@ -29,7 +30,7 @@ def _on_grid(rng, shape, dtype, zeros=0):
 
 
 def _experts(rng, num, d_model, d_ff, dtype):
-    mlps = [MLP(d_model, d_ff, rng, dtype=dtype) for _ in range(num)]
+    mlps = [cast_model(MLP(d_model, d_ff, rng), dtype) for _ in range(num)]
     for mlp in mlps:
         for p in mlp.parameters():
             p.data = _on_grid(rng, p.shape, dtype, zeros=1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.data import ShardedLoader, SyntheticCorpus
-from repro.errors import CheckpointError, ConfigError
+from repro.errors import ConfigError
 from repro.hardware import sunway_machine
 from repro.models import bagualu_14_5t, tiny_config
 from repro.network import sunway_network

@@ -17,7 +17,6 @@ The load-bearing guarantees:
 import gc
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigError, FaultInjected, ReproError

@@ -29,12 +29,12 @@ class TestProcessorSpec:
         with pytest.raises(ConfigError):
             ProcessorSpec(
                 name="bad", core_groups=0, mpe_per_group=1, cpe_per_group=1,
-                peak_flops={"fp32": 1.0}, memory_bytes=1, memory_bandwidth=1,
+                peak_flops={"fp32": 1.0}, memory_bytes=1,
             )
         with pytest.raises(ConfigError):
             ProcessorSpec(
                 name="bad", core_groups=1, mpe_per_group=1, cpe_per_group=1,
-                peak_flops={}, memory_bytes=1, memory_bandwidth=1,
+                peak_flops={}, memory_bytes=1,
             )
 
 

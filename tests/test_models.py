@@ -11,7 +11,6 @@ from repro.models import (
     LayerNorm,
     Linear,
     Module,
-    MoELanguageModel,
     MoELayer,
     Parameter,
     bagualu_14_5t,

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigError, TopologyError
 from repro.network import (
-    Level,
     LinkSpec,
     Topology,
     flat_topology,

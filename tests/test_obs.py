@@ -34,7 +34,6 @@ from repro.models import tiny_config
 from repro.network import NetworkModel, flat_network, sunway_network
 from repro.obs import (
     NULL_REGISTRY,
-    CommProfile,
     FlightRecorder,
     MetricRegistry,
     RouterTelemetry,

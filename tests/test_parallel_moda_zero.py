@@ -7,7 +7,7 @@ import pytest
 
 from repro.data import ShardedLoader, SyntheticCorpus
 from repro.errors import ConfigError
-from repro.models import build_model, tiny_config
+from repro.models import tiny_config
 from repro.parallel import (
     MoDaTrainer,
     ParallelLayout,

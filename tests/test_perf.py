@@ -1,7 +1,6 @@
 """Analytic performance model: FLOPs, memory, step model, sweeps, and the
 measured-vs-projected calibration check."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigError

@@ -92,7 +92,7 @@ class TestSearchLaunchParity:
         preset = result.config.preset
         world = result.config.num_nodes
         for cand in result.candidates:
-            run_cfg = result.config.training_config(cand.layout, num_steps=1)
+            run_cfg = replace(result.config.training_config(cand.layout), num_steps=1)
             run = run_distributed_training(
                 run_cfg,
                 network=preset.network(world),
@@ -195,8 +195,7 @@ class TestVerification:
     @pytest.fixture(scope="class")
     def verified(self):
         model = tiny_config(num_experts=8)
-        return plan_layouts(model, num_nodes=8, cluster="toy",
-                            top_k=2)
+        return plan_layouts(model, num_nodes=8, cluster="toy")
 
     def test_topk_measured(self, verified):
         assert len(verified.verified) == 2
@@ -382,12 +381,10 @@ class TestStepModelNewTerms:
 class TestPlanReport:
     @pytest.fixture(scope="class")
     def result(self):
-        return plan_layouts(tiny_config(num_experts=8), num_nodes=8,
-                            cluster="toy", top_k=2)
+        return plan_layouts(tiny_config(num_experts=8), num_nodes=8, cluster="toy")
 
     def test_report_is_byte_stable(self, result):
-        again = plan_layouts(tiny_config(num_experts=8), num_nodes=8,
-                             cluster="toy", top_k=2)
+        again = plan_layouts(tiny_config(num_experts=8), num_nodes=8, cluster="toy")
         assert build_plan_report(result) == build_plan_report(again)
 
     def test_report_sections(self, result):

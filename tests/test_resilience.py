@@ -27,7 +27,6 @@ from repro.errors import (
     DeadlockError,
     FaultInjected,
     OverflowDetected,
-    ReproError,
 )
 from repro.models import tiny_config
 from repro.parallel.dist_checkpoint import latest_snapshot, verify_snapshot

@@ -7,7 +7,6 @@ catches cross-operation state bugs (round bookkeeping, stream mixing,
 clock regressions) that single-op tests cannot.
 """
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.network import sunway_network

@@ -20,7 +20,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.models import tiny_config
-from repro.obs import NULL_TRACER, Span, Tracer, span_coverage
+from repro.obs import NULL_TRACER, Tracer, span_coverage
 from repro.parallel import TrainingRunConfig
 from repro.resilience import ElasticRunConfig, Supervisor
 from repro.serve import FleetConfig, ServeConfig, run_fleet_serving

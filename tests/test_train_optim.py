@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.models import Parameter
 from repro.train import Adam, ConstantLR, WarmupCosineLR, clip_grad_norm, global_grad_norm
-from repro.tensor import Tensor
 
 
 def quad_param(value=5.0, dtype="fp32"):

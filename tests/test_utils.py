@@ -1,6 +1,5 @@
 """Tests for repro.utils: units, seeding, integer math."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
