@@ -18,14 +18,13 @@ from repro.utils import format_bytes, format_time
 
 def test_f3_analytic_size_sweep(benchmark, report):
     """Analytic sweep at 4096 nodes over per-pair payload size."""
-    topo = sunway_topology(4096, supernode_size=256)
-    nodes = list(range(4096))
+    shape = sunway_topology(4096, supernode_size=256).group_shape(list(range(4096)))
 
     def sweep():
         rows = []
         for nbytes in [64, 1024, 16384, 262144, 4194304, 67108864]:
-            flat = cost_flat_alltoall(topo, nbytes, nodes)
-            hier = cost_hierarchical_alltoall(topo, nbytes, nodes)
+            flat = cost_flat_alltoall(shape, nbytes)
+            hier = cost_hierarchical_alltoall(shape, nbytes)
             rows.append(
                 {
                     "per_pair": format_bytes(nbytes),
@@ -50,10 +49,9 @@ def test_f3_analytic_node_sweep(benchmark, report):
     def sweep():
         rows = []
         for n in [256, 512, 1024, 4096, 16384, 96000]:
-            topo = sunway_topology(n, supernode_size=256)
-            nodes = list(range(n))
-            flat = cost_flat_alltoall(topo, 4096, nodes)
-            hier = cost_hierarchical_alltoall(topo, 4096, nodes)
+            shape = sunway_topology(n, supernode_size=256).group_shape(list(range(n)))
+            flat = cost_flat_alltoall(shape, 4096)
+            hier = cost_hierarchical_alltoall(shape, 4096)
             rows.append(
                 {
                     "nodes": n,

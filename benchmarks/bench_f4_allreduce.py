@@ -19,15 +19,14 @@ from repro.utils import format_bytes, format_time
 
 
 def test_f4_analytic_algorithm_sweep(benchmark, report):
-    topo = sunway_topology(16384, supernode_size=256)
-    nodes = list(range(16384))
+    shape = sunway_topology(16384, supernode_size=256).group_shape(list(range(16384)))
 
     def sweep():
         rows = []
         for nbytes in [1e4, 1e6, 1e8, 2e10]:  # up to 20 GB of fp32 grads
-            ring = cost_ring_allreduce(topo, nbytes, nodes)
-            tree = cost_tree_allreduce(topo, nbytes, nodes)
-            hier = cost_hierarchical_allreduce(topo, nbytes, nodes)
+            ring = cost_ring_allreduce(shape, nbytes)
+            tree = cost_tree_allreduce(shape, nbytes)
+            hier = cost_hierarchical_allreduce(shape, nbytes)
             rows.append(
                 {
                     "buffer": format_bytes(nbytes),
@@ -57,10 +56,9 @@ def test_f4_hierarchical_advantage_vs_scale(benchmark, report):
     def sweep():
         rows = []
         for n in [512, 2048, 8192, 32768, 96000]:
-            topo = sunway_topology(n, supernode_size=256)
-            nodes = list(range(n))
-            ring = cost_ring_allreduce(topo, 1e7, nodes)
-            hier = cost_hierarchical_allreduce(topo, 1e7, nodes)
+            shape = sunway_topology(n, supernode_size=256).group_shape(list(range(n)))
+            ring = cost_ring_allreduce(shape, 1e7)
+            hier = cost_hierarchical_allreduce(shape, 1e7)
             rows.append({"nodes": n, "ring/hier": round(ring / hier, 2)})
         return rows
 

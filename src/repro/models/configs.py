@@ -87,7 +87,8 @@ class ModelConfig:
 
     @property
     def num_moe_layers(self) -> int:
-        return len([i for i in range(self.n_layers) if (i + 1) % self.moe_every == 0])
+        """Blocks ``i`` with ``(i + 1) % moe_every == 0``."""
+        return self.n_layers // self.moe_every
 
     @property
     def num_dense_ffn_layers(self) -> int:

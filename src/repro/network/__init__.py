@@ -1,7 +1,7 @@
 """Interconnect topology and analytic communication cost models."""
 
 from repro.network.links import LinkSpec
-from repro.network.topology import Level, Topology
+from repro.network.topology import GroupShape, Level, Topology
 from repro.network.costmodel import NetworkModel, check_algorithm_names
 from repro.network.presets import (
     CABINET_LINK,
@@ -21,6 +21,7 @@ from repro.network.presets import (
 
 __all__ = [
     "LinkSpec",
+    "GroupShape",
     "Level",
     "Topology",
     "NetworkModel",

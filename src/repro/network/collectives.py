@@ -17,16 +17,16 @@ latency-bound inter-supernode messages, which wins at scale and loses for
 very large per-pair payloads — producing the crossover that experiment F3
 demonstrates.
 
-A formula sees a group only through its *shape*: the number of distinct
-nodes ``p`` and the link at their span level, which is the span of the
-smallest and largest member (:mod:`repro.network.topology`). The
-hierarchical variants also need, per unit at the grouping level, the member
-count and the link those members span; :func:`_unit_shapes` finds each
-unit's boundary by bisection on the sorted nodes and keeps the *distinct*
-``(count, link)`` pairs, so a 96,000-node ``range`` costs 375 bisections
-and is never expanded. The result is a ``max`` over per-unit costs, and
-``max`` over equal terms is exact — which is why the formulas below keep
-their operations in the order written (``(p - 1) * (latency + chunk *
+A formula sees a group only through its
+:class:`~repro.network.topology.GroupShape`: the number of distinct nodes
+``p`` and the link at their span level, which is the span of the smallest
+and largest member; the hierarchical variants also read, per unit at the
+grouping level, the distinct ``(count, link)`` pairs of its members.
+:meth:`Topology.group_shape <repro.network.topology.Topology.group_shape>`
+derives a shape once per group and topology, so an "auto" call prices three
+algorithms from one shape. The result is a ``max`` over per-unit costs,
+and ``max`` over equal terms is exact — which is why the formulas below
+keep their operations in the order written (``(p - 1) * (latency + chunk *
 beta)``): re-associating them, or summing in NumPy, would change the last
 bits that the simulated clock and every committed table are pinned to.
 """
@@ -34,11 +34,9 @@ bits that the simulated clock and every committed table are pinned to.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from typing import Sequence
 
 from repro.network.links import LinkSpec
-from repro.network.topology import Topology
+from repro.network.topology import GroupShape, Topology
 
 __all__ = [
     "cost_p2p",
@@ -52,42 +50,6 @@ __all__ = [
     "cost_hierarchical_alltoall",
     "cost_gather",
 ]
-
-
-def _unique(nodes: Sequence[int]) -> Sequence[int]:
-    """Sorted distinct node ids; a ``range`` already is that, unexpanded."""
-    if isinstance(nodes, range):
-        return nodes if nodes.step > 0 else nodes[::-1]
-    return sorted(set(map(int, nodes)))
-
-
-def _shape(topo: Topology, nodes: Sequence[int]) -> tuple[int, LinkSpec | None]:
-    """``(p, link)``: distinct node count and the link at their span level."""
-    nodes = _unique(nodes)
-    p = len(nodes)
-    return p, (topo.link_between(nodes[0], nodes[-1]) if p > 1 else None)
-
-
-def _unit_shapes(
-    topo: Topology, nodes: Sequence[int], level: int
-) -> tuple[int, int, set[tuple[int, LinkSpec | None]]]:
-    """Split sorted distinct ``nodes`` by ``level`` unit, without listing them.
-
-    Returns ``(num_groups, g_max, shapes)``: the number of non-empty units,
-    the largest member count, and the distinct ``(count, link)`` shapes of
-    the units' member sets.
-    """
-    size = topo.group_size(level)
-    shapes = set()
-    num_groups = g_max = start = 0
-    while start < len(nodes):
-        first = nodes[start]
-        stop = bisect_left(nodes, (first // size + 1) * size, start)
-        shapes.add((stop - start, topo.link_between(first, nodes[stop - 1])))
-        g_max = max(g_max, stop - start)
-        num_groups += 1
-        start = stop
-    return num_groups, g_max, shapes
 
 
 def _ring_allreduce(nbytes: float, p: int, link: LinkSpec | None) -> float:
@@ -127,30 +89,30 @@ def cost_p2p(topo: Topology, nbytes: float, src: int, dst: int) -> float:
     return link.transfer_time(nbytes)
 
 
-def cost_barrier(topo: Topology, nodes: Sequence[int]) -> float:
+def cost_barrier(shape: GroupShape) -> float:
     """Dissemination barrier: ceil(log2 p) rounds of zero-byte messages."""
-    p, link = _shape(topo, nodes)
+    p, link = shape.p, shape.link
     if p <= 1:
         return 0.0
     return math.ceil(math.log2(p)) * link.latency
 
 
-def cost_bcast(topo: Topology, nbytes: float, nodes: Sequence[int]) -> float:
+def cost_bcast(shape: GroupShape, nbytes: float) -> float:
     """Binomial-tree broadcast of ``nbytes`` to every node."""
-    p, link = _shape(topo, nodes)
+    p, link = shape.p, shape.link
     if p <= 1:
         return 0.0
     return math.ceil(math.log2(p)) * link.transfer_time(nbytes)
 
 
-def cost_ring_allreduce(topo: Topology, nbytes: float, nodes: Sequence[int]) -> float:
+def cost_ring_allreduce(shape: GroupShape, nbytes: float) -> float:
     """Bandwidth-optimal ring allreduce of an ``nbytes`` buffer."""
-    return _ring_allreduce(nbytes, *_shape(topo, nodes))
+    return _ring_allreduce(nbytes, shape.p, shape.link)
 
 
-def cost_tree_allreduce(topo: Topology, nbytes: float, nodes: Sequence[int]) -> float:
+def cost_tree_allreduce(shape: GroupShape, nbytes: float) -> float:
     """Recursive-doubling allreduce: latency-optimal, bandwidth-suboptimal."""
-    p, link = _shape(topo, nodes)
+    p, link = shape.p, shape.link
     if p <= 1:
         return 0.0
     rounds = math.ceil(math.log2(p))
@@ -158,7 +120,7 @@ def cost_tree_allreduce(topo: Topology, nbytes: float, nodes: Sequence[int]) -> 
 
 
 def cost_hierarchical_allreduce(
-    topo: Topology, nbytes: float, nodes: Sequence[int], level: int | None = None
+    shape: GroupShape, nbytes: float, level: int | None = None
 ) -> float:
     """Two-phase allreduce: intra-group ring + inter-group ring of leaders.
 
@@ -166,17 +128,14 @@ def cost_hierarchical_allreduce(
     the span level (i.e. group by the largest unit that still keeps traffic
     on faster links). Falls back to a plain ring when no hierarchy helps.
     """
-    nodes = _unique(nodes)
-    p = len(nodes)
+    p, span, top = shape.p, shape.span, shape.link
     if p <= 1:
         return 0.0
-    span = topo.span_level(nodes[0], nodes[-1])
-    top = topo.link_at(span)
     if level is None:
         level = span - 1
     if level < 0 or span <= 0:
         return _ring_allreduce(nbytes, p, top)
-    num_groups, g_max, shapes = _unit_shapes(topo, nodes, level)
+    num_groups, g_max, shapes = shape.units_at(level)
     if num_groups <= 1:
         return _ring_allreduce(nbytes, p, top)
     # 2-D torus decomposition: (1) intra-group ring reduce-scatter leaves
@@ -195,14 +154,14 @@ def cost_hierarchical_allreduce(
     return intra_rs + inter + intra_ag
 
 
-def cost_allgather(topo: Topology, nbytes: float, nodes: Sequence[int]) -> float:
+def cost_allgather(shape: GroupShape, nbytes: float) -> float:
     """Ring allgather where each node contributes ``nbytes``."""
-    return _allgather(nbytes, *_shape(topo, nodes))
+    return _allgather(nbytes, shape.p, shape.link)
 
 
-def cost_gather(topo: Topology, nbytes: float, nodes: Sequence[int]) -> float:
+def cost_gather(shape: GroupShape, nbytes: float) -> float:
     """Binomial gather of ``nbytes`` per node to a root."""
-    p, link = _shape(topo, nodes)
+    p, link = shape.p, shape.link
     if p <= 1:
         return 0.0
     rounds = math.ceil(math.log2(p))
@@ -210,23 +169,18 @@ def cost_gather(topo: Topology, nbytes: float, nodes: Sequence[int]) -> float:
     return rounds * link.latency + (p - 1) * nbytes * link.beta
 
 
-def cost_flat_alltoall(
-    topo: Topology, nbytes_per_pair: float, nodes: Sequence[int]
-) -> float:
+def cost_flat_alltoall(shape: GroupShape, nbytes_per_pair: float) -> float:
     """Pairwise-exchange alltoall: every node sends p-1 direct messages.
 
     Traffic crossing the span level is contended (bandwidth taper applies),
     and the latency term scales with p — this is exactly what kills flat
     alltoall at supercomputer scale.
     """
-    return _flat_alltoall(nbytes_per_pair, *_shape(topo, nodes))
+    return _flat_alltoall(nbytes_per_pair, shape.p, shape.link)
 
 
 def cost_hierarchical_alltoall(
-    topo: Topology,
-    nbytes_per_pair: float,
-    nodes: Sequence[int],
-    level: int | None = None,
+    shape: GroupShape, nbytes_per_pair: float, level: int | None = None
 ) -> float:
     """Supernode-aggregated alltoall (the BaGuaLu-style optimization).
 
@@ -240,17 +194,14 @@ def cost_hierarchical_alltoall(
 
     The inter-group latency term drops from (p-1) alpha to (G-1) alpha.
     """
-    nodes = _unique(nodes)
-    p = len(nodes)
+    p, span, top = shape.p, shape.span, shape.link
     if p <= 1:
         return 0.0
-    span = topo.span_level(nodes[0], nodes[-1])
-    top = topo.link_at(span)
     if level is None:
         level = span - 1
     if level < 0 or span <= 0:
         return _flat_alltoall(nbytes_per_pair, p, top)
-    num_groups, g_max, shapes = _unit_shapes(topo, nodes, level)
+    num_groups, g_max, shapes = shape.units_at(level)
     if num_groups <= 1 or num_groups == p:
         return _flat_alltoall(nbytes_per_pair, p, top)
     m = nbytes_per_pair

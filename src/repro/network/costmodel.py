@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 from repro.errors import ConfigError
 from repro.network import collectives as C
-from repro.network.topology import Topology
+from repro.network.topology import GroupShape, Topology
 
 __all__ = ["NetworkModel", "check_algorithm_names"]
 
@@ -67,6 +67,9 @@ class NetworkModel:
                 return ranks  # rank % num_nodes is the identity here
         return [self.node(r) for r in ranks]
 
+    def _shape(self, ranks: Sequence[int]) -> GroupShape:
+        return self.topology.group_shape(self._nodes(ranks))
+
     # ------------------------------------------------------------------ #
     # Point-to-point
     # ------------------------------------------------------------------ #
@@ -80,36 +83,36 @@ class NetworkModel:
     # ------------------------------------------------------------------ #
 
     def barrier_time(self, ranks: Sequence[int]) -> float:
-        return C.cost_barrier(self.topology, self._nodes(ranks))
+        return C.cost_barrier(self._shape(ranks))
 
     def bcast_time(self, nbytes: float, ranks: Sequence[int]) -> float:
-        return C.cost_bcast(self.topology, nbytes, self._nodes(ranks))
+        return C.cost_bcast(self._shape(ranks), nbytes)
 
     def allreduce_time(
         self, nbytes: float, ranks: Sequence[int], algorithm: str | None = None
     ) -> float:
         """Allreduce of an ``nbytes`` buffer over ``ranks``."""
-        nodes = self._nodes(ranks)
         algo = algorithm or "auto"
-        if algo == "ring":
-            return C.cost_ring_allreduce(self.topology, nbytes, nodes)
-        if algo == "tree":
-            return C.cost_tree_allreduce(self.topology, nbytes, nodes)
-        if algo == "hierarchical":
-            return C.cost_hierarchical_allreduce(self.topology, nbytes, nodes)
         _refuse_unknown("allreduce", algo, _ALLREDUCE_ALGOS)
+        shape = self._shape(ranks)
+        if algo == "ring":
+            return C.cost_ring_allreduce(shape, nbytes)
+        if algo == "tree":
+            return C.cost_tree_allreduce(shape, nbytes)
+        if algo == "hierarchical":
+            return C.cost_hierarchical_allreduce(shape, nbytes)
         # auto: take the best of the three estimates, as a tuned MPI would.
         return min(
-            C.cost_ring_allreduce(self.topology, nbytes, nodes),
-            C.cost_tree_allreduce(self.topology, nbytes, nodes),
-            C.cost_hierarchical_allreduce(self.topology, nbytes, nodes),
+            C.cost_ring_allreduce(shape, nbytes),
+            C.cost_tree_allreduce(shape, nbytes),
+            C.cost_hierarchical_allreduce(shape, nbytes),
         )
 
     def allgather_time(self, nbytes_per_rank: float, ranks: Sequence[int]) -> float:
-        return C.cost_allgather(self.topology, nbytes_per_rank, self._nodes(ranks))
+        return C.cost_allgather(self._shape(ranks), nbytes_per_rank)
 
     def gather_time(self, nbytes_per_rank: float, ranks: Sequence[int]) -> float:
-        return C.cost_gather(self.topology, nbytes_per_rank, self._nodes(ranks))
+        return C.cost_gather(self._shape(ranks), nbytes_per_rank)
 
     def alltoall_time(
         self,
@@ -118,14 +121,14 @@ class NetworkModel:
         algorithm: str | None = None,
     ) -> float:
         """Alltoall with a uniform per-pair payload."""
-        nodes = self._nodes(ranks)
         algo = algorithm or "auto"
-        if algo == "flat":
-            return C.cost_flat_alltoall(self.topology, nbytes_per_pair, nodes)
-        if algo == "hierarchical":
-            return C.cost_hierarchical_alltoall(self.topology, nbytes_per_pair, nodes)
         _refuse_unknown("alltoall", algo, _ALLTOALL_ALGOS)
+        shape = self._shape(ranks)
+        if algo == "flat":
+            return C.cost_flat_alltoall(shape, nbytes_per_pair)
+        if algo == "hierarchical":
+            return C.cost_hierarchical_alltoall(shape, nbytes_per_pair)
         return min(
-            C.cost_flat_alltoall(self.topology, nbytes_per_pair, nodes),
-            C.cost_hierarchical_alltoall(self.topology, nbytes_per_pair, nodes),
+            C.cost_flat_alltoall(shape, nbytes_per_pair),
+            C.cost_hierarchical_alltoall(shape, nbytes_per_pair),
         )

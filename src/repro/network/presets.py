@@ -10,6 +10,7 @@ benchmarks reproduce.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import TopologyError
@@ -53,11 +54,19 @@ def sunway_topology(num_nodes: int, supernode_size: int = SUPERNODE_SIZE) -> Top
     When ``num_nodes`` fits in one supernode the machine is a single flat
     level; otherwise nodes are grouped into ``supernode_size``-node
     supernodes joined by the tapered inter-supernode fabric.
+
+    Equal arguments return one shared instance (a topology is immutable),
+    so every model of an equal machine shares its group-shape cache.
     """
     if num_nodes < 1:
         raise TopologyError(f"num_nodes must be >= 1, got {num_nodes}")
     if supernode_size < 1:
         raise TopologyError(f"supernode_size must be >= 1, got {supernode_size}")
+    return _sunway_topology(num_nodes, supernode_size)
+
+
+@cache
+def _sunway_topology(num_nodes: int, supernode_size: int) -> Topology:
     if num_nodes <= supernode_size:
         return Topology([Level("node", num_nodes, INTRA_SUPERNODE_LINK)])
     num_supernodes = ceil_div(num_nodes, supernode_size)

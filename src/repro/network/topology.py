@@ -17,19 +17,26 @@ of a group lies between the group's smallest and largest id and
 :meth:`Topology.span_level_of` is the span of those two ends — O(levels)
 once they are found, and a ``range`` hands them over in O(1).
 
+A collective's price reads a group only through its :class:`GroupShape`,
+which :meth:`Topology.group_shape` derives once per node group and keeps in
+a cache the topology holds. The cache holds topology facts, never a price
+(whose bytes change with every plan), and it lives and dies with its
+topology, which is immutable.
+
 This abstraction also covers flat clusters (a single level) and arbitrary
 multi-level hierarchies used in tests.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import TopologyError
 from repro.network.links import LinkSpec
 
-__all__ = ["Level", "Topology"]
+__all__ = ["GroupShape", "Level", "Topology"]
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,34 @@ class Level:
             raise TopologyError(f"level {self.name!r} arity must be >= 1, got {self.arity}")
 
 
+#: One grouping level of a group: ``(num_groups, g_max, shapes)`` -- the
+#: number of non-empty units, the largest member count, and the distinct
+#: ``(count, link)`` pairs of the units' member sets.
+Units = tuple[int, int, frozenset[tuple[int, LinkSpec | None]]]
+
+
+@dataclass(frozen=True)
+class GroupShape:
+    """A node group as every collective formula sees it.
+
+    ``p`` distinct nodes whose span level is ``span`` (-1 when ``p <= 1``)
+    over ``link``, the link at that level (None when ``p <= 1``); and for a
+    group of two or more, ``units[level]`` for every level of the topology.
+    """
+
+    p: int
+    span: int
+    link: LinkSpec | None
+    units: tuple[Units, ...]
+
+    def units_at(self, level: int) -> Units:
+        """The group split by ``level`` unit; raises on a level not in the
+        topology."""
+        if not 0 <= level < len(self.units):
+            raise TopologyError(f"level {level} out of range [0, {len(self.units)})")
+        return self.units[level]
+
+
 class Topology:
     """A tree-structured machine of ``prod(arities)`` leaf nodes."""
 
@@ -73,6 +108,8 @@ class Topology:
             sizes.append(n)
         self._sizes = tuple(sizes)
         self._num_nodes = n
+        # Sorted distinct members (a range, or a tuple) -> their shape.
+        self._shapes: dict[Sequence[int], GroupShape] = {}
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -169,6 +206,47 @@ class Topology:
         if span < 0:
             return None
         return self._levels[span].link
+
+    def group_shape(self, nodes: Sequence[int]) -> GroupShape:
+        """The :class:`GroupShape` of ``nodes`` (any order, duplicates
+        allowed), derived on the first call for its member set.
+
+        A ``range`` is its own key and is never expanded: each unit's
+        boundary is found by bisection, so ``range(96_000)`` costs 375
+        bisections at the supernode level once, and a dict lookup after.
+        """
+        if isinstance(nodes, range):
+            key = nodes if nodes.step > 0 else nodes[::-1]
+        else:
+            key = tuple(sorted(set(map(int, nodes))))
+        shape = self._shapes.get(key)
+        if shape is None:
+            # Rank threads may derive one key at once: equal shapes, so
+            # whichever store lands last is as good as the other.
+            shape = self._shapes[key] = self._derive_shape(key)
+        return shape
+
+    def _derive_shape(self, nodes: Sequence[int]) -> GroupShape:
+        p = len(nodes)
+        if p <= 1:
+            return GroupShape(p, -1, None, ())
+        span = self.span_level(nodes[0], nodes[-1])
+        units = tuple(self._units(nodes, level) for level in range(len(self._levels)))
+        return GroupShape(p, span, self.link_at(span), units)
+
+    def _units(self, nodes: Sequence[int], level: int) -> Units:
+        """Split sorted distinct ``nodes`` by ``level`` unit, without listing them."""
+        size = self.group_size(level)
+        shapes = set()
+        num_groups = g_max = start = 0
+        while start < len(nodes):
+            first = nodes[start]
+            stop = bisect_left(nodes, (first // size + 1) * size, start)
+            shapes.add((stop - start, self.link_between(first, nodes[stop - 1])))
+            g_max = max(g_max, stop - start)
+            num_groups += 1
+            start = stop
+        return num_groups, g_max, frozenset(shapes)
 
     # ------------------------------------------------------------------ #
     # Validation

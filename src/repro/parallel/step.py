@@ -90,7 +90,6 @@ class DistributedStep:
         self.scaler = scaler
         self.allreduce_algorithm = allreduce_algorithm
         self.step_count = 0
-        self.history: list[StepResult] = []
         if optimizer is not None:
             self.attach_optimizer(optimizer)
 
@@ -141,7 +140,6 @@ class DistributedStep:
         timed = {f"t_{name}": seconds for name, seconds in phases.items()}
         result = StepResult(step=self.step_count, extras=timed | extras, **fields)
         self.step_count += 1
-        self.history.append(result)
         return result
 
     def _agree(self, found: bool, loss_value: float) -> tuple[bool, float]:
@@ -177,9 +175,7 @@ class DistributedStep:
 
         found = self.scaler is not None and grads_have_overflow(self.optimizer.params)
         overflow, global_loss = self._agree(found, loss_value)
-        grad_norm, skipped = apply_update(
-            self.optimizer, self.scaler, None, scale, overflow
-        )
+        skipped = apply_update(self.optimizer, self.scaler, scale, overflow)
         return self.finish_step(
             phases,
             {
@@ -190,7 +186,7 @@ class DistributedStep:
             loss=loss_value,
             global_loss=global_loss,
             lr=lr,
-            grad_norm=grad_norm,
+            grad_norm=None,
             skipped=skipped,
             loss_scale=scale,
             dense_sync_bytes=sync_bytes.get("dense", 0),

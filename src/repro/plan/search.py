@@ -19,6 +19,7 @@ zero drift. The plan a candidate is priced at is that config's own
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError, TopologyError
@@ -43,7 +44,9 @@ __all__ = [
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """Divisors of ``n``, ascending: each ``d <= sqrt(n)`` pairs with ``n // d``."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _layout_key(layout: ParallelLayout) -> tuple[int, int, int, int]:

@@ -188,14 +188,14 @@ class ElasticStepDriver:
 
         for label, params, _ in trainer.sync_groups:
             unflatten_grads(params, acc[label] / self.divisors[label])
-        grad_norm, skipped = apply_update(trainer.optimizer, None, None, 1.0, False)
+        skipped = apply_update(trainer.optimizer, None, 1.0, False)
         result = trainer.finish_step(
             phases,
             {"microsteps": self.k},
             loss=loss_value,
             global_loss=loss_fold / self.logical_world,
             lr=lr,
-            grad_norm=grad_norm,
+            grad_norm=None,
             skipped=skipped,
             loss_scale=1.0,
         )

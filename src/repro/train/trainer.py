@@ -4,11 +4,13 @@ Handles the full mixed-precision protocol: scaled loss, overflow detection,
 skipped steps, gradient clipping, and LR scheduling. The distributed step
 (:mod:`repro.parallel.step`) shares the update block (:func:`apply_update`)
 and the result type with this loop, and inserts communication at the
-gradient stage.
+gradient stage. Only this loop measures the gradient norm: it logs it and
+clips by it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -37,8 +39,9 @@ class StepResult:
     #: Mean loss over the whole global batch — identical on every rank.
     global_loss: float
     lr: float
-    #: Unscaled pre-clip gradient norm; ``inf`` on a skipped step.
-    grad_norm: float
+    #: Unscaled pre-clip gradient norm; ``inf`` on a skipped step. None on
+    #: a distributed step, which does not measure it.
+    grad_norm: float | None
     skipped: bool
     loss_scale: float
     #: Virtual seconds per phase as ``t_<phase>``, plus per-strategy extras.
@@ -53,30 +56,23 @@ class StepResult:
 def apply_update(
     optimizer: Adam,
     scaler: DynamicLossScaler | None,
-    grad_clip: float | None,
     scale: float,
     overflow: bool,
-) -> tuple[float, bool]:
-    """Skip or step, the one way every trainer does it: ``(grad_norm, skipped)``.
+) -> bool:
+    """Skip or step, the one way every trainer does it; True when skipped.
 
     ``overflow`` is the (already world-agreed) verdict on the scaled
     gradients. On overflow under a scaler nothing is applied and the
-    scaler backs off; otherwise gradients are measured (and clipped) in
-    unscaled units, the optimizer steps with the inverse scale, and the
-    scaler counts a good step.
+    scaler backs off; otherwise the optimizer steps with the inverse
+    scale and the scaler counts a good step.
     """
     if scaler is not None and overflow:
         scaler.update(found_overflow=True)
-        return float("inf"), True
-    inv = 1.0 / scale
-    if grad_clip is not None:
-        grad_norm = clip_grad_norm(optimizer.params, grad_clip, grad_scale=inv)
-    else:
-        grad_norm = global_grad_norm(optimizer.params, grad_scale=inv)
-    optimizer.step(grad_scale=inv)
+        return True
+    optimizer.step(grad_scale=1.0 / scale)
     if scaler is not None:
         scaler.update(found_overflow=False)
-    return grad_norm, False
+    return False
 
 
 class Trainer:
@@ -127,10 +123,16 @@ class Trainer:
         loss_value = float(loss.item())
         loss.backward(np.asarray(scale, dtype=loss.data.dtype))
 
-        overflow = self.scaler is not None and grads_have_overflow(self.optimizer.params)
-        grad_norm, skipped = apply_update(
-            self.optimizer, self.scaler, self.grad_clip, scale, overflow
-        )
+        params = self.optimizer.params
+        overflow = self.scaler is not None and grads_have_overflow(params)
+        # Measured (and clipped) in unscaled units, before the update.
+        if overflow:
+            grad_norm = math.inf
+        elif self.grad_clip is not None:
+            grad_norm = clip_grad_norm(params, self.grad_clip, grad_scale=1.0 / scale)
+        else:
+            grad_norm = global_grad_norm(params, grad_scale=1.0 / scale)
+        skipped = apply_update(self.optimizer, self.scaler, scale, overflow)
         result = StepResult(
             step=self.step_count,
             loss=loss_value,

@@ -36,6 +36,15 @@ class TestConfigDerivedCounts:
         assert cfg.num_moe_layers == 4
         assert cfg.num_dense_ffn_layers == 0
 
+    def test_moe_layer_count_is_the_blocks_the_model_makes_moe(self):
+        """``n_layers // moe_every`` counts the blocks ``i`` with
+        ``(i + 1) % moe_every == 0``, the blocks the transformer makes MoE."""
+        for n_layers in range(1, 13):
+            for moe_every in range(1, 15):
+                cfg = tiny_config(n_layers=n_layers, moe_every=moe_every)
+                blocks = [i for i in range(n_layers) if (i + 1) % moe_every == 0]
+                assert cfg.num_moe_layers == len(blocks)
+
     def test_param_breakdown_sums_to_total(self):
         cfg = tiny_config()
         total = (

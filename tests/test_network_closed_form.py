@@ -5,10 +5,13 @@
 coordinate walk over every member and a dict-of-lists partition — survives
 only here, as the brute-force reference: every float must come out
 ``==``, never ``approx``, because the simulated clock and the committed
-tables are pinned to the last bit.
+tables are pinned to the last bit. A topology keeps each group's shape in a
+cache of its own; a warm cache must price exactly like an empty one.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import TopologyError
 from repro.hardware import sunway_machine
 from repro.models import bagualu_14_5t
-from repro.network import NetworkModel, sunway_network
+from repro.network import NetworkModel, sunway_network, sunway_topology
 from repro.network import collectives as C
 from repro.network.links import LinkSpec
 from repro.network.topology import Level, Topology
@@ -230,12 +233,13 @@ def test_reference_covers_every_group_function():
 @settings(max_examples=300, deadline=None)
 def test_costs_match_per_member_reference(tg, nbytes):
     topo, group = tg
-    assert C.cost_barrier(topo, group) == ref_barrier(topo, group)
+    shape = topo.group_shape(group)
+    assert C.cost_barrier(shape) == ref_barrier(topo, group)
     for name, ref in REFERENCE.items():
-        assert getattr(C, name)(topo, nbytes, group) == ref(topo, nbytes, group), name
+        assert getattr(C, name)(shape, nbytes) == ref(topo, nbytes, group), name
     for name in HIERARCHICAL:
         for level in range(topo.num_levels):
-            got = getattr(C, name)(topo, nbytes, group, level=level)
+            got = getattr(C, name)(shape, nbytes, level=level)
             assert got == REFERENCE[name](topo, nbytes, group, level=level), (name, level)
 
 
@@ -276,6 +280,101 @@ def test_dense_range_is_not_expanded_and_wrapping_ranks_are():
 
 
 # --------------------------------------------------------------------- #
+# The shape cache: topology facts, never a price, never another's
+# --------------------------------------------------------------------- #
+
+
+def _prices(net, nbytes, group):
+    """Every price ``net`` gives ``group``, under every algorithm."""
+    return (
+        [net.allreduce_time(nbytes, group, algo) for algo in ("ring", "tree", "hierarchical", None)]
+        + [net.alltoall_time(nbytes, group, algo) for algo in ("flat", "hierarchical", None)]
+        + [net.allgather_time(nbytes, group), net.gather_time(nbytes, group),
+           net.bcast_time(nbytes, group), net.barrier_time(group)]
+    )
+
+
+@st.composite
+def shared_topology_and_groups(draw):
+    """A shared preset instance (warm across examples) and groups on it:
+    ascending, descending, stepped and one-node ranges, and member lists."""
+    topo = sunway_topology(draw(st.integers(1, 24)), draw(st.integers(1, 6)))
+    n = topo.num_nodes
+    lo, hi, step = draw(st.integers(0, n - 1)), draw(st.integers(0, n)), draw(st.integers(1, n))
+    groups = [range(lo, hi, step), range(hi - 1, lo - 1, -step), range(lo, lo + 1),
+              draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))]
+    return topo, draw(st.permutations(groups))
+
+
+@given(shared_topology_and_groups(), payloads)
+@settings(max_examples=200, deadline=None)
+def test_a_warm_cache_prices_like_an_empty_one(tg, nbytes):
+    topo, groups = tg
+    warm = NetworkModel(topo)
+    for group in groups + groups:  # the second round reads the entries the first made
+        fresh = NetworkModel(Topology(topo.levels))
+        assert _prices(warm, nbytes, group) == _prices(fresh, nbytes, group)
+
+
+def test_a_rebuilt_topology_is_never_served_a_dropped_ones_shapes():
+    """Topologies of different shapes built one after another, each dropped
+    before the next, so that later ones sit where earlier ones did (checked):
+    each prices every group like the per-member reference."""
+    link_a = LinkSpec(latency=1e-6, bandwidth=16e9)
+    link_b = LinkSpec(latency=7e-6, bandwidth=16e9, oversubscription=4.0)
+    groups = (range(12), range(0, 12, 3), [0, 5, 6, 11], range(11, 2, -2))
+    arity_at, moved_in = {}, 0
+    for trial in range(300):
+        arity = (1, 2, 3, 4, 6, 12)[trial % 6]
+        topo = Topology([Level("a", arity, link_a), Level("b", 12 // arity, link_b)])
+        moved_in += arity_at.get(id(topo), arity) != arity
+        arity_at[id(topo)] = arity
+        for group in groups:
+            shape = topo.group_shape(group)
+            assert C.cost_hierarchical_allreduce(shape, 1e6) == (
+                ref_hierarchical_allreduce(topo, 1e6, group)
+            ), (arity, group)
+            assert C.cost_hierarchical_alltoall(shape, 1e3) == (
+                ref_hierarchical_alltoall(topo, 1e3, group)
+            ), (arity, group)
+        del topo, shape
+    assert moved_in  # a topology did take the place of one of another shape
+
+
+def test_rank_threads_pricing_one_topology_read_equal_shapes():
+    """Eight threads (more than cores) price the same groups on one fresh
+    topology with a short switch interval: every price is the cold one."""
+    topo = sunway_topology(64, 8)
+    groups = [range(0, 64, s) for s in (1, 2, 3, 5, 8)] + [[1, 9, 17, 63], [3, 4, 40]]
+    expected = [_prices(NetworkModel(Topology(topo.levels)), 4096.0, g) for g in groups]
+    shared = NetworkModel(Topology(topo.levels))
+    results = [None] * 8
+
+    def price(i):
+        results[i] = [[_prices(shared, 4096.0, g) for g in groups] for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=price, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(rounds == [expected] * 20 for rounds in results)
+
+
+def test_equal_sunway_machines_share_one_topology():
+    assert sunway_topology(1024) is sunway_topology(1024, 256)
+    assert sunway_network(1024).topology is sunway_network(1024).topology
+    assert sunway_topology(1024, 4) is not sunway_topology(1024)
+    assert sunway_topology(512) is not sunway_topology(1024)
+
+
+# --------------------------------------------------------------------- #
 # Error parity
 # --------------------------------------------------------------------- #
 
@@ -297,11 +396,13 @@ def test_out_of_range_member_raises_for_range_and_list(group):
             span_of(topo, group)
         with pytest.raises(TopologyError):
             span_of(topo, [12, 12])
-    for name in REFERENCE:
-        with pytest.raises(TopologyError):
-            getattr(C, name)(topo, 1024.0, group)
     with pytest.raises(TopologyError):
-        C.cost_barrier(topo, group)
+        topo.group_shape(group)
+    net = NetworkModel(topo, node_of_rank=lambda r: r)
+    with pytest.raises(TopologyError):
+        net.allreduce_time(1024.0, group)
+    with pytest.raises(TopologyError):
+        net.barrier_time(group)
 
 
 @pytest.mark.parametrize("group", [range(12), list(range(12))], ids=["range", "list"])
@@ -309,11 +410,11 @@ def test_out_of_range_member_raises_for_range_and_list(group):
 def test_level_out_of_range_still_raises(name, group):
     topo = _three_level()
     with pytest.raises(TopologyError):
-        getattr(C, name)(topo, 1024.0, group, level=3)
+        getattr(C, name)(topo.group_shape(group), 1024.0, level=3)
     with pytest.raises(TopologyError):
         REFERENCE[name](topo, 1024.0, group, level=3)
     # A negative level never reaches the partition: plain ring / flat.
-    assert getattr(C, name)(topo, 1024.0, group, level=-7) == (
+    assert getattr(C, name)(topo.group_shape(group), 1024.0, level=-7) == (
         REFERENCE[name](topo, 1024.0, group, level=-7)
     )
 
@@ -322,8 +423,8 @@ def test_degenerate_groups_have_no_span():
     topo = _three_level()
     for group in ([], [5], [5, 5, 5], range(0), range(4, 5), range(7, 3)):
         assert topo.span_level_of(group) == -1
-        assert C.cost_ring_allreduce(topo, 1e6, group) == 0.0
-        assert C.cost_hierarchical_alltoall(topo, 1e6, group) == 0.0
+        assert C.cost_ring_allreduce(topo.group_shape(group), 1e6) == 0.0
+        assert C.cost_hierarchical_alltoall(topo.group_shape(group), 1e6) == 0.0
 
 
 # --------------------------------------------------------------------- #

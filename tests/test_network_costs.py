@@ -32,7 +32,6 @@ from repro.network.collectives import (
     cost_ring_allreduce,
     cost_tree_allreduce,
     _reduce_scatter,
-    _shape,
 )
 
 
@@ -53,60 +52,61 @@ class TestBasicCosts:
         assert cost_p2p(topo, 1e6, 0, 8) > cost_p2p(topo, 1e6, 0, 1)
 
     def test_barrier_single_rank_free(self, topo):
-        assert cost_barrier(topo, [5]) == 0.0
+        assert cost_barrier(topo.group_shape([5])) == 0.0
 
     def test_barrier_grows_logarithmically(self, topo):
-        t8 = cost_barrier(topo, NODES[:8])
-        t64 = cost_barrier(topo, NODES)
+        t8 = cost_barrier(topo.group_shape(NODES[:8]))
+        t64 = cost_barrier(topo.group_shape(NODES))
         assert t64 > t8
         # log2(64)/log2(8) = 2, but the 64-node barrier crosses groups.
         assert t64 < 20 * t8
 
     def test_bcast_scales_with_bytes(self, topo):
-        assert cost_bcast(topo, 1e6, NODES) > cost_bcast(topo, 1e3, NODES)
+        shape = topo.group_shape(NODES)
+        assert cost_bcast(shape, 1e6) > cost_bcast(shape, 1e3)
 
     def test_zero_participants_edge(self, topo):
-        assert cost_ring_allreduce(topo, 100, []) == 0.0
-        assert cost_flat_alltoall(topo, 100, [3]) == 0.0
+        assert cost_ring_allreduce(topo.group_shape([]), 100) == 0.0
+        assert cost_flat_alltoall(topo.group_shape([3]), 100) == 0.0
 
 
 class TestAllreduceShapes:
     def test_ring_beats_tree_for_large_buffers(self, topo):
         big = 100e6
-        assert cost_ring_allreduce(topo, big, INTRA) < cost_tree_allreduce(topo, big, INTRA)
+        shape = topo.group_shape(INTRA)
+        assert cost_ring_allreduce(shape, big) < cost_tree_allreduce(shape, big)
 
     def test_tree_beats_ring_for_tiny_buffers_many_nodes(self, topo):
         tiny = 8.0
-        assert cost_tree_allreduce(topo, tiny, NODES) < cost_ring_allreduce(topo, tiny, NODES)
+        shape = topo.group_shape(NODES)
+        assert cost_tree_allreduce(shape, tiny) < cost_ring_allreduce(shape, tiny)
 
     def test_hierarchical_beats_flat_ring_cross_group(self, topo):
         nbytes = 10e6
-        assert cost_hierarchical_allreduce(topo, nbytes, NODES) < cost_ring_allreduce(
-            topo, nbytes, NODES
-        )
+        shape = topo.group_shape(NODES)
+        assert cost_hierarchical_allreduce(shape, nbytes) < cost_ring_allreduce(shape, nbytes)
 
     def test_hierarchical_falls_back_within_group(self, topo):
         nbytes = 1e6
-        assert cost_hierarchical_allreduce(topo, nbytes, INTRA) == cost_ring_allreduce(
-            topo, nbytes, INTRA
-        )
+        shape = topo.group_shape(INTRA)
+        assert cost_hierarchical_allreduce(shape, nbytes) == cost_ring_allreduce(shape, nbytes)
 
     @given(st.floats(min_value=1.0, max_value=1e9))
     @settings(max_examples=30, deadline=None)
     def test_allreduce_costs_positive_and_finite(self, nbytes):
         topo = two_level_topology(4, 4)
-        nodes = list(range(16))
+        shape = topo.group_shape(list(range(16)))
         for fn in (cost_ring_allreduce, cost_tree_allreduce, cost_hierarchical_allreduce):
-            t = fn(topo, nbytes, nodes)
+            t = fn(shape, nbytes)
             assert 0.0 < t < 1e6
 
     @given(st.floats(min_value=1.0, max_value=1e8), st.floats(min_value=2.0, max_value=1e8))
     @settings(max_examples=30, deadline=None)
     def test_allreduce_monotone_in_bytes(self, a, b):
         topo = two_level_topology(4, 4)
-        nodes = list(range(16))
+        shape = topo.group_shape(list(range(16)))
         lo, hi = min(a, b), max(a, b)
-        assert cost_ring_allreduce(topo, lo, nodes) <= cost_ring_allreduce(topo, hi, nodes)
+        assert cost_ring_allreduce(shape, lo) <= cost_ring_allreduce(shape, hi)
 
 
 class TestAlltoallShapes:
@@ -115,28 +115,27 @@ class TestAlltoallShapes:
         topo = sunway_topology(4096, supernode_size=256)
         nodes = list(range(4096))
         m = 4096.0  # 4 KiB per pair: latency-dominated
-        flat = cost_flat_alltoall(topo, m, nodes)
-        hier = cost_hierarchical_alltoall(topo, m, nodes)
+        flat = cost_flat_alltoall(topo.group_shape(nodes), m)
+        hier = cost_hierarchical_alltoall(topo.group_shape(nodes), m)
         assert hier < flat
 
     def test_flat_competitive_for_huge_messages(self, topo):
         """Crossover: aggregation overhead loses for bandwidth-bound sizes."""
         nodes = NODES
         m = 64e6
-        flat = cost_flat_alltoall(topo, m, nodes)
-        hier = cost_hierarchical_alltoall(topo, m, nodes)
+        flat = cost_flat_alltoall(topo.group_shape(nodes), m)
+        hier = cost_hierarchical_alltoall(topo.group_shape(nodes), m)
         assert flat < hier
 
     def test_hierarchical_falls_back_within_group(self, topo):
         m = 1e4
-        assert cost_hierarchical_alltoall(topo, m, INTRA) == cost_flat_alltoall(
-            topo, m, INTRA
-        )
+        shape = topo.group_shape(INTRA)
+        assert cost_hierarchical_alltoall(shape, m) == cost_flat_alltoall(shape, m)
 
     def test_alltoall_latency_term_scales_with_p(self, topo):
         tiny = 1.0
-        t8 = cost_flat_alltoall(topo, tiny, NODES[:8])
-        t64 = cost_flat_alltoall(topo, tiny, NODES)
+        t8 = cost_flat_alltoall(topo.group_shape(NODES[:8]), tiny)
+        t64 = cost_flat_alltoall(topo.group_shape(NODES), tiny)
         assert t64 > 4 * t8  # (p-1) alpha growth
 
     @given(st.floats(min_value=1.0, max_value=1e7))
@@ -144,8 +143,8 @@ class TestAlltoallShapes:
     def test_alltoall_costs_positive(self, m):
         topo = two_level_topology(4, 4)
         nodes = list(range(16))
-        assert cost_flat_alltoall(topo, m, nodes) > 0
-        assert cost_hierarchical_alltoall(topo, m, nodes) > 0
+        assert cost_flat_alltoall(topo.group_shape(nodes), m) > 0
+        assert cost_hierarchical_alltoall(topo.group_shape(nodes), m) > 0
 
 
 class TestOtherCollectives:
@@ -153,14 +152,15 @@ class TestOtherCollectives:
         """The ring reduce-scatter that is the first phase of the
         hierarchical allreduce is half a ring allreduce."""
         nbytes = 1e6
-        rs = _reduce_scatter(nbytes, *_shape(topo, INTRA))
-        ar = cost_ring_allreduce(topo, nbytes, INTRA)
+        shape = topo.group_shape(INTRA)
+        rs = _reduce_scatter(nbytes, shape.p, shape.link)
+        ar = cost_ring_allreduce(shape, nbytes)
         assert rs == pytest.approx(ar / 2)
 
     def test_allgather_equals_gather_order(self, topo):
         nbytes = 1e5
-        assert cost_allgather(topo, nbytes, INTRA) > 0
-        assert cost_gather(topo, nbytes, INTRA) > 0
+        assert cost_allgather(topo.group_shape(INTRA), nbytes) > 0
+        assert cost_gather(topo.group_shape(INTRA), nbytes) > 0
 
 
 class TestNetworkModel:

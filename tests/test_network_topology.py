@@ -182,14 +182,10 @@ class TestCabinetTopology:
         )
 
         topo = cabinet_topology(8, 4, 4)  # 128 nodes
-        nodes = list(range(topo.num_nodes))
+        shape = topo.group_shape(list(range(topo.num_nodes)))
         # Hierarchical variants beat flat at this scale for small payloads.
-        assert cost_hierarchical_alltoall(topo, 256, nodes) < cost_flat_alltoall(
-            topo, 256, nodes
-        )
-        assert cost_hierarchical_allreduce(topo, 1e7, nodes) < cost_ring_allreduce(
-            topo, 1e7, nodes
-        )
+        assert cost_hierarchical_alltoall(shape, 256) < cost_flat_alltoall(shape, 256)
+        assert cost_hierarchical_allreduce(shape, 1e7) < cost_ring_allreduce(shape, 1e7)
 
     def test_invalid_arity(self):
         from repro.errors import TopologyError

@@ -34,13 +34,13 @@ def _train(comm, ep_size, steps=4, optimizer="adam", seed=11, lr=3e-3, **trainer
     corpus = SyntheticCorpus(vocab_size=CFG.vocab_size, predictability=0.9, seed=2)
     loader = ShardedLoader(corpus, 4, 8, dp_rank=comm.rank, dp_size=comm.size)
     trainer = MoDaTrainer(model, opt, groups, **trainer_kw)
-    losses = [trainer.train_step(loader.get_batch(s)).global_loss for s in range(steps)]
+    results = [trainer.train_step(loader.get_batch(s)) for s in range(steps)]
     dense, expert = split_params(model)
     return {
-        "losses": losses,
+        "losses": [r.global_loss for r in results],
         "dense_fingerprint": float(sum(np.abs(p.data).sum() for p in dense)),
         "expert_fingerprint": float(sum(np.abs(p.data).sum() for p in expert)),
-        "history": [(r.dense_sync_bytes, r.expert_sync_bytes) for r in trainer.history],
+        "sync_bytes": [(r.dense_sync_bytes, r.expert_sync_bytes) for r in results],
     }
 
 
@@ -71,7 +71,7 @@ class TestMoDaTrainer:
 
     def test_sync_bytes_reported(self):
         res = run_spmd(_train, 4, args=(2,), timeout=300)
-        dense_bytes, expert_bytes = res.returns[0]["history"][0]
+        dense_bytes, expert_bytes = res.returns[0]["sync_bytes"][0]
         assert dense_bytes > 0
         assert expert_bytes > 0
 

@@ -29,6 +29,7 @@ from repro.plan import (
     search_plans,
     verify_plans,
 )
+from repro.plan.search import _divisors
 
 #: Small world with every axis representable: 4 layers -> pp in {1, 2, 4},
 #: alternating dense/MoE blocks -> TP has something to shard.
@@ -68,6 +69,10 @@ class TestEnumeration:
         layouts = enumerate_layouts(16, max_tp=2, max_zero=4)
         assert max(l.tp_size for l in layouts) <= 2
         assert max(l.zero_shards for l in layouts) <= 4
+
+    def test_divisors_by_square_root_match_trial_division(self):
+        for n in [*range(1, 5001), 96_000]:
+            assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
     def test_bad_world_rejected(self):
         with pytest.raises(ConfigError):

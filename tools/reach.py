@@ -383,7 +383,7 @@ def caller_set(tree: Path, work: Path) -> list[tuple[list[str], Path, int]]:
         ["plan", "--nodes", "8", "--overlap-chunks", "2", "--no-verify", "--out",
          "plan_ov2.md", "--metrics", "plan_ov2.jsonl"],
         ["plan", "--nodes", "96000", "--cluster", "sunway", "--no-verify", "--out",
-         "plan_96k.md"],
+         "plan_96k.md", "--metrics", "plan_96k.jsonl"],
         ["serve", "--ep", "2", "--replicas", "2", "--requests", "12", "--arrival-rate",
          "2000", "--tiers", "2", "--shed-tier", "1", "--queue-depth", "3",
          "--hedge-after-ms", "1", "--span-dump", "spans.json", "--metrics", "serve.jsonl",
